@@ -3,12 +3,13 @@
 Core pieces: a reverse-mode autodiff tape over dense 3D tensor ops,
 displacement-field transforms on the unit cube, correlation- and
 descriptor-based similarity losses, an inverse-consistency regularized
-objective, a multi-resolution two-step pyramid optimized per pair with
-Adam, dataset pair sampling with loss randomization, and the matching
-evaluation metrics (Dice, mTRE, folding fraction).
+objective, a multi-resolution pyramid of displacement grids (an explicit
+composition of coarse-to-fine stages that read no images) optimized per
+pair with Adam, dataset pair sampling with loss randomization, and the
+matching evaluation metrics (Dice, mTRE, folding fraction).
 """
 
-from .tensor import Tensor3, TensorError, grid_coordinates, grid_spacing
+from .tensor import Tensor3, TensorError, grid_coordinates
 from .tape import (
     Node,
     Tape,
@@ -78,7 +79,6 @@ from .pipeline import (
     PyramidModel,
     RegistrationResult,
     build_model,
-    evaluate_model,
     instance_optimize,
 )
 from .sampling import (

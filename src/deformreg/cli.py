@@ -73,11 +73,9 @@ DEFAULT_CONFIG = {
         "beta1": 0.9,
         "beta2": 0.999,
         "eps": 1e-8,
-        "seed": 0,
         "stage_damping": [1.0, 0.3, 0.1, 0.1],
     },
     "strategy": "F",
-    "pairs_per_epoch": 4000,
 }
 
 

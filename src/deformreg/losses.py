@@ -7,9 +7,10 @@ The pair loss evaluates a model in both directions and assembles
 
 with the gradient taken by deterministic central differences and the
 Frobenius term averaged over interior voxels (so lam is grid-size
-independent). The randomized variant decouples the volumes fed to the
-model from the volumes the similarity terms compare; the maps depend on
-the input pair only.
+independent). The randomized variant decouples the input pair from the
+loss pair the similarity terms compare. The model's stages are parameter
+grids that read no images, so the maps do not depend on the input pair;
+only the loss pair enters the objective.
 """
 
 from __future__ import annotations
@@ -73,20 +74,18 @@ def _check_pair(*volumes: Volume):
 def randomized_loss_nodes(
     tape: Tape,
     bound_model,
-    input_a: Node,
-    input_b: Node,
     loss_a: Node,
     loss_b: Node,
     cfg: LossConfig,
 ):
     """Assemble the loss on an existing tape; returns (total, terms dict).
 
-    Maps are predicted from the input pair; similarity compares the warped
-    loss pair. With loss pair == input pair this is the plain symmetric
-    objective.
+    Evaluates the bound model's maps in both directions and compares the
+    warped loss pair; the model must be built for the loss pair's dims.
     """
-    u_ab = bound_model.evaluate(input_a, input_b, "ab")
-    u_ba = bound_model.evaluate(input_b, input_a, "ba")
+    bound_model.model.check_dims(loss_a.value.dims)
+    u_ab = bound_model.evaluate("ab")
+    u_ba = bound_model.evaluate("ba")
     sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, loss_a, u_ab), loss_b, cfg.similarity)
     sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, loss_b, u_ba), loss_a, cfg.similarity)
     total = tape.add(sim_ab, sim_ba)
@@ -106,15 +105,13 @@ def loss_breakdown(
     model,
     cfg: LossConfig,
 ) -> dict[str, float]:
-    """Term-wise evaluation on a throwaway tape (no gradients)."""
+    """Term-wise evaluation on a throwaway tape (no gradients). The input
+    pair is validated with the loss pair but feeds no map."""
     _check_pair(input_a, input_b, loss_a, loss_b)
     tape = Tape()
     bound = model.bind(tape)
-    nodes = {}
-    for key, vol in (("ia", input_a), ("ib", input_b), ("la", loss_a), ("lb", loss_b)):
-        nodes[key] = tape.input(vol.grid)
     total, terms = randomized_loss_nodes(
-        tape, bound, nodes["ia"], nodes["ib"], nodes["la"], nodes["lb"], cfg
+        tape, bound, tape.input(loss_a.grid), tape.input(loss_b.grid), cfg
     )
     out = {
         "total": total.value.item(),

@@ -1,11 +1,17 @@
 """Multi-resolution registration model and per-pair instance optimization.
 
-The model is a four-stage composition: two coarse stages evaluated on
-average-pooled inputs (quarter and half resolution) and two full-
-resolution stages, wired as nested two-step compositions. Stages are
-direct displacement parameter grids optimized per pair; each direction
-(A->B, B->A) keeps its own set, tied only through the inverse-consistency
-penalty. A fresh (zero) model is exactly the identity map.
+The model is a four-stage composition of displacement parameter grids:
+a quarter-resolution grid q, a half-resolution grid h and two full-
+resolution grids s2, s3, evaluated as
+
+    u = c(c(up(c(up(q), h)), s2), s3)
+
+with c the field composition and up the resampling onto the next stage's
+grid. The stages are optimized per pair and read no images, so the map
+depends on the parameters alone; the loss pair alone drives the
+objective. Each direction (A->B, B->A) keeps its own set of grids, tied
+only through the inverse-consistency penalty. A fresh (zero) model is
+exactly the identity map.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .losses import LossConfig, randomized_loss_nodes
 from .tape import Node, Tape
 from .tensor import Tensor3, TensorError
-from .transforms import DisplacementField, compose_nodes, resample_field_nodes, warp_nodes
+from .transforms import DisplacementField, compose_nodes, resample_field_nodes
 from .volume import Volume
 
 STAGE_COUNT = 4
@@ -40,25 +46,6 @@ def pooled_dim(n: int) -> int:
     return (n + 1) // 2
 
 
-def two_step(tape: Tape, eval_coarse, eval_fine, ia: Node, ib: Node) -> Node:
-    """Coarse map first, then a residual map estimated between the warped
-    source and the target; returns coarse o residual."""
-    phi1 = eval_coarse(ia, ib)
-    warped = warp_nodes(tape, ia, phi1)
-    phi2 = eval_fine(warped, ib)
-    return compose_nodes(tape, phi1, phi2)
-
-
-def down_sample(tape: Tape, eval_inner, ia: Node, ib: Node) -> Node:
-    """Evaluate the inner stage on 2x average-pooled inputs; the returned
-    field lives in normalized coordinates, so it only needs resampling
-    onto the outer grid."""
-    pa = tape.avg_pool2(ia)
-    pb = tape.avg_pool2(ib)
-    phi = eval_inner(pa, pb)
-    return resample_field_nodes(tape, phi, ia.value.dims)
-
-
 def stage_grid_dims(base_dims) -> tuple:
     """Grid dims of the four stages: quarter, half, full, full."""
     half = tuple(pooled_dim(n) for n in base_dims)
@@ -68,7 +55,7 @@ def stage_grid_dims(base_dims) -> tuple:
 
 @dataclass
 class PyramidModel:
-    """Four displacement parameter grids per direction plus their wiring."""
+    """Four displacement parameter grids per direction."""
 
     base_dims: tuple
     params: dict[str, Tensor3] = field(default_factory=dict)
@@ -83,19 +70,21 @@ class PyramidModel:
     def bind(self, tape: Tape) -> "BoundPyramid":
         return BoundPyramid(tape, self)
 
+    def check_dims(self, dims) -> None:
+        if tuple(dims) != self.base_dims:
+            raise PipelineError(
+                f"model built for dims {self.base_dims}, volumes have dims {tuple(dims)}"
+            )
+
     def copy(self) -> "PyramidModel":
         return PyramidModel(self.base_dims, dict(self.params))
 
     def fields(self) -> tuple[DisplacementField, DisplacementField]:
         """Evaluate the current parameters into full-resolution maps."""
-        tape = Tape()
-        bound = self.bind(tape)
-        dummy = tape.input(Tensor3.zeros(self.base_dims))
-        u_ab = bound.evaluate(dummy, dummy, "ab")
-        u_ba = bound.evaluate(dummy, dummy, "ba")
+        bound = BoundPyramid(Tape(), self, trainable=False)
         return (
-            DisplacementField(u_ab.value),
-            DisplacementField(u_ba.value),
+            DisplacementField(bound.evaluate("ab").value),
+            DisplacementField(bound.evaluate("ba").value),
         )
 
 
@@ -122,40 +111,17 @@ class BoundPyramid:
             for key, value in model.params.items()
         }
 
-    def _stage_eval(self, key: str):
-        node = self.nodes[key]
-
-        def ev(ia: Node, ib: Node) -> Node:
-            if ia.value.dims != node.value.dims or ib.value.dims != node.value.dims:
-                raise PipelineError(
-                    f"stage {key} expects inputs on {node.value.dims}, "
-                    f"got {ia.value.dims} and {ib.value.dims}"
-                )
-            return node
-
-        return ev
-
-    def evaluate(self, ia: Node, ib: Node, direction: str) -> Node:
-        """Nested two-step/downsample composition over the four stages."""
+    def evaluate(self, direction: str) -> Node:
+        """Full-resolution map u = c(c(up(c(up(q), h)), s2), s3) of one
+        direction, with c = compose_nodes and up = resample_field_nodes
+        onto the next stage's grid."""
         if direction not in DIRECTIONS:
             raise PipelineError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         tape = self.tape
-        s = [self._stage_eval(self.model.param_key(direction, i)) for i in range(STAGE_COUNT)]
-        lvl_quarter = lambda a, b: down_sample(tape, s[0], a, b)
-        lvl_half = lambda a, b: two_step(tape, lvl_quarter, s[1], a, b)
-        lvl_half_at_full = lambda a, b: down_sample(tape, lvl_half, a, b)
-        lvl_full = lambda a, b: two_step(tape, lvl_half_at_full, s[2], a, b)
-        return two_step(tape, lvl_full, s[3], ia, ib)
-
-
-def evaluate_model(model: PyramidModel, ia: Volume, ib: Volume):
-    """Plain evaluation of both directional maps for a volume pair."""
-    tape = Tape()
-    bound = BoundPyramid(tape, model, trainable=False)
-    na, nb = tape.input(ia.grid), tape.input(ib.grid)
-    u_ab = bound.evaluate(na, nb, "ab")
-    u_ba = bound.evaluate(nb, na, "ba")
-    return DisplacementField(u_ab.value), DisplacementField(u_ba.value)
+        q, h, s2, s3 = (self.nodes[self.model.param_key(direction, i)] for i in range(STAGE_COUNT))
+        half = compose_nodes(tape, resample_field_nodes(tape, q, h.value.dims), h)
+        full = compose_nodes(tape, resample_field_nodes(tape, half, s2.value.dims), s2)
+        return compose_nodes(tape, full, s3)
 
 
 @dataclass(frozen=True)
@@ -176,7 +142,6 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
     stage_damping: tuple = (1.0, 0.3, 0.1, 0.1)
 
     def __post_init__(self):
@@ -233,10 +198,9 @@ def instance_optimize(
     loss_cfg: LossConfig | None = None,
     opt_cfg: OptimizerConfig | None = None,
     model: PyramidModel | None = None,
-    loss_ia: Volume | None = None,
-    loss_ib: Volume | None = None,
 ) -> RegistrationResult:
-    """Per-pair Adam refinement of all stage parameters.
+    """Per-pair Adam refinement of all stage parameters, starting from a
+    copy of ``model`` (or a fresh one); the caller's model is not changed.
 
     The trace holds the loss before each update plus the final value
     (length steps + 1). Raises NumericalAbort if the loss leaves the
@@ -249,9 +213,7 @@ def instance_optimize(
         raise PipelineError(f"volume dims differ: {ia.dims} vs {ib.dims}")
     if not (ia.preprocessed and ib.preprocessed):
         raise PipelineError("instance optimization expects preprocessed volumes")
-    model = model if model is not None else build_model(ia.dims)
-    la = loss_ia if loss_ia is not None else ia
-    lb = loss_ib if loss_ib is not None else ib
+    model = model.copy() if model is not None else build_model(ia.dims)
 
     multipliers = {
         model.param_key(direction, stage): opt_cfg.stage_damping[stage]
@@ -268,9 +230,7 @@ def instance_optimize(
             tape = Tape()
             bound = BoundPyramid(tape, model, trainable=with_grads)
             na, nb = tape.input(ia.grid), tape.input(ib.grid)
-            nla = na if la is ia else tape.input(la.grid)
-            nlb = nb if lb is ib else tape.input(lb.grid)
-            total, _ = randomized_loss_nodes(tape, bound, na, nb, nla, nlb, loss_cfg)
+            total, _ = randomized_loss_nodes(tape, bound, na, nb, loss_cfg)
             value = total.value.item()
             if not with_grads:
                 return value, None
@@ -321,7 +281,6 @@ def instance_optimize(
             "beta1": opt_cfg.beta1,
             "beta2": opt_cfg.beta2,
             "eps": opt_cfg.eps,
-            "seed": opt_cfg.seed,
             "stage_damping": list(opt_cfg.stage_damping),
         },
     }

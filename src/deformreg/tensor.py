@@ -103,7 +103,3 @@ def grid_coordinates(dims) -> Tensor3:
     gx, gy, gz = np.meshgrid(*ax, indexing="ij")
     return Tensor3(np.stack([gx, gy, gz], axis=-1))
 
-
-def grid_spacing(dims) -> np.ndarray:
-    """Normalized-coordinate distance between adjacent nodes per axis."""
-    return np.array([1.0 / (n - 1) if n > 1 else 1.0 for n in dims])

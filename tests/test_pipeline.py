@@ -3,22 +3,28 @@
 import numpy as np
 import pytest
 
-from deformreg.losses import LossConfig
+from deformreg.losses import LossConfig, loss_breakdown
 from deformreg.pipeline import (
+    DIRECTIONS,
+    STAGE_COUNT,
     BoundPyramid,
     NumericalAbort,
     OptimizerConfig,
     PipelineError,
     build_model,
-    down_sample,
-    evaluate_model,
     instance_optimize,
     stage_grid_dims,
-    two_step,
 )
 from deformreg.tape import Tape
-from deformreg.tensor import Tensor3, grid_coordinates
-from deformreg.transforms import DisplacementField, warp
+from deformreg.tensor import Tensor3
+from deformreg.transforms import (
+    DisplacementField,
+    compose,
+    compose_nodes,
+    resample_field_nodes,
+    resample_field_to,
+    warp,
+)
 from deformreg.volume import Volume
 
 
@@ -27,101 +33,103 @@ def make_volume(values):
                   modality="SYNTH-BASE", preprocessed=True)
 
 
-def constant_field_eval(tape, dims, t):
-    """Stub stage: returns a constant-translation field, records its inputs."""
-    calls = []
+def random_model(dims, seed, scale=0.02):
+    rng = np.random.default_rng(seed)
+    model = build_model(dims)
+    for key in model.params:
+        model.params[key] = Tensor3(rng.uniform(-scale, scale, (*model.params[key].dims, 3)))
+    return model
 
-    def ev(ia, ib):
-        calls.append((ia, ib))
-        u = np.broadcast_to(np.asarray(t, dtype=np.float64), (*dims, 3)).copy()
-        return tape.input(Tensor3(u))
 
-    return ev, calls
+def plain_pyramid(model, direction):
+    """The pyramid written with the plain (non-tape) field functions."""
+    q, h, s2, s3 = (DisplacementField(model.params[model.param_key(direction, i)])
+                    for i in range(STAGE_COUNT))
+    half = compose(resample_field_to(q, h.dims), h)
+    full = compose(resample_field_to(half, s2.dims), s2)
+    return compose(full, s3)
+
+
+def constant_field_node(tape, dims, t):
+    """Constant-translation stage field as a tape input."""
+    return tape.input(DisplacementField.translation(dims, t).u)
 
 
 class TestTwoStep:
+    """The compose step c(first, residual) of the pyramid, on the tape."""
+
     def test_identity_stages(self):
         tape = Tape()
-        rng = np.random.default_rng(1)
         dims = (8, 8, 8)
-        ia = tape.input(Tensor3(rng.uniform(0, 1, (*dims, 1))))
-        ib = tape.input(Tensor3(rng.uniform(0, 1, (*dims, 1))))
-        ev1, _ = constant_field_eval(tape, dims, (0, 0, 0))
-        ev2, _ = constant_field_eval(tape, dims, (0, 0, 0))
-        out = two_step(tape, ev1, ev2, ia, ib)
+        u1 = constant_field_node(tape, dims, (0, 0, 0))
+        u2 = constant_field_node(tape, dims, (0, 0, 0))
+        out = compose_nodes(tape, u1, u2)
         assert np.max(np.abs(out.value.data)) <= 1e-12
 
     def test_translation_then_identity(self):
         tape = Tape()
         dims = (8, 8, 8)
-        ia = tape.input(Tensor3.full(dims, 0.5))
-        ib = tape.input(Tensor3.full(dims, 0.5))
-        ev1, _ = constant_field_eval(tape, dims, (0.1, 0.0, 0.0))
-        ev2, _ = constant_field_eval(tape, dims, (0.0, 0.0, 0.0))
-        out = two_step(tape, ev1, ev2, ia, ib)
+        u1 = constant_field_node(tape, dims, (0.1, 0.0, 0.0))
+        u2 = constant_field_node(tape, dims, (0.0, 0.0, 0.0))
+        out = compose_nodes(tape, u1, u2)
         assert np.allclose(out.value.data, [0.1, 0.0, 0.0], atol=1e-12)
 
     def test_translations_compose_additively(self):
         tape = Tape()
         dims = (8, 8, 8)
-        ia = tape.input(Tensor3.full(dims, 0.5))
-        ib = tape.input(Tensor3.full(dims, 0.5))
-        ev1, _ = constant_field_eval(tape, dims, (0.05, -0.02, 0.0))
-        ev2, _ = constant_field_eval(tape, dims, (0.03, 0.01, -0.04))
-        out = two_step(tape, ev1, ev2, ia, ib)
+        u1 = constant_field_node(tape, dims, (0.05, -0.02, 0.0))
+        u2 = constant_field_node(tape, dims, (0.03, 0.01, -0.04))
+        out = compose_nodes(tape, u1, u2)
         assert np.allclose(out.value.data, [0.08, -0.01, -0.04], atol=1e-12)
-
-    def test_second_stage_sees_warped_first_argument(self):
-        # the residual stage is estimated between the warped source and
-        # the unchanged target
-        tape = Tape()
-        dims = (9, 9, 9)
-        ramp = grid_coordinates(dims).data[..., 0:1]
-        rng = np.random.default_rng(2)
-        target = rng.uniform(0, 1, (*dims, 1))
-        ia = tape.input(Tensor3(ramp))
-        ib = tape.input(Tensor3(target))
-        t = (0.25, 0.0, 0.0)
-        ev1, _ = constant_field_eval(tape, dims, t)
-        ev2, calls2 = constant_field_eval(tape, dims, (0, 0, 0))
-        two_step(tape, ev1, ev2, ia, ib)
-        (warped_arg, target_arg), = calls2
-        expected = warp(make_volume(ramp[..., 0]), DisplacementField.translation(dims, t))
-        assert np.max(np.abs(warped_arg.value.data[..., 0] - expected.values())) < 1e-10
-        assert warped_arg is not ia
-        assert target_arg is ib
 
 
 class TestDownSample:
-    def test_inner_sees_pooled_dims(self):
-        tape = Tape()
-        dims = (16, 16, 16)
-        ia = tape.input(Tensor3.full(dims, 0.3))
-        ib = tape.input(Tensor3.full(dims, 0.7))
-        ev, calls = constant_field_eval(tape, (8, 8, 8), (0, 0, 0))
-        down_sample(tape, ev, ia, ib)
-        (pa, pb), = calls
-        assert pa.value.dims == (8, 8, 8)
-        assert pb.value.dims == (8, 8, 8)
+    """The up step of the pyramid: a coarse stage resampled onto a finer grid."""
 
     def test_identity_passthrough(self):
         tape = Tape()
         dims = (16, 16, 16)
-        ia = tape.input(Tensor3.full(dims, 0.3))
-        ib = tape.input(Tensor3.full(dims, 0.7))
-        ev, _ = constant_field_eval(tape, (8, 8, 8), (0, 0, 0))
-        out = down_sample(tape, ev, ia, ib)
+        coarse = constant_field_node(tape, (8, 8, 8), (0, 0, 0))
+        out = resample_field_nodes(tape, coarse, dims)
         assert out.value.dims == dims
         assert np.max(np.abs(out.value.data)) <= 1e-12
 
     def test_constant_translation_is_scale_free(self):
         tape = Tape()
         dims = (16, 16, 16)
-        ia = tape.input(Tensor3.full(dims, 0.3))
-        ib = tape.input(Tensor3.full(dims, 0.7))
-        ev, _ = constant_field_eval(tape, (8, 8, 8), (0.07, 0.0, -0.01))
-        out = down_sample(tape, ev, ia, ib)
+        coarse = constant_field_node(tape, (8, 8, 8), (0.07, 0.0, -0.01))
+        out = resample_field_nodes(tape, coarse, dims)
+        assert out.value.dims == dims
         assert np.allclose(out.value.data, [0.07, 0.0, -0.01], atol=1e-12)
+
+
+class TestExplicitComposition:
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (21, 19, 17)])
+    def test_bitwise_oracle(self, dims):
+        model = random_model(dims, seed=11)
+        fields = model.fields()
+        for direction, phi in zip(DIRECTIONS, fields):
+            expected = plain_pyramid(model, direction)
+            assert phi.dims == dims
+            assert np.array_equal(phi.u.data, expected.u.data)
+
+    def test_node_counts_per_direction(self):
+        model = build_model((16, 16, 16))
+        for direction in DIRECTIONS:
+            tape = Tape()
+            BoundPyramid(tape, model).evaluate(direction)
+            ops = [node.op for node in tape.nodes]
+            assert ops.count("trilinear_sample") == 5
+            assert ops.count("avg_pool2") == 0
+
+    def test_constant_translations_sum(self):
+        model = build_model((16, 16, 16))
+        shifts = [(0.05, -0.02, 0.0), (0.03, 0.01, -0.04), (-0.01, 0.0, 0.02), (0.0, 0.015, 0.01)]
+        for stage, (dims, t) in enumerate(zip(model.stage_dims, shifts)):
+            model.params[model.param_key("ab", stage)] = DisplacementField.translation(dims, t).u
+        phi_ab, phi_ba = model.fields()
+        assert np.allclose(phi_ab.u.data, np.sum(shifts, axis=0), atol=1e-12)
+        assert np.max(np.abs(phi_ba.u.data)) == 0.0
 
 
 class TestBuildModel:
@@ -141,30 +149,25 @@ class TestBuildModel:
             build_model((6, 32, 32))
 
     def test_fresh_model_is_identity(self):
-        rng = np.random.default_rng(3)
-        model = build_model((16, 16, 16))
-        a = make_volume(rng.uniform(0, 1, (16, 16, 16)))
-        b = make_volume(rng.uniform(0, 1, (16, 16, 16)))
-        phi_ab, phi_ba = evaluate_model(model, a, b)
+        phi_ab, phi_ba = build_model((16, 16, 16)).fields()
         assert np.max(np.abs(phi_ab.u.data)) == 0.0
         assert np.max(np.abs(phi_ba.u.data)) == 0.0
 
-    def test_stage_input_dims_contract(self):
-        model = build_model((16, 16, 16))
-        tape = Tape()
-        bound = BoundPyramid(tape, model)
-        good = tape.input(Tensor3.zeros((16, 16, 16)))
-        bad = tape.input(Tensor3.zeros((8, 8, 8)))
-        with pytest.raises(PipelineError, match="stage"):
-            bound.evaluate(bad, good, "ab")
+    def test_model_dims_must_match_volumes(self):
+        rng = np.random.default_rng(3)
+        a = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
+        b = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
+        model = build_model((20, 20, 20))
+        match = r"\(20, 20, 20\).*\(16, 16, 16\)"
+        with pytest.raises(PipelineError, match=match):
+            instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=1), model=model)
+        with pytest.raises(PipelineError, match=match):
+            loss_breakdown(a, b, a, b, model, LossConfig())
 
     def test_unknown_direction(self):
-        model = build_model((16, 16, 16))
-        tape = Tape()
-        bound = BoundPyramid(tape, model)
-        x = tape.input(Tensor3.zeros((16, 16, 16)))
+        bound = BoundPyramid(Tape(), build_model((16, 16, 16)))
         with pytest.raises(PipelineError):
-            bound.evaluate(x, x, "xy")
+            bound.evaluate("xy")
 
 
 class TestInstanceOptimize:
@@ -190,6 +193,22 @@ class TestInstanceOptimize:
         second = instance_optimize(a, b, LossConfig(), cfg)
         assert first.loss_trace == second.loss_trace
         assert np.array_equal(first.phi_ab.u.data, second.phi_ab.u.data)
+
+    def test_caller_model_not_mutated(self):
+        rng = np.random.default_rng(11)
+        a = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
+        b = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
+        cfg = OptimizerConfig(steps=3)
+        model = build_model((16, 16, 16))
+        before = dict(model.params)
+        given = instance_optimize(a, b, LossConfig(), cfg, model=model)
+        assert model.params.keys() == before.keys()
+        assert all(model.params[key] is before[key] for key in before)
+        assert all(np.max(np.abs(value.data)) == 0.0 for value in model.params.values())
+        fresh = instance_optimize(a, b, LossConfig(), cfg)
+        assert given.loss_trace == fresh.loss_trace
+        assert np.array_equal(given.phi_ab.u.data, fresh.phi_ab.u.data)
+        assert np.array_equal(given.phi_ba.u.data, fresh.phi_ba.u.data)
 
     def test_translation_recovery(self):
         rng = np.random.default_rng(6)
