@@ -13,13 +13,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .fileio import (
     FormatError,
     UnsupportedError,
+    read_field_raw,
     read_landmarks_csv,
     read_nifti,
     read_nifti_labels,
@@ -30,9 +30,9 @@ from .fileio import (
     write_nifti_labels,
     write_volume_raw,
 )
-from .losses import LossConfig, LossError
+from .losses import LossError
 from .metrics import MetricsError, evaluate_pair
-from .pipeline import NumericalAbort, OptimizerConfig, PipelineError, instance_optimize
+from .pipeline import NumericalAbort, PipelineError, RunConfig, instance_optimize
 from .sampling import (
     SamplingError,
     build_plan,
@@ -42,9 +42,9 @@ from .sampling import (
     read_manifest,
     write_plans_csv,
 )
-from .similarity import SimilarityConfig, SimilarityError
+from .similarity import SimilarityError
 from .synthetic import ModalityRemap, SyntheticError, make_deformation, make_phantom, render_pair
-from .tensor import TensorError
+from .tensor import Tensor3, TensorError
 from .transforms import DisplacementField, TransformError, percent_neg_jac
 from .volume import Volume, VolumeError, preprocess
 
@@ -53,78 +53,31 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-CONFIG_ERRORS = (
-    LossError, SimilarityError, SamplingError, PipelineError, TransformError,
-    SyntheticError, VolumeError, MetricsError, TensorError, KeyError, ValueError,
-)
-
-DEFAULT_CONFIG = {
-    "similarity": {
-        "kind": "LNCC2",
-        "window_radius": 2,
-        "eps": 1e-5,
-        "mind_patch_radius": 1,
-    },
-    "loss": {"lambda": 1.5, "use_regularizer": True},
-    "optimizer": {
-        "steps": 50,
-        "lr": 2e-5,
-        "lr_scale": 100.0,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "stage_damping": [1.0, 0.3, 0.1, 0.1],
-    },
-    "strategy": "F",
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _merge_config(path: str | None) -> dict:
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+CONFIG_ERRORS = (ConfigError, LossError, SimilarityError, SamplingError, PipelineError,
+                 TransformError, SyntheticError, VolumeError, MetricsError, TensorError)
+
+
+def _load_config(path: str | None) -> RunConfig:
     if path is None:
-        return config
+        return RunConfig()
     try:
-        user = json.loads(Path(path).read_text())
+        overrides = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    for section, value in user.items():
-        if section not in config:
-            raise ConfigError(f"unknown config key: {section}")
-        if isinstance(config[section], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {section} must be an object")
-            for key, inner in value.items():
-                if key not in config[section]:
-                    raise ConfigError(f"unknown config key: {section}.{key}")
-                config[section][key] = inner
-        else:
-            config[section] = value
-    return config
+    return RunConfig.from_dict(overrides)
 
 
 def config_hash(config: dict) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
-
-
-def _configs_from_dict(config: dict):
-    sim = SimilarityConfig(**config["similarity"])
-    loss = LossConfig(
-        lam=config["loss"]["lambda"],
-        similarity=sim,
-        use_regularizer=config["loss"]["use_regularizer"],
-    )
-    opt_raw = dict(config["optimizer"])
-    opt_raw["stage_damping"] = tuple(opt_raw["stage_damping"])
-    opt = OptimizerConfig(**opt_raw)
-    return loss, opt
 
 
 def _read_volume(path: str) -> Volume:
@@ -137,8 +90,7 @@ def _read_volume(path: str) -> Volume:
 
 
 def cmd_register(args) -> int:
-    config = _merge_config(args.config)
-    loss_cfg, opt_cfg = _configs_from_dict(config)
+    config = _load_config(args.config)
     source = _read_volume(args.source)
     target = _read_volume(args.target)
     if not source.preprocessed:
@@ -147,7 +99,7 @@ def cmd_register(args) -> int:
         target = preprocess(target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = instance_optimize(source, target, loss_cfg, opt_cfg)
+    result = instance_optimize(source, target, config.loss, config.optimizer)
     write_field_raw(result.phi_ab.u.data, out_dir / "phi_ab", {"direction": "ab"})
     write_field_raw(result.phi_ba.u.data, out_dir / "phi_ba", {"direction": "ba"})
     with open(out_dir / "trace.csv", "w") as f:
@@ -155,10 +107,10 @@ def cmd_register(args) -> int:
         for step, value in enumerate(result.loss_trace):
             f.write(f"{step},{value:.12g}\n")
     report = {
-        "config_hash": config_hash(config),
+        "config_hash": config_hash(config.to_dict()),
         "initial_loss": result.loss_trace[0],
         "final_loss": result.loss_trace[-1],
-        "steps": opt_cfg.steps,
+        "steps": config.optimizer.steps,
         "percent_neg_jacobian": percent_neg_jac(result.phi_ab),
         "warning": result.warning,
     }
@@ -203,9 +155,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .fileio import read_field_raw
-    from .tensor import Tensor3
-
     phi = None
     if args.field:
         u = read_field_raw(str(args.field).removesuffix(".raw"))
@@ -257,9 +206,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    config = _merge_config(args.config)
+    config = _load_config(args.config)
     manifests = [read_manifest(p) for p in args.manifest]
-    strategy = args.strategy or config["strategy"]
+    strategy = args.strategy or config.strategy
     if args.epoch:
         weights = dataset_weights(manifests, mode=args.weights_mode)
         plans = epoch_plan(
@@ -278,8 +227,6 @@ def cmd_plan(args) -> int:
 def cmd_preprocess(args) -> int:
     volume = _read_volume(args.input)
     if args.modality:
-        from dataclasses import replace
-
         volume = replace(volume, modality=args.modality)
     out = preprocess(volume)
     out_path = Path(args.output)
@@ -357,13 +304,9 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, IsADirectoryError, PermissionError,
-            FormatError, UnsupportedError) as exc:
+    except (OSError, FormatError, UnsupportedError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor3
+from .tensor import Tensor3, check_number
 from .volume import LabelVolume, LandmarkSet, Volume
 
 HEADER_SIZE = 348
@@ -123,6 +123,8 @@ def read_nifti(path, modality: str | None = None) -> Volume:
     if len(raw) < end:
         raise FormatError(f"data section truncated: need {end} bytes, have {len(raw)}")
     flat = np.frombuffer(raw[start:end], dtype=dtype)
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: non-finite voxel values")
     grid = flat.reshape((nx, ny, nz), order="F").astype(np.float64)
     fields = _descrip_fields(meta["descrip"])
     spacing = tuple(p if p > 0 else 1.0 for p in meta["pixdim"])
@@ -186,16 +188,24 @@ def write_raw(data: np.ndarray, base, meta: dict):
 
 
 def read_raw(base) -> tuple[np.ndarray, dict]:
-    meta = json.loads(_sidecar_path(base).read_text())
+    sidecar = _sidecar_path(base)
+    try:
+        meta = json.loads(sidecar.read_text())
+        nx, ny, nz = meta["dims"]
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or no three dims
+        raise FormatError(f"{sidecar}: not a JSON object with three 'dims': {exc!r}") from exc
     if meta.get("dtype") != "float32":
         raise UnsupportedError(f"unsupported raw dtype {meta.get('dtype')!r}")
-    nx, ny, nz = meta["dims"]
     channels = meta.get("channels", 1)
+    for n in (nx, ny, nz, channels):
+        check_number(FormatError, f"{sidecar}: dims and channels", n, integer=True, at_least=1)
     flat = np.frombuffer(_raw_path(base).read_bytes(), dtype="<f4")
     if flat.size != nx * ny * nz * channels:
         raise FormatError(
             f"raw payload has {flat.size} values, sidecar promises {nx * ny * nz * channels}"
         )
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{_raw_path(base)}: non-finite values")
     per = nx * ny * nz
     out = np.empty((nx, ny, nz, channels))
     for c in range(channels):
@@ -255,12 +265,15 @@ def write_landmarks_csv(lm: LandmarkSet, path):
 
 def read_landmarks_csv(path, frame: str = "") -> LandmarkSet:
     rows = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(Path(path).read_text(errors="replace").splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{line_no}: expected 'x,y,z', got {line!r}")
-        rows.append([float(p) for p in parts])
+        try:
+            row = [float(p) for p in line.split(",")]
+        except ValueError:  # a field that is not a number
+            row = []
+        if len(row) != 3 or not np.isfinite(row).all():
+            raise FormatError(f"{path}:{line_no}: expected finite numbers 'x,y,z', got {line!r}")
+        rows.append(row)
     return LandmarkSet(np.array(rows, dtype=np.float64), frame=frame)

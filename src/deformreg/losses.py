@@ -21,6 +21,7 @@ import numpy as np
 
 from .similarity import SimilarityConfig, loss_similarity_nodes
 from .tape import Node, Tape
+from .tensor import check_number
 from .transforms import DisplacementField, compose_nodes, warp_nodes
 from .volume import Volume
 
@@ -36,8 +37,9 @@ class LossConfig:
     use_regularizer: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise LossError(f"regularizer weight must be >= 0, got {self.lam}")
+        check_number(LossError, "lambda", self.lam, at_least=0)
+        if not isinstance(self.use_regularizer, bool):
+            raise LossError(f"use_regularizer must be true or false, got {self.use_regularizer!r}")
 
 
 def gradient_inverse_consistency_nodes(tape: Tape, u_ab: Node, u_ba: Node) -> Node:

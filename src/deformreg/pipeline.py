@@ -16,13 +16,15 @@ exactly the identity map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .losses import LossConfig, randomized_loss_nodes
+from .sampling import STRATEGIES
+from .similarity import SimilarityConfig
 from .tape import Node, Tape
-from .tensor import Tensor3, TensorError
+from .tensor import Tensor3, TensorError, check_number
 from .transforms import DisplacementField, compose_nodes, resample_field_nodes
 from .volume import Volume
 
@@ -145,14 +147,63 @@ class OptimizerConfig:
     stage_damping: tuple = (1.0, 0.3, 0.1, 0.1)
 
     def __post_init__(self):
-        if len(self.stage_damping) != STAGE_COUNT:
-            raise PipelineError(
-                f"stage_damping needs {STAGE_COUNT} factors, got {self.stage_damping}"
-            )
+        check_number(PipelineError, "steps", self.steps, integer=True, at_least=0)
+        for name in ("lr", "lr_scale", "eps"):
+            check_number(PipelineError, name, getattr(self, name), above=0)
+        check_number(PipelineError, "lr * lr_scale", self.effective_lr, above=0)
+        for name in ("beta1", "beta2"):
+            check_number(PipelineError, name, getattr(self, name), at_least=0, below=1)
+        damping = self.stage_damping
+        if not isinstance(damping, (list, tuple)) or len(damping) != STAGE_COUNT:
+            raise PipelineError(f"stage_damping needs {STAGE_COUNT} factors, got {damping!r}")
+        for factor in damping:
+            check_number(PipelineError, "stage_damping factor", factor, at_least=0)
+        object.__setattr__(self, "stage_damping", tuple(damping))
 
     @property
     def effective_lr(self) -> float:
         return self.lr * self.lr_scale
+
+
+def _overlay(defaults: dict, overrides, name: str) -> dict:
+    """``defaults`` with each key the JSON object ``overrides`` names replaced."""
+    if not isinstance(overrides, dict):
+        raise PipelineError(f"{name} must be a JSON object, got {type(overrides).__name__}")
+    for key, value in overrides.items():
+        if key not in defaults:
+            raise PipelineError(f"unknown config key: {name}.{key}")
+        defaults[key] = (_overlay(defaults[key], value, f"{name}.{key}")
+                         if isinstance(defaults[key], dict) else value)
+    return defaults
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings a command-line run reads from its JSON config file."""
+
+    loss: LossConfig = field(default_factory=LossConfig)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    strategy: str = "F"
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise PipelineError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+
+    def to_dict(self) -> dict:
+        """The JSON shape: what the config file holds and config_hash covers."""
+        opt = self.optimizer
+        return {"similarity": asdict(self.loss.similarity),
+                "loss": {"lambda": self.loss.lam, "use_regularizer": self.loss.use_regularizer},
+                "optimizer": {**asdict(opt), "stage_damping": list(opt.stage_damping)},
+                "strategy": self.strategy}
+
+    @classmethod
+    def from_dict(cls, overrides) -> "RunConfig":
+        """The defaults overlaid with the parsed JSON config ``overrides``."""
+        config = _overlay(cls().to_dict(), overrides, "config")
+        sim, loss = SimilarityConfig(**config["similarity"]), config["loss"]
+        return cls(LossConfig(loss["lambda"], sim, loss["use_regularizer"]),
+                   OptimizerConfig(**config["optimizer"]), config["strategy"])
 
 
 @dataclass
@@ -160,7 +211,6 @@ class RegistrationResult:
     phi_ab: DisplacementField
     phi_ba: DisplacementField
     loss_trace: list[float]
-    config: dict
     warning: str | None = None
 
 
@@ -263,25 +313,4 @@ def instance_optimize(
             f"final loss {trace[-1]:.6g} exceeds initial {trace[0]:.6g}; "
             "Adam is not monotone"
         )
-    config = {
-        "loss": {
-            "lambda": loss_cfg.lam,
-            "use_regularizer": loss_cfg.use_regularizer,
-            "similarity": {
-                "kind": loss_cfg.similarity.kind,
-                "window_radius": loss_cfg.similarity.window_radius,
-                "eps": loss_cfg.similarity.eps,
-                "mind_patch_radius": loss_cfg.similarity.mind_patch_radius,
-            },
-        },
-        "optimizer": {
-            "steps": opt_cfg.steps,
-            "lr": opt_cfg.lr,
-            "lr_scale": opt_cfg.lr_scale,
-            "beta1": opt_cfg.beta1,
-            "beta2": opt_cfg.beta2,
-            "eps": opt_cfg.eps,
-            "stage_damping": list(opt_cfg.stage_damping),
-        },
-    }
-    return RegistrationResult(phi_ab, phi_ba, trace, config, warning)
+    return RegistrationResult(phi_ab, phi_ba, trace, warning)

@@ -162,7 +162,10 @@ def write_manifest(manifest: DatasetManifest, path):
 
 
 def read_manifest(path) -> DatasetManifest:
-    return DatasetManifest.from_json_dict(json.loads(Path(path).read_text()))
+    try:
+        return DatasetManifest.from_json_dict(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, a missing key, a bad value
+        raise SamplingError(f"bad manifest {path}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tape import Node, Tape
-from .tensor import Tensor3
+from .tensor import Tensor3, check_number
 from .volume import Volume
 
 SIMILARITY_KINDS = ("LNCC", "LNCC2", "MIND_SSC", "MSE")
@@ -53,14 +53,9 @@ class SimilarityConfig:
     def __post_init__(self):
         if self.kind not in SIMILARITY_KINDS:
             raise SimilarityError(f"unknown similarity kind {self.kind!r}")
-        if self.window_radius < 1:
-            raise SimilarityError(f"window_radius must be >= 1, got {self.window_radius}")
-        if self.eps <= 0:
-            raise SimilarityError(f"eps must be positive, got {self.eps}")
-        if self.mind_patch_radius < 1:
-            raise SimilarityError(
-                f"mind_patch_radius must be >= 1, got {self.mind_patch_radius}"
-            )
+        for name in ("window_radius", "mind_patch_radius"):
+            check_number(SimilarityError, name, getattr(self, name), integer=True, at_least=1)
+        check_number(SimilarityError, "eps", self.eps, above=0)
 
 
 def _check_same_dims(a: Node, b: Node):
@@ -125,11 +120,9 @@ def loss_similarity_nodes(tape: Tape, a: Node, b: Node, cfg: SimilarityConfig) -
         return tape.add_const(tape.scale(tape.mean(tape.square(rho)), -1.0), 1.0)
     if cfg.kind == "MSE":
         return tape.mean(tape.square(tape.sub(a, b)))
-    if cfg.kind == "MIND_SSC":
-        da = mind_ssc_descriptor_nodes(tape, a, cfg)
-        db = mind_ssc_descriptor_nodes(tape, b, cfg)
-        return tape.mean(tape.square(tape.sub(da, db)))
-    raise SimilarityError(f"unknown similarity kind {cfg.kind!r}")
+    da = mind_ssc_descriptor_nodes(tape, a, cfg)  # MIND_SSC, the one kind left
+    db = mind_ssc_descriptor_nodes(tape, b, cfg)
+    return tape.mean(tape.square(tape.sub(da, db)))
 
 
 # -- plain wrappers (fresh throwaway tape, value only) ---------------------------

@@ -8,6 +8,9 @@ in float64; file formats downcast to float32 at the I/O boundary.
 
 from __future__ import annotations
 
+import numbers
+import sys
+
 import numpy as np
 
 
@@ -103,3 +106,16 @@ def grid_coordinates(dims) -> Tensor3:
     gx, gy, gz = np.meshgrid(*ax, indexing="ij")
     return Tensor3(np.stack([gx, gy, gz], axis=-1))
 
+
+def check_number(error: type[Exception], name: str, value, *, integer: bool = False,
+                 at_least=None, above=None, below=None) -> None:
+    """Raise ``error`` unless ``value`` is a finite real (an integer when
+    ``integer``; never a bool) with at_least <= value, above < value, value < below."""
+    if (not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or isinstance(value, bool) or not abs(value) <= sys.float_info.max):
+        raise error(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
+    for bad, rule in ((at_least is not None and value < at_least, f">= {at_least}"),
+                      (above is not None and value <= above, f"> {above}"),
+                      (below is not None and value >= below, f"< {below}")):
+        if bad:
+            raise error(f"{name} must be {rule}, got {value!r}")

@@ -1,14 +1,19 @@
 """CLI subcommands, exit codes, and the end-to-end synth/register/evaluate path."""
 
 import json
+import re
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from deformreg.cli import main
-from deformreg.fileio import write_nifti
+from deformreg.cli import config_hash, main
+from deformreg.fileio import write_field_raw, write_nifti
 from deformreg.metrics import MetricsReport
+from deformreg.pipeline import RunConfig
 from deformreg.sampling import write_manifest
 from deformreg.tensor import Tensor3
 from deformreg.volume import Volume
@@ -56,6 +61,14 @@ class TestRegister:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 3
 
+    def test_out_dir_is_a_file_exits_3(self, tmp_path, capsys):
+        src = tmp_path / "v.nii"
+        write_test_volume(src, seed=2)
+        rc = main(["register", "--source", str(src), "--target", str(src),
+                   "--out-dir", str(src)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("I/O error:")
+
     def test_numerical_abort_exits_4(self, tmp_path):
         src = tmp_path / "v.nii"
         write_test_volume(src, seed=3)
@@ -64,6 +77,114 @@ class TestRegister:
         rc = main(["register", "--source", str(src), "--target", str(src),
                    "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 4
+
+
+# (config file content, text the error must name)
+BAD_CONFIGS = {
+    "steps-string": ({"optimizer": {"steps": "3"}}, "steps"),
+    "steps-fraction": ({"optimizer": {"steps": 2.5}}, "steps"),
+    "steps-negative": ({"optimizer": {"steps": -1}}, "steps"),
+    "steps-bool": ({"optimizer": {"steps": True}}, "steps"),
+    "lr-negative": ({"optimizer": {"lr": -1}}, "lr"),
+    "lr-beyond-float": ({"optimizer": {"lr": 10**400}}, "lr"),
+    "beta1-above-1": ({"optimizer": {"beta1": 2.0}}, "beta1"),
+    "damping-string": ({"optimizer": {"stage_damping": "abcd"}}, "stage_damping"),
+    "damping-negative": ({"optimizer": {"stage_damping": [1.0, -0.3, 0.1, 0.1]}},
+                         "stage_damping"),
+    "lambda-string": ({"loss": {"lambda": "1.5"}}, "lambda"),
+    "window-string": ({"similarity": {"window_radius": "2"}}, "window_radius"),
+    "strategy-number": ({"strategy": 5}, "strategy"),
+    "top-level-list": ([1, 2], "JSON object"),
+    # the remaining fields and rules of the schema
+    "beta2-one": ({"optimizer": {"beta2": 1.0}}, "beta2"),
+    "lr-product-overflow": ({"optimizer": {"lr": 1e300, "lr_scale": 1e300}}, "lr * lr_scale"),
+    "lambda-negative": ({"loss": {"lambda": -0.5}}, "lambda"),
+    "regularizer-number": ({"loss": {"use_regularizer": 1}}, "use_regularizer"),
+    "kind-unknown": ({"similarity": {"kind": "NCC"}}, "kind"),
+    "eps-nan": ({"similarity": {"eps": float("nan")}}, "eps"),
+    "mind-radius-zero": ({"similarity": {"mind_patch_radius": 0}}, "mind_patch_radius"),
+    "section-not-object": ({"optimizer": 3}, "config.optimizer"),
+    "unknown-inner-key": ({"optimizer": {"stepz": 3}}, "config.optimizer.stepz"),
+}
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("command", ["register", "plan"])
+    @pytest.mark.parametrize("name", BAD_CONFIGS)
+    def test_bad_config_exits_2(self, tmp_path, capsys, command, name):
+        config, key = BAD_CONFIGS[name]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        if command == "register":
+            src = tmp_path / "v.nii"
+            write_test_volume(src, seed=2)
+            argv = ["register", "--source", str(src), "--target", str(src),
+                    "--out-dir", str(tmp_path / "out")]
+        else:
+            mpath = tmp_path / "m.json"
+            write_manifest(two_modality_dataset(), mpath)
+            argv = ["plan", "--manifest", str(mpath), "--out", str(tmp_path / "p.csv")]
+        rc = main(argv + ["--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error:") and key in err
+        assert "Traceback" not in err
+
+    def test_config_hash_pinned(self):
+        # reports are compared by this hash, so it must not move: the default
+        # config and the three benchmark configs
+        pinned = {
+            "b74e05d534ee7750": {},
+            "a33adff8d51fcfe3": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 10}},
+            "63dc818983852d9f": {"similarity": {"kind": "MIND_SSC"}, "optimizer": {"steps": 10}},
+            "2e6b79166c7c8363": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 6}},
+        }
+        for digest, overrides in pinned.items():
+            assert config_hash(RunConfig.from_dict(overrides).to_dict()) == digest
+
+    def test_readme_defaults_match_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"defaults[^`]*```json\n(.*?)```", readme, re.S).group(1)
+        assert json.loads(block) == RunConfig().to_dict()
+
+
+def _nan_voxel(tmp_path):
+    path = tmp_path / "nan.nii"
+    write_test_volume(path, seed=4)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 352 + 4 * 5, float("nan"))
+    path.write_bytes(bytes(raw))
+    return ["register", "--source", str(path), "--target", str(path)]
+
+
+def _bad_landmarks(tmp_path):
+    ref, lm = tmp_path / "ref.nii", tmp_path / "lm.csv"
+    write_test_volume(ref, seed=5)
+    lm.write_text("1,2,3\n1,abc,3\n")
+    return ["evaluate", "--reference", str(ref), "--landmarks-a", str(lm),
+            "--landmarks-b", str(lm)]
+
+
+def _bad_sidecar(text):
+    def make(tmp_path):
+        write_field_raw(np.zeros((16, 16, 16, 3)), tmp_path / "f")
+        (tmp_path / "f.json").write_text(text)
+        return ["evaluate", "--field", str(tmp_path / "f")]
+    return make
+
+
+class TestFormatErrorsExit3:
+    @pytest.mark.parametrize("make_argv", [
+        _nan_voxel, _bad_landmarks, _bad_sidecar("{bad"),
+        _bad_sidecar('{"kind": "field", "dtype": "float32", "channels": 3}'),
+    ], ids=["nan-voxel", "landmark-field", "sidecar-not-json", "sidecar-no-dims"])
+    def test_exits_3(self, tmp_path, capsys, make_argv):
+        argv = make_argv(tmp_path)
+        out = "--out-dir" if argv[0] == "register" else "--out"
+        rc = main(argv + [out, str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("I/O error:") and "Traceback" not in err
 
 
 class TestSynthRegisterEvaluate:

@@ -11,10 +11,12 @@ from deformreg.pipeline import (
     NumericalAbort,
     OptimizerConfig,
     PipelineError,
+    RunConfig,
     build_model,
     instance_optimize,
     stage_grid_dims,
 )
+from deformreg.similarity import SimilarityConfig
 from deformreg.tape import Tape
 from deformreg.tensor import Tensor3
 from deformreg.transforms import (
@@ -247,9 +249,11 @@ class TestInstanceOptimize:
             instance_optimize(a, b, LossConfig(), absurd)
         assert err.value.step >= 1
 
-    def test_result_config_snapshot(self):
-        rng = np.random.default_rng(10)
-        v = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
-        res = instance_optimize(v, v, LossConfig(), OptimizerConfig(steps=2))
-        assert res.config["loss"]["lambda"] == 1.5
-        assert res.config["optimizer"]["steps"] == 2
+
+class TestRunConfig:
+    def test_dict_round_trip(self):
+        custom = RunConfig(LossConfig(lam=0.5, similarity=SimilarityConfig(kind="MIND_SSC")),
+                           OptimizerConfig(steps=7, stage_damping=[1, 1, 0.5, 0]), "R")
+        assert custom.optimizer.stage_damping == (1, 1, 0.5, 0)
+        assert RunConfig.from_dict(custom.to_dict()) == custom
+        assert RunConfig.from_dict({}) == RunConfig()

@@ -43,6 +43,16 @@ class TestManifest:
                 patients=(intra_ct_patient("p0"),), label_randomization=True,
             )
 
+    @pytest.mark.parametrize("text", ["{bad", '{"name": "m"}', "[]",
+                                      '{"name": "m", "region": "brain", "pairing": "atlas",'
+                                      ' "patients": [{"scans": []}]}'],
+                             ids=["not-json", "no-keys", "not-object", "patient-no-id"])
+    def test_malformed_file_is_sampling_error(self, tmp_path, text):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(SamplingError, match="m.json"):
+            read_manifest(p)
+
     def test_empty_patient_rejected(self):
         with pytest.raises(SamplingError):
             DatasetManifest(

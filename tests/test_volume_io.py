@@ -8,6 +8,7 @@ import pytest
 from deformreg.fileio import (
     FormatError,
     UnsupportedError,
+    read_field_raw,
     read_landmarks_csv,
     read_nifti,
     read_nifti_labels,
@@ -15,6 +16,7 @@ from deformreg.fileio import (
     write_landmarks_csv,
     write_nifti,
     write_nifti_labels,
+    write_field_raw,
     write_volume_raw,
 )
 from deformreg.tensor import Tensor3
@@ -235,6 +237,15 @@ class TestNifti:
         with pytest.raises(UnsupportedError, match="64"):
             read_nifti(p)
 
+    def test_non_finite_voxel_is_format_error(self, tmp_path):
+        p = tmp_path / "nan.nii"
+        write_nifti(make_volume(np.ones((4, 4, 4))), p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<f", raw, 352 + 4 * 5, float("nan"))
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_nifti(p)
+
     def test_label_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
         lv = LabelVolume(rng.integers(0, 5, size=(6, 6, 6)), spacing=(1.0, 1.0, 2.0))
@@ -264,6 +275,30 @@ class TestRawAndCsv:
         assert np.max(np.abs(back.points - pts)) <= 1e-7
         # no header line
         assert p.read_text().splitlines()[0].count(",") == 2
+
+    def test_non_finite_raw_payload_is_format_error(self, tmp_path):
+        write_field_raw(np.zeros((3, 3, 3, 3)), tmp_path / "f")
+        payload = np.zeros(81, dtype="<f4")
+        payload[7] = np.inf
+        (tmp_path / "f.raw").write_bytes(payload.tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            read_field_raw(tmp_path / "f")
+
+    @pytest.mark.parametrize("sidecar", ["{bad", '{"kind": "field", "dtype": "float32"}',
+                                         '{"dims": [3, 3, 0], "dtype": "float32"}', "[3, 3, 3]"],
+                             ids=["not-json", "no-dims", "zero-dim", "not-object"])
+    def test_bad_sidecar_is_format_error(self, tmp_path, sidecar):
+        write_field_raw(np.zeros((3, 3, 3, 3)), tmp_path / "f")
+        (tmp_path / "f.json").write_text(sidecar)
+        with pytest.raises(FormatError, match="f.json"):
+            read_field_raw(tmp_path / "f")
+
+    @pytest.mark.parametrize("bad_line", ["1,abc,3", "1,nan,3", "1,2", "1,2,3,4"])
+    def test_bad_landmark_line_names_line_number(self, tmp_path, bad_line):
+        p = tmp_path / "lm.csv"
+        p.write_text(f"1,2,3\n\n{bad_line}\n")
+        with pytest.raises(FormatError, match=r"lm\.csv:3: .*" + bad_line):
+            read_landmarks_csv(p)
 
     def test_landmarks_inside_check(self):
         v = make_volume(np.zeros((5, 5, 5)) + 0.1, "CT", preprocessed=True)
