@@ -125,6 +125,8 @@ def read_nifti(path, modality: str | None = None) -> Volume:
     flat = np.frombuffer(raw[start:end], dtype=dtype)
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: non-finite voxel values")
+    if not np.isfinite(meta["pixdim"] + meta["qoffset"]).all():
+        raise FormatError(f"{path}: non-finite pixdim or qoffset in the header")
     grid = flat.reshape((nx, ny, nz), order="F").astype(np.float64)
     fields = _descrip_fields(meta["descrip"])
     spacing = tuple(p if p > 0 else 1.0 for p in meta["pixdim"])

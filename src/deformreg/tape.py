@@ -115,112 +115,94 @@ def _grad_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(gx, 0, axis)
 
 
-def _trilinear_setup(img_dims, coords: np.ndarray):
-    """Index/weight preparation shared by the forward and backward passes.
+# the 8 interpolation corners as (bx, by, bz) offset bits; corner k has
+# bits k = bx << 2 | by << 1 | bz
+_CORNERS = tuple((bx, by, bz) for bx in (0, 1) for by in (0, 1) for bz in (0, 1))
+
+
+class _TrilinearPlan:
+    """Edge-clamped trilinear sample of ``img`` (nx, ny, nz, C) at the
+    normalized ``coords`` (..., 3), kept for both vjp halves.
 
     Coordinates are clamped to [0,1] and mapped onto node index space
-    (node i at i/(n-1)). Returns floor indices, fractional weights, and a
-    per-axis mask that is 0 where the raw coordinate left the domain (the
-    clamp makes the sampled value constant there).
+    (node i at i/(n-1)). The plan keeps only what the 8 corners derive
+    from: the image by reference (on the tape it is the parent node's
+    read-only data, so nothing is copied), the flat index ``base`` of each
+    point's low corner, one flat stride per axis (0 on a length-1 axis,
+    where both corners coincide), the three fractions, and the three masks
+    that are False where the raw coordinate left the domain (the clamp
+    makes the sampled value constant there). Corner (bx, by, bz) sits at
+    ``base + bx*sx + by*sy + bz*sz`` with weight ``w0[bx]*w1[by]*w2[bz]``,
+    ``w = (1 - f, f)``; indices, weights and corner values are recomputed
+    where they are used instead of being held until ``backward``.
     """
-    i0s, fracs, inside = [], [], []
-    for axis in range(3):
-        n = img_dims[axis]
-        c_raw = coords[..., axis]
-        c = np.clip(c_raw, 0.0, 1.0)
-        if n > 1:
-            p = c * (n - 1)
+
+    __slots__ = ("img", "base", "strides", "fracs", "inside", "out")
+
+    def __init__(self, img: np.ndarray, coords: np.ndarray):
+        nx, ny, nz = img.shape[:3]
+        self.img = img
+        self.base, self.strides, self.fracs, self.inside = 0, [], [], []
+        for axis, (n, stride) in enumerate(zip((nx, ny, nz), (ny * nz, nz, 1))):
+            c_raw = coords[..., axis]
+            p = np.clip(c_raw, 0.0, 1.0) * (n - 1)
             # snap to the node when within 1e-9 index units so sampling at
             # voxel centers reproduces stored values exactly
             p_round = np.round(p)
             p = np.where(np.abs(p - p_round) < 1e-9, p_round, p)
-            i0 = np.minimum(p.astype(np.int64), n - 2)
-            f = p - i0
-        else:
-            i0 = np.zeros(c.shape, dtype=np.int64)
-            f = np.zeros_like(c)
-        i0s.append(i0)
-        fracs.append(f)
-        inside.append(((c_raw >= 0.0) & (c_raw <= 1.0)).astype(np.float64))
-    return i0s, fracs, inside
-
-
-class _TrilinearPlan:
-    """Flat gather indices, weights, and cached corner values for the 8
-    interpolation corners. Built once in the forward pass, reused by both
-    vjp halves."""
-
-    __slots__ = ("img_shape", "fracs", "inside", "ravels", "weights", "values", "out")
-
-    def __init__(self, img: np.ndarray, i0s, fracs, inside):
-        nx, ny, nz = img.shape[:3]
-        nc = img.shape[3]
-        self.img_shape = img.shape
-        self.fracs = fracs
-        self.inside = inside
-        flat = img.reshape(-1, nc)
-        idx = []
-        for axis, n in enumerate((nx, ny, nz)):
-            hi = np.minimum(i0s[axis] + 1, n - 1)
-            idx.append((i0s[axis], hi))
-        w_parts = [(1.0 - fracs[a], fracs[a]) for a in range(3)]
-        self.ravels, self.weights, self.values = [], [], []
+            i0 = np.minimum(p.astype(np.int64), max(n - 2, 0))
+            self.base = self.base + i0 * stride
+            self.strides.append(stride if n > 1 else 0)
+            self.fracs.append(p - i0)
+            self.inside.append((c_raw >= 0.0) & (c_raw <= 1.0))
         out = None
-        for bx in (0, 1):
-            for by in (0, 1):
-                for bz in (0, 1):
-                    rav = (idx[0][bx] * ny + idx[1][by]) * nz + idx[2][bz]
-                    w = w_parts[0][bx] * w_parts[1][by] * w_parts[2][bz]
-                    v = flat.take(rav.ravel(), axis=0).reshape(*rav.shape, nc)
-                    self.ravels.append(rav)
-                    self.weights.append(w)
-                    self.values.append(v)
-                    term = w[..., None] * v
-                    out = term if out is None else out + term
+        for w, v in zip(self._weights(), self._values()):
+            term = w[..., None] * v
+            out = term if out is None else out + term
         self.out = out
 
-    def corner_value(self, bx, by, bz):
-        return self.values[(bx << 2) | (by << 1) | bz]
+    def _index(self, corner) -> np.ndarray:
+        return self.base + sum(b * s for b, s in zip(corner, self.strides))
+
+    def _values(self):
+        """Yield the 8 corner values, (..., C) each, in ``_CORNERS`` order."""
+        flat = self.img.reshape(-1, self.img.shape[3])
+        for corner in _CORNERS:
+            yield flat.take(self._index(corner), axis=0)
+
+    def _weights(self):
+        """Yield the 8 corner weights in ``_CORNERS`` order."""
+        w0, w1, w2 = ((1.0 - f, f) for f in self.fracs)
+        for bx, by, bz in _CORNERS:
+            yield w0[bx] * w1[by] * w2[bz]
 
     def grad_image(self, g: np.ndarray) -> np.ndarray:
-        nx, ny, nz, nc = self.img_shape
-        acc = np.zeros((nx * ny * nz, nc))
-        for rav, w in zip(self.ravels, self.weights):
+        nc = self.img.shape[3]
+        size = self.img.size // nc
+        acc = np.zeros((size, nc))
+        for corner, w in zip(_CORNERS, self._weights()):
             wg = w[..., None] * g
-            flat_idx = rav.ravel()
+            flat_idx = self._index(corner).ravel()
             for c in range(nc):
-                acc[:, c] += np.bincount(
-                    flat_idx, weights=wg[..., c].ravel(), minlength=nx * ny * nz
-                )
-        return acc.reshape(self.img_shape)
+                acc[:, c] += np.bincount(flat_idx, weights=wg[..., c].ravel(), minlength=size)
+        return acc.reshape(self.img.shape)
 
     def grad_coords(self, g: np.ndarray) -> np.ndarray:
-        """Corner-difference blend per axis, scaled by the coordinate-to-
-        index factor, masked where the clamp saturates."""
-        fr = self.fracs
-        w0 = (1.0 - fr[0], fr[0])
-        w1 = (1.0 - fr[1], fr[1])
-        w2 = (1.0 - fr[2], fr[2])
+        """Per axis, the corner differences along it blended by the other
+        two axes' weights (lower axis bit outermost), scaled by the
+        coordinate-to-index factor and masked where the clamp saturates."""
+        values = list(self._values())
+        w = [(1.0 - f, f) for f in self.fracs]
         g_coords = np.empty((*g.shape[:3], 3))
-        gx = 0.0
-        for by in (0, 1):
-            for bz in (0, 1):
-                diff = self.corner_value(1, by, bz) - self.corner_value(0, by, bz)
-                gx = gx + (w1[by] * w2[bz]) * np.einsum("...c,...c->...", diff, g)
-        gy = 0.0
-        for bx in (0, 1):
-            for bz in (0, 1):
-                diff = self.corner_value(bx, 1, bz) - self.corner_value(bx, 0, bz)
-                gy = gy + (w0[bx] * w2[bz]) * np.einsum("...c,...c->...", diff, g)
-        gz = 0.0
-        for bx in (0, 1):
-            for by in (0, 1):
-                diff = self.corner_value(bx, by, 1) - self.corner_value(bx, by, 0)
-                gz = gz + (w0[bx] * w1[by]) * np.einsum("...c,...c->...", diff, g)
-        for axis, comp in enumerate((gx, gy, gz)):
-            n = self.img_shape[axis]
-            factor = (n - 1) if n > 1 else 0.0
-            g_coords[..., axis] = comp * factor * self.inside[axis]
+        for axis in range(3):
+            comp = 0.0
+            for lo, corner in enumerate(_CORNERS):
+                if corner[axis]:
+                    continue
+                wa, wb = (w[other][corner[other]] for other in range(3) if other != axis)
+                diff = values[lo | (4 >> axis)] - values[lo]
+                comp = comp + (wa * wb) * np.einsum("...c,...c->...", diff, g)
+            g_coords[..., axis] = comp * (self.img.shape[axis] - 1) * self.inside[axis]
         return g_coords
 
 
@@ -230,8 +212,7 @@ def sample_trilinear_values(img: np.ndarray, coords: np.ndarray) -> np.ndarray:
     ``img`` is (nx, ny, nz, C); ``coords`` is (..., 3) in normalized
     coordinates, edge-clamped to the unit cube.
     """
-    i0s, fracs, inside = _trilinear_setup(img.shape[:3], coords)
-    return _TrilinearPlan(img, i0s, fracs, inside).out
+    return _TrilinearPlan(img, coords).out
 
 
 def sample_nearest_values(img: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -468,8 +449,7 @@ class Tape:
             raise TapeError(
                 f"trilinear_sample: coords need 3 channels, got {coords.value.channels}"
             )
-        i0s, fracs, inside = _trilinear_setup(image.value.dims, coords.value.data)
-        plan = _TrilinearPlan(image.value.data, i0s, fracs, inside)
+        plan = _TrilinearPlan(image.value.data, coords.value.data)
 
         def vjp(g):
             out = []

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and the end-to-end synth/register/evaluate path."""
 
 import json
+import os
 import re
 import struct
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import deformreg
 from deformreg.cli import config_hash, main
 from deformreg.fileio import write_field_raw, write_nifti
 from deformreg.metrics import MetricsReport
@@ -165,6 +167,18 @@ def _bad_landmarks(tmp_path):
             "--landmarks-b", str(lm)]
 
 
+def _bad_header_geometry(tmp_path):
+    ref, lm = tmp_path / "ref.nii", tmp_path / "lm.csv"
+    write_test_volume(ref, seed=6)
+    raw = bytearray(ref.read_bytes())
+    struct.pack_into("<f", raw, 80, float("inf"))  # pixdim[1]
+    struct.pack_into("<f", raw, 268, float("nan"))  # qoffset[0]
+    ref.write_bytes(bytes(raw))
+    lm.write_text("1,2,3\n")
+    return ["evaluate", "--reference", str(ref), "--landmarks-a", str(lm),
+            "--landmarks-b", str(lm)]
+
+
 def _bad_sidecar(text):
     def make(tmp_path):
         write_field_raw(np.zeros((16, 16, 16, 3)), tmp_path / "f")
@@ -175,9 +189,10 @@ def _bad_sidecar(text):
 
 class TestFormatErrorsExit3:
     @pytest.mark.parametrize("make_argv", [
-        _nan_voxel, _bad_landmarks, _bad_sidecar("{bad"),
+        _nan_voxel, _bad_landmarks, _bad_header_geometry, _bad_sidecar("{bad"),
         _bad_sidecar('{"kind": "field", "dtype": "float32", "channels": 3}'),
-    ], ids=["nan-voxel", "landmark-field", "sidecar-not-json", "sidecar-no-dims"])
+    ], ids=["nan-voxel", "landmark-field", "header-geometry", "sidecar-not-json",
+            "sidecar-no-dims"])
     def test_exits_3(self, tmp_path, capsys, make_argv):
         argv = make_argv(tmp_path)
         out = "--out-dir" if argv[0] == "register" else "--out"
@@ -279,10 +294,14 @@ class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         src = tmp_path / "v.nii"
         write_test_volume(src, seed=8, modality="CT", preprocessed=False, lo=-500, hi=500)
+        # the subprocess imports the same deformreg as this test, installed or not
+        env = dict(os.environ)
+        src_dir = str(Path(deformreg.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "deformreg.cli", "preprocess",
              "--input", str(src), "--output", str(tmp_path / "o.nii")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert "preprocess" in proc.stdout

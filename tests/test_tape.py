@@ -1,10 +1,15 @@
 """Tape forward/backward unit tests and finite-difference gradient checks."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from deformreg.tape import Tape, TapeError, grad_check
+from deformreg.tape import Tape, TapeError, grad_check, sample_trilinear_values
 from deformreg.tensor import Tensor3, TensorError, grid_coordinates
+
+from tests_helpers_interp import lerp3
 
 
 def rng_tensor(rng, dims, channels=1, lo=0.0, hi=1.0):
@@ -262,3 +267,76 @@ class TestGradCheck:
 
         i0 = rng_tensor(rng, (6, 6, 6))
         assert grad_check(f, i0, h=1e-5) < 1e-4
+
+
+# Non-cubic 3-channel images: a length-1 axis has a zero corner stride, a
+# length-2 axis is all last cell, so every low corner hits the n - 2 clamp.
+ODD_SHAPES = [(1, 4, 6), (2, 5, 3)]
+
+
+class TestTrilinearOddShapes:
+    @pytest.mark.parametrize("dims", ODD_SHAPES)
+    def test_values_match_lerp3(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        img_t = rng_tensor(rng, dims, channels=3)
+        pts = rng.uniform(-0.2, 1.2, size=(4, 3, 2, 3))
+        pts[0, 0, :] = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]  # faces and far corners
+        tape = Tape()
+        out = tape.trilinear_sample(tape.input(img_t), tape.input(Tensor3(pts)))
+        oracle = np.array([lerp3(img_t.data, p) for p in pts.reshape(-1, 3)])
+        assert np.allclose(out.value.data.reshape(-1, 3), oracle, rtol=0, atol=1e-12)
+        assert np.array_equal(sample_trilinear_values(img_t.data, pts), out.value.data)
+
+    @pytest.mark.parametrize("dims", ODD_SHAPES)
+    def test_grad_wrt_image(self, dims):
+        rng = np.random.default_rng(40 + sum(dims))
+        pts = rng.uniform(-0.2, 1.2, size=(3, 4, 2, 3))
+        pts[0, 0, 0] = [1.0, 1.0, 1.0]
+        coords_t = Tensor3(pts)
+
+        def f(i0):
+            tape = Tape()
+            img = tape.input(i0, parameter=True)
+            out = tape.trilinear_sample(img, tape.input(coords_t))
+            loss = tape.sum(tape.square(out))
+            return loss.value.item(), tape.backward(loss)[img.id]
+
+        assert grad_check(f, rng_tensor(rng, dims, channels=3), h=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("dims", ODD_SHAPES)
+    def test_grad_wrt_coords(self, dims):
+        rng = np.random.default_rng(60 + sum(dims))
+        img_t = rng_tensor(rng, dims, channels=3)
+
+        def f(c0):
+            tape = Tape()
+            coords = tape.input(c0, parameter=True)
+            out = tape.trilinear_sample(tape.input(img_t), coords)
+            loss = tape.mean(tape.square(out))
+            return loss.value.item(), tape.backward(loss)[coords.id]
+
+        # interior coordinates away from node boundaries and the clamp
+        c0 = Tensor3(rng.uniform(0.15, 0.85, size=(3, 4, 2, 3)))
+        assert grad_check(f, c0, h=1e-6) < 1e-3
+
+
+class TestTrilinearMemory:
+    def test_sample_keeps_at_most_128_bytes_per_point(self):
+        """What one sample keeps alive until backward: its output (24 B a
+        point for 3 channels) plus the plan both vjp halves read."""
+        rng = np.random.default_rng(33)
+        dims = (24, 24, 24)
+        tape = Tape()
+        img = tape.input(rng_tensor(rng, dims, channels=3), parameter=True)
+        coords = tape.input(Tensor3(rng.uniform(-0.1, 1.1, size=(*dims, 3))), parameter=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = tape.trilinear_sample(img, coords)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_point = kept / out.value.size * out.value.channels
+        assert per_point <= 128, f"trilinear_sample keeps {per_point:.0f} B per point"

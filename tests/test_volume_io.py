@@ -246,6 +246,18 @@ class TestNifti:
         with pytest.raises(FormatError, match="non-finite"):
             read_nifti(p)
 
+    @pytest.mark.parametrize("offset,value", [
+        (80, float("inf")), (88, float("nan")), (268, float("nan")), (276, float("-inf")),
+    ], ids=["pixdim1-inf", "pixdim3-nan", "qoffset0-nan", "qoffset2-neg-inf"])
+    def test_non_finite_header_geometry_is_format_error(self, tmp_path, offset, value):
+        p = tmp_path / "geom.nii"
+        write_nifti(make_volume(np.ones((4, 4, 4))), p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<f", raw, offset, value)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="pixdim or qoffset"):
+            read_nifti(p)
+
     def test_label_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
         lv = LabelVolume(rng.integers(0, 5, size=(6, 6, 6)), spacing=(1.0, 1.0, 2.0))
