@@ -23,7 +23,7 @@ import numpy as np
 from .tensor import Tensor3, grid_coordinates
 from .transforms import (
     DisplacementField,
-    approximate_inverse,
+    inverse_displacement,
     resample_field_to,
     warp,
     warp_nearest,
@@ -219,8 +219,9 @@ def make_deformation(
     """Sum of Gaussian-envelope displacements, fold-free by construction.
 
     ``amplitude`` is the displacement magnitude of each bump in normalized
-    coordinates; it must stay below the analytic bound for the drawn
-    envelope widths, otherwise the call is rejected with that bound.
+    coordinates (a negative one flips every bump). Its magnitude must stay
+    within the analytic bound for the drawn envelope widths; any other
+    value, NaN included, is rejected with that bound.
     """
     dims = tuple(int(d) for d in dims)
     if n_bumps < 0:
@@ -230,9 +231,9 @@ def make_deformation(
         return DisplacementField.identity(dims)
     sigmas = rng.uniform(*sigma_range, size=n_bumps)
     bound = deformation_amplitude_bound(sigmas)
-    if amplitude > bound:
+    if not abs(amplitude) <= bound:
         raise SyntheticError(
-            f"amplitude {amplitude:.4g} exceeds the fold-free bound {bound:.4g} "
+            f"amplitude {amplitude:.4g} is not within +/-{bound:.4g}, the fold-free bound "
             f"for {n_bumps} bumps with envelopes {np.round(sigmas, 3)}"
         )
     coords = grid_coordinates(dims).data
@@ -256,10 +257,10 @@ def render_pair(
     """Build the registration task (A, B, truth).
 
     B is the deformed base under remap_b, so the ground-truth map for the
-    pair (A, B) is exactly ``deformation``; landmarks in B's frame come
-    from the numerical inverse. When the phantom carries a supersampled
-    base, both images render from it and are downsampled together, so
-    they share identical interpolation smoothing.
+    pair (A, B) is exactly ``deformation``; B-frame landmarks come from
+    its fixed-point inverse at the landmarks. When the phantom carries a
+    supersampled base, both images render from it and are downsampled
+    together, so they share identical interpolation smoothing.
     """
     base = phantom.base
     dims = base.dims
@@ -288,9 +289,8 @@ def render_pair(
             modality="SYNTH-B", preprocessed=True,
         )
     geo = base.geometry
-    inverse = approximate_inverse(deformation)
     lm_a_norm = geo.mm_to_normalized(phantom.landmarks.points)
-    lm_b_norm = inverse.map_points(lm_a_norm)
+    lm_b_norm = lm_a_norm + inverse_displacement(deformation, lm_a_norm)
     truth = TruthBundle(
         field=deformation,
         labels_a=phantom.labels,

@@ -228,7 +228,8 @@ def sample_nearest_values(img: np.ndarray, coords: np.ndarray) -> np.ndarray:
 class Tape:
     """Single-owner op recorder with one reverse sweep per built graph.
 
-    Values are retained until backward (no checkpointing); after
+    Values are retained until backward (no checkpointing); the reverse
+    sweep drops each intermediate adjoint once its vjp has run. After
     ``reset`` the tape can be rebuilt from scratch. Distinct tapes are
     independent and safe to use on distinct threads.
     """
@@ -516,6 +517,8 @@ class Tape:
                     parent.adjoint = np.array(contrib, dtype=np.float64, copy=True)
                 else:
                     parent.adjoint += contrib
+            # parameters have no vjp, so only intermediate adjoints get here
+            node.adjoint = None
         grads = {}
         for pid in self.parameter_ids:
             node = self.nodes[pid]
@@ -523,9 +526,6 @@ class Tape:
                 grads[pid] = Tensor3.zeros(node.value.dims, node.value.channels)
             else:
                 grads[pid] = Tensor3(node.adjoint)
-        for node in self.nodes:
-            if node.id not in self.parameter_ids:
-                node.adjoint = None
         return grads
 
 

@@ -147,13 +147,20 @@ def percent_neg_jac(phi: DisplacementField, on_dims=None) -> float:
     return 100.0 * float(np.count_nonzero(det < 0.0)) / det.size
 
 
-def approximate_inverse(phi: DisplacementField, iterations: int = 40) -> DisplacementField:
-    """Fixed-point inverse: v <- -u(x + v(x)), on phi's grid."""
-    grid = grid_coordinates(phi.dims).data
-    v = np.zeros_like(phi.u.data)
+def inverse_displacement(phi: DisplacementField, points: np.ndarray,
+                         iterations: int = 40) -> np.ndarray:
+    """Fixed-point inverse at normalized points of shape (..., 3):
+    v <- -u(p + v), so that phi(p + v) = p once it has converged."""
+    v = np.zeros_like(points)
     for _ in range(iterations):
-        v = -sample_trilinear_values(phi.u.data, grid + v)
-    return DisplacementField(Tensor3(v))
+        v = -sample_trilinear_values(phi.u.data, points + v)
+    return v
+
+
+def approximate_inverse(phi: DisplacementField, iterations: int = 40) -> DisplacementField:
+    """Fixed-point inverse on phi's grid: ``inverse_displacement`` at every node."""
+    grid = grid_coordinates(phi.dims).data
+    return DisplacementField(Tensor3(inverse_displacement(phi, grid, iterations)))
 
 
 # -- affine augmentation ---------------------------------------------------------

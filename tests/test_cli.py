@@ -243,6 +243,17 @@ class TestSynthRegisterEvaluate:
 
         assert registered.mtre_mm < identity.mtre_mm
 
+    @pytest.mark.parametrize("amplitude", ["-100", "nan"])
+    def test_amplitude_outside_bound_exits_2(self, tmp_path, capsys, amplitude):
+        out = tmp_path / "pair"
+        rc = main(["synth", "--out-dir", str(out), "--seed", "5", "--dims", "16",
+                   "--amplitude-voxels", amplitude])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error:") and "bound" in err
+        assert "Traceback" not in err
+        assert not (out / "truth_field.raw").exists()
+
     def test_evaluate_identity_on_identical_labels(self, tmp_path):
         out = tmp_path / "pair"
         main(["synth", "--out-dir", str(out), "--seed", "5", "--dims", "16",

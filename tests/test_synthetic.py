@@ -71,6 +71,17 @@ class TestMakeDeformation:
         with pytest.raises(SyntheticError, match="bound"):
             make_deformation(seed=8, dims=(16, 16, 16), amplitude=1.0, n_bumps=2)
 
+    @pytest.mark.parametrize("amplitude", [-1.0, -100.0, float("nan")])
+    def test_negative_beyond_bound_and_nan_rejected(self, amplitude):
+        with pytest.raises(SyntheticError, match="bound"):
+            make_deformation(seed=8, dims=(16, 16, 16), amplitude=amplitude, n_bumps=2)
+
+    def test_negative_amplitude_within_bound_flips_field(self):
+        pos = make_deformation(seed=18, dims=(20, 20, 20), amplitude=0.05, n_bumps=3)
+        neg = make_deformation(seed=18, dims=(20, 20, 20), amplitude=-0.05, n_bumps=3)
+        assert np.array_equal(neg.u.data, -pos.u.data)
+        assert percent_neg_jac(neg) == 0.0
+
     def test_bound_formula(self):
         sigmas = [0.3, 0.3]
         bound = deformation_amplitude_bound(sigmas)
@@ -132,6 +143,18 @@ class TestRenderPair:
         residual = mtre(truth.landmarks_a, truth.landmarks_b, truth.field, geo)
         voxel_mm = geo.spacing[0]
         assert residual < 0.5 * voxel_mm
+
+    def test_landmarks_b_map_onto_landmarks_a(self):
+        # the truth field takes each B-frame landmark exactly back to A
+        dims = (24, 24, 24)
+        ph = make_phantom(seed=14, dims=dims, n_structures=2)
+        defo = make_deformation(seed=15, dims=dims, amplitude=0.05, n_bumps=2)
+        _, _, truth = render_pair(ph, ModalityRemap(), ModalityRemap("invert"), defo)
+        geo = ph.base.geometry
+        pts_a = geo.mm_to_normalized(truth.landmarks_a.points)
+        pts_b = geo.mm_to_normalized(truth.landmarks_b.points)
+        voxels = np.abs(truth.field.map_points(pts_b) - pts_a) * (np.array(dims) - 1)
+        assert voxels.max() < 1e-9
 
     def test_mapped_landmarks_hit_same_feature(self):
         # the warped base at a mapped landmark is base(phi(q)); it must

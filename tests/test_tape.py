@@ -340,3 +340,29 @@ class TestTrilinearMemory:
             tracemalloc.stop()
         per_point = kept / out.value.size * out.value.channels
         assert per_point <= 128, f"trilinear_sample keeps {per_point:.0f} B per point"
+
+
+class TestBackwardMemory:
+    def test_sweep_releases_intermediate_adjoints(self):
+        """A chain of 16 ops needs only a few adjoints alive at once: the
+        one being consumed, its vjp's contribution and the parent's copy."""
+        dims, channels = (32, 32, 32), 3
+        tape = Tape()
+        x = tape.input(Tensor3(np.full((*dims, channels), 0.5)), parameter=True)
+        node = x
+        for _ in range(16):
+            node = tape.scale(node, 1.01)
+        loss = tape.sum(node)
+        array_bytes = x.value.data.nbytes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(grads[x.id].data, 1.01**16)
+        assert peak <= 4 * array_bytes, (
+            f"backward peaked at {peak / array_bytes:.1f} arrays above its start")

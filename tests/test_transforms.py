@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from deformreg.tape import sample_trilinear_values
 from deformreg.tensor import Tensor3, grid_coordinates
 from deformreg.transforms import (
     AffineTransform,
@@ -12,6 +13,7 @@ from deformreg.transforms import (
     apply_affine_points,
     approximate_inverse,
     compose,
+    inverse_displacement,
     jacobian_det_map,
     percent_neg_jac,
     random_affine,
@@ -295,3 +297,23 @@ class TestInverse:
         # deviation from identity below 0.1 voxel (1/(n-1) normalized units)
         voxel = 1.0 / 7.0
         assert np.max(np.abs(comp.u.data)) < 0.1 * voxel
+
+    def test_grid_inverse_is_the_grid_wide_fixed_point_loop(self):
+        rng = np.random.default_rng(12)
+        phi = smooth_field(rng, (9, 7, 6), amplitude=0.04)
+        grid = grid_coordinates(phi.dims).data
+        v = np.zeros_like(phi.u.data)
+        for _ in range(40):
+            v = -sample_trilinear_values(phi.u.data, grid + v)
+        assert np.array_equal(approximate_inverse(phi).u.data, v)
+
+    def test_point_inverse_matches_grid_nodes_and_inverts_phi(self):
+        rng = np.random.default_rng(13)
+        phi = smooth_field(rng, (8, 8, 8), amplitude=0.04)
+        grid = grid_coordinates(phi.dims).data
+        nodes = grid[[1, 4, 6], [2, 0, 7], [5, 3, 1]]
+        at_nodes = approximate_inverse(phi).u.data[[1, 4, 6], [2, 0, 7], [5, 3, 1]]
+        assert np.array_equal(inverse_displacement(phi, nodes), at_nodes)
+        points = rng.uniform(0.1, 0.9, size=(5, 3))
+        mapped = phi.map_points(points + inverse_displacement(phi, points))
+        assert np.max(np.abs(mapped - points)) < 1e-12
