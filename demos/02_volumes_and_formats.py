@@ -22,7 +22,6 @@ from deformreg import (
 )
 
 rng = np.random.default_rng(1)
-work = Path(tempfile.mkdtemp())
 
 # A CT volume in Hounsfield units; preprocessing clips to [-1000, 1000]
 # and maps onto [0, 1].
@@ -46,14 +45,17 @@ print(f"invert twice max |diff|: {np.abs(back.values() - ct.values()).max():.2e}
 big = resize_trilinear(ct, (47, 47, 47))
 print(f"resize {ct.dims} -> {big.dims}, spacing {ct.spacing[0]:.2f} -> {big.spacing[0]:.3f} mm")
 
-# NIfTI round trip is bit-exact for float32 payloads.
-write_nifti(ct, work / "ct.nii")
-again = read_nifti(work / "ct.nii")
-print(f"NIfTI round trip modality={again.modality}, "
-      f"max |diff| = {np.abs(again.values() - ct.values().astype(np.float32)).max():.2e}")
+with tempfile.TemporaryDirectory() as tmp:
+    work = Path(tmp)
 
-# Landmark CSV: one x,y,z line per point, millimetres, no header.
-lm = LandmarkSet(rng.uniform(2, 20, (5, 3)), frame="demo")
-write_landmarks_csv(lm, work / "lm.csv")
-lm2 = read_landmarks_csv(work / "lm.csv")
-print(f"landmark round trip max |diff| = {np.abs(lm2.points - lm.points).max():.2e}")
+    # NIfTI round trip is bit-exact for float32 payloads.
+    write_nifti(ct, work / "ct.nii")
+    again = read_nifti(work / "ct.nii")
+    print(f"NIfTI round trip modality={again.modality}, "
+          f"max |diff| = {np.abs(again.values() - ct.values().astype(np.float32)).max():.2e}")
+
+    # Landmark CSV: one x,y,z line per point, millimetres, no header.
+    lm = LandmarkSet(rng.uniform(2, 20, (5, 3)), frame="demo")
+    write_landmarks_csv(lm, work / "lm.csv")
+    lm2 = read_landmarks_csv(work / "lm.csv")
+    print(f"landmark round trip max |diff| = {np.abs(lm2.points - lm.points).max():.2e}")

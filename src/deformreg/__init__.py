@@ -44,15 +44,12 @@ from .fileio import (
     write_volume_raw,
 )
 from .transforms import (
-    AffineTransform,
     DisplacementField,
     TransformError,
-    apply_affine,
     approximate_inverse,
     compose,
     jacobian_det_map,
     percent_neg_jac,
-    random_affine,
     resample_field_to,
     warp,
     warp_nearest,

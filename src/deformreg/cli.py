@@ -34,6 +34,7 @@ from .losses import LossError
 from .metrics import MetricsError, evaluate_pair
 from .pipeline import NumericalAbort, PipelineError, RunConfig, instance_optimize
 from .sampling import (
+    STRATEGIES,
     SamplingError,
     build_plan,
     dataset_weights,
@@ -43,7 +44,14 @@ from .sampling import (
     write_plans_csv,
 )
 from .similarity import SimilarityError
-from .synthetic import ModalityRemap, SyntheticError, make_deformation, make_phantom, render_pair
+from .synthetic import (
+    AmplitudeError,
+    ModalityRemap,
+    SyntheticError,
+    make_deformation,
+    make_phantom,
+    render_pair,
+)
 from .tensor import Tensor3, TensorError
 from .transforms import DisplacementField, TransformError, percent_neg_jac
 from .volume import Volume, VolumeError, preprocess
@@ -121,18 +129,25 @@ def cmd_register(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dims = (args.dims,) * 3
     phantom = make_phantom(args.seed, dims, n_structures=args.structures)
     amplitude = args.amplitude_voxels / (args.dims - 1)
-    deformation = make_deformation(args.seed + 1, dims, amplitude, n_bumps=args.bumps)
+    try:
+        deformation = make_deformation(args.seed + 1, dims, amplitude, n_bumps=args.bumps)
+    except AmplitudeError as exc:
+        raise ConfigError(
+            f"--amplitude-voxels {args.amplitude_voxels:.4g} is not within "
+            f"+/-{exc.bound * (args.dims - 1):.4g} voxels, the fold-free bound "
+            f"for {args.bumps} bumps at --dims {args.dims}"
+        ) from exc
     vol_a, vol_b, truth = render_pair(
         phantom,
         ModalityRemap(args.remap_a),
         ModalityRemap(args.remap_b),
         deformation,
     )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_nifti(vol_a, out_dir / "a.nii")
     write_nifti(vol_b, out_dir / "b.nii")
     write_nifti_labels(truth.labels_a, out_dir / "labels_a.nii")
@@ -206,19 +221,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    config = _load_config(args.config)
     manifests = [read_manifest(p) for p in args.manifest]
-    strategy = args.strategy or config.strategy
     if args.epoch:
         weights = dataset_weights(manifests, mode=args.weights_mode)
         plans = epoch_plan(
-            manifests, weights, strategy,
+            manifests, weights, args.strategy,
             pairs_per_epoch=args.pairs, seed=args.seed,
         )
     else:
-        plans = build_plan(manifests, strategy, args.pairs, seed=args.seed)
+        plans = build_plan(manifests, args.strategy, args.pairs, seed=args.seed)
     write_plans_csv(plans, args.out)
-    verdict = erratum_guard(plans, strategy)
+    verdict = erratum_guard(plans, args.strategy)
     print(f"plan: {len(plans)} pairs -> {args.out}")
     print(f"erratum guard: {verdict}")
     return EXIT_OK if verdict.passed else EXIT_CONFIG
@@ -277,13 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="sample training pairs and run the aliasing guard")
     p.add_argument("--manifest", action="append", required=True)
-    p.add_argument("--strategy", choices=("B", "F", "R"))
+    p.add_argument("--strategy", choices=STRATEGIES, default="F")
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epoch", action="store_true",
                    help="weighted epoch sampling instead of uniform draws")
     p.add_argument("--weights-mode", choices=("training", "finetuning"), default="training")
-    p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 

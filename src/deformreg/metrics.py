@@ -11,7 +11,6 @@ against the source landmarks (a flag flips the direction).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -116,25 +115,6 @@ class MetricsReport:
             pair_id=raw.get("pair_id", ""),
             config_hash=raw.get("config_hash", ""),
         )
-
-    CSV_FIELDS = ("pair_id", "mean_dice", "mtre_mm", "percent_neg_jacobian", "config_hash")
-
-    def csv_row(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "mean_dice": self.mean_dice,
-            "mtre_mm": self.mtre_mm,
-            "percent_neg_jacobian": self.percent_neg_jacobian,
-            "config_hash": self.config_hash,
-        }
-
-
-def write_reports_csv(reports: list[MetricsReport], path):
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=MetricsReport.CSV_FIELDS)
-        writer.writeheader()
-        for r in reports:
-            writer.writerow(r.csv_row())
 
 
 def evaluate_pair(

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .losses import LossConfig, randomized_loss_nodes
-from .sampling import STRATEGIES
 from .similarity import SimilarityConfig
 from .tape import Node, Tape
 from .tensor import Tensor3, TensorError, check_number
@@ -183,19 +182,13 @@ class RunConfig:
 
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    strategy: str = "F"
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise PipelineError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
     def to_dict(self) -> dict:
         """The JSON shape: what the config file holds and config_hash covers."""
         opt = self.optimizer
         return {"similarity": asdict(self.loss.similarity),
                 "loss": {"lambda": self.loss.lam, "use_regularizer": self.loss.use_regularizer},
-                "optimizer": {**asdict(opt), "stage_damping": list(opt.stage_damping)},
-                "strategy": self.strategy}
+                "optimizer": {**asdict(opt), "stage_damping": list(opt.stage_damping)}}
 
     @classmethod
     def from_dict(cls, overrides) -> "RunConfig":
@@ -203,7 +196,7 @@ class RunConfig:
         config = _overlay(cls().to_dict(), overrides, "config")
         sim, loss = SimilarityConfig(**config["similarity"]), config["loss"]
         return cls(LossConfig(loss["lambda"], sim, loss["use_regularizer"]),
-                   OptimizerConfig(**config["optimizer"]), config["strategy"])
+                   OptimizerConfig(**config["optimizer"]))
 
 
 @dataclass

@@ -209,17 +209,6 @@ def write_plans_csv(plans, path):
             writer.writerow(p.csv_row())
 
 
-def read_plans_csv(path) -> list[PairPlan]:
-    out = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            for k in ("draw_index", "input_scan_a", "input_scan_b", "loss_scan_a",
-                      "loss_scan_b", "n_scans_a", "n_scans_b", "n_shared"):
-                row[k] = int(row[k])
-            out.append(PairPlan(**row))
-    return out
-
-
 def _draw_patients(rng, manifest: DatasetManifest):
     """Patient pair plus input scans per the dataset's pairing type."""
     if manifest.pairing == "intra-patient":

@@ -35,10 +35,22 @@ _GAUSS_GRAD_PEAK = float(np.exp(-0.5))
 # wide envelopes: neighborhoods move coherently, which keeps windowed
 # similarity informative across multi-voxel displacements
 _SIGMA_RANGE = (0.25, 0.40)
+# resolution multiple of the rendering copy of a phantom's base
+_SUPERSAMPLE = 2
+# placement draws per structure before giving up on a non-overlapping spot
+_RETRY_BUDGET = 200
 
 
 class SyntheticError(ValueError):
     """Phantom construction failure (placement, amplitude bound)."""
+
+
+class AmplitudeError(SyntheticError):
+    """A deformation amplitude outside the fold-free ``bound`` (normalized)."""
+
+    def __init__(self, message: str, bound: float):
+        super().__init__(message)
+        self.bound = bound
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,7 @@ class Phantom:
     labels: LabelVolume
     landmarks: LandmarkSet
     structure_means: tuple
-    base_supersampled: Volume | None = None
+    base_supersampled: Volume
 
 
 @dataclass(frozen=True)
@@ -108,40 +120,31 @@ def _smooth_noise(rng, dims, passes=4):
     return a
 
 
-def make_phantom(
-    seed: int,
-    dims,
-    n_structures: int = 3,
-    retry_budget: int = 200,
-    supersample: int = 2,
-) -> Phantom:
+def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
     """Textured background plus labeled ellipsoids with distinct intensities.
 
     Landmarks sit at every structure center and at three near-boundary
     extrema per structure (inside the labeled region), so even a single
-    structure carries four landmarks. ``supersample`` sets the resolution
-    multiple of the rendering copy (1 disables it).
+    structure carries four landmarks.
     """
     dims = tuple(int(d) for d in dims)
     if min(dims) < 16:
         raise SyntheticError(f"phantom dims must be >= 16 per axis, got {dims}")
     if n_structures < 1:
         raise SyntheticError("need at least one structure")
-    if supersample < 1:
-        raise SyntheticError("supersample factor must be >= 1")
     means = np.linspace(0.40, 0.85, n_structures)
     if n_structures > 1 and means[1] - means[0] < 0.1:
         raise SyntheticError(
             f"{n_structures} structures cannot keep mean separation >= 0.1"
         )
     rng = np.random.default_rng(seed)
-    hi_dims = tuple((n - 1) * supersample + 1 for n in dims)
+    hi_dims = tuple((n - 1) * _SUPERSAMPLE + 1 for n in dims)
     coords_hi = grid_coordinates(hi_dims).data
     coords_lo = grid_coordinates(dims).data
 
-    # smoothing passes scale with supersample^2 to keep the physical
-    # feature size of the noise fixed
-    ss2 = supersample * supersample
+    # smoothing passes scale with the supersample factor squared to keep
+    # the physical feature size of the noise fixed
+    ss2 = _SUPERSAMPLE * _SUPERSAMPLE
     background = 0.14 + 0.10 * _smooth_noise(rng, hi_dims, passes=4 * ss2)
     fine = _smooth_noise(rng, hi_dims, passes=ss2)
     texture = 0.20 * (fine - fine.mean())
@@ -152,7 +155,7 @@ def make_phantom(
 
     for sid in range(1, n_structures + 1):
         placed = False
-        for _ in range(retry_budget + 1):
+        for _ in range(_RETRY_BUDGET + 1):
             center = rng.uniform(0.22, 0.78, size=3)
             semi = rng.uniform(0.08, 0.16, size=3)
             r2_lo = np.zeros(dims)
@@ -165,7 +168,7 @@ def make_phantom(
         if not placed:
             raise SyntheticError(
                 f"could not place structure {sid} without overlap "
-                f"within {retry_budget} retries"
+                f"within {_RETRY_BUDGET} retries"
             )
         r2_hi = np.zeros(hi_dims)
         for axis in range(3):
@@ -185,11 +188,8 @@ def make_phantom(
         modality="SYNTH-BASE",
         preprocessed=True,
     )
-    if supersample > 1:
-        base = resize_trilinear(base_hi, dims)
-        base = Volume(base.grid, modality="SYNTH-BASE", preprocessed=True)
-    else:
-        base = base_hi
+    base = resize_trilinear(base_hi, dims)
+    base = Volume(base.grid, modality="SYNTH-BASE", preprocessed=True)
     geo = base.geometry
     landmarks = LandmarkSet(geo.normalized_to_mm(np.array(landmark_rows)), frame="base")
     landmarks.assert_inside(geo)
@@ -198,7 +198,7 @@ def make_phantom(
         labels=LabelVolume(labels_lo),
         landmarks=landmarks,
         structure_means=tuple(float(m) for m in means),
-        base_supersampled=base_hi if supersample > 1 else None,
+        base_supersampled=base_hi,
     )
 
 
@@ -209,13 +209,7 @@ def deformation_amplitude_bound(sigmas) -> float:
     return 0.95 / total
 
 
-def make_deformation(
-    seed: int,
-    dims,
-    amplitude: float,
-    n_bumps: int = 2,
-    sigma_range: tuple = _SIGMA_RANGE,
-) -> DisplacementField:
+def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> DisplacementField:
     """Sum of Gaussian-envelope displacements, fold-free by construction.
 
     ``amplitude`` is the displacement magnitude of each bump in normalized
@@ -229,12 +223,13 @@ def make_deformation(
     rng = np.random.default_rng(seed)
     if n_bumps == 0 or amplitude == 0.0:
         return DisplacementField.identity(dims)
-    sigmas = rng.uniform(*sigma_range, size=n_bumps)
+    sigmas = rng.uniform(*_SIGMA_RANGE, size=n_bumps)
     bound = deformation_amplitude_bound(sigmas)
     if not abs(amplitude) <= bound:
-        raise SyntheticError(
+        raise AmplitudeError(
             f"amplitude {amplitude:.4g} is not within +/-{bound:.4g}, the fold-free bound "
-            f"for {n_bumps} bumps with envelopes {np.round(sigmas, 3)}"
+            f"for {n_bumps} bumps with envelopes {np.round(sigmas, 3)}",
+            bound,
         )
     coords = grid_coordinates(dims).data
     u = np.zeros((*dims, 3))
@@ -258,36 +253,24 @@ def render_pair(
 
     B is the deformed base under remap_b, so the ground-truth map for the
     pair (A, B) is exactly ``deformation``; B-frame landmarks come from
-    its fixed-point inverse at the landmarks. When the phantom carries a
-    supersampled base, both images render from it and are downsampled
-    together, so they share identical interpolation smoothing.
+    its fixed-point inverse at the landmarks. Both images render from the
+    phantom's supersampled base and are downsampled together, so they
+    share identical interpolation smoothing.
     """
     base = phantom.base
     dims = base.dims
-    if phantom.base_supersampled is not None:
-        src = phantom.base_supersampled
-        defo_src = resample_field_to(deformation, src.dims)
-        a_full = Volume(Tensor3(remap_a.apply(src.values())),
-                        modality="SYNTH-A", preprocessed=True)
-        b_full = Volume(Tensor3(remap_b.apply(warp(src, defo_src).values())),
-                        modality="SYNTH-B", preprocessed=True)
-        vol_a = resize_trilinear(a_full, dims)
-        vol_b = resize_trilinear(b_full, dims)
-        vol_a = Volume(vol_a.grid, spacing=base.spacing, origin=base.origin,
-                       modality="SYNTH-A", preprocessed=True)
-        vol_b = Volume(vol_b.grid, spacing=base.spacing, origin=base.origin,
-                       modality="SYNTH-B", preprocessed=True)
-    else:
-        vol_a = Volume(
-            grid=Tensor3(remap_a.apply(base.values())),
-            spacing=base.spacing, origin=base.origin,
-            modality="SYNTH-A", preprocessed=True,
-        )
-        vol_b = Volume(
-            grid=Tensor3(remap_b.apply(warp(base, deformation).values())),
-            spacing=base.spacing, origin=base.origin,
-            modality="SYNTH-B", preprocessed=True,
-        )
+    src = phantom.base_supersampled
+    defo_src = resample_field_to(deformation, src.dims)
+    a_full = Volume(Tensor3(remap_a.apply(src.values())),
+                    modality="SYNTH-A", preprocessed=True)
+    b_full = Volume(Tensor3(remap_b.apply(warp(src, defo_src).values())),
+                    modality="SYNTH-B", preprocessed=True)
+    vol_a = resize_trilinear(a_full, dims)
+    vol_b = resize_trilinear(b_full, dims)
+    vol_a = Volume(vol_a.grid, spacing=base.spacing, origin=base.origin,
+                   modality="SYNTH-A", preprocessed=True)
+    vol_b = Volume(vol_b.grid, spacing=base.spacing, origin=base.origin,
+                   modality="SYNTH-B", preprocessed=True)
     geo = base.geometry
     lm_a_norm = geo.mm_to_normalized(phantom.landmarks.points)
     lm_b_norm = lm_a_norm + inverse_displacement(deformation, lm_a_norm)

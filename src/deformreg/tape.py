@@ -229,9 +229,8 @@ class Tape:
     """Single-owner op recorder with one reverse sweep per built graph.
 
     Values are retained until backward (no checkpointing); the reverse
-    sweep drops each intermediate adjoint once its vjp has run. After
-    ``reset`` the tape can be rebuilt from scratch. Distinct tapes are
-    independent and safe to use on distinct threads.
+    sweep drops each intermediate adjoint once its vjp has run. Distinct
+    tapes are independent and safe to use on distinct threads.
     """
 
     def __init__(self):
@@ -249,10 +248,6 @@ class Tape:
         if parameter:
             self.parameter_ids.add(node.id)
         return node
-
-    def reset(self):
-        self.nodes.clear()
-        self.parameter_ids.clear()
 
     def _append(self, op, parents, value, vjp) -> Node:
         if isinstance(value, np.ndarray):

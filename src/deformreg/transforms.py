@@ -161,82 +161,3 @@ def approximate_inverse(phi: DisplacementField, iterations: int = 40) -> Displac
     """Fixed-point inverse on phi's grid: ``inverse_displacement`` at every node."""
     grid = grid_coordinates(phi.dims).data
     return DisplacementField(Tensor3(inverse_displacement(phi, grid, iterations)))
-
-
-# -- affine augmentation ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """Linear part, translation (normalized coords), and per-axis flips,
-    all acting about the domain center (0.5, 0.5, 0.5)."""
-
-    linear: np.ndarray
-    translation: np.ndarray
-    flips: tuple[bool, bool, bool] = (False, False, False)
-
-    def __post_init__(self):
-        A = np.asarray(self.linear, dtype=np.float64).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        object.__setattr__(self, "linear", A)
-        object.__setattr__(self, "translation", t)
-        if abs(np.linalg.det(self.matrix())) < 1e-8:
-            raise TransformError("affine transform is singular")
-
-    def matrix(self) -> np.ndarray:
-        F = np.diag([-1.0 if f else 1.0 for f in self.flips])
-        return self.linear @ F
-
-    @staticmethod
-    def identity() -> "AffineTransform":
-        return AffineTransform(np.eye(3), np.zeros(3))
-
-
-def _rotation_matrix(angles_rad) -> np.ndarray:
-    ax, ay, az = angles_rad
-    cx, sx = np.cos(ax), np.sin(ax)
-    cy, sy = np.cos(ay), np.sin(ay)
-    cz, sz = np.cos(az), np.sin(az)
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    return rz @ ry @ rx
-
-
-def random_affine(
-    seed: int,
-    max_rotation_deg: float = 10.0,
-    max_scale_dev: float = 0.1,
-    max_translation: float = 0.05,
-    flip_prob: float = 0.5,
-) -> AffineTransform:
-    """Seeded draw: uniform rotation angles, per-axis log-scales and
-    translations within the bounds, Bernoulli flips per axis."""
-    if min(max_rotation_deg, max_scale_dev, max_translation) < 0 or flip_prob < 0:
-        raise TransformError("augmentation bounds must be non-negative")
-    rng = np.random.default_rng(seed)
-    angles = np.deg2rad(rng.uniform(-max_rotation_deg, max_rotation_deg, size=3))
-    log_scales = rng.uniform(-max_scale_dev, max_scale_dev, size=3)
-    translation = rng.uniform(-max_translation, max_translation, size=3)
-    flips = tuple(bool(rng.random() < flip_prob) for _ in range(3))
-    linear = _rotation_matrix(angles) @ np.diag(np.exp(log_scales))
-    return AffineTransform(linear, translation, flips)
-
-
-def apply_affine(v: Volume, T: AffineTransform) -> Volume:
-    """Inverse-map trilinear resampling about the domain center."""
-    M = T.matrix()
-    Minv = np.linalg.inv(M)
-    center = np.array([0.5, 0.5, 0.5])
-    coords = grid_coordinates(v.dims).data
-    flat = coords.reshape(-1, 3)
-    src = (flat - center - T.translation) @ Minv.T + center
-    out = sample_trilinear_values(v.grid.data, src.reshape(coords.shape))
-    return replace(v, grid=Tensor3(out))
-
-
-def apply_affine_points(points_norm: np.ndarray, T: AffineTransform) -> np.ndarray:
-    """Forward map of normalized points under the same transform."""
-    center = np.array([0.5, 0.5, 0.5])
-    pts = np.atleast_2d(np.asarray(points_norm, dtype=np.float64))
-    return (pts - center) @ T.matrix().T + center + T.translation

@@ -19,11 +19,14 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
     # the subprocess imports the same deformreg as this test, installed or
-    # not; temporary files the demo makes land under tmp_path
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    # not; temporary files the demo makes land in tmp, which it must empty
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp))
     src_dir = str(Path(deformreg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    assert not any(tmp.iterdir())

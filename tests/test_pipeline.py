@@ -253,7 +253,7 @@ class TestInstanceOptimize:
 class TestRunConfig:
     def test_dict_round_trip(self):
         custom = RunConfig(LossConfig(lam=0.5, similarity=SimilarityConfig(kind="MIND_SSC")),
-                           OptimizerConfig(steps=7, stage_damping=[1, 1, 0.5, 0]), "R")
+                           OptimizerConfig(steps=7, stage_damping=[1, 1, 0.5, 0]))
         assert custom.optimizer.stage_damping == (1, 1, 0.5, 0)
         assert RunConfig.from_dict(custom.to_dict()) == custom
         assert RunConfig.from_dict({}) == RunConfig()

@@ -1,5 +1,7 @@
 """Pair sampling strategies, weighting, and the aliasing regression guard."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from deformreg.sampling import (
     epoch_plan,
     erratum_guard,
     read_manifest,
-    read_plans_csv,
     write_manifest,
     write_plans_csv,
 )
@@ -134,7 +135,11 @@ class TestBuildPlan:
         plans = build_plan([m], "F", 50, seed=9)
         path = tmp_path / "plans.csv"
         write_plans_csv(plans, path)
-        assert read_plans_csv(path) == plans
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            assert tuple(reader.fieldnames) == PairPlan.CSV_FIELDS
+            rows = list(reader)
+        assert rows == [{k: str(v) for k, v in p.csv_row().items()} for p in plans]
 
 
 class TestDatasetWeights:

@@ -1,4 +1,4 @@
-"""Field composition, warping, Jacobian analysis, and affine augmentation."""
+"""Field composition, warping, and Jacobian analysis."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,13 @@ import pytest
 from deformreg.tape import sample_trilinear_values
 from deformreg.tensor import Tensor3, grid_coordinates
 from deformreg.transforms import (
-    AffineTransform,
     DisplacementField,
     TransformError,
-    apply_affine,
-    apply_affine_points,
     approximate_inverse,
     compose,
     inverse_displacement,
     jacobian_det_map,
     percent_neg_jac,
-    random_affine,
     resample_field_to,
     warp,
     warp_nearest,
@@ -246,46 +242,6 @@ class TestResampleField:
             x = grid[idx]
             expect = np.array([lerp_oracle(phi.u.data[..., c], x) for c in range(3)])
             assert np.max(np.abs(out.u.data[idx] - expect)) <= 1e-10
-
-
-class TestAffine:
-    def test_zero_bounds_identity(self):
-        T = random_affine(seed=0, max_rotation_deg=0, max_scale_dev=0,
-                          max_translation=0, flip_prob=0)
-        assert np.allclose(T.matrix(), np.eye(3))
-        assert np.allclose(T.translation, 0.0)
-
-    def test_seed_determinism(self):
-        a = random_affine(seed=42)
-        b = random_affine(seed=42)
-        assert np.array_equal(a.linear, b.linear)
-        assert np.array_equal(a.translation, b.translation)
-        assert a.flips == b.flips
-
-    def test_flip_involution(self):
-        rng = np.random.default_rng(10)
-        v = make_volume(rng.uniform(0, 1, (7, 7, 7)))
-        T = AffineTransform(np.eye(3), np.zeros(3), flips=(True, False, False))
-        out = apply_affine(apply_affine(v, T), T)
-        assert np.max(np.abs(out.values() - v.values())) < 1e-6
-
-    def test_point_map_matches_volume_map(self):
-        # warping a ramp and mapping a point must agree
-        n = 9
-        ramp = np.broadcast_to(np.linspace(0, 1, n)[:, None, None], (n, n, n)).copy()
-        v = make_volume(ramp)
-        T = AffineTransform(np.diag([1.1, 1.0, 1.0]), np.array([0.05, 0.0, 0.0]))
-        out = apply_affine(v, T)
-        # voxel at center of output = source value at T^{-1}(center)
-        center = np.array([0.5, 0.5, 0.5])
-        src = apply_affine_points(center, T)  # forward of center
-        # The center maps forward to src; so output at src-position equals input at center.
-        got = lerp_oracle(out.values(), src[0])
-        assert got == pytest.approx(0.5, abs=0.02)
-
-    def test_singular_rejected(self):
-        with pytest.raises(TransformError):
-            AffineTransform(np.zeros((3, 3)), np.zeros(3))
 
 
 class TestInverse:
