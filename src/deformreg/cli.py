@@ -4,7 +4,9 @@ Subcommands: register (per-pair optimization), synth (phantom pair with
 ground truth), evaluate (metrics report from a field plus truth), plan
 (pair sampling with the aliasing guard), preprocess (intensity rules).
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-abort. Reports embed a hash of the fully-resolved configuration.
+abort (a non-finite loss, or a register map folding more than
+FOLD_LIMIT_PCT percent of its voxels). Reports embed a hash of the
+fully-resolved configuration.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+# a registered map with more folded voxels (|J| < 0) than this has diverged
+FOLD_LIMIT_PCT = 5.0
 
 
 class ConfigError(ValueError):
@@ -108,6 +112,11 @@ def cmd_register(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = instance_optimize(source, target, config.loss, config.optimizer)
+    folding = percent_neg_jac(result.phi_ab)
+    if folding > FOLD_LIMIT_PCT:
+        print(f"numerical abort: %|J|<0 = {folding:.4g} is above the "
+              f"{FOLD_LIMIT_PCT:g} % limit; no field written", file=sys.stderr)
+        return EXIT_NUMERIC
     write_field_raw(result.phi_ab.u.data, out_dir / "phi_ab", {"direction": "ab"})
     write_field_raw(result.phi_ba.u.data, out_dir / "phi_ba", {"direction": "ba"})
     with open(out_dir / "trace.csv", "w") as f:
@@ -119,7 +128,7 @@ def cmd_register(args) -> int:
         "initial_loss": result.loss_trace[0],
         "final_loss": result.loss_trace[-1],
         "steps": config.optimizer.steps,
-        "percent_neg_jacobian": percent_neg_jac(result.phi_ab),
+        "percent_neg_jacobian": folding,
         "warning": result.warning,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True))

@@ -4,14 +4,14 @@ The model is a four-stage composition of displacement parameter grids:
 a quarter-resolution grid q, a half-resolution grid h and two full-
 resolution grids s2, s3, evaluated as
 
-    u = c(c(up(c(up(q), h)), s2), s3)
+    u = c(c(c(q, h), s2), s3)
 
-with c the field composition and up the resampling onto the next stage's
-grid. The stages are optimized per pair and read no images, so the map
-depends on the parameters alone; the loss pair alone drives the
-objective. Each direction (A->B, B->A) keeps its own set of grids, tied
-only through the inverse-consistency penalty. A fresh (zero) model is
-exactly the identity map.
+with c(u1, u2)(x) = u2(x) + u1(x + u2(x)): each coarse stage is sampled
+where it is read, never resampled onto a finer grid. The stages are
+optimized per pair and read no images, so the map depends on the
+parameters alone; the loss pair alone drives the objective. Each
+direction (A->B, B->A) keeps its own set of grids, tied only through the
+inverse-consistency penalty. A fresh (zero) model is the identity map.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .losses import LossConfig, randomized_loss_nodes
 from .similarity import SimilarityConfig
 from .tape import Node, Tape
 from .tensor import Tensor3, TensorError, check_number
-from .transforms import DisplacementField, compose_nodes, resample_field_nodes
+from .transforms import DisplacementField, compose_nodes
 from .volume import Volume
 
 STAGE_COUNT = 4
@@ -43,14 +43,10 @@ class NumericalAbort(RuntimeError):
         self.step = step
 
 
-def pooled_dim(n: int) -> int:
-    return (n + 1) // 2
-
-
 def stage_grid_dims(base_dims) -> tuple:
-    """Grid dims of the four stages: quarter, half, full, full."""
-    half = tuple(pooled_dim(n) for n in base_dims)
-    quarter = tuple(pooled_dim(n) for n in half)
+    """Grid dims of the four stages: quarter, half, full, full (halving rounds up)."""
+    half = tuple((n + 1) // 2 for n in base_dims)
+    quarter = tuple((n + 1) // 2 for n in half)
     return (quarter, half, tuple(base_dims), tuple(base_dims))
 
 
@@ -113,16 +109,14 @@ class BoundPyramid:
         }
 
     def evaluate(self, direction: str) -> Node:
-        """Full-resolution map u = c(c(up(c(up(q), h)), s2), s3) of one
-        direction, with c = compose_nodes and up = resample_field_nodes
-        onto the next stage's grid."""
+        """Full-resolution map u = c(c(c(q, h), s2), s3) of one direction,
+        with c = compose_nodes: three trilinear samples, each of a stage's
+        grid at the points the finer stages map to."""
         if direction not in DIRECTIONS:
             raise PipelineError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         tape = self.tape
         q, h, s2, s3 = (self.nodes[self.model.param_key(direction, i)] for i in range(STAGE_COUNT))
-        half = compose_nodes(tape, resample_field_nodes(tape, q, h.value.dims), h)
-        full = compose_nodes(tape, resample_field_nodes(tape, half, s2.value.dims), s2)
-        return compose_nodes(tape, full, s3)
+        return compose_nodes(tape, compose_nodes(tape, compose_nodes(tape, q, h), s2), s3)
 
 
 @dataclass(frozen=True)

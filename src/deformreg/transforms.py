@@ -134,15 +134,8 @@ def jacobian_det_map(phi: DisplacementField) -> Tensor3:
     return Tensor3(det)
 
 
-def percent_neg_jac(phi: DisplacementField, on_dims=None) -> float:
-    """Folding fraction: percent of voxels with negative Jacobian determinant.
-
-    Computed on the field's own grid by default; pass ``on_dims`` to
-    resample the map onto another grid (e.g. the original image grid)
-    first.
-    """
-    if on_dims is not None:
-        phi = resample_field_to(phi, on_dims)
+def percent_neg_jac(phi: DisplacementField) -> float:
+    """Folding fraction: percent of phi's grid voxels with negative Jacobian determinant."""
     det = jacobian_det_map(phi).data
     return 100.0 * float(np.count_nonzero(det < 0.0)) / det.size
 

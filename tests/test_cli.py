@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import deformreg
-from deformreg.cli import config_hash, main
+from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
 from deformreg.fileio import write_field_raw, write_nifti
 from deformreg.metrics import MetricsReport
 from deformreg.pipeline import RunConfig
@@ -79,6 +79,42 @@ class TestRegister:
         rc = main(["register", "--source", str(src), "--target", str(src),
                    "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 4
+
+
+@pytest.fixture(scope="module")
+def synth_pair(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth") / "pair"
+    assert main(["synth", "--out-dir", str(out), "--dims", "16"]) == 0
+    return out
+
+
+class TestDivergedRun:
+    """A map that folds more than FOLD_LIMIT_PCT of its voxels is a numerical abort."""
+
+    # lr 1e9 blows the loss up to ~1e25; lr 1e-3 lowers it while folding a third of the map
+    @pytest.mark.parametrize("optimizer", [{"lr": 1e9}, {"lr": 1e-3}], ids=["lr1e9", "lr1e-3"])
+    def test_folded_map_exits_4(self, synth_pair, tmp_path, capsys, optimizer):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": optimizer}))
+        out = tmp_path / "out"
+        rc = main(["register", "--source", str(synth_pair / "a.nii"),
+                   "--target", str(synth_pair / "b.nii"),
+                   "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert err.startswith("numerical abort: %|J|<0 = ")
+        assert f"above the {FOLD_LIMIT_PCT:g} % limit" in err
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_default_config_exits_0(self, synth_pair, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["register", "--source", str(synth_pair / "a.nii"),
+                   "--target", str(synth_pair / "b.nii"), "--out-dir", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["percent_neg_jacobian"] <= FOLD_LIMIT_PCT
+        assert (out / "phi_ab.raw").exists()
 
 
 # (config file content, text the error must name)

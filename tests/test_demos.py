@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against this checkout."""
+"""Every demo script and tool runs to completion against this checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,20 @@ import pytest
 
 import deformreg
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_script(script, cwd, **env_extra):
+    # the subprocess imports the same deformreg as this test, installed or not
+    env = dict(os.environ, **env_extra)
+    src_dir = str(Path(deformreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    return proc.stdout
 
 
 def test_demos_found():
@@ -18,15 +32,13 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    # the subprocess imports the same deformreg as this test, installed or
-    # not; temporary files the demo makes land in tmp, which it must empty
+    # temporary files the demo makes land in tmp, which it must empty
     tmp = tmp_path / "tmp"
     tmp.mkdir()
-    env = dict(os.environ, TMPDIR=str(tmp))
-    src_dir = str(Path(deformreg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, cwd=tmp_path, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stdout + proc.stderr
+    run_script(demo, tmp_path, TMPDIR=str(tmp))
     assert not any(tmp.iterdir())
+
+
+def test_trace_digest_prints_four_digests(tmp_path):
+    out = run_script(ROOT / "tools" / "trace_digest.py", tmp_path)
+    assert len(re.findall(r": [0-9a-f]{16}$", out, flags=re.M)) == 4, out
