@@ -1,7 +1,7 @@
 """End-to-end registration of a contrast-inverted phantom pair.
 
 Builds a labeled, landmarked phantom, deforms and inverts one copy, runs
-per-pair optimization of the four-stage pyramid, and scores the result
+per-pair optimization of the three-stage pyramid, and scores the result
 with Dice, mTRE, and the folding fraction. Takes about 15 seconds.
 
 Run: python3 demos/05_register_phantom.py

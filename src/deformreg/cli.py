@@ -110,13 +110,15 @@ def cmd_register(args) -> int:
     if not target.preprocessed:
         target = preprocess(target)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and not out_dir.is_dir():  # fail before optimizing, not after
+        raise NotADirectoryError(f"--out-dir is not a directory: {out_dir}")
     result = instance_optimize(source, target, config.loss, config.optimizer)
     folding = percent_neg_jac(result.phi_ab)
     if folding > FOLD_LIMIT_PCT:
         print(f"numerical abort: %|J|<0 = {folding:.4g} is above the "
               f"{FOLD_LIMIT_PCT:g} % limit; no field written", file=sys.stderr)
         return EXIT_NUMERIC
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_field_raw(result.phi_ab.u.data, out_dir / "phi_ab", {"direction": "ab"})
     write_field_raw(result.phi_ba.u.data, out_dir / "phi_ba", {"direction": "ba"})
     with open(out_dir / "trace.csv", "w") as f:

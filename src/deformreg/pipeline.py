@@ -1,10 +1,10 @@
 """Multi-resolution registration model and per-pair instance optimization.
 
-The model is a four-stage composition of displacement parameter grids:
-a quarter-resolution grid q, a half-resolution grid h and two full-
-resolution grids s2, s3, evaluated as
+The model is a three-stage composition of displacement parameter grids:
+a quarter-resolution grid q, a half-resolution grid h and a full-
+resolution grid s, evaluated as
 
-    u = c(c(c(q, h), s2), s3)
+    u = c(c(q, h), s)
 
 with c(u1, u2)(x) = u2(x) + u1(x + u2(x)): each coarse stage is sampled
 where it is read, never resampled onto a finer grid. The stages are
@@ -27,7 +27,7 @@ from .tensor import Tensor3, TensorError, check_number
 from .transforms import DisplacementField, compose_nodes
 from .volume import Volume
 
-STAGE_COUNT = 4
+STAGE_COUNT = 3
 DIRECTIONS = ("ab", "ba")
 
 
@@ -44,15 +44,15 @@ class NumericalAbort(RuntimeError):
 
 
 def stage_grid_dims(base_dims) -> tuple:
-    """Grid dims of the four stages: quarter, half, full, full (halving rounds up)."""
+    """Grid dims of the three stages: quarter, half, full (halving rounds up)."""
     half = tuple((n + 1) // 2 for n in base_dims)
     quarter = tuple((n + 1) // 2 for n in half)
-    return (quarter, half, tuple(base_dims), tuple(base_dims))
+    return (quarter, half, tuple(base_dims))
 
 
 @dataclass
 class PyramidModel:
-    """Four displacement parameter grids per direction."""
+    """Three displacement parameter grids per direction."""
 
     base_dims: tuple
     params: dict[str, Tensor3] = field(default_factory=dict)
@@ -109,41 +109,37 @@ class BoundPyramid:
         }
 
     def evaluate(self, direction: str) -> Node:
-        """Full-resolution map u = c(c(c(q, h), s2), s3) of one direction,
-        with c = compose_nodes: three trilinear samples, each of a stage's
+        """Full-resolution map u = c(c(q, h), s) of one direction, with
+        c = compose_nodes: two trilinear samples, each of a coarse stage's
         grid at the points the finer stages map to."""
         if direction not in DIRECTIONS:
             raise PipelineError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         tape = self.tape
-        q, h, s2, s3 = (self.nodes[self.model.param_key(direction, i)] for i in range(STAGE_COUNT))
-        return compose_nodes(tape, compose_nodes(tape, compose_nodes(tape, q, h), s2), s3)
+        q, h, s = (self.nodes[self.model.param_key(direction, i)] for i in range(STAGE_COUNT))
+        return compose_nodes(tape, compose_nodes(tape, q, h), s)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Adam settings.
 
-    The nominal rate matches network fine-tuning practice; direct
-    displacement-grid parameters need a much larger step, so the
-    effective rate is lr * lr_scale. ``stage_damping`` multiplies the
-    rate per pyramid stage (coarse to fine): grids have no architectural
-    smoothness prior, and without damping the full-resolution stages
-    chase local texture before the coarse stages can move, folding the
-    map. Flat damping (1,1,1,1) recovers the undamped behavior."""
+    ``lr`` is the step of the coarsest stage; ``stage_damping`` multiplies
+    it per pyramid stage (coarse to fine): grids have no architectural
+    smoothness prior, and without damping the full-resolution stage
+    chases local texture before the coarse stages can move, folding the
+    map. Flat damping (1, 1, 1) recovers the undamped behavior."""
 
     steps: int = 50
-    lr: float = 2e-5
-    lr_scale: float = 100.0
+    lr: float = 2e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    stage_damping: tuple = (1.0, 0.3, 0.1, 0.1)
+    stage_damping: tuple = (1.0, 0.3, 0.1)
 
     def __post_init__(self):
         check_number(PipelineError, "steps", self.steps, integer=True, at_least=0)
-        for name in ("lr", "lr_scale", "eps"):
+        for name in ("lr", "eps"):
             check_number(PipelineError, name, getattr(self, name), above=0)
-        check_number(PipelineError, "lr * lr_scale", self.effective_lr, above=0)
         for name in ("beta1", "beta2"):
             check_number(PipelineError, name, getattr(self, name), at_least=0, below=1)
         damping = self.stage_damping
@@ -152,10 +148,6 @@ class OptimizerConfig:
         for factor in damping:
             check_number(PipelineError, "stage_damping factor", factor, at_least=0)
         object.__setattr__(self, "stage_damping", tuple(damping))
-
-    @property
-    def effective_lr(self) -> float:
-        return self.lr * self.lr_scale
 
 
 def _overlay(defaults: dict, overrides, name: str) -> dict:
@@ -224,7 +216,7 @@ class Adam:
             v[:] = c.beta2 * v + (1 - c.beta2) * g * g
             m_hat = m / (1 - c.beta1**self.t)
             v_hat = v / (1 - c.beta2**self.t)
-            lr = c.effective_lr * self.lr_multipliers.get(key, 1.0)
+            lr = c.lr * self.lr_multipliers.get(key, 1.0)
             out[key] = Tensor3(value.data - lr * m_hat / (np.sqrt(v_hat) + c.eps))
         return out
 
@@ -262,7 +254,8 @@ def instance_optimize(
 
     def forward(with_grads: bool):
         # overflow here is not a crash: it surfaces as a TensorError or a
-        # non-finite loss and becomes a NumericalAbort below
+        # non-finite loss and becomes a NumericalAbort below. The tape is
+        # local, so it is freed before the next step builds its own.
         with np.errstate(over="ignore", invalid="ignore"):
             tape = Tape()
             bound = BoundPyramid(tape, model, trainable=with_grads)
@@ -275,23 +268,17 @@ def instance_optimize(
             by_key = {key: grads[node.id].data for key, node in bound.nodes.items()}
             return value, by_key
 
-    for step in range(opt_cfg.steps):
+    for step in range(opt_cfg.steps + 1):
+        final = step == opt_cfg.steps  # the last forward only records the loss
         try:
-            value, grads = forward(with_grads=True)
+            value, grads = forward(with_grads=not final)
         except TensorError as exc:  # overflow inside an op is a numeric abort too
             raise NumericalAbort(step) from exc
         if not np.isfinite(value):
             raise NumericalAbort(step)
         trace.append(value)
-        model.params = adam.step(model.params, grads)
-
-    try:
-        final_value, _ = forward(with_grads=False)
-    except TensorError as exc:
-        raise NumericalAbort(opt_cfg.steps) from exc
-    if not np.isfinite(final_value):
-        raise NumericalAbort(opt_cfg.steps)
-    trace.append(final_value)
+        if not final:
+            model.params = adam.step(model.params, grads)
 
     phi_ab, phi_ba = model.fields()
     warning = None

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor3, grid_coordinates
-from .transforms import (
-    DisplacementField,
-    inverse_displacement,
-    resample_field_to,
-    warp,
-    warp_nearest,
-)
+from .transforms import DisplacementField, inverse_displacement, warp, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume, resize_trilinear
 
 # max |d/dr exp(-r^2 / (2 s^2))| = exp(-1/2) / s
@@ -260,10 +254,9 @@ def render_pair(
     base = phantom.base
     dims = base.dims
     src = phantom.base_supersampled
-    defo_src = resample_field_to(deformation, src.dims)
     a_full = Volume(Tensor3(remap_a.apply(src.values())),
                     modality="SYNTH-A", preprocessed=True)
-    b_full = Volume(Tensor3(remap_b.apply(warp(src, defo_src).values())),
+    b_full = Volume(Tensor3(remap_b.apply(warp(src, deformation).values())),
                     modality="SYNTH-B", preprocessed=True)
     vol_a = resize_trilinear(a_full, dims)
     vol_b = resize_trilinear(b_full, dims)

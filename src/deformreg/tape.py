@@ -315,17 +315,10 @@ class Tape:
         ev = np.exp(a.value.data)
         return self._append("exp", (a,), ev, lambda g: [(a.id, g * ev)])
 
-    def clamp(self, a: Node, lo: float | None = None, hi: float | None = None) -> Node:
-        if lo is None and hi is None:
-            raise TapeError("clamp: at least one bound required")
+    def clamp(self, a: Node, lo: float) -> Node:
         av = a.value.data
-        val = np.clip(av, lo, hi)
-        pass_mask = np.ones_like(av)
-        if lo is not None:
-            pass_mask *= av > lo
-        if hi is not None:
-            pass_mask *= av < hi
-        return self._append("clamp", (a,), val, lambda g: [(a.id, g * pass_mask)])
+        pass_mask = av > lo
+        return self._append("clamp", (a,), np.maximum(av, lo), lambda g: [(a.id, g * pass_mask)])
 
     def concat_channels(self, nodes: list[Node]) -> Node:
         if not nodes:

@@ -173,7 +173,7 @@ class TestA1GradientCorrectness:
         def objective_fn(la, lb):
             def f(x0):
                 probe = model.copy()
-                probe.params["ab3"] = x0
+                probe.params["ab2"] = x0
                 tape = Tape()
                 bound = BoundPyramid(tape, probe)
                 from deformreg.losses import randomized_loss_nodes
@@ -181,11 +181,11 @@ class TestA1GradientCorrectness:
                 nla, nlb = tape.input(la.grid), tape.input(lb.grid)
                 total, _ = randomized_loss_nodes(tape, bound, nla, nlb, cfg)
                 grads = tape.backward(total)
-                return total.value.item(), grads[bound.nodes["ab3"].id]
+                return total.value.item(), grads[bound.nodes["ab2"].id]
 
             return f
 
-        x0 = model.params["ab3"]
+        x0 = model.params["ab2"]
         worst["symmetric_objective"] = grad_check(
             objective_fn(vol_a, vol_b), x0, h=1e-6, seed=13
         )

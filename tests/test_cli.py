@@ -75,7 +75,7 @@ class TestRegister:
         src = tmp_path / "v.nii"
         write_test_volume(src, seed=3)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"optimizer": {"steps": 3, "lr_scale": 1e190}}))
+        cfg.write_text(json.dumps({"optimizer": {"steps": 3, "lr": 2e185}}))
         rc = main(["register", "--source", str(src), "--target", str(src),
                    "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 4
@@ -91,8 +91,8 @@ def synth_pair(tmp_path_factory):
 class TestDivergedRun:
     """A map that folds more than FOLD_LIMIT_PCT of its voxels is a numerical abort."""
 
-    # lr 1e9 blows the loss up to ~1e25; lr 1e-3 lowers it while folding a third of the map
-    @pytest.mark.parametrize("optimizer", [{"lr": 1e9}, {"lr": 1e-3}], ids=["lr1e9", "lr1e-3"])
+    # lr 1e11 blows the loss up to ~1e25; lr 0.1 lowers it while folding a third of the map
+    @pytest.mark.parametrize("optimizer", [{"lr": 1e11}, {"lr": 0.1}], ids=["lr1e11", "lr0.1"])
     def test_folded_map_exits_4(self, synth_pair, tmp_path, capsys, optimizer):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimizer": optimizer}))
@@ -105,7 +105,7 @@ class TestDivergedRun:
         assert err.startswith("numerical abort: %|J|<0 = ")
         assert f"above the {FOLD_LIMIT_PCT:g} % limit" in err
         assert "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_default_config_exits_0(self, synth_pair, tmp_path):
         out = tmp_path / "out"
@@ -127,15 +127,16 @@ BAD_CONFIGS = {
     "lr-beyond-float": ({"optimizer": {"lr": 10**400}}, "lr"),
     "beta1-above-1": ({"optimizer": {"beta1": 2.0}}, "beta1"),
     "damping-string": ({"optimizer": {"stage_damping": "abcd"}}, "stage_damping"),
-    "damping-negative": ({"optimizer": {"stage_damping": [1.0, -0.3, 0.1, 0.1]}},
-                         "stage_damping"),
+    "damping-negative": ({"optimizer": {"stage_damping": [1.0, -0.3, 0.1]}}, "stage_damping"),
+    "damping-four-factors": ({"optimizer": {"stage_damping": [1.0, 0.3, 0.1, 0.1]}},
+                             "stage_damping"),
     "lambda-string": ({"loss": {"lambda": "1.5"}}, "lambda"),
     "window-string": ({"similarity": {"window_radius": "2"}}, "window_radius"),
     "strategy-number": ({"strategy": 5}, "strategy"),
     "top-level-list": ([1, 2], "JSON object"),
     # the remaining fields and rules of the schema
     "beta2-one": ({"optimizer": {"beta2": 1.0}}, "beta2"),
-    "lr-product-overflow": ({"optimizer": {"lr": 1e300, "lr_scale": 1e300}}, "lr * lr_scale"),
+    "lr-scale-removed": ({"optimizer": {"lr_scale": 100.0}}, "unknown config key"),
     "lambda-negative": ({"loss": {"lambda": -0.5}}, "lambda"),
     "regularizer-number": ({"loss": {"use_regularizer": 1}}, "use_regularizer"),
     "kind-unknown": ({"similarity": {"kind": "NCC"}}, "kind"),
@@ -166,10 +167,10 @@ class TestConfigContract:
         # reports are compared by this hash, so it must not move: the default
         # config and the three benchmark configs
         pinned = {
-            "747d527212c7cd82": {},
-            "acb9e626072826c7": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 10}},
-            "ba8599a8aa36665e": {"similarity": {"kind": "MIND_SSC"}, "optimizer": {"steps": 10}},
-            "cad518702bda333d": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 6}},
+            "7e99b11511a01c8a": {},
+            "d0ff7e58b5f788c0": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 10}},
+            "fe92b37cef95bd1f": {"similarity": {"kind": "MIND_SSC"}, "optimizer": {"steps": 10}},
+            "344c2b8d76620f27": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 6}},
         }
         for digest, overrides in pinned.items():
             assert config_hash(RunConfig.from_dict(overrides).to_dict()) == digest

@@ -44,9 +44,9 @@ def random_model(dims, seed, scale=0.02):
 
 def plain_pyramid(model, direction):
     """The pyramid written with the plain (non-tape) field functions."""
-    q, h, s2, s3 = (DisplacementField(model.params[model.param_key(direction, i)])
-                    for i in range(STAGE_COUNT))
-    return compose(compose(compose(q, h), s2), s3)
+    q, h, s = (DisplacementField(model.params[model.param_key(direction, i)])
+               for i in range(STAGE_COUNT))
+    return compose(compose(q, h), s)
 
 
 def constant_field_node(tape, dims, t):
@@ -118,12 +118,12 @@ class TestExplicitComposition:
             tape = Tape()
             BoundPyramid(tape, model).evaluate(direction)
             ops = [node.op for node in tape.nodes]
-            assert ops.count("trilinear_sample") == 3
+            assert ops.count("trilinear_sample") == 2
             assert ops.count("avg_pool2") == 0
 
     def test_constant_translations_sum(self):
         model = build_model((16, 16, 16))
-        shifts = [(0.05, -0.02, 0.0), (0.03, 0.01, -0.04), (-0.01, 0.0, 0.02), (0.0, 0.015, 0.01)]
+        shifts = [(0.05, -0.02, 0.0), (0.03, 0.01, -0.04), (-0.01, 0.015, 0.03)]
         for stage, (dims, t) in enumerate(zip(model.stage_dims, shifts)):
             model.params[model.param_key("ab", stage)] = DisplacementField.translation(dims, t).u
         phi_ab, phi_ba = model.fields()
@@ -133,7 +133,9 @@ class TestExplicitComposition:
 
 class TestCoarseStageGradients:
     """Finite-difference check of the pair objective through the coarse
-    stages, which the pyramid samples at the finer stages' warped points."""
+    stages ab0, ab1 and ba0, which the pyramid samples at the finer stages'
+    warped points. The full-resolution stage ab2 is sampled by no stage;
+    A1 probes it."""
 
     @pytest.mark.parametrize("kind", ["LNCC2", "MIND_SSC"])
     def test_objective_gradient_per_stage(self, kind):
@@ -158,22 +160,22 @@ class TestCoarseStageGradients:
 
             return f
 
-        for seed, key in enumerate(("ab0", "ab1", "ab2", "ba0")):
+        for seed, key in ((0, "ab0"), (1, "ab1"), (3, "ba0")):
             worst = grad_check(objective(key), model.params[key], h=1e-6, seed=seed)
             assert worst < 1e-3, f"{kind} {key}: {worst:.2e}"
 
 
 class TestBuildModel:
     def test_stage_dims_from_nesting(self):
-        assert stage_grid_dims((32, 32, 32)) == ((8,) * 3, (16,) * 3, (32,) * 3, (32,) * 3)
+        assert stage_grid_dims((32, 32, 32)) == ((8,) * 3, (16,) * 3, (32,) * 3)
         model = build_model((32, 32, 32))
         assert model.params["ab0"].dims == (8, 8, 8)
         assert model.params["ab1"].dims == (16, 16, 16)
         assert model.params["ab2"].dims == (32, 32, 32)
-        assert model.params["ba3"].dims == (32, 32, 32)
+        assert model.params["ba2"].dims == (32, 32, 32)
 
     def test_odd_dims_pool_with_ceil(self):
-        assert stage_grid_dims((21, 21, 21)) == ((6,) * 3, (11,) * 3, (21,) * 3, (21,) * 3)
+        assert stage_grid_dims((21, 21, 21)) == ((6,) * 3, (11,) * 3, (21,) * 3)
 
     def test_too_small_rejected(self):
         with pytest.raises(PipelineError):
@@ -273,7 +275,7 @@ class TestInstanceOptimize:
         rng = np.random.default_rng(9)
         a = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
         b = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
-        absurd = OptimizerConfig(steps=3, lr_scale=1e190)
+        absurd = OptimizerConfig(steps=3, lr=2e185)
         with pytest.raises(NumericalAbort) as err:
             instance_optimize(a, b, LossConfig(), absurd)
         assert err.value.step >= 1
@@ -282,7 +284,7 @@ class TestInstanceOptimize:
 class TestRunConfig:
     def test_dict_round_trip(self):
         custom = RunConfig(LossConfig(lam=0.5, similarity=SimilarityConfig(kind="MIND_SSC")),
-                           OptimizerConfig(steps=7, stage_damping=[1, 1, 0.5, 0]))
-        assert custom.optimizer.stage_damping == (1, 1, 0.5, 0)
+                           OptimizerConfig(steps=7, stage_damping=[1, 0.5, 0]))
+        assert custom.optimizer.stage_damping == (1, 0.5, 0)
         assert RunConfig.from_dict(custom.to_dict()) == custom
         assert RunConfig.from_dict({}) == RunConfig()
