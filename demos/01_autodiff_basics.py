@@ -29,14 +29,15 @@ img = tape2.input(Tensor3(rng.uniform(0, 1, (9, 9, 9, 1))))
 pooled = tape2.avg_pool2(img)
 print(f"avg_pool2: {img.value.dims} -> {pooled.value.dims}")
 
-# Trilinear sampling is differentiable in both the image and the coords.
+# Trilinear sampling reads the image at x + u(x) for each node x of the
+# displacement u's grid, and is differentiable in both the image and u.
 tape3 = Tape()
 image = tape3.input(Tensor3(rng.uniform(0, 1, (8, 8, 8, 1))))
-coords = tape3.input(Tensor3(rng.uniform(0.2, 0.8, (4, 4, 4, 3))), parameter=True)
-sampled = tape3.trilinear_sample(image, coords)
+u = tape3.input(Tensor3(rng.uniform(-0.05, 0.05, (4, 4, 4, 3))), parameter=True)
+sampled = tape3.trilinear_sample(image, u)
 sloss = tape3.mean(tape3.square(sampled))
 sgrads = tape3.backward(sloss)
-print(f"d(loss)/d(coords) max |.|: {np.abs(sgrads[coords.id].data).max():.3e}")
+print(f"d(loss)/d(u) max |.|: {np.abs(sgrads[u.id].data).max():.3e}")
 
 
 # grad_check compares the analytic gradient against central differences.

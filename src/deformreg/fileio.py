@@ -233,13 +233,22 @@ def read_volume_raw(base) -> Volume:
     data, meta = read_raw(base)
     if meta.get("kind") != "volume" or data.shape[3] != 1:
         raise FormatError("raw payload is not a 1-channel volume")
-    return Volume(
-        grid=Tensor3(data),
-        spacing=tuple(meta.get("spacing", (1.0, 1.0, 1.0))),
-        origin=tuple(meta.get("origin", (0.0, 0.0, 0.0))),
-        modality=meta.get("modality", "SYNTH-UNKNOWN"),
-        preprocessed=bool(meta.get("preprocessed", False)),
-    )
+    sidecar = _sidecar_path(base)
+    spacing = meta.get("spacing", [1.0, 1.0, 1.0])
+    origin = meta.get("origin", [0.0, 0.0, 0.0])
+    for name, vec, above in (("spacing", spacing, 0), ("origin", origin, None)):
+        if not isinstance(vec, list) or len(vec) != 3:
+            raise FormatError(f"{sidecar}: {name} must be three numbers, got {vec!r}")
+        for x in vec:
+            check_number(FormatError, f"{sidecar}: {name}", x, above=above)
+    modality = meta.get("modality", "SYNTH-UNKNOWN")
+    preprocessed = meta.get("preprocessed", False)
+    if not isinstance(modality, str):
+        raise FormatError(f"{sidecar}: modality must be a string, got {modality!r}")
+    if not isinstance(preprocessed, bool):
+        raise FormatError(f"{sidecar}: preprocessed must be true or false, got {preprocessed!r}")
+    return Volume(grid=Tensor3(data), spacing=tuple(spacing), origin=tuple(origin),
+                  modality=modality, preprocessed=preprocessed)
 
 
 def write_field_raw(u: np.ndarray, base, meta: dict | None = None):

@@ -34,12 +34,9 @@ class LossError(ValueError):
 class LossConfig:
     lam: float = 1.5
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
-    use_regularizer: bool = True
 
     def __post_init__(self):
         check_number(LossError, "lambda", self.lam, at_least=0)
-        if not isinstance(self.use_regularizer, bool):
-            raise LossError(f"use_regularizer must be true or false, got {self.use_regularizer!r}")
 
 
 def gradient_inverse_consistency_nodes(tape: Tape, u_ab: Node, u_ba: Node) -> Node:
@@ -91,12 +88,9 @@ def randomized_loss_nodes(
     sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, loss_a, u_ab), loss_b, cfg.similarity)
     sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, loss_b, u_ba), loss_a, cfg.similarity)
     total = tape.add(sim_ab, sim_ba)
-    terms = {"sim_ab": sim_ab, "sim_ba": sim_ba, "u_ab": u_ab, "u_ba": u_ba, "reg": None}
-    if cfg.use_regularizer:
-        reg = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
-        terms["reg"] = reg
-        total = tape.add(total, tape.scale(reg, cfg.lam))
-    return total, terms
+    reg = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
+    total = tape.add(total, tape.scale(reg, cfg.lam))
+    return total, {"sim_ab": sim_ab, "sim_ba": sim_ba, "reg": reg}
 
 
 def loss_breakdown(
@@ -115,13 +109,7 @@ def loss_breakdown(
     total, terms = randomized_loss_nodes(
         tape, bound, tape.input(loss_a.grid), tape.input(loss_b.grid), cfg
     )
-    out = {
-        "total": total.value.item(),
-        "sim_ab": terms["sim_ab"].value.item(),
-        "sim_ba": terms["sim_ba"].value.item(),
-        "reg": terms["reg"].value.item() if terms["reg"] is not None else 0.0,
-    }
-    return out
+    return {"total": total.value.item(), **{k: n.value.item() for k, n in terms.items()}}
 
 
 def randomized_loss(

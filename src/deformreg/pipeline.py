@@ -173,7 +173,7 @@ class RunConfig:
         """The JSON shape: what the config file holds and config_hash covers."""
         opt = self.optimizer
         return {"similarity": asdict(self.loss.similarity),
-                "loss": {"lambda": self.loss.lam, "use_regularizer": self.loss.use_regularizer},
+                "loss": {"lambda": self.loss.lam},
                 "optimizer": {**asdict(opt), "stage_damping": list(opt.stage_damping)}}
 
     @classmethod
@@ -181,7 +181,7 @@ class RunConfig:
         """The defaults overlaid with the parsed JSON config ``overrides``."""
         config = _overlay(cls().to_dict(), overrides, "config")
         sim, loss = SimilarityConfig(**config["similarity"]), config["loss"]
-        return cls(LossConfig(loss["lambda"], sim, loss["use_regularizer"]),
+        return cls(LossConfig(loss["lambda"], sim),
                    OptimizerConfig(**config["optimizer"]))
 
 

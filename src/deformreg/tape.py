@@ -2,9 +2,10 @@
 
 The op set is deliberately small: elementwise arithmetic, reductions,
 count-normalized box filtering and pooling, central-difference spatial
-gradients, edge-clamped trilinear sampling, integer shifts and border
-crops. That is enough to express and differentiate every registration
-loss in this package with respect to displacement parameters.
+gradients, edge-clamped trilinear sampling of an image at x + u(x) for a
+displacement u, integer shifts and border crops. That is enough to
+express and differentiate every registration loss in this package with
+respect to displacement parameters.
 
 Epsilon policy: raw ``div``/``sqrt`` reject non-positive operands. Losses
 that need stabilizing add an explicit epsilon inside the radicand or
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor3
+from .tensor import Tensor3, grid_coordinates
 
 
 class TapeError(ValueError):
@@ -431,24 +432,26 @@ class Tape:
 
         return self._append("spatial_gradient", (a,), val, vjp)
 
-    def trilinear_sample(self, image: Node, coords: Node) -> Node:
-        """Sample ``image`` at continuous normalized coordinates with edge
-        clamp. Differentiable in both the image and the coordinates."""
-        if coords.value.channels != 3:
+    def trilinear_sample(self, image: Node, u: Node) -> Node:
+        """Sample ``image`` at x + u(x) for each node x of the 3-channel
+        displacement ``u``'s grid, normalized coordinates with edge clamp.
+        Differentiable in both the image and the displacement."""
+        if u.value.channels != 3:
             raise TapeError(
-                f"trilinear_sample: coords need 3 channels, got {coords.value.channels}"
+                f"trilinear_sample: displacement needs 3 channels, got {u.value.channels}"
             )
-        plan = _TrilinearPlan(image.value.data, coords.value.data)
+        coords = grid_coordinates(u.value.dims).data + u.value.data
+        plan = _TrilinearPlan(image.value.data, coords)
 
         def vjp(g):
             out = []
             if image.needs_grad:
                 out.append((image.id, plan.grad_image(g)))
-            if coords.needs_grad:
-                out.append((coords.id, plan.grad_coords(g)))
+            if u.needs_grad:
+                out.append((u.id, plan.grad_coords(g)))
             return out
 
-        return self._append("trilinear_sample", (image, coords), plan.out, vjp)
+        return self._append("trilinear_sample", (image, u), plan.out, vjp)
 
     def shift(self, a: Node, offset) -> Node:
         """Integer-voxel shift with edge clamp: out(x) = in(clip(x + offset))."""

@@ -67,10 +67,7 @@ def compose(phi1: DisplacementField, phi2: DisplacementField) -> DisplacementFie
 
 def compose_nodes(tape: Tape, u1: Node, u2: Node) -> Node:
     """Tape version of compose, differentiable through both fields."""
-    grid = tape.input(grid_coordinates(u2.value.dims))
-    coords = tape.add(grid, u2)
-    u1_at = tape.trilinear_sample(u1, coords)
-    return tape.add(u2, u1_at)
+    return tape.add(u2, tape.trilinear_sample(u1, u2))
 
 
 def resample_field_to(phi: DisplacementField, dims) -> DisplacementField:
@@ -85,8 +82,7 @@ def resample_field_to(phi: DisplacementField, dims) -> DisplacementField:
 def resample_field_nodes(tape: Tape, u: Node, dims) -> Node:
     if u.value.dims == tuple(dims):
         return u
-    coords = tape.input(grid_coordinates(dims))
-    return tape.trilinear_sample(u, coords)
+    return tape.trilinear_sample(u, tape.input(Tensor3.zeros(dims, channels=3)))
 
 
 def warp(v: Volume, phi: DisplacementField) -> Volume:
@@ -99,10 +95,7 @@ def warp(v: Volume, phi: DisplacementField) -> Volume:
 
 def warp_nodes(tape: Tape, image: Node, u: Node) -> Node:
     """Tape version of warp; resamples u onto the image grid if needed."""
-    u_res = resample_field_nodes(tape, u, image.value.dims)
-    grid = tape.input(grid_coordinates(image.value.dims))
-    coords = tape.add(grid, u_res)
-    return tape.trilinear_sample(image, coords)
+    return tape.trilinear_sample(image, resample_field_nodes(tape, u, image.value.dims))
 
 
 def warp_nearest(lv: LabelVolume, phi: DisplacementField) -> LabelVolume:

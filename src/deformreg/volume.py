@@ -71,7 +71,6 @@ class Volume:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
     modality: str = "SYNTH-BASE"
     preprocessed: bool = False
-    inverted: bool = False
 
     def __post_init__(self):
         if self.grid.channels != 1:
@@ -178,7 +177,7 @@ def invert_ct(v: Volume) -> Volume:
         raise VolumeError(f"intensity inversion applies to CT-family only, got {v.modality}")
     if not v.preprocessed:
         raise VolumeError("invert_ct expects a preprocessed (range [0,1]) volume")
-    return replace(v, grid=Tensor3(1.0 - v.values()), inverted=not v.inverted)
+    return replace(v, grid=Tensor3(1.0 - v.values()))
 
 
 def resize_trilinear(v: Volume, dims) -> Volume:

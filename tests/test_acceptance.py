@@ -91,8 +91,7 @@ def experiment():
 
 def run_io(pair, kind, lam=1.5, steps=STEPS):
     a, b, _ = pair
-    cfg = LossConfig(lam=lam, similarity=SimilarityConfig(kind=kind),
-                     use_regularizer=True)
+    cfg = LossConfig(lam=lam, similarity=SimilarityConfig(kind=kind))
     return instance_optimize(a, b, cfg, OptimizerConfig(steps=steps))
 
 

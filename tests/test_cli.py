@@ -13,7 +13,7 @@ import pytest
 
 import deformreg
 from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
-from deformreg.fileio import write_field_raw, write_nifti
+from deformreg.fileio import write_field_raw, write_nifti, write_volume_raw
 from deformreg.metrics import MetricsReport
 from deformreg.pipeline import RunConfig
 from deformreg.sampling import write_manifest
@@ -138,7 +138,8 @@ BAD_CONFIGS = {
     "beta2-one": ({"optimizer": {"beta2": 1.0}}, "beta2"),
     "lr-scale-removed": ({"optimizer": {"lr_scale": 100.0}}, "unknown config key"),
     "lambda-negative": ({"loss": {"lambda": -0.5}}, "lambda"),
-    "regularizer-number": ({"loss": {"use_regularizer": 1}}, "use_regularizer"),
+    "regularizer-removed": ({"loss": {"use_regularizer": True}},
+                            "unknown config key: config.loss.use_regularizer"),
     "kind-unknown": ({"similarity": {"kind": "NCC"}}, "kind"),
     "eps-nan": ({"similarity": {"eps": float("nan")}}, "eps"),
     "mind-radius-zero": ({"similarity": {"mind_patch_radius": 0}}, "mind_patch_radius"),
@@ -167,10 +168,10 @@ class TestConfigContract:
         # reports are compared by this hash, so it must not move: the default
         # config and the three benchmark configs
         pinned = {
-            "7e99b11511a01c8a": {},
-            "d0ff7e58b5f788c0": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 10}},
-            "fe92b37cef95bd1f": {"similarity": {"kind": "MIND_SSC"}, "optimizer": {"steps": 10}},
-            "344c2b8d76620f27": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 6}},
+            "f1d4c141042369d1": {},
+            "217d247d20e0e539": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 10}},
+            "9c66d58646980d9d": {"similarity": {"kind": "MIND_SSC"}, "optimizer": {"steps": 10}},
+            "5d8310a7e9748103": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 6}},
         }
         for digest, overrides in pinned.items():
             assert config_hash(RunConfig.from_dict(overrides).to_dict()) == digest
@@ -210,11 +211,19 @@ def _bad_header_geometry(tmp_path):
             "--landmarks-b", str(lm)]
 
 
-def _bad_sidecar(text):
+def _bad_sidecar(sidecar):
+    """A field's sidecar replaced by the text ``sidecar``, or a volume's
+    sidecar with the keys of the dict ``sidecar`` overwritten."""
     def make(tmp_path):
-        write_field_raw(np.zeros((16, 16, 16, 3)), tmp_path / "f")
-        (tmp_path / "f.json").write_text(text)
-        return ["evaluate", "--field", str(tmp_path / "f")]
+        if isinstance(sidecar, str):
+            write_field_raw(np.zeros((16, 16, 16, 3)), tmp_path / "f")
+            (tmp_path / "f.json").write_text(sidecar)
+            return ["evaluate", "--field", str(tmp_path / "f")]
+        write_volume_raw(Volume(Tensor3(np.full((8, 8, 8), 0.5)), modality="SYNTH-A"),
+                         tmp_path / "v")
+        meta = json.loads((tmp_path / "v.json").read_text())
+        (tmp_path / "v.json").write_text(json.dumps({**meta, **sidecar}))
+        return ["preprocess", "--input", str(tmp_path / "v.raw")]
     return make
 
 
@@ -222,11 +231,19 @@ class TestFormatErrorsExit3:
     @pytest.mark.parametrize("make_argv", [
         _nan_voxel, _bad_landmarks, _bad_header_geometry, _bad_sidecar("{bad"),
         _bad_sidecar('{"kind": "field", "dtype": "float32", "channels": 3}'),
+        _bad_sidecar({"spacing": "abc"}), _bad_sidecar({"spacing": [1, 1]}),
+        _bad_sidecar({"spacing": [1, float("nan"), 1]}),
+        _bad_sidecar({"spacing": [1, 1, float("inf")]}), _bad_sidecar({"spacing": [1, 0, 1]}),
+        _bad_sidecar({"origin": "xyz"}), _bad_sidecar({"origin": [0, float("nan"), 0]}),
+        _bad_sidecar({"modality": 5}), _bad_sidecar({"preprocessed": "no"}),
     ], ids=["nan-voxel", "landmark-field", "header-geometry", "sidecar-not-json",
-            "sidecar-no-dims"])
+            "sidecar-no-dims", "sidecar-spacing-string", "sidecar-spacing-two",
+            "sidecar-spacing-nan", "sidecar-spacing-inf", "sidecar-spacing-zero",
+            "sidecar-origin-string", "sidecar-origin-nan", "sidecar-modality-number",
+            "sidecar-preprocessed-string"])
     def test_exits_3(self, tmp_path, capsys, make_argv):
         argv = make_argv(tmp_path)
-        out = "--out-dir" if argv[0] == "register" else "--out"
+        out = {"register": "--out-dir", "preprocess": "--output"}.get(argv[0], "--out")
         rc = main(argv + [out, str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 3, err
@@ -273,6 +290,22 @@ class TestSynthRegisterEvaluate:
         identity = MetricsReport.from_json((tmp_path / "identity.json").read_text())
 
         assert registered.mtre_mm < identity.mtre_mm
+
+    @pytest.mark.parametrize("flag", ["--remap-a", "--remap-b"])
+    @pytest.mark.parametrize("kind", ["gamma", "piecewise"])
+    def test_remap_needing_parameters_exits_2(self, tmp_path, capsys, flag, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out-dir", str(tmp_path / "pair"), "--dims", "16", flag, kind])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "pair").exists()
+
+    def test_sigmoid_remap_writes_a_pair(self, tmp_path):
+        out = tmp_path / "pair"
+        rc = main(["synth", "--out-dir", str(out), "--dims", "16", "--structures", "2",
+                   "--remap-b", "sigmoid"])
+        assert rc == 0
+        assert (out / "a.nii").read_bytes() != (out / "b.nii").read_bytes()
 
     @pytest.mark.parametrize("amplitude", ["-100", "nan"])
     def test_amplitude_outside_bound_exits_2(self, tmp_path, capsys, amplitude):

@@ -1,5 +1,7 @@
 """Pyramid wiring, model construction, and instance optimization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,7 @@ class TestExplicitComposition:
             ops = [node.op for node in tape.nodes]
             assert ops.count("trilinear_sample") == 2
             assert ops.count("avg_pool2") == 0
+            assert ops.count("input") == 0
 
     def test_constant_translations_sum(self):
         model = build_model((16, 16, 16))
@@ -129,6 +132,26 @@ class TestExplicitComposition:
         phi_ab, phi_ba = model.fields()
         assert np.allclose(phi_ab.u.data, np.sum(shifts, axis=0), atol=1e-12)
         assert np.max(np.abs(phi_ba.u.data)) == 0.0
+
+
+class TestLossNodeInventory:
+    """One loss forward. ``trilinear_sample`` adds the identity grid itself,
+    so the only inputs are the loss pair and no compose or warp puts a grid
+    or its ``add`` on the tape."""
+
+    @pytest.mark.parametrize("kind, n, nodes", [("LNCC2", 16, 74), ("MIND_SSC", 16, 402),
+                                                ("LNCC2", 32, 74)])
+    def test_one_forward(self, kind, n, nodes):
+        dims = (n, n, n)
+        rng = np.random.default_rng(5)
+        a, b = (Tensor3(rng.uniform(0.1, 0.9, (*dims, 1))) for _ in range(2))
+        tape = Tape()
+        cfg = LossConfig(similarity=SimilarityConfig(kind=kind))
+        randomized_loss_nodes(tape, BoundPyramid(tape, build_model(dims)),
+                              tape.input(a), tape.input(b), cfg)
+        ops = Counter(node.op for node in tape.nodes)
+        assert len(tape.nodes) == nodes
+        assert (ops["input"], ops["param"], ops["trilinear_sample"]) == (2, 6, 7)
 
 
 class TestCoarseStageGradients:

@@ -16,6 +16,12 @@ def rng_tensor(rng, dims, channels=1, lo=0.0, hi=1.0):
     return Tensor3(rng.uniform(lo, hi, size=(*dims, channels)))
 
 
+def displacement_to(points) -> Tensor3:
+    """The displacement u with which ``trilinear_sample`` reads the
+    normalized ``points`` (nx, ny, nz, 3): the sample at node x is at x + u(x)."""
+    return Tensor3(points - grid_coordinates(points.shape[:3]).data)
+
+
 class TestTensor3:
     def test_rejects_nan(self):
         a = np.ones((2, 2, 2))
@@ -79,8 +85,8 @@ class TestForwardValues:
         img_t = rng_tensor(rng, (5, 6, 7))
         tape = Tape()
         img = tape.input(img_t)
-        coords = tape.input(grid_coordinates((5, 6, 7)))
-        out = tape.trilinear_sample(img, coords)
+        u = tape.input(displacement_to(grid_coordinates((5, 6, 7)).data))
+        out = tape.trilinear_sample(img, u)
         assert np.array_equal(out.value.data, img_t.data)
 
     def test_trilinear_sample_edge_clamp(self):
@@ -230,27 +236,27 @@ class TestGradCheck:
         rng = np.random.default_rng(21)
         img_t = rng_tensor(rng, (6, 6, 6))
 
-        def f(c0):
+        def f(u0):
             tape = Tape()
             img = tape.input(img_t)
-            coords = tape.input(c0, parameter=True)
-            out = tape.trilinear_sample(img, coords)
+            u = tape.input(u0, parameter=True)
+            out = tape.trilinear_sample(img, u)
             loss = tape.mean(tape.square(out))
             grads = tape.backward(loss)
-            return loss.value.item(), grads[coords.id]
+            return loss.value.item(), grads[u.id]
 
         # interior coordinates away from node boundaries and the clamp
-        c0 = Tensor3(rng.uniform(0.15, 0.85, size=(4, 4, 4, 3)))
-        assert grad_check(f, c0, h=1e-6) < 1e-3
+        u0 = displacement_to(rng.uniform(0.15, 0.85, size=(4, 4, 4, 3)))
+        assert grad_check(f, u0, h=1e-6) < 1e-3
 
     def test_trilinear_sample_wrt_image(self):
         rng = np.random.default_rng(22)
-        coords_t = Tensor3(rng.uniform(0.1, 0.9, size=(5, 5, 5, 3)))
+        u_t = displacement_to(rng.uniform(0.1, 0.9, size=(5, 5, 5, 3)))
 
         def f(i0):
             tape = Tape()
             img = tape.input(i0, parameter=True)
-            out = tape.trilinear_sample(img, tape.input(coords_t))
+            out = tape.trilinear_sample(img, tape.input(u_t))
             loss = tape.sum(tape.square(out))
             grads = tape.backward(loss)
             return loss.value.item(), grads[img.id]
@@ -271,23 +277,25 @@ class TestTrilinearOddShapes:
         img_t = rng_tensor(rng, dims, channels=3)
         pts = rng.uniform(-0.2, 1.2, size=(4, 3, 2, 3))
         pts[0, 0, :] = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]  # faces and far corners
+        u = displacement_to(pts).data
         tape = Tape()
-        out = tape.trilinear_sample(tape.input(img_t), tape.input(Tensor3(pts)))
+        out = tape.trilinear_sample(tape.input(img_t), tape.input(Tensor3(u)))
         oracle = np.array([lerp3(img_t.data, p) for p in pts.reshape(-1, 3)])
         assert np.allclose(out.value.data.reshape(-1, 3), oracle, rtol=0, atol=1e-12)
-        assert np.array_equal(sample_trilinear_values(img_t.data, pts), out.value.data)
+        grid = grid_coordinates(pts.shape[:3]).data
+        assert np.array_equal(sample_trilinear_values(img_t.data, grid + u), out.value.data)
 
     @pytest.mark.parametrize("dims", ODD_SHAPES)
     def test_grad_wrt_image(self, dims):
         rng = np.random.default_rng(40 + sum(dims))
         pts = rng.uniform(-0.2, 1.2, size=(3, 4, 2, 3))
         pts[0, 0, 0] = [1.0, 1.0, 1.0]
-        coords_t = Tensor3(pts)
+        u_t = displacement_to(pts)
 
         def f(i0):
             tape = Tape()
             img = tape.input(i0, parameter=True)
-            out = tape.trilinear_sample(img, tape.input(coords_t))
+            out = tape.trilinear_sample(img, tape.input(u_t))
             loss = tape.sum(tape.square(out))
             return loss.value.item(), tape.backward(loss)[img.id]
 
@@ -298,16 +306,16 @@ class TestTrilinearOddShapes:
         rng = np.random.default_rng(60 + sum(dims))
         img_t = rng_tensor(rng, dims, channels=3)
 
-        def f(c0):
+        def f(u0):
             tape = Tape()
-            coords = tape.input(c0, parameter=True)
-            out = tape.trilinear_sample(tape.input(img_t), coords)
+            u = tape.input(u0, parameter=True)
+            out = tape.trilinear_sample(tape.input(img_t), u)
             loss = tape.mean(tape.square(out))
-            return loss.value.item(), tape.backward(loss)[coords.id]
+            return loss.value.item(), tape.backward(loss)[u.id]
 
         # interior coordinates away from node boundaries and the clamp
-        c0 = Tensor3(rng.uniform(0.15, 0.85, size=(3, 4, 2, 3)))
-        assert grad_check(f, c0, h=1e-6) < 1e-3
+        u0 = displacement_to(rng.uniform(0.15, 0.85, size=(3, 4, 2, 3)))
+        assert grad_check(f, u0, h=1e-6) < 1e-3
 
 
 class TestTrilinearMemory:
