@@ -5,8 +5,8 @@ displacement-field transforms on the unit cube, correlation- and
 descriptor-based similarity losses, an inverse-consistency regularized
 objective, a multi-resolution pyramid of displacement grids (an explicit
 composition of coarse-to-fine stages that read no images) optimized per
-pair with Adam, dataset pair sampling with loss randomization, and the
-matching evaluation metrics (Dice, mTRE, folding fraction).
+pair with Adam, and the matching evaluation metrics (Dice, mTRE, folding
+fraction).
 """
 
 from .tensor import Tensor3, TensorError, grid_coordinates
@@ -66,7 +66,6 @@ from .losses import (
     LossError,
     gradient_inverse_consistency,
     loss_breakdown,
-    randomized_loss,
     total_loss,
 )
 from .pipeline import (
@@ -77,21 +76,6 @@ from .pipeline import (
     RegistrationResult,
     build_model,
     instance_optimize,
-)
-from .sampling import (
-    DatasetManifest,
-    GuardVerdict,
-    InconclusiveError,
-    PairPlan,
-    Patient,
-    SamplingError,
-    Scan,
-    build_plan,
-    dataset_weights,
-    epoch_plan,
-    erratum_guard,
-    read_manifest,
-    write_manifest,
 )
 from .metrics import MetricsError, MetricsReport, dice, evaluate_pair, mtre
 from .synthetic import (

@@ -1,8 +1,8 @@
 """Command-line entry point for reproducible registration runs.
 
 Subcommands: register (per-pair optimization), synth (phantom pair with
-ground truth), evaluate (metrics report from a field plus truth), plan
-(pair sampling with the aliasing guard), preprocess (intensity rules).
+ground truth), evaluate (metrics report from a field plus truth),
+preprocess (intensity rules).
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 abort (a non-finite loss, or a register map folding more than
 FOLD_LIMIT_PCT percent of its voxels). Reports embed a hash of the
@@ -35,16 +35,6 @@ from .fileio import (
 from .losses import LossError
 from .metrics import MetricsError, evaluate_pair
 from .pipeline import NumericalAbort, PipelineError, RunConfig, instance_optimize
-from .sampling import (
-    STRATEGIES,
-    SamplingError,
-    build_plan,
-    dataset_weights,
-    epoch_plan,
-    erratum_guard,
-    read_manifest,
-    write_plans_csv,
-)
 from .similarity import SimilarityError
 from .synthetic import (
     AmplitudeError,
@@ -70,8 +60,8 @@ class ConfigError(ValueError):
     pass
 
 
-CONFIG_ERRORS = (ConfigError, LossError, SimilarityError, SamplingError, PipelineError,
-                 TransformError, SyntheticError, VolumeError, MetricsError, TensorError)
+CONFIG_ERRORS = (ConfigError, LossError, SimilarityError, PipelineError, TransformError,
+                 SyntheticError, VolumeError, MetricsError, TensorError)
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -231,23 +221,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    manifests = [read_manifest(p) for p in args.manifest]
-    if args.epoch:
-        weights = dataset_weights(manifests, mode=args.weights_mode)
-        plans = epoch_plan(
-            manifests, weights, args.strategy,
-            pairs_per_epoch=args.pairs, seed=args.seed,
-        )
-    else:
-        plans = build_plan(manifests, args.strategy, args.pairs, seed=args.seed)
-    write_plans_csv(plans, args.out)
-    verdict = erratum_guard(plans, args.strategy)
-    print(f"plan: {len(plans)} pairs -> {args.out}")
-    print(f"erratum guard: {verdict}")
-    return EXIT_OK if verdict.passed else EXIT_CONFIG
-
-
 def cmd_preprocess(args) -> int:
     volume = _read_volume(args.input)
     if args.modality:
@@ -300,17 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-id", default="")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("plan", help="sample training pairs and run the aliasing guard")
-    p.add_argument("--manifest", action="append", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="F")
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epoch", action="store_true",
-                   help="weighted epoch sampling instead of uniform draws")
-    p.add_argument("--weights-mode", choices=("training", "finetuning"), default="training")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("preprocess", help="apply the intensity normalization rules")
     p.add_argument("--input", required=True)

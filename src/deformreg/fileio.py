@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import Tensor3, check_number
-from .volume import LabelVolume, LandmarkSet, Volume
+from .volume import LabelVolume, LandmarkSet, Volume, known_modality
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -104,7 +104,7 @@ def write_nifti(v: Volume, path):
         f.write(data)
 
 
-def read_nifti(path, modality: str | None = None) -> Volume:
+def read_nifti(path) -> Volume:
     """Read an uncompressed NIfTI-1 volume (float32 or int16 data)."""
     raw = Path(path).read_bytes()
     meta = _parse_header(raw)
@@ -129,12 +129,15 @@ def read_nifti(path, modality: str | None = None) -> Volume:
         raise FormatError(f"{path}: non-finite pixdim or qoffset in the header")
     grid = flat.reshape((nx, ny, nz), order="F").astype(np.float64)
     fields = _descrip_fields(meta["descrip"])
+    modality = fields.get("modality", "SYNTH-UNKNOWN")
+    if not known_modality(modality):
+        raise FormatError(f"{path}: unknown modality tag {modality!r} in descrip")
     spacing = tuple(p if p > 0 else 1.0 for p in meta["pixdim"])
     return Volume(
         grid=Tensor3(grid),
         spacing=spacing,
         origin=tuple(float(q) for q in meta["qoffset"]),
-        modality=modality or fields.get("modality", "SYNTH-UNKNOWN"),
+        modality=modality,
         preprocessed=fields.get("preprocessed", "0") == "1",
     )
 
@@ -243,8 +246,8 @@ def read_volume_raw(base) -> Volume:
             check_number(FormatError, f"{sidecar}: {name}", x, above=above)
     modality = meta.get("modality", "SYNTH-UNKNOWN")
     preprocessed = meta.get("preprocessed", False)
-    if not isinstance(modality, str):
-        raise FormatError(f"{sidecar}: modality must be a string, got {modality!r}")
+    if not isinstance(modality, str) or not known_modality(modality):
+        raise FormatError(f"{sidecar}: unknown modality tag {modality!r}")
     if not isinstance(preprocessed, bool):
         raise FormatError(f"{sidecar}: preprocessed must be true or false, got {preprocessed!r}")
     return Volume(grid=Tensor3(data), spacing=tuple(spacing), origin=tuple(origin),

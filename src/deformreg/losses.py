@@ -7,10 +7,7 @@ The pair loss evaluates a model in both directions and assembles
 
 with the gradient taken by deterministic central differences and the
 Frobenius term averaged over interior voxels (so lam is grid-size
-independent). The randomized variant decouples the input pair from the
-loss pair the similarity terms compare. The model's stages are parameter
-grids that read no images, so the maps do not depend on the input pair;
-only the loss pair enters the objective.
+independent).
 """
 
 from __future__ import annotations
@@ -61,13 +58,11 @@ def gradient_inverse_consistency(phi_ab: DisplacementField, phi_ba: Displacement
     return node.value.item()
 
 
-def _check_pair(*volumes: Volume):
-    dims = volumes[0].dims
-    for v in volumes:
-        if v.dims != dims:
-            raise LossError(f"volume dims differ: {v.dims} vs {dims}")
-        if not v.preprocessed:
-            raise LossError("pair losses expect preprocessed volumes")
+def _check_pair(a: Volume, b: Volume):
+    if a.dims != b.dims:
+        raise LossError(f"volume dims differ: {b.dims} vs {a.dims}")
+    if not (a.preprocessed and b.preprocessed):
+        raise LossError("pair losses expect preprocessed volumes")
 
 
 def randomized_loss_nodes(
@@ -93,37 +88,15 @@ def randomized_loss_nodes(
     return total, {"sim_ab": sim_ab, "sim_ba": sim_ba, "reg": reg}
 
 
-def loss_breakdown(
-    input_a: Volume,
-    input_b: Volume,
-    loss_a: Volume,
-    loss_b: Volume,
-    model,
-    cfg: LossConfig,
-) -> dict[str, float]:
-    """Term-wise evaluation on a throwaway tape (no gradients). The input
-    pair is validated with the loss pair but feeds no map."""
-    _check_pair(input_a, input_b, loss_a, loss_b)
+def loss_breakdown(a: Volume, b: Volume, model, cfg: LossConfig) -> dict[str, float]:
+    """Term-wise evaluation on a throwaway tape (no gradients)."""
+    _check_pair(a, b)
     tape = Tape()
     bound = model.bind(tape)
-    total, terms = randomized_loss_nodes(
-        tape, bound, tape.input(loss_a.grid), tape.input(loss_b.grid), cfg
-    )
+    total, terms = randomized_loss_nodes(tape, bound, tape.input(a.grid), tape.input(b.grid), cfg)
     return {"total": total.value.item(), **{k: n.value.item() for k, n in terms.items()}}
 
 
-def randomized_loss(
-    input_a: Volume,
-    input_b: Volume,
-    loss_a: Volume,
-    loss_b: Volume,
-    model,
-    cfg: LossConfig,
-) -> float:
-    return loss_breakdown(input_a, input_b, loss_a, loss_b, model, cfg)["total"]
-
-
-def total_loss(ia: Volume, ib: Volume, model, cfg: LossConfig) -> float:
-    """Symmetric objective: the randomized loss degenerated to loss pair ==
-    input pair."""
-    return randomized_loss(ia, ib, ia, ib, model, cfg)
+def total_loss(a: Volume, b: Volume, model, cfg: LossConfig) -> float:
+    """Symmetric objective of the pair."""
+    return loss_breakdown(a, b, model, cfg)["total"]

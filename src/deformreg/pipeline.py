@@ -9,9 +9,9 @@ resolution grid s, evaluated as
 with c(u1, u2)(x) = u2(x) + u1(x + u2(x)): each coarse stage is sampled
 where it is read, never resampled onto a finer grid. The stages are
 optimized per pair and read no images, so the map depends on the
-parameters alone; the loss pair alone drives the objective. Each
-direction (A->B, B->A) keeps its own set of grids, tied only through the
-inverse-consistency penalty. A fresh (zero) model is the identity map.
+parameters alone. Each direction (A->B, B->A) keeps its own set of
+grids, tied only through the inverse-consistency penalty. A fresh (zero)
+model is the identity map.
 """
 
 from __future__ import annotations

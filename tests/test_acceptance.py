@@ -23,12 +23,9 @@ from deformreg.losses import (
     LossConfig,
     gradient_inverse_consistency,
     gradient_inverse_consistency_nodes,
-    randomized_loss,
-    total_loss,
 )
 from deformreg.metrics import mtre
 from deformreg.pipeline import BoundPyramid, OptimizerConfig, build_model, instance_optimize
-from deformreg.sampling import build_plan, dataset_weights, epoch_plan, erratum_guard
 from deformreg.similarity import (
     SimilarityConfig,
     lncc_map,
@@ -48,8 +45,6 @@ from deformreg.transforms import (
 from deformreg.volume import LandmarkSet, Volume, preprocess
 
 from tests_helpers_interp import lerp3
-from tests_helpers_manifests import training_corpus, two_modality_dataset
-from test_sampling import aliased_sampler
 from test_similarity import lncc_brute_force, mind_brute_force
 from test_volume_io import sort_percentile_oracle
 
@@ -294,71 +289,6 @@ class TestA4MonomodalSanity:
             ok,
             f"mTRE {m:.3f} mm ({100 * m / base:.0f}% of identity {base:.3f}), "
             f"%|J|<0 = {folding:.4f}",
-        )
-
-
-# -- A5: loss-randomization degeneration ------------------------------------------
-
-
-class TestA5RandomizedDegeneration:
-    def test_a5(self):
-        worst = 0.0
-        for seed in range(10):
-            rng = np.random.default_rng(500 + seed)
-            dims = (8, 8, 8)
-            a = Volume(Tensor3(rng.uniform(0.1, 0.9, (*dims, 1))),
-                       modality="SYNTH-A", preprocessed=True)
-            b = Volume(Tensor3(rng.uniform(0.1, 0.9, (*dims, 1))),
-                       modality="SYNTH-B", preprocessed=True)
-            model = build_model(dims)
-            for key in model.params:
-                model.params[key] = Tensor3(
-                    rng.uniform(-0.02, 0.02, (*model.params[key].dims, 3))
-                )
-            cfg = LossConfig(similarity=SimilarityConfig(kind="LNCC2", window_radius=1))
-            diff = abs(randomized_loss(a, b, a, b, model, cfg) - total_loss(a, b, model, cfg))
-            worst = max(worst, diff)
-        report("A5 randomized-loss degeneration", worst <= 1e-12,
-               f"max |difference| {worst:.2e} over 10 seeded cases")
-
-
-# -- A6: sampling and balancing ----------------------------------------------------
-
-
-class TestA6SamplingBalance:
-    def test_a6(self):
-        manifests = training_corpus()
-        weights = dataset_weights(manifests, "training")
-        plans = epoch_plan(manifests, weights, "F", pairs_per_epoch=100_000, seed=606)
-        counts = {}
-        for p in plans:
-            counts[p.dataset] = counts.get(p.dataset, 0) + 1
-        worst_dev = 0.0
-        for m in manifests:
-            observed = counts.get(m.name, 0) / len(plans)
-            worst_dev = max(worst_dev, abs(observed - weights[m.name]))
-
-        f_plans = build_plan([two_modality_dataset()], "F", 10_000, seed=607)
-        f_invariant = all(p.loss_modality_a == p.loss_modality_b for p in f_plans)
-
-        guard_f = erratum_guard(f_plans, "F")
-        guard_r = erratum_guard(build_plan([two_modality_dataset()], "R", 10_000, seed=608), "R")
-        guard_bad = erratum_guard(aliased_sampler(two_modality_dataset(), 5000, seed=609), "F")
-
-        ok = (
-            worst_dev <= 0.005
-            and f_invariant
-            and guard_f.passed
-            and guard_r.passed
-            and not guard_bad.passed
-        )
-        report(
-            "A6 sampling/balancing",
-            ok,
-            f"max weight deviation {worst_dev:.4f} over 100k draws; "
-            f"F invariant {'holds' if f_invariant else 'broken'} in 10k plans; "
-            f"guard F/R pass={guard_f.passed}/{guard_r.passed}, aliased double "
-            f"fails={not guard_bad.passed}",
         )
 
 

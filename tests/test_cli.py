@@ -16,11 +16,8 @@ from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
 from deformreg.fileio import write_field_raw, write_nifti, write_volume_raw
 from deformreg.metrics import MetricsReport
 from deformreg.pipeline import RunConfig
-from deformreg.sampling import write_manifest
 from deformreg.tensor import Tensor3
 from deformreg.volume import Volume
-
-from tests_helpers_manifests import two_modality_dataset
 
 
 def write_test_volume(path, seed=0, n=16, modality="SYNTH-A", preprocessed=True,
@@ -211,6 +208,15 @@ def _bad_header_geometry(tmp_path):
             "--landmarks-b", str(lm)]
 
 
+def _unknown_descrip_modality(tmp_path):
+    path = tmp_path / "v.nii"
+    write_test_volume(path, seed=7)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<80s", raw, 148, b"modality=FOO;preprocessed=1")
+    path.write_bytes(bytes(raw))
+    return ["preprocess", "--input", str(path)]
+
+
 def _bad_sidecar(sidecar):
     """A field's sidecar replaced by the text ``sidecar``, or a volume's
     sidecar with the keys of the dict ``sidecar`` overwritten."""
@@ -235,11 +241,13 @@ class TestFormatErrorsExit3:
         _bad_sidecar({"spacing": [1, float("nan"), 1]}),
         _bad_sidecar({"spacing": [1, 1, float("inf")]}), _bad_sidecar({"spacing": [1, 0, 1]}),
         _bad_sidecar({"origin": "xyz"}), _bad_sidecar({"origin": [0, float("nan"), 0]}),
-        _bad_sidecar({"modality": 5}), _bad_sidecar({"preprocessed": "no"}),
+        _bad_sidecar({"modality": 5}), _bad_sidecar({"modality": "FOO"}),
+        _unknown_descrip_modality, _bad_sidecar({"preprocessed": "no"}),
     ], ids=["nan-voxel", "landmark-field", "header-geometry", "sidecar-not-json",
             "sidecar-no-dims", "sidecar-spacing-string", "sidecar-spacing-two",
             "sidecar-spacing-nan", "sidecar-spacing-inf", "sidecar-spacing-zero",
             "sidecar-origin-string", "sidecar-origin-nan", "sidecar-modality-number",
+            "sidecar-modality-unknown", "nifti-modality-unknown",
             "sidecar-preprocessed-string"])
     def test_exits_3(self, tmp_path, capsys, make_argv):
         argv = make_argv(tmp_path)
@@ -332,25 +340,6 @@ class TestSynthRegisterEvaluate:
         assert report.mean_dice == 100.0
 
 
-class TestPlan:
-    def test_strategy_f_pass_verdict(self, tmp_path, capsys):
-        mpath = tmp_path / "m.json"
-        write_manifest(two_modality_dataset(), mpath)
-        rc = main(["plan", "--manifest", str(mpath), "--strategy", "F",
-                   "--pairs", "1000", "--seed", "3", "--out", str(tmp_path / "p.csv")])
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out
-        assert (tmp_path / "p.csv").read_text().count("\n") == 1001
-
-    def test_epoch_mode(self, tmp_path, capsys):
-        mpath = tmp_path / "m.json"
-        write_manifest(two_modality_dataset(training_pct=100.0), mpath)
-        rc = main(["plan", "--manifest", str(mpath), "--strategy", "R", "--epoch",
-                   "--pairs", "2000", "--seed", "4", "--out", str(tmp_path / "p.csv")])
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out
-
-
 class TestPreprocess:
     def test_ct_clip_range(self, tmp_path, capsys):
         src = tmp_path / "raw.nii"
@@ -364,6 +353,15 @@ class TestPreprocess:
         assert out.values().min() == 0.0
         assert out.values().max() == 1.0
         assert out.preprocessed
+
+    def test_unknown_modality_argument_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "raw.nii"
+        write_test_volume(src, seed=6, modality="CT", preprocessed=False)
+        rc = main(["preprocess", "--input", str(src), "--output", str(tmp_path / "out.nii"),
+                   "--modality", "FOO"])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error:") and "'FOO'" in err
 
 
 class TestConsoleScript:

@@ -27,7 +27,10 @@ def run_script(script, cwd, **env_extra):
 
 
 def test_demos_found():
-    assert len(DEMOS) >= 6
+    # the README's demo table names exactly the scripts in demos/
+    section = (ROOT / "README.md").read_text().split("\n## Demos\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+\.py)` \|", section, flags=re.M)
+    assert DEMOS and listed == [demo.name for demo in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

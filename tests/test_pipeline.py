@@ -218,7 +218,7 @@ class TestBuildModel:
         with pytest.raises(PipelineError, match=match):
             instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=1), model=model)
         with pytest.raises(PipelineError, match=match):
-            loss_breakdown(a, b, a, b, model, LossConfig())
+            loss_breakdown(a, b, model, LossConfig())
 
     def test_unknown_direction(self):
         bound = BoundPyramid(Tape(), build_model((16, 16, 16)))
