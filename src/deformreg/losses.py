@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .similarity import SimilarityConfig, loss_similarity_nodes
+from .similarity import SimilarityConfig, fixed_side_nodes, loss_similarity_nodes
 from .tape import Node, Tape
 from .tensor import check_number
 from .transforms import DisplacementField, compose_nodes, warp_nodes
@@ -70,18 +70,22 @@ def randomized_loss_nodes(
     bound_model,
     loss_a: Node,
     loss_b: Node,
+    fixed_a: tuple,
+    fixed_b: tuple,
     cfg: LossConfig,
 ):
     """Assemble the loss on an existing tape; returns (total, terms dict).
 
-    Evaluates the bound model's maps in both directions and compares the
-    warped loss pair; the model must be built for the loss pair's dims.
+    Evaluates the bound model's maps in both directions and compares each
+    warped image of the loss pair with the other image's fixed side
+    (``fixed_side_nodes``): ``fixed_b`` for A warped to B, ``fixed_a`` for
+    B warped to A. The model must be built for the loss pair's dims.
     """
     bound_model.model.check_dims(loss_a.value.dims)
     u_ab = bound_model.evaluate("ab")
     u_ba = bound_model.evaluate("ba")
-    sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, loss_a, u_ab), loss_b, cfg.similarity)
-    sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, loss_b, u_ba), loss_a, cfg.similarity)
+    sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, loss_a, u_ab), fixed_b, cfg.similarity)
+    sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, loss_b, u_ba), fixed_a, cfg.similarity)
     total = tape.add(sim_ab, sim_ba)
     reg = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
     total = tape.add(total, tape.scale(reg, cfg.lam))
@@ -93,7 +97,9 @@ def loss_breakdown(a: Volume, b: Volume, model, cfg: LossConfig) -> dict[str, fl
     _check_pair(a, b)
     tape = Tape()
     bound = model.bind(tape)
-    total, terms = randomized_loss_nodes(tape, bound, tape.input(a.grid), tape.input(b.grid), cfg)
+    na, nb = tape.input(a.grid), tape.input(b.grid)
+    fixed_a, fixed_b = (fixed_side_nodes(tape, n, cfg.similarity) for n in (na, nb))
+    total, terms = randomized_loss_nodes(tape, bound, na, nb, fixed_a, fixed_b, cfg)
     return {"total": total.value.item(), **{k: n.value.item() for k, n in terms.items()}}
 
 

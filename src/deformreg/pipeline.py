@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .losses import LossConfig, randomized_loss_nodes
-from .similarity import SimilarityConfig
+from .similarity import SimilarityConfig, fixed_side_nodes
 from .tape import Node, Tape
 from .tensor import Tensor3, TensorError, check_number
 from .transforms import DisplacementField, compose_nodes
@@ -221,6 +221,12 @@ class Adam:
         return out
 
 
+def _fixed_side_values(volume: Volume, cfg: SimilarityConfig) -> tuple:
+    """The values of ``volume``'s fixed side, built on a throwaway tape."""
+    tape = Tape()
+    return tuple(node.value for node in fixed_side_nodes(tape, tape.input(volume.grid), cfg))
+
+
 def instance_optimize(
     ia: Volume,
     ib: Volume,
@@ -230,6 +236,12 @@ def instance_optimize(
 ) -> RegistrationResult:
     """Per-pair Adam refinement of all stage parameters, starting from a
     copy of ``model`` (or a fresh one); the caller's model is not changed.
+
+    The images never move, so the fixed side of each similarity term (B's
+    for A warped to B, A's for B warped to A; see ``fixed_side_nodes``) is
+    built once, on a throwaway tape, before the first step. Each step's
+    tape takes its values as inputs and so records only the work that
+    depends on the parameters.
 
     The trace holds the loss before each update plus the final value
     (length steps + 1). Raises NumericalAbort if the loss leaves the
@@ -251,6 +263,7 @@ def instance_optimize(
     }
     adam = Adam(opt_cfg, multipliers)
     trace: list[float] = []
+    fixed_values = [_fixed_side_values(v, loss_cfg.similarity) for v in (ia, ib)]
 
     def forward(with_grads: bool):
         # overflow here is not a crash: it surfaces as a TensorError or a
@@ -260,7 +273,8 @@ def instance_optimize(
             tape = Tape()
             bound = BoundPyramid(tape, model, trainable=with_grads)
             na, nb = tape.input(ia.grid), tape.input(ib.grid)
-            total, _ = randomized_loss_nodes(tape, bound, na, nb, loss_cfg)
+            fixed_a, fixed_b = (tuple(map(tape.input, values)) for values in fixed_values)
+            total, _ = randomized_loss_nodes(tape, bound, na, nb, fixed_a, fixed_b, loss_cfg)
             value = total.value.item()
             if not with_grads:
                 return value, None

@@ -6,6 +6,16 @@ local correlation sign, which is what makes contrast-inverted pairs
 registrable. MIND-SSC compares 12-channel self-similarity descriptors
 instead of raw intensities.
 
+Each term compares a moving image with a fixed one, and everything it
+computes from the fixed image alone is that term's fixed side: for
+LNCC and LNCC2 the image, its box mean E[b] and its variance
+E[b^2] - E[b]^2 plus epsilon; for MSE the image; for MIND-SSC its
+descriptor. ``fixed_side_nodes`` builds it and ``loss_similarity_nodes``
+takes it in place of the fixed image, so an optimizer whose fixed images
+never change builds each fixed side once per pair and feeds its values
+to every step as tape inputs. The builder runs the same ops on the same
+operands as a term built in one piece, so the values are bit-identical.
+
 The single epsilon of the package (default 1e-5) sits inside each
 variance before the product under the square root, and floors the MIND
 normalizer; no other stabilizers exist, so brute-force oracles can
@@ -59,25 +69,31 @@ class SimilarityConfig:
 
 
 def _check_same_dims(a: Node, b: Node):
-    if a.value.shape != b.value.shape:
-        raise SimilarityError(f"input shapes differ: {a.value.shape} vs {b.value.shape}")
+    if a.value.dims != b.value.dims:
+        raise SimilarityError(f"input dims differ: {a.value.dims} vs {b.value.dims}")
 
 
-def lncc_map_nodes(tape: Tape, a: Node, b: Node, cfg: SimilarityConfig) -> Node:
-    """Per-voxel windowed correlation rho = cov / sqrt((var_a+eps)(var_b+eps))."""
+def _lncc_fixed_nodes(tape: Tape, b: Node, cfg: SimilarityConfig) -> tuple[Node, Node, Node]:
+    """(b, E[b], var_b + eps): the fixed image's share of the LNCC map."""
+    r = cfg.window_radius
+    eb = tape.box_filter(b, r)
+    eb2 = tape.box_filter(tape.square(b), r)
+    var_b = tape.sub(eb2, tape.square(eb))
+    return b, eb, tape.add_const(var_b, cfg.eps)
+
+
+def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> Node:
+    """Per-voxel windowed correlation rho = cov / sqrt((var_a+eps)(var_b+eps))
+    of ``a`` with the fixed image whose LNCC fixed side is ``fixed``."""
+    b, eb, var_b_eps = fixed
     _check_same_dims(a, b)
     r = cfg.window_radius
     ea = tape.box_filter(a, r)
-    eb = tape.box_filter(b, r)
     eab = tape.box_filter(tape.mul(a, b), r)
     ea2 = tape.box_filter(tape.square(a), r)
-    eb2 = tape.box_filter(tape.square(b), r)
     cov = tape.sub(eab, tape.mul(ea, eb))
     var_a = tape.sub(ea2, tape.square(ea))
-    var_b = tape.sub(eb2, tape.square(eb))
-    denom = tape.sqrt(
-        tape.mul(tape.add_const(var_a, cfg.eps), tape.add_const(var_b, cfg.eps))
-    )
+    denom = tape.sqrt(tape.mul(tape.add_const(var_a, cfg.eps), var_b_eps))
     return tape.div(cov, denom)
 
 
@@ -109,20 +125,31 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
     return tape.concat_channels(channels)
 
 
-def loss_similarity_nodes(tape: Tape, a: Node, b: Node, cfg: SimilarityConfig) -> Node:
-    """Scalar similarity loss; >= 0 up to the epsilon slack of LNCC."""
-    _check_same_dims(a, b)
+def fixed_side_nodes(tape: Tape, fixed: Node, cfg: SimilarityConfig) -> tuple:
+    """The fixed side of a ``cfg.kind`` term whose fixed image is ``fixed``:
+    the nodes ``loss_similarity_nodes`` reads of it (see the module doc)."""
+    if cfg.kind in ("LNCC", "LNCC2"):
+        return _lncc_fixed_nodes(tape, fixed, cfg)
+    if cfg.kind == "MSE":
+        return (fixed,)
+    return (mind_ssc_descriptor_nodes(tape, fixed, cfg),)
+
+
+def loss_similarity_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> Node:
+    """Scalar similarity loss of ``a`` against the fixed image whose fixed
+    side (``fixed_side_nodes``) is ``fixed``; >= 0 up to the epsilon slack
+    of LNCC."""
+    _check_same_dims(a, fixed[0])
     if cfg.kind == "LNCC":
-        rho = lncc_map_nodes(tape, a, b, cfg)
+        rho = lncc_map_nodes(tape, a, fixed, cfg)
         return tape.add_const(tape.scale(tape.mean(rho), -1.0), 1.0)
     if cfg.kind == "LNCC2":
-        rho = lncc_map_nodes(tape, a, b, cfg)
+        rho = lncc_map_nodes(tape, a, fixed, cfg)
         return tape.add_const(tape.scale(tape.mean(tape.square(rho)), -1.0), 1.0)
     if cfg.kind == "MSE":
-        return tape.mean(tape.square(tape.sub(a, b)))
+        return tape.mean(tape.square(tape.sub(a, fixed[0])))
     da = mind_ssc_descriptor_nodes(tape, a, cfg)  # MIND_SSC, the one kind left
-    db = mind_ssc_descriptor_nodes(tape, b, cfg)
-    return tape.mean(tape.square(tape.sub(da, db)))
+    return tape.mean(tape.square(tape.sub(da, fixed[0])))
 
 
 # -- plain wrappers (fresh throwaway tape, value only) ---------------------------
@@ -138,14 +165,14 @@ def _as_tensor(x) -> Tensor3:
 
 def lncc_map(a, b, cfg: SimilarityConfig = SimilarityConfig()) -> Tensor3:
     tape = Tape()
-    return lncc_map_nodes(tape, tape.input(_as_tensor(a)), tape.input(_as_tensor(b)), cfg).value
+    fixed = _lncc_fixed_nodes(tape, tape.input(_as_tensor(b)), cfg)
+    return lncc_map_nodes(tape, tape.input(_as_tensor(a)), fixed, cfg).value
 
 
 def loss_similarity(a, b, cfg: SimilarityConfig = SimilarityConfig()) -> float:
     tape = Tape()
-    return loss_similarity_nodes(
-        tape, tape.input(_as_tensor(a)), tape.input(_as_tensor(b)), cfg
-    ).value.item()
+    fixed = fixed_side_nodes(tape, tape.input(_as_tensor(b)), cfg)
+    return loss_similarity_nodes(tape, tape.input(_as_tensor(a)), fixed, cfg).value.item()
 
 
 def mind_ssc_descriptor(a, cfg: SimilarityConfig = SimilarityConfig(kind="MIND_SSC")) -> Tensor3:

@@ -28,6 +28,7 @@ from deformreg.metrics import mtre
 from deformreg.pipeline import BoundPyramid, OptimizerConfig, build_model, instance_optimize
 from deformreg.similarity import (
     SimilarityConfig,
+    fixed_side_nodes,
     lncc_map,
     loss_similarity_nodes,
     mind_ssc_descriptor,
@@ -129,7 +130,8 @@ class TestA1GradientCorrectness:
                 tape = Tape()
                 u = tape.input(u0, parameter=True)
                 warped = warp_nodes(tape, tape.input(a_img), u)
-                loss = loss_similarity_nodes(tape, warped, tape.input(b_img), cfg)
+                fixed = fixed_side_nodes(tape, tape.input(b_img), cfg)
+                loss = loss_similarity_nodes(tape, warped, fixed, cfg)
                 grads = tape.backward(loss)
                 return loss.value.item(), grads[u.id]
 
@@ -173,7 +175,8 @@ class TestA1GradientCorrectness:
                 from deformreg.losses import randomized_loss_nodes
 
                 nla, nlb = tape.input(la.grid), tape.input(lb.grid)
-                total, _ = randomized_loss_nodes(tape, bound, nla, nlb, cfg)
+                fa, fb = (fixed_side_nodes(tape, n, cfg.similarity) for n in (nla, nlb))
+                total, _ = randomized_loss_nodes(tape, bound, nla, nlb, fa, fb, cfg)
                 grads = tape.backward(total)
                 return total.value.item(), grads[bound.nodes["ab2"].id]
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from deformreg import pipeline
 from deformreg.losses import LossConfig, loss_breakdown, randomized_loss_nodes
 from deformreg.pipeline import (
     DIRECTIONS,
@@ -18,7 +19,12 @@ from deformreg.pipeline import (
     instance_optimize,
     stage_grid_dims,
 )
-from deformreg.similarity import SimilarityConfig
+from deformreg.similarity import (
+    SIMILARITY_KINDS,
+    SimilarityConfig,
+    fixed_side_nodes,
+    loss_similarity,
+)
 from deformreg.tape import Tape, grad_check
 from deformreg.tensor import Tensor3
 from deformreg.transforms import (
@@ -49,6 +55,23 @@ def plain_pyramid(model, direction):
     q, h, s = (DisplacementField(model.params[model.param_key(direction, i)])
                for i in range(STAGE_COUNT))
     return compose(compose(q, h), s)
+
+
+def first_step_tape(monkeypatch, kind, n):
+    """The tape of the first (gradient-taking) loss forward of a one-step
+    instance_optimize run on a random pair of side n."""
+    tapes = []
+
+    def spy(tape, *args):
+        tapes.append(tape)
+        return randomized_loss_nodes(tape, *args)
+
+    monkeypatch.setattr(pipeline, "randomized_loss_nodes", spy)
+    rng = np.random.default_rng(5)
+    a, b = (make_volume(rng.uniform(0.1, 0.9, (n, n, n))) for _ in range(2))
+    instance_optimize(a, b, LossConfig(similarity=SimilarityConfig(kind=kind)),
+                      OptimizerConfig(steps=1))
+    return tapes[0]
 
 
 def constant_field_node(tape, dims, t):
@@ -135,23 +158,42 @@ class TestExplicitComposition:
 
 
 class TestLossNodeInventory:
-    """One loss forward. ``trilinear_sample`` adds the identity grid itself,
-    so the only inputs are the loss pair and no compose or warp puts a grid
-    or its ``add`` on the tape."""
+    """One step's loss forward. ``trilinear_sample`` adds the identity grid
+    itself, so the only inputs are the loss pair and the two fixed sides
+    (3 nodes each for LNCC2, 1 for MIND_SSC), and no compose or warp puts
+    a grid or its ``add`` on the tape."""
 
-    @pytest.mark.parametrize("kind, n, nodes", [("LNCC2", 16, 74), ("MIND_SSC", 16, 402),
-                                                ("LNCC2", 32, 74)])
-    def test_one_forward(self, kind, n, nodes):
-        dims = (n, n, n)
-        rng = np.random.default_rng(5)
-        a, b = (Tensor3(rng.uniform(0.1, 0.9, (*dims, 1))) for _ in range(2))
-        tape = Tape()
-        cfg = LossConfig(similarity=SimilarityConfig(kind=kind))
-        randomized_loss_nodes(tape, BoundPyramid(tape, build_model(dims)),
-                              tape.input(a), tape.input(b), cfg)
+    @pytest.mark.parametrize("kind, n, nodes, inputs", [
+        ("LNCC2", 16, 68, 8), ("MIND_SSC", 16, 220, 4),
+        ("LNCC2", 32, 68, 8)])
+    def test_one_forward(self, monkeypatch, kind, n, nodes, inputs):
+        tape = first_step_tape(monkeypatch, kind, n)
         ops = Counter(node.op for node in tape.nodes)
         assert len(tape.nodes) == nodes
-        assert (ops["input"], ops["param"], ops["trilinear_sample"]) == (2, 6, 7)
+        assert (ops["input"], ops["param"], ops["trilinear_sample"]) == (inputs, 6, 7)
+
+
+class TestFixedSideHoisting:
+    """Each similarity term's fixed side is built once per pair, so a
+    step's tape records only work that depends on the parameters."""
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_step_tape_holds_no_constant_work(self, monkeypatch, kind):
+        tape = first_step_tape(monkeypatch, kind, 16)
+        constant = [node.op for node in tape.nodes
+                    if node.op not in ("input", "param") and not node.needs_grad]
+        assert constant == []
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_identity_loss_pairs_each_image_with_the_other_fixed_side(self, kind):
+        # at the identity the penalty is exactly 0, so the first trace
+        # value is the two similarity terms: A against B, then B against A
+        rng = np.random.default_rng(8)
+        a, b = (make_volume(rng.uniform(0.1, 0.9, (12, 12, 12))) for _ in range(2))
+        sim = SimilarityConfig(kind=kind)
+        trace = instance_optimize(a, b, LossConfig(similarity=sim),
+                                  OptimizerConfig(steps=0)).loss_trace
+        assert trace[0] == loss_similarity(a, b, sim) + loss_similarity(b, a, sim)
 
 
 class TestCoarseStageGradients:
@@ -178,7 +220,9 @@ class TestCoarseStageGradients:
                 probe.params[key] = x0
                 tape = Tape()
                 bound = BoundPyramid(tape, probe)
-                total, _ = randomized_loss_nodes(tape, bound, tape.input(a), tape.input(b), cfg)
+                na, nb = tape.input(a), tape.input(b)
+                fa, fb = (fixed_side_nodes(tape, n, cfg.similarity) for n in (na, nb))
+                total, _ = randomized_loss_nodes(tape, bound, na, nb, fa, fb, cfg)
                 return total.value.item(), tape.backward(total)[bound.nodes[key].id]
 
             return f

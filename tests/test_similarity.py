@@ -15,7 +15,7 @@ from deformreg.similarity import (
 from deformreg.tape import Tape, grad_check
 from deformreg.tensor import Tensor3
 from deformreg.transforms import warp_nodes
-from deformreg.similarity import loss_similarity_nodes
+from deformreg.similarity import fixed_side_nodes, loss_similarity_nodes
 
 
 def lncc_brute_force(a, b, radius, eps):
@@ -185,7 +185,7 @@ class TestDifferentiability:
             av = tape.input(a)
             bv = tape.input(b)
             warped = warp_nodes(tape, av, u)
-            loss = loss_similarity_nodes(tape, warped, bv, cfg)
+            loss = loss_similarity_nodes(tape, warped, fixed_side_nodes(tape, bv, cfg), cfg)
             grads = tape.backward(loss)
             return loss.value.item(), grads[u.id]
 
