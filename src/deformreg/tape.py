@@ -46,16 +46,20 @@ class Node:
 
 
 def _box_sum_axis(arr: np.ndarray, axis: int, radius: int) -> np.ndarray:
-    """Sliding-window sum of radius r along one axis, truncated at edges."""
-    n = arr.shape[axis]
-    c = np.cumsum(arr, axis=axis)
-    idx_hi = np.minimum(np.arange(n) + radius, n - 1)
-    idx_lo = np.arange(n) - radius - 1
-    out = np.take(c, idx_hi, axis=axis)
-    low = np.take(c, np.clip(idx_lo, 0, None), axis=axis)
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    out = out - low * (idx_lo >= 0).reshape(shape)
+    """Sliding-window sum of radius r along one axis, truncated at edges:
+    out[i] = sum of arr[j] over |j - i| <= r, 0 <= j < n.
+
+    A copy of ``arr`` gets the 2r shifted slices added in place, offsets
+    1..r on each side, each cut to the part that stays inside the axis
+    (none is left past offset n - 1). The stencil is symmetric, so the
+    same sum is its own transpose and serves ``box_filter``'s vjp too.
+    """
+    out = arr.copy()
+    src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+    n = src.shape[0]
+    for k in range(1, min(radius, n - 1) + 1):
+        dst[k:] += src[: n - k]
+        dst[: n - k] += src[k:]
     return out
 
 

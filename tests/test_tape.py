@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deformreg.tape import Tape, TapeError, grad_check, sample_trilinear_values
+from deformreg.tape import Tape, TapeError, _box_sum_axis, grad_check, sample_trilinear_values
 from deformreg.tensor import Tensor3, TensorError, grid_coordinates
 
 from tests_helpers_interp import lerp3
@@ -127,6 +127,44 @@ class TestForwardValues:
         b = tape.input(Tensor3.zeros((2, 2, 2)))
         with pytest.raises(TapeError, match="div"):
             tape.div(a, b)
+
+
+def box_sum_oracle(arr, axis, radius):
+    """Explicit window loop: out[i] = sum of arr[j] over |j - i| <= radius."""
+    src = np.moveaxis(arr, axis, 0)
+    out = np.zeros_like(src)
+    n = src.shape[0]
+    for i in range(n):
+        for j in range(max(i - radius, 0), min(i + radius, n - 1) + 1):
+            out[i] += src[j]
+    return np.moveaxis(out, 0, axis)
+
+
+class TestBoxSum:
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+    def test_matches_window_loop_on_every_axis(self, n, radius):
+        rng = np.random.default_rng(10 * n + radius)
+        for axis in range(3):
+            shape = [4, 3, 2, 2]
+            shape[axis] = n
+            arr = rng.uniform(-1.0, 1.0, shape)
+            got = _box_sum_axis(arr, axis, radius)
+            assert np.max(np.abs(got - box_sum_oracle(arr, axis, radius))) <= 1e-12
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_box_filter_vjp_is_the_transpose(self, radius):
+        # <box(x), y> == <x, vjp(y)>: the backward is the exact adjoint of
+        # the count-normalized (so not symmetric) forward
+        rng = np.random.default_rng(radius)
+        x, y = (rng_tensor(rng, (5, 2, 9), lo=-1.0) for _ in range(2))
+        tape = Tape()
+        xn = tape.input(x, parameter=True)
+        box = tape.box_filter(xn, radius)
+        loss = tape.sum(tape.mul(box, tape.input(y)))
+        vjp_y = tape.backward(loss)[xn.id].data
+        lhs = float(np.sum(box.value.data * y.data))
+        assert abs(lhs - float(np.sum(x.data * vjp_y))) <= 1e-12
 
 
 class TestBackward:
