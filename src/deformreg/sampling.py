@@ -1,14 +1,14 @@
-"""Dataset registry: training-dataset manifests and their balancing weights.
+"""Dataset registry: training-dataset manifests.
 
 A manifest describes one dataset: its anatomical region, pairing type
 (intra-patient, inter-patient, or atlas), patients with their per-modality
 scans, a label-randomization flag, and optional configured training and
-finetuning percentages. ``dataset_weights`` turns a list of manifests into
-normalized per-dataset sampling weights.
+finetuning percentages.
 
 No command and no registration path reads this module: the pair sampler,
-the loss-pair strategies and the aliasing guard that consumed it are
-deleted, and the registry is the part of the training-side code still to go.
+the loss-pair strategies, the aliasing guard and the balancing weights
+that consumed it are deleted, and the manifests are the part of the
+training-side code still to go.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ class DatasetManifest:
                 f"intra-patient dataset {self.name!r} has no patient with >= 2 scans"
             )
 
-    def modality_union(self) -> frozenset:
-        out: set = set()
-        for p in self.patients:
-            out |= p.modality_set()
-        return frozenset(out)
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
@@ -136,35 +130,3 @@ def read_manifest(path) -> DatasetManifest:
         return DatasetManifest.from_json_dict(json.loads(Path(path).read_text()))
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, a missing key, a bad value
         raise SamplingError(f"bad manifest {path}: {exc!r}") from exc
-
-
-def dataset_weights(manifests, mode: str = "training") -> dict[str, float]:
-    """Normalized sampling weights per dataset.
-
-    Configured percentages (the registry's training/finetuning columns)
-    take precedence when any are present. Otherwise weights are derived:
-    training mode equalizes every (modality-set, region) combination;
-    finetuning mode weights regions equally, then splits inside each
-    region.
-    """
-    manifests = list(manifests)
-    if not manifests:
-        raise SamplingError("need at least one manifest")
-    if mode not in ("training", "finetuning"):
-        raise SamplingError(f"mode must be training or finetuning, got {mode!r}")
-    key = "training_pct" if mode == "training" else "finetuning_pct"
-    configured = [getattr(m, key) for m in manifests]
-    if any(c is not None for c in configured):
-        total = sum(c or 0.0 for c in configured)
-        if total <= 0:
-            raise SamplingError(f"configured {mode} percentages sum to zero")
-        return {m.name: (c or 0.0) / total for m, c in zip(manifests, configured)}
-    groups: dict = {}
-    for m in manifests:
-        group = (m.modality_union(), m.region) if mode == "training" else m.region
-        groups.setdefault(group, []).append(m.name)
-    weights = {}
-    for members in groups.values():
-        for name in members:
-            weights[name] = 1.0 / (len(groups) * len(members))
-    return weights

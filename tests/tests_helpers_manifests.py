@@ -19,32 +19,3 @@ def two_modality_dataset(name="brain-2mod", n_patients=6, modalities=("T1w", "T2
         name=name, region=region, pairing="inter-patient", patients=patients,
         label_randomization=label_randomization, **kw,
     )
-
-
-def training_corpus():
-    """The eight training datasets with their configured percentages."""
-    def ds(name, region, pairing, patients, flag, pct):
-        return DatasetManifest(
-            name=name, region=region, pairing=pairing, patients=patients,
-            label_randomization=flag, training_pct=pct,
-        )
-
-    return [
-        ds("COPDGene", "lung", "intra-patient",
-           tuple(intra_ct_patient(f"c{i}") for i in range(6)), False, 2.12),
-        ds("OAI", "knee", "inter-patient",
-           tuple(multi_patient(f"o{i}", ("DESS", "T2")) for i in range(6)), False, 6.38),
-        ds("HCP", "brain", "inter-patient",
-           tuple(multi_patient(f"h{i}", ("T1w", "T2w")) for i in range(6)), True, 6.38),
-        ds("L2R-Abdomen", "abdomen", "inter-patient",
-           tuple(multi_patient(f"a{i}", ("CT",)) for i in range(6)), True, 6.38),
-        ds("BratsReg", "brain", "intra-patient",
-           tuple(multi_patient(f"b{i}", ("T1w", "T1ce", "T2w", "FLAIR")) for i in range(6)),
-           True, 21.27),
-        ds("ABCD", "brain", "inter-patient",
-           tuple(multi_patient(f"d{i}", ("FA", "MD")) for i in range(6)), True, 6.38),
-        ds("L2R-AbdomenMRCT", "abdomen", "inter-patient",
-           tuple(multi_patient(f"m{i}", ("CT", "T1w")) for i in range(6)), False, 12.76),
-        ds("UKBiobank", "neck-to-knee", "inter-patient",
-           tuple(multi_patient(f"u{i}", ("DIXON-F", "DIXON-W")) for i in range(6)), True, 38.29),
-    ]
