@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .fileio import (
@@ -82,12 +81,12 @@ def config_hash(config: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _read_volume(path: str) -> Volume:
+def _read_volume(path: str, modality: str | None = None) -> Volume:
     p = Path(path)
     if p.suffix == ".nii":
-        return read_nifti(p)
+        return read_nifti(p, modality)
     if p.exists() or Path(str(p) + ".json").exists():
-        return read_volume_raw(str(p).removesuffix(".raw"))
+        return read_volume_raw(str(p).removesuffix(".raw"), modality)
     raise FileNotFoundError(f"volume not found: {path}")
 
 
@@ -222,10 +221,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    volume = _read_volume(args.input)
-    if args.modality:
-        volume = replace(volume, modality=args.modality)
-    out = preprocess(volume)
+    out = preprocess(_read_volume(args.input, args.modality or None))
     out_path = Path(args.output)
     if out_path.suffix == ".nii":
         write_nifti(out, out_path)

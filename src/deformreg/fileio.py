@@ -104,8 +104,9 @@ def write_nifti(v: Volume, path):
         f.write(data)
 
 
-def read_nifti(path) -> Volume:
-    """Read an uncompressed NIfTI-1 volume (float32 or int16 data)."""
+def read_nifti(path, modality: str | None = None) -> Volume:
+    """Read an uncompressed NIfTI-1 volume (float32 or int16 data). A given
+    ``modality`` replaces the file's tag, which is then not checked."""
     raw = Path(path).read_bytes()
     meta = _parse_header(raw)
     nx, ny, nz = meta["dims"]
@@ -129,9 +130,10 @@ def read_nifti(path) -> Volume:
         raise FormatError(f"{path}: non-finite pixdim or qoffset in the header")
     grid = flat.reshape((nx, ny, nz), order="F").astype(np.float64)
     fields = _descrip_fields(meta["descrip"])
-    modality = fields.get("modality", "SYNTH-UNKNOWN")
-    if not known_modality(modality):
-        raise FormatError(f"{path}: unknown modality tag {modality!r} in descrip")
+    if modality is None:
+        modality = fields.get("modality", "SYNTH-UNKNOWN")
+        if not known_modality(modality):
+            raise FormatError(f"{path}: unknown modality tag {modality!r} in descrip")
     spacing = tuple(p if p > 0 else 1.0 for p in meta["pixdim"])
     return Volume(
         grid=Tensor3(grid),
@@ -232,7 +234,8 @@ def write_volume_raw(v: Volume, base):
     )
 
 
-def read_volume_raw(base) -> Volume:
+def read_volume_raw(base, modality: str | None = None) -> Volume:
+    """Read a 1-channel raw volume; ``modality`` as in ``read_nifti``."""
     data, meta = read_raw(base)
     if meta.get("kind") != "volume" or data.shape[3] != 1:
         raise FormatError("raw payload is not a 1-channel volume")
@@ -244,10 +247,11 @@ def read_volume_raw(base) -> Volume:
             raise FormatError(f"{sidecar}: {name} must be three numbers, got {vec!r}")
         for x in vec:
             check_number(FormatError, f"{sidecar}: {name}", x, above=above)
-    modality = meta.get("modality", "SYNTH-UNKNOWN")
+    if modality is None:
+        modality = meta.get("modality", "SYNTH-UNKNOWN")
+        if not isinstance(modality, str) or not known_modality(modality):
+            raise FormatError(f"{sidecar}: unknown modality tag {modality!r}")
     preprocessed = meta.get("preprocessed", False)
-    if not isinstance(modality, str) or not known_modality(modality):
-        raise FormatError(f"{sidecar}: unknown modality tag {modality!r}")
     if not isinstance(preprocessed, bool):
         raise FormatError(f"{sidecar}: preprocessed must be true or false, got {preprocessed!r}")
     return Volume(grid=Tensor3(data), spacing=tuple(spacing), origin=tuple(origin),

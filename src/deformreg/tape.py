@@ -125,9 +125,14 @@ def _grad_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
 _CORNERS = tuple((bx, by, bz) for bx in (0, 1) for by in (0, 1) for bz in (0, 1))
 
 
+def _planes(arr: np.ndarray) -> list[np.ndarray]:
+    """The channels of a (..., C) array as C contiguous flat arrays."""
+    return [np.ascontiguousarray(arr[..., c]).ravel() for c in range(arr.shape[-1])]
+
+
 class _TrilinearPlan:
     """Edge-clamped trilinear sample of ``img`` (nx, ny, nz, C) at the
-    normalized ``coords`` (..., 3), kept for both vjp halves.
+    normalized ``coords`` (..., 3), kept for the vjp.
 
     Coordinates are clamped to [0,1] and mapped onto node index space
     (node i at i/(n-1)). The plan keeps only what the 8 corners derive
@@ -136,20 +141,26 @@ class _TrilinearPlan:
     point's low corner, one flat stride per axis (0 on a length-1 axis,
     where both corners coincide), the three fractions, and the three masks
     that are False where the raw coordinate left the domain (the clamp
-    makes the sampled value constant there). Corner (bx, by, bz) sits at
-    ``base + bx*sx + by*sy + bz*sz`` with weight ``w0[bx]*w1[by]*w2[bz]``,
-    ``w = (1 - f, f)``; indices, weights and corner values are recomputed
-    where they are used instead of being held until ``backward``.
+    makes the sampled value constant there); with the output, 35 + 8C
+    bytes a point. Corner (bx, by, bz) sits at ``base + bx*sx + by*sy +
+    bz*sz`` with weight ``w0[bx]*w1[by]*w2[bz]``, ``w = (1 - f, f)``.
+
+    Every pass works on one channel at a time, as contiguous flat arrays:
+    over (..., C) rows each gather, product and reduction runs numpy's
+    inner loop over the short channel axis, at several times the cost of
+    the arithmetic. Indices, weights and the image's channel planes are
+    rebuilt where a pass needs them instead of being held until the vjp.
     """
 
     __slots__ = ("img", "base", "strides", "fracs", "inside", "out")
 
     def __init__(self, img: np.ndarray, coords: np.ndarray):
         nx, ny, nz = img.shape[:3]
+        flat_coords = coords.reshape(-1, 3)
         self.img = img
         self.base, self.strides, self.fracs, self.inside = 0, [], [], []
         for axis, (n, stride) in enumerate(zip((nx, ny, nz), (ny * nz, nz, 1))):
-            c_raw = coords[..., axis]
+            c_raw = flat_coords[:, axis]
             p = np.clip(c_raw, 0.0, 1.0) * (n - 1)
             # snap to the node when within 1e-9 index units so sampling at
             # voxel centers reproduces stored values exactly
@@ -160,55 +171,58 @@ class _TrilinearPlan:
             self.strides.append(stride if n > 1 else 0)
             self.fracs.append(p - i0)
             self.inside.append((c_raw >= 0.0) & (c_raw <= 1.0))
-        out = None
-        for w, v in zip(self._weights(), self._values()):
-            term = w[..., None] * v
-            out = term if out is None else out + term
-        self.out = out
+        planes, corners = _planes(img), self._corners()
+        idx, w = next(corners)
+        out = [w * plane.take(idx) for plane in planes]
+        for idx, w in corners:
+            for acc, plane in zip(out, planes):
+                acc += w * plane.take(idx)
+        self.out = np.stack(out, axis=-1).reshape(*coords.shape[:-1], len(out))
 
-    def _index(self, corner) -> np.ndarray:
-        return self.base + sum(b * s for b, s in zip(corner, self.strides))
-
-    def _values(self):
-        """Yield the 8 corner values, (..., C) each, in ``_CORNERS`` order."""
-        flat = self.img.reshape(-1, self.img.shape[3])
-        for corner in _CORNERS:
-            yield flat.take(self._index(corner), axis=0)
-
-    def _weights(self):
-        """Yield the 8 corner weights in ``_CORNERS`` order."""
+    def _corners(self):
+        """Yield each corner's flat index and weight in ``_CORNERS`` order."""
         w0, w1, w2 = ((1.0 - f, f) for f in self.fracs)
+        sx, sy, sz = self.strides
         for bx, by, bz in _CORNERS:
-            yield w0[bx] * w1[by] * w2[bz]
+            yield self.base + (bx * sx + by * sy + bz * sz), w0[bx] * w1[by] * w2[bz]
 
-    def grad_image(self, g: np.ndarray) -> np.ndarray:
-        nc = self.img.shape[3]
-        size = self.img.size // nc
-        acc = np.zeros((size, nc))
-        for corner, w in zip(_CORNERS, self._weights()):
-            wg = w[..., None] * g
-            flat_idx = self._index(corner).ravel()
-            for c in range(nc):
-                acc[:, c] += np.bincount(flat_idx, weights=wg[..., c].ravel(), minlength=size)
-        return acc.reshape(self.img.shape)
-
-    def grad_coords(self, g: np.ndarray) -> np.ndarray:
-        """Per axis, the corner differences along it blended by the other
-        two axes' weights (lower axis bit outermost), scaled by the
-        coordinate-to-index factor and masked where the clamp saturates."""
-        values = list(self._values())
-        w = [(1.0 - f, f) for f in self.fracs]
-        g_coords = np.empty((*g.shape[:3], 3))
-        for axis in range(3):
-            comp = 0.0
-            for lo, corner in enumerate(_CORNERS):
-                if corner[axis]:
-                    continue
-                wa, wb = (w[other][corner[other]] for other in range(3) if other != axis)
-                diff = values[lo | (4 >> axis)] - values[lo]
-                comp = comp + (wa * wb) * np.einsum("...c,...c->...", diff, g)
-            g_coords[..., axis] = comp * (self.img.shape[axis] - 1) * self.inside[axis]
-        return g_coords
+    def vjp(self, g: np.ndarray, want_image: bool, want_coords: bool):
+        """The image's and the coordinates' adjoints for the output adjoint
+        ``g`` (..., C), None where not wanted, from one pass over the
+        corners. The image half scatters ``w * g``. The coordinate half
+        projects each corner onto ``g``, ``p_k = sum_c v_kc g_c``; per axis
+        it blends the differences of the ``p_k`` along that axis by the
+        other two axes' weights (lower axis bit outermost), scales by the
+        coordinate-to-index factor and masks where the clamp saturates."""
+        g_planes = _planes(g)
+        size = self.img.size // len(g_planes)
+        g_image = [np.zeros(size) for _ in g_planes] if want_image else None
+        planes, proj = _planes(self.img) if want_coords else None, []
+        for idx, w in self._corners():
+            if want_image:
+                for acc, g_c in zip(g_image, g_planes):
+                    acc += np.bincount(idx, weights=w * g_c, minlength=size)
+            if want_coords:
+                terms = (plane.take(idx) * g_c for plane, g_c in zip(planes, g_planes))
+                proj.append(next(terms))
+                for term in terms:
+                    proj[-1] += term
+        if want_image:
+            g_image = np.stack(g_image, axis=-1).reshape(self.img.shape)
+        g_coords = None
+        if want_coords:
+            w = [(1.0 - f, f) for f in self.fracs]
+            g_coords = np.empty((self.base.size, 3))
+            for axis in range(3):
+                comp = 0.0
+                for lo, corner in enumerate(_CORNERS):
+                    if corner[axis]:
+                        continue
+                    wa, wb = (w[other][corner[other]] for other in range(3) if other != axis)
+                    comp = comp + (wa * wb) * (proj[lo | (4 >> axis)] - proj[lo])
+                g_coords[:, axis] = comp * (self.img.shape[axis] - 1) * self.inside[axis]
+            g_coords = g_coords.reshape(*g.shape[:-1], 3)
+        return g_image, g_coords
 
 
 def sample_trilinear_values(img: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -448,12 +462,8 @@ class Tape:
         plan = _TrilinearPlan(image.value.data, coords)
 
         def vjp(g):
-            out = []
-            if image.needs_grad:
-                out.append((image.id, plan.grad_image(g)))
-            if u.needs_grad:
-                out.append((u.id, plan.grad_coords(g)))
-            return out
+            grads = plan.vjp(g, image.needs_grad, u.needs_grad)
+            return [(node.id, grad) for node, grad in zip((image, u), grads) if grad is not None]
 
         return self._append("trilinear_sample", (image, u), plan.out, vjp)
 

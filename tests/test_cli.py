@@ -13,7 +13,7 @@ import pytest
 
 import deformreg
 from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
-from deformreg.fileio import write_field_raw, write_nifti, write_volume_raw
+from deformreg.fileio import read_nifti, write_field_raw, write_nifti, write_volume_raw
 from deformreg.metrics import MetricsReport
 from deformreg.pipeline import RunConfig
 from deformreg.tensor import Tensor3
@@ -357,6 +357,54 @@ class TestPreprocess:
     def test_unknown_modality_argument_exits_2(self, tmp_path, capsys):
         src = tmp_path / "raw.nii"
         write_test_volume(src, seed=6, modality="CT", preprocessed=False)
+        rc = main(["preprocess", "--input", str(src), "--output", str(tmp_path / "out.nii"),
+                   "--modality", "FOO"])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error:") and "'FOO'" in err
+
+
+def _foo_tagged_ct(tmp_path, suffix):
+    """A CT volume in HU whose file carries the unknown modality tag FOO:
+    in the NIfTI descrip or in the raw sidecar."""
+    v = write_test_volume(tmp_path / "v.nii", seed=9, modality="CT", preprocessed=False,
+                          lo=-2000.0, hi=2000.0)
+    path = tmp_path / f"v{suffix}"
+    if suffix == ".nii":
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<80s", raw, 148, b"modality=FOO;preprocessed=0")
+        path.write_bytes(bytes(raw))
+    else:
+        write_volume_raw(v, tmp_path / "v")
+        meta = json.loads((tmp_path / "v.json").read_text())
+        (tmp_path / "v.json").write_text(json.dumps({**meta, "modality": "FOO"}))
+    return path
+
+
+class TestModalityOverride:
+    """``preprocess --modality`` replaces an unknown tag read from the file."""
+
+    @pytest.mark.parametrize("suffix", [".nii", ".raw"])
+    def test_ct_override_preprocesses_as_ct(self, tmp_path, capsys, suffix):
+        src = _foo_tagged_ct(tmp_path, suffix)
+        rc = main(["preprocess", "--input", str(src), "--output", str(tmp_path / "out.nii"),
+                   "--modality", "CT"])
+        assert rc == 0, capsys.readouterr().err
+        out = read_nifti(tmp_path / "out.nii")
+        assert out.modality == "CT" and out.preprocessed
+        assert out.values().min() == 0.0 and out.values().max() == 1.0
+
+    @pytest.mark.parametrize("suffix", [".nii", ".raw"])
+    def test_without_override_exits_3(self, tmp_path, capsys, suffix):
+        src = _foo_tagged_ct(tmp_path, suffix)
+        rc = main(["preprocess", "--input", str(src), "--output", str(tmp_path / "out.nii")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("I/O error:") and "'FOO'" in err
+
+    @pytest.mark.parametrize("suffix", [".nii", ".raw"])
+    def test_unknown_override_exits_2(self, tmp_path, capsys, suffix):
+        src = _foo_tagged_ct(tmp_path, suffix)
         rc = main(["preprocess", "--input", str(src), "--output", str(tmp_path / "out.nii"),
                    "--modality", "FOO"])
         err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Every demo script and tool runs to completion against this checkout."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -14,13 +16,13 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run_script(script, cwd, **env_extra):
+def run_script(script, cwd, argv=(), **env_extra):
     # the subprocess imports the same deformreg as this test, installed or not
     env = dict(os.environ, **env_extra)
     src_dir = str(Path(deformreg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=600)
+    proc = subprocess.run([sys.executable, str(script), *argv], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     return proc.stdout
@@ -45,3 +47,24 @@ def test_demo_runs(demo, tmp_path):
 def test_trace_digest_prints_four_digests(tmp_path):
     out = run_script(ROOT / "tools" / "trace_digest.py", tmp_path)
     assert len(re.findall(r": [0-9a-f]{16}$", out, flags=re.M)) == 4, out
+
+
+def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
+    script = ROOT / "tools" / "trace_digest.py"
+    run_script(script, tmp_path, argv=["--save", "traces.json"])
+    stored = json.loads((tmp_path / "traces.json").read_text())
+    assert len(stored) == 4 and all(stored.values())
+    out = run_script(script, tmp_path, argv=["--compare", "traces.json"])
+    assert out.splitlines()[-1] == "largest trace deviation: abs 0 rel 0", out
+
+
+def test_trace_digest_deviation():
+    script = ROOT / "tools" / "trace_digest.py"
+    spec = importlib.util.spec_from_file_location("trace_digest", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    deviation = module.deviation
+    assert deviation([1.0, -2.0, 0.5], [1.0, -2.5, 0.25]) == (0.5, 1.0)
+    assert deviation([3.0], [3.0]) == (0.0, 0.0)
+    with pytest.raises(SystemExit, match="trace length 2 differs from the stored 3"):
+        deviation([1.0, 2.0], [1.0, 2.0, 3.0])

@@ -6,7 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deformreg.tape import Tape, TapeError, _box_sum_axis, grad_check, sample_trilinear_values
+from deformreg.tape import (
+    _CORNERS,
+    Tape,
+    TapeError,
+    _box_sum_axis,
+    _TrilinearPlan,
+    grad_check,
+    sample_trilinear_values,
+)
 from deformreg.tensor import Tensor3, TensorError, grid_coordinates
 
 from tests_helpers_interp import lerp3
@@ -354,6 +362,91 @@ class TestTrilinearOddShapes:
         # interior coordinates away from node boundaries and the clamp
         u0 = displacement_to(rng.uniform(0.15, 0.85, size=(3, 4, 2, 3)))
         assert grad_check(f, u0, h=1e-6) < 1e-3
+
+
+def trilinear_oracle(img, pts, g):
+    """Per point: the 8-corner value, the image adjoint scattered from the
+    output adjoint ``g`` and the coordinate adjoint, with the edge clamp,
+    its masks and the coordinate-to-index factor (n - 1)."""
+    dims = img.shape[:3]
+    values = np.zeros((len(pts), img.shape[3]))
+    g_img, g_pts = np.zeros_like(img), np.zeros((len(pts), 3))
+    for k, (pt, g_k) in enumerate(zip(pts, g)):
+        lo, frac = [], []
+        for n, c in zip(dims, pt):
+            pos = min(max(c, 0.0), 1.0) * (n - 1)
+            lo.append(min(int(np.floor(pos)), max(n - 2, 0)))
+            frac.append(pos - lo[-1])
+        for bits in _CORNERS:
+            node = tuple(i + b if n > 1 else i for i, b, n in zip(lo, bits, dims))
+            w = [f if b else 1.0 - f for f, b in zip(frac, bits)]
+            values[k] += w[0] * w[1] * w[2] * img[node]
+            g_img[node] += w[0] * w[1] * w[2] * g_k
+            for axis in range(3):
+                dw = np.prod([(1.0 if b else -1.0) if a == axis else w[a]
+                              for a, b in enumerate(bits)])
+                inside = 0.0 <= pt[axis] <= 1.0
+                g_pts[k, axis] += inside * (dims[axis] - 1) * dw * (img[node] @ g_k)
+    return values, g_img, g_pts
+
+
+def channel_last_sample(img, coords):
+    """The sample and image adjoint as computed over (..., C) rows before
+    the kernel went per channel: the bit-identity reference."""
+    plan = _TrilinearPlan(img, coords)
+    flat = img.reshape(-1, img.shape[3])
+    w0, w1, w2 = ((1.0 - f, f) for f in plan.fracs)
+    out = None
+    corners = []
+    for bx, by, bz in _CORNERS:
+        idx = plan.base + sum(b * s for b, s in zip((bx, by, bz), plan.strides))
+        w = w0[bx] * w1[by] * w2[bz]
+        corners.append((idx, w))
+        term = w[..., None] * flat.take(idx, axis=0)
+        out = term if out is None else out + term
+    return out.reshape(plan.out.shape), corners
+
+
+VJP_CASES = [(dims, c) for dims in [(1, 4, 6), (2, 5, 3), (6, 6, 6)] for c in (1, 3, 4)]
+VJP_IDS = ["x".join(map(str, dims)) + f"-C{c}" for dims, c in VJP_CASES]
+
+
+class TestTrilinearVjpOracle:
+    @staticmethod
+    def case(dims, channels):
+        rng = np.random.default_rng(7 * sum(dims) + channels)
+        img = rng.uniform(-1.0, 1.0, size=(*dims, channels))
+        pts = rng.uniform(-0.2, 1.2, size=(3, 4, 2, 3))
+        pts[0, 0, 0] = [0.0, 1.0, 1.0]
+        return img, pts, rng.normal(size=(3, 4, 2, channels))
+
+    @pytest.mark.parametrize("dims,channels", VJP_CASES, ids=VJP_IDS)
+    def test_each_request_matches_oracle(self, dims, channels):
+        img, pts, g = self.case(dims, channels)
+        values, g_img, g_pts = trilinear_oracle(img, pts.reshape(-1, 3), g.reshape(-1, channels))
+        plan = _TrilinearPlan(img, pts)
+        assert np.allclose(plan.out.reshape(-1, channels), values, rtol=0, atol=1e-12)
+        image_only, coords_only, both = (plan.vjp(g, *want) for want in
+                                         [(True, False), (False, True), (True, True)])
+        assert image_only[1] is None and coords_only[0] is None
+        for got_img, got_pts in [(image_only[0], coords_only[1]), both]:
+            assert np.allclose(got_img, g_img, rtol=0, atol=1e-12)
+            assert np.allclose(got_pts.reshape(-1, 3), g_pts, rtol=0, atol=1e-12)
+        assert image_only[0].tobytes() == both[0].tobytes()
+        assert coords_only[1].tobytes() == both[1].tobytes()
+
+    @pytest.mark.parametrize("dims,channels", VJP_CASES, ids=VJP_IDS)
+    def test_sample_and_image_adjoint_match_channel_last_bitwise(self, dims, channels):
+        img, pts, g = self.case(dims, channels)
+        out, corners = channel_last_sample(img, pts)
+        plan = _TrilinearPlan(img, pts)
+        assert plan.out.tobytes() == out.tobytes()
+        acc = np.zeros((img.size // channels, channels))
+        for idx, w in corners:
+            wg = w.reshape(g.shape[:-1])[..., None] * g
+            for c in range(channels):
+                acc[:, c] += np.bincount(idx, weights=wg[..., c].ravel(), minlength=len(acc))
+        assert plan.vjp(g, True, False)[0].tobytes() == acc.reshape(img.shape).tobytes()
 
 
 class TestTrilinearMemory:
