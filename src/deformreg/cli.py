@@ -12,6 +12,8 @@ fully-resolved configuration.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import sys
@@ -53,6 +55,9 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 # a registered map with more folded voxels (|J| < 0) than this has diverged
 FOLD_LIMIT_PCT = 5.0
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 class ConfigError(ValueError):
@@ -61,6 +66,26 @@ class ConfigError(ValueError):
 
 CONFIG_ERRORS = (ConfigError, LossError, SimilarityError, PipelineError, TransformError,
                  SyntheticError, VolumeError, MetricsError, TensorError)
+
+
+@functools.cache
+def _keep_heap_resident() -> None:
+    """Keep the memory freed in this process in its heap.
+
+    By default glibc gives each large allocation a mapping of its own,
+    unmaps it when freed and trims the heap once a few MiB at its top are
+    free, so every optimization step faults its arrays in again. After
+    this call, allocations up to 32 MiB come from the heap, which is
+    trimmed only past 512 MiB free. ``main`` calls it; library calls leave
+    the allocator alone. Does nothing where glibc cannot be loaded.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 512 << 20)
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -280,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_heap_resident()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

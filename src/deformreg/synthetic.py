@@ -1,10 +1,13 @@
 """Multimodal phantom generator with exact ground truth.
 
 Phantoms are textured backgrounds plus non-overlapping ellipsoids with
-well-separated mean intensities, labeled and landmarked. Rendering works
-on a supersampled copy of the base volume so the moving and fixed images
-carry identical interpolation smoothing; otherwise a registration can
-"win" by blurring one side.
+well-separated mean intensities, labeled and landmarked. The base is
+rendered on a grid twice as fine as the output (2n - 1 nodes per axis),
+and the output grid's nodes are that grid's even nodes. A pair reads the
+fine base only at output nodes: the undeformed image takes its values
+there as they are, and the deformed one samples it trilinearly at each
+deformed node x + u(x). So only the deformed image carries interpolation
+smoothing, and at half the output spacing.
 
 Ground-truth deformations are sums of wide Gaussian-envelope
 displacements whose amplitude is bounded analytically, so the Jacobian
@@ -20,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tape import sample_trilinear_values
 from .tensor import Tensor3, grid_coordinates
-from .transforms import DisplacementField, inverse_displacement, warp, warp_nearest
-from .volume import LabelVolume, LandmarkSet, Volume, resize_trilinear
+from .transforms import DisplacementField, inverse_displacement, warp_nearest
+from .volume import LabelVolume, LandmarkSet, Volume
 
 # max |d/dr exp(-r^2 / (2 s^2))| = exp(-1/2) / s
 _GAUSS_GRAD_PEAK = float(np.exp(-0.5))
@@ -104,14 +108,29 @@ class ModalityRemap:
 
 def _smooth_noise(rng, dims, passes=4):
     a = rng.uniform(0.0, 1.0, size=dims)
+    out = np.empty_like(a)
     for _ in range(passes):
         for axis in range(3):
-            a = (np.roll(a, 1, axis) + a + np.roll(a, -1, axis)) / 3.0
+            # (roll(a, 1) + a + roll(a, -1)) / 3 along axis, in that order
+            src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+            dst[1:] = src[:-1]
+            dst[0] = src[-1]
+            dst += src
+            dst[:-1] += src[1:]
+            dst[-1] += src[0]
+            dst /= 3.0
+            a, out = out, a
     a -= a.min()
     peak = a.max()
     if peak > 0:
         a /= peak
     return a
+
+
+def _ellipsoid_r2(axes, center, semi) -> np.ndarray:
+    """Squared normalized radius on the grid spanned by three 1-D axes."""
+    t0, t1, t2 = (((ax - c) / s) ** 2 for ax, c, s in zip(axes, center, semi))
+    return (t0[:, None, None] + t1[None, :, None]) + t2
 
 
 def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
@@ -133,8 +152,8 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
         )
     rng = np.random.default_rng(seed)
     hi_dims = tuple((n - 1) * _SUPERSAMPLE + 1 for n in dims)
-    coords_hi = grid_coordinates(hi_dims).data
-    coords_lo = grid_coordinates(dims).data
+    axes_hi = [np.linspace(0.0, 1.0, n) for n in hi_dims]
+    axes_lo = [np.linspace(0.0, 1.0, n) for n in dims]
 
     # smoothing passes scale with the supersample factor squared to keep
     # the physical feature size of the noise fixed
@@ -152,9 +171,7 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
         for _ in range(_RETRY_BUDGET + 1):
             center = rng.uniform(0.22, 0.78, size=3)
             semi = rng.uniform(0.08, 0.16, size=3)
-            r2_lo = np.zeros(dims)
-            for axis in range(3):
-                r2_lo += ((coords_lo[..., axis] - center[axis]) / semi[axis]) ** 2
+            r2_lo = _ellipsoid_r2(axes_lo, center, semi)
             # keep one clear voxel ring between structures
             if not np.any(labels_lo[r2_lo <= 1.6]):
                 placed = True
@@ -164,9 +181,7 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
                 f"could not place structure {sid} without overlap "
                 f"within {_RETRY_BUDGET} retries"
             )
-        r2_hi = np.zeros(hi_dims)
-        for axis in range(3):
-            r2_hi += ((coords_hi[..., axis] - center[axis]) / semi[axis]) ** 2
+        r2_hi = _ellipsoid_r2(axes_hi, center, semi)
         # gentle interior falloff keeps local windows non-degenerate
         values_hi = np.where(
             r2_hi <= 1.0, means[sid - 1] + 0.04 * (1.0 - r2_hi), values_hi
@@ -182,8 +197,9 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
         modality="SYNTH-BASE",
         preprocessed=True,
     )
-    base = resize_trilinear(base_hi, dims)
-    base = Volume(base.grid, modality="SYNTH-BASE", preprocessed=True)
+    k = _SUPERSAMPLE
+    base = Volume(Tensor3(base_hi.values()[::k, ::k, ::k]),
+                  modality="SYNTH-BASE", preprocessed=True)
     geo = base.geometry
     landmarks = LandmarkSet(geo.normalized_to_mm(np.array(landmark_rows)), frame="base")
     landmarks.assert_inside(geo)
@@ -245,24 +261,23 @@ def render_pair(
 ):
     """Build the registration task (A, B, truth).
 
-    B is the deformed base under remap_b, so the ground-truth map for the
-    pair (A, B) is exactly ``deformation``; B-frame landmarks come from
-    its fixed-point inverse at the landmarks. Both images render from the
-    phantom's supersampled base and are downsampled together, so they
-    share identical interpolation smoothing.
+    A is the base under remap_a. B is the deformed base under remap_b, so
+    the ground-truth map for the pair (A, B) is exactly ``deformation``;
+    B-frame landmarks come from its fixed-point inverse at the landmarks.
+    B samples the phantom's supersampled base trilinearly at each deformed
+    node x + u(x) of the base grid, whose nodes are the supersampled
+    grid's even nodes.
     """
     base = phantom.base
-    dims = base.dims
-    src = phantom.base_supersampled
-    a_full = Volume(Tensor3(remap_a.apply(src.values())),
-                    modality="SYNTH-A", preprocessed=True)
-    b_full = Volume(Tensor3(remap_b.apply(warp(src, deformation).values())),
-                    modality="SYNTH-B", preprocessed=True)
-    vol_a = resize_trilinear(a_full, dims)
-    vol_b = resize_trilinear(b_full, dims)
-    vol_a = Volume(vol_a.grid, spacing=base.spacing, origin=base.origin,
+    hi = phantom.base_supersampled.grid.data
+    axes = [np.linspace(0.0, 1.0, n)[::_SUPERSAMPLE] for n in hi.shape[:3]]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    coords = nodes + sample_trilinear_values(deformation.u.data, nodes)
+    values_a = remap_a.apply(base.grid.data)
+    values_b = remap_b.apply(sample_trilinear_values(hi, coords))
+    vol_a = Volume(Tensor3(values_a), spacing=base.spacing, origin=base.origin,
                    modality="SYNTH-A", preprocessed=True)
-    vol_b = Volume(vol_b.grid, spacing=base.spacing, origin=base.origin,
+    vol_b = Volume(Tensor3(values_b), spacing=base.spacing, origin=base.origin,
                    modality="SYNTH-B", preprocessed=True)
     geo = base.geometry
     lm_a_norm = geo.mm_to_normalized(phantom.landmarks.points)

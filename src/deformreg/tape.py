@@ -518,10 +518,12 @@ class Tape:
                 parent = self.nodes[parent_id]
                 if not parent.needs_grad:
                     continue
+                # a contribution may be shared (add hands g to both parents)
+                # or be another node's adjoint, so it is never written into
                 if parent.adjoint is None:
-                    parent.adjoint = np.array(contrib, dtype=np.float64, copy=True)
+                    parent.adjoint = contrib
                 else:
-                    parent.adjoint += contrib
+                    parent.adjoint = parent.adjoint + contrib
             # parameters have no vjp, so only intermediate adjoints get here
             node.adjoint = None
         grads = {}

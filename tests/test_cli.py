@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and the end-to-end synth/register/evaluate path."""
 
+import ctypes
 import json
 import os
 import re
@@ -427,3 +428,38 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert "preprocess" in proc.stdout
+
+
+def _libc_loads() -> bool:
+    try:
+        ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+# one warm-up round, then 20 rounds that each allocate and free two 3 MiB arrays
+_FAULT_ROUNDS = """
+import resource
+import numpy as np
+from deformreg import cli
+cli._keep_heap_resident()
+for k in range(21):
+    if k == 1:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a = np.ones(3 << 17)
+    b = a + 1.0
+    del a, b
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _libc_loads(), reason="glibc cannot be loaded")
+def test_heap_helper_keeps_freed_arrays_resident():
+    # without the helper each round faults its 6 MiB in again: about 30,000
+    env = dict(os.environ)
+    src_dir = str(Path(deformreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_ROUNDS], capture_output=True,
+                          text=True, env=env, check=True)
+    assert int(proc.stdout) < 2000, proc.stdout

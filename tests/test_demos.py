@@ -1,13 +1,13 @@
 """Every demo script and tool runs to completion against this checkout."""
 
 import importlib.util
-import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deformreg
@@ -51,11 +51,16 @@ def test_trace_digest_prints_four_digests(tmp_path):
 
 def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
     script = ROOT / "tools" / "trace_digest.py"
-    run_script(script, tmp_path, argv=["--save", "traces.json"])
-    stored = json.loads((tmp_path / "traces.json").read_text())
-    assert len(stored) == 4 and all(stored.values())
-    out = run_script(script, tmp_path, argv=["--compare", "traces.json"])
-    assert out.splitlines()[-1] == "largest trace deviation: abs 0 rel 0", out
+    run_script(script, tmp_path, argv=["--save", "outputs.npz"])
+    with np.load(tmp_path / "outputs.npz") as stored:
+        assert len(stored.files) == 12
+        assert all(stored[key].size for key in stored.files)
+        assert stored["32^3 LNCC2 6 steps phi_ab"].shape == (32, 32, 32, 3)
+    out = run_script(script, tmp_path, argv=["--compare", "outputs.npz"])
+    zero = "trace abs 0 rel 0, phi_ab abs 0, phi_ba abs 0"
+    lines = out.splitlines()
+    assert all(line.endswith(f"  deviation {zero}") for line in lines[:4]), out
+    assert lines[4:] == [f"largest deviation: {zero}"], out
 
 
 def test_trace_digest_deviation():
@@ -68,3 +73,11 @@ def test_trace_digest_deviation():
     assert deviation([3.0], [3.0]) == (0.0, 0.0)
     with pytest.raises(SystemExit, match="trace length 2 differs from the stored 3"):
         deviation([1.0, 2.0], [1.0, 2.0, 3.0])
+    field_deviation = module.field_deviation
+    field = np.zeros((2, 3, 4, 3))
+    moved = field.copy()
+    moved[1, 2, 3, 0] = -0.25
+    assert field_deviation(moved, field) == 0.25
+    assert field_deviation(field, field) == 0.0
+    with pytest.raises(SystemExit, match=r"field shape \(2, 3, 4, 3\) differs"):
+        field_deviation(field, np.zeros((2, 3, 5, 3)))

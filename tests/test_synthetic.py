@@ -1,5 +1,7 @@
 """Phantom generation, fold-free deformations, and pair rendering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,16 @@ from deformreg.metrics import mtre
 from deformreg.synthetic import (
     ModalityRemap,
     SyntheticError,
+    _smooth_noise,
     deformation_amplitude_bound,
     make_deformation,
     make_phantom,
     render_pair,
 )
 from deformreg.tape import sample_trilinear_values
-from deformreg.transforms import DisplacementField, compose, percent_neg_jac
+from deformreg.tensor import Tensor3
+from deformreg.transforms import DisplacementField, compose, percent_neg_jac, warp
+from deformreg.volume import Volume, resize_trilinear
 
 
 class TestMakePhantom:
@@ -170,3 +175,61 @@ class TestRenderPair:
         vals_a = sample_trilinear_values(ph.base.grid.data, pts_a)[..., 0]
         vals_b = sample_trilinear_values(ph.base.grid.data, mapped)[..., 0]
         assert np.max(np.abs(vals_a - vals_b)) < 0.02
+
+
+def rendered_and_resized(phantom, remap_a, remap_b, deformation):
+    """The pair as rendered over the whole supersampled grid and then
+    resized onto the phantom's grid."""
+    src, dims = phantom.base_supersampled, phantom.base.dims
+    full_a = remap_a.apply(src.values())
+    full_b = remap_b.apply(warp(src, deformation).values())
+    return tuple(resize_trilinear(Volume(Tensor3(full)), dims).values()
+                 for full in (full_a, full_b))
+
+
+class TestRenderAtOutputNodes:
+    """The renderer reads the supersampled base at the output nodes only;
+    that must equal rendering every supersampled node and resizing."""
+
+    @pytest.mark.parametrize("dims, field_dims, remap_a, remap_b", [
+        ((16, 16, 16), (16, 16, 16), "identity", "invert"),
+        ((17, 17, 17), (17, 17, 17), "invert", "sigmoid"),
+        ((16, 19, 17), (16, 19, 17), "sigmoid", "identity"),
+        ((17, 16, 18), (12, 13, 11), "identity", "sigmoid"),
+    ])
+    def test_bitwise_equal_to_full_render_and_resize(self, dims, field_dims, remap_a,
+                                                     remap_b):
+        ph = make_phantom(seed=21, dims=dims, n_structures=2)
+        defo = make_deformation(seed=22, dims=field_dims, amplitude=0.08, n_bumps=2)
+        remaps = ModalityRemap(remap_a), ModalityRemap(remap_b)
+        a, b, _ = render_pair(ph, *remaps, defo)
+        ref_a, ref_b = rendered_and_resized(ph, *remaps, defo)
+        assert a.values().tobytes() == ref_a.tobytes()
+        assert b.values().tobytes() == ref_b.tobytes()
+        base = resize_trilinear(ph.base_supersampled, dims).values()
+        assert ph.base.values().tobytes() == base.tobytes()
+
+    def test_smooth_noise_equals_roll_formula(self):
+        for dims, passes in (((1, 2, 5), 3), ((7, 6, 9), 4), ((31, 4, 3), 1)):
+            got = _smooth_noise(np.random.default_rng(23), dims, passes)
+            a = np.random.default_rng(23).uniform(0.0, 1.0, size=dims)
+            for _ in range(passes):
+                for axis in range(3):
+                    a = (np.roll(a, 1, axis) + a + np.roll(a, -1, axis)) / 3.0
+            a -= a.min()
+            if a.max() > 0:
+                a /= a.max()
+            assert got.tobytes() == a.tobytes()
+
+    def test_render_memory_at_32(self):
+        # rendering all 63^3 supersampled nodes peaked at 42.7 MiB
+        dims = (32, 32, 32)
+        ph = make_phantom(seed=24, dims=dims, n_structures=4)
+        defo = make_deformation(seed=25, dims=dims, amplitude=2.4 / 31, n_bumps=2)
+        tracemalloc.start()
+        try:
+            render_pair(ph, ModalityRemap(), ModalityRemap("invert"), defo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"{peak / 2**20:.1f} MiB"

@@ -202,6 +202,18 @@ class TestBackward:
         grads = tape.backward(tape.sum(x))
         assert np.allclose(grads[y.id].data, 0.0)
 
+    def test_shared_contribution_is_not_written_into(self):
+        # add hands one array to both of its parents; x's later contribution
+        # (from square) must not reach y's adjoint through that array
+        tape = Tape()
+        x = tape.input(Tensor3(np.array([3.0, -2.0]).reshape(2, 1, 1, 1)), parameter=True)
+        y = tape.input(Tensor3.zeros((2, 1, 1)), parameter=True)
+        squares = tape.square(x)
+        loss = tape.add(tape.sum(squares), tape.sum(tape.add(x, y)))
+        grads = tape.backward(loss)
+        assert np.array_equal(grads[x.id].data.ravel(), [7.0, -3.0])
+        assert np.array_equal(grads[y.id].data.ravel(), [1.0, 1.0])
+
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(7)
         xv = rng_tensor(rng, (4, 4, 4))
@@ -474,7 +486,8 @@ class TestTrilinearMemory:
 class TestBackwardMemory:
     def test_sweep_releases_intermediate_adjoints(self):
         """A chain of 16 ops needs only a few adjoints alive at once: the
-        one being consumed, its vjp's contribution and the parent's copy."""
+        one being consumed and its vjp's contribution, which the parent
+        keeps as its adjoint."""
         dims, channels = (32, 32, 32), 3
         tape = Tape()
         x = tape.input(Tensor3(np.full((*dims, channels), 0.5)), parameter=True)

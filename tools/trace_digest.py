@@ -7,16 +7,17 @@ the contrast-inverted phantom pair of the acceptance suite (phantom seed
 7 with 4 structures, deformation seed 9 with 2 bumps of 2.4 voxels).
 
 A change that reorders float operations changes the digests; for it,
-``--save FILE`` stores the four float64 loss traces as JSON (before the
-change) and ``--compare FILE`` prints the largest absolute and relative
-deviation of each trace from the stored one (after the change).
+``--save FILE`` stores each run's float64 loss trace, phi_ab and phi_ba
+as a NumPy .npz archive (before the change), and ``--compare FILE``
+prints the largest absolute and relative deviation of each trace, and
+the largest absolute deviation of each field, from the stored ones
+(after the change).
 
 Run: PYTHONPATH=src python3 tools/trace_digest.py [--save FILE | --compare FILE]
 """
 
 import argparse
 import hashlib
-import json
 
 import numpy as np
 
@@ -44,10 +45,16 @@ def register(n: int, kind: str, steps: int):
                              OptimizerConfig(steps=steps))
 
 
+def outputs(result) -> dict[str, np.ndarray]:
+    """The arrays a digest covers, in its order."""
+    return {"trace": np.asarray(result.loss_trace, dtype=np.float64),
+            "phi_ab": result.phi_ab.u.data, "phi_ba": result.phi_ba.u.data}
+
+
 def digest(result) -> str:
-    h = hashlib.sha256(np.asarray(result.loss_trace, dtype=np.float64).tobytes())
-    h.update(result.phi_ab.u.data.tobytes())
-    h.update(result.phi_ba.u.data.tobytes())
+    h = hashlib.sha256()
+    for array in outputs(result).values():
+        h.update(array.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -60,34 +67,49 @@ def deviation(trace, stored) -> tuple[float, float]:
     return float(diff.max()), float(np.max(diff / np.maximum(np.abs(ref), 1e-300)))
 
 
+def field_deviation(field, stored) -> float:
+    """Largest absolute difference of two fields."""
+    if field.shape != stored.shape:
+        raise SystemExit(f"field shape {field.shape} differs from the stored {stored.shape}")
+    return float(np.max(np.abs(field - stored)))
+
+
+def describe(dev: dict) -> str:
+    return (f"trace abs {dev['trace abs']:.3g} rel {dev['trace rel']:.3g}, "
+            f"phi_ab abs {dev['phi_ab']:.3g}, phi_ba abs {dev['phi_ba']:.3g}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--save", metavar="FILE", help="store the four loss traces as JSON")
+    group.add_argument("--save", metavar="FILE",
+                       help="store the four loss traces and fields as a .npz archive")
     group.add_argument("--compare", metavar="FILE",
-                       help="print each trace's largest deviation from a stored file")
+                       help="print each trace's and field's largest deviation from a stored file")
     args = parser.parse_args(argv)
-    stored = None
-    if args.compare:
-        with open(args.compare) as fh:
-            stored = json.load(fh)
-    traces = {}
-    worst_abs = worst_rel = 0.0
+    stored = np.load(args.compare) if args.compare else None
+    saved = {}
+    worst = dict.fromkeys(("trace abs", "trace rel", "phi_ab", "phi_ba"), 0.0)
     for n, kind, steps in RUNS:
         name = f"{n}^3 {kind} {steps} steps"
         result = register(n, kind, steps)
-        traces[name] = result.loss_trace
+        arrays = outputs(result)
+        saved.update({f"{name} {key}": array for key, array in arrays.items()})
         line = f"{name}: {digest(result)}"
         if stored is not None:
-            dev_abs, dev_rel = deviation(result.loss_trace, stored[name])
-            worst_abs, worst_rel = max(worst_abs, dev_abs), max(worst_rel, dev_rel)
-            line += f"  trace deviation abs {dev_abs:.3g} rel {dev_rel:.3g}"
+            dev = dict(zip(("trace abs", "trace rel"),
+                           deviation(arrays["trace"], stored[f"{name} trace"])))
+            for key in ("phi_ab", "phi_ba"):
+                dev[key] = field_deviation(arrays[key], stored[f"{name} {key}"])
+            worst = {key: max(worst[key], dev[key]) for key in worst}
+            line += f"  deviation {describe(dev)}"
         print(line, flush=True)
     if stored is not None:
-        print(f"largest trace deviation: abs {worst_abs:.3g} rel {worst_rel:.3g}")
+        print(f"largest deviation: {describe(worst)}")
     if args.save:
-        with open(args.save, "w") as fh:
-            json.dump(traces, fh, indent=1)
+        # a file object, so that numpy does not append .npz to the name
+        with open(args.save, "wb") as fh:
+            np.savez(fh, **saved)
 
 
 if __name__ == "__main__":
