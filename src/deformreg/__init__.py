@@ -66,7 +66,6 @@ from .losses import (
     LossError,
     gradient_inverse_consistency,
     loss_breakdown,
-    total_loss,
 )
 from .pipeline import (
     NumericalAbort,

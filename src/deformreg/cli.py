@@ -40,6 +40,7 @@ from .similarity import SimilarityError
 from .synthetic import (
     AmplitudeError,
     ModalityRemap,
+    REMAP_KINDS,
     SyntheticError,
     make_deformation,
     make_phantom,
@@ -276,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--dims", type=int, default=32)
     p.add_argument("--structures", type=int, default=4)
-    # gamma and piecewise need parameters the command line does not carry
-    remaps = ("identity", "invert", "sigmoid")
-    p.add_argument("--remap-a", choices=remaps, default="identity")
-    p.add_argument("--remap-b", choices=remaps, default="invert")
+    p.add_argument("--remap-a", choices=REMAP_KINDS, default="identity")
+    p.add_argument("--remap-b", choices=REMAP_KINDS, default="invert")
     p.add_argument("--amplitude-voxels", type=float, default=2.0)
     p.add_argument("--bumps", type=int, default=2)
     p.set_defaults(func=cmd_synth)

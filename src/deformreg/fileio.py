@@ -294,4 +294,6 @@ def read_landmarks_csv(path, frame: str = "") -> LandmarkSet:
         if len(row) != 3 or not np.isfinite(row).all():
             raise FormatError(f"{path}:{line_no}: expected finite numbers 'x,y,z', got {line!r}")
         rows.append(row)
+    if not rows:
+        raise FormatError(f"{path}: no landmark lines")
     return LandmarkSet(np.array(rows, dtype=np.float64), frame=frame)

@@ -101,8 +101,3 @@ def loss_breakdown(a: Volume, b: Volume, model, cfg: LossConfig) -> dict[str, fl
     fixed_a, fixed_b = (fixed_side_nodes(tape, n, cfg.similarity) for n in (na, nb))
     total, terms = randomized_loss_nodes(tape, bound, na, nb, fixed_a, fixed_b, cfg)
     return {"total": total.value.item(), **{k: n.value.item() for k, n in terms.items()}}
-
-
-def total_loss(a: Volume, b: Volume, model, cfg: LossConfig) -> float:
-    """Symmetric objective of the pair."""
-    return loss_breakdown(a, b, model, cfg)["total"]

@@ -6,7 +6,7 @@ sampling. The label grids set the evaluation resolution (fields resample
 onto them), so original-resolution evaluation means passing
 original-resolution labels. mTRE maps the target-frame landmarks through
 the A->B map into the source frame and measures mean distance in mm
-against the source landmarks (a flag flips the direction).
+against the source landmarks.
 """
 
 from __future__ import annotations
@@ -49,13 +49,10 @@ def mtre(
     landmarks_tgt: LandmarkSet,
     phi: DisplacementField,
     geometry: Geometry,
-    map_source_instead: bool = False,
 ) -> float:
-    """Mean target registration error in mm.
-
-    Default direction: target landmarks are pushed through phi (the A->B
-    map) into source space and compared index-wise with the source
-    landmarks. ``map_source_instead`` flips which set is mapped.
+    """Mean target registration error in mm: target landmarks are pushed
+    through phi (the A->B map) into source space and compared index-wise
+    with the source landmarks.
     """
     if len(landmarks_src) != len(landmarks_tgt):
         raise MetricsError(
@@ -63,12 +60,9 @@ def mtre(
         )
     landmarks_src.assert_inside(geometry)
     landmarks_tgt.assert_inside(geometry)
-    moving, fixed = (
-        (landmarks_src, landmarks_tgt) if map_source_instead else (landmarks_tgt, landmarks_src)
-    )
-    norm_pts = geometry.mm_to_normalized(moving.points)
+    norm_pts = geometry.mm_to_normalized(landmarks_tgt.points)
     mapped_mm = geometry.normalized_to_mm(phi.map_points(norm_pts))
-    err = np.linalg.norm(mapped_mm - fixed.points, axis=1)
+    err = np.linalg.norm(mapped_mm - landmarks_src.points, axis=1)
     return float(err.mean())
 
 
@@ -103,18 +97,6 @@ class MetricsReport:
             "percent_neg_jacobian": self.percent_neg_jacobian,
         }
         return json.dumps(payload, indent=1, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "MetricsReport":
-        raw = json.loads(text)
-        return MetricsReport(
-            per_label_dice={int(k): v for k, v in raw.get("per_label_dice", {}).items()},
-            mean_dice=raw.get("mean_dice"),
-            mtre_mm=raw.get("mtre_mm"),
-            percent_neg_jacobian=raw.get("percent_neg_jacobian"),
-            pair_id=raw.get("pair_id", ""),
-            config_hash=raw.get("config_hash", ""),
-        )
 
 
 def evaluate_pair(

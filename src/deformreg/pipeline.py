@@ -57,10 +57,6 @@ class PyramidModel:
     base_dims: tuple
     params: dict[str, Tensor3] = field(default_factory=dict)
 
-    @property
-    def stage_dims(self) -> tuple:
-        return stage_grid_dims(self.base_dims)
-
     def param_key(self, direction: str, stage: int) -> str:
         return f"{direction}{stage}"
 
@@ -78,7 +74,7 @@ class PyramidModel:
 
     def fields(self) -> tuple[DisplacementField, DisplacementField]:
         """Evaluate the current parameters into full-resolution maps."""
-        bound = BoundPyramid(Tape(), self, trainable=False)
+        bound = self.bind(Tape())
         return (
             DisplacementField(bound.evaluate("ab").value),
             DisplacementField(bound.evaluate("ba").value),
@@ -98,15 +94,14 @@ def build_model(base_dims) -> PyramidModel:
 
 
 class BoundPyramid:
-    """Model parameters registered on one tape, ready for evaluation."""
+    """Model parameters registered on one tape as parameters, ready for
+    evaluation."""
 
-    def __init__(self, tape: Tape, model: PyramidModel, trainable: bool = True):
+    def __init__(self, tape: Tape, model: PyramidModel):
         self.tape = tape
         self.model = model
-        self.nodes = {
-            key: tape.input(value, parameter=trainable)
-            for key, value in model.params.items()
-        }
+        self.nodes = {key: tape.input(value, parameter=True)
+                      for key, value in model.params.items()}
 
     def evaluate(self, direction: str) -> Node:
         """Full-resolution map u = c(c(q, h), s) of one direction, with
@@ -195,11 +190,11 @@ class RegistrationResult:
 
 class Adam:
     """Standard bias-corrected Adam over a name->array parameter dict,
-    with an optional per-key learning-rate multiplier."""
+    with a learning-rate multiplier per key."""
 
-    def __init__(self, cfg: OptimizerConfig, lr_multipliers: dict | None = None):
+    def __init__(self, cfg: OptimizerConfig, lr_multipliers: dict):
         self.cfg = cfg
-        self.lr_multipliers = lr_multipliers or {}
+        self.lr_multipliers = lr_multipliers
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -216,7 +211,7 @@ class Adam:
             v[:] = c.beta2 * v + (1 - c.beta2) * g * g
             m_hat = m / (1 - c.beta1**self.t)
             v_hat = v / (1 - c.beta2**self.t)
-            lr = c.lr * self.lr_multipliers.get(key, 1.0)
+            lr = c.lr * self.lr_multipliers[key]
             out[key] = Tensor3(value.data - lr * m_hat / (np.sqrt(v_hat) + c.eps))
         return out
 
@@ -271,7 +266,7 @@ def instance_optimize(
         # local, so it is freed before the next step builds its own.
         with np.errstate(over="ignore", invalid="ignore"):
             tape = Tape()
-            bound = BoundPyramid(tape, model, trainable=with_grads)
+            bound = model.bind(tape)
             na, nb = tape.input(ia.grid), tape.input(ib.grid)
             fixed_a, fixed_b = (tuple(map(tape.input, values)) for values in fixed_values)
             total, _ = randomized_loss_nodes(tape, bound, na, nb, fixed_a, fixed_b, loss_cfg)

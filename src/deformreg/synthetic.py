@@ -12,9 +12,10 @@ smoothing, and at half the output spacing.
 Ground-truth deformations are sums of wide Gaussian-envelope
 displacements whose amplitude is bounded analytically, so the Jacobian
 stays positive (fold-free) and a fixed-point inverse exists. Intensity
-remaps stand in for cross-modality appearance change: the inverted remap
-produces the locally anticorrelated regime where plain correlation
-losses fail and their squared variant does not.
+remaps stand in for cross-modality appearance change. There are three
+(``REMAP_KINDS``): identity; invert, which produces the locally
+anticorrelated regime where plain correlation losses fail and their
+squared variant does not; and sigmoid, a monotone contrast stretch.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tape import sample_trilinear_values
-from .tensor import Tensor3, grid_coordinates
+from .tensor import Tensor3, check_number, grid_coordinates
 from .transforms import DisplacementField, inverse_displacement, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
 
@@ -37,6 +38,8 @@ _SIGMA_RANGE = (0.25, 0.40)
 _SUPERSAMPLE = 2
 # placement draws per structure before giving up on a non-overlapping spot
 _RETRY_BUDGET = 200
+# the intensity remaps ModalityRemap applies
+REMAP_KINDS = ("identity", "invert", "sigmoid")
 
 
 class SyntheticError(ValueError):
@@ -56,7 +59,6 @@ class Phantom:
     base: Volume
     labels: LabelVolume
     landmarks: LandmarkSet
-    structure_means: tuple
     base_supersampled: Volume
 
 
@@ -74,13 +76,14 @@ class TruthBundle:
 @dataclass(frozen=True)
 class ModalityRemap:
     """Intensity map [0,1] -> [0,1] simulating a different acquisition of
-    the same anatomy."""
+    the same anatomy: identity, invert (1 - x), or sigmoid (a logistic of
+    slope 8 centered at 0.5, rescaled to map 0 and 1 onto themselves)."""
 
     kind: str = "identity"
-    gamma: float = 1.0
-    center: float = 0.5
-    slope: float = 8.0
-    breakpoints: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in REMAP_KINDS:
+            raise SyntheticError(f"unknown remap kind {self.kind!r}; use one of {REMAP_KINDS}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         x = np.clip(values, 0.0, 1.0)
@@ -88,22 +91,10 @@ class ModalityRemap:
             return x
         if self.kind == "invert":
             return 1.0 - x
-        if self.kind == "gamma":
-            if self.gamma <= 0:
-                raise SyntheticError(f"gamma must be positive, got {self.gamma}")
-            return x**self.gamma
-        if self.kind == "sigmoid":
-            raw = 1.0 / (1.0 + np.exp(-self.slope * (x - self.center)))
-            lo = 1.0 / (1.0 + np.exp(-self.slope * (0.0 - self.center)))
-            hi = 1.0 / (1.0 + np.exp(-self.slope * (1.0 - self.center)))
-            return (raw - lo) / (hi - lo)
-        if self.kind == "piecewise":
-            pts = np.asarray(self.breakpoints, dtype=np.float64)
-            if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-                raise SyntheticError("piecewise remap needs >= 2 (x, y) breakpoints")
-            order = np.argsort(pts[:, 0])
-            return np.interp(x, pts[order, 0], np.clip(pts[order, 1], 0.0, 1.0))
-        raise SyntheticError(f"unknown remap kind {self.kind!r}")
+        raw = 1.0 / (1.0 + np.exp(-8.0 * (x - 0.5)))
+        lo = 1.0 / (1.0 + np.exp(-8.0 * (0.0 - 0.5)))
+        hi = 1.0 / (1.0 + np.exp(-8.0 * (1.0 - 0.5)))
+        return (raw - lo) / (hi - lo)
 
 
 def _smooth_noise(rng, dims, passes=4):
@@ -140,6 +131,7 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
     extrema per structure (inside the labeled region), so even a single
     structure carries four landmarks.
     """
+    check_number(SyntheticError, "seed", seed, integer=True, at_least=0)
     dims = tuple(int(d) for d in dims)
     if min(dims) < 16:
         raise SyntheticError(f"phantom dims must be >= 16 per axis, got {dims}")
@@ -207,7 +199,6 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
         base=base,
         labels=LabelVolume(labels_lo),
         landmarks=landmarks,
-        structure_means=tuple(float(m) for m in means),
         base_supersampled=base_hi,
     )
 
@@ -227,6 +218,7 @@ def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> Dis
     within the analytic bound for the drawn envelope widths; any other
     value, NaN included, is rejected with that bound.
     """
+    check_number(SyntheticError, "seed", seed, integer=True, at_least=0)
     dims = tuple(int(d) for d in dims)
     if n_bumps < 0:
         raise SyntheticError("n_bumps must be >= 0")

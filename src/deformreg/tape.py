@@ -26,9 +26,11 @@ class TapeError(ValueError):
 
 
 class Node:
-    """One tape entry: an op, its parents, its value, and (during a
+    """One tape entry: an op, its parent nodes, its value, and (during a
     backward pass) its adjoint. ``needs_grad`` marks nodes on a path from
-    a parameter so the reverse sweep can skip dead branches."""
+    a parameter so the reverse sweep can skip dead branches. The vjp maps
+    the adjoint to one contribution per parent, in parent order, None
+    where it skipped one."""
 
     __slots__ = ("id", "op", "parents", "value", "adjoint", "needs_grad", "_vjp")
 
@@ -272,7 +274,7 @@ class Tape:
         if isinstance(value, np.ndarray):
             value = Tensor3._wrap(value)
         needs = any(p.needs_grad for p in parents)
-        node = Node(len(self.nodes), op, tuple(p.id for p in parents), value, vjp, needs)
+        node = Node(len(self.nodes), op, parents, value, vjp, needs)
         self.nodes.append(node)
         return node
 
@@ -287,19 +289,17 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         self._check_elementwise("add", a, b)
         val = a.value.data + b.value.data
-        return self._append("add", (a, b), val, lambda g: [(a.id, g), (b.id, g)])
+        return self._append("add", (a, b), val, lambda g: (g, g))
 
     def sub(self, a: Node, b: Node) -> Node:
         self._check_elementwise("sub", a, b)
         val = a.value.data - b.value.data
-        return self._append("sub", (a, b), val, lambda g: [(a.id, g), (b.id, -g)])
+        return self._append("sub", (a, b), val, lambda g: (g, -g))
 
     def mul(self, a: Node, b: Node) -> Node:
         self._check_elementwise("mul", a, b)
         av, bv = a.value.data, b.value.data
-        return self._append(
-            "mul", (a, b), av * bv, lambda g: [(a.id, g * bv), (b.id, g * av)]
-        )
+        return self._append("mul", (a, b), av * bv, lambda g: (g * bv, g * av))
 
     def div(self, a: Node, b: Node) -> Node:
         self._check_elementwise("div", a, b)
@@ -308,36 +308,36 @@ class Tape:
             raise TapeError("div: non-positive denominator (add an epsilon upstream)")
         return self._append(
             "div", (a, b), av / bv,
-            lambda g: [(a.id, g / bv), (b.id, -g * av / (bv * bv))],
+            lambda g: (g / bv, -g * av / (bv * bv)),
         )
 
     def scale(self, a: Node, k: float) -> Node:
         k = float(k)
-        return self._append("scale", (a,), a.value.data * k, lambda g: [(a.id, g * k)])
+        return self._append("scale", (a,), a.value.data * k, lambda g: (g * k,))
 
     def add_const(self, a: Node, k: float) -> Node:
         k = float(k)
-        return self._append("add_const", (a,), a.value.data + k, lambda g: [(a.id, g)])
+        return self._append("add_const", (a,), a.value.data + k, lambda g: (g,))
 
     def square(self, a: Node) -> Node:
         av = a.value.data
-        return self._append("square", (a,), av * av, lambda g: [(a.id, 2.0 * av * g)])
+        return self._append("square", (a,), av * av, lambda g: (2.0 * av * g,))
 
     def sqrt(self, a: Node) -> Node:
         av = a.value.data
         if np.min(av) <= 0.0:
             raise TapeError("sqrt: non-positive radicand (add an epsilon upstream)")
         rt = np.sqrt(av)
-        return self._append("sqrt", (a,), rt, lambda g: [(a.id, g / (2.0 * rt))])
+        return self._append("sqrt", (a,), rt, lambda g: (g / (2.0 * rt),))
 
     def exp(self, a: Node) -> Node:
         ev = np.exp(a.value.data)
-        return self._append("exp", (a,), ev, lambda g: [(a.id, g * ev)])
+        return self._append("exp", (a,), ev, lambda g: (g * ev,))
 
     def clamp(self, a: Node, lo: float) -> Node:
         av = a.value.data
         pass_mask = av > lo
-        return self._append("clamp", (a,), np.maximum(av, lo), lambda g: [(a.id, g * pass_mask)])
+        return self._append("clamp", (a,), np.maximum(av, lo), lambda g: (g * pass_mask,))
 
     def concat_channels(self, nodes: list[Node]) -> Node:
         if not nodes:
@@ -349,16 +349,9 @@ class Tape:
                     f"concat_channels: spatial dims differ: {n.value.dims} vs {dims}"
                 )
         val = np.concatenate([n.value.data for n in nodes], axis=3)
-        widths = [n.value.channels for n in nodes]
-
-        def vjp(g):
-            out, start = [], 0
-            for node, w in zip(nodes, widths):
-                out.append((node.id, g[..., start : start + w]))
-                start += w
-            return out
-
-        return self._append("concat_channels", tuple(nodes), val, vjp)
+        splits = np.cumsum([n.value.channels for n in nodes])[:-1]
+        return self._append("concat_channels", tuple(nodes), val,
+                            lambda g: np.split(g, splits, axis=3))
 
     # -- reductions ---------------------------------------------------------
 
@@ -366,7 +359,7 @@ class Tape:
         shape = a.value.shape
         val = Tensor3.scalar(float(np.sum(a.value.data)))
         return self._append(
-            "sum", (a,), val, lambda g: [(a.id, np.full(shape, g.reshape(())))]
+            "sum", (a,), val, lambda g: (np.full(shape, g.reshape(())),)
         )
 
     def mean(self, a: Node) -> Node:
@@ -374,7 +367,7 @@ class Tape:
         n = a.value.size
         val = Tensor3.scalar(float(np.sum(a.value.data)) / n)
         return self._append(
-            "mean", (a,), val, lambda g: [(a.id, np.full(shape, g.reshape(()) / n))]
+            "mean", (a,), val, lambda g: (np.full(shape, g.reshape(()) / n),)
         )
 
     # -- spatial ops ----------------------------------------------------------
@@ -400,7 +393,7 @@ class Tape:
                 if in_shape[axis] % 2:
                     reps[-1] = 1
                 spread = np.repeat(spread, reps, axis=axis)
-            return [(a.id, spread)]
+            return (spread,)
 
         return self._append("avg_pool2", (a,), val, vjp)
 
@@ -425,7 +418,7 @@ class Tape:
             back = g
             for axis in range(3):
                 back = _box_sum_axis(back / counts[axis], axis, radius)
-            return [(a.id, back)]
+            return (back,)
 
         return self._append("box_filter", (a,), val, vjp)
 
@@ -446,7 +439,7 @@ class Tape:
             for c in range(nc):
                 for axis in range(3):
                     back[..., c] += _grad_axis_adjoint(g[..., 3 * c + axis], axis)
-            return [(a.id, back)]
+            return (back,)
 
         return self._append("spatial_gradient", (a,), val, vjp)
 
@@ -460,12 +453,8 @@ class Tape:
             )
         coords = grid_coordinates(u.value.dims).data + u.value.data
         plan = _TrilinearPlan(image.value.data, coords)
-
-        def vjp(g):
-            grads = plan.vjp(g, image.needs_grad, u.needs_grad)
-            return [(node.id, grad) for node, grad in zip((image, u), grads) if grad is not None]
-
-        return self._append("trilinear_sample", (image, u), plan.out, vjp)
+        return self._append("trilinear_sample", (image, u), plan.out,
+                            lambda g: plan.vjp(g, image.needs_grad, u.needs_grad))
 
     def shift(self, a: Node, offset) -> Node:
         """Integer-voxel shift with edge clamp: out(x) = in(clip(x + offset))."""
@@ -480,7 +469,7 @@ class Tape:
         def vjp(g):
             back = np.zeros_like(av)
             np.add.at(back, sel, g)
-            return [(a.id, back)]
+            return (back,)
 
         return self._append("shift", (a,), val, vjp)
 
@@ -495,7 +484,7 @@ class Tape:
         def vjp(g):
             back = np.zeros_like(av)
             back[sl, sl, sl, :] = g
-            return [(a.id, back)]
+            return (back,)
 
         return self._append("crop_border", (a,), val, vjp)
 
@@ -514,9 +503,8 @@ class Tape:
         for node in reversed(self.nodes[: loss.id + 1]):
             if node.adjoint is None or node._vjp is None or not node.needs_grad:
                 continue
-            for parent_id, contrib in node._vjp(node.adjoint):
-                parent = self.nodes[parent_id]
-                if not parent.needs_grad:
+            for parent, contrib in zip(node.parents, node._vjp(node.adjoint)):
+                if contrib is None or not parent.needs_grad:
                     continue
                 # a contribution may be shared (add hands g to both parents)
                 # or be another node's adjoint, so it is never written into

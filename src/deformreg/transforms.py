@@ -23,6 +23,9 @@ from .tape import (
 )
 from .volume import LabelVolume, Volume
 
+# fixed-point iterations of inverse_displacement
+INVERSE_ITERATIONS = 40
+
 
 class TransformError(ValueError):
     """Invalid field construction or transform preconditions."""
@@ -133,17 +136,16 @@ def percent_neg_jac(phi: DisplacementField) -> float:
     return 100.0 * float(np.count_nonzero(det < 0.0)) / det.size
 
 
-def inverse_displacement(phi: DisplacementField, points: np.ndarray,
-                         iterations: int = 40) -> np.ndarray:
+def inverse_displacement(phi: DisplacementField, points: np.ndarray) -> np.ndarray:
     """Fixed-point inverse at normalized points of shape (..., 3):
     v <- -u(p + v), so that phi(p + v) = p once it has converged."""
     v = np.zeros_like(points)
-    for _ in range(iterations):
+    for _ in range(INVERSE_ITERATIONS):
         v = -sample_trilinear_values(phi.u.data, points + v)
     return v
 
 
-def approximate_inverse(phi: DisplacementField, iterations: int = 40) -> DisplacementField:
+def approximate_inverse(phi: DisplacementField) -> DisplacementField:
     """Fixed-point inverse on phi's grid: ``inverse_displacement`` at every node."""
     grid = grid_coordinates(phi.dims).data
-    return DisplacementField(Tensor3(inverse_displacement(phi, grid, iterations)))
+    return DisplacementField(Tensor3(inverse_displacement(phi, grid)))

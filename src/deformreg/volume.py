@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Tensor3, grid_coordinates
+from .tensor import Tensor3, check_number, grid_coordinates
 from .tape import sample_trilinear_values
 
 CT_FAMILY = ("CT", "CBCT")
@@ -34,6 +34,15 @@ class DegenerateInputError(VolumeError):
 
 def known_modality(tag: str) -> bool:
     return tag in CT_FAMILY or tag in MR_FAMILY or tag.startswith("SYNTH")
+
+
+def _check_spacing_origin(spacing, origin) -> None:
+    """Three finite numbers each, the spacing strictly positive."""
+    for name, vec, above in (("spacing", spacing, 0), ("origin", origin, None)):
+        if not isinstance(vec, (tuple, list, np.ndarray)) or len(vec) != 3:
+            raise VolumeError(f"{name} must be three numbers, got {vec!r}")
+        for x in vec:
+            check_number(VolumeError, name, x, above=above)
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,7 @@ class Volume:
     def __post_init__(self):
         if self.grid.channels != 1:
             raise VolumeError(f"volume grid must have 1 channel, got {self.grid.channels}")
-        if min(self.spacing) <= 0:
-            raise VolumeError(f"spacing must be strictly positive, got {self.spacing}")
+        _check_spacing_origin(self.spacing, self.origin)
         if not known_modality(self.modality):
             raise VolumeError(f"unknown modality tag {self.modality!r}")
 
@@ -108,6 +116,7 @@ class LabelVolume:
             raise VolumeError(f"labels must be integers, got dtype {arr.dtype}")
         if arr.min() < 0:
             raise VolumeError("labels must be non-negative")
+        _check_spacing_origin(self.spacing, self.origin)
         object.__setattr__(self, "labels", arr)
 
     @property
@@ -143,12 +152,6 @@ class LandmarkSet:
             raise VolumeError(f"landmarks of frame {self.frame!r} leave the volume extent")
 
 
-def percentile_linear(values: np.ndarray, q: float) -> float:
-    """Percentile with linear interpolation between order statistics
-    (rank q/100 * (n-1), zero-based)."""
-    return float(np.percentile(np.asarray(values, dtype=np.float64).ravel(), q))
-
-
 def preprocess(v: Volume) -> Volume:
     """Normalize intensities to [0, 1] by the modality-specific rule.
 
@@ -162,7 +165,7 @@ def preprocess(v: Volume) -> Volume:
     if v.modality in CT_FAMILY:
         out = (np.clip(vals, HU_CLIP_LO, HU_CLIP_HI) - HU_CLIP_LO) / (HU_CLIP_HI - HU_CLIP_LO)
     else:
-        p = percentile_linear(vals, MR_PERCENTILE)
+        p = float(np.percentile(vals, MR_PERCENTILE))
         if p <= 0.0:
             raise DegenerateInputError(
                 f"99th-percentile intensity is {p}; cannot normalize modality {v.modality}"

@@ -15,7 +15,6 @@ import pytest
 import deformreg
 from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
 from deformreg.fileio import read_nifti, write_field_raw, write_nifti, write_volume_raw
-from deformreg.metrics import MetricsReport
 from deformreg.pipeline import RunConfig
 from deformreg.tensor import Tensor3
 from deformreg.volume import Volume
@@ -189,12 +188,15 @@ def _nan_voxel(tmp_path):
     return ["register", "--source", str(path), "--target", str(path)]
 
 
-def _bad_landmarks(tmp_path):
-    ref, lm = tmp_path / "ref.nii", tmp_path / "lm.csv"
-    write_test_volume(ref, seed=5)
-    lm.write_text("1,2,3\n1,abc,3\n")
-    return ["evaluate", "--reference", str(ref), "--landmarks-a", str(lm),
-            "--landmarks-b", str(lm)]
+def _bad_landmarks(text):
+    """Evaluate with both landmark files holding ``text``."""
+    def make(tmp_path):
+        ref, lm = tmp_path / "ref.nii", tmp_path / "lm.csv"
+        write_test_volume(ref, seed=5)
+        lm.write_text(text)
+        return ["evaluate", "--reference", str(ref), "--landmarks-a", str(lm),
+                "--landmarks-b", str(lm)]
+    return make
 
 
 def _bad_header_geometry(tmp_path):
@@ -236,7 +238,9 @@ def _bad_sidecar(sidecar):
 
 class TestFormatErrorsExit3:
     @pytest.mark.parametrize("make_argv", [
-        _nan_voxel, _bad_landmarks, _bad_header_geometry, _bad_sidecar("{bad"),
+        _nan_voxel, _bad_landmarks("1,2,3\n1,abc,3\n"), _bad_landmarks(""),
+        _bad_landmarks("\n  \n"),
+        _bad_header_geometry, _bad_sidecar("{bad"),
         _bad_sidecar('{"kind": "field", "dtype": "float32", "channels": 3}'),
         _bad_sidecar({"spacing": "abc"}), _bad_sidecar({"spacing": [1, 1]}),
         _bad_sidecar({"spacing": [1, float("nan"), 1]}),
@@ -244,7 +248,8 @@ class TestFormatErrorsExit3:
         _bad_sidecar({"origin": "xyz"}), _bad_sidecar({"origin": [0, float("nan"), 0]}),
         _bad_sidecar({"modality": 5}), _bad_sidecar({"modality": "FOO"}),
         _unknown_descrip_modality, _bad_sidecar({"preprocessed": "no"}),
-    ], ids=["nan-voxel", "landmark-field", "header-geometry", "sidecar-not-json",
+    ], ids=["nan-voxel", "landmark-field", "landmarks-empty", "landmarks-blank",
+            "header-geometry", "sidecar-not-json",
             "sidecar-no-dims", "sidecar-spacing-string", "sidecar-spacing-two",
             "sidecar-spacing-nan", "sidecar-spacing-inf", "sidecar-spacing-zero",
             "sidecar-origin-string", "sidecar-origin-nan", "sidecar-modality-number",
@@ -286,7 +291,7 @@ class TestSynthRegisterEvaluate:
                    "--reference", str(out / "a.nii"),
                    "--out", str(tmp_path / "report.json")])
         assert rc == 0
-        registered = MetricsReport.from_json((tmp_path / "report.json").read_text())
+        registered = json.loads((tmp_path / "report.json").read_text())
 
         rc = main(["evaluate",
                    "--labels-a", str(out / "labels_a.nii"),
@@ -296,13 +301,13 @@ class TestSynthRegisterEvaluate:
                    "--reference", str(out / "a.nii"),
                    "--out", str(tmp_path / "identity.json")])
         assert rc == 0
-        identity = MetricsReport.from_json((tmp_path / "identity.json").read_text())
+        identity = json.loads((tmp_path / "identity.json").read_text())
 
-        assert registered.mtre_mm < identity.mtre_mm
+        assert registered["mtre_mm"] < identity["mtre_mm"]
 
     @pytest.mark.parametrize("flag", ["--remap-a", "--remap-b"])
     @pytest.mark.parametrize("kind", ["gamma", "piecewise"])
-    def test_remap_needing_parameters_exits_2(self, tmp_path, capsys, flag, kind):
+    def test_unknown_remap_exits_2(self, tmp_path, capsys, flag, kind):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out-dir", str(tmp_path / "pair"), "--dims", "16", flag, kind])
         assert exc.value.code == 2
@@ -328,6 +333,15 @@ class TestSynthRegisterEvaluate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "pair"
+        rc = main(["synth", "--out-dir", str(out), "--seed", "-1", "--dims", "16"])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error:") and "seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_evaluate_identity_on_identical_labels(self, tmp_path):
         out = tmp_path / "pair"
         main(["synth", "--out-dir", str(out), "--seed", "5", "--dims", "16",
@@ -337,8 +351,8 @@ class TestSynthRegisterEvaluate:
                    "--labels-b", str(out / "labels_b.nii"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 0
-        report = MetricsReport.from_json((tmp_path / "r.json").read_text())
-        assert report.mean_dice == 100.0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["mean_dice"] == 100.0
 
 
 class TestPreprocess:

@@ -150,7 +150,7 @@ class TestExplicitComposition:
     def test_constant_translations_sum(self):
         model = build_model((16, 16, 16))
         shifts = [(0.05, -0.02, 0.0), (0.03, 0.01, -0.04), (-0.01, 0.015, 0.03)]
-        for stage, (dims, t) in enumerate(zip(model.stage_dims, shifts)):
+        for stage, (dims, t) in enumerate(zip(stage_grid_dims(model.base_dims), shifts)):
             model.params[model.param_key("ab", stage)] = DisplacementField.translation(dims, t).u
         phi_ab, phi_ba = model.fields()
         assert np.allclose(phi_ab.u.data, np.sum(shifts, axis=0), atol=1e-12)

@@ -61,6 +61,13 @@ class TestMakePhantom:
         with pytest.raises(SyntheticError):
             make_phantom(seed=6, dims=(8, 8, 8))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(SyntheticError, match="seed"):
+            make_phantom(seed=seed, dims=(16, 16, 16))
+        with pytest.raises(SyntheticError, match="seed"):
+            make_deformation(seed=seed, dims=(16, 16, 16), amplitude=0.05)
+
 
 class TestMakeDeformation:
     def test_zero_amplitude_is_identity(self):
@@ -111,18 +118,18 @@ class TestRemaps:
         remap = ModalityRemap("invert")
         assert np.array_equal(remap.apply(remap.apply(x)), x)
 
-    def test_gamma_and_sigmoid_stay_in_unit_range(self):
+    def test_sigmoid_stays_in_unit_range(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(0, 1, (6, 6, 6))
-        for remap in (ModalityRemap("gamma", gamma=0.5),
-                      ModalityRemap("sigmoid", center=0.4, slope=6.0),
-                      ModalityRemap("piecewise", breakpoints=((0, 0), (0.5, 0.9), (1, 1)))):
-            out = remap.apply(x)
-            assert out.min() >= 0.0 and out.max() <= 1.0
+        out = ModalityRemap("sigmoid").apply(x)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert np.allclose(ModalityRemap("sigmoid").apply(np.array([0.0, 0.5, 1.0])),
+                           [0.0, 0.5, 1.0])
 
     def test_unknown_kind(self):
-        with pytest.raises(SyntheticError):
-            ModalityRemap("nope").apply(np.zeros((2, 2, 2)))
+        for kind in ("nope", "gamma", "piecewise"):
+            with pytest.raises(SyntheticError, match="unknown remap kind"):
+                ModalityRemap(kind)
 
 
 class TestRenderPair:

@@ -50,6 +50,32 @@ def sort_percentile_oracle(values, q):
     return s[lo] + (r - lo) * (s[hi] - s[lo])
 
 
+class TestSpacingAndOrigin:
+    BAD = [({"spacing": (float("nan"), 1.0, 1.0)}, "spacing"),
+           ({"spacing": (1.0, 1.0)}, "spacing"),
+           ({"spacing": (1.0, 0.0, 1.0)}, "spacing"),
+           ({"spacing": (1.0, -2.0, 1.0)}, "spacing"),
+           ({"spacing": (1.0, 1.0, "a")}, "spacing"),
+           ({"origin": (0.0, float("inf"), 0.0)}, "origin"),
+           ({"origin": (0.0, 0.0)}, "origin"),
+           ({"origin": 0.0}, "origin")]
+
+    @pytest.mark.parametrize("kwargs, name", BAD)
+    def test_volume_rejects(self, kwargs, name):
+        with pytest.raises(VolumeError, match=name):
+            Volume(Tensor3(np.zeros((4, 4, 4))), **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", BAD)
+    def test_label_volume_rejects(self, kwargs, name):
+        with pytest.raises(VolumeError, match=name):
+            LabelVolume(np.zeros((4, 4, 4), dtype=np.int64), **kwargs)
+
+    def test_integers_and_negative_origin_accepted(self):
+        v = Volume(Tensor3(np.zeros((4, 4, 4))), spacing=(1, 2, 3), origin=(-1, 0, 1))
+        assert v.geometry.extent_mm().tolist() == [3.0, 6.0, 9.0]
+        LabelVolume(np.zeros((4, 4, 4), dtype=np.int64), spacing=(0.5, 1, 2), origin=(-4, 0, 0))
+
+
 class TestPreprocess:
     def test_ct_clip_and_map(self):
         arr = np.zeros((10, 10, 10))
@@ -308,6 +334,13 @@ class TestRawAndCsv:
         p = tmp_path / "lm.csv"
         p.write_text(f"1,2,3\n\n{bad_line}\n")
         with pytest.raises(FormatError, match=r"lm\.csv:3: .*" + bad_line):
+            read_landmarks_csv(p)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_landmarks_without_points_is_format_error(self, tmp_path, text):
+        p = tmp_path / "lm.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=r"lm\.csv: no landmark lines"):
             read_landmarks_csv(p)
 
     def test_landmarks_inside_check(self):
