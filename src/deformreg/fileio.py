@@ -1,7 +1,7 @@
 """File formats: minimal NIfTI-1, raw+sidecar, landmark CSV.
 
 NIfTI support covers uncompressed single-file .nii with the minimal field
-set (dim, datatype, bitpix, pixdim, vox_offset=352, descrip, qoffset,
+set (dim, datatype, bitpix, pixdim, vox_offset >= 352, descrip, qoffset,
 magic "n+1"), little-endian, datatypes float32 (16) and int16 (4).
 Orientation matrices are ignored; the grid is treated as axis-aligned.
 The native raw format is a little-endian float32 payload plus a JSON
@@ -77,7 +77,7 @@ def _parse_header(hdr: bytes):
         "dims": (dim[1], dim[2], dim[3]),
         "datatype": datatype,
         "pixdim": (pixdim[1], pixdim[2], pixdim[3]),
-        "vox_offset": int(round(vox_offset)),
+        "vox_offset": vox_offset,
         "descrip": descrip.decode("ascii", errors="replace"),
         "qoffset": qoffset,
     }
@@ -119,7 +119,10 @@ def read_nifti(path, modality: str | None = None) -> Volume:
         dtype = np.dtype("<i2")
     else:
         raise UnsupportedError(f"unsupported NIfTI datatype code {meta['datatype']}")
-    start = meta["vox_offset"]
+    offset = meta["vox_offset"]
+    if not (np.isfinite(offset) and offset >= VOX_OFFSET):
+        raise FormatError(f"{path}: vox_offset {offset} must be finite and >= {VOX_OFFSET}")
+    start = int(round(offset))
     end = start + count * dtype.itemsize
     if len(raw) < end:
         raise FormatError(f"data section truncated: need {end} bytes, have {len(raw)}")
@@ -158,10 +161,11 @@ def write_nifti_labels(lv: LabelVolume, path):
 def read_nifti_labels(path) -> LabelVolume:
     v = read_nifti(path)
     arr = v.values()
-    rounded = np.rint(arr).astype(np.int64)
-    if np.max(np.abs(arr - rounded)) > 1e-6:
-        raise FormatError("label file contains non-integer values")
-    return LabelVolume(rounded, spacing=v.spacing, origin=v.origin)
+    rounded = np.rint(arr)
+    top = np.iinfo(np.int32).max
+    if np.max(np.abs(arr - rounded)) > 1e-6 or rounded.min() < 0 or rounded.max() > top:
+        raise FormatError(f"{path}: labels must be integers in [0, {top}]")
+    return LabelVolume(rounded.astype(np.int64), spacing=v.spacing, origin=v.origin)
 
 
 # -- raw + sidecar ------------------------------------------------------------

@@ -38,16 +38,16 @@ class LossConfig:
 
 def gradient_inverse_consistency_nodes(tape: Tape, u_ab: Node, u_ba: Node) -> Node:
     """Mean squared Frobenius norm of grad(phi_ab o phi_ba) - I over
-    interior voxels (central differences; boundary slices excluded)."""
+    interior voxels, where the central differences are taken."""
     dims = u_ba.value.dims
     if min(dims) < 3:
         raise LossError(f"consistency penalty needs a grid >= 3^3, got {dims}")
     comp = compose_nodes(tape, u_ab, u_ba)
-    # displacement of the composition is exactly J - I of the composed map
+    # the gradient of the composition's displacement is exactly J - I of
+    # the composed map, taken at the interior nodes only
     jac_minus_i = tape.spatial_gradient(comp)
-    interior = tape.crop_border(jac_minus_i, 1)
-    n_interior = int(np.prod([d - 2 for d in dims]))
-    return tape.scale(tape.sum(tape.square(interior)), 1.0 / n_interior)
+    n_interior = int(np.prod(jac_minus_i.value.dims))
+    return tape.scale(tape.sum(tape.square(jac_minus_i)), 1.0 / n_interior)
 
 
 def gradient_inverse_consistency(phi_ab: DisplacementField, phi_ba: DisplacementField) -> float:

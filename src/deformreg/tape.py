@@ -2,10 +2,10 @@
 
 The op set is deliberately small: elementwise arithmetic, reductions,
 count-normalized box filtering and pooling, central-difference spatial
-gradients, edge-clamped trilinear sampling of an image at x + u(x) for a
-displacement u, integer shifts and border crops. That is enough to
-express and differentiate every registration loss in this package with
-respect to displacement parameters.
+gradients at interior nodes, edge-clamped trilinear sampling of an image
+at x + u(x) for a displacement u, integer shifts and border crops. That
+is enough to express and differentiate every registration loss in this
+package with respect to displacement parameters.
 
 Epsilon policy: raw ``div``/``sqrt`` reject non-positive operands. Losses
 that need stabilizing add an explicit epsilon inside the radicand or
@@ -86,40 +86,6 @@ def _pool2_counts(n: int) -> np.ndarray:
     if n % 2:
         c[-1] = 1.0
     return c
-
-
-def _grad_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Central differences along one axis in normalized coordinates,
-    one-sided at the two boundary slices. Length-1 axes yield zeros."""
-    n = arr.shape[axis]
-    if n < 2:
-        return np.zeros_like(arr)
-    h = 1.0 / (n - 1)
-    a = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(a)
-    out[0] = (a[1] - a[0]) / h
-    out[n - 1] = (a[n - 1] - a[n - 2]) / h
-    if n > 2:
-        out[1 : n - 1] = (a[2:n] - a[0 : n - 2]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _grad_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of the _grad_axis stencil."""
-    n = g.shape[axis]
-    if n < 2:
-        return np.zeros_like(g)
-    h = 1.0 / (n - 1)
-    gy = np.moveaxis(g, axis, 0)
-    gx = np.zeros_like(gy)
-    gx[0] -= gy[0] / h
-    gx[1] += gy[0] / h
-    gx[n - 1] += gy[n - 1] / h
-    gx[n - 2] -= gy[n - 1] / h
-    if n > 2:
-        gx[2:n] += gy[1 : n - 1] / (2.0 * h)
-        gx[0 : n - 2] -= gy[1 : n - 1] / (2.0 * h)
-    return np.moveaxis(gx, 0, axis)
 
 
 # the 8 interpolation corners as (bx, by, bz) offset bits; corner k has
@@ -423,25 +389,33 @@ class Tape:
         return self._append("box_filter", (a,), val, vjp)
 
     def spatial_gradient(self, a: Node) -> Node:
-        """Per-channel gradient in normalized coordinates: central differences
-        inside, one-sided at boundaries. Output channel 3*c+axis holds
-        d(channel c)/d(axis)."""
+        """Per-channel gradient in normalized coordinates by central
+        differences at the interior nodes: each spatial dim loses its two
+        boundary slices. Output channel 3*c+axis holds d(channel c)/d(axis)."""
         av = a.value.data
-        nc = av.shape[3]
-        out = np.empty(av.shape[:3] + (3 * nc,))
-        for c in range(nc):
-            for axis in range(3):
-                out[..., 3 * c + axis] = _grad_axis(av[..., c], axis)
-        val = out
+        if min(av.shape[:3]) < 3:
+            raise TapeError(f"spatial_gradient: dims {av.shape[:3]} need >= 3 per axis")
+        stencils = []
+        for axis in range(3):
+            up, down = [slice(1, -1)] * 3, [slice(1, -1)] * 3
+            up[axis], down[axis] = slice(2, None), slice(None, -2)
+            # 2h for the node spacing h = 1 / (n - 1), formed as np.gradient forms it
+            stencils.append((tuple(up), tuple(down), 2.0 * (1.0 / (av.shape[axis] - 1))))
+        out = np.empty(tuple(n - 2 for n in av.shape[:3]) + (3 * av.shape[3],))
+        for axis, (up, down, step) in enumerate(stencils):
+            out[..., axis::3] = (av[up] - av[down]) / step
 
         def vjp(g):
             back = np.zeros(av.shape)
-            for c in range(nc):
-                for axis in range(3):
-                    back[..., c] += _grad_axis_adjoint(g[..., 3 * c + axis], axis)
+            for axis, (up, down, step) in enumerate(stencils):
+                g_axis = g[..., axis::3] / step
+                term = np.zeros(av.shape)
+                term[up] += g_axis
+                term[down] -= g_axis
+                back += term
             return (back,)
 
-        return self._append("spatial_gradient", (a,), val, vjp)
+        return self._append("spatial_gradient", (a,), out, vjp)
 
     def trilinear_sample(self, image: Node, u: Node) -> Node:
         """Sample ``image`` at x + u(x) for each node x of the 3-channel

@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor import Tensor3, grid_coordinates
-from .tape import (
-    Node,
-    Tape,
-    _grad_axis,
-    sample_nearest_values,
-    sample_trilinear_values,
-)
+from .tape import Node, Tape, sample_nearest_values, sample_trilinear_values
 from .volume import LabelVolume, Volume
 
 # fixed-point iterations of inverse_displacement
@@ -117,11 +111,9 @@ def jacobian_det_map(phi: DisplacementField) -> Tensor3:
     """
     if min(phi.dims) < 3:
         raise TransformError(f"jacobian needs >= 3 voxels per axis, got {phi.dims}")
-    u = phi.u.data
-    J = np.empty((*phi.dims, 3, 3))
-    for comp in range(3):
-        for axis in range(3):
-            J[..., comp, axis] = _grad_axis(u[..., comp], axis) + (comp == axis)
+    spacing = [1.0 / (n - 1) for n in phi.dims]
+    # J[..., comp, axis] = d(u comp)/d(axis) + (comp == axis)
+    J = np.stack(np.gradient(phi.u.data, *spacing, axis=(0, 1, 2)), axis=-1) + np.eye(3)
     det = (
         J[..., 0, 0] * (J[..., 1, 1] * J[..., 2, 2] - J[..., 1, 2] * J[..., 2, 1])
         - J[..., 0, 1] * (J[..., 1, 0] * J[..., 2, 2] - J[..., 1, 2] * J[..., 2, 0])

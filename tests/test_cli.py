@@ -236,6 +236,29 @@ def _bad_sidecar(sidecar):
     return make
 
 
+def _bad_vox_offset(value):
+    """Preprocess a volume whose header's vox_offset reads ``value``."""
+    def make(tmp_path):
+        path = tmp_path / "v.nii"
+        write_test_volume(path, seed=8)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 108, value)
+        path.write_bytes(bytes(raw))
+        return ["preprocess", "--input", str(path)]
+    return make
+
+
+def _bad_label(value):
+    """Evaluate with a float32 label file holding ``value`` at one voxel."""
+    def make(tmp_path):
+        labels = np.zeros((16, 16, 16))
+        labels[3, 4, 5] = value
+        path = tmp_path / "labels.nii"
+        write_nifti(Volume(Tensor3(labels), modality="SYNTH-A"), path)
+        return ["evaluate", "--labels-a", str(path), "--labels-b", str(path)]
+    return make
+
+
 class TestFormatErrorsExit3:
     @pytest.mark.parametrize("make_argv", [
         _nan_voxel, _bad_landmarks("1,2,3\n1,abc,3\n"), _bad_landmarks(""),
@@ -248,13 +271,18 @@ class TestFormatErrorsExit3:
         _bad_sidecar({"origin": "xyz"}), _bad_sidecar({"origin": [0, float("nan"), 0]}),
         _bad_sidecar({"modality": 5}), _bad_sidecar({"modality": "FOO"}),
         _unknown_descrip_modality, _bad_sidecar({"preprocessed": "no"}),
+        _bad_vox_offset(-100.0), _bad_vox_offset(float("nan")),
+        _bad_vox_offset(float("inf")), _bad_vox_offset(0.0),
+        _bad_label(-1.0), _bad_label(1e30),
     ], ids=["nan-voxel", "landmark-field", "landmarks-empty", "landmarks-blank",
             "header-geometry", "sidecar-not-json",
             "sidecar-no-dims", "sidecar-spacing-string", "sidecar-spacing-two",
             "sidecar-spacing-nan", "sidecar-spacing-inf", "sidecar-spacing-zero",
             "sidecar-origin-string", "sidecar-origin-nan", "sidecar-modality-number",
             "sidecar-modality-unknown", "nifti-modality-unknown",
-            "sidecar-preprocessed-string"])
+            "sidecar-preprocessed-string", "vox-offset-negative", "vox-offset-nan",
+            "vox-offset-inf", "vox-offset-zero", "label-negative", "label-huge"])
+    @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr too
     def test_exits_3(self, tmp_path, capsys, make_argv):
         argv = make_argv(tmp_path)
         out = {"register": "--out-dir", "preprocess": "--output"}.get(argv[0], "--out")

@@ -1,8 +1,12 @@
 """Inverse-consistency penalty and the symmetric pair loss."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from deformreg import losses
 from deformreg.losses import (
     LossConfig,
     LossError,
@@ -13,7 +17,7 @@ from deformreg.losses import (
 from deformreg.similarity import loss_similarity
 from deformreg.tape import Tape, grad_check
 from deformreg.tensor import Tensor3
-from deformreg.transforms import DisplacementField
+from deformreg.transforms import DisplacementField, compose_nodes
 from deformreg.pipeline import build_model, stage_grid_dims
 from deformreg.volume import Volume
 
@@ -103,6 +107,33 @@ class TestInverseConsistency:
 
         u0 = Tensor3(rng.uniform(-0.03, 0.03, size=(8, 8, 8, 3)))
         assert grad_check(f, u0, h=1e-6, seed=3) < 1e-3
+
+
+class TestInverseConsistencyMemory:
+    def test_penalty_keeps_at_most_160_bytes_per_interior_point(self, monkeypatch):
+        """What the penalty keeps alive until backward beyond its compose:
+        the 9-channel gradient at the interior nodes and its square, 72 B
+        a point each. Taking the gradient over the whole grid and cropping
+        it would keep about 180 B per interior point at 16^3."""
+        rng = np.random.default_rng(34)
+        dims = (16, 16, 16)
+        tape = Tape()
+        u_ab, u_ba = (tape.input(Tensor3(rng.uniform(-0.02, 0.02, (*dims, 3))),
+                                 parameter=True) for _ in range(2))
+        comp = compose_nodes(tape, u_ab, u_ba)
+        monkeypatch.setattr(losses, "compose_nodes", lambda *_: comp)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            penalty = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert penalty.value.item() > 0.0
+        per_point = kept / np.prod([n - 2 for n in dims])
+        assert per_point <= 160, f"the penalty keeps {per_point:.0f} B per interior point"
 
 
 class TestTotalLoss:

@@ -164,8 +164,8 @@ class TestLossNodeInventory:
     a grid or its ``add`` on the tape."""
 
     @pytest.mark.parametrize("kind, n, nodes, inputs", [
-        ("LNCC2", 16, 68, 8), ("MIND_SSC", 16, 220, 4),
-        ("LNCC2", 32, 68, 8)])
+        ("LNCC2", 16, 67, 8), ("MIND_SSC", 16, 219, 4),
+        ("LNCC2", 32, 67, 8)])
     def test_one_forward(self, monkeypatch, kind, n, nodes, inputs):
         tape = first_step_tape(monkeypatch, kind, n)
         ops = Counter(node.op for node in tape.nodes)

@@ -82,11 +82,35 @@ class TestForwardValues:
         coords = grid_coordinates(dims).data
         tape = Tape()
         x = tape.input(Tensor3(coords[..., 0:1]))
-        g = tape.spatial_gradient(x)
-        interior = g.value.data[1:-1, 1:-1, 1:-1, :]
-        assert np.max(np.abs(interior[..., 0] - 1.0)) < 1e-6
-        assert np.max(np.abs(interior[..., 1])) < 1e-6
-        assert np.max(np.abs(interior[..., 2])) < 1e-6
+        g = tape.spatial_gradient(x).value.data
+        assert g.shape == (7, 7, 7, 3)
+        assert np.max(np.abs(g[..., 0] - 1.0)) < 1e-6
+        assert np.max(np.abs(g[..., 1])) < 1e-6
+        assert np.max(np.abs(g[..., 2])) < 1e-6
+
+    def test_spatial_gradient_matches_per_voxel_oracle(self):
+        """Each axis's difference over its own node spacing, at a grid
+        whose three axes all differ, so no axis's step can stand in for
+        another's."""
+        dims = (5, 6, 7)
+        x = np.random.default_rng(17).uniform(size=(*dims, 3))
+        tape = Tape()
+        got = tape.spatial_gradient(tape.input(Tensor3(x))).value.data
+        want = np.empty((3, 4, 5, 9))
+        for i, j, k in np.ndindex(want.shape[:3]):
+            node = np.array((i + 1, j + 1, k + 1))
+            for c in range(3):
+                for axis in range(3):
+                    step = np.eye(3, dtype=int)[axis]
+                    hi, lo = x[(*(node + step), c)], x[(*(node - step), c)]
+                    want[i, j, k, 3 * c + axis] = (hi - lo) * (dims[axis] - 1) / 2.0
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 5, 5), (5, 5, 1)])
+    def test_spatial_gradient_rejects_thin_grid(self, dims):
+        tape = Tape()
+        with pytest.raises(TapeError, match="spatial_gradient"):
+            tape.spatial_gradient(tape.input(Tensor3(np.zeros((*dims, 1)))))
 
     def test_trilinear_sample_at_nodes_is_exact(self):
         rng = np.random.default_rng(3)
@@ -289,6 +313,13 @@ class TestGradCheck:
         x0 = rng_tensor(rng, (5, 5, 5), lo=0.1, hi=0.9)
         err = grad_check(tape_fn(build, (5, 5, 5)), x0, h=1e-5)
         assert err < 1e-4, f"{name}: grad error {err}"
+
+    def test_spatial_gradient_non_cubic_three_channels(self):
+        f = tape_fn(lambda tape, x: tape.sum(tape.square(tape.spatial_gradient(x))),
+                    (5, 6, 7), channels=3)
+        x0 = rng_tensor(np.random.default_rng(18), (5, 6, 7), channels=3)
+        err = grad_check(f, x0, h=1e-5, n_coords=128)
+        assert err < 1e-6, f"grad error {err}"
 
     def test_trilinear_sample_wrt_coords(self):
         rng = np.random.default_rng(21)

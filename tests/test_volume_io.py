@@ -282,6 +282,34 @@ class TestNifti:
         with pytest.raises(FormatError, match="pixdim or qoffset"):
             read_nifti(p)
 
+    @pytest.mark.parametrize("value", [-100.0, float("nan"), float("inf"), 0.0, 351.0])
+    def test_vox_offset_inside_header_or_not_finite_is_format_error(self, tmp_path, value):
+        p = tmp_path / "offset.nii"
+        write_nifti(make_volume(np.ones((4, 4, 4))), p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<f", raw, 108, value)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="offset.nii: vox_offset"):
+            read_nifti(p)
+
+    def test_larger_vox_offset_reads_past_the_padding(self, tmp_path):
+        data = np.arange(64, dtype=np.float64).reshape(4, 4, 4)
+        p = tmp_path / "offset.nii"
+        write_nifti(make_volume(data), p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<f", raw, 108, 400.0)
+        p.write_bytes(bytes(raw[:352]) + b"\xff" * 48 + bytes(raw[352:]))
+        assert np.array_equal(read_nifti(p).values(), data)
+
+    @pytest.mark.parametrize("value", [-1.0, 2.5, 2.0**31, 1e30])
+    def test_label_outside_int32_ids_is_format_error(self, tmp_path, value):
+        labels = np.zeros((4, 4, 4))
+        labels[1, 2, 3] = value
+        p = tmp_path / "labels.nii"
+        write_nifti(make_volume(labels), p)
+        with pytest.raises(FormatError, match="labels.nii: labels must be integers"):
+            read_nifti_labels(p)
+
     def test_label_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
         lv = LabelVolume(rng.integers(0, 5, size=(6, 6, 6)), spacing=(1.0, 1.0, 2.0))
