@@ -7,7 +7,8 @@ import numpy as np
 
 from deformreg import Tape, Tensor3, grad_check
 
-# A tape records dense 3D tensor ops; backward() walks it in reverse.
+# A tape records dense 3D tensor ops; backward() walks it in reverse, once,
+# dropping what it no longer needs (parameters and the loss keep their values).
 rng = np.random.default_rng(0)
 tape = Tape()
 x = tape.input(Tensor3(rng.uniform(0.2, 0.8, (6, 6, 6, 1))), parameter=True)

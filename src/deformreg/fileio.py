@@ -51,23 +51,23 @@ def _pack_header(dims, pixdim, datatype, bitpix, descrip: bytes, qoffset) -> byt
     return bytes(hdr)
 
 
-def _parse_header(hdr: bytes):
+def _parse_header(hdr: bytes, path):
     if len(hdr) < HEADER_SIZE:
-        raise FormatError(f"file shorter than the {HEADER_SIZE}-byte header")
+        raise FormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
     (sizeof_hdr,) = struct.unpack_from("<i", hdr, 0)
     if sizeof_hdr != HEADER_SIZE:
-        raise FormatError(f"sizeof_hdr is {sizeof_hdr}, expected {HEADER_SIZE}")
+        raise FormatError(f"{path}: sizeof_hdr is {sizeof_hdr}, expected {HEADER_SIZE}")
     magic = struct.unpack_from("<4s", hdr, 344)[0]
     if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     dim = struct.unpack_from("<8h", hdr, 40)
     if dim[0] < 3:
-        raise FormatError(f"need >= 3 dims, header declares {dim[0]}")
+        raise FormatError(f"{path}: need >= 3 dims, header declares {dim[0]}")
     extra = 1
     for d in dim[4 : 1 + dim[0]]:
         extra *= max(d, 1)
     if extra != 1:
-        raise UnsupportedError("only scalar 3D volumes are supported")
+        raise UnsupportedError(f"{path}: only scalar 3D volumes are supported")
     (datatype,) = struct.unpack_from("<h", hdr, 70)
     pixdim = struct.unpack_from("<8f", hdr, 76)
     (vox_offset,) = struct.unpack_from("<f", hdr, 108)
@@ -108,24 +108,24 @@ def read_nifti(path, modality: str | None = None) -> Volume:
     """Read an uncompressed NIfTI-1 volume (float32 or int16 data). A given
     ``modality`` replaces the file's tag, which is then not checked."""
     raw = Path(path).read_bytes()
-    meta = _parse_header(raw)
+    meta = _parse_header(raw, path)
     nx, ny, nz = meta["dims"]
     if min(nx, ny, nz) < 1:
-        raise FormatError(f"non-positive dims {meta['dims']}")
+        raise FormatError(f"{path}: non-positive dims {meta['dims']}")
     count = nx * ny * nz
     if meta["datatype"] == DT_FLOAT32:
         dtype = np.dtype("<f4")
     elif meta["datatype"] == DT_INT16:
         dtype = np.dtype("<i2")
     else:
-        raise UnsupportedError(f"unsupported NIfTI datatype code {meta['datatype']}")
+        raise UnsupportedError(f"{path}: unsupported NIfTI datatype code {meta['datatype']}")
     offset = meta["vox_offset"]
     if not (np.isfinite(offset) and offset >= VOX_OFFSET):
         raise FormatError(f"{path}: vox_offset {offset} must be finite and >= {VOX_OFFSET}")
     start = int(round(offset))
     end = start + count * dtype.itemsize
     if len(raw) < end:
-        raise FormatError(f"data section truncated: need {end} bytes, have {len(raw)}")
+        raise FormatError(f"{path}: data section truncated: need {end} bytes, have {len(raw)}")
     flat = np.frombuffer(raw[start:end], dtype=dtype)
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: non-finite voxel values")
@@ -206,17 +206,17 @@ def read_raw(base) -> tuple[np.ndarray, dict]:
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or no three dims
         raise FormatError(f"{sidecar}: not a JSON object with three 'dims': {exc!r}") from exc
     if meta.get("dtype") != "float32":
-        raise UnsupportedError(f"unsupported raw dtype {meta.get('dtype')!r}")
+        raise UnsupportedError(f"{sidecar}: unsupported raw dtype {meta.get('dtype')!r}")
     channels = meta.get("channels", 1)
     for n in (nx, ny, nz, channels):
         check_number(FormatError, f"{sidecar}: dims and channels", n, integer=True, at_least=1)
-    flat = np.frombuffer(_raw_path(base).read_bytes(), dtype="<f4")
+    payload = _raw_path(base)
+    flat = np.frombuffer(payload.read_bytes(), dtype="<f4")
     if flat.size != nx * ny * nz * channels:
-        raise FormatError(
-            f"raw payload has {flat.size} values, sidecar promises {nx * ny * nz * channels}"
-        )
+        raise FormatError(f"{payload}: raw payload has {flat.size} values, "
+                          f"sidecar promises {nx * ny * nz * channels}")
     if not np.isfinite(flat).all():
-        raise FormatError(f"{_raw_path(base)}: non-finite values")
+        raise FormatError(f"{payload}: non-finite values")
     per = nx * ny * nz
     out = np.empty((nx, ny, nz, channels))
     for c in range(channels):
@@ -241,9 +241,9 @@ def write_volume_raw(v: Volume, base):
 def read_volume_raw(base, modality: str | None = None) -> Volume:
     """Read a 1-channel raw volume; ``modality`` as in ``read_nifti``."""
     data, meta = read_raw(base)
-    if meta.get("kind") != "volume" or data.shape[3] != 1:
-        raise FormatError("raw payload is not a 1-channel volume")
     sidecar = _sidecar_path(base)
+    if meta.get("kind") != "volume" or data.shape[3] != 1:
+        raise FormatError(f"{sidecar}: raw payload is not a 1-channel volume")
     spacing = meta.get("spacing", [1.0, 1.0, 1.0])
     origin = meta.get("origin", [0.0, 0.0, 0.0])
     for name, vec, above in (("spacing", spacing, 0), ("origin", origin, None)):
@@ -271,7 +271,7 @@ def write_field_raw(u: np.ndarray, base, meta: dict | None = None):
 def read_field_raw(base) -> np.ndarray:
     data, meta = read_raw(base)
     if meta.get("kind") != "field" or data.shape[3] != 3:
-        raise FormatError("raw payload is not a 3-channel displacement field")
+        raise FormatError(f"{_sidecar_path(base)}: raw payload is not a 3-channel field")
     return data
 
 

@@ -288,6 +288,7 @@ def instance_optimize(
         trace.append(value)
         if not final:
             model.params = adam.step(model.params, grads)
+            del grads  # not kept alive while the next forward records its tape
 
     phi_ab, phi_ba = model.fields()
     warning = None

@@ -30,7 +30,7 @@ class Node:
     backward pass) its adjoint. ``needs_grad`` marks nodes on a path from
     a parameter so the reverse sweep can skip dead branches. The vjp maps
     the adjoint to one contribution per parent, in parent order, None
-    where it skipped one."""
+    where it skipped one. Backward consumes the tape; see ``Tape``."""
 
     __slots__ = ("id", "op", "parents", "value", "adjoint", "needs_grad", "_vjp")
 
@@ -44,7 +44,7 @@ class Node:
         self._vjp = vjp
 
     def __repr__(self):
-        return f"Node(id={self.id}, op={self.op!r}, shape={self.value.shape})"
+        return f"Node(id={self.id}, op={self.op!r}, shape={getattr(self.value, 'shape', None)})"
 
 
 def _box_sum_axis(arr: np.ndarray, axis: int, radius: int) -> np.ndarray:
@@ -215,14 +215,16 @@ def sample_nearest_values(img: np.ndarray, coords: np.ndarray) -> np.ndarray:
 class Tape:
     """Single-owner op recorder with one reverse sweep per built graph.
 
-    Values are retained until backward (no checkpointing); the reverse
-    sweep drops each intermediate adjoint once its vjp has run. Distinct
-    tapes are independent and safe to use on distinct threads.
+    Backward consumes the tape (no checkpointing): each vjp closure holds
+    its own operands, so the sweep drops every value but the parameters'
+    and the loss's up front, then each vjp (a trilinear plan with it) and
+    intermediate adjoint as it passes. Distinct tapes are safe on distinct threads.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.parameter_ids: set[int] = set()
+        self._swept = False
 
     # -- construction -----------------------------------------------------
 
@@ -466,18 +468,24 @@ class Tape:
 
     def backward(self, loss: Node) -> dict[int, Tensor3]:
         """Reverse sweep from a scalar loss; returns one gradient per
-        flagged parameter (zero tensors for parameters the loss never saw)."""
+        flagged parameter (zero tensors for parameters the loss never saw).
+        A tape is swept once: a second call raises TapeError."""
+        if self._swept:
+            raise TapeError("backward: the tape was already swept; record a new one")
         if loss.value.shape != (1, 1, 1, 1):
             raise TapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
         if loss.id >= len(self.nodes) or self.nodes[loss.id] is not loss:
             raise TapeError("backward: loss node does not belong to this tape")
+        self._swept = True
         for node in self.nodes:
-            node.adjoint = None
+            if node is not loss and node.id not in self.parameter_ids:
+                node.value = None
         loss.adjoint = np.ones((1, 1, 1, 1))
         for node in reversed(self.nodes[: loss.id + 1]):
-            if node.adjoint is None or node._vjp is None or not node.needs_grad:
+            vjp, node._vjp = node._vjp, None
+            if node.adjoint is None or vjp is None or not node.needs_grad:
                 continue
-            for parent, contrib in zip(node.parents, node._vjp(node.adjoint)):
+            for parent, contrib in zip(node.parents, vjp(node.adjoint)):
                 if contrib is None or not parent.needs_grad:
                     continue
                 # a contribution may be shared (add hands g to both parents)

@@ -259,6 +259,56 @@ def _bad_label(value):
     return make
 
 
+def _bad_label_header(corrupt):
+    """Evaluate with a good first label file and a second one whose bytes
+    ``corrupt`` maps to new ones; returns the argv and the bad file."""
+    def make(tmp_path):
+        good, bad = tmp_path / "labels_a.nii", tmp_path / "labels_b.nii"
+        for path in (good, bad):
+            write_nifti(Volume(Tensor3(np.zeros((8, 8, 8))), modality="SYNTH-A"), path)
+        bad.write_bytes(bytes(corrupt(bytearray(bad.read_bytes()))))
+        return ["evaluate", "--labels-a", str(good), "--labels-b", str(bad)], bad
+    return make
+
+
+def _packed(*fields):
+    """A corruption that packs each (format, offset, value) into the header."""
+    def corrupt(raw):
+        for fmt, offset, value in fields:
+            struct.pack_into(fmt, raw, offset, value)
+        return raw
+    return corrupt
+
+
+def _bad_raw(kind, corrupt):
+    """A raw volume (read by preprocess) or field (read by evaluate --field)
+    of which ``corrupt(tmp_path)`` damages a file and returns it."""
+    def make(tmp_path):
+        if kind == "volume":
+            write_volume_raw(Volume(Tensor3(np.full((8, 8, 8), 0.5)), modality="SYNTH-A"),
+                             tmp_path / "v")
+            argv = ["preprocess", "--input", str(tmp_path / "v.raw")]
+        else:
+            write_field_raw(np.zeros((8, 8, 8, 3)), tmp_path / "v")
+            argv = ["evaluate", "--field", str(tmp_path / "v")]
+        return argv, corrupt(tmp_path)
+    return make
+
+
+def _sidecar_key(key, value):
+    def corrupt(tmp_path):
+        sidecar = tmp_path / "v.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+        return sidecar
+    return corrupt
+
+
+def _truncated_payload(tmp_path):
+    payload = tmp_path / "v.raw"
+    payload.write_bytes(payload.read_bytes()[:-8])
+    return payload
+
+
 class TestFormatErrorsExit3:
     @pytest.mark.parametrize("make_argv", [
         _nan_voxel, _bad_landmarks("1,2,3\n1,abc,3\n"), _bad_landmarks(""),
@@ -290,6 +340,29 @@ class TestFormatErrorsExit3:
         err = capsys.readouterr().err
         assert rc == 3, err
         assert err.startswith("I/O error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("make_case", [
+        _bad_label_header(lambda raw: raw[:-10]), _bad_label_header(lambda raw: raw[:100]),
+        _bad_label_header(_packed(("<i", 0, 100))),
+        _bad_label_header(_packed(("<4s", 344, b"xyz\0"))),
+        _bad_label_header(_packed(("<h", 40, 2))),
+        _bad_label_header(_packed(("<h", 40, 4), ("<h", 48, 2))),
+        _bad_label_header(_packed(("<h", 42, 0))),
+        _bad_label_header(_packed(("<h", 70, 64))),
+        _bad_raw("volume", _sidecar_key("dtype", "float64")),
+        _bad_raw("volume", _truncated_payload),
+        _bad_raw("volume", _sidecar_key("kind", "field")),
+        _bad_raw("field", _sidecar_key("kind", "volume")),
+    ], ids=["nifti-truncated", "nifti-short", "nifti-sizeof-hdr", "nifti-magic",
+            "nifti-two-dims", "nifti-non-scalar", "nifti-zero-dim", "nifti-datatype",
+            "raw-dtype", "raw-payload-size", "raw-volume-kind", "raw-field-kind"])
+    def test_names_the_bad_file(self, tmp_path, capsys, make_case):
+        argv, bad = make_case(tmp_path)
+        out = "--output" if argv[0] == "preprocess" else "--out"
+        rc = main(argv + [out, str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith(f"I/O error: {bad}: "), err
 
 
 class TestSynthRegisterEvaluate:

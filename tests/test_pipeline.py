@@ -1,5 +1,6 @@
 """Pyramid wiring, model construction, and instance optimization."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -346,6 +347,53 @@ class TestInstanceOptimize:
         with pytest.raises(NumericalAbort) as err:
             instance_optimize(a, b, LossConfig(), absurd)
         assert err.value.step >= 1
+
+
+
+def backward_memory(monkeypatch, steps, n=24):
+    """(entry, peak) traced bytes of each ``Tape.backward`` call in an
+    LNCC2 ``instance_optimize`` run of ``steps`` steps on a random pair of
+    side n; the peak is the highest point the sweep reaches."""
+    sweep, calls = Tape.backward, []
+
+    def traced(tape, loss):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = sweep(tape, loss)
+        calls.append((entry, tracemalloc.get_traced_memory()[1]))
+        return grads
+
+    monkeypatch.setattr(Tape, "backward", traced)
+    rng = np.random.default_rng(12)
+    a, b = (make_volume(rng.uniform(0.1, 0.9, (n, n, n))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=steps))
+    finally:
+        tracemalloc.stop()
+    return calls
+
+
+class TestStepMemory:
+    """Backward consumes its tape, and a step's gradients are gone before
+    the next step records its own."""
+
+    def test_sweep_rises_at_most_one_field_above_its_entry(self, monkeypatch):
+        # values no vjp reads go before the sweep, and each vjp's closure
+        # (a trilinear plan among them) once the sweep has passed it
+        ((entry, peak),) = backward_memory(monkeypatch, steps=1)
+        field_bytes = 24**3 * 3 * 8
+        assert peak - entry <= field_bytes, (
+            f"backward rose {(peak - entry) / field_bytes:.2f} fields above its entry")
+
+    def test_second_step_holds_only_adams_moments_more(self, monkeypatch):
+        # Adam's m and v appear with the first update; the first step's
+        # gradients (one more parameter set) must not outlive it
+        (first, _), (second, _) = backward_memory(monkeypatch, steps=2)
+        param_bytes = sum(value.data.nbytes for value in build_model((24,) * 3).params.values())
+        grown = second - first
+        assert grown <= 2.5 * param_bytes, (
+            f"backward entry grew {grown / param_bytes:.2f} parameter sets from step 1 to 2")
 
 
 class TestRunConfig:

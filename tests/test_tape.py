@@ -194,8 +194,8 @@ class TestBoxSum:
         xn = tape.input(x, parameter=True)
         box = tape.box_filter(xn, radius)
         loss = tape.sum(tape.mul(box, tape.input(y)))
+        lhs = float(np.sum(box.value.data * y.data))  # backward drops box's value
         vjp_y = tape.backward(loss)[xn.id].data
-        lhs = float(np.sum(box.value.data * y.data))
         assert abs(lhs - float(np.sum(x.data * vjp_y))) <= 1e-12
 
 
@@ -268,6 +268,34 @@ class TestBackward:
 
         first, second = run(), run()
         assert np.array_equal(first, second)
+
+
+class TestConsumedTape:
+    """Backward consumes the tape: intermediate values and vjps go, the
+    parameters, the loss and the returned gradients stay."""
+
+    def swept(self):
+        tape = Tape()
+        x = tape.input(Tensor3(np.array([3.0, -2.0]).reshape(2, 1, 1, 1)), parameter=True)
+        squares = tape.square(x)
+        loss = tape.sum(squares)
+        return tape, x, squares, loss, tape.backward(loss)
+
+    def test_second_backward_raises(self):
+        tape, _, _, loss, _ = self.swept()
+        with pytest.raises(TapeError, match="already swept"):
+            tape.backward(loss)
+
+    def test_intermediate_values_go_and_parameters_stay(self):
+        _, x, squares, loss, grads = self.swept()
+        assert squares.value is None
+        assert np.array_equal(x.value.data.ravel(), [3.0, -2.0])
+        assert loss.value.item() == 13.0
+        assert np.array_equal(grads[x.id].data.ravel(), [6.0, -4.0])
+
+    def test_repr_of_a_released_node(self):
+        _, _, squares, _, _ = self.swept()
+        assert repr(squares) == "Node(id=1, op='square', shape=None)"
 
 
 def tape_fn(build, dims, channels=1):
