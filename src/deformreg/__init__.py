@@ -65,7 +65,6 @@ from .losses import (
     LossConfig,
     LossError,
     gradient_inverse_consistency,
-    loss_breakdown,
 )
 from .pipeline import (
     NumericalAbort,
@@ -75,6 +74,7 @@ from .pipeline import (
     RegistrationResult,
     build_model,
     instance_optimize,
+    loss_breakdown,
 )
 from .metrics import MetricsError, MetricsReport, dice, evaluate_pair, mtre
 from .synthetic import (

@@ -4,9 +4,9 @@ Subcommands: register (per-pair optimization), synth (phantom pair with
 ground truth), evaluate (metrics report from a field plus truth),
 preprocess (intensity rules).
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-abort (a non-finite loss, or a register map folding more than
-FOLD_LIMIT_PCT percent of its voxels). Reports embed a hash of the
-fully-resolved configuration.
+abort (a non-finite loss, a tripped domain guard in an op, or a register
+map folding more than FOLD_LIMIT_PCT percent of its voxels). Reports
+embed a hash of the fully-resolved configuration.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import Tensor3, check_number
-from .volume import LabelVolume, LandmarkSet, Volume, known_modality
+from .volume import LabelVolume, LandmarkSet, Volume, _check_spacing_origin, known_modality
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -36,7 +36,8 @@ class UnsupportedError(ValueError):
 
 
 def _pack_header(dims, pixdim, datatype, bitpix, descrip: bytes, qoffset) -> bytes:
-    hdr = bytearray(HEADER_SIZE)
+    """The header plus the zero bytes up to the data at VOX_OFFSET."""
+    hdr = bytearray(VOX_OFFSET)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     dim = [3, dims[0], dims[1], dims[2], 1, 1, 1, 1]
     struct.pack_into("<8h", hdr, 40, *dim)
@@ -97,11 +98,7 @@ def write_nifti(v: Volume, path):
     ride in the descrip field."""
     descrip = f"modality={v.modality};preprocessed={int(v.preprocessed)}".encode("ascii")
     hdr = _pack_header(v.dims, v.spacing, DT_FLOAT32, 32, descrip, v.origin)
-    data = v.values().astype("<f4").tobytes(order="F")
-    with open(path, "wb") as f:
-        f.write(hdr)
-        f.write(b"\x00" * (VOX_OFFSET - HEADER_SIZE))
-        f.write(data)
+    Path(path).write_bytes(hdr + v.values().astype("<f4").tobytes(order="F"))
 
 
 def read_nifti(path, modality: str | None = None) -> Volume:
@@ -151,11 +148,7 @@ def write_nifti_labels(lv: LabelVolume, path):
     if lv.labels.max(initial=0) > np.iinfo(np.int16).max:
         raise UnsupportedError("label ids exceed int16 range")
     hdr = _pack_header(lv.dims, lv.spacing, DT_INT16, 16, b"labels", lv.origin)
-    data = lv.labels.astype("<i2").tobytes(order="F")
-    with open(path, "wb") as f:
-        f.write(hdr)
-        f.write(b"\x00" * (VOX_OFFSET - HEADER_SIZE))
-        f.write(data)
+    Path(path).write_bytes(hdr + lv.labels.astype("<i2").tobytes(order="F"))
 
 
 def read_nifti_labels(path) -> LabelVolume:
@@ -246,11 +239,7 @@ def read_volume_raw(base, modality: str | None = None) -> Volume:
         raise FormatError(f"{sidecar}: raw payload is not a 1-channel volume")
     spacing = meta.get("spacing", [1.0, 1.0, 1.0])
     origin = meta.get("origin", [0.0, 0.0, 0.0])
-    for name, vec, above in (("spacing", spacing, 0), ("origin", origin, None)):
-        if not isinstance(vec, list) or len(vec) != 3:
-            raise FormatError(f"{sidecar}: {name} must be three numbers, got {vec!r}")
-        for x in vec:
-            check_number(FormatError, f"{sidecar}: {name}", x, above=above)
+    _check_spacing_origin(spacing, origin, FormatError, f"{sidecar}: ")
     if modality is None:
         modality = meta.get("modality", "SYNTH-UNKNOWN")
         if not isinstance(modality, str) or not known_modality(modality):

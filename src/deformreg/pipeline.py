@@ -22,7 +22,7 @@ import numpy as np
 
 from .losses import LossConfig, randomized_loss_nodes
 from .similarity import SimilarityConfig, fixed_side_nodes
-from .tape import Node, Tape
+from .tape import Node, Tape, TapeError
 from .tensor import Tensor3, TensorError, check_number
 from .transforms import DisplacementField, compose_nodes
 from .volume import Volume
@@ -36,10 +36,11 @@ class PipelineError(ValueError):
 
 
 class NumericalAbort(RuntimeError):
-    """Loss became non-finite during optimization."""
+    """The loss left the finite range, or an op's domain guard tripped,
+    during optimization."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at optimization step {step}")
+    def __init__(self, step: int, reason: str = "non-finite loss"):
+        super().__init__(f"{reason} at optimization step {step}")
         self.step = step
 
 
@@ -60,21 +61,12 @@ class PyramidModel:
     def param_key(self, direction: str, stage: int) -> str:
         return f"{direction}{stage}"
 
-    def bind(self, tape: Tape) -> "BoundPyramid":
-        return BoundPyramid(tape, self)
-
-    def check_dims(self, dims) -> None:
-        if tuple(dims) != self.base_dims:
-            raise PipelineError(
-                f"model built for dims {self.base_dims}, volumes have dims {tuple(dims)}"
-            )
-
     def copy(self) -> "PyramidModel":
         return PyramidModel(self.base_dims, dict(self.params))
 
     def fields(self) -> tuple[DisplacementField, DisplacementField]:
         """Evaluate the current parameters into full-resolution maps."""
-        bound = self.bind(Tape())
+        bound = BoundPyramid(Tape(), self)
         return (
             DisplacementField(bound.evaluate("ab").value),
             DisplacementField(bound.evaluate("ba").value),
@@ -216,6 +208,29 @@ class Adam:
         return out
 
 
+def _check_pair(a: Volume, b: Volume, model: PyramidModel | None) -> None:
+    """Equal dims, both volumes preprocessed, and ``model`` (if any) built
+    for those dims."""
+    if a.dims != b.dims:
+        raise PipelineError(f"volume dims differ: {a.dims} vs {b.dims}")
+    if not (a.preprocessed and b.preprocessed):
+        raise PipelineError("pair losses expect preprocessed volumes")
+    if model is not None and model.base_dims != a.dims:
+        raise PipelineError(f"model built for dims {model.base_dims}, volumes have dims {a.dims}")
+
+
+def loss_breakdown(a: Volume, b: Volume, model: PyramidModel, cfg: LossConfig) -> dict[str, float]:
+    """Term-wise evaluation on a throwaway tape (no gradients)."""
+    _check_pair(a, b, model)
+    tape = Tape()
+    bound = BoundPyramid(tape, model)
+    na, nb = tape.input(a.grid), tape.input(b.grid)
+    fixed_a, fixed_b = (fixed_side_nodes(tape, n, cfg.similarity) for n in (na, nb))
+    total, terms = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
+                                         na, nb, fixed_a, fixed_b, cfg)
+    return {"total": total.value.item(), **{k: n.value.item() for k, n in terms.items()}}
+
+
 def _fixed_side_values(volume: Volume, cfg: SimilarityConfig) -> tuple:
     """The values of ``volume``'s fixed side, built on a throwaway tape."""
     tape = Tape()
@@ -239,16 +254,14 @@ def instance_optimize(
     depends on the parameters.
 
     The trace holds the loss before each update plus the final value
-    (length steps + 1). Raises NumericalAbort if the loss leaves the
-    finite range. Deterministic: same inputs and config give a
-    bit-identical trace.
+    (length steps + 1); the maps are those the final forward evaluated.
+    Raises NumericalAbort if the loss leaves the finite range or an op
+    rejects its input's domain. Deterministic: same inputs and config
+    give a bit-identical trace.
     """
     loss_cfg = loss_cfg or LossConfig()
     opt_cfg = opt_cfg or OptimizerConfig()
-    if ia.dims != ib.dims:
-        raise PipelineError(f"volume dims differ: {ia.dims} vs {ib.dims}")
-    if not (ia.preprocessed and ib.preprocessed):
-        raise PipelineError("instance optimization expects preprocessed volumes")
+    _check_pair(ia, ib, model)
     model = model.copy() if model is not None else build_model(ia.dims)
 
     multipliers = {
@@ -260,37 +273,38 @@ def instance_optimize(
     trace: list[float] = []
     fixed_values = [_fixed_side_values(v, loss_cfg.similarity) for v in (ia, ib)]
 
-    def forward(with_grads: bool):
+    def forward(final: bool):
+        """(loss, the gradient per key), or (loss, both maps) when ``final``."""
         # overflow here is not a crash: it surfaces as a TensorError or a
         # non-finite loss and becomes a NumericalAbort below. The tape is
         # local, so it is freed before the next step builds its own.
         with np.errstate(over="ignore", invalid="ignore"):
             tape = Tape()
-            bound = model.bind(tape)
+            bound = BoundPyramid(tape, model)
             na, nb = tape.input(ia.grid), tape.input(ib.grid)
             fixed_a, fixed_b = (tuple(map(tape.input, values)) for values in fixed_values)
-            total, _ = randomized_loss_nodes(tape, bound, na, nb, fixed_a, fixed_b, loss_cfg)
+            u_ab, u_ba = bound.evaluate("ab"), bound.evaluate("ba")
+            total, _ = randomized_loss_nodes(tape, u_ab, u_ba, na, nb, fixed_a, fixed_b, loss_cfg)
             value = total.value.item()
-            if not with_grads:
-                return value, None
+            if final:
+                return value, (DisplacementField(u_ab.value), DisplacementField(u_ba.value))
             grads = tape.backward(total)
-            by_key = {key: grads[node.id].data for key, node in bound.nodes.items()}
-            return value, by_key
+            return value, {key: grads[node.id].data for key, node in bound.nodes.items()}
 
     for step in range(opt_cfg.steps + 1):
-        final = step == opt_cfg.steps  # the last forward only records the loss
+        final = step == opt_cfg.steps  # the last forward only records the loss and the maps
         try:
-            value, grads = forward(with_grads=not final)
-        except TensorError as exc:  # overflow inside an op is a numeric abort too
-            raise NumericalAbort(step) from exc
+            value, out = forward(final)
+        except (TensorError, TapeError) as exc:  # overflow or a tripped domain guard in an op
+            raise NumericalAbort(step, str(exc)) from exc
         if not np.isfinite(value):
             raise NumericalAbort(step)
         trace.append(value)
         if not final:
-            model.params = adam.step(model.params, grads)
-            del grads  # not kept alive while the next forward records its tape
+            model.params = adam.step(model.params, out)
+            del out  # the gradients are not kept alive while the next forward records its tape
 
-    phi_ab, phi_ba = model.fields()
+    phi_ab, phi_ba = out
     warning = None
     if trace[-1] > trace[0]:
         warning = (

@@ -26,7 +26,7 @@ import numpy as np
 
 from .tape import sample_trilinear_values
 from .tensor import Tensor3, check_number, grid_coordinates
-from .transforms import DisplacementField, inverse_displacement, warp_nearest
+from .transforms import DisplacementField, inverse_displacement, resample_field_to, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
 
 # max |d/dr exp(-r^2 / (2 s^2))| = exp(-1/2) / s
@@ -262,9 +262,7 @@ def render_pair(
     """
     base = phantom.base
     hi = phantom.base_supersampled.grid.data
-    axes = [np.linspace(0.0, 1.0, n)[::_SUPERSAMPLE] for n in hi.shape[:3]]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    coords = nodes + sample_trilinear_values(deformation.u.data, nodes)
+    coords = grid_coordinates(base.dims).data + resample_field_to(deformation, base.dims).u.data
     values_a = remap_a.apply(base.grid.data)
     values_b = remap_b.apply(sample_trilinear_values(hi, coords))
     vol_a = Volume(Tensor3(values_a), spacing=base.spacing, origin=base.origin,

@@ -36,13 +36,15 @@ def known_modality(tag: str) -> bool:
     return tag in CT_FAMILY or tag in MR_FAMILY or tag.startswith("SYNTH")
 
 
-def _check_spacing_origin(spacing, origin) -> None:
-    """Three finite numbers each, the spacing strictly positive."""
+def _check_spacing_origin(spacing, origin, error: type[Exception] = VolumeError,
+                          prefix: str = "") -> None:
+    """Raise ``error``, its message led by ``prefix``, unless spacing and
+    origin are three finite numbers each, the spacing strictly positive."""
     for name, vec, above in (("spacing", spacing, 0), ("origin", origin, None)):
         if not isinstance(vec, (tuple, list, np.ndarray)) or len(vec) != 3:
-            raise VolumeError(f"{name} must be three numbers, got {vec!r}")
+            raise error(f"{prefix}{name} must be three numbers, got {vec!r}")
         for x in vec:
-            check_number(VolumeError, name, x, above=above)
+            check_number(error, f"{prefix}{name}", x, above=above)
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,8 @@ class TestA1GradientCorrectness:
 
                 nla, nlb = tape.input(la.grid), tape.input(lb.grid)
                 fa, fb = (fixed_side_nodes(tape, n, cfg.similarity) for n in (nla, nlb))
-                total, _ = randomized_loss_nodes(tape, bound, nla, nlb, fa, fb, cfg)
+                total, _ = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
+                                                 nla, nlb, fa, fb, cfg)
                 grads = tape.backward(total)
                 return total.value.item(), grads[bound.nodes["ab2"].id]
 

@@ -77,6 +77,28 @@ class TestRegister:
                    "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 4
 
+    def test_tripped_domain_guard_exits_4(self, tmp_path, capsys):
+        # with a tiny (valid) eps, a flat window's variance rounds below
+        # zero after warping, and sqrt rejects its radicand
+        rng = np.random.default_rng(0)
+        for name, flat in (("SYNTH-A", 0.3), ("SYNTH-B", 0.7)):
+            values = rng.uniform(0.2, 0.8, (16,) * 3)
+            values[:8] = flat
+            write_nifti(Volume(Tensor3(values), modality=name, preprocessed=True),
+                        tmp_path / f"{name}.nii")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"similarity": {"eps": 1e-20}, "optimizer": {"steps": 2}}))
+        out = tmp_path / "out"
+        rc = main(["register", "--source", str(tmp_path / "SYNTH-A.nii"),
+                   "--target", str(tmp_path / "SYNTH-B.nii"),
+                   "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert err.startswith("numerical abort: sqrt: non-positive radicand")
+        assert "optimization step" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (out / "phi_ab.raw").exists()
+
 
 @pytest.fixture(scope="module")
 def synth_pair(tmp_path_factory):

@@ -12,13 +12,12 @@ from deformreg.losses import (
     LossError,
     gradient_inverse_consistency,
     gradient_inverse_consistency_nodes,
-    loss_breakdown,
 )
 from deformreg.similarity import loss_similarity
 from deformreg.tape import Tape, grad_check
 from deformreg.tensor import Tensor3
 from deformreg.transforms import DisplacementField, compose_nodes
-from deformreg.pipeline import build_model, stage_grid_dims
+from deformreg.pipeline import PipelineError, build_model, loss_breakdown, stage_grid_dims
 from deformreg.volume import Volume
 
 
@@ -189,5 +188,5 @@ class TestTotalLoss:
     def test_dim_mismatch(self):
         a, _ = rng_pair(16, (8, 8, 8))
         c, _ = rng_pair(17, (9, 8, 8))
-        with pytest.raises(LossError):
+        with pytest.raises(PipelineError):
             loss_breakdown(a, c, build_model((8, 8, 8)), LossConfig())

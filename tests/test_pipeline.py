@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deformreg import pipeline
-from deformreg.losses import LossConfig, loss_breakdown, randomized_loss_nodes
+from deformreg.losses import LossConfig, randomized_loss_nodes
 from deformreg.pipeline import (
     DIRECTIONS,
     STAGE_COUNT,
@@ -18,6 +18,7 @@ from deformreg.pipeline import (
     RunConfig,
     build_model,
     instance_optimize,
+    loss_breakdown,
     stage_grid_dims,
 )
 from deformreg.similarity import (
@@ -223,7 +224,8 @@ class TestCoarseStageGradients:
                 bound = BoundPyramid(tape, probe)
                 na, nb = tape.input(a), tape.input(b)
                 fa, fb = (fixed_side_nodes(tape, n, cfg.similarity) for n in (na, nb))
-                total, _ = randomized_loss_nodes(tape, bound, na, nb, fa, fb, cfg)
+                total, _ = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
+                                                 na, nb, fa, fb, cfg)
                 return total.value.item(), tape.backward(total)[bound.nodes[key].id]
 
             return f
@@ -294,6 +296,22 @@ class TestInstanceOptimize:
         second = instance_optimize(a, b, LossConfig(), cfg)
         assert first.loss_trace == second.loss_trace
         assert np.array_equal(first.phi_ab.u.data, second.phi_ab.u.data)
+
+    def test_each_forward_evaluates_the_pyramid_once_per_direction(self, monkeypatch):
+        # the maps of the final forward are the result: nothing evaluates
+        # the pyramid again after the last step
+        directions, evaluate = [], BoundPyramid.evaluate
+
+        def counted(bound, direction):
+            directions.append(direction)
+            return evaluate(bound, direction)
+
+        monkeypatch.setattr(BoundPyramid, "evaluate", counted)
+        rng = np.random.default_rng(12)
+        a, b = (make_volume(rng.uniform(0.1, 0.9, (16, 16, 16))) for _ in range(2))
+        steps = 3
+        instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=steps))
+        assert directions == ["ab", "ba"] * (steps + 1)
 
     def test_caller_model_not_mutated(self):
         rng = np.random.default_rng(11)
