@@ -9,7 +9,7 @@ pair with Adam, and the matching evaluation metrics (Dice, mTRE, folding
 fraction).
 """
 
-from .tensor import Tensor3, TensorError, grid_coordinates
+from .tensor import Tensor3, TensorError, displaced_axes, grid_coordinates, node_axes
 from .tape import (
     Node,
     Tape,

@@ -174,15 +174,10 @@ def _raw_path(base) -> Path:
 
 def write_raw(data: np.ndarray, base, meta: dict):
     """Write (nx,ny,nz,C) float data channel-major x-fastest with a JSON sidecar."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 3:
-        arr = arr[..., None]
-    payload = b"".join(
-        arr[..., c].astype("<f4").tobytes(order="F") for c in range(arr.shape[3])
-    )
+    payload = np.asarray(data, dtype="<f4").tobytes(order="F")
     sidecar = {
-        "dims": list(arr.shape[:3]),
-        "channels": arr.shape[3],
+        "dims": list(data.shape[:3]),
+        "channels": data.shape[3],
         "dtype": "float32",
         "layout": "channel-major,x-fastest",
     }
@@ -210,11 +205,7 @@ def read_raw(base) -> tuple[np.ndarray, dict]:
                           f"sidecar promises {nx * ny * nz * channels}")
     if not np.isfinite(flat).all():
         raise FormatError(f"{payload}: non-finite values")
-    per = nx * ny * nz
-    out = np.empty((nx, ny, nz, channels))
-    for c in range(channels):
-        out[..., c] = flat[c * per : (c + 1) * per].reshape((nx, ny, nz), order="F")
-    return out, meta
+    return np.ascontiguousarray(flat.reshape((nx, ny, nz, channels), order="F"), np.float64), meta
 
 
 def write_volume_raw(v: Volume, base):

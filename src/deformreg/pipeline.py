@@ -199,12 +199,14 @@ class Adam:
             g = grads[key]
             m = self.m.setdefault(key, np.zeros_like(g))
             v = self.v.setdefault(key, np.zeros_like(g))
-            m[:] = c.beta1 * m + (1 - c.beta1) * g
-            v[:] = c.beta2 * v + (1 - c.beta2) * g * g
-            m_hat = m / (1 - c.beta1**self.t)
-            v_hat = v / (1 - c.beta2**self.t)
-            lr = c.lr * self.lr_multipliers[key]
-            out[key] = Tensor3(value.data - lr * m_hat / (np.sqrt(v_hat) + c.eps))
+            m *= c.beta1
+            m += (1 - c.beta1) * g
+            v *= c.beta2
+            v += (1 - c.beta2) * g * g
+            step = m / (1 - c.beta1**self.t)
+            step *= c.lr * self.lr_multipliers[key]
+            step /= np.sqrt(v / (1 - c.beta2**self.t)) + c.eps
+            out[key] = Tensor3._wrap(np.subtract(value.data, step, out=step))
         return out
 
 

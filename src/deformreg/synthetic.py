@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tape import sample_trilinear_values
-from .tensor import Tensor3, check_number, grid_coordinates
+from .tensor import Tensor3, check_number, displaced_axes, node_axes
 from .transforms import DisplacementField, inverse_displacement, resample_field_to, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
 
@@ -119,9 +119,8 @@ def _smooth_noise(rng, dims, passes=4):
 
 
 def _ellipsoid_r2(axes, center, semi) -> np.ndarray:
-    """Squared normalized radius on the grid spanned by three 1-D axes."""
-    t0, t1, t2 = (((ax - c) / s) ** 2 for ax, c, s in zip(axes, center, semi))
-    return (t0[:, None, None] + t1[None, :, None]) + t2
+    """Squared normalized radius on the grid spanned by ``node_axes``."""
+    return sum(((ax - c) / s) ** 2 for ax, c, s in zip(axes, center, semi))
 
 
 def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
@@ -144,8 +143,7 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
         )
     rng = np.random.default_rng(seed)
     hi_dims = tuple((n - 1) * _SUPERSAMPLE + 1 for n in dims)
-    axes_hi = [np.linspace(0.0, 1.0, n) for n in hi_dims]
-    axes_lo = [np.linspace(0.0, 1.0, n) for n in dims]
+    axes_hi, axes_lo = node_axes(hi_dims), node_axes(dims)
 
     # smoothing passes scale with the supersample factor squared to keep
     # the physical feature size of the noise fixed
@@ -233,13 +231,12 @@ def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> Dis
             f"for {n_bumps} bumps with envelopes {np.round(sigmas, 3)}",
             bound,
         )
-    coords = grid_coordinates(dims).data
     u = np.zeros((*dims, 3))
     for b in range(n_bumps):
         center = rng.uniform(0.3, 0.7, size=3)
         direction = rng.normal(size=3)
         direction *= amplitude / np.linalg.norm(direction)
-        r2 = np.sum((coords - center) ** 2, axis=-1)
+        r2 = sum((x - c) ** 2 for x, c in zip(node_axes(dims), center))
         envelope = np.exp(-r2 / (2.0 * sigmas[b] ** 2))
         u += envelope[..., None] * direction
     return DisplacementField(Tensor3(u))
@@ -262,7 +259,7 @@ def render_pair(
     """
     base = phantom.base
     hi = phantom.base_supersampled.grid.data
-    coords = grid_coordinates(base.dims).data + resample_field_to(deformation, base.dims).u.data
+    coords = displaced_axes(resample_field_to(deformation, base.dims).u.data)
     values_a = remap_a.apply(base.grid.data)
     values_b = remap_b.apply(sample_trilinear_values(hi, coords))
     vol_a = Volume(Tensor3(values_a), spacing=base.spacing, origin=base.origin,

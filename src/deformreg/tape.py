@@ -7,6 +7,10 @@ at x + u(x) for a displacement u, integer shifts and border crops. That
 is enough to express and differentiate every registration loss in this
 package with respect to displacement parameters.
 
+Samplers take coordinates per axis: three normalized arrays that broadcast
+to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
+(..., 3) points pass ``np.moveaxis(points, -1, 0)``.
+
 Epsilon policy: raw ``div``/``sqrt`` reject non-positive operands. Losses
 that need stabilizing add an explicit epsilon inside the radicand or
 denominator before calling them (see the similarity module), so there is
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor3, grid_coordinates
+from .tensor import Tensor3, displaced_axes
 
 
 class TapeError(ValueError):
@@ -100,7 +104,8 @@ def _planes(arr: np.ndarray) -> list[np.ndarray]:
 
 class _TrilinearPlan:
     """Edge-clamped trilinear sample of ``img`` (nx, ny, nz, C) at the
-    normalized ``coords`` (..., 3), kept for the vjp.
+    normalized per-axis ``coords`` (three arrays that broadcast to the
+    point shape), kept for the vjp.
 
     Coordinates are clamped to [0,1] and mapped onto node index space
     (node i at i/(n-1)). The plan keeps only what the 8 corners derive
@@ -122,13 +127,13 @@ class _TrilinearPlan:
 
     __slots__ = ("img", "base", "strides", "fracs", "inside", "out")
 
-    def __init__(self, img: np.ndarray, coords: np.ndarray):
+    def __init__(self, img: np.ndarray, coords):
         nx, ny, nz = img.shape[:3]
-        flat_coords = coords.reshape(-1, 3)
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
         self.img = img
         self.base, self.strides, self.fracs, self.inside = 0, [], [], []
-        for axis, (n, stride) in enumerate(zip((nx, ny, nz), (ny * nz, nz, 1))):
-            c_raw = flat_coords[:, axis]
+        for c, n, stride in zip(coords, (nx, ny, nz), (ny * nz, nz, 1)):
+            c_raw = np.broadcast_to(c, shape).ravel()
             p = np.clip(c_raw, 0.0, 1.0) * (n - 1)
             # snap to the node when within 1e-9 index units so sampling at
             # voxel centers reproduces stored values exactly
@@ -145,7 +150,7 @@ class _TrilinearPlan:
         for idx, w in corners:
             for acc, plane in zip(out, planes):
                 acc += w * plane.take(idx)
-        self.out = np.stack(out, axis=-1).reshape(*coords.shape[:-1], len(out))
+        self.out = np.stack(out, axis=-1).reshape(*shape, len(out))
 
     def _corners(self):
         """Yield each corner's flat index and weight in ``_CORNERS`` order."""
@@ -193,23 +198,21 @@ class _TrilinearPlan:
         return g_image, g_coords
 
 
-def sample_trilinear_values(img: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def sample_trilinear_values(img: np.ndarray, coords) -> np.ndarray:
     """Plain (non-tape) trilinear sampling, same kernel as the tape op.
 
-    ``img`` is (nx, ny, nz, C); ``coords`` is (..., 3) in normalized
-    coordinates, edge-clamped to the unit cube.
+    ``img`` is (nx, ny, nz, C); ``coords`` is three arrays of normalized
+    x, y and z coordinates that broadcast to the point shape, edge-clamped
+    to the unit cube. The result is (*point shape, C).
     """
     return _TrilinearPlan(img, coords).out
 
 
-def sample_nearest_values(img: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Nearest-node sampling with edge clamp, for label volumes."""
-    idx = []
-    for axis in range(3):
-        n = img.shape[axis]
-        c = np.clip(coords[..., axis], 0.0, 1.0)
-        idx.append(np.clip(np.round(c * (n - 1)).astype(np.int64), 0, n - 1))
-    return img[idx[0], idx[1], idx[2], :]
+def sample_nearest_values(img: np.ndarray, coords) -> np.ndarray:
+    """Nearest-node sampling with edge clamp, for label volumes; ``coords``
+    as for ``sample_trilinear_values``."""
+    return img[tuple(np.round(np.clip(c, 0.0, 1.0) * (n - 1)).astype(np.int64)
+                     for c, n in zip(coords, img.shape[:3]))]
 
 
 class Tape:
@@ -427,8 +430,7 @@ class Tape:
             raise TapeError(
                 f"trilinear_sample: displacement needs 3 channels, got {u.value.channels}"
             )
-        coords = grid_coordinates(u.value.dims).data + u.value.data
-        plan = _TrilinearPlan(image.value.data, coords)
+        plan = _TrilinearPlan(image.value.data, displaced_axes(u.value.data))
         return self._append("trilinear_sample", (image, u), plan.out,
                             lambda g: plan.vjp(g, image.needs_grad, u.needs_grad))
 

@@ -93,18 +93,27 @@ class Tensor3:
         return Tensor3(np.full((1, 1, 1, 1), value, dtype=np.float64))
 
 
-def grid_coordinates(dims) -> Tensor3:
-    """Normalized coordinates of the grid nodes as a 3-channel tensor.
+def node_axes(dims) -> list[np.ndarray]:
+    """Normalized node coordinates per axis, shaped (nx,1,1), (1,ny,1), (1,1,nz).
 
     Node i along an axis of length n sits at i/(n-1); a length-1 axis sits
     at 0. This node-centered convention is shared by interpolation, spatial
     gradients and displacement-field composition, so maps expressed on the
     unit cube stay consistent across grid resolutions.
     """
-    nx, ny, nz = dims
-    ax = [np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1) for n in (nx, ny, nz)]
-    gx, gy, gz = np.meshgrid(*ax, indexing="ij")
-    return Tensor3(np.stack([gx, gy, gz], axis=-1))
+    return [np.linspace(0.0, 1.0, n).reshape([n if a == axis else 1 for a in range(3)])
+            for axis, n in enumerate(dims)]
+
+
+def grid_coordinates(dims) -> Tensor3:
+    """The node coordinates of ``node_axes`` as a 3-channel tensor."""
+    return Tensor3(np.stack(np.broadcast_arrays(*node_axes(dims)), axis=-1))
+
+
+def displaced_axes(u: np.ndarray) -> list[np.ndarray]:
+    """Per-axis coordinates x + u(x) at the nodes x of the (nx, ny, nz, 3)
+    displacement ``u``: the points a map built from ``u`` samples at."""
+    return [x + u[..., axis] for axis, x in enumerate(node_axes(u.shape[:3]))]
 
 
 def check_number(error: type[Exception], name: str, value, *, integer: bool = False,

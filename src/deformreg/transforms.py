@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Tensor3, grid_coordinates
+from .tensor import Tensor3, displaced_axes, node_axes
 from .tape import Node, Tape, sample_nearest_values, sample_trilinear_values
 from .volume import LabelVolume, Volume
 
@@ -51,14 +51,12 @@ class DisplacementField:
     def map_points(self, points: np.ndarray) -> np.ndarray:
         """Evaluate phi at normalized points of shape (..., 3)."""
         pts = np.asarray(points, dtype=np.float64)
-        u_at = sample_trilinear_values(self.u.data, pts)
-        return pts + u_at
+        return pts + sample_trilinear_values(self.u.data, np.moveaxis(pts, -1, 0))
 
 
 def compose(phi1: DisplacementField, phi2: DisplacementField) -> DisplacementField:
     """(phi1 o phi2)(x) = phi2(x) + u1(phi2(x)), output on phi2's grid."""
-    coords = grid_coordinates(phi2.dims).data + phi2.u.data
-    u1_at = sample_trilinear_values(phi1.u.data, coords)
+    u1_at = sample_trilinear_values(phi1.u.data, displaced_axes(phi2.u.data))
     return DisplacementField(Tensor3(phi2.u.data + u1_at))
 
 
@@ -72,8 +70,7 @@ def resample_field_to(phi: DisplacementField, dims) -> DisplacementField:
     dims = tuple(int(d) for d in dims)
     if phi.dims == dims:
         return phi
-    coords = grid_coordinates(dims).data
-    return DisplacementField(Tensor3(sample_trilinear_values(phi.u.data, coords)))
+    return DisplacementField(Tensor3(sample_trilinear_values(phi.u.data, node_axes(dims))))
 
 
 def resample_field_nodes(tape: Tape, u: Node, dims) -> Node:
@@ -85,8 +82,7 @@ def resample_field_nodes(tape: Tape, u: Node, dims) -> Node:
 def warp(v: Volume, phi: DisplacementField) -> Volume:
     """Resample v at phi(x): out(x) = v(x + u(x)), edge-clamped."""
     phi_v = resample_field_to(phi, v.dims)
-    coords = grid_coordinates(v.dims).data + phi_v.u.data
-    out = sample_trilinear_values(v.grid.data, coords)
+    out = sample_trilinear_values(v.grid.data, displaced_axes(phi_v.u.data))
     return replace(v, grid=Tensor3(out))
 
 
@@ -98,8 +94,7 @@ def warp_nodes(tape: Tape, image: Node, u: Node) -> Node:
 def warp_nearest(lv: LabelVolume, phi: DisplacementField) -> LabelVolume:
     """Label-safe warp: nearest-neighbor lookup of labels at phi(x)."""
     phi_v = resample_field_to(phi, lv.dims)
-    coords = grid_coordinates(lv.dims).data + phi_v.u.data
-    out = sample_nearest_values(lv.labels[..., None], coords)[..., 0]
+    out = sample_nearest_values(lv.labels[..., None], displaced_axes(phi_v.u.data))[..., 0]
     return replace(lv, labels=out)
 
 
@@ -131,13 +126,17 @@ def percent_neg_jac(phi: DisplacementField) -> float:
 def inverse_displacement(phi: DisplacementField, points: np.ndarray) -> np.ndarray:
     """Fixed-point inverse at normalized points of shape (..., 3):
     v <- -u(p + v), so that phi(p + v) = p once it has converged."""
-    v = np.zeros_like(points)
+    return _fixed_point_inverse(phi, np.moveaxis(points, -1, 0))
+
+
+def _fixed_point_inverse(phi: DisplacementField, axes) -> np.ndarray:
+    """``inverse_displacement`` at points given per axis, as samplers take them."""
+    v = np.zeros(3)  # v = 0 at every point; the first pass gives it the point shape
     for _ in range(INVERSE_ITERATIONS):
-        v = -sample_trilinear_values(phi.u.data, points + v)
+        v = -sample_trilinear_values(phi.u.data, [p + v[..., a] for a, p in enumerate(axes)])
     return v
 
 
 def approximate_inverse(phi: DisplacementField) -> DisplacementField:
     """Fixed-point inverse on phi's grid: ``inverse_displacement`` at every node."""
-    grid = grid_coordinates(phi.dims).data
-    return DisplacementField(Tensor3(inverse_displacement(phi, grid)))
+    return DisplacementField(Tensor3(_fixed_point_inverse(phi, node_axes(phi.dims))))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Tensor3, check_number, grid_coordinates
+from .tensor import Tensor3, check_number, node_axes
 from .tape import sample_trilinear_values
 
 CT_FAMILY = ("CT", "CBCT")
@@ -192,8 +192,7 @@ def resize_trilinear(v: Volume, dims) -> Volume:
         raise VolumeError(f"target dims must be >= 2 per axis, got {dims}")
     if dims == v.dims:
         return v
-    coords = grid_coordinates(dims).data
-    out = sample_trilinear_values(v.grid.data, coords)
+    out = sample_trilinear_values(v.grid.data, node_axes(dims))
     new_spacing = tuple(
         (n_old - 1) * s / (n_new - 1)
         for n_old, s, n_new in zip(v.dims, v.spacing, dims)

@@ -63,11 +63,26 @@ def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
     assert lines[4:] == [f"largest deviation: {zero}"], out
 
 
-def test_trace_digest_deviation():
-    script = ROOT / "tools" / "trace_digest.py"
-    spec = importlib.util.spec_from_file_location("trace_digest", script)
+def load_trace_digest():
+    spec = importlib.util.spec_from_file_location("trace_digest", ROOT / "tools" / "trace_digest.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_digest_compare_checks_the_archive_before_registering(tmp_path, monkeypatch):
+    module = load_trace_digest()
+    registered = []
+    monkeypatch.setattr(module, "register", lambda *run: registered.append(run))
+    archive = tmp_path / "one.npz"
+    np.savez(archive, **{"32^3 LNCC2 6 steps trace": np.zeros(7)})
+    with pytest.raises(SystemExit, match=r"one\.npz: no '32\^3 LNCC2 6 steps phi_ab' array"):
+        module.main(["--compare", str(archive)])
+    assert registered == []
+
+
+def test_trace_digest_deviation():
+    module = load_trace_digest()
     deviation = module.deviation
     assert deviation([1.0, -2.0, 0.5], [1.0, -2.5, 0.25]) == (0.5, 1.0)
     assert deviation([3.0], [3.0]) == (0.0, 0.0)

@@ -1,5 +1,6 @@
 """Pyramid wiring, model construction, and instance optimization."""
 
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -28,7 +29,7 @@ from deformreg.similarity import (
     loss_similarity,
 )
 from deformreg.tape import Tape, grad_check
-from deformreg.tensor import Tensor3
+from deformreg.tensor import Tensor3, grid_coordinates
 from deformreg.transforms import (
     DisplacementField,
     compose,
@@ -312,6 +313,23 @@ class TestInstanceOptimize:
         steps = 3
         instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=steps))
         assert directions == ["ab", "ba"] * (steps + 1)
+
+    def test_a_step_builds_no_identity_grid(self, monkeypatch):
+        # every sample reads the per-axis node coordinates, so no module
+        # rebuilds the (n^3, 3) grid of grid_coordinates within a run
+        calls = []
+
+        def counted(dims):
+            calls.append(dims)
+            return grid_coordinates(dims)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "deformreg" and hasattr(module, "grid_coordinates"):
+                monkeypatch.setattr(module, "grid_coordinates", counted)
+        rng = np.random.default_rng(13)
+        a, b = (make_volume(rng.uniform(0.1, 0.9, (16, 16, 16))) for _ in range(2))
+        instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=1))
+        assert calls == []
 
     def test_caller_model_not_mutated(self):
         rng = np.random.default_rng(11)

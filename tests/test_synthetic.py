@@ -179,8 +179,8 @@ class TestRenderPair:
         pts_a = geo.mm_to_normalized(truth.landmarks_a.points)
         pts_b = geo.mm_to_normalized(truth.landmarks_b.points)
         mapped = truth.field.map_points(pts_b)
-        vals_a = sample_trilinear_values(ph.base.grid.data, pts_a)[..., 0]
-        vals_b = sample_trilinear_values(ph.base.grid.data, mapped)[..., 0]
+        vals_a = sample_trilinear_values(ph.base.grid.data, np.moveaxis(pts_a, -1, 0))[..., 0]
+        vals_b = sample_trilinear_values(ph.base.grid.data, np.moveaxis(mapped, -1, 0))[..., 0]
         assert np.max(np.abs(vals_a - vals_b)) < 0.02
 
 

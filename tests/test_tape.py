@@ -400,7 +400,8 @@ class TestTrilinearOddShapes:
         oracle = np.array([lerp3(img_t.data, p) for p in pts.reshape(-1, 3)])
         assert np.allclose(out.value.data.reshape(-1, 3), oracle, rtol=0, atol=1e-12)
         grid = grid_coordinates(pts.shape[:3]).data
-        assert np.array_equal(sample_trilinear_values(img_t.data, grid + u), out.value.data)
+        assert np.array_equal(sample_trilinear_values(img_t.data, np.moveaxis(grid + u, -1, 0)),
+                              out.value.data)
 
     @pytest.mark.parametrize("dims", ODD_SHAPES)
     def test_grad_wrt_image(self, dims):
@@ -464,7 +465,7 @@ def trilinear_oracle(img, pts, g):
 def channel_last_sample(img, coords):
     """The sample and image adjoint as computed over (..., C) rows before
     the kernel went per channel: the bit-identity reference."""
-    plan = _TrilinearPlan(img, coords)
+    plan = _TrilinearPlan(img, np.moveaxis(coords, -1, 0))
     flat = img.reshape(-1, img.shape[3])
     w0, w1, w2 = ((1.0 - f, f) for f in plan.fracs)
     out = None
@@ -495,7 +496,7 @@ class TestTrilinearVjpOracle:
     def test_each_request_matches_oracle(self, dims, channels):
         img, pts, g = self.case(dims, channels)
         values, g_img, g_pts = trilinear_oracle(img, pts.reshape(-1, 3), g.reshape(-1, channels))
-        plan = _TrilinearPlan(img, pts)
+        plan = _TrilinearPlan(img, np.moveaxis(pts, -1, 0))
         assert np.allclose(plan.out.reshape(-1, channels), values, rtol=0, atol=1e-12)
         image_only, coords_only, both = (plan.vjp(g, *want) for want in
                                          [(True, False), (False, True), (True, True)])
@@ -510,7 +511,7 @@ class TestTrilinearVjpOracle:
     def test_sample_and_image_adjoint_match_channel_last_bitwise(self, dims, channels):
         img, pts, g = self.case(dims, channels)
         out, corners = channel_last_sample(img, pts)
-        plan = _TrilinearPlan(img, pts)
+        plan = _TrilinearPlan(img, np.moveaxis(pts, -1, 0))
         assert plan.out.tobytes() == out.tobytes()
         acc = np.zeros((img.size // channels, channels))
         for idx, w in corners:

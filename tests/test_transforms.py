@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deformreg.tape import sample_trilinear_values
+from deformreg.tape import Tape, sample_nearest_values, sample_trilinear_values
 from deformreg.tensor import Tensor3, grid_coordinates
 from deformreg.transforms import (
     DisplacementField,
@@ -17,7 +17,7 @@ from deformreg.transforms import (
     warp,
     warp_nearest,
 )
-from deformreg.volume import LabelVolume, Volume
+from deformreg.volume import LabelVolume, Volume, resize_trilinear
 
 
 def lerp_oracle(values, point):
@@ -260,7 +260,7 @@ class TestInverse:
         grid = grid_coordinates(phi.dims).data
         v = np.zeros_like(phi.u.data)
         for _ in range(40):
-            v = -sample_trilinear_values(phi.u.data, grid + v)
+            v = -sample_trilinear_values(phi.u.data, np.moveaxis(grid + v, -1, 0))
         assert np.array_equal(approximate_inverse(phi).u.data, v)
 
     def test_point_inverse_matches_grid_nodes_and_inverts_phi(self):
@@ -273,3 +273,62 @@ class TestInverse:
         points = rng.uniform(0.1, 0.9, size=(5, 3))
         mapped = phi.map_points(points + inverse_displacement(phi, points))
         assert np.max(np.abs(mapped - points)) < 1e-12
+
+
+def at_displaced_grid(img, u):
+    """``img`` sampled at grid_coordinates + u on u's grid, the stacked
+    (..., 3) points passed one axis at a time."""
+    points = grid_coordinates(u.shape[:3]).data + u
+    return sample_trilinear_values(img, np.moveaxis(points, -1, 0))
+
+
+class TestSamplingAtDisplacedNodes:
+    """Every sampler reads at grid_coordinates(dims) + u, bit for bit, on
+    non-cubic grids with a length-1 axis and points outside [0, 1]."""
+
+    @staticmethod
+    def fields(seed):
+        rng = np.random.default_rng(seed)
+        img = rng.uniform(-1.0, 1.0, size=(5, 1, 4, 2))
+        phi = DisplacementField(Tensor3(rng.uniform(-0.4, 0.4, size=(4, 3, 1, 3))))
+        psi = DisplacementField(Tensor3(rng.uniform(-0.4, 0.4, size=(5, 1, 4, 3))))
+        return img, phi, psi
+
+    def test_tape_sample_and_compose(self):
+        img, phi, psi = self.fields(21)
+        tape = Tape()
+        out = tape.trilinear_sample(tape.input(Tensor3(img)), tape.input(phi.u))
+        assert out.value.data.tobytes() == at_displaced_grid(img, phi.u.data).tobytes()
+        want = psi.u.data + at_displaced_grid(phi.u.data, psi.u.data)
+        assert compose(phi, psi).u.data.tobytes() == want.tobytes()
+
+    def test_resample_and_resize_sample_at_the_nodes(self):
+        img, phi, _ = self.fields(22)
+        zero = np.zeros((2, 6, 3, 3))
+        want = at_displaced_grid(phi.u.data, zero)
+        assert resample_field_to(phi, (2, 6, 3)).u.data.tobytes() == want.tobytes()
+        # a volume keeps positive spacing, so its axes have at least 2 nodes
+        values = np.concatenate([img[..., :1], img[..., 1:]], axis=1)
+        want = at_displaced_grid(values, zero)
+        resized = resize_trilinear(make_volume(values), (2, 6, 3))
+        assert resized.values().tobytes() == want[..., 0].tobytes()
+
+    def test_warps_sample_at_the_displaced_nodes(self):
+        img, _, psi = self.fields(23)
+        v = make_volume(img[..., :1])
+        want = at_displaced_grid(img[..., :1], psi.u.data)
+        assert warp(v, psi).values().tobytes() == want[..., 0].tobytes()
+        labels = np.arange(20).reshape(5, 1, 4)
+        points = grid_coordinates(psi.dims).data + psi.u.data
+        want = sample_nearest_values(labels[..., None], np.moveaxis(points, -1, 0))[..., 0]
+        assert np.array_equal(warp_nearest(LabelVolume(labels), psi).labels, want)
+
+    def test_inverse_and_map_points(self):
+        _, phi, psi = self.fields(24)
+        v = np.zeros_like(phi.u.data)
+        for _ in range(40):
+            v = -at_displaced_grid(phi.u.data, v)
+        assert approximate_inverse(phi).u.data.tobytes() == v.tobytes()
+        points = grid_coordinates(psi.dims).data + psi.u.data
+        want = points + at_displaced_grid(phi.u.data, psi.u.data)
+        assert phi.map_points(points).tobytes() == want.tobytes()

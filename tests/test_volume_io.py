@@ -330,6 +330,19 @@ class TestRawAndCsv:
         assert np.array_equal(back.values(), data)
         assert back.modality == "SYNTH-BASE" and back.preprocessed
 
+    def test_field_raw_is_channel_major_x_fastest(self, tmp_path):
+        """float32 number c*nx*ny*nz + i + nx*j + nx*ny*k of the payload is
+        channel c at voxel (i, j, k); a round trip cannot see the layout."""
+        nx, ny, nz = 3, 4, 5
+        i, j, k, c = np.indices((nx, ny, nz, 3))
+        u = (c * nx * ny * nz + i + nx * j + nx * ny * k).astype(np.float64)
+        write_field_raw(u, tmp_path / "f")
+        payload = np.frombuffer((tmp_path / "f.raw").read_bytes(), dtype="<f4")
+        assert np.array_equal(payload, np.arange(u.size))
+        back = read_field_raw(tmp_path / "f")
+        assert np.array_equal(back, u)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+
     def test_landmark_round_trip(self, tmp_path):
         pts = np.array([[1.25, -3.5, 100.125], [0.0, 0.0, 0.0], [12.3456789, 7.1, -2.2]])
         lm = LandmarkSet(pts, frame="a")

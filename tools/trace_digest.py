@@ -36,6 +36,10 @@ from deformreg import (
 RUNS = ((32, "LNCC2", 6), (32, "MIND_SSC", 4), (21, "LNCC2", 6), (19, "MIND_SSC", 4))
 
 
+def run_name(n: int, kind: str, steps: int) -> str:
+    return f"{n}^3 {kind} {steps} steps"
+
+
 def register(n: int, kind: str, steps: int):
     dims = (n, n, n)
     phantom = make_phantom(7, dims, n_structures=4)
@@ -88,10 +92,15 @@ def main(argv=None):
                        help="print each trace's and field's largest deviation from a stored file")
     args = parser.parse_args(argv)
     stored = np.load(args.compare) if args.compare else None
+    if stored is not None:
+        for name in (run_name(*run) for run in RUNS):
+            for key in ("trace", "phi_ab", "phi_ba"):
+                if f"{name} {key}" not in stored.files:
+                    raise SystemExit(f"{args.compare}: no '{name} {key}' array in the archive")
     saved = {}
     worst = dict.fromkeys(("trace abs", "trace rel", "phi_ab", "phi_ba"), 0.0)
     for n, kind, steps in RUNS:
-        name = f"{n}^3 {kind} {steps} steps"
+        name = run_name(n, kind, steps)
         result = register(n, kind, steps)
         arrays = outputs(result)
         saved.update({f"{name} {key}": array for key, array in arrays.items()})
