@@ -4,7 +4,8 @@ LNCC is a windowed Pearson correlation computed with separable
 count-normalized box filters; its squared variant is agnostic to the
 local correlation sign, which is what makes contrast-inverted pairs
 registrable. MIND-SSC compares 12-channel self-similarity descriptors
-instead of raw intensities.
+instead of raw intensities; each descriptor is one tape op (``"mind_ssc"``)
+with a hand-written vjp.
 
 Each term compares a moving image with a fixed one, and everything it
 computes from the fixed image alone is that term's fixed side: for
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import Node, Tape
+from .tape import Node, Tape, _box_mean, _box_sum_axis
 from .tensor import Tensor3, check_number
 from .volume import Volume
 
@@ -97,32 +98,90 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
     return tape.div(cov, denom)
 
 
+def _unit_shift_slices(axis: int, step: int):
+    """The edge-clamped unit shift out[i] = in[clip(i + step)] along spatial
+    ``axis`` as index tuples (dst, src, edge): out[dst] = in[src] on the
+    body and out[edge] = in[edge] on the clamped face."""
+    if step > 0:
+        cuts = (slice(None, -1), slice(1, None), slice(-1, None))
+    else:
+        cuts = (slice(1, None), slice(None, -1), slice(None, 1))
+    return tuple((slice(None),) * axis + (cut,) for cut in cuts)
+
+
+# the slices of each neighbor offset's shift, in NEIGHBOR_OFFSETS order
+_SHIFTS = tuple(_unit_shift_slices(next(ax for ax in range(3) if off[ax]), sum(off))
+                for off in NEIGHBOR_OFFSETS)
+# _PAIR_SIGNS[n, k] is +1 (-1) where neighbor n is the first (second) of pair k
+_PAIR_SIGNS = np.array([[(n == i) - (n == j) for i, j in SSC_PAIRS] for n in range(6)],
+                       dtype=np.float64)
+
+
 def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Node:
-    """12-channel self-similarity descriptor.
+    """12-channel self-similarity descriptor, recorded as one tape node.
 
     For each of the 12 orthogonal neighbor pairs (i, j), the pair distance
     is the patch-mean squared difference between the images shifted by the
     two neighbor offsets (edge-clamped shifts, count-normalized patch
     mean). Channels are exp(-SSD_k / V) with V the per-voxel mean of the
     12 distances, floored at eps.
+
+    The forward works on pair-major (12, nx, ny, nz, C) stacks and runs the
+    float ops of the elementwise graph (shift, sub, square, box mean, 11
+    adds, scale by 1/12, floor, div, scale by -1, exp) in its order, so
+    its values equal that graph's bit for bit. The vjp keeps the pair
+    differences, the distances, V, the floor's pass mask and the output.
     """
-    dims = a.value.dims
+    av, dims = a.value.data, a.value.dims
     need = 2 * (cfg.mind_patch_radius + 1) + 1
     if min(dims) < need:
         raise SimilarityError(
             f"volume dims {dims} too small for patch radius {cfg.mind_patch_radius}"
         )
-    shifted = [tape.shift(a, off) for off in NEIGHBOR_OFFSETS]
-    ssds = []
-    for i, j in SSC_PAIRS:
-        diff = tape.sub(shifted[i], shifted[j])
-        ssds.append(tape.box_filter(tape.square(diff), cfg.mind_patch_radius))
-    total = ssds[0]
-    for k in range(1, 12):
-        total = tape.add(total, ssds[k])
-    v_floor = tape.clamp(tape.scale(total, 1.0 / 12.0), lo=cfg.eps)
-    channels = [tape.exp(tape.scale(tape.div(ssd, v_floor), -1.0)) for ssd in ssds]
-    return tape.concat_channels(channels)
+    shifted = []
+    for dst, src, edge in _SHIFTS:
+        out = np.empty_like(av)
+        out[dst], out[edge] = av[src], av[edge]
+        shifted.append(out)
+    diff = np.empty((12,) + av.shape)
+    for k, (i, j) in enumerate(SSC_PAIRS):
+        np.subtract(shifted[i], shifted[j], out=diff[k])
+    r = cfg.mind_patch_radius
+    ssd, counts = _box_mean(diff * diff, r, first=1)
+    mean = ssd[0] + ssd[1]
+    for k in range(2, 12):
+        mean += ssd[k]
+    mean *= 1.0 / 12.0
+    v, passed = np.maximum(mean, cfg.eps), mean > cfg.eps
+    y = ssd / v
+    y *= -1.0
+    np.exp(y, out=y)
+    val = np.moveaxis(y, 0, 3).reshape(*dims, -1)
+    shape = av.shape
+
+    def planar(x):
+        return np.moveaxis(x.reshape(*dims, 12, -1), 3, 0)
+
+    def vjp(g):
+        # twice the adjoint of each SSD_k (the 2 of d(diff^2)/d(diff) taken
+        # early): through the numerator of exp(-SSD_k / V) ...
+        g_ssd = np.multiply(planar(g), planar(val), out=np.empty_like(ssd))
+        g_ssd *= -2.0 / v
+        # ... plus the share through V = max(mean, eps), common to all 12
+        g_ssd += (np.sum(g_ssd * ssd, axis=0) / v * passed) * (-1.0 / 12.0)
+        # the box mean's transpose (the counts, then box sums), then the square
+        g_diff = g_ssd / (counts[0] * counts[1] * counts[2])
+        for axis in (1, 2, 3):
+            g_diff = _box_sum_axis(g_diff, axis, r)
+        g_diff *= diff
+        g_shifted = (_PAIR_SIGNS @ g_diff.reshape(12, -1)).reshape((6,) + shape)
+        g_a = np.zeros(shape)
+        for g_shift, (dst, src, edge) in zip(g_shifted, _SHIFTS):
+            g_a[src] += g_shift[dst]
+            g_a[edge] += g_shift[edge]
+        return (g_a,)
+
+    return tape._append("mind_ssc", (a,), val, vjp)
 
 
 def fixed_side_nodes(tape: Tape, fixed: Node, cfg: SimilarityConfig) -> tuple:

@@ -5,7 +5,10 @@ count-normalized box filtering and pooling, central-difference spatial
 gradients at interior nodes, edge-clamped trilinear sampling of an image
 at x + u(x) for a displacement u, integer shifts and border crops. That
 is enough to express and differentiate every registration loss in this
-package with respect to displacement parameters.
+package with respect to displacement parameters. The MIND-SSC descriptor
+is one op of its own, recorded through ``_append`` by the similarity
+module, so ``shift``, ``exp``, ``clamp`` and ``concat_channels`` have no
+caller in the package (the benchmark's tracer binds them by name).
 
 Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
@@ -72,6 +75,19 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int) -> np.ndarray:
 def _box_counts(n: int, radius: int) -> np.ndarray:
     i = np.arange(n)
     return np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1.0
+
+
+def _box_mean(arr: np.ndarray, radius: int, first: int = 0):
+    """Count-normalized box mean of ``arr`` over its spatial axes ``first``
+    to ``first + 2``, one axis after another, and the per-axis counts
+    (shaped to broadcast against ``arr``) that its transpose divides by."""
+    out, counts = arr, []
+    for axis in range(first, first + 3):
+        shape = [1] * arr.ndim
+        shape[axis] = arr.shape[axis]
+        counts.append(_box_counts(arr.shape[axis], radius).reshape(shape))
+        out = _box_sum_axis(out, axis, radius) / counts[-1]
+    return out, counts
 
 
 def _pool2_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -373,17 +389,7 @@ class Tape:
         are averaged over the voxels present (count-normalized, no padding)."""
         if radius < 1:
             raise TapeError(f"box_filter: radius must be >= 1, got {radius}")
-        av = a.value.data
-        out = av
-        counts = []
-        for axis in range(3):
-            c = _box_counts(av.shape[axis], radius)
-            shape = [1] * 4
-            shape[axis] = av.shape[axis]
-            c = c.reshape(shape)
-            counts.append(c)
-            out = _box_sum_axis(out, axis, radius) / c
-        val = out
+        val, counts = _box_mean(a.value.data, radius)
 
         def vjp(g):
             back = g

@@ -190,6 +190,8 @@ def resize_trilinear(v: Volume, dims) -> Volume:
     dims = tuple(int(d) for d in dims)
     if min(dims) < 2:
         raise VolumeError(f"target dims must be >= 2 per axis, got {dims}")
+    if min(v.dims) < 2:
+        raise VolumeError(f"source dims must be >= 2 per axis to resize, got {v.dims}")
     if dims == v.dims:
         return v
     out = sample_trilinear_values(v.grid.data, node_axes(dims))

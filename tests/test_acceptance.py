@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 The registration experiments (A3, A4, A7) share one 32-cube phantom with
 a fold-free ground-truth deformation of about 2.4 voxels amplitude and
 run 200 optimization steps each; they are the slow part of the suite.
+The MIND-SSC registration check runs 50 steps on the A3 pair.
 """
 
 import time
@@ -293,6 +294,24 @@ class TestA4MonomodalSanity:
             ok,
             f"mTRE {m:.3f} mm ({100 * m / base:.0f}% of identity {base:.3f}), "
             f"%|J|<0 = {folding:.4f}",
+        )
+
+
+class TestMindSscRegistration:
+    """MIND-SSC on the A3 contrast-inverted pair: the modality-independent
+    term registers the pair in 50 steps without folding either map."""
+
+    def test_contrast_inverted_pair(self, experiment):
+        truth = experiment["truth"]
+        base = experiment["mtre_identity"]
+        result = run_io(experiment["inv_pair"], "MIND_SSC", steps=50)
+        m = mtre(truth.landmarks_a, truth.landmarks_b, result.phi_ab, experiment["geo"])
+        folding = [percent_neg_jac(phi) for phi in (result.phi_ab, result.phi_ba)]
+        report(
+            "MIND-SSC contrast-inverted phantom",
+            m <= 0.5 * base and max(folding) <= 0.5,
+            f"mTRE {m:.3f} mm ({100 * m / base:.1f}% of identity {base:.3f}), "
+            f"%|J|<0 = {folding[0]:.4f} / {folding[1]:.4f}",
         )
 
 

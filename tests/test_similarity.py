@@ -1,5 +1,7 @@
 """Similarity losses against brute-force oracles and their sign/affine claims."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from deformreg.similarity import (
     SimilarityError,
     lncc_map,
     loss_similarity,
+    fixed_side_nodes,
+    loss_similarity_nodes,
     mind_ssc_descriptor,
+    mind_ssc_descriptor_nodes,
 )
 from deformreg.tape import Tape, grad_check
 from deformreg.tensor import Tensor3
 from deformreg.transforms import warp_nodes
-from deformreg.similarity import fixed_side_nodes, loss_similarity_nodes
 
 
 def lncc_brute_force(a, b, radius, eps):
@@ -68,6 +72,24 @@ def mind_brute_force(img, patch_radius, eps):
         v = max(np.mean(ssds), eps)
         desc[x, y, z, :] = np.exp(-np.array(ssds) / v)
     return desc
+
+
+def mind_ssc_composed_nodes(tape, a, cfg):
+    """The descriptor as a graph of elementwise tape ops (6 shifts; 12 each
+    of sub, square and box filter; 11 adds; scale and clamp; 12 each of
+    div, scale and exp; a concat): the reference the one-node op must match
+    bit for bit."""
+    shifted = [tape.shift(a, off) for off in NEIGHBOR_OFFSETS]
+    ssds = []
+    for i, j in SSC_PAIRS:
+        diff = tape.sub(shifted[i], shifted[j])
+        ssds.append(tape.box_filter(tape.square(diff), cfg.mind_patch_radius))
+    total = ssds[0]
+    for k in range(1, 12):
+        total = tape.add(total, ssds[k])
+    v_floor = tape.clamp(tape.scale(total, 1.0 / 12.0), lo=cfg.eps)
+    channels = [tape.exp(tape.scale(tape.div(ssd, v_floor), -1.0)) for ssd in ssds]
+    return tape.concat_channels(channels)
 
 
 def rng_volume(rng, dims):
@@ -168,6 +190,78 @@ class TestMindSsc:
     def test_too_small_volume_rejected(self):
         with pytest.raises(SimilarityError):
             mind_ssc_descriptor(Tensor3.zeros((3, 3, 3)))
+
+
+def floored_volume(seed, dims=(7, 8, 9)):
+    """Random values with a flat corner: at voxel (0, 0, 0) every shifted
+    patch lies in it, so all 12 distances are 0 and V sits on its floor."""
+    vol = np.random.default_rng(seed).uniform(0, 1, dims)
+    vol[:4, :4, :4] = 0.3
+    return vol
+
+
+def weighted_descriptor_sum(build, vol, weights, cfg):
+    """(sum of descriptor * weights, its gradient in the image, the
+    descriptor) with the descriptor node from ``build``."""
+    tape = Tape()
+    a = tape.input(Tensor3(vol), parameter=True)
+    d = build(tape, a, cfg)
+    descriptor = d.value.data
+    loss = tape.sum(tape.mul(d, tape.input(Tensor3(weights))))
+    return loss.value.item(), tape.backward(loss)[a.id], descriptor
+
+
+class TestMindSscOneNode:
+    """The one-node descriptor against the composed graph it replaces, at
+    non-cubic dims and on an image where V is floored at some voxels."""
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_forward_bitwise_and_backward_to_float_order(self, radius):
+        vol = floored_volume(20 + radius)
+        cfg = SimilarityConfig(kind="MIND_SSC", mind_patch_radius=radius)
+        weights = np.random.default_rng(30 + radius).uniform(-1, 1, (7, 8, 9, 12))
+        loss, grad, d = weighted_descriptor_sum(mind_ssc_descriptor_nodes, vol, weights, cfg)
+        ref_loss, ref_grad, ref_d = weighted_descriptor_sum(
+            mind_ssc_composed_nodes, vol, weights, cfg)
+        assert d.shape == (7, 8, 9, 12)
+        # exp(-0 / eps) where V is floored; < 1 wherever V is the mean
+        assert np.all(d[0, 0, 0] == 1.0) and np.any(d < 1.0)
+        assert np.array_equal(d, ref_d)
+        assert loss == ref_loss
+        assert np.max(np.abs(grad.data - ref_grad.data)) <= 1e-12 * np.max(np.abs(ref_grad.data))
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_vjp_matches_finite_differences(self, radius):
+        vol = floored_volume(20 + radius)
+        cfg = SimilarityConfig(kind="MIND_SSC", mind_patch_radius=radius)
+        weights = np.random.default_rng(30 + radius).uniform(-1, 1, (7, 8, 9, 12))
+
+        def f(x):
+            return weighted_descriptor_sum(mind_ssc_descriptor_nodes, x.data, weights, cfg)[:2]
+
+        assert grad_check(f, Tensor3(vol), h=1e-6, n_coords=128, seed=radius) < 1e-5
+
+    def test_records_one_node(self):
+        tape = Tape()
+        mind_ssc_descriptor_nodes(tape, tape.input(Tensor3(floored_volume(3))),
+                                  SimilarityConfig(kind="MIND_SSC"))
+        assert [node.op for node in tape.nodes] == ["input", "mind_ssc"]
+
+    def test_node_retains_at_most_40_float64_per_voxel(self):
+        # the pair differences, distances and output (12 planes each), V
+        # and the floor's mask: about 37 float64 a voxel. The input is
+        # allocated before tracing starts, so it is not counted.
+        dims = (24, 24, 24)
+        tape = Tape()
+        a = tape.input(Tensor3(np.random.default_rng(4).uniform(0, 1, dims)), parameter=True)
+        tracemalloc.start()
+        try:
+            d = mind_ssc_descriptor_nodes(tape, a, SimilarityConfig(kind="MIND_SSC"))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert d.needs_grad
+        assert retained <= 40 * 8 * np.prod(dims)
 
 
 class TestDifferentiability:

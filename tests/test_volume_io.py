@@ -183,6 +183,11 @@ class TestResize:
         assert out.min() >= v.values().min() - 1e-12
         assert out.max() <= v.values().max() + 1e-12
 
+    def test_source_with_a_length_one_axis_rejected(self):
+        v = make_volume(np.full((5, 1, 4), 0.3), "CT", preprocessed=True)
+        with pytest.raises(VolumeError, match=r"source dims .*\(5, 1, 4\)"):
+            resize_trilinear(v, (2, 6, 3))
+
     def test_spacing_rescaled_preserves_extent(self):
         v = make_volume(np.zeros((5, 5, 5)) + 0.1, "CT", spacing=(2.0, 2.0, 2.0), preprocessed=True)
         out = resize_trilinear(v, (9, 9, 9))
