@@ -57,25 +57,18 @@ def gradient_inverse_consistency(phi_ab: DisplacementField, phi_ba: Displacement
     return node.value.item()
 
 
-def randomized_loss_nodes(
-    tape: Tape,
-    u_ab: Node,
-    u_ba: Node,
-    loss_a: Node,
-    loss_b: Node,
-    fixed_a: tuple,
-    fixed_b: tuple,
-    cfg: LossConfig,
-):
+def randomized_loss_nodes(tape: Tape, u_ab: Node, u_ba: Node, side_a: tuple, side_b: tuple,
+                          cfg: LossConfig):
     """Assemble the loss on an existing tape; returns (total, terms dict).
 
-    Compares each warped image of the loss pair with the other image's
-    fixed side (``fixed_side_nodes``): A warped by ``u_ab`` with
-    ``fixed_b``, B warped by ``u_ba`` with ``fixed_a``. The maps are on
-    the loss pair's grid.
+    ``side_a`` and ``side_b`` are the images' fixed sides
+    (``fixed_side_nodes``), each led by its image. A warped by ``u_ab`` is
+    compared with ``side_b``, B warped by ``u_ba`` with ``side_a``. The
+    maps are on the images' grid.
     """
-    sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, loss_a, u_ab), fixed_b, cfg.similarity)
-    sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, loss_b, u_ba), fixed_a, cfg.similarity)
+    sim = cfg.similarity
+    sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, side_a[0], u_ab), side_b, sim)
+    sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, side_b[0], u_ba), side_a, sim)
     total = tape.add(sim_ab, sim_ba)
     reg = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
     total = tape.add(total, tape.scale(reg, cfg.lam))

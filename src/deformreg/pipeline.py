@@ -182,7 +182,8 @@ class RegistrationResult:
 
 class Adam:
     """Standard bias-corrected Adam over a name->array parameter dict,
-    with a learning-rate multiplier per key."""
+    with a learning-rate multiplier per key. A step whose moments or
+    update leave the finite range raises FloatingPointError naming the key."""
 
     def __init__(self, cfg: OptimizerConfig, lr_multipliers: dict):
         self.cfg = cfg
@@ -195,18 +196,23 @@ class Adam:
         c = self.cfg
         self.t += 1
         out = {}
-        for key, value in params.items():
-            g = grads[key]
-            m = self.m.setdefault(key, np.zeros_like(g))
-            v = self.v.setdefault(key, np.zeros_like(g))
-            m *= c.beta1
-            m += (1 - c.beta1) * g
-            v *= c.beta2
-            v += (1 - c.beta2) * g * g
-            step = m / (1 - c.beta1**self.t)
-            step *= c.lr * self.lr_multipliers[key]
-            step /= np.sqrt(v / (1 - c.beta2**self.t)) + c.eps
-            out[key] = Tensor3._wrap(np.subtract(value.data, step, out=step))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for key, value in params.items():
+                    g = grads[key]
+                    if key not in self.m:
+                        self.m[key], self.v[key] = np.zeros_like(g), np.zeros_like(g)
+                    m, v = self.m[key], self.v[key]
+                    m *= c.beta1
+                    m += (1 - c.beta1) * g
+                    v *= c.beta2
+                    v += (1 - c.beta2) * g * g
+                    step = m / (1 - c.beta1**self.t)
+                    step *= c.lr * self.lr_multipliers[key]
+                    step /= np.sqrt(v / (1 - c.beta2**self.t)) + c.eps
+                    out[key] = Tensor3._wrap(np.subtract(value.data, step, out=step))
+        except (FloatingPointError, TensorError) as exc:
+            raise FloatingPointError(f"Adam update of {key}: {exc}") from None
         return out
 
 
@@ -226,10 +232,9 @@ def loss_breakdown(a: Volume, b: Volume, model: PyramidModel, cfg: LossConfig) -
     _check_pair(a, b, model)
     tape = Tape()
     bound = BoundPyramid(tape, model)
-    na, nb = tape.input(a.grid), tape.input(b.grid)
-    fixed_a, fixed_b = (fixed_side_nodes(tape, n, cfg.similarity) for n in (na, nb))
+    side_a, side_b = (fixed_side_nodes(tape, tape.input(v.grid), cfg.similarity) for v in (a, b))
     total, terms = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
-                                         na, nb, fixed_a, fixed_b, cfg)
+                                         side_a, side_b, cfg)
     return {"total": total.value.item(), **{k: n.value.item() for k, n in terms.items()}}
 
 
@@ -249,17 +254,17 @@ def instance_optimize(
     """Per-pair Adam refinement of all stage parameters, starting from a
     copy of ``model`` (or a fresh one); the caller's model is not changed.
 
-    The images never move, so the fixed side of each similarity term (B's
-    for A warped to B, A's for B warped to A; see ``fixed_side_nodes``) is
-    built once, on a throwaway tape, before the first step. Each step's
-    tape takes its values as inputs and so records only the work that
-    depends on the parameters.
+    The images never move, so each image's fixed side (the image, then
+    what its similarity term computes from it alone; see
+    ``fixed_side_nodes``) is built once, on a throwaway tape, before the
+    first step. Each step's tape takes its values as inputs and so records
+    only the work that depends on the parameters.
 
     The trace holds the loss before each update plus the final value
     (length steps + 1); the maps are those the final forward evaluated.
-    Raises NumericalAbort if the loss leaves the finite range or an op
-    rejects its input's domain. Deterministic: same inputs and config
-    give a bit-identical trace.
+    Raises NumericalAbort if the loss or an Adam update leaves the finite
+    range or an op rejects its input's domain. Deterministic: same inputs
+    and config give a bit-identical trace.
     """
     loss_cfg = loss_cfg or LossConfig()
     opt_cfg = opt_cfg or OptimizerConfig()
@@ -273,7 +278,7 @@ def instance_optimize(
     }
     adam = Adam(opt_cfg, multipliers)
     trace: list[float] = []
-    fixed_values = [_fixed_side_values(v, loss_cfg.similarity) for v in (ia, ib)]
+    side_values = [_fixed_side_values(v, loss_cfg.similarity) for v in (ia, ib)]
 
     def forward(final: bool):
         """(loss, the gradient per key), or (loss, both maps) when ``final``."""
@@ -283,10 +288,9 @@ def instance_optimize(
         with np.errstate(over="ignore", invalid="ignore"):
             tape = Tape()
             bound = BoundPyramid(tape, model)
-            na, nb = tape.input(ia.grid), tape.input(ib.grid)
-            fixed_a, fixed_b = (tuple(map(tape.input, values)) for values in fixed_values)
+            side_a, side_b = (tuple(map(tape.input, values)) for values in side_values)
             u_ab, u_ba = bound.evaluate("ab"), bound.evaluate("ba")
-            total, _ = randomized_loss_nodes(tape, u_ab, u_ba, na, nb, fixed_a, fixed_b, loss_cfg)
+            total, _ = randomized_loss_nodes(tape, u_ab, u_ba, side_a, side_b, loss_cfg)
             value = total.value.item()
             if final:
                 return value, (DisplacementField(u_ab.value), DisplacementField(u_ba.value))
@@ -297,14 +301,14 @@ def instance_optimize(
         final = step == opt_cfg.steps  # the last forward only records the loss and the maps
         try:
             value, out = forward(final)
-        except (TensorError, TapeError) as exc:  # overflow or a tripped domain guard in an op
+            if not np.isfinite(value):
+                raise NumericalAbort(step)
+            trace.append(value)
+            if not final:
+                model.params = adam.step(model.params, out)
+                del out  # the gradients are not kept alive while the next forward records its tape
+        except (TensorError, TapeError, FloatingPointError) as exc:  # overflow or a domain guard
             raise NumericalAbort(step, str(exc)) from exc
-        if not np.isfinite(value):
-            raise NumericalAbort(step)
-        trace.append(value)
-        if not final:
-            model.params = adam.step(model.params, out)
-            del out  # the gradients are not kept alive while the next forward records its tape
 
     phi_ab, phi_ba = out
     warning = None

@@ -5,17 +5,21 @@ count-normalized box filters; its squared variant is agnostic to the
 local correlation sign, which is what makes contrast-inverted pairs
 registrable. MIND-SSC compares 12-channel self-similarity descriptors
 instead of raw intensities; each descriptor is one tape op (``"mind_ssc"``)
-with a hand-written vjp.
+with a hand-written vjp, which takes its six shifts as windows of one
+edge-padded copy of the image and shares the box mean's transpose with
+``Tape.box_filter``.
 
-Each term compares a moving image with a fixed one, and everything it
-computes from the fixed image alone is that term's fixed side: for
-LNCC and LNCC2 the image, its box mean E[b] and its variance
-E[b^2] - E[b]^2 plus epsilon; for MSE the image; for MIND-SSC its
-descriptor. ``fixed_side_nodes`` builds it and ``loss_similarity_nodes``
-takes it in place of the fixed image, so an optimizer whose fixed images
-never change builds each fixed side once per pair and feeds its values
-to every step as tape inputs. The builder runs the same ops on the same
-operands as a term built in one piece, so the values are bit-identical.
+Each term compares a moving image with a fixed one. The fixed side is
+the fixed image followed by everything the term computes from it alone:
+for LNCC and LNCC2 its box mean E[b] and its variance E[b^2] - E[b]^2
+plus epsilon; for MIND-SSC its descriptor; for MSE nothing more.
+``fixed_side_nodes`` builds it and ``loss_similarity_nodes`` takes it in
+place of the fixed image. A symmetric pair loss warps each side's image
+and compares it with the other side, so each volume enters a tape once,
+and an optimizer whose images never change builds both sides once per
+pair and feeds their values to every step as tape inputs. The builder
+runs the same ops on the same operands as a term built in one piece, so
+the values are bit-identical.
 
 The single epsilon of the package (default 1e-5) sits inside each
 variance before the product under the square root, and floors the MIND
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import Node, Tape, _box_mean, _box_sum_axis
+from .tape import Node, Tape, _box_mean, _box_mean_t
 from .tensor import Tensor3, check_number
 from .volume import Volume
 
@@ -98,20 +102,9 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
     return tape.div(cov, denom)
 
 
-def _unit_shift_slices(axis: int, step: int):
-    """The edge-clamped unit shift out[i] = in[clip(i + step)] along spatial
-    ``axis`` as index tuples (dst, src, edge): out[dst] = in[src] on the
-    body and out[edge] = in[edge] on the clamped face."""
-    if step > 0:
-        cuts = (slice(None, -1), slice(1, None), slice(-1, None))
-    else:
-        cuts = (slice(1, None), slice(None, -1), slice(None, 1))
-    return tuple((slice(None),) * axis + (cut,) for cut in cuts)
-
-
-# the slices of each neighbor offset's shift, in NEIGHBOR_OFFSETS order
-_SHIFTS = tuple(_unit_shift_slices(next(ax for ax in range(3) if off[ax]), sum(off))
-                for off in NEIGHBOR_OFFSETS)
+# the window of an edge-padded copy (one voxel per face) that holds the
+# edge-clamped shift by each neighbor offset, in NEIGHBOR_OFFSETS order
+_WINDOWS = tuple(tuple(slice(1 + o, o - 1 or None) for o in off) for off in NEIGHBOR_OFFSETS)
 # _PAIR_SIGNS[n, k] is +1 (-1) where neighbor n is the first (second) of pair k
 _PAIR_SIGNS = np.array([[(n == i) - (n == j) for i, j in SSC_PAIRS] for n in range(6)],
                        dtype=np.float64)
@@ -126,11 +119,14 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
     mean). Channels are exp(-SSD_k / V) with V the per-voxel mean of the
     12 distances, floored at eps.
 
-    The forward works on pair-major (12, nx, ny, nz, C) stacks and runs the
-    float ops of the elementwise graph (shift, sub, square, box mean, 11
-    adds, scale by 1/12, floor, div, scale by -1, exp) in its order, so
-    its values equal that graph's bit for bit. The vjp keeps the pair
-    differences, the distances, V, the floor's pass mask and the output.
+    Each shift is a window of one copy of the image padded by its edge
+    values. The forward works on pair-major (12, nx, ny, nz, C) stacks and
+    runs the float ops of the elementwise graph (shift, sub, square, box
+    mean, 11 adds, scale by 1/12, floor, div, scale by -1, exp) in its
+    order, so its values equal that graph's bit for bit. The vjp keeps the
+    pair differences, the distances, V, the floor's pass mask and the
+    output; it adds each shift's adjoint into its window of a padded zero
+    array and folds each padded face onto the face it copies.
     """
     av, dims = a.value.data, a.value.dims
     need = 2 * (cfg.mind_patch_radius + 1) + 1
@@ -138,14 +134,11 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
         raise SimilarityError(
             f"volume dims {dims} too small for patch radius {cfg.mind_patch_radius}"
         )
-    shifted = []
-    for dst, src, edge in _SHIFTS:
-        out = np.empty_like(av)
-        out[dst], out[edge] = av[src], av[edge]
-        shifted.append(out)
+    padded = np.pad(av, ((1, 1),) * 3 + ((0, 0),), mode="edge")
     diff = np.empty((12,) + av.shape)
     for k, (i, j) in enumerate(SSC_PAIRS):
-        np.subtract(shifted[i], shifted[j], out=diff[k])
+        np.subtract(padded[_WINDOWS[i]], padded[_WINDOWS[j]], out=diff[k])
+    pad_shape, shape = padded.shape, av.shape
     r = cfg.mind_patch_radius
     ssd, counts = _box_mean(diff * diff, r, first=1)
     mean = ssd[0] + ssd[1]
@@ -157,7 +150,6 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
     y *= -1.0
     np.exp(y, out=y)
     val = np.moveaxis(y, 0, 3).reshape(*dims, -1)
-    shape = av.shape
 
     def planar(x):
         return np.moveaxis(x.reshape(*dims, 12, -1), 3, 0)
@@ -169,29 +161,31 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
         g_ssd *= -2.0 / v
         # ... plus the share through V = max(mean, eps), common to all 12
         g_ssd += (np.sum(g_ssd * ssd, axis=0) / v * passed) * (-1.0 / 12.0)
-        # the box mean's transpose (the counts, then box sums), then the square
-        g_diff = g_ssd / (counts[0] * counts[1] * counts[2])
-        for axis in (1, 2, 3):
-            g_diff = _box_sum_axis(g_diff, axis, r)
+        # the box mean's transpose, then the square's
+        g_diff = _box_mean_t(g_ssd, counts, r, first=1)
         g_diff *= diff
         g_shifted = (_PAIR_SIGNS @ g_diff.reshape(12, -1)).reshape((6,) + shape)
-        g_a = np.zeros(shape)
-        for g_shift, (dst, src, edge) in zip(g_shifted, _SHIFTS):
-            g_a[src] += g_shift[dst]
-            g_a[edge] += g_shift[edge]
-        return (g_a,)
+        g_padded = np.zeros(pad_shape)
+        for g_shift, window in zip(g_shifted, _WINDOWS):
+            g_padded[window] += g_shift
+        for axis in range(3):
+            faces = np.moveaxis(g_padded, axis, 0)
+            faces[1] += faces[0]
+            faces[-2] += faces[-1]
+        return (g_padded[1:-1, 1:-1, 1:-1],)
 
     return tape._append("mind_ssc", (a,), val, vjp)
 
 
 def fixed_side_nodes(tape: Tape, fixed: Node, cfg: SimilarityConfig) -> tuple:
     """The fixed side of a ``cfg.kind`` term whose fixed image is ``fixed``:
-    the nodes ``loss_similarity_nodes`` reads of it (see the module doc)."""
+    ``fixed`` itself, then the nodes ``loss_similarity_nodes`` reads of it
+    (see the module doc)."""
     if cfg.kind in ("LNCC", "LNCC2"):
         return _lncc_fixed_nodes(tape, fixed, cfg)
     if cfg.kind == "MSE":
         return (fixed,)
-    return (mind_ssc_descriptor_nodes(tape, fixed, cfg),)
+    return fixed, mind_ssc_descriptor_nodes(tape, fixed, cfg)
 
 
 def loss_similarity_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> Node:
@@ -208,7 +202,7 @@ def loss_similarity_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConf
     if cfg.kind == "MSE":
         return tape.mean(tape.square(tape.sub(a, fixed[0])))
     da = mind_ssc_descriptor_nodes(tape, a, cfg)  # MIND_SSC, the one kind left
-    return tape.mean(tape.square(tape.sub(da, fixed[0])))
+    return tape.mean(tape.square(tape.sub(da, fixed[1])))
 
 
 # -- plain wrappers (fresh throwaway tape, value only) ---------------------------

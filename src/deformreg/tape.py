@@ -90,6 +90,18 @@ def _box_mean(arr: np.ndarray, radius: int, first: int = 0):
     return out, counts
 
 
+def _box_mean_t(g: np.ndarray, counts, radius: int, first: int = 0) -> np.ndarray:
+    """The transpose of ``_box_mean`` applied to ``g``, with the counts it
+    returned: per axis, divide by the counts, then box-sum (the sum is
+    symmetric). ``g`` is left as it is."""
+    out = g / counts[0]
+    for k, c in enumerate(counts):
+        if k:
+            out /= c
+        out = _box_sum_axis(out, first + k, radius)
+    return out
+
+
 def _pool2_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     """Pairwise sum along one axis; a trailing odd element forms its own bin."""
     a = np.moveaxis(arr, axis, 0)
@@ -390,14 +402,8 @@ class Tape:
         if radius < 1:
             raise TapeError(f"box_filter: radius must be >= 1, got {radius}")
         val, counts = _box_mean(a.value.data, radius)
-
-        def vjp(g):
-            back = g
-            for axis in range(3):
-                back = _box_sum_axis(back / counts[axis], axis, radius)
-            return (back,)
-
-        return self._append("box_filter", (a,), val, vjp)
+        return self._append("box_filter", (a,), val,
+                            lambda g: (_box_mean_t(g, counts, radius),))
 
     def spatial_gradient(self, a: Node) -> Node:
         """Per-channel gradient in normalized coordinates by central

@@ -175,10 +175,10 @@ class TestA1GradientCorrectness:
                 bound = BoundPyramid(tape, probe)
                 from deformreg.losses import randomized_loss_nodes
 
-                nla, nlb = tape.input(la.grid), tape.input(lb.grid)
-                fa, fb = (fixed_side_nodes(tape, n, cfg.similarity) for n in (nla, nlb))
+                fa, fb = (fixed_side_nodes(tape, tape.input(v.grid), cfg.similarity)
+                          for v in (la, lb))
                 total, _ = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
-                                                 nla, nlb, fa, fb, cfg)
+                                                 fa, fb, cfg)
                 grads = tape.backward(total)
                 return total.value.item(), grads[bound.nodes["ab2"].id]
 

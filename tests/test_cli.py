@@ -126,6 +126,24 @@ class TestDivergedRun:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, reason", [
+        ({"optimizer": {"steps": 2, "lr": 1e308, "stage_damping": [2, 0.3, 0.1]}},
+         "non-finite values"),
+        ({"loss": {"lambda": 1e200}, "optimizer": {"steps": 3}}, "overflow")],
+        ids=["update", "second_moment"])
+    def test_non_finite_adam_step_exits_4(self, synth_pair, tmp_path, capsys, config, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        rc = main(["register", "--source", str(synth_pair / "a.nii"),
+                   "--target", str(synth_pair / "b.nii"),
+                   "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert err.startswith(f"numerical abort: Adam update of ab0: {reason}")
+        assert "optimization step" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_default_config_exits_0(self, synth_pair, tmp_path):
         out = tmp_path / "out"
         rc = main(["register", "--source", str(synth_pair / "a.nii"),

@@ -7,6 +7,7 @@ import pytest
 
 from deformreg.similarity import (
     NEIGHBOR_OFFSETS,
+    SIMILARITY_KINDS,
     SSC_PAIRS,
     SimilarityConfig,
     SimilarityError,
@@ -262,6 +263,15 @@ class TestMindSscOneNode:
             tracemalloc.stop()
         assert d.needs_grad
         assert retained <= 40 * 8 * np.prod(dims)
+
+
+class TestFixedSide:
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_starts_with_its_image(self, kind):
+        # a pair loss warps side[0], so each volume enters a tape once
+        tape = Tape()
+        n = tape.input(rng_volume(np.random.default_rng(6), (8, 8, 8)))
+        assert fixed_side_nodes(tape, n, SimilarityConfig(kind=kind))[0] is n
 
 
 class TestDifferentiability:

@@ -10,6 +10,8 @@ from deformreg.tape import (
     _CORNERS,
     Tape,
     TapeError,
+    _box_mean,
+    _box_mean_t,
     _box_sum_axis,
     _TrilinearPlan,
     grad_check,
@@ -197,6 +199,20 @@ class TestBoxSum:
         lhs = float(np.sum(box.value.data * y.data))  # backward drops box's value
         vjp_y = tape.backward(loss)[xn.id].data
         assert abs(lhs - float(np.sum(x.data * vjp_y))) <= 1e-12
+
+    @pytest.mark.parametrize("radius", [1, 2, 8])
+    @pytest.mark.parametrize("shape, first", [((7, 8, 9), 0), ((12, 7, 8, 9, 1), 1)])
+    def test_box_mean_t_is_the_adjoint_of_box_mean(self, shape, first, radius):
+        # <B x, y> == <x, B^T y> over the spatial axes first..first+2, also
+        # where the radius exceeds an axis (8 > 7); B^T leaves y as it is
+        rng = np.random.default_rng(radius + first)
+        x, y = rng.uniform(-1.0, 1.0, (2, *shape))
+        y_before = y.copy()
+        bx, counts = _box_mean(x, radius, first)
+        lhs = np.sum(bx * y)
+        rhs = np.sum(x * _box_mean_t(y, counts, radius, first))
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(bx * y))
+        assert np.array_equal(y, y_before)
 
 
 class TestBackward:
