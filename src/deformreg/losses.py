@@ -46,7 +46,7 @@ def gradient_inverse_consistency_nodes(tape: Tape, u_ab: Node, u_ba: Node) -> No
     # the composed map, taken at the interior nodes only
     jac_minus_i = tape.spatial_gradient(comp)
     n_interior = int(np.prod(jac_minus_i.value.dims))
-    return tape.scale(tape.sum(tape.square(jac_minus_i)), 1.0 / n_interior)
+    return tape.scale(tape.sum_squares(jac_minus_i), 1.0 / n_interior)
 
 
 def gradient_inverse_consistency(phi_ab: DisplacementField, phi_ba: DisplacementField) -> float:
@@ -67,9 +67,11 @@ def randomized_loss_nodes(tape: Tape, u_ab: Node, u_ba: Node, side_a: tuple, sid
     maps are on the images' grid.
     """
     sim = cfg.similarity
+    # recorded first, so that the sweep reaches the penalty's compose (a
+    # trilinear vjp with both halves) after the similarity terms have
+    # released what they kept
+    reg = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
     sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, side_a[0], u_ab), side_b, sim)
     sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, side_b[0], u_ba), side_a, sim)
-    total = tape.add(sim_ab, sim_ba)
-    reg = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
-    total = tape.add(total, tape.scale(reg, cfg.lam))
+    total = tape.add(tape.add(sim_ab, sim_ba), tape.scale(reg, cfg.lam))
     return total, {"sim_ab": sim_ab, "sim_ba": sim_ba, "reg": reg}

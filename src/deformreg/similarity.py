@@ -3,11 +3,14 @@
 LNCC is a windowed Pearson correlation computed with separable
 count-normalized box filters; its squared variant is agnostic to the
 local correlation sign, which is what makes contrast-inverted pairs
-registrable. MIND-SSC compares 12-channel self-similarity descriptors
+registrable. The moving image's correlation map is one tape op
+(``"lncc_map"``) with a hand-written vjp that keeps three arrays beyond
+its operands. MIND-SSC compares 12-channel self-similarity descriptors
 instead of raw intensities; each descriptor is one tape op (``"mind_ssc"``)
 with a hand-written vjp, which takes its six shifts as windows of one
-edge-padded copy of the image and shares the box mean's transpose with
-``Tape.box_filter``.
+edge-padded copy of the image. Both vjps share the box mean's transpose
+with ``Tape.box_filter``, and every term's mean of squares is one
+``Tape.sum_squares`` node.
 
 Each term compares a moving image with a fixed one. The fixed side is
 the fixed image followed by everything the term computes from it alone:
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import Node, Tape, _box_mean, _box_mean_t
+from .tape import Node, Tape, TapeError, _box_mean, _box_mean_t
 from .tensor import Tensor3, check_number
 from .volume import Volume
 
@@ -89,17 +92,55 @@ def _lncc_fixed_nodes(tape: Tape, b: Node, cfg: SimilarityConfig) -> tuple[Node,
 
 def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> Node:
     """Per-voxel windowed correlation rho = cov / sqrt((var_a+eps)(var_b+eps))
-    of ``a`` with the fixed image whose LNCC fixed side is ``fixed``."""
+    of ``a`` with the fixed image whose LNCC fixed side is ``fixed``,
+    recorded as one tape node.
+
+    The forward runs the float ops of the elementwise graph (box means of
+    a, a*b and a*a; cov = E[ab] - E[a]E[b]; var_a = E[a^2] - E[a]^2; eps;
+    the product with var_b + eps; sqrt; div) in its order, with the same
+    sqrt and div domain guards, so its values equal that graph's bit for
+    bit. Beyond its operands, the vjp keeps E[a], cov and the denominator
+    (and var_a + eps where the fixed variance needs a gradient).
+    """
     b, eb, var_b_eps = fixed
     _check_same_dims(a, b)
     r = cfg.window_radius
-    ea = tape.box_filter(a, r)
-    eab = tape.box_filter(tape.mul(a, b), r)
-    ea2 = tape.box_filter(tape.square(a), r)
-    cov = tape.sub(eab, tape.mul(ea, eb))
-    var_a = tape.sub(ea2, tape.square(ea))
-    denom = tape.sqrt(tape.mul(tape.add_const(var_a, cfg.eps), var_b_eps))
-    return tape.div(cov, denom)
+    av, bv, ebv, vbv = (node.value.data for node in (a, b, eb, var_b_eps))
+    ea, counts = _box_mean(av, r)
+    cov = _box_mean(av * bv, r)[0]
+    cov -= ea * ebv
+    var_a_eps = _box_mean(av * av, r)[0]
+    var_a_eps -= ea * ea
+    var_a_eps += float(cfg.eps)
+    denom = var_a_eps * vbv
+    if np.min(denom) <= 0.0:
+        raise TapeError("sqrt: non-positive radicand (add an epsilon upstream)")
+    np.sqrt(denom, out=denom)
+    if np.min(denom) <= 0.0:
+        raise TapeError("div: non-positive denominator (add an epsilon upstream)")
+    # held only where var_b + eps is to get its share
+    var_a_eps = var_a_eps if var_b_eps.needs_grad else None
+
+    def vjp(g):
+        # through the division, then the square root: the radicand's adjoint
+        g_cov = g / denom
+        g_rad = -g * cov / (denom * denom)
+        g_rad /= 2.0 * denom
+        g_var_b = g_rad * var_a_eps if var_b_eps.needs_grad else None
+        g_var_a = g_rad
+        g_var_a *= vbv
+        g_ea = (2.0 * ea) * -g_var_a
+        g_ea += -g_cov * ebv
+        # the box means' transposes; a's shares in the order the sweep of
+        # the elementwise graph adds them
+        g_ab = _box_mean_t(g_cov, counts, r)
+        g_a = (2.0 * av) * _box_mean_t(g_var_a, counts, r)
+        g_a += g_ab * bv
+        g_a += _box_mean_t(g_ea, counts, r)
+        return (g_a, g_ab * av if b.needs_grad else None,
+                -g_cov * ea if eb.needs_grad else None, g_var_b)
+
+    return tape._append("lncc_map", (a, b, eb, var_b_eps), cov / denom, vjp)
 
 
 # the window of an edge-padded copy (one voxel per face) that holds the
@@ -198,11 +239,11 @@ def loss_similarity_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConf
         return tape.add_const(tape.scale(tape.mean(rho), -1.0), 1.0)
     if cfg.kind == "LNCC2":
         rho = lncc_map_nodes(tape, a, fixed, cfg)
-        return tape.add_const(tape.scale(tape.mean(tape.square(rho)), -1.0), 1.0)
+        return tape.add_const(tape.scale(tape.sum_squares(rho, mean=True), -1.0), 1.0)
     if cfg.kind == "MSE":
-        return tape.mean(tape.square(tape.sub(a, fixed[0])))
+        return tape.sum_squares(tape.sub(a, fixed[0]), mean=True)
     da = mind_ssc_descriptor_nodes(tape, a, cfg)  # MIND_SSC, the one kind left
-    return tape.mean(tape.square(tape.sub(da, fixed[1])))
+    return tape.sum_squares(tape.sub(da, fixed[1]), mean=True)
 
 
 # -- plain wrappers (fresh throwaway tape, value only) ---------------------------

@@ -1,24 +1,29 @@
 """Reverse-mode automatic differentiation over dense 3D tensor operations.
 
-The op set is deliberately small: elementwise arithmetic, reductions,
-count-normalized box filtering and pooling, central-difference spatial
-gradients at interior nodes, edge-clamped trilinear sampling of an image
-at x + u(x) for a displacement u, integer shifts and border crops. That
-is enough to express and differentiate every registration loss in this
-package with respect to displacement parameters. The MIND-SSC descriptor
-is one op of its own, recorded through ``_append`` by the similarity
-module, so ``shift``, ``exp``, ``clamp`` and ``concat_channels`` have no
-caller in the package (the benchmark's tracer binds them by name).
+The op set is deliberately small: elementwise arithmetic, reductions
+(``sum_squares`` among them: a sum or mean of squares that keeps no
+square for the sweep), count-normalized box filtering and pooling,
+central-difference spatial gradients at interior nodes, edge-clamped
+trilinear sampling of an image at x + u(x) for a displacement u, integer
+shifts and border crops. That is enough to express and differentiate
+every registration loss in this package with respect to displacement
+parameters. The LNCC map (``"lncc_map"``) and the MIND-SSC descriptor
+(``"mind_ssc"``) are ops of their own with hand-written vjps, recorded
+through ``_append`` by the similarity module. So ``mul``, ``div``,
+``sqrt``, ``sum``, ``shift``, ``exp``, ``clamp`` and ``concat_channels``
+have no caller in the package; the tests build reference graphs from
+them and the benchmark's tracer binds them by name.
 
 Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
 (..., 3) points pass ``np.moveaxis(points, -1, 0)``.
 
-Epsilon policy: raw ``div``/``sqrt`` reject non-positive operands. Losses
-that need stabilizing add an explicit epsilon inside the radicand or
-denominator before calling them (see the similarity module), so there is
-exactly one documented epsilon per formula and finite-difference oracles
-can reproduce it.
+Epsilon policy: raw ``div``/``sqrt`` (and the LNCC map, which keeps their
+guards and messages) reject non-positive operands. Losses that need
+stabilizing add an explicit epsilon inside the radicand or denominator
+before calling them (see the similarity module), so there is exactly one
+documented epsilon per formula and finite-difference oracles can
+reproduce it.
 """
 
 from __future__ import annotations
@@ -142,9 +147,11 @@ class _TrilinearPlan:
     point's low corner, one flat stride per axis (0 on a length-1 axis,
     where both corners coincide), the three fractions, and the three masks
     that are False where the raw coordinate left the domain (the clamp
-    makes the sampled value constant there); with the output, 35 + 8C
-    bytes a point. Corner (bx, by, bz) sits at ``base + bx*sx + by*sy +
-    bz*sz`` with weight ``w0[bx]*w1[by]*w2[bz]``, ``w = (1 - f, f)``.
+    makes the sampled value constant there): 35 bytes a point. It also
+    holds the sampled values ``out`` until a caller takes them; no vjp
+    reads them, so ``Tape.trilinear_sample`` does not leave them there.
+    Corner (bx, by, bz) sits at ``base + bx*sx + by*sy + bz*sz`` with
+    weight ``w0[bx]*w1[by]*w2[bz]``, ``w = (1 - f, f)``.
 
     Every pass works on one channel at a time, as contiguous flat arrays:
     over (..., C) rows each gather, product and reduction runs numpy's
@@ -180,38 +187,45 @@ class _TrilinearPlan:
                 acc += w * plane.take(idx)
         self.out = np.stack(out, axis=-1).reshape(*shape, len(out))
 
+    def _indices(self):
+        """Yield each corner's flat index in ``_CORNERS`` order."""
+        sx, sy, sz = self.strides
+        for bx, by, bz in _CORNERS:
+            yield self.base + (bx * sx + by * sy + bz * sz)
+
     def _corners(self):
         """Yield each corner's flat index and weight in ``_CORNERS`` order."""
         w0, w1, w2 = ((1.0 - f, f) for f in self.fracs)
-        sx, sy, sz = self.strides
-        for bx, by, bz in _CORNERS:
-            yield self.base + (bx * sx + by * sy + bz * sz), w0[bx] * w1[by] * w2[bz]
+        for idx, (bx, by, bz) in zip(self._indices(), _CORNERS):
+            yield idx, w0[bx] * w1[by] * w2[bz]
 
     def vjp(self, g: np.ndarray, want_image: bool, want_coords: bool):
         """The image's and the coordinates' adjoints for the output adjoint
-        ``g`` (..., C), None where not wanted, from one pass over the
-        corners. The image half scatters ``w * g``. The coordinate half
-        projects each corner onto ``g``, ``p_k = sum_c v_kc g_c``; per axis
-        it blends the differences of the ``p_k`` along that axis by the
-        other two axes' weights (lower axis bit outermost), scales by the
-        coordinate-to-index factor and masks where the clamp saturates."""
+        ``g`` (..., C), None where not wanted. The image half runs first and
+        scatters ``w * g``. The coordinate half projects each corner onto
+        ``g``, ``p_k = sum_c v_kc g_c``, and frees the channel planes; per
+        axis it blends the differences of the ``p_k`` along that axis by
+        the other two axes' weights (lower axis bit outermost), scales by
+        the coordinate-to-index factor and masks where the clamp
+        saturates."""
         g_planes = _planes(g)
-        size = self.img.size // len(g_planes)
-        g_image = [np.zeros(size) for _ in g_planes] if want_image else None
-        planes, proj = _planes(self.img) if want_coords else None, []
-        for idx, w in self._corners():
-            if want_image:
-                for acc, g_c in zip(g_image, g_planes):
-                    acc += np.bincount(idx, weights=w * g_c, minlength=size)
-            if want_coords:
+        g_image = g_coords = None
+        if want_image:
+            size = self.img.size // len(g_planes)
+            acc = [np.zeros(size) for _ in g_planes]
+            for idx, w in self._corners():
+                for a, g_c in zip(acc, g_planes):
+                    a += np.bincount(idx, weights=w * g_c, minlength=size)
+            g_image = np.stack(acc, axis=-1).reshape(self.img.shape)
+            del acc
+        if want_coords:
+            planes, proj = _planes(self.img), []
+            for idx in self._indices():
                 terms = (plane.take(idx) * g_c for plane, g_c in zip(planes, g_planes))
                 proj.append(next(terms))
                 for term in terms:
                     proj[-1] += term
-        if want_image:
-            g_image = np.stack(g_image, axis=-1).reshape(self.img.shape)
-        g_coords = None
-        if want_coords:
+            del planes, g_planes
             w = [(1.0 - f, f) for f in self.fracs]
             g_coords = np.empty((self.base.size, 3))
             for axis in range(3):
@@ -369,6 +383,16 @@ class Tape:
             "mean", (a,), val, lambda g: (np.full(shape, g.reshape(()) / n),)
         )
 
+    def sum_squares(self, a: Node, mean: bool = False) -> Node:
+        """sum(a * a), divided by a's size when ``mean``: the value and
+        gradient of ``sum(square(a))`` or ``mean(square(a))`` bit for bit,
+        without keeping the square until backward."""
+        av = a.value.data
+        n = av.size if mean else 1
+        val = Tensor3.scalar(float(np.sum(av * av)) / n)
+        return self._append("sum_squares", (a,), val,
+                            lambda g: (av * (2.0 * g.reshape(()) / n),))
+
     # -- spatial ops ----------------------------------------------------------
 
     def avg_pool2(self, a: Node) -> Node:
@@ -422,14 +446,14 @@ class Tape:
         for axis, (up, down, step) in enumerate(stencils):
             out[..., axis::3] = (av[up] - av[down]) / step
 
+        shape = av.shape
+
         def vjp(g):
-            back = np.zeros(av.shape)
+            back = np.zeros(shape)
             for axis, (up, down, step) in enumerate(stencils):
                 g_axis = g[..., axis::3] / step
-                term = np.zeros(av.shape)
-                term[up] += g_axis
-                term[down] -= g_axis
-                back += term
+                back[up] += g_axis
+                back[down] -= g_axis
             return (back,)
 
         return self._append("spatial_gradient", (a,), out, vjp)
@@ -443,7 +467,8 @@ class Tape:
                 f"trilinear_sample: displacement needs 3 channels, got {u.value.channels}"
             )
         plan = _TrilinearPlan(image.value.data, displaced_axes(u.value.data))
-        return self._append("trilinear_sample", (image, u), plan.out,
+        out, plan.out = plan.out, None
+        return self._append("trilinear_sample", (image, u), out,
                             lambda g: plan.vjp(g, image.needs_grad, u.needs_grad))
 
     def shift(self, a: Node, offset) -> Node:
@@ -516,7 +541,7 @@ class Tape:
             if node.adjoint is None:
                 grads[pid] = Tensor3.zeros(node.value.dims, node.value.channels)
             else:
-                grads[pid] = Tensor3(node.adjoint)
+                grads[pid] = Tensor3._wrap(node.adjoint)
         return grads
 
 

@@ -49,6 +49,15 @@ def test_trace_digest_prints_four_digests(tmp_path):
     assert len(re.findall(r": [0-9a-f]{16}$", out, flags=re.M)) == 4, out
 
 
+def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(tmp_path):
+    script = ROOT / "tools" / "trace_digest.py"
+    plain = re.findall(r": ([0-9a-f]{16})$", run_script(script, tmp_path), flags=re.M)
+    out = run_script(script, tmp_path, argv=["--memory"])
+    runs = re.findall(r": ([0-9a-f]{16})  one-step peak (\d+\.\d\d) MB$", out, flags=re.M)
+    assert [digest for digest, _ in runs] == plain and len(plain) == 4, out
+    assert all(float(peak) > 0 for _, peak in runs), out
+
+
 def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
     script = ROOT / "tools" / "trace_digest.py"
     run_script(script, tmp_path, argv=["--save", "outputs.npz"])

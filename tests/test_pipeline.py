@@ -172,8 +172,8 @@ class TestLossNodeInventory:
     puts a grid or its ``add`` on the tape."""
 
     @pytest.mark.parametrize("kind, n, nodes, inputs", [
-        ("LNCC2", 16, 65, 6), ("MIND_SSC", 16, 37, 4),
-        ("LNCC2", 32, 65, 6)])
+        ("LNCC2", 16, 38, 6), ("MIND_SSC", 16, 34, 4),
+        ("LNCC2", 32, 38, 6)])
     def test_one_forward(self, monkeypatch, kind, n, nodes, inputs):
         tape = first_step_tape(monkeypatch, kind, n)
         ops = Counter(node.op for node in tape.nodes)
@@ -442,6 +442,15 @@ class TestStepMemory:
         field_bytes = 24**3 * 3 * 8
         assert peak - entry <= field_bytes, (
             f"backward rose {(peak - entry) / field_bytes:.2f} fields above its entry")
+
+    def test_sweep_enters_with_at_most_26_fields(self, monkeypatch):
+        # what a step keeps for its sweep: the LNCC maps keep E[a], cov and
+        # the denominator, the squared reductions no square, and the
+        # trilinear plans no output (32.6 fields when none of them did)
+        ((entry, _),) = backward_memory(monkeypatch, steps=1)
+        field_bytes = 24**3 * 3 * 8
+        assert entry <= 26 * field_bytes, (
+            f"backward entered with {entry / field_bytes:.2f} fields")
 
     def test_second_step_holds_only_adams_moments_more(self, monkeypatch):
         # Adam's m and v appear with the first update; the first step's

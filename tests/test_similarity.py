@@ -12,13 +12,14 @@ from deformreg.similarity import (
     SimilarityConfig,
     SimilarityError,
     lncc_map,
+    lncc_map_nodes,
     loss_similarity,
     fixed_side_nodes,
     loss_similarity_nodes,
     mind_ssc_descriptor,
     mind_ssc_descriptor_nodes,
 )
-from deformreg.tape import Tape, grad_check
+from deformreg.tape import Tape, TapeError, grad_check
 from deformreg.tensor import Tensor3
 from deformreg.transforms import warp_nodes
 
@@ -263,6 +264,114 @@ class TestMindSscOneNode:
             tracemalloc.stop()
         assert d.needs_grad
         assert retained <= 40 * 8 * np.prod(dims)
+
+
+def lncc_map_composed_nodes(tape, a, fixed, cfg):
+    """The LNCC map as a graph of elementwise tape ops (3 box filters, 3
+    muls, 2 squares, 2 subs, add_const, sqrt, div): the reference the
+    one-node op must match bit for bit."""
+    b, eb, var_b_eps = fixed
+    r = cfg.window_radius
+    ea = tape.box_filter(a, r)
+    eab = tape.box_filter(tape.mul(a, b), r)
+    ea2 = tape.box_filter(tape.square(a), r)
+    cov = tape.sub(eab, tape.mul(ea, eb))
+    var_a = tape.sub(ea2, tape.square(ea))
+    denom = tape.sqrt(tape.mul(tape.add_const(var_a, cfg.eps), var_b_eps))
+    return tape.div(cov, denom)
+
+
+def weighted_map_sum(build, a_vol, b_vol, weights, cfg):
+    """(sum of the LNCC map * weights, its gradients in both images, the
+    map) with the map node from ``build``; the fixed side is built from
+    ``b_vol`` on the same tape, so the fixed image's gradient runs through
+    it and the map's fixed operands."""
+    tape = Tape()
+    a, b = (tape.input(Tensor3(vol), parameter=True) for vol in (a_vol, b_vol))
+    rho = build(tape, a, fixed_side_nodes(tape, b, cfg), cfg)
+    lncc = rho.value.data
+    loss = tape.sum(tape.mul(rho, tape.input(Tensor3(weights))))
+    grads = tape.backward(loss)
+    return loss.value.item(), grads[a.id].data, grads[b.id].data, lncc
+
+
+class TestLnccMapOneNode:
+    """The one-node LNCC map against the composed graph it replaces, at
+    non-cubic dims."""
+
+    @staticmethod
+    def case(radius):
+        rng = np.random.default_rng(40 + radius)
+        return (rng.uniform(0, 1, (7, 8, 9)), rng.uniform(0, 1, (7, 8, 9)),
+                rng.uniform(-1, 1, (7, 8, 9, 1)), SimilarityConfig(window_radius=radius))
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_forward_bitwise_and_backward_to_float_order(self, radius):
+        a_vol, b_vol, weights, cfg = self.case(radius)
+        loss, g_a, g_b, rho = weighted_map_sum(lncc_map_nodes, a_vol, b_vol, weights, cfg)
+        ref_loss, ref_g_a, ref_g_b, ref_rho = weighted_map_sum(
+            lncc_map_composed_nodes, a_vol, b_vol, weights, cfg)
+        assert rho.shape == (7, 8, 9, 1) and np.all(np.abs(rho) < 1.0)
+        assert np.array_equal(rho, ref_rho)
+        assert loss == ref_loss
+        for got, ref in ((g_a, ref_g_a), (g_b, ref_g_b)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("image", ["moving", "fixed"])
+    def test_vjp_matches_finite_differences(self, radius, image):
+        a_vol, b_vol, weights, cfg = self.case(radius)
+
+        def f(x):
+            if image == "moving":
+                loss, grad, _, _ = weighted_map_sum(lncc_map_nodes, x.data, b_vol, weights, cfg)
+            else:
+                loss, _, grad, _ = weighted_map_sum(lncc_map_nodes, a_vol, x.data, weights, cfg)
+            return loss, Tensor3(grad)
+
+        x0 = Tensor3(a_vol if image == "moving" else b_vol)
+        assert grad_check(f, x0, h=1e-6, n_coords=128, seed=radius) < 1e-5
+
+    def test_records_one_node(self):
+        a_vol, b_vol, _, cfg = self.case(1)
+        tape = Tape()
+        fixed = fixed_side_nodes(tape, tape.input(Tensor3(b_vol)), cfg)
+        before = len(tape.nodes)
+        lncc_map_nodes(tape, tape.input(Tensor3(a_vol)), fixed, cfg)
+        assert [node.op for node in tape.nodes[before:]] == ["input", "lncc_map"]
+
+    def test_flat_pair_trips_the_same_sqrt_guard(self):
+        # 0.5 makes every box mean exact, so both variances are exactly 0
+        # and the radicand eps^2 underflows to 0
+        flat = np.full((7, 8, 9), 0.5)
+        cfg = SimilarityConfig(eps=1e-200)
+        messages = []
+        for build in (lncc_map_nodes, lncc_map_composed_nodes):
+            tape = Tape()
+            fixed = fixed_side_nodes(tape, tape.input(Tensor3(flat)), cfg)
+            with pytest.raises(TapeError, match="sqrt: non-positive radicand") as err:
+                build(tape, tape.input(Tensor3(flat)), fixed, cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_node_retains_at_most_4_5_float64_per_voxel(self):
+        # the map, E[a], cov and the denominator: 4 float64 a voxel (the
+        # composed graph kept 13). The images and the fixed side are
+        # allocated before tracing starts, so they are not counted.
+        dims = (24, 24, 24)
+        rng = np.random.default_rng(4)
+        tape = Tape()
+        a = tape.input(Tensor3(rng.uniform(0, 1, dims)), parameter=True)
+        cfg = SimilarityConfig()
+        fixed = fixed_side_nodes(tape, tape.input(Tensor3(rng.uniform(0, 1, dims))), cfg)
+        tracemalloc.start()
+        try:
+            rho = lncc_map_nodes(tape, a, fixed, cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rho.needs_grad
+        assert retained <= 4.5 * 8 * np.prod(dims)
 
 
 class TestFixedSide:

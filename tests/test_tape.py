@@ -286,6 +286,28 @@ class TestBackward:
         assert np.array_equal(first, second)
 
 
+class TestSumSquares:
+    """The squared reduction against the two-node ``sum``/``mean`` of
+    ``square`` it stands for, in value and gradient, bit for bit."""
+
+    @pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+    def test_matches_the_reduction_of_square_bitwise(self, mean):
+        x0 = rng_tensor(np.random.default_rng(70), (5, 6, 7), channels=3, lo=-2.0, hi=2.0)
+        results = []
+        for one_node in (True, False):
+            tape = Tape()
+            x = tape.input(x0, parameter=True)
+            if one_node:
+                loss = tape.sum_squares(x, mean=mean)
+                assert [node.op for node in tape.nodes] == ["param", "sum_squares"]
+            else:
+                loss = (tape.mean if mean else tape.sum)(tape.square(x))
+            results.append((loss.value.item(), tape.backward(loss)[x.id].data))
+        (value, grad), (ref_value, ref_grad) = results
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
 class TestConsumedTape:
     """Backward consumes the tape: intermediate values and vjps go, the
     parameters, the loss and the returned gradients stay."""

@@ -13,11 +13,17 @@ prints the largest absolute and relative deviation of each trace, and
 the largest absolute deviation of each field, from the stored ones
 (after the change).
 
-Run: PYTHONPATH=src python3 tools/trace_digest.py [--save FILE | --compare FILE]
+``--memory`` also prints, after each digest, the tracemalloc peak of a
+one-step registration of the same pair (the fixed sides, one step and
+the final forward; the pair is rendered before tracing starts). It runs
+apart from the digest's registration, so the digests do not change.
+
+Run: PYTHONPATH=src python3 tools/trace_digest.py [--save FILE | --compare FILE] [--memory]
 """
 
 import argparse
 import hashlib
+import tracemalloc
 
 import numpy as np
 
@@ -40,13 +46,27 @@ def run_name(n: int, kind: str, steps: int) -> str:
     return f"{n}^3 {kind} {steps} steps"
 
 
-def register(n: int, kind: str, steps: int):
+def pair(n: int):
     dims = (n, n, n)
     phantom = make_phantom(7, dims, n_structures=4)
     deformation = make_deformation(9, dims, amplitude=2.4 / (n - 1), n_bumps=2)
     a, b, _ = render_pair(phantom, ModalityRemap(), ModalityRemap("invert"), deformation)
+    return a, b
+
+
+def register(a, b, kind: str, steps: int):
     return instance_optimize(a, b, LossConfig(similarity=SimilarityConfig(kind=kind)),
                              OptimizerConfig(steps=steps))
+
+
+def step_peak_mb(a, b, kind: str) -> float:
+    """The tracemalloc peak of a one-step registration of ``a`` and ``b``."""
+    tracemalloc.start()
+    try:
+        register(a, b, kind, 1)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def outputs(result) -> dict[str, np.ndarray]:
@@ -90,6 +110,8 @@ def main(argv=None):
                        help="store the four loss traces and fields as a .npz archive")
     group.add_argument("--compare", metavar="FILE",
                        help="print each trace's and field's largest deviation from a stored file")
+    parser.add_argument("--memory", action="store_true",
+                        help="print each run's tracemalloc peak for one step after its digest")
     args = parser.parse_args(argv)
     stored = np.load(args.compare) if args.compare else None
     if stored is not None:
@@ -101,7 +123,8 @@ def main(argv=None):
     worst = dict.fromkeys(("trace abs", "trace rel", "phi_ab", "phi_ba"), 0.0)
     for n, kind, steps in RUNS:
         name = run_name(n, kind, steps)
-        result = register(n, kind, steps)
+        a, b = pair(n)
+        result = register(a, b, kind, steps)
         arrays = outputs(result)
         saved.update({f"{name} {key}": array for key, array in arrays.items()})
         line = f"{name}: {digest(result)}"
@@ -112,6 +135,8 @@ def main(argv=None):
                 dev[key] = field_deviation(arrays[key], stored[f"{name} {key}"])
             worst = {key: max(worst[key], dev[key]) for key in worst}
             line += f"  deviation {describe(dev)}"
+        if args.memory:
+            line += f"  one-step peak {step_peak_mb(a, b, kind):.2f} MB"
         print(line, flush=True)
     if stored is not None:
         print(f"largest deviation: {describe(worst)}")
