@@ -251,8 +251,10 @@ def cmd_preprocess(args) -> int:
     out_path = Path(args.output)
     if out_path.suffix == ".nii":
         write_nifti(out, out_path)
-    else:
-        write_volume_raw(out, out_path)
+    else:  # like the readers: X.raw and X both mean the files X.raw and X.json
+        base = str(out_path).removesuffix(".raw")
+        write_volume_raw(out, base)
+        out_path = Path(base + ".raw")
     vals = out.values()
     print(f"preprocess: wrote {out_path} (range [{vals.min():.4g}, {vals.max():.4g}])")
     return EXIT_OK

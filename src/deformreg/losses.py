@@ -61,17 +61,19 @@ def randomized_loss_nodes(tape: Tape, u_ab: Node, u_ba: Node, side_a: tuple, sid
                           cfg: LossConfig):
     """Assemble the loss on an existing tape; returns (total, terms dict).
 
-    ``side_a`` and ``side_b`` are the images' fixed sides
-    (``fixed_side_nodes``), each led by its image. A warped by ``u_ab`` is
-    compared with ``side_b``, B warped by ``u_ba`` with ``side_a``. The
-    maps are on the images' grid.
+    ``side_a`` and ``side_b`` are the images' fixed sides (``fixed_side``),
+    each led by its image, which enters the tape once, as the source of its
+    own warp. A warped by ``u_ab`` is compared with ``side_b``, B warped by
+    ``u_ba`` with ``side_a``. The maps are on the images' grid.
     """
     sim = cfg.similarity
     # recorded first, so that the sweep reaches the penalty's compose (a
     # trilinear vjp with both halves) after the similarity terms have
     # released what they kept
     reg = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
-    sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, side_a[0], u_ab), side_b, sim)
-    sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, side_b[0], u_ba), side_a, sim)
+    sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, tape.input(side_a[0]), u_ab),
+                                   side_b, sim)
+    sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, tape.input(side_b[0]), u_ba),
+                                   side_a, sim)
     total = tape.add(tape.add(sim_ab, sim_ba), tape.scale(reg, cfg.lam))
     return total, {"sim_ab": sim_ab, "sim_ba": sim_ba, "reg": reg}

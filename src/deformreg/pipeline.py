@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .losses import LossConfig, randomized_loss_nodes
-from .similarity import SimilarityConfig, fixed_side_nodes
+from .similarity import SimilarityConfig, fixed_side
 from .tape import Node, Tape, TapeError
 from .tensor import Tensor3, TensorError, check_number
 from .transforms import DisplacementField, compose_nodes
@@ -232,16 +232,10 @@ def loss_breakdown(a: Volume, b: Volume, model: PyramidModel, cfg: LossConfig) -
     _check_pair(a, b, model)
     tape = Tape()
     bound = BoundPyramid(tape, model)
-    side_a, side_b = (fixed_side_nodes(tape, tape.input(v.grid), cfg.similarity) for v in (a, b))
+    side_a, side_b = (fixed_side(v.grid, cfg.similarity) for v in (a, b))
     total, terms = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
                                          side_a, side_b, cfg)
     return {"total": total.value.item(), **{k: n.value.item() for k, n in terms.items()}}
-
-
-def _fixed_side_values(volume: Volume, cfg: SimilarityConfig) -> tuple:
-    """The values of ``volume``'s fixed side, built on a throwaway tape."""
-    tape = Tape()
-    return tuple(node.value for node in fixed_side_nodes(tape, tape.input(volume.grid), cfg))
 
 
 def instance_optimize(
@@ -255,9 +249,9 @@ def instance_optimize(
     copy of ``model`` (or a fresh one); the caller's model is not changed.
 
     The images never move, so each image's fixed side (the image, then
-    what its similarity term computes from it alone; see
-    ``fixed_side_nodes``) is built once, on a throwaway tape, before the
-    first step. Each step's tape takes its values as inputs and so records
+    what its similarity term computes from it alone; see ``fixed_side``)
+    is built once, in plain numpy, before the first step. Each step's
+    tape enters each image once, as the source of its warp, and so records
     only the work that depends on the parameters.
 
     The trace holds the loss before each update plus the final value
@@ -278,7 +272,7 @@ def instance_optimize(
     }
     adam = Adam(opt_cfg, multipliers)
     trace: list[float] = []
-    side_values = [_fixed_side_values(v, loss_cfg.similarity) for v in (ia, ib)]
+    side_a, side_b = (fixed_side(v.grid, loss_cfg.similarity) for v in (ia, ib))
 
     def forward(final: bool):
         """(loss, the gradient per key), or (loss, both maps) when ``final``."""
@@ -288,7 +282,6 @@ def instance_optimize(
         with np.errstate(over="ignore", invalid="ignore"):
             tape = Tape()
             bound = BoundPyramid(tape, model)
-            side_a, side_b = (tuple(map(tape.input, values)) for values in side_values)
             u_ab, u_ba = bound.evaluate("ab"), bound.evaluate("ba")
             total, _ = randomized_loss_nodes(tape, u_ab, u_ba, side_a, side_b, loss_cfg)
             value = total.value.item()

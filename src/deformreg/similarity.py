@@ -5,24 +5,25 @@ count-normalized box filters; its squared variant is agnostic to the
 local correlation sign, which is what makes contrast-inverted pairs
 registrable. The moving image's correlation map is one tape op
 (``"lncc_map"``) with a hand-written vjp that keeps three arrays beyond
-its operands. MIND-SSC compares 12-channel self-similarity descriptors
+its operand. MIND-SSC compares 12-channel self-similarity descriptors
 instead of raw intensities; each descriptor is one tape op (``"mind_ssc"``)
 with a hand-written vjp, which takes its six shifts as windows of one
 edge-padded copy of the image. Both vjps share the box mean's transpose
 with ``Tape.box_filter``, and every term's mean of squares is one
 ``Tape.sum_squares`` node.
 
-Each term compares a moving image with a fixed one. The fixed side is
-the fixed image followed by everything the term computes from it alone:
+Each term compares a moving image with a fixed one, and its gradient
+reaches the map only through the moving image. The fixed side is data:
+the fixed image followed by everything the term computes from it alone,
 for LNCC and LNCC2 its box mean E[b] and its variance E[b^2] - E[b]^2
-plus epsilon; for MIND-SSC its descriptor; for MSE nothing more.
-``fixed_side_nodes`` builds it and ``loss_similarity_nodes`` takes it in
-place of the fixed image. A symmetric pair loss warps each side's image
-and compares it with the other side, so each volume enters a tape once,
-and an optimizer whose images never change builds both sides once per
-pair and feeds their values to every step as tape inputs. The builder
-runs the same ops on the same operands as a term built in one piece, so
-the values are bit-identical.
+plus epsilon, for MIND-SSC its descriptor, for MSE nothing more.
+``fixed_side`` builds it in plain numpy, records no tape, and returns
+read-only tensors that ``loss_similarity_nodes`` takes in place of the
+fixed image. A symmetric pair loss warps each side's image and compares
+it with the other side, and an optimizer whose images never change builds
+both sides once per pair. The builder runs the float ops a tape graph of
+the same formulas would, so the values are bit-identical to a term built
+in one piece.
 
 The single epsilon of the package (default 1e-5) sits inside each
 variance before the product under the square root, and floors the MIND
@@ -76,71 +77,56 @@ class SimilarityConfig:
         check_number(SimilarityError, "eps", self.eps, above=0)
 
 
-def _check_same_dims(a: Node, b: Node):
-    if a.value.dims != b.value.dims:
-        raise SimilarityError(f"input dims differ: {a.value.dims} vs {b.value.dims}")
-
-
-def _lncc_fixed_nodes(tape: Tape, b: Node, cfg: SimilarityConfig) -> tuple[Node, Node, Node]:
-    """(b, E[b], var_b + eps): the fixed image's share of the LNCC map."""
-    r = cfg.window_radius
-    eb = tape.box_filter(b, r)
-    eb2 = tape.box_filter(tape.square(b), r)
-    var_b = tape.sub(eb2, tape.square(eb))
-    return b, eb, tape.add_const(var_b, cfg.eps)
+def _check_same_dims(a: Tensor3, b: Tensor3):
+    if a.dims != b.dims:
+        raise SimilarityError(f"input dims differ: {a.dims} vs {b.dims}")
 
 
 def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> Node:
     """Per-voxel windowed correlation rho = cov / sqrt((var_a+eps)(var_b+eps))
     of ``a`` with the fixed image whose LNCC fixed side is ``fixed``,
-    recorded as one tape node.
+    recorded as one tape node whose one parent is ``a``.
 
     The forward runs the float ops of the elementwise graph (box means of
     a, a*b and a*a; cov = E[ab] - E[a]E[b]; var_a = E[a^2] - E[a]^2; eps;
     the product with var_b + eps; sqrt; div) in its order, with the same
     sqrt and div domain guards, so its values equal that graph's bit for
-    bit. Beyond its operands, the vjp keeps E[a], cov and the denominator
-    (and var_a + eps where the fixed variance needs a gradient).
+    bit. The fixed side's arrays are closure constants; beyond ``a``, the
+    vjp keeps E[a], cov and the denominator.
     """
-    b, eb, var_b_eps = fixed
-    _check_same_dims(a, b)
+    _check_same_dims(a.value, fixed[0])
     r = cfg.window_radius
-    av, bv, ebv, vbv = (node.value.data for node in (a, b, eb, var_b_eps))
+    av = a.value.data
+    bv, ebv, vbv = (t.data for t in fixed)
     ea, counts = _box_mean(av, r)
     cov = _box_mean(av * bv, r)[0]
     cov -= ea * ebv
-    var_a_eps = _box_mean(av * av, r)[0]
-    var_a_eps -= ea * ea
-    var_a_eps += float(cfg.eps)
-    denom = var_a_eps * vbv
+    denom = _box_mean(av * av, r)[0]  # var_a + eps, then times var_b + eps
+    denom -= ea * ea
+    denom += float(cfg.eps)
+    denom *= vbv
     if np.min(denom) <= 0.0:
         raise TapeError("sqrt: non-positive radicand (add an epsilon upstream)")
     np.sqrt(denom, out=denom)
     if np.min(denom) <= 0.0:
         raise TapeError("div: non-positive denominator (add an epsilon upstream)")
-    # held only where var_b + eps is to get its share
-    var_a_eps = var_a_eps if var_b_eps.needs_grad else None
 
     def vjp(g):
-        # through the division, then the square root: the radicand's adjoint
+        # through the division, then the square root, to var_a's adjoint
         g_cov = g / denom
-        g_rad = -g * cov / (denom * denom)
-        g_rad /= 2.0 * denom
-        g_var_b = g_rad * var_a_eps if var_b_eps.needs_grad else None
-        g_var_a = g_rad
+        g_var_a = -g * cov / (denom * denom)
+        g_var_a /= 2.0 * denom
         g_var_a *= vbv
         g_ea = (2.0 * ea) * -g_var_a
         g_ea += -g_cov * ebv
-        # the box means' transposes; a's shares in the order the sweep of
-        # the elementwise graph adds them
-        g_ab = _box_mean_t(g_cov, counts, r)
+        # the box means' transposes, in the order the sweep of the
+        # elementwise graph adds them
         g_a = (2.0 * av) * _box_mean_t(g_var_a, counts, r)
-        g_a += g_ab * bv
+        g_a += _box_mean_t(g_cov, counts, r) * bv
         g_a += _box_mean_t(g_ea, counts, r)
-        return (g_a, g_ab * av if b.needs_grad else None,
-                -g_cov * ea if eb.needs_grad else None, g_var_b)
+        return (g_a,)
 
-    return tape._append("lncc_map", (a, b, eb, var_b_eps), cov / denom, vjp)
+    return tape._append("lncc_map", (a,), cov / denom, vjp)
 
 
 # the window of an edge-padded copy (one voxel per face) that holds the
@@ -218,22 +204,32 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
     return tape._append("mind_ssc", (a,), val, vjp)
 
 
-def fixed_side_nodes(tape: Tape, fixed: Node, cfg: SimilarityConfig) -> tuple:
-    """The fixed side of a ``cfg.kind`` term whose fixed image is ``fixed``:
-    ``fixed`` itself, then the nodes ``loss_similarity_nodes`` reads of it
-    (see the module doc)."""
+def _lncc_side(b: Tensor3, cfg: SimilarityConfig) -> tuple:
+    """(b, E[b], var_b + eps): the fixed image's share of the LNCC map."""
+    bv, r = b.data, cfg.window_radius
+    eb = _box_mean(bv, r)[0]
+    var_b_eps = _box_mean(bv * bv, r)[0]
+    var_b_eps -= eb * eb
+    var_b_eps += float(cfg.eps)
+    return b, Tensor3._wrap(eb), Tensor3._wrap(var_b_eps)
+
+
+def fixed_side(image: Tensor3, cfg: SimilarityConfig) -> tuple:
+    """The fixed side of a ``cfg.kind`` term whose fixed image is ``image``:
+    ``image`` itself, then the read-only tensors ``loss_similarity_nodes``
+    reads of it (see the module doc). Records no tape."""
     if cfg.kind in ("LNCC", "LNCC2"):
-        return _lncc_fixed_nodes(tape, fixed, cfg)
+        return _lncc_side(image, cfg)
     if cfg.kind == "MSE":
-        return (fixed,)
-    return fixed, mind_ssc_descriptor_nodes(tape, fixed, cfg)
+        return (image,)
+    return image, mind_ssc_descriptor(image, cfg)
 
 
 def loss_similarity_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> Node:
     """Scalar similarity loss of ``a`` against the fixed image whose fixed
-    side (``fixed_side_nodes``) is ``fixed``; >= 0 up to the epsilon slack
-    of LNCC."""
-    _check_same_dims(a, fixed[0])
+    side (``fixed_side``) is ``fixed``; >= 0 up to the epsilon slack of
+    LNCC. Only ``a`` carries a gradient."""
+    _check_same_dims(a.value, fixed[0])
     if cfg.kind == "LNCC":
         rho = lncc_map_nodes(tape, a, fixed, cfg)
         return tape.add_const(tape.scale(tape.mean(rho), -1.0), 1.0)
@@ -241,9 +237,9 @@ def loss_similarity_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConf
         rho = lncc_map_nodes(tape, a, fixed, cfg)
         return tape.add_const(tape.scale(tape.sum_squares(rho, mean=True), -1.0), 1.0)
     if cfg.kind == "MSE":
-        return tape.sum_squares(tape.sub(a, fixed[0]), mean=True)
+        return tape.sum_squares(tape.sub(a, tape.input(fixed[0])), mean=True)
     da = mind_ssc_descriptor_nodes(tape, a, cfg)  # MIND_SSC, the one kind left
-    return tape.sum_squares(tape.sub(da, fixed[1]), mean=True)
+    return tape.sum_squares(tape.sub(da, tape.input(fixed[1])), mean=True)
 
 
 # -- plain wrappers (fresh throwaway tape, value only) ---------------------------
@@ -259,13 +255,13 @@ def _as_tensor(x) -> Tensor3:
 
 def lncc_map(a, b, cfg: SimilarityConfig = SimilarityConfig()) -> Tensor3:
     tape = Tape()
-    fixed = _lncc_fixed_nodes(tape, tape.input(_as_tensor(b)), cfg)
+    fixed = _lncc_side(_as_tensor(b), cfg)
     return lncc_map_nodes(tape, tape.input(_as_tensor(a)), fixed, cfg).value
 
 
 def loss_similarity(a, b, cfg: SimilarityConfig = SimilarityConfig()) -> float:
     tape = Tape()
-    fixed = fixed_side_nodes(tape, tape.input(_as_tensor(b)), cfg)
+    fixed = fixed_side(_as_tensor(b), cfg)
     return loss_similarity_nodes(tape, tape.input(_as_tensor(a)), fixed, cfg).value.item()
 
 

@@ -214,7 +214,8 @@ def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> Dis
     ``amplitude`` is the displacement magnitude of each bump in normalized
     coordinates (a negative one flips every bump). Its magnitude must stay
     within the analytic bound for the drawn envelope widths; any other
-    value, NaN included, is rejected with that bound.
+    value, NaN included, is rejected with that bound. With no bumps there
+    is no bound, but NaN and infinities are still rejected.
     """
     check_number(SyntheticError, "seed", seed, integer=True, at_least=0)
     dims = tuple(int(d) for d in dims)
@@ -222,6 +223,7 @@ def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> Dis
         raise SyntheticError("n_bumps must be >= 0")
     rng = np.random.default_rng(seed)
     if n_bumps == 0 or amplitude == 0.0:
+        check_number(SyntheticError, "amplitude", amplitude)
         return DisplacementField.identity(dims)
     sigmas = rng.uniform(*_SIGMA_RANGE, size=n_bumps)
     bound = deformation_amplitude_bound(sigmas)

@@ -9,8 +9,9 @@ shifts and border crops. That is enough to express and differentiate
 every registration loss in this package with respect to displacement
 parameters. The LNCC map (``"lncc_map"``) and the MIND-SSC descriptor
 (``"mind_ssc"``) are ops of their own with hand-written vjps, recorded
-through ``_append`` by the similarity module. So ``mul``, ``div``,
-``sqrt``, ``sum``, ``shift``, ``exp``, ``clamp`` and ``concat_channels``
+through ``_append`` by the similarity module, which builds each fixed
+side in plain numpy. So ``mul``, ``div``, ``sqrt``, ``sum``, ``square``,
+``box_filter``, ``shift``, ``exp``, ``clamp`` and ``concat_channels``
 have no caller in the package; the tests build reference graphs from
 them and the benchmark's tracer binds them by name.
 

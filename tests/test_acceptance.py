@@ -29,7 +29,7 @@ from deformreg.metrics import mtre
 from deformreg.pipeline import BoundPyramid, OptimizerConfig, build_model, instance_optimize
 from deformreg.similarity import (
     SimilarityConfig,
-    fixed_side_nodes,
+    fixed_side,
     lncc_map,
     loss_similarity_nodes,
     mind_ssc_descriptor,
@@ -131,8 +131,7 @@ class TestA1GradientCorrectness:
                 tape = Tape()
                 u = tape.input(u0, parameter=True)
                 warped = warp_nodes(tape, tape.input(a_img), u)
-                fixed = fixed_side_nodes(tape, tape.input(b_img), cfg)
-                loss = loss_similarity_nodes(tape, warped, fixed, cfg)
+                loss = loss_similarity_nodes(tape, warped, fixed_side(b_img, cfg), cfg)
                 grads = tape.backward(loss)
                 return loss.value.item(), grads[u.id]
 
@@ -175,8 +174,7 @@ class TestA1GradientCorrectness:
                 bound = BoundPyramid(tape, probe)
                 from deformreg.losses import randomized_loss_nodes
 
-                fa, fb = (fixed_side_nodes(tape, tape.input(v.grid), cfg.similarity)
-                          for v in (la, lb))
+                fa, fb = (fixed_side(v.grid, cfg.similarity) for v in (la, lb))
                 total, _ = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
                                                  fa, fb, cfg)
                 grads = tape.backward(total)

@@ -474,6 +474,17 @@ class TestSynthRegisterEvaluate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_without_bumps_exits_2(self, tmp_path, capsys, amplitude):
+        out = tmp_path / "pair"
+        rc = main(["synth", "--out-dir", str(out), "--dims", "16", "--bumps", "0",
+                   "--amplitude-voxels", amplitude])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error:") and "amplitude must be a finite number" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "pair"
         rc = main(["synth", "--out-dir", str(out), "--seed", "-1", "--dims", "16"])
@@ -509,6 +520,17 @@ class TestPreprocess:
         assert out.values().min() == 0.0
         assert out.values().max() == 1.0
         assert out.preprocessed
+
+    def test_raw_output_named_with_its_suffix_reads_back(self, tmp_path, capsys):
+        src = tmp_path / "raw.nii"
+        write_test_volume(src, seed=6, modality="CT", preprocessed=False,
+                          lo=-2000.0, hi=2000.0)
+        out = tmp_path / "v.raw"
+        assert main(["preprocess", "--input", str(src), "--output", str(out)]) == 0
+        assert f"wrote {out} " in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.nii", "v.json", "v.raw"]
+        assert main(["preprocess", "--input", str(out), "--output", str(tmp_path / "w")]) == 0
+        assert f"wrote {tmp_path / 'w.raw'} " in capsys.readouterr().out
 
     def test_unknown_modality_argument_exits_2(self, tmp_path, capsys):
         src = tmp_path / "raw.nii"

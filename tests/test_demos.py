@@ -44,9 +44,9 @@ def test_demo_runs(demo, tmp_path):
     assert not any(tmp.iterdir())
 
 
-def test_trace_digest_prints_four_digests(tmp_path):
+def test_trace_digest_prints_six_digests(tmp_path):
     out = run_script(ROOT / "tools" / "trace_digest.py", tmp_path)
-    assert len(re.findall(r": [0-9a-f]{16}$", out, flags=re.M)) == 4, out
+    assert len(re.findall(r": [0-9a-f]{16}$", out, flags=re.M)) == 6, out
 
 
 def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(tmp_path):
@@ -54,7 +54,7 @@ def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(tmp_path):
     plain = re.findall(r": ([0-9a-f]{16})$", run_script(script, tmp_path), flags=re.M)
     out = run_script(script, tmp_path, argv=["--memory"])
     runs = re.findall(r": ([0-9a-f]{16})  one-step peak (\d+\.\d\d) MB$", out, flags=re.M)
-    assert [digest for digest, _ in runs] == plain and len(plain) == 4, out
+    assert [digest for digest, _ in runs] == plain and len(plain) == 6, out
     assert all(float(peak) > 0 for _, peak in runs), out
 
 
@@ -62,14 +62,14 @@ def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
     script = ROOT / "tools" / "trace_digest.py"
     run_script(script, tmp_path, argv=["--save", "outputs.npz"])
     with np.load(tmp_path / "outputs.npz") as stored:
-        assert len(stored.files) == 12
+        assert len(stored.files) == 18
         assert all(stored[key].size for key in stored.files)
         assert stored["32^3 LNCC2 6 steps phi_ab"].shape == (32, 32, 32, 3)
     out = run_script(script, tmp_path, argv=["--compare", "outputs.npz"])
     zero = "trace abs 0 rel 0, phi_ab abs 0, phi_ba abs 0"
     lines = out.splitlines()
-    assert all(line.endswith(f"  deviation {zero}") for line in lines[:4]), out
-    assert lines[4:] == [f"largest deviation: {zero}"], out
+    assert all(line.endswith(f"  deviation {zero}") for line in lines[:6]), out
+    assert lines[6:] == [f"largest deviation: {zero}"], out
 
 
 def load_trace_digest():

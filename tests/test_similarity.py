@@ -11,10 +11,10 @@ from deformreg.similarity import (
     SSC_PAIRS,
     SimilarityConfig,
     SimilarityError,
+    fixed_side,
     lncc_map,
     lncc_map_nodes,
     loss_similarity,
-    fixed_side_nodes,
     loss_similarity_nodes,
     mind_ssc_descriptor,
     mind_ssc_descriptor_nodes,
@@ -269,8 +269,9 @@ class TestMindSscOneNode:
 def lncc_map_composed_nodes(tape, a, fixed, cfg):
     """The LNCC map as a graph of elementwise tape ops (3 box filters, 3
     muls, 2 squares, 2 subs, add_const, sqrt, div): the reference the
-    one-node op must match bit for bit."""
-    b, eb, var_b_eps = fixed
+    one-node op must match bit for bit. The fixed side's tensors enter the
+    tape as inputs."""
+    b, eb, var_b_eps = (tape.input(t) for t in fixed)
     r = cfg.window_radius
     ea = tape.box_filter(a, r)
     eab = tape.box_filter(tape.mul(a, b), r)
@@ -282,17 +283,16 @@ def lncc_map_composed_nodes(tape, a, fixed, cfg):
 
 
 def weighted_map_sum(build, a_vol, b_vol, weights, cfg):
-    """(sum of the LNCC map * weights, its gradients in both images, the
-    map) with the map node from ``build``; the fixed side is built from
-    ``b_vol`` on the same tape, so the fixed image's gradient runs through
-    it and the map's fixed operands."""
+    """(sum of the LNCC map * weights, its gradient in the moving image,
+    the map) with the map node from ``build``, given ``b_vol``'s fixed
+    side."""
     tape = Tape()
-    a, b = (tape.input(Tensor3(vol), parameter=True) for vol in (a_vol, b_vol))
-    rho = build(tape, a, fixed_side_nodes(tape, b, cfg), cfg)
+    a = tape.input(Tensor3(a_vol), parameter=True)
+    rho = build(tape, a, fixed_side(Tensor3(b_vol), cfg), cfg)
     lncc = rho.value.data
     loss = tape.sum(tape.mul(rho, tape.input(Tensor3(weights))))
     grads = tape.backward(loss)
-    return loss.value.item(), grads[a.id].data, grads[b.id].data, lncc
+    return loss.value.item(), grads[a.id].data, lncc
 
 
 class TestLnccMapOneNode:
@@ -308,37 +308,31 @@ class TestLnccMapOneNode:
     @pytest.mark.parametrize("radius", [1, 2])
     def test_forward_bitwise_and_backward_to_float_order(self, radius):
         a_vol, b_vol, weights, cfg = self.case(radius)
-        loss, g_a, g_b, rho = weighted_map_sum(lncc_map_nodes, a_vol, b_vol, weights, cfg)
-        ref_loss, ref_g_a, ref_g_b, ref_rho = weighted_map_sum(
+        loss, g_a, rho = weighted_map_sum(lncc_map_nodes, a_vol, b_vol, weights, cfg)
+        ref_loss, ref_g_a, ref_rho = weighted_map_sum(
             lncc_map_composed_nodes, a_vol, b_vol, weights, cfg)
         assert rho.shape == (7, 8, 9, 1) and np.all(np.abs(rho) < 1.0)
         assert np.array_equal(rho, ref_rho)
         assert loss == ref_loss
-        for got, ref in ((g_a, ref_g_a), (g_b, ref_g_b)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(g_a - ref_g_a)) <= 1e-12 * np.max(np.abs(ref_g_a))
 
     @pytest.mark.parametrize("radius", [1, 2])
-    @pytest.mark.parametrize("image", ["moving", "fixed"])
-    def test_vjp_matches_finite_differences(self, radius, image):
+    def test_vjp_matches_finite_differences(self, radius):
         a_vol, b_vol, weights, cfg = self.case(radius)
 
         def f(x):
-            if image == "moving":
-                loss, grad, _, _ = weighted_map_sum(lncc_map_nodes, x.data, b_vol, weights, cfg)
-            else:
-                loss, _, grad, _ = weighted_map_sum(lncc_map_nodes, a_vol, x.data, weights, cfg)
+            loss, grad, _ = weighted_map_sum(lncc_map_nodes, x.data, b_vol, weights, cfg)
             return loss, Tensor3(grad)
 
-        x0 = Tensor3(a_vol if image == "moving" else b_vol)
-        assert grad_check(f, x0, h=1e-6, n_coords=128, seed=radius) < 1e-5
+        assert grad_check(f, Tensor3(a_vol), h=1e-6, n_coords=128, seed=radius) < 1e-5
 
     def test_records_one_node(self):
         a_vol, b_vol, _, cfg = self.case(1)
         tape = Tape()
-        fixed = fixed_side_nodes(tape, tape.input(Tensor3(b_vol)), cfg)
-        before = len(tape.nodes)
-        lncc_map_nodes(tape, tape.input(Tensor3(a_vol)), fixed, cfg)
-        assert [node.op for node in tape.nodes[before:]] == ["input", "lncc_map"]
+        a = tape.input(Tensor3(a_vol))
+        rho = lncc_map_nodes(tape, a, fixed_side(Tensor3(b_vol), cfg), cfg)
+        assert [node.op for node in tape.nodes] == ["input", "lncc_map"]
+        assert rho.parents == (a,)
 
     def test_flat_pair_trips_the_same_sqrt_guard(self):
         # 0.5 makes every box mean exact, so both variances are exactly 0
@@ -348,9 +342,8 @@ class TestLnccMapOneNode:
         messages = []
         for build in (lncc_map_nodes, lncc_map_composed_nodes):
             tape = Tape()
-            fixed = fixed_side_nodes(tape, tape.input(Tensor3(flat)), cfg)
             with pytest.raises(TapeError, match="sqrt: non-positive radicand") as err:
-                build(tape, tape.input(Tensor3(flat)), fixed, cfg)
+                build(tape, tape.input(Tensor3(flat)), fixed_side(Tensor3(flat), cfg), cfg)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
@@ -363,7 +356,7 @@ class TestLnccMapOneNode:
         tape = Tape()
         a = tape.input(Tensor3(rng.uniform(0, 1, dims)), parameter=True)
         cfg = SimilarityConfig()
-        fixed = fixed_side_nodes(tape, tape.input(Tensor3(rng.uniform(0, 1, dims))), cfg)
+        fixed = fixed_side(Tensor3(rng.uniform(0, 1, dims)), cfg)
         tracemalloc.start()
         try:
             rho = lncc_map_nodes(tape, a, fixed, cfg)
@@ -375,12 +368,46 @@ class TestLnccMapOneNode:
 
 
 class TestFixedSide:
+    """The fixed side is plain data, built without a tape: each value
+    equals the graph that would compute it on one."""
+
     @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
     def test_starts_with_its_image(self, kind):
         # a pair loss warps side[0], so each volume enters a tape once
+        image = rng_volume(np.random.default_rng(6), (8, 8, 8))
+        assert fixed_side(image, SimilarityConfig(kind=kind))[0] is image
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("kind", ["LNCC", "LNCC2"])
+    def test_lncc_side_equals_the_tape_chain(self, kind, radius):
+        image = rng_volume(np.random.default_rng(20 + radius), (7, 8, 9))
+        cfg = SimilarityConfig(kind=kind, window_radius=radius)
         tape = Tape()
-        n = tape.input(rng_volume(np.random.default_rng(6), (8, 8, 8)))
-        assert fixed_side_nodes(tape, n, SimilarityConfig(kind=kind))[0] is n
+        b = tape.input(image)
+        eb = tape.box_filter(b, radius)
+        var_b = tape.sub(tape.box_filter(tape.square(b), radius), tape.square(eb))
+        chain = (b, eb, tape.add_const(var_b, cfg.eps))
+        side = fixed_side(image, cfg)
+        assert len(side) == 3
+        assert all(np.array_equal(got.data, ref.value.data) for got, ref in zip(side, chain))
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_mind_side_equals_the_descriptor_node(self, radius):
+        image = rng_volume(np.random.default_rng(30 + radius), (7, 8, 9))
+        cfg = SimilarityConfig(kind="MIND_SSC", mind_patch_radius=radius)
+        tape = Tape()
+        descriptor = mind_ssc_descriptor_nodes(tape, tape.input(image), cfg)
+        side = fixed_side(image, cfg)
+        assert len(side) == 2 and np.array_equal(side[1].data, descriptor.value.data)
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_leaves_its_image_and_returns_read_only_values(self, kind):
+        data = np.random.default_rng(9).uniform(0, 1, (7, 8, 9, 1))
+        image = Tensor3(data)
+        side = fixed_side(image, SimilarityConfig(kind=kind))
+        assert np.array_equal(image.data, data)
+        assert len(side) == {"MSE": 1, "MIND_SSC": 2}.get(kind, 3)
+        assert all(isinstance(t, Tensor3) and not t.data.flags.writeable for t in side)
 
 
 class TestDifferentiability:
@@ -391,14 +418,13 @@ class TestDifferentiability:
         a = rng_volume(rng, dims)
         b = rng_volume(rng, dims)
         cfg = SimilarityConfig(kind=kind, window_radius=1)
+        side = fixed_side(b, cfg)
 
         def f(u0):
             tape = Tape()
             u = tape.input(u0, parameter=True)
-            av = tape.input(a)
-            bv = tape.input(b)
-            warped = warp_nodes(tape, av, u)
-            loss = loss_similarity_nodes(tape, warped, fixed_side_nodes(tape, bv, cfg), cfg)
+            warped = warp_nodes(tape, tape.input(a), u)
+            loss = loss_similarity_nodes(tape, warped, side, cfg)
             grads = tape.backward(loss)
             return loss.value.item(), grads[u.id]
 

@@ -83,10 +83,14 @@ class TestMakeDeformation:
         with pytest.raises(SyntheticError, match="bound"):
             make_deformation(seed=8, dims=(16, 16, 16), amplitude=1.0, n_bumps=2)
 
-    @pytest.mark.parametrize("amplitude", [-1.0, -100.0, float("nan")])
+    @pytest.mark.parametrize("amplitude",
+                             [-1.0, -100.0, float("nan"), float("inf"), -float("inf")])
     def test_negative_beyond_bound_and_nan_rejected(self, amplitude):
         with pytest.raises(SyntheticError, match="bound"):
             make_deformation(seed=8, dims=(16, 16, 16), amplitude=amplitude, n_bumps=2)
+        if not np.isfinite(amplitude):  # rejected also where no bump sets a bound
+            with pytest.raises(SyntheticError, match="amplitude must be a finite number"):
+                make_deformation(seed=8, dims=(16, 16, 16), amplitude=amplitude, n_bumps=0)
 
     def test_negative_amplitude_within_bound_flips_field(self):
         pos = make_deformation(seed=18, dims=(20, 20, 20), amplitude=0.05, n_bumps=3)

@@ -1,6 +1,6 @@
-"""Digests of four short registrations: the bit-identity gate.
+"""Digests of six short registrations: the bit-identity gate.
 
-A change that claims "no behaviour change" must leave all four digests
+A change that claims "no behaviour change" must leave all six digests
 as they were. Each digest is the first 16 hex characters of the sha256
 of the float64 loss trace, then phi_ab, then phi_ba. Every run registers
 the contrast-inverted phantom pair of the acceptance suite (phantom seed
@@ -39,7 +39,8 @@ from deformreg import (
 )
 
 # (cube side, similarity, optimization steps)
-RUNS = ((32, "LNCC2", 6), (32, "MIND_SSC", 4), (21, "LNCC2", 6), (19, "MIND_SSC", 4))
+RUNS = ((32, "LNCC2", 6), (32, "MIND_SSC", 4), (21, "LNCC2", 6), (19, "MIND_SSC", 4),
+        (21, "LNCC", 6), (21, "MSE", 6))
 
 
 def run_name(n: int, kind: str, steps: int) -> str:
@@ -107,7 +108,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--save", metavar="FILE",
-                       help="store the four loss traces and fields as a .npz archive")
+                       help="store the six loss traces and fields as a .npz archive")
     group.add_argument("--compare", metavar="FILE",
                        help="print each trace's and field's largest deviation from a stored file")
     parser.add_argument("--memory", action="store_true",
