@@ -3,9 +3,9 @@
 Core pieces: a reverse-mode autodiff tape over dense 3D tensor ops,
 displacement-field transforms on the unit cube, correlation- and
 descriptor-based similarity losses, an inverse-consistency regularized
-objective, a multi-resolution pyramid of displacement grids (an explicit
-composition of coarse-to-fine stages that read no images) optimized per
-pair with Adam, and the matching evaluation metrics (Dice, mTRE, folding
+objective, a multi-resolution pyramid of displacement grids (the sum of
+coarse-to-fine stages, each upsampled to the full grid, that read no
+images) optimized per pair with Adam, and the matching evaluation metrics (Dice, mTRE, folding
 fraction).
 """
 

@@ -1,17 +1,18 @@
 """Multi-resolution registration model and per-pair instance optimization.
 
-The model is a three-stage composition of displacement parameter grids:
-a quarter-resolution grid q, a half-resolution grid h and a full-
+The model is a three-level sum of displacement parameter grids: a
+quarter-resolution grid q, a half-resolution grid h and a full-
 resolution grid s, evaluated as
 
-    u = c(c(q, h), s)
+    u = up(q) + up(h) + s
 
-with c(u1, u2)(x) = u2(x) + u1(x + u2(x)): each coarse stage is sampled
-where it is read, never resampled onto a finer grid. The stages are
-optimized per pair and read no images, so the map depends on the
-parameters alone. Each direction (A->B, B->A) keeps its own set of
-grids, tied only through the inverse-consistency penalty. A fresh (zero)
-model is the identity map.
+where up interpolates a coarse grid linearly to the full grid's nodes,
+as multi-level free-form deformations sum the displacements of their
+levels. The stages are optimized per pair and read no images, so the map
+depends on the parameters alone, and summing them needs no sample at
+warped points. Each direction (A->B, B->A) keeps its own set of grids,
+tied only through the inverse-consistency penalty. A fresh (zero) model
+is the identity map.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .losses import LossConfig, randomized_loss_nodes
 from .similarity import SimilarityConfig, fixed_side
 from .tape import Node, Tape, TapeError
 from .tensor import Tensor3, TensorError, check_number
-from .transforms import DisplacementField, compose_nodes
+from .transforms import DisplacementField
 from .volume import Volume
 
 STAGE_COUNT = 3
@@ -96,14 +97,13 @@ class BoundPyramid:
                       for key, value in model.params.items()}
 
     def evaluate(self, direction: str) -> Node:
-        """Full-resolution map u = c(c(q, h), s) of one direction, with
-        c = compose_nodes: two trilinear samples, each of a coarse stage's
-        grid at the points the finer stages map to."""
+        """Full-resolution map u = up(q) + up(h) + s of one direction: one
+        ``upsample_sum`` node, which applies a fixed interpolation matrix
+        per axis to each coarse grid."""
         if direction not in DIRECTIONS:
             raise PipelineError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-        tape = self.tape
         q, h, s = (self.nodes[self.model.param_key(direction, i)] for i in range(STAGE_COUNT))
-        return compose_nodes(tape, compose_nodes(tape, q, h), s)
+        return self.tape.upsample_sum(q, h, s)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ The op set is deliberately small: elementwise arithmetic, reductions
 (``sum_squares`` among them: a sum or mean of squares that keeps no
 square for the sweep), count-normalized box filtering and pooling,
 central-difference spatial gradients at interior nodes, edge-clamped
-trilinear sampling of an image at x + u(x) for a displacement u, integer
-shifts and border crops. That is enough to express and differentiate
-every registration loss in this package with respect to displacement
+trilinear sampling of an image at x + u(x) for a displacement u, the sum
+of fields upsampled to the nodes of a finer grid, integer shifts and
+border crops. That is enough to express and differentiate every
+registration loss in this package with respect to displacement
 parameters. The LNCC map (``"lncc_map"``) and the MIND-SSC descriptor
 (``"mind_ssc"``) are ops of their own with hand-written vjps, recorded
 through ``_append`` by the similarity module, which builds each fixed
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor3, displaced_axes
+from .tensor import Tensor3, displaced_axes, node_axes
 
 
 class TapeError(ValueError):
@@ -203,12 +204,12 @@ class _TrilinearPlan:
     def vjp(self, g: np.ndarray, want_image: bool, want_coords: bool):
         """The image's and the coordinates' adjoints for the output adjoint
         ``g`` (..., C), None where not wanted. The image half runs first and
-        scatters ``w * g``. The coordinate half projects each corner onto
-        ``g``, ``p_k = sum_c v_kc g_c``, and frees the channel planes; per
-        axis it blends the differences of the ``p_k`` along that axis by
-        the other two axes' weights (lower axis bit outermost), scales by
-        the coordinate-to-index factor and masks where the clamp
-        saturates."""
+        scatters ``w * g``. The coordinate half projects one corner at a
+        time onto ``g``, ``p_k = sum_c v_kc g_c``, and adds ``p_k`` times
+        the other two axes' weights into each axis's adjoint, with the sign
+        of the corner's bit on that axis; it then masks where the clamp
+        saturates and scales by the coordinate-to-index factor. The result
+        is a (..., 3) view of a component-major array."""
         g_planes = _planes(g)
         g_image = g_coords = None
         if want_image:
@@ -220,24 +221,26 @@ class _TrilinearPlan:
             g_image = np.stack(acc, axis=-1).reshape(self.img.shape)
             del acc
         if want_coords:
-            planes, proj = _planes(self.img), []
-            for idx in self._indices():
+            planes, w = _planes(self.img), [(1.0 - f, f) for f in self.fracs]
+            g_coords = np.zeros((3, self.base.size))
+            for idx, corner in zip(self._indices(), _CORNERS):
                 terms = (plane.take(idx) * g_c for plane, g_c in zip(planes, g_planes))
-                proj.append(next(terms))
+                proj = next(terms)
                 for term in terms:
-                    proj[-1] += term
-            del planes, g_planes
-            w = [(1.0 - f, f) for f in self.fracs]
-            g_coords = np.empty((self.base.size, 3))
-            for axis in range(3):
-                comp = 0.0
-                for lo, corner in enumerate(_CORNERS):
-                    if corner[axis]:
-                        continue
+                    proj += term
+                for axis in range(3):
                     wa, wb = (w[other][corner[other]] for other in range(3) if other != axis)
-                    comp = comp + (wa * wb) * (proj[lo | (4 >> axis)] - proj[lo])
-                g_coords[:, axis] = comp * (self.img.shape[axis] - 1) * self.inside[axis]
-            g_coords = g_coords.reshape(*g.shape[:-1], 3)
+                    term = wa * wb
+                    term *= proj
+                    if corner[axis]:
+                        g_coords[axis] += term
+                    else:
+                        g_coords[axis] -= term
+            del planes, g_planes, proj, term
+            for axis in range(3):
+                g_coords[axis] *= self.inside[axis]
+                g_coords[axis] *= self.img.shape[axis] - 1
+            g_coords = g_coords.T.reshape(*g.shape[:-1], 3)
         return g_image, g_coords
 
 
@@ -249,6 +252,20 @@ def sample_trilinear_values(img: np.ndarray, coords) -> np.ndarray:
     to the unit cube. The result is (*point shape, C).
     """
     return _TrilinearPlan(img, coords).out
+
+
+def _node_interpolation(n: int, m: int) -> np.ndarray:
+    """The (m, n) matrix that interpolates values on an axis's n nodes to
+    its m nodes: row i holds the (at most 2) weights the trilinear kernel
+    gives node i / (m - 1), read off by sampling the identity."""
+    return sample_trilinear_values(np.eye(n).reshape(n, 1, 1, n), node_axes((m, 1, 1)))[:, 0, 0]
+
+
+def _per_axis(arr: np.ndarray, mats) -> np.ndarray:
+    """``arr`` (nx, ny, nz, C) with ``mats[a]`` applied along spatial axis a."""
+    for axis, mat in enumerate(mats):
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+    return arr
 
 
 def sample_nearest_values(img: np.ndarray, coords) -> np.ndarray:
@@ -471,6 +488,29 @@ class Tape:
         out, plan.out = plan.out, None
         return self._append("trilinear_sample", (image, u), out,
                             lambda g: plan.vjp(g, image.needs_grad, u.needs_grad))
+
+    def upsample_sum(self, *fields: Node) -> Node:
+        """The sum of ``fields`` on the grid of the last one: each other
+        field is first interpolated to that grid's nodes, one (m, n)
+        matrix per axis (``trilinear_sample``'s values at those nodes, up
+        to rounding, with no gather). Linear, so the vjp keeps only the
+        matrices: each coarse field's adjoint is the transposes applied to
+        ``g``, the last field's is ``g``."""
+        *coarse, fine = fields
+        for f in coarse:
+            if f.value.channels != fine.value.channels:
+                raise TapeError(f"upsample_sum: channels differ: {f.value.channels} "
+                                f"vs {fine.value.channels}")
+        mats = [[_node_interpolation(n, m) for n, m in zip(f.value.dims, fine.value.dims)]
+                for f in coarse]
+        out = fine.value.data.copy()
+        for f, per_axis in zip(coarse, mats):
+            out += _per_axis(f.value.data, per_axis)
+
+        def vjp(g):
+            return (*(_per_axis(g, [m.T for m in per_axis]) for per_axis in mats), g)
+
+        return self._append("upsample_sum", fields, out, vjp)
 
     def shift(self, a: Node, offset) -> Node:
         """Integer-voxel shift with edge clamp: out(x) = in(clip(x + offset))."""
