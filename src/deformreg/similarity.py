@@ -186,12 +186,8 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
         # early): through the numerator of exp(-SSD_k / V) ...
         g_ssd = np.multiply(planar(g), planar(val), out=np.empty_like(ssd))
         g_ssd *= -2.0 / v
-        # ... plus the share through V = max(mean, eps), common to all 12,
-        # summed plane by plane (the axis-0 sum's order, without its stack)
-        shared = g_ssd[0] * ssd[0]
-        for k in range(1, 12):
-            shared += g_ssd[k] * ssd[k]
-        g_ssd += (shared / v * passed) * (-1.0 / 12.0)
+        # ... plus the share through V = max(mean, eps), common to all 12
+        g_ssd += (np.sum(g_ssd * ssd, axis=0) / v * passed) * (-1.0 / 12.0)
         # the box mean's transpose, then the square's
         g_diff = _box_mean_t(g_ssd, counts, r, first=1)
         g_diff *= diff

@@ -74,9 +74,10 @@ def resample_field_to(phi: DisplacementField, dims) -> DisplacementField:
 
 
 def resample_field_nodes(tape: Tape, u: Node, dims) -> Node:
+    """Tape version of resample_field_to, through the pyramid's upsampling op."""
     if u.value.dims == tuple(dims):
         return u
-    return tape.trilinear_sample(u, tape.input(Tensor3.zeros(dims, channels=3)))
+    return tape.upsample_sum(u, tape.input(Tensor3.zeros(dims, channels=3)))
 
 
 def warp(v: Volume, phi: DisplacementField) -> Volume:
