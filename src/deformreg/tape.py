@@ -30,6 +30,8 @@ reproduce it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .tensor import Tensor3, displaced_axes, node_axes
@@ -152,13 +154,15 @@ class _TrilinearPlan:
     makes the sampled value constant there): 35 bytes a point. It also
     holds the sampled values ``out`` until a caller takes them; no vjp
     reads them, so ``Tape.trilinear_sample`` does not leave them there.
-    Corner (bx, by, bz) sits at ``base + bx*sx + by*sy + bz*sz`` with
+    Corner (bx, by, bz) sits ``bx*sx + by*sy + bz*sz`` past ``base`` with
     weight ``w0[bx]*w1[by]*w2[bz]``, ``w = (1 - f, f)``.
 
     Every pass works on one channel at a time, as contiguous flat arrays:
     over (..., C) rows each gather, product and reduction runs numpy's
     inner loop over the short channel axis, at several times the cost of
-    the arithmetic. Indices, weights and the image's channel planes are
+    the arithmetic. A corner gathers with ``base`` from the view of a
+    channel plane that starts at the corner's offset, so no corner builds
+    an index array of its own. Weights and the image's channel planes are
     rebuilt where a pass needs them instead of being held until the vjp.
     """
 
@@ -168,75 +172,110 @@ class _TrilinearPlan:
         nx, ny, nz = img.shape[:3]
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
         self.img = img
-        self.base, self.strides, self.fracs, self.inside = 0, [], [], []
+        self.base, self.strides, self.fracs, self.inside = None, [], [], []
         for c, n, stride in zip(coords, (nx, ny, nz), (ny * nz, nz, 1)):
             c_raw = np.broadcast_to(c, shape).ravel()
-            p = np.clip(c_raw, 0.0, 1.0) * (n - 1)
+            p = np.clip(c_raw, 0.0, 1.0)
+            # False where the clamp moved the coordinate, and at NaN
+            self.inside.append(p == c_raw)
+            del c_raw
+            p *= n - 1
             # snap to the node when within 1e-9 index units so sampling at
             # voxel centers reproduces stored values exactly
-            p_round = np.round(p)
-            p = np.where(np.abs(p - p_round) < 1e-9, p_round, p)
-            i0 = np.minimum(p.astype(np.int64), max(n - 2, 0))
-            self.base = self.base + i0 * stride
+            node = np.round(p)
+            gap = np.subtract(p, node)
+            np.abs(gap, out=gap)
+            np.copyto(p, node, where=gap < 1e-9)
+            del node, gap
+            i0 = p.astype(np.int64)
+            np.minimum(i0, max(n - 2, 0), out=i0)
+            p -= i0
+            self.fracs.append(p)
             self.strides.append(stride if n > 1 else 0)
-            self.fracs.append(p - i0)
-            self.inside.append((c_raw >= 0.0) & (c_raw <= 1.0))
-        planes, corners = _planes(img), self._corners()
-        idx, w = next(corners)
-        out = [w * plane.take(idx) for plane in planes]
-        for idx, w in corners:
-            for acc, plane in zip(out, planes):
-                acc += w * plane.take(idx)
-        self.out = np.stack(out, axis=-1).reshape(*shape, len(out))
+            if stride != 1:
+                i0 *= stride
+            if self.base is None:
+                self.base = i0
+            else:
+                self.base += i0
+            del i0
+        self.out = np.stack(self._blend(_planes(img)), axis=-1).reshape(*shape, img.shape[3])
 
-    def _indices(self):
-        """Yield each corner's flat index in ``_CORNERS`` order."""
+    def _blend(self, planes):
+        """Per channel plane, the weighted sum of its values at the 8 corners."""
+        w = self._weights()
+        out = [None] * len(planes)
+        for (_, _, bz), off, w01 in self._corners(w):
+            weight = w01 * w[2][bz]
+            for c, plane in enumerate(planes):
+                term = plane[off:].take(self.base)
+                term *= weight
+                if out[c] is None:
+                    out[c] = term
+                else:
+                    out[c] += term
+        return out
+
+    def _weights(self):
+        """``(1 - f, f)`` per axis."""
+        return [(1.0 - f, f) for f in self.fracs]
+
+    def _corners(self, w):
+        """Yield each corner's bits, its flat offset from ``base`` and
+        ``w0[bx] * w1[by]`` (formed once per (bx, by)), in ``_CORNERS``
+        order, for the per-axis weights ``w``."""
         sx, sy, sz = self.strides
-        for bx, by, bz in _CORNERS:
-            yield self.base + (bx * sx + by * sy + bz * sz)
-
-    def _corners(self):
-        """Yield each corner's flat index and weight in ``_CORNERS`` order."""
-        w0, w1, w2 = ((1.0 - f, f) for f in self.fracs)
-        for idx, (bx, by, bz) in zip(self._indices(), _CORNERS):
-            yield idx, w0[bx] * w1[by] * w2[bz]
+        for bx in (0, 1):
+            for by in (0, 1):
+                w01 = w[0][bx] * w[1][by]
+                for bz in (0, 1):
+                    yield (bx, by, bz), bx * sx + by * sy + bz * sz, w01
 
     def vjp(self, g: np.ndarray, want_image: bool, want_coords: bool):
         """The image's and the coordinates' adjoints for the output adjoint
-        ``g`` (..., C), None where not wanted. The image half runs first and
-        scatters ``w * g``. The coordinate half projects one corner at a
-        time onto ``g``, ``p_k = sum_c v_kc g_c``, and adds ``p_k`` times
-        the other two axes' weights into each axis's adjoint, with the sign
-        of the corner's bit on that axis; it then masks where the clamp
-        saturates and scales by the coordinate-to-index factor. The result
-        is a (..., 3) view of a component-major array."""
-        g_planes = _planes(g)
-        g_image = g_coords = None
-        if want_image:
-            size = self.img.size // len(g_planes)
-            acc = [np.zeros(size) for _ in g_planes]
-            for idx, w in self._corners():
-                for a, g_c in zip(acc, g_planes):
-                    a += np.bincount(idx, weights=w * g_c, minlength=size)
-            g_image = np.stack(acc, axis=-1).reshape(self.img.shape)
-            del acc
-        if want_coords:
-            planes, w = _planes(self.img), [(1.0 - f, f) for f in self.fracs]
-            g_coords = np.zeros((3, self.base.size))
-            for idx, corner in zip(self._indices(), _CORNERS):
-                terms = (plane.take(idx) * g_c for plane, g_c in zip(planes, g_planes))
-                proj = next(terms)
-                for term in terms:
-                    proj += term
-                for axis in range(3):
+        ``g`` (..., C), None where not wanted, in one walk over the corners.
+        The image half scatters ``w * g`` per channel with ``bincount``
+        into the slice of the flat adjoint that starts at the corner's
+        offset. The coordinate half projects the corner onto ``g``,
+        ``p_k = sum_c v_kc g_c``, and adds ``p_k`` times the other two
+        axes' weights into each axis's adjoint, with the sign of the
+        corner's bit on that axis; it then masks where the clamp saturates
+        and scales by the coordinate-to-index factor. Each result is a
+        view of a component-major array."""
+        g_planes, w = _planes(g), self._weights()
+        size = self.img.size // len(g_planes)
+        g_image = np.zeros((len(g_planes), size)) if want_image else None
+        g_coords = np.zeros((3, self.base.size)) if want_coords else None
+        planes = _planes(self.img) if want_coords else None
+        for corner, off, w01 in self._corners(w):
+            if want_image:
+                weight = w01 * w[2][corner[2]]
+                for acc, g_c in zip(g_image, g_planes):
+                    acc[off:] += np.bincount(self.base, weights=weight * g_c,
+                                             minlength=size - off)
+                del weight
+            if not want_coords:
+                continue
+            terms = (plane[off:].take(self.base) * g_c for plane, g_c in zip(planes, g_planes))
+            proj = next(terms)
+            for term in terms:
+                proj += term
+            for axis in range(3):
+                if axis == 2:
+                    term = w01 * proj
+                else:
                     wa, wb = (w[other][corner[other]] for other in range(3) if other != axis)
                     term = wa * wb
                     term *= proj
-                    if corner[axis]:
-                        g_coords[axis] += term
-                    else:
-                        g_coords[axis] -= term
-            del planes, g_planes, proj, term
+                if corner[axis]:
+                    g_coords[axis] += term
+                else:
+                    g_coords[axis] -= term
+            del proj, term
+        del planes, g_planes, w
+        if want_image:
+            g_image = g_image.T.reshape(self.img.shape)
+        if want_coords:
             for axis in range(3):
                 g_coords[axis] *= self.inside[axis]
                 g_coords[axis] *= self.img.shape[axis] - 1
@@ -254,11 +293,15 @@ def sample_trilinear_values(img: np.ndarray, coords) -> np.ndarray:
     return _TrilinearPlan(img, coords).out
 
 
+@functools.cache
 def _node_interpolation(n: int, m: int) -> np.ndarray:
     """The (m, n) matrix that interpolates values on an axis's n nodes to
     its m nodes: row i holds the (at most 2) weights the trilinear kernel
-    gives node i / (m - 1), read off by sampling the identity."""
-    return sample_trilinear_values(np.eye(n).reshape(n, 1, 1, n), node_axes((m, 1, 1)))[:, 0, 0]
+    gives node i / (m - 1), read off by sampling the identity. Cached and
+    read-only: a forward needs the same few matrices every step."""
+    mat = sample_trilinear_values(np.eye(n).reshape(n, 1, 1, n), node_axes((m, 1, 1)))[:, 0, 0]
+    mat.setflags(write=False)
+    return mat
 
 
 def _per_axis(arr: np.ndarray, mats) -> np.ndarray:

@@ -72,6 +72,13 @@ def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
     assert lines[6:] == [f"largest deviation: {zero}"], out
 
 
+def test_kernel_times_prints_each_kernel(tmp_path):
+    out = run_script(ROOT / "tools" / "kernel_times.py", tmp_path,
+                     argv=["--side", "8", "--repeats", "1"])
+    rows = re.findall(r"^(trilinear C=\d|upsample_sum) .* vjp +\d+\.\d\d", out, flags=re.M)
+    assert rows == ["trilinear C=1", "trilinear C=3", "trilinear C=4", "upsample_sum"], out
+
+
 def load_trace_digest():
     spec = importlib.util.spec_from_file_location("trace_digest", ROOT / "tools" / "trace_digest.py")
     module = importlib.util.module_from_spec(spec)

@@ -1,0 +1,77 @@
+"""Isolated timings of the two field kernels at one cube side.
+
+Prints the min-of-N wall time of the trilinear plan's forward, its full
+vjp and its coordinate-only vjp for a 1-, 3- and 4-channel image sampled
+at every node of an n^3 grid, and of the pyramid's ``upsample_sum``
+forward and vjp (quarter, half and full grid of the same side).
+
+The CLI keeps freed memory in the heap (``cli._keep_heap_resident``), so
+that the arrays of one step do not page-fault in again in the next. This
+tool does the same: without it, 64^3 timings read about 1.6x high.
+
+Run: PYTHONPATH=src python3 tools/kernel_times.py [--side 64] [--repeats 5]
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+from deformreg.cli import _keep_heap_resident
+from deformreg.pipeline import stage_grid_dims
+from deformreg.tape import Tape, _TrilinearPlan
+from deformreg.tensor import Tensor3, displaced_axes
+
+
+def best_ms(fn, repeats: int) -> float:
+    """The smallest wall time of ``repeats`` calls of ``fn``, in ms."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
+
+
+def trilinear_times(n: int, channels: int, repeats: int, rng) -> dict[str, float]:
+    img = rng.uniform(-1.0, 1.0, size=(n, n, n, channels))
+    coords = displaced_axes(rng.uniform(-0.05, 0.05, size=(n, n, n, 3)))
+    g = rng.normal(size=(n, n, n, channels))
+    plan = _TrilinearPlan(img, coords)
+    return {"forward": best_ms(lambda: _TrilinearPlan(img, coords), repeats),
+            "vjp": best_ms(lambda: plan.vjp(g, True, True), repeats),
+            "coordinate vjp": best_ms(lambda: plan.vjp(g, False, True), repeats)}
+
+
+def upsample_times(n: int, repeats: int, rng) -> dict[str, float]:
+    dims = stage_grid_dims((n, n, n))
+    fields = [Tensor3(rng.uniform(-0.01, 0.01, size=(*d, 3))) for d in dims]
+    g = rng.normal(size=(*dims[-1], 3))
+
+    def forward():
+        tape = Tape()
+        return tape.upsample_sum(*(tape.input(f) for f in fields))
+
+    node = forward()
+    return {"forward": best_ms(forward, repeats), "vjp": best_ms(lambda: node._vjp(g), repeats)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", type=int, default=64, help="cube side n of the n^3 grid")
+    parser.add_argument("--repeats", type=int, default=5, help="calls per timing; the min is shown")
+    args = parser.parse_args(argv)
+    if args.side < 2 or args.repeats < 1:
+        parser.error("--side must be >= 2 and --repeats >= 1")
+    _keep_heap_resident()
+    rng = np.random.default_rng(0)
+    rows = [(f"trilinear C={c}", trilinear_times(args.side, c, args.repeats, rng))
+            for c in (1, 3, 4)]
+    rows.append(("upsample_sum", upsample_times(args.side, args.repeats, rng)))
+    print(f"{args.side}^3, min of {args.repeats} (ms)")
+    for name, times in rows:
+        print(f"{name:15}" + "".join(f"  {key} {ms:8.2f}" for key, ms in times.items()))
+
+
+if __name__ == "__main__":
+    main()
