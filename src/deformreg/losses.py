@@ -38,10 +38,14 @@ class LossConfig:
 def gradient_inverse_consistency_nodes(tape: Tape, u_ab: Node, u_ba: Node) -> Node:
     """Mean squared Frobenius norm of grad(phi_ab o phi_ba) - I over
     interior voxels, where the central differences are taken."""
-    dims = u_ba.value.dims
+    return _consistency_of(tape, compose_nodes(tape, u_ab, u_ba))
+
+
+def _consistency_of(tape: Tape, comp: Node) -> Node:
+    """The penalty of the composed displacement ``comp`` on u_ba's grid."""
+    dims = comp.value.dims
     if min(dims) < 3:
         raise LossError(f"consistency penalty needs a grid >= 3^3, got {dims}")
-    comp = compose_nodes(tape, u_ab, u_ba)
     # the gradient of the composition's displacement is exactly J - I of
     # the composed map, taken at the interior nodes only
     jac_minus_i = tape.spatial_gradient(comp)
@@ -67,13 +71,14 @@ def randomized_loss_nodes(tape: Tape, u_ab: Node, u_ba: Node, side_a: tuple, sid
     ``u_ba`` with ``side_a``. The maps are on the images' grid.
     """
     sim = cfg.similarity
-    # recorded first, so that the sweep reaches the penalty's compose (a
-    # trilinear vjp with both halves) after the similarity terms have
-    # released what they kept
-    reg = gradient_inverse_consistency_nodes(tape, u_ab, u_ba)
+    # B's warp and the penalty's compose u_ab o (x + u_ba) read at the same
+    # points, so one plan samples both. It is recorded first, so that the
+    # sweep reaches its vjp (both halves) after every term has handed it
+    # its adjoint and released what it kept
+    u_ab_at, b_warped = tape.trilinear_samples((u_ab, tape.input(side_b[0])), u_ba)
+    reg = _consistency_of(tape, tape.add(u_ba, u_ab_at))
     sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, tape.input(side_a[0]), u_ab),
                                    side_b, sim)
-    sim_ba = loss_similarity_nodes(tape, warp_nodes(tape, tape.input(side_b[0]), u_ba),
-                                   side_a, sim)
+    sim_ba = loss_similarity_nodes(tape, b_warped, side_a, sim)
     total = tape.add(tape.add(sim_ab, sim_ba), tape.scale(reg, cfg.lam))
     return total, {"sim_ab": sim_ab, "sim_ba": sim_ba, "reg": reg}

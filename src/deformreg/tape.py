@@ -4,17 +4,18 @@ The op set is deliberately small: elementwise arithmetic, reductions
 (``sum_squares`` among them: a sum or mean of squares that keeps no
 square for the sweep), count-normalized box filtering and pooling,
 central-difference spatial gradients at interior nodes, edge-clamped
-trilinear sampling of an image at x + u(x) for a displacement u, the sum
-of fields upsampled to the nodes of a finer grid, integer shifts and
-border crops. That is enough to express and differentiate every
-registration loss in this package with respect to displacement
-parameters. The LNCC map (``"lncc_map"``) and the MIND-SSC descriptor
-(``"mind_ssc"``) are ops of their own with hand-written vjps, recorded
-through ``_append`` by the similarity module, which builds each fixed
-side in plain numpy. So ``mul``, ``div``, ``sqrt``, ``sum``, ``square``,
-``box_filter``, ``shift``, ``exp``, ``clamp`` and ``concat_channels``
-have no caller in the package; the tests build reference graphs from
-them and the benchmark's tracer binds them by name.
+trilinear sampling at x + u(x) for a displacement u (of one image, or of
+several images on one grid through one shared plan), the sum of fields
+upsampled to the nodes of a finer grid, integer shifts and border crops.
+That is enough to express and differentiate every registration loss in
+this package with respect to displacement parameters. The LNCC map
+(``"lncc_map"``) and the MIND-SSC descriptor (``"mind_ssc"``) are ops of
+their own with hand-written vjps, recorded through ``_append`` by the
+similarity module, which builds each fixed side in plain numpy. So
+``mul``, ``div``, ``sqrt``, ``sum``, ``square``, ``box_filter``,
+``shift``, ``exp``, ``clamp`` and ``concat_channels`` have no caller in
+the package; the tests build reference graphs from them and the
+benchmark's tracer binds them by name.
 
 Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
@@ -140,38 +141,40 @@ def _planes(arr: np.ndarray) -> list[np.ndarray]:
 
 
 class _TrilinearPlan:
-    """Edge-clamped trilinear sample of ``img`` (nx, ny, nz, C) at the
-    normalized per-axis ``coords`` (three arrays that broadcast to the
-    point shape), kept for the vjp.
+    """Edge-clamped trilinear sample of ``img`` (nx, ny, nz, C), or of each
+    image of a sequence on one grid, at the normalized per-axis ``coords``
+    (three arrays that broadcast to the point shape), kept for the vjp.
 
     Coordinates are clamped to [0,1] and mapped onto node index space
     (node i at i/(n-1)). The plan keeps only what the 8 corners derive
-    from: the image by reference (on the tape it is the parent node's
+    from: the images by reference (on the tape they are the parent nodes'
     read-only data, so nothing is copied), the flat index ``base`` of each
     point's low corner, one flat stride per axis (0 on a length-1 axis,
     where both corners coincide), the three fractions, and the three masks
     that are False where the raw coordinate left the domain (the clamp
-    makes the sampled value constant there): 35 bytes a point. It also
-    holds the sampled values ``out`` until a caller takes them; no vjp
-    reads them, so ``Tape.trilinear_sample`` does not leave them there.
-    Corner (bx, by, bz) sits ``bx*sx + by*sy + bz*sz`` past ``base`` with
-    weight ``w0[bx]*w1[by]*w2[bz]``, ``w = (1 - f, f)``.
+    makes the sampled value constant there): 35 bytes a point, however
+    many images share them. It also holds the sampled values ``out`` (one
+    array per image for a sequence) until a caller takes them; no vjp
+    reads them, so the tape does not leave them there. Corner (bx, by, bz)
+    sits ``bx*sx + by*sy + bz*sz`` past ``base`` with weight
+    ``w0[bx]*w1[by]*w2[bz]``, ``w = (1 - f, f)``.
 
     Every pass works on one channel at a time, as contiguous flat arrays:
     over (..., C) rows each gather, product and reduction runs numpy's
     inner loop over the short channel axis, at several times the cost of
     the arithmetic. A corner gathers with ``base`` from the view of a
     channel plane that starts at the corner's offset, so no corner builds
-    an index array of its own. Weights and the image's channel planes are
+    an index array of its own. Weights and the images' channel planes are
     rebuilt where a pass needs them instead of being held until the vjp.
     """
 
-    __slots__ = ("img", "base", "strides", "fracs", "inside", "out")
+    __slots__ = ("imgs", "base", "strides", "fracs", "inside", "out")
 
-    def __init__(self, img: np.ndarray, coords):
-        nx, ny, nz = img.shape[:3]
+    def __init__(self, img, coords):
+        one = isinstance(img, np.ndarray)
+        self.imgs = [img] if one else list(img)
+        nx, ny, nz = self.imgs[0].shape[:3]
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        self.img = img
         self.base, self.strides, self.fracs, self.inside = None, [], [], []
         for c, n, stride in zip(coords, (nx, ny, nz), (ny * nz, nz, 1)):
             c_raw = np.broadcast_to(c, shape).ravel()
@@ -199,7 +202,11 @@ class _TrilinearPlan:
             else:
                 self.base += i0
             del i0
-        self.out = np.stack(self._blend(_planes(img)), axis=-1).reshape(*shape, img.shape[3])
+        sums, out = self._blend([plane for im in self.imgs for plane in _planes(im)]), []
+        for im in self.imgs:
+            out.append(np.stack(sums[: im.shape[3]], axis=-1).reshape(*shape, im.shape[3]))
+            del sums[: im.shape[3]]
+        self.out = out[0] if one else out
 
     def _blend(self, planes):
         """Per channel plane, the weighted sum of its values at the 8 corners."""
@@ -231,32 +238,44 @@ class _TrilinearPlan:
                 for bz in (0, 1):
                     yield (bx, by, bz), bx * sx + by * sy + bz * sz, w01
 
-    def vjp(self, g: np.ndarray, want_image: bool, want_coords: bool):
-        """The image's and the coordinates' adjoints for the output adjoint
-        ``g`` (..., C), None where not wanted, in one walk over the corners.
+    def vjp(self, g, want_image, want_coords: bool):
+        """The images' adjoints, then the coordinates', for the output
+        adjoint ``g`` (..., C), None where not wanted, in one walk over the
+        corners. For a plan over a sequence of images, ``g`` and
+        ``want_image`` are sequences with one entry per image, and ``g`` is
+        None for an image whose output got no adjoint.
+
         The image half scatters ``w * g`` per channel with ``bincount``
         into the slice of the flat adjoint that starts at the corner's
-        offset. The coordinate half projects the corner onto ``g``,
-        ``p_k = sum_c v_kc g_c``, and adds ``p_k`` times the other two
-        axes' weights into each axis's adjoint, with the sign of the
-        corner's bit on that axis; it then masks where the clamp saturates
-        and scales by the coordinate-to-index factor. Each result is a
-        view of a component-major array."""
-        g_planes, w = _planes(g), self._weights()
-        size = self.img.size // len(g_planes)
-        g_image = np.zeros((len(g_planes), size)) if want_image else None
+        offset. The coordinate half projects the corner onto the adjoints
+        of every image at once, ``p_k = sum_c v_kc g_c`` over all their
+        channels, and adds ``p_k`` times the other two axes' weights into
+        each axis's adjoint, with the sign of the corner's bit on that
+        axis; it then masks where the clamp saturates and scales by the
+        coordinate-to-index factor. Each result is a view of a
+        component-major array."""
+        if isinstance(g, np.ndarray):
+            g, want_image = [g], [want_image]
+        points = next(g_k.shape[:-1] for g_k in g if g_k is not None)
+        w, size = self._weights(), self.imgs[0].size // self.imgs[0].shape[3]
+        g_planes = [None if g_k is None else _planes(g_k) for g_k in g]
+        g_images = [np.zeros((len(g_c), size)) if want and g_c is not None else None
+                    for want, g_c in zip(want_image, g_planes)]
+        scatter = [pair for acc, g_c in zip(g_images, g_planes) if acc is not None
+                   for pair in zip(acc, g_c)]
+        project = [pair for im, g_c in zip(self.imgs, g_planes) if want_coords and g_c is not None
+                   for pair in zip(_planes(im), g_c)]
         g_coords = np.zeros((3, self.base.size)) if want_coords else None
-        planes = _planes(self.img) if want_coords else None
         for corner, off, w01 in self._corners(w):
-            if want_image:
+            if scatter:
                 weight = w01 * w[2][corner[2]]
-                for acc, g_c in zip(g_image, g_planes):
+                for acc, g_c in scatter:
                     acc[off:] += np.bincount(self.base, weights=weight * g_c,
                                              minlength=size - off)
                 del weight
-            if not want_coords:
+            if not project:
                 continue
-            terms = (plane[off:].take(self.base) * g_c for plane, g_c in zip(planes, g_planes))
+            terms = (plane[off:].take(self.base) * g_c for plane, g_c in project)
             proj = next(terms)
             for term in terms:
                 proj += term
@@ -272,15 +291,14 @@ class _TrilinearPlan:
                 else:
                     g_coords[axis] -= term
             del proj, term
-        del planes, g_planes, w
-        if want_image:
-            g_image = g_image.T.reshape(self.img.shape)
+        del scatter, project, g_planes, w
         if want_coords:
             for axis in range(3):
                 g_coords[axis] *= self.inside[axis]
-                g_coords[axis] *= self.img.shape[axis] - 1
-            g_coords = g_coords.T.reshape(*g.shape[:-1], 3)
-        return g_image, g_coords
+                g_coords[axis] *= self.imgs[0].shape[axis] - 1
+            g_coords = g_coords.T.reshape(*points, 3)
+        return (*(None if acc is None else acc.T.reshape(im.shape)
+                  for acc, im in zip(g_images, self.imgs)), g_coords)
 
 
 def sample_trilinear_values(img: np.ndarray, coords) -> np.ndarray:
@@ -309,6 +327,15 @@ def _per_axis(arr: np.ndarray, mats) -> np.ndarray:
     for axis, mat in enumerate(mats):
         arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
     return arr
+
+
+def _displaced(u: Node) -> list[np.ndarray]:
+    """The points x + u(x) at which a tape sample reads, per axis."""
+    if u.value.channels != 3:
+        raise TapeError(
+            f"trilinear_sample: displacement needs 3 channels, got {u.value.channels}"
+        )
+    return displaced_axes(u.value.data)
 
 
 def sample_nearest_values(img: np.ndarray, coords) -> np.ndarray:
@@ -523,14 +550,45 @@ class Tape:
         """Sample ``image`` at x + u(x) for each node x of the 3-channel
         displacement ``u``'s grid, normalized coordinates with edge clamp.
         Differentiable in both the image and the displacement."""
-        if u.value.channels != 3:
-            raise TapeError(
-                f"trilinear_sample: displacement needs 3 channels, got {u.value.channels}"
-            )
-        plan = _TrilinearPlan(image.value.data, displaced_axes(u.value.data))
+        plan = _TrilinearPlan(image.value.data, _displaced(u))
         out, plan.out = plan.out, None
         return self._append("trilinear_sample", (image, u), out,
                             lambda g: plan.vjp(g, image.needs_grad, u.needs_grad))
+
+    def trilinear_samples(self, images, u: Node) -> tuple[Node, ...]:
+        """``trilinear_sample`` of each of ``images`` (on one grid) at the
+        same points x + u(x), through one plan, so the points' set-up and
+        the coordinate adjoint's corner walk are done once for all of them.
+        Each output is bitwise the separate sample, and so is each image's
+        adjoint; u's adjoint projects the corners onto every image's
+        adjoint at once, so it differs from the sum of the separate ones
+        by rounding.
+
+        Records one plan node (parents: the images, then ``u``), whose
+        value is a placeholder scalar, and one output node per image,
+        holding its sample. An output's vjp hands its adjoint to the plan
+        and marks the plan node with a zero adjoint of the placeholder's
+        shape; the sweep reaches the plan node after every output, and its
+        vjp runs the plan's vjp once, for the adjoints handed to it."""
+        dims = images[0].value.dims
+        for image in images:
+            if image.value.dims != dims:
+                raise TapeError(f"trilinear_samples: image dims differ: "
+                                f"{image.value.dims} vs {dims}")
+        plan = _TrilinearPlan([image.value.data for image in images], _displaced(u))
+        outs, plan.out = plan.out, None
+        handed, wants = [None] * len(images), [image.needs_grad for image in images]
+        node = self._append("trilinear_sample", (*images, u), Tensor3.scalar(0.0),
+                            lambda _: plan.vjp(handed, wants, u.needs_grad))
+
+        def hand(k):
+            def vjp(g):
+                handed[k] = g
+                return (np.zeros((1, 1, 1, 1)),)
+            return vjp
+
+        return tuple(self._append("trilinear_output", (node,), out, hand(k))
+                     for k, out in enumerate(outs))
 
     def upsample_sum(self, *fields: Node) -> Node:
         """The sum of ``fields`` on the grid of the last one: each other

@@ -601,6 +601,89 @@ class TestTrilinearMemory:
         assert per_point <= 140, f"a sample's forward peaks at {per_point:.1f} B per point"
 
 
+class TestSharedSample:
+    """``trilinear_samples``: one plan samples a 3-channel field and a
+    1-channel image at the same points, as the loss samples u_ab (the
+    penalty's compose) and B (its warp) at x + u_ba. The oracle is two
+    separate ``trilinear_sample`` calls."""
+
+    DIMS = (6, 5, 7)
+
+    @classmethod
+    def inputs(cls):
+        rng = np.random.default_rng(51)
+        field = rng_tensor(rng, cls.DIMS, channels=3, lo=-0.5, hi=0.5)
+        image = rng_tensor(rng, cls.DIMS)
+        # within a quarter cell of every node, so that each node carries weight
+        u = rng_tensor(rng, cls.DIMS, channels=3, lo=-0.04, hi=0.04)
+        weights = [rng_tensor(rng, cls.DIMS, channels=c) for c in (3, 1)]
+        return field, image, u, weights
+
+    @classmethod
+    def gradients(cls, shared: bool, use_image: bool = True, field=None, u=None):
+        """The loss and the gradients of field, image and u, with the image's
+        output left off the loss (and fed to a node it never reads) unless
+        ``use_image``."""
+        field0, image0, u0, weights = cls.inputs()
+        tape = Tape()
+        params = [tape.input(t, parameter=True) for t in
+                  (field0 if field is None else field, image0, u0 if u is None else u)]
+        *images, u_node = params
+        if shared:
+            outs = tape.trilinear_samples(images, u_node)
+        else:
+            outs = [tape.trilinear_sample(image, u_node) for image in images]
+        terms = [tape.sum_squares(tape.mul(out, tape.input(w))) for out, w in zip(outs, weights)]
+        if use_image:
+            loss = tape.add(*terms)
+        else:
+            loss = terms[0]
+            tape.scale(outs[1], 2.0)
+        values, grads = [out.value.data for out in outs], tape.backward(loss)
+        return values, loss.value.item(), [grads[node.id].data for node in params]
+
+    def test_outputs_and_image_adjoints_are_bitwise_and_u_within_rounding(self):
+        shared_outs, shared_loss, shared = self.gradients(True)
+        separate_outs, separate_loss, separate = self.gradients(False)
+        for got, want in zip(shared_outs, separate_outs):
+            assert got.tobytes() == want.tobytes()
+        assert shared_loss == separate_loss
+        assert shared[0].tobytes() == separate[0].tobytes()
+        assert shared[1].tobytes() == separate[1].tobytes()
+        # u's adjoint projects the corners onto all 4 channels at once
+        assert np.max(np.abs(shared[2] - separate[2])) <= 1e-13
+        assert np.max(np.abs(shared[2])) > 1.0
+
+    def test_an_output_without_adjoint_leaves_the_other_bitwise(self):
+        _, _, shared = self.gradients(True, use_image=False)
+        _, _, separate = self.gradients(False, use_image=False)
+        assert not shared[1].any() and not separate[1].any()
+        assert shared[0].tobytes() == separate[0].tobytes()
+        assert shared[2].tobytes() == separate[2].tobytes()
+
+    @pytest.mark.parametrize("wrt", [0, 2], ids=["field", "u"])
+    def test_grad_check(self, wrt):
+        field0, _, u0, _ = self.inputs()
+
+        def f(x0):
+            kwargs = {"field": x0} if wrt == 0 else {"u": x0}
+            _, loss, grads = self.gradients(True, **kwargs)
+            return loss, Tensor3(grads[wrt])
+
+        # quadratic in the field, so a wide step is exact up to rounding;
+        # multilinear in the points within a cell, which a narrow step
+        # keeps them in
+        err = grad_check(f, field0 if wrt == 0 else u0, h=1e-3 if wrt == 0 else 1e-6)
+        assert err < 1e-5, f"grad error {err}"
+
+    def test_image_dims_must_match(self):
+        field0, _, u0, _ = self.inputs()
+        tape = Tape()
+        with pytest.raises(TapeError, match="image dims differ"):
+            tape.trilinear_samples((tape.input(field0), tape.input(Tensor3.zeros((6, 5, 6)))),
+                                   tape.input(u0))
+
+
 # (coarse dims, coarse dims, fine dims): the pyramid's odd halvings, and a
 # length-1 axis (one node, read everywhere) next to a downsampled one
 UPSAMPLE_CASES = [((5, 4, 4), (9, 8, 7), (17, 15, 13)), ((1, 3, 6), (2, 5, 6), (3, 7, 4))]
