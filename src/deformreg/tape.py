@@ -181,7 +181,6 @@ class _TrilinearPlan:
             p = np.clip(c_raw, 0.0, 1.0)
             # False where the clamp moved the coordinate, and at NaN
             self.inside.append(p == c_raw)
-            del c_raw
             p *= n - 1
             # snap to the node when within 1e-9 index units so sampling at
             # voxel centers reproduces stored values exactly
@@ -210,8 +209,7 @@ class _TrilinearPlan:
 
     def _blend(self, planes):
         """Per channel plane, the weighted sum of its values at the 8 corners."""
-        w = self._weights()
-        out = [None] * len(planes)
+        w, out = [(1.0 - f, f) for f in self.fracs], [None] * len(planes)
         for (_, _, bz), off, w01 in self._corners(w):
             weight = w01 * w[2][bz]
             for c, plane in enumerate(planes):
@@ -222,10 +220,6 @@ class _TrilinearPlan:
                 else:
                     out[c] += term
         return out
-
-    def _weights(self):
-        """``(1 - f, f)`` per axis."""
-        return [(1.0 - f, f) for f in self.fracs]
 
     def _corners(self, w):
         """Yield each corner's bits, its flat offset from ``base`` and
@@ -257,7 +251,8 @@ class _TrilinearPlan:
         if isinstance(g, np.ndarray):
             g, want_image = [g], [want_image]
         points = next(g_k.shape[:-1] for g_k in g if g_k is not None)
-        w, size = self._weights(), self.imgs[0].size // self.imgs[0].shape[3]
+        w = [(1.0 - f, f) for f in self.fracs]
+        size = self.imgs[0].size // self.imgs[0].shape[3]
         g_planes = [None if g_k is None else _planes(g_k) for g_k in g]
         g_images = [np.zeros((len(g_c), size)) if want and g_c is not None else None
                     for want, g_c in zip(want_image, g_planes)]
@@ -291,7 +286,6 @@ class _TrilinearPlan:
                 else:
                     g_coords[axis] -= term
             del proj, term
-        del scatter, project, g_planes, w
         if want_coords:
             for axis in range(3):
                 g_coords[axis] *= self.inside[axis]
@@ -557,19 +551,15 @@ class Tape:
 
     def trilinear_samples(self, images, u: Node) -> tuple[Node, ...]:
         """``trilinear_sample`` of each of ``images`` (on one grid) at the
-        same points x + u(x), through one plan, so the points' set-up and
-        the coordinate adjoint's corner walk are done once for all of them.
-        Each output is bitwise the separate sample, and so is each image's
-        adjoint; u's adjoint projects the corners onto every image's
-        adjoint at once, so it differs from the sum of the separate ones
-        by rounding.
+        same points x + u(x), through one plan. The outputs and the images'
+        adjoints are bitwise those of separate samples; u's adjoint is one
+        projection over all their channels, so it differs by rounding.
 
-        Records one plan node (parents: the images, then ``u``), whose
-        value is a placeholder scalar, and one output node per image,
-        holding its sample. An output's vjp hands its adjoint to the plan
-        and marks the plan node with a zero adjoint of the placeholder's
-        shape; the sweep reaches the plan node after every output, and its
-        vjp runs the plan's vjp once, for the adjoints handed to it."""
+        Records a plan node (parents: the images, then ``u``; a placeholder
+        scalar value) and one output node per image. An output's vjp hands
+        its adjoint to the plan and marks the plan node with a zero
+        adjoint; the sweep reaches the plan node after every output and
+        runs the plan's vjp once."""
         dims = images[0].value.dims
         for image in images:
             if image.value.dims != dims:
