@@ -226,11 +226,10 @@ class _TrilinearPlan:
         ``w0[bx] * w1[by]`` (formed once per (bx, by)), in ``_CORNERS``
         order, for the per-axis weights ``w``."""
         sx, sy, sz = self.strides
-        for bx in (0, 1):
-            for by in (0, 1):
+        for bx, by, bz in _CORNERS:
+            if not bz:
                 w01 = w[0][bx] * w[1][by]
-                for bz in (0, 1):
-                    yield (bx, by, bz), bx * sx + by * sy + bz * sz, w01
+            yield (bx, by, bz), bx * sx + by * sy + bz * sz, w01
 
     def vjp(self, g, want_image, want_coords: bool):
         """The images' adjoints, then the coordinates', for the output
