@@ -4,8 +4,7 @@ The op set is deliberately small: elementwise arithmetic, reductions
 (``sum_squares`` among them: a sum or mean of squares that keeps no
 square for the sweep), count-normalized box filtering and pooling,
 central-difference spatial gradients at interior nodes, edge-clamped
-trilinear sampling at x + u(x) for a displacement u (of one image, or of
-several images on one grid through one shared plan), the sum of fields
+trilinear sampling at x + u(x) for a displacement u, the sum of fields
 upsampled to the nodes of a finer grid, integer shifts and border crops.
 That is enough to express and differentiate every registration loss in
 this package with respect to displacement parameters. The LNCC map
@@ -13,9 +12,14 @@ this package with respect to displacement parameters. The LNCC map
 their own with hand-written vjps, recorded through ``_append`` by the
 similarity module, which builds each fixed side in plain numpy. So
 ``mul``, ``div``, ``sqrt``, ``sum``, ``square``, ``box_filter``,
-``shift``, ``exp``, ``clamp`` and ``concat_channels`` have no caller in
-the package; the tests build reference graphs from them and the
-benchmark's tracer binds them by name.
+``avg_pool2``, ``crop_border``, ``shift``, ``exp``, ``clamp`` and
+``concat_channels`` have no caller in the package; the tests build
+reference graphs from them and the benchmark's tracer binds them by name.
+
+One recorder samples at displaced points: ``trilinear_samples`` reads
+several images on one grid through one ``_TrilinearPlan``, and
+``trilinear_sample`` is its one-image case, as ``sample_trilinear_values``
+is the plan's plain one.
 
 Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
@@ -141,9 +145,9 @@ def _planes(arr: np.ndarray) -> list[np.ndarray]:
 
 
 class _TrilinearPlan:
-    """Edge-clamped trilinear sample of ``img`` (nx, ny, nz, C), or of each
-    image of a sequence on one grid, at the normalized per-axis ``coords``
-    (three arrays that broadcast to the point shape), kept for the vjp.
+    """Edge-clamped trilinear sample of each of ``imgs`` (nx, ny, nz, C_k),
+    all on one grid, at the normalized per-axis ``coords`` (three arrays
+    that broadcast to the point shape), kept for the vjp.
 
     Coordinates are clamped to [0,1] and mapped onto node index space
     (node i at i/(n-1)). The plan keeps only what the 8 corners derive
@@ -154,9 +158,9 @@ class _TrilinearPlan:
     that are False where the raw coordinate left the domain (the clamp
     makes the sampled value constant there): 35 bytes a point, however
     many images share them. It also holds the sampled values ``out`` (one
-    array per image for a sequence) until a caller takes them; no vjp
-    reads them, so the tape does not leave them there. Corner (bx, by, bz)
-    sits ``bx*sx + by*sy + bz*sz`` past ``base`` with weight
+    array per image) until a caller takes them; no vjp reads them, so the
+    tape does not leave them there. Corner (bx, by, bz) sits
+    ``bx*sx + by*sy + bz*sz`` past ``base`` with weight
     ``w0[bx]*w1[by]*w2[bz]``, ``w = (1 - f, f)``.
 
     Every pass works on one channel at a time, as contiguous flat arrays:
@@ -170,9 +174,8 @@ class _TrilinearPlan:
 
     __slots__ = ("imgs", "base", "strides", "fracs", "inside", "out")
 
-    def __init__(self, img, coords):
-        one = isinstance(img, np.ndarray)
-        self.imgs = [img] if one else list(img)
+    def __init__(self, imgs, coords):
+        self.imgs = list(imgs)
         nx, ny, nz = self.imgs[0].shape[:3]
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
         self.base, self.strides, self.fracs, self.inside = None, [], [], []
@@ -201,11 +204,10 @@ class _TrilinearPlan:
             else:
                 self.base += i0
             del i0
-        sums, out = self._blend([plane for im in self.imgs for plane in _planes(im)]), []
+        sums, self.out = self._blend([plane for im in self.imgs for plane in _planes(im)]), []
         for im in self.imgs:
-            out.append(np.stack(sums[: im.shape[3]], axis=-1).reshape(*shape, im.shape[3]))
+            self.out.append(np.stack(sums[: im.shape[3]], axis=-1).reshape(*shape, im.shape[3]))
             del sums[: im.shape[3]]
-        self.out = out[0] if one else out
 
     def _blend(self, planes):
         """Per channel plane, the weighted sum of its values at the 8 corners."""
@@ -233,10 +235,9 @@ class _TrilinearPlan:
 
     def vjp(self, g, want_image, want_coords: bool):
         """The images' adjoints, then the coordinates', for the output
-        adjoint ``g`` (..., C), None where not wanted, in one walk over the
-        corners. For a plan over a sequence of images, ``g`` and
-        ``want_image`` are sequences with one entry per image, and ``g`` is
-        None for an image whose output got no adjoint.
+        adjoints ``g`` (one (..., C_k) array per image, None for an image
+        whose output got no adjoint), None where not wanted (``want_image``
+        has one flag per image), in one walk over the corners.
 
         The image half scatters ``w * g`` per channel with ``bincount``
         into the slice of the flat adjoint that starts at the corner's
@@ -247,8 +248,6 @@ class _TrilinearPlan:
         axis; it then masks where the clamp saturates and scales by the
         coordinate-to-index factor. Each result is a view of a
         component-major array."""
-        if isinstance(g, np.ndarray):
-            g, want_image = [g], [want_image]
         points = next(g_k.shape[:-1] for g_k in g if g_k is not None)
         w = [(1.0 - f, f) for f in self.fracs]
         size = self.imgs[0].size // self.imgs[0].shape[3]
@@ -301,7 +300,7 @@ def sample_trilinear_values(img: np.ndarray, coords) -> np.ndarray:
     x, y and z coordinates that broadcast to the point shape, edge-clamped
     to the unit cube. The result is (*point shape, C).
     """
-    return _TrilinearPlan(img, coords).out
+    return _TrilinearPlan((img,), coords).out[0]
 
 
 @functools.cache
@@ -320,15 +319,6 @@ def _per_axis(arr: np.ndarray, mats) -> np.ndarray:
     for axis, mat in enumerate(mats):
         arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
     return arr
-
-
-def _displaced(u: Node) -> list[np.ndarray]:
-    """The points x + u(x) at which a tape sample reads, per axis."""
-    if u.value.channels != 3:
-        raise TapeError(
-            f"trilinear_sample: displacement needs 3 channels, got {u.value.channels}"
-        )
-    return displaced_axes(u.value.data)
 
 
 def sample_nearest_values(img: np.ndarray, coords) -> np.ndarray:
@@ -542,11 +532,9 @@ class Tape:
     def trilinear_sample(self, image: Node, u: Node) -> Node:
         """Sample ``image`` at x + u(x) for each node x of the 3-channel
         displacement ``u``'s grid, normalized coordinates with edge clamp.
-        Differentiable in both the image and the displacement."""
-        plan = _TrilinearPlan(image.value.data, _displaced(u))
-        out, plan.out = plan.out, None
-        return self._append("trilinear_sample", (image, u), out,
-                            lambda g: plan.vjp(g, image.needs_grad, u.needs_grad))
+        Differentiable in both the image and the displacement: the
+        one-image case of ``trilinear_samples``."""
+        return self.trilinear_samples((image,), u)[0]
 
     def trilinear_samples(self, images, u: Node) -> tuple[Node, ...]:
         """``trilinear_sample`` of each of ``images`` (on one grid) at the
@@ -559,12 +547,17 @@ class Tape:
         its adjoint to the plan and marks the plan node with a zero
         adjoint; the sweep reaches the plan node after every output and
         runs the plan's vjp once."""
+        if not images:
+            raise TapeError("trilinear_samples: need at least one image")
+        if u.value.channels != 3:
+            raise TapeError(f"trilinear_samples: displacement needs 3 channels, "
+                            f"got {u.value.channels}")
         dims = images[0].value.dims
         for image in images:
             if image.value.dims != dims:
                 raise TapeError(f"trilinear_samples: image dims differ: "
                                 f"{image.value.dims} vs {dims}")
-        plan = _TrilinearPlan([image.value.data for image in images], _displaced(u))
+        plan = _TrilinearPlan([image.value.data for image in images], displaced_axes(u.value.data))
         outs, plan.out = plan.out, None
         handed, wants = [None] * len(images), [image.needs_grad for image in images]
         node = self._append("trilinear_sample", (*images, u), Tensor3.scalar(0.0),
@@ -586,6 +579,8 @@ class Tape:
         to rounding, with no gather). Linear, so the vjp keeps only the
         matrices: each coarse field's adjoint is the transposes applied to
         ``g``, the last field's is ``g``."""
+        if not fields:
+            raise TapeError("upsample_sum: need at least one field")
         *coarse, fine = fields
         for f in coarse:
             if f.value.channels != fine.value.channels:

@@ -177,22 +177,23 @@ class TestExplicitComposition:
 
 class TestLossNodeInventory:
     """One step's loss forward. Each direction's map is one
-    ``upsample_sum`` node, and ``trilinear_sample`` adds the identity grid
+    ``upsample_sum`` node, and a trilinear sample adds the identity grid
     itself, so the only inputs are the two images, each the source of its
-    warp, and for MIND_SSC the two fixed descriptors. Two trilinear plans
-    remain: A's warp, and one plan node that samples both u_ab (the
-    penalty's compose) and B (its warp) at x + u_ba, with one output node
-    each."""
+    warp, and for MIND_SSC the two fixed descriptors. Every sample is a
+    plan node (op ``trilinear_sample``) with one ``trilinear_output`` node
+    per image it reads. Two plans remain: A's warp, with one output, and
+    one plan that samples both u_ab (the penalty's compose) and B (its
+    warp) at x + u_ba, with two."""
 
     @pytest.mark.parametrize("kind, n, nodes, inputs", [
-        ("LNCC2", 16, 29, 2), ("MIND_SSC", 16, 29, 4),
-        ("LNCC2", 32, 29, 2)], ids=["LNCC2-16", "MIND_SSC-16", "LNCC2-32"])
+        ("LNCC2", 16, 30, 2), ("MIND_SSC", 16, 30, 4),
+        ("LNCC2", 32, 30, 2)], ids=["LNCC2-16", "MIND_SSC-16", "LNCC2-32"])
     def test_one_forward(self, monkeypatch, kind, n, nodes, inputs):
         tape = first_step_tape(monkeypatch, kind, n)
         ops = Counter(node.op for node in tape.nodes)
         assert len(tape.nodes) == nodes
         assert (ops["input"], ops["param"], ops["upsample_sum"], ops["trilinear_sample"],
-                ops["trilinear_output"]) == (inputs, 6, 2, 2, 2)
+                ops["trilinear_output"]) == (inputs, 6, 2, 2, 3)
 
 
 class TestFixedSideHoisting:

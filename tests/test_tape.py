@@ -503,7 +503,7 @@ def trilinear_oracle(img, pts, g):
 def channel_last_sample(img, coords):
     """The sample and image adjoint as computed over (..., C) rows before
     the kernel went per channel: the bit-identity reference."""
-    plan = _TrilinearPlan(img, np.moveaxis(coords, -1, 0))
+    plan = _TrilinearPlan((img,), np.moveaxis(coords, -1, 0))
     flat = img.reshape(-1, img.shape[3])
     w0, w1, w2 = ((1.0 - f, f) for f in plan.fracs)
     out = None
@@ -514,7 +514,7 @@ def channel_last_sample(img, coords):
         corners.append((idx, w))
         term = w[..., None] * flat.take(idx, axis=0)
         out = term if out is None else out + term
-    return out.reshape(plan.out.shape), corners
+    return out.reshape(plan.out[0].shape), corners
 
 
 VJP_CASES = [(dims, c) for dims in [(1, 4, 6), (2, 5, 3), (6, 6, 6)] for c in (1, 3, 4)]
@@ -534,9 +534,9 @@ class TestTrilinearVjpOracle:
     def test_each_request_matches_oracle(self, dims, channels):
         img, pts, g = self.case(dims, channels)
         values, g_img, g_pts = trilinear_oracle(img, pts.reshape(-1, 3), g.reshape(-1, channels))
-        plan = _TrilinearPlan(img, np.moveaxis(pts, -1, 0))
-        assert np.allclose(plan.out.reshape(-1, channels), values, rtol=0, atol=1e-12)
-        image_only, coords_only, both = (plan.vjp(g, *want) for want in
+        plan = _TrilinearPlan((img,), np.moveaxis(pts, -1, 0))
+        assert np.allclose(plan.out[0].reshape(-1, channels), values, rtol=0, atol=1e-12)
+        image_only, coords_only, both = (plan.vjp((g,), (image,), coords) for image, coords in
                                          [(True, False), (False, True), (True, True)])
         assert image_only[1] is None and coords_only[0] is None
         for got_img, got_pts in [(image_only[0], coords_only[1]), both]:
@@ -549,14 +549,14 @@ class TestTrilinearVjpOracle:
     def test_sample_and_image_adjoint_match_channel_last_bitwise(self, dims, channels):
         img, pts, g = self.case(dims, channels)
         out, corners = channel_last_sample(img, pts)
-        plan = _TrilinearPlan(img, np.moveaxis(pts, -1, 0))
-        assert plan.out.tobytes() == out.tobytes()
+        plan = _TrilinearPlan((img,), np.moveaxis(pts, -1, 0))
+        assert plan.out[0].tobytes() == out.tobytes()
         acc = np.zeros((img.size // channels, channels))
         for idx, w in corners:
             wg = w.reshape(g.shape[:-1])[..., None] * g
             for c in range(channels):
                 acc[:, c] += np.bincount(idx, weights=wg[..., c].ravel(), minlength=len(acc))
-        assert plan.vjp(g, True, False)[0].tobytes() == acc.reshape(img.shape).tobytes()
+        assert plan.vjp((g,), (True,), False)[0].tobytes() == acc.reshape(img.shape).tobytes()
 
 
 class TestTrilinearMemory:
@@ -683,6 +683,11 @@ class TestSharedSample:
             tape.trilinear_samples((tape.input(field0), tape.input(Tensor3.zeros((6, 5, 6)))),
                                    tape.input(u0))
 
+    def test_no_image_rejected(self):
+        tape = Tape()
+        with pytest.raises(TapeError, match="at least one image"):
+            tape.trilinear_samples((), tape.input(self.inputs()[2]))
+
 
 # (coarse dims, coarse dims, fine dims): the pyramid's odd halvings, and a
 # length-1 axis (one node, read everywhere) next to a downsampled one
@@ -741,6 +746,10 @@ class TestUpsampleSum:
         tape = Tape()
         with pytest.raises(TapeError, match="channels differ"):
             tape.upsample_sum(tape.input(q), tape.input(Tensor3(s.data[..., :1])))
+
+    def test_no_field_rejected(self):
+        with pytest.raises(TapeError, match="at least one field"):
+            Tape().upsample_sum()
 
 
 class TestBackwardMemory:

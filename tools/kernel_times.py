@@ -37,10 +37,10 @@ def trilinear_times(n: int, channels: int, repeats: int, rng) -> dict[str, float
     img = rng.uniform(-1.0, 1.0, size=(n, n, n, channels))
     coords = displaced_axes(rng.uniform(-0.05, 0.05, size=(n, n, n, 3)))
     g = rng.normal(size=(n, n, n, channels))
-    plan = _TrilinearPlan(img, coords)
-    return {"forward": best_ms(lambda: _TrilinearPlan(img, coords), repeats),
-            "vjp": best_ms(lambda: plan.vjp(g, True, True), repeats),
-            "coordinate vjp": best_ms(lambda: plan.vjp(g, False, True), repeats)}
+    plan = _TrilinearPlan((img,), coords)
+    return {"forward": best_ms(lambda: _TrilinearPlan((img,), coords), repeats),
+            "vjp": best_ms(lambda: plan.vjp((g,), (True,), True), repeats),
+            "coordinate vjp": best_ms(lambda: plan.vjp((g,), (False,), True), repeats)}
 
 
 def upsample_times(n: int, repeats: int, rng) -> dict[str, float]:
