@@ -16,10 +16,10 @@ similarity module, which builds each fixed side in plain numpy. So
 ``concat_channels`` have no caller in the package; the tests build
 reference graphs from them and the benchmark's tracer binds them by name.
 
-One recorder samples at displaced points: ``trilinear_samples`` reads
-several images on one grid through one ``_TrilinearPlan``, and
-``trilinear_sample`` is its one-image case, as ``sample_trilinear_values``
-is the plan's plain one.
+One recorder, ``trilinear_samples``, samples images on one grid at displaced
+points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
+case and ``sample_trilinear_values`` the plan's plain one. Node values reach
+another grid's nodes through ``upsample_sum``'s matrices, with no gather.
 
 Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
@@ -321,6 +321,12 @@ def _per_axis(arr: np.ndarray, mats) -> np.ndarray:
     return arr
 
 
+def resample_node_values(arr: np.ndarray, dims) -> np.ndarray:
+    """Node values ``arr`` (nx, ny, nz, C) interpolated to the nodes of a
+    ``dims`` grid on the same unit cube, by ``upsample_sum``'s matrices."""
+    return _per_axis(arr, [_node_interpolation(n, m) for n, m in zip(arr.shape[:3], dims)])
+
+
 def sample_nearest_values(img: np.ndarray, coords) -> np.ndarray:
     """Nearest-node sampling with edge clamp, for label volumes; ``coords``
     as for ``sample_trilinear_values``."""
@@ -531,16 +537,15 @@ class Tape:
 
     def trilinear_sample(self, image: Node, u: Node) -> Node:
         """Sample ``image`` at x + u(x) for each node x of the 3-channel
-        displacement ``u``'s grid, normalized coordinates with edge clamp.
-        Differentiable in both the image and the displacement: the
-        one-image case of ``trilinear_samples``."""
+        displacement ``u``'s grid, normalized coordinates with edge clamp,
+        differentiable in both: ``trilinear_samples`` of one image."""
         return self.trilinear_samples((image,), u)[0]
 
     def trilinear_samples(self, images, u: Node) -> tuple[Node, ...]:
-        """``trilinear_sample`` of each of ``images`` (on one grid) at the
-        same points x + u(x), through one plan. The outputs and the images'
-        adjoints are bitwise those of separate samples; u's adjoint is one
-        projection over all their channels, so it differs by rounding.
+        """Sample each of ``images`` (on one grid) at the same points
+        x + u(x) through one plan. The outputs and the images' adjoints are
+        bitwise those of one sample per image; u's adjoint is one projection
+        over all their channels, so it differs from their sum by rounding.
 
         Records a plan node (parents: the images, then ``u``; a placeholder
         scalar value) and one output node per image. An output's vjp hands

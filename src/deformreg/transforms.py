@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor import Tensor3, displaced_axes, node_axes
-from .tape import Node, Tape, sample_nearest_values, sample_trilinear_values
+from .tape import Node, Tape, resample_node_values, sample_nearest_values, sample_trilinear_values
 from .volume import LabelVolume, Volume
 
 # fixed-point iterations of inverse_displacement
@@ -70,7 +70,7 @@ def resample_field_to(phi: DisplacementField, dims) -> DisplacementField:
     dims = tuple(int(d) for d in dims)
     if phi.dims == dims:
         return phi
-    return DisplacementField(Tensor3(sample_trilinear_values(phi.u.data, node_axes(dims))))
+    return DisplacementField(Tensor3(resample_node_values(phi.u.data, dims)))
 
 
 def resample_field_nodes(tape: Tape, u: Node, dims) -> Node:

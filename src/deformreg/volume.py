@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Tensor3, check_number, node_axes
-from .tape import sample_trilinear_values
+from .tensor import Tensor3, check_number
+from .tape import resample_node_values
 
 CT_FAMILY = ("CT", "CBCT")
 MR_FAMILY = ("T1w", "T1ce", "T2w", "T2", "FLAIR", "DESS", "FA", "MD", "DIXON-F", "DIXON-W")
@@ -194,7 +194,7 @@ def resize_trilinear(v: Volume, dims) -> Volume:
         raise VolumeError(f"source dims must be >= 2 per axis to resize, got {v.dims}")
     if dims == v.dims:
         return v
-    out = sample_trilinear_values(v.grid.data, node_axes(dims))
+    out = resample_node_values(v.grid.data, dims)
     new_spacing = tuple(
         (n_old - 1) * s / (n_new - 1)
         for n_old, s, n_new in zip(v.dims, v.spacing, dims)

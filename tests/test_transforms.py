@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deformreg.tape import Tape, sample_nearest_values, sample_trilinear_values
+from deformreg.tape import Tape, _node_interpolation, sample_nearest_values, sample_trilinear_values
 from deformreg.tensor import Tensor3, grid_coordinates
 from deformreg.transforms import (
     DisplacementField,
@@ -303,15 +303,25 @@ class TestSamplingAtDisplacedNodes:
         assert compose(phi, psi).u.data.tobytes() == want.tobytes()
 
     def test_resample_and_resize_sample_at_the_nodes(self):
+        """Both apply the pyramid's per-axis matrices, bit for bit, and
+        read what a gather at the target nodes reads, up to rounding."""
         img, phi, _ = self.fields(22)
-        zero = np.zeros((2, 6, 3, 3))
-        want = at_displaced_grid(phi.u.data, zero)
-        assert resample_field_to(phi, (2, 6, 3)).u.data.tobytes() == want.tobytes()
+        fine = np.random.default_rng(22).uniform(-1.0, 1.0, size=(9, 8, 7, 3))
         # a volume keeps positive spacing, so its axes have at least 2 nodes
         values = np.concatenate([img[..., :1], img[..., 1:]], axis=1)
-        want = at_displaced_grid(values, zero)
-        resized = resize_trilinear(make_volume(values), (2, 6, 3))
-        assert resized.values().tobytes() == want[..., 0].tobytes()
+        for arr, dims in [(phi.u.data, (2, 6, 3)), (fine, (5, 4, 4)),
+                          (values, (2, 6, 3)), (fine[..., :1], (5, 4, 4))]:
+            if arr.shape[3] == 3:
+                got = resample_field_to(DisplacementField(Tensor3(arr)), dims).u.data
+            else:
+                got = resize_trilinear(make_volume(arr), dims).values()[..., None]
+            want = arr
+            for axis, (n, m) in enumerate(zip(arr.shape[:3], dims)):
+                want = np.moveaxis(np.tensordot(_node_interpolation(n, m), want,
+                                                axes=(1, axis)), 0, axis)
+            assert got.tobytes() == want.tobytes()
+            gathered = at_displaced_grid(arr, np.zeros((*dims, 3)))
+            assert np.max(np.abs(got - gathered)) <= 1e-13
 
     def test_warps_sample_at_the_displaced_nodes(self):
         img, _, psi = self.fields(23)
