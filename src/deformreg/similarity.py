@@ -151,9 +151,10 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
     runs the float ops of the elementwise graph (shift, sub, square, box
     mean, 11 adds, scale by 1/12, floor, div, scale by -1, exp) in its
     order, so its values equal that graph's bit for bit. The vjp keeps the
-    pair differences, the distances, V, the floor's pass mask and the
-    output; it adds each shift's adjoint into its window of a padded zero
-    array and folds each padded face onto the face it copies.
+    padded copy, the distances, V and the floor's pass mask, and forms the
+    output and each pair difference again with the forward's float ops; it
+    adds each shift's adjoint into its window of a padded zero array and
+    folds each padded face onto the face it copies.
     """
     av, dims = a.value.data, a.value.dims
     need = 2 * (cfg.mind_patch_radius + 1) + 1
@@ -162,35 +163,52 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
             f"volume dims {dims} too small for patch radius {cfg.mind_patch_radius}"
         )
     padded = np.pad(av, ((1, 1),) * 3 + ((0, 0),), mode="edge")
-    diff = np.empty((12,) + av.shape)
-    for k, (i, j) in enumerate(SSC_PAIRS):
-        np.subtract(padded[_WINDOWS[i]], padded[_WINDOWS[j]], out=diff[k])
+
+    def pair_difference(k, out):
+        i, j = SSC_PAIRS[k]
+        return np.subtract(padded[_WINDOWS[i]], padded[_WINDOWS[j]], out=out)
+
+    sq = np.empty((12,) + av.shape)
+    for k in range(12):
+        pair_difference(k, sq[k])
+    sq *= sq
     pad_shape, shape = padded.shape, av.shape
     r = cfg.mind_patch_radius
-    ssd, counts = _box_mean(diff * diff, r, first=1)
+    ssd, counts = _box_mean(sq, r, first=1)
+    del sq
     mean = ssd[0] + ssd[1]
     for k in range(2, 12):
         mean += ssd[k]
     mean *= 1.0 / 12.0
     v, passed = np.maximum(mean, cfg.eps), mean > cfg.eps
-    y = ssd / v
-    y *= -1.0
-    np.exp(y, out=y)
-    val = np.moveaxis(y, 0, 3).reshape(*dims, -1)
 
-    def planar(x):
-        return np.moveaxis(x.reshape(*dims, 12, -1), 3, 0)
+    def descriptor():
+        y = ssd / v
+        y *= -1.0
+        return np.exp(y, out=y)
+
+    val = np.moveaxis(descriptor(), 0, 3).reshape(*dims, -1)
 
     def vjp(g):
         # twice the adjoint of each SSD_k (the 2 of d(diff^2)/d(diff) taken
         # early): through the numerator of exp(-SSD_k / V) ...
-        g_ssd = np.multiply(planar(g), planar(val), out=np.empty_like(ssd))
+        g_ssd = descriptor()
+        g_ssd *= np.moveaxis(g.reshape(*dims, 12, -1), 3, 0)
         g_ssd *= -2.0 / v
-        # ... plus the share through V = max(mean, eps), common to all 12
-        g_ssd += (np.sum(g_ssd * ssd, axis=0) / v * passed) * (-1.0 / 12.0)
+        # ... plus the share through V = max(mean, eps), common to all 12,
+        # summed plane by plane as np.sum(..., axis=0) sums
+        share, product = g_ssd[0] * ssd[0], np.empty(shape)
+        for k in range(1, 12):
+            share += np.multiply(g_ssd[k], ssd[k], out=product)
+        share /= v
+        share *= passed
+        share *= -1.0 / 12.0
+        g_ssd += share
         # the box mean's transpose, then the square's
         g_diff = _box_mean_t(g_ssd, counts, r, first=1)
-        g_diff *= diff
+        diff = np.empty(shape)
+        for k in range(12):
+            g_diff[k] *= pair_difference(k, diff)
         g_shifted = (_PAIR_SIGNS @ g_diff.reshape(12, -1)).reshape((6,) + shape)
         g_padded = np.zeros(pad_shape)
         for g_shift, window in zip(g_shifted, _WINDOWS):
@@ -237,9 +255,9 @@ def loss_similarity_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConf
         rho = lncc_map_nodes(tape, a, fixed, cfg)
         return tape.add_const(tape.scale(tape.sum_squares(rho, mean=True), -1.0), 1.0)
     if cfg.kind == "MSE":
-        return tape.sum_squares(tape.sub(a, tape.input(fixed[0])), mean=True)
+        return tape.sum_squares(a, mean=True, minus=fixed[0])
     da = mind_ssc_descriptor_nodes(tape, a, cfg)  # MIND_SSC, the one kind left
-    return tape.sum_squares(tape.sub(da, tape.input(fixed[1])), mean=True)
+    return tape.sum_squares(da, mean=True, minus=fixed[1])
 
 
 # -- plain wrappers (fresh throwaway tape, value only) ---------------------------

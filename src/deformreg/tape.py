@@ -72,15 +72,19 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int) -> np.ndarray:
     """Sliding-window sum of radius r along one axis, truncated at edges:
     out[i] = sum of arr[j] over |j - i| <= r, 0 <= j < n.
 
-    A copy of ``arr`` gets the 2r shifted slices added in place, offsets
-    1..r on each side, each cut to the part that stays inside the axis
-    (none is left past offset n - 1). The stencil is symmetric, so the
-    same sum is its own transpose and serves ``box_filter``'s vjp too.
+    A fresh array gets ``arr`` plus its shift by offset 1 on one side,
+    then the other 2r - 1 shifted slices added in place, offsets 1..r on
+    each side, each cut to the part that stays inside the axis (none is
+    left past offset n - 1). The stencil is symmetric, so the same sum is
+    its own transpose and serves ``box_filter``'s vjp too. Needs r >= 1.
     """
-    out = arr.copy()
+    out = np.empty(arr.shape)
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     n = src.shape[0]
-    for k in range(1, min(radius, n - 1) + 1):
+    dst[0] = src[0]
+    np.add(src[1:], src[: n - 1], out=dst[1:])
+    dst[: n - 1] += src[1:]
+    for k in range(2, min(radius, n - 1) + 1):
         dst[k:] += src[: n - k]
         dst[: n - k] += src[k:]
     return out
@@ -100,7 +104,8 @@ def _box_mean(arr: np.ndarray, radius: int, first: int = 0):
         shape = [1] * arr.ndim
         shape[axis] = arr.shape[axis]
         counts.append(_box_counts(arr.shape[axis], radius).reshape(shape))
-        out = _box_sum_axis(out, axis, radius) / counts[-1]
+        out = _box_sum_axis(out, axis, radius)
+        out /= counts[-1]
     return out, counts
 
 
@@ -460,15 +465,33 @@ class Tape:
             "mean", (a,), val, lambda g: (np.full(shape, g.reshape(()) / n),)
         )
 
-    def sum_squares(self, a: Node, mean: bool = False) -> Node:
-        """sum(a * a), divided by a's size when ``mean``: the value and
-        gradient of ``sum(square(a))`` or ``mean(square(a))`` bit for bit,
-        without keeping the square until backward."""
+    def sum_squares(self, a: Node, mean: bool = False, minus: Tensor3 | None = None) -> Node:
+        """sum(d * d) for d = a, or d = a - ``minus`` (a constant of a's
+        shape), divided by a's size when ``mean``: the value and gradient
+        of ``sum(square(d))`` or ``mean(square(d))`` bit for bit, with d a
+        ``sub`` of an input when ``minus`` is given, without keeping the
+        square, or d, until backward (the vjp forms d again)."""
         av = a.value.data
+        if minus is not None:
+            if minus.shape != av.shape:
+                raise TapeError(f"sum_squares: minus shape {minus.shape} is not {av.shape}")
+            cv = minus.data
         n = av.size if mean else 1
-        val = Tensor3.scalar(float(np.sum(av * av)) / n)
-        return self._append("sum_squares", (a,), val,
-                            lambda g: (av * (2.0 * g.reshape(()) / n),))
+        if minus is None:
+            sq = av * av
+        else:
+            sq = av - cv
+            sq *= sq
+
+        def vjp(g):
+            k = 2.0 * g.reshape(()) / n
+            if minus is None:
+                return (av * k,)
+            grad = av - cv
+            grad *= k
+            return (grad,)
+
+        return self._append("sum_squares", (a,), Tensor3.scalar(float(np.sum(sq)) / n), vjp)
 
     # -- spatial ops ----------------------------------------------------------
 

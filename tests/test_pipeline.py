@@ -179,15 +179,16 @@ class TestLossNodeInventory:
     """One step's loss forward. Each direction's map is one
     ``upsample_sum`` node, and a trilinear sample adds the identity grid
     itself, so the only inputs are the two images, each the source of its
-    warp, and for MIND_SSC the two fixed descriptors. Every sample is a
+    warp; the MSE and MIND_SSC terms subtract the fixed image or
+    descriptor inside their sum of squares. Every sample is a
     plan node (op ``trilinear_sample``) with one ``trilinear_output`` node
     per image it reads. Two plans remain: A's warp, with one output, and
     one plan that samples both u_ab (the penalty's compose) and B (its
     warp) at x + u_ba, with two."""
 
     @pytest.mark.parametrize("kind, n, nodes, inputs", [
-        ("LNCC2", 16, 30, 2), ("MIND_SSC", 16, 30, 4),
-        ("LNCC2", 32, 30, 2)], ids=["LNCC2-16", "MIND_SSC-16", "LNCC2-32"])
+        ("LNCC2", 16, 30, 2), ("MIND_SSC", 16, 26, 2), ("MSE", 16, 24, 2),
+        ("LNCC2", 32, 30, 2)], ids=["LNCC2-16", "MIND_SSC-16", "MSE-16", "LNCC2-32"])
     def test_one_forward(self, monkeypatch, kind, n, nodes, inputs):
         tape = first_step_tape(monkeypatch, kind, n)
         ops = Counter(node.op for node in tape.nodes)
@@ -428,17 +429,21 @@ class TestInstanceOptimize:
 
 
 
-def backward_memory(monkeypatch, steps, n=24):
-    """(entry, peak) traced bytes of each ``Tape.backward`` call in an
-    LNCC2 ``instance_optimize`` run of ``steps`` steps on a random pair of
-    side n; the peak is the highest point the sweep reaches."""
+def backward_memory(monkeypatch, steps, n=24, kind="LNCC2"):
+    """(entry, peak, step peak) traced bytes of each ``Tape.backward`` call
+    in a ``kind`` ``instance_optimize`` run of ``steps`` steps on a random
+    pair of side n. The peak is the highest point the sweep reaches; the
+    step peak is the highest point since the previous sweep ended (since
+    the run began, fixed sides included, for the first), or the sweep's."""
     sweep, calls = Tape.backward, []
 
     def traced(tape, loss):
-        entry = tracemalloc.get_traced_memory()[0]
+        entry, before = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         grads = sweep(tape, loss)
-        calls.append((entry, tracemalloc.get_traced_memory()[1]))
+        peak = tracemalloc.get_traced_memory()[1]
+        calls.append((entry, peak, max(before, peak)))
+        tracemalloc.reset_peak()
         return grads
 
     monkeypatch.setattr(Tape, "backward", traced)
@@ -446,7 +451,8 @@ def backward_memory(monkeypatch, steps, n=24):
     a, b = (make_volume(rng.uniform(0.1, 0.9, (n, n, n))) for _ in range(2))
     tracemalloc.start()
     try:
-        instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=steps))
+        instance_optimize(a, b, LossConfig(similarity=SimilarityConfig(kind=kind)),
+                          OptimizerConfig(steps=steps))
     finally:
         tracemalloc.stop()
     return calls
@@ -459,7 +465,7 @@ class TestStepMemory:
     def test_sweep_rises_at_most_one_field_above_its_entry(self, monkeypatch):
         # values no vjp reads go before the sweep, and each vjp's closure
         # (a trilinear plan among them) once the sweep has passed it
-        ((entry, peak),) = backward_memory(monkeypatch, steps=1)
+        ((entry, peak, _),) = backward_memory(monkeypatch, steps=1)
         field_bytes = 24**3 * 3 * 8
         assert peak - entry <= field_bytes, (
             f"backward rose {(peak - entry) / field_bytes:.2f} fields above its entry")
@@ -468,7 +474,7 @@ class TestStepMemory:
         # what a step keeps for its sweep: the LNCC maps keep E[a], cov and
         # the denominator, the squared reductions no square, and the
         # trilinear plans no output (32.6 fields when none of them did)
-        ((entry, _),) = backward_memory(monkeypatch, steps=1)
+        ((entry, _, _),) = backward_memory(monkeypatch, steps=1)
         field_bytes = 24**3 * 3 * 8
         assert entry <= 26 * field_bytes, (
             f"backward entered with {entry / field_bytes:.2f} fields")
@@ -476,11 +482,32 @@ class TestStepMemory:
     def test_second_step_holds_only_adams_moments_more(self, monkeypatch):
         # Adam's m and v appear with the first update; the first step's
         # gradients (one more parameter set) must not outlive it
-        (first, _), (second, _) = backward_memory(monkeypatch, steps=2)
+        (first, _, _), (second, _, _) = backward_memory(monkeypatch, steps=2)
         param_bytes = sum(value.data.nbytes for value in build_model((24,) * 3).params.values())
         grown = second - first
         assert grown <= 2.5 * param_bytes, (
             f"backward entry grew {grown / param_bytes:.2f} parameter sets from step 1 to 2")
+
+
+class TestMindSscStepMemory:
+    """What a MIND_SSC step keeps: each descriptor op keeps the padded
+    image, the 12 distances, V and the floor's mask, and each loss's sum
+    of squares no difference of descriptors (53.1 fields at the sweep's
+    entry and a 66.0-field step peak when the ops also kept the pair
+    differences, the output and a 12-plane sub node)."""
+
+    def test_sweep_enters_with_at_most_39_fields(self, monkeypatch):
+        ((entry, _, _),) = backward_memory(monkeypatch, steps=1, kind="MIND_SSC")
+        field_bytes = 24**3 * 3 * 8
+        assert entry <= 39 * field_bytes, (
+            f"backward entered with {entry / field_bytes:.2f} fields")
+
+    def test_step_peaks_at_most_49_fields(self, monkeypatch):
+        # the fixed sides, the forward and the sweep of the one step
+        ((_, _, step_peak),) = backward_memory(monkeypatch, steps=1, kind="MIND_SSC")
+        field_bytes = 24**3 * 3 * 8
+        assert step_peak <= 49 * field_bytes, (
+            f"the step peaked at {step_peak / field_bytes:.2f} fields")
 
 
 class TestRunConfig:

@@ -249,21 +249,26 @@ class TestMindSscOneNode:
                                   SimilarityConfig(kind="MIND_SSC"))
         assert [node.op for node in tape.nodes] == ["input", "mind_ssc"]
 
-    def test_node_retains_at_most_40_float64_per_voxel(self):
-        # the pair differences, distances and output (12 planes each), V
-        # and the floor's mask: about 37 float64 a voxel. The input is
-        # allocated before tracing starts, so it is not counted.
+    def test_node_retains_at_most_16_float64_per_voxel(self):
+        # what the vjp keeps: the padded image (26^3 / 24^3 = 1.27 planes),
+        # the 12 distances, V and the floor's mask, about 14.4 float64 a
+        # voxel; with the output, which the sweep drops, about 26.4 (37
+        # when the vjp kept the pair differences and the output too). The
+        # input is allocated before tracing starts, so it is not counted.
         dims = (24, 24, 24)
         tape = Tape()
         a = tape.input(Tensor3(np.random.default_rng(4).uniform(0, 1, dims)), parameter=True)
         tracemalloc.start()
         try:
             d = mind_ssc_descriptor_nodes(tape, a, SimilarityConfig(kind="MIND_SSC"))
+            with_output = tracemalloc.get_traced_memory()[0]
+            d.value = None
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert d.needs_grad
-        assert retained <= 40 * 8 * np.prod(dims)
+        assert with_output <= 28 * 8 * np.prod(dims)
+        assert retained <= 16 * 8 * np.prod(dims)
 
 
 def lncc_map_composed_nodes(tape, a, fixed, cfg):

@@ -307,6 +307,34 @@ class TestSumSquares:
         assert value == ref_value
         assert grad.tobytes() == ref_grad.tobytes()
 
+    @pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+    def test_minus_matches_the_reduction_of_a_sub_bitwise(self, mean):
+        # sum_squares(a, minus=c) against sum_squares(sub(a, input(c))): one
+        # node, the same value and gradient, and c as it was
+        rng = np.random.default_rng(71)
+        x0, c = (rng_tensor(rng, (5, 6, 7), channels=3, lo=-2.0, hi=2.0) for _ in range(2))
+        c_before = c.data.copy()
+        results = []
+        for one_node in (True, False):
+            tape = Tape()
+            x = tape.input(x0, parameter=True)
+            if one_node:
+                loss = tape.sum_squares(x, mean=mean, minus=c)
+                assert [node.op for node in tape.nodes] == ["param", "sum_squares"]
+            else:
+                loss = tape.sum_squares(tape.sub(x, tape.input(c)), mean=mean)
+            results.append((loss.value.item(), tape.backward(loss)[x.id].data))
+        (value, grad), (ref_value, ref_grad) = results
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert c.data.tobytes() == c_before.tobytes()
+
+    def test_minus_of_another_shape_rejected(self):
+        tape = Tape()
+        x = tape.input(Tensor3(np.ones((3, 3, 3))), parameter=True)
+        with pytest.raises(TapeError, match="minus shape"):
+            tape.sum_squares(x, minus=Tensor3(np.ones((3, 3, 2))))
+
 
 class TestConsumedTape:
     """Backward consumes the tape: intermediate values and vjps go, the
