@@ -10,8 +10,9 @@ That is enough to express and differentiate every registration loss in
 this package with respect to displacement parameters. The LNCC map
 (``"lncc_map"``) and the MIND-SSC descriptor (``"mind_ssc"``) are ops of
 their own with hand-written vjps, recorded through ``_append`` by the
-similarity module, which builds each fixed side in plain numpy. So
-``mul``, ``div``, ``sqrt``, ``sum``, ``square``, ``box_filter``,
+similarity module, which builds each fixed side in plain numpy (the
+MSE and MIND-SSC terms subtract theirs inside ``sum_squares``). So
+``sub``, ``mul``, ``div``, ``sqrt``, ``sum``, ``square``, ``box_filter``,
 ``avg_pool2``, ``crop_border``, ``shift``, ``exp``, ``clamp`` and
 ``concat_channels`` have no caller in the package; the tests build
 reference graphs from them and the benchmark's tracer binds them by name.
@@ -466,32 +467,26 @@ class Tape:
         )
 
     def sum_squares(self, a: Node, mean: bool = False, minus: Tensor3 | None = None) -> Node:
-        """sum(d * d) for d = a, or d = a - ``minus`` (a constant of a's
-        shape), divided by a's size when ``mean``: the value and gradient
-        of ``sum(square(d))`` or ``mean(square(d))`` bit for bit, with d a
-        ``sub`` of an input when ``minus`` is given, without keeping the
-        square, or d, until backward (the vjp forms d again)."""
+        """sum(d * d) for d = a, or d = a - ``minus``, a constant of a's
+        shape, divided by a's size when ``mean``: the value and gradient of
+        ``sum(square(d))`` or ``mean(square(d))``, with d a ``sub`` of an
+        input when ``minus`` is given, bit for bit, without keeping the
+        square or d until backward (its vjp forms d again)."""
         av = a.value.data
-        if minus is not None:
-            if minus.shape != av.shape:
-                raise TapeError(f"sum_squares: minus shape {minus.shape} is not {av.shape}")
-            cv = minus.data
+        if minus is not None and minus.shape != av.shape:
+            raise TapeError(f"sum_squares: minus shape {minus.shape} is not {av.shape}")
         n = av.size if mean else 1
-        if minus is None:
-            sq = av * av
-        else:
-            sq = av - cv
-            sq *= sq
 
-        def vjp(g):
-            k = 2.0 * g.reshape(()) / n
-            if minus is None:
-                return (av * k,)
-            grad = av - cv
-            grad *= k
-            return (grad,)
+        def d():
+            return av if minus is None else av - minus.data
 
-        return self._append("sum_squares", (a,), Tensor3.scalar(float(np.sum(sq)) / n), vjp)
+        def times(x, k):  # x * k, written into x when x is a fresh d
+            return x * k if minus is None else np.multiply(x, k, out=x)
+
+        x = d()
+        val = Tensor3.scalar(float(np.sum(times(x, x))) / n)
+        return self._append("sum_squares", (a,), val,
+                            lambda g: (times(d(), 2.0 * g.reshape(()) / n),))
 
     # -- spatial ops ----------------------------------------------------------
 
