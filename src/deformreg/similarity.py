@@ -163,17 +163,17 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
             f"volume dims {dims} too small for patch radius {cfg.mind_patch_radius}"
         )
     padded = np.pad(av, ((1, 1),) * 3 + ((0, 0),), mode="edge")
+    pad_shape, shape = padded.shape, av.shape
+    r = cfg.mind_patch_radius
 
     def pair_difference(k, out):
         i, j = SSC_PAIRS[k]
         return np.subtract(padded[_WINDOWS[i]], padded[_WINDOWS[j]], out=out)
 
-    sq = np.empty((12,) + av.shape)
+    sq = np.empty((12,) + shape)
     for k in range(12):
         pair_difference(k, sq[k])
     sq *= sq
-    pad_shape, shape = padded.shape, av.shape
-    r = cfg.mind_patch_radius
     ssd, counts = _box_mean(sq, r, first=1)
     del sq
     mean = ssd[0] + ssd[1]
