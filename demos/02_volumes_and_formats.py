@@ -16,7 +16,6 @@ from deformreg import (
     preprocess,
     read_landmarks_csv,
     read_nifti,
-    resize_trilinear,
     write_landmarks_csv,
     write_nifti,
 )
@@ -40,10 +39,6 @@ print(f"MR range after preprocess: [{mr.values().min():.3f}, {mr.values().max():
 inv = invert_ct(ct)
 back = invert_ct(inv)
 print(f"invert twice max |diff|: {np.abs(back.values() - ct.values()).max():.2e}")
-
-# Trilinear resizing preserves the physical extent by rescaling spacing.
-big = resize_trilinear(ct, (47, 47, 47))
-print(f"resize {ct.dims} -> {big.dims}, spacing {ct.spacing[0]:.2f} -> {big.spacing[0]:.3f} mm")
 
 with tempfile.TemporaryDirectory() as tmp:
     work = Path(tmp)

@@ -27,7 +27,6 @@ from .volume import (
     VolumeError,
     invert_ct,
     preprocess,
-    resize_trilinear,
 )
 from .fileio import (
     FormatError,

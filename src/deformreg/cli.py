@@ -118,12 +118,8 @@ def _read_volume(path: str, modality: str | None = None) -> Volume:
 
 def cmd_register(args) -> int:
     config = _load_config(args.config)
-    source = _read_volume(args.source)
-    target = _read_volume(args.target)
-    if not source.preprocessed:
-        source = preprocess(source)
-    if not target.preprocessed:
-        target = preprocess(target)
+    source = preprocess(_read_volume(args.source))
+    target = preprocess(_read_volume(args.target))
     out_dir = Path(args.out_dir)
     if out_dir.exists() and not out_dir.is_dir():  # fail before optimizing, not after
         raise NotADirectoryError(f"--out-dir is not a directory: {out_dir}")

@@ -30,6 +30,7 @@ from .volume import Volume
 
 STAGE_COUNT = 3
 DIRECTIONS = ("ab", "ba")
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and guard
 
 
 class PipelineError(ValueError):
@@ -108,7 +109,7 @@ class BoundPyramid:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam settings.
+    """Adam settings; the moment rates and guard are module constants.
 
     ``lr`` is the step of the coarsest stage; ``stage_damping`` multiplies
     it per pyramid stage (coarse to fine): grids have no architectural
@@ -118,17 +119,11 @@ class OptimizerConfig:
 
     steps: int = 50
     lr: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     stage_damping: tuple = (1.0, 0.3, 0.1)
 
     def __post_init__(self):
         check_number(PipelineError, "steps", self.steps, integer=True, at_least=0)
-        for name in ("lr", "eps"):
-            check_number(PipelineError, name, getattr(self, name), above=0)
-        for name in ("beta1", "beta2"):
-            check_number(PipelineError, name, getattr(self, name), at_least=0, below=1)
+        check_number(PipelineError, "lr", self.lr, above=0)
         damping = self.stage_damping
         if not isinstance(damping, (list, tuple)) or len(damping) != STAGE_COUNT:
             raise PipelineError(f"stage_damping needs {STAGE_COUNT} factors, got {damping!r}")
@@ -182,18 +177,16 @@ class RegistrationResult:
 
 class Adam:
     """Standard bias-corrected Adam over a name->array parameter dict,
-    with a learning-rate multiplier per key. A step whose moments or
-    update leave the finite range raises FloatingPointError naming the key."""
+    with a step size per key. A step whose moments or update leave the
+    finite range raises FloatingPointError naming the key."""
 
-    def __init__(self, cfg: OptimizerConfig, lr_multipliers: dict):
-        self.cfg = cfg
-        self.lr_multipliers = lr_multipliers
+    def __init__(self, step_sizes: dict):
+        self.step_sizes = step_sizes
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, params: dict[str, Tensor3], grads: dict[str, np.ndarray]) -> dict[str, Tensor3]:
-        c = self.cfg
         self.t += 1
         out = {}
         try:
@@ -203,20 +196,20 @@ class Adam:
                     if key not in self.m:
                         self.m[key], self.v[key] = np.zeros_like(g), np.zeros_like(g)
                     m, v = self.m[key], self.v[key]
-                    m *= c.beta1
-                    m += (1 - c.beta1) * g
-                    v *= c.beta2
-                    v += (1 - c.beta2) * g * g
-                    step = m / (1 - c.beta1**self.t)
-                    step *= c.lr * self.lr_multipliers[key]
-                    step /= np.sqrt(v / (1 - c.beta2**self.t)) + c.eps
+                    m *= BETA1
+                    m += (1 - BETA1) * g
+                    v *= BETA2
+                    v += (1 - BETA2) * g * g
+                    step = m / (1 - BETA1**self.t)
+                    step *= self.step_sizes[key]
+                    step /= np.sqrt(v / (1 - BETA2**self.t)) + ADAM_EPS
                     out[key] = Tensor3._wrap(np.subtract(value.data, step, out=step))
         except (FloatingPointError, TensorError) as exc:
             raise FloatingPointError(f"Adam update of {key}: {exc}") from None
         return out
 
 
-def _check_pair(a: Volume, b: Volume, model: PyramidModel | None) -> None:
+def _check_pair(a: Volume, b: Volume, model: PyramidModel | None = None) -> None:
     """Equal dims, both volumes preprocessed, and ``model`` (if any) built
     for those dims."""
     if a.dims != b.dims:
@@ -243,10 +236,9 @@ def instance_optimize(
     ib: Volume,
     loss_cfg: LossConfig | None = None,
     opt_cfg: OptimizerConfig | None = None,
-    model: PyramidModel | None = None,
 ) -> RegistrationResult:
     """Per-pair Adam refinement of all stage parameters, starting from a
-    copy of ``model`` (or a fresh one); the caller's model is not changed.
+    fresh (identity) model.
 
     The images never move, so each image's fixed side (the image, then
     what its similarity term computes from it alone; see ``fixed_side``)
@@ -262,15 +254,10 @@ def instance_optimize(
     """
     loss_cfg = loss_cfg or LossConfig()
     opt_cfg = opt_cfg or OptimizerConfig()
-    _check_pair(ia, ib, model)
-    model = model.copy() if model is not None else build_model(ia.dims)
-
-    multipliers = {
-        model.param_key(direction, stage): opt_cfg.stage_damping[stage]
-        for direction in DIRECTIONS
-        for stage in range(STAGE_COUNT)
-    }
-    adam = Adam(opt_cfg, multipliers)
+    _check_pair(ia, ib)
+    model = build_model(ia.dims)
+    adam = Adam({model.param_key(direction, stage): opt_cfg.lr * opt_cfg.stage_damping[stage]
+                 for direction in DIRECTIONS for stage in range(STAGE_COUNT)})
     trace: list[float] = []
     side_a, side_b = (fixed_side(v.grid, loss_cfg.similarity) for v in (ia, ib))
 

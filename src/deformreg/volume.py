@@ -1,20 +1,24 @@
-"""Volume data model, intensity preprocessing, and resizing.
+"""Volume data model and intensity preprocessing.
 
 Intensity rules: CT-family volumes are clipped to [-1000, 1000] HU and
 mapped linearly onto [0, 1]; everything else (MR-family and synthetic
 modalities) is clipped above its 99th-percentile intensity and divided by
 that percentile. A ``preprocessed`` flag marks normalized volumes so the
 rules are applied exactly once.
+
+A modality tag is a CT or MR family name, or ``SYNTH`` and printable
+ASCII but space, ``;`` and ``=``, 55 characters at most, so that a NIfTI
+``descrip`` holds it next to the flag.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .tensor import Tensor3, check_number
-from .tape import resample_node_values
 
 CT_FAMILY = ("CT", "CBCT")
 MR_FAMILY = ("T1w", "T1ce", "T2w", "T2", "FLAIR", "DESS", "FA", "MD", "DIXON-F", "DIXON-W")
@@ -22,6 +26,9 @@ MR_FAMILY = ("T1w", "T1ce", "T2w", "T2", "FLAIR", "DESS", "FA", "MD", "DIXON-F",
 HU_CLIP_LO = -1000.0
 HU_CLIP_HI = 1000.0
 MR_PERCENTILE = 99.0
+# "modality=<tag>;preprocessed=0" must fit the 79 bytes of a NIfTI descrip
+MAX_MODALITY_LEN = 79 - len("modality=;preprocessed=0")
+_SYNTH_TAG = re.compile(r"SYNTH[!-:<>-~]*")  # printable ASCII but space, ";" and "="
 
 
 class VolumeError(ValueError):
@@ -33,7 +40,8 @@ class DegenerateInputError(VolumeError):
 
 
 def known_modality(tag: str) -> bool:
-    return tag in CT_FAMILY or tag in MR_FAMILY or tag.startswith("SYNTH")
+    return (tag in CT_FAMILY or tag in MR_FAMILY
+            or (len(tag) <= MAX_MODALITY_LEN and _SYNTH_TAG.fullmatch(tag) is not None))
 
 
 def _check_spacing_origin(spacing, origin, error: type[Exception] = VolumeError,
@@ -183,20 +191,3 @@ def invert_ct(v: Volume) -> Volume:
     if not v.preprocessed:
         raise VolumeError("invert_ct expects a preprocessed (range [0,1]) volume")
     return replace(v, grid=Tensor3(1.0 - v.values()))
-
-
-def resize_trilinear(v: Volume, dims) -> Volume:
-    """Trilinear resample onto new grid dims over the same physical extent."""
-    dims = tuple(int(d) for d in dims)
-    if min(dims) < 2:
-        raise VolumeError(f"target dims must be >= 2 per axis, got {dims}")
-    if min(v.dims) < 2:
-        raise VolumeError(f"source dims must be >= 2 per axis to resize, got {v.dims}")
-    if dims == v.dims:
-        return v
-    out = resample_node_values(v.grid.data, dims)
-    new_spacing = tuple(
-        (n_old - 1) * s / (n_new - 1)
-        for n_old, s, n_new in zip(v.dims, v.spacing, dims)
-    )
-    return replace(v, grid=Tensor3(out), spacing=new_spacing)

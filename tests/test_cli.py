@@ -162,7 +162,8 @@ BAD_CONFIGS = {
     "steps-bool": ({"optimizer": {"steps": True}}, "steps"),
     "lr-negative": ({"optimizer": {"lr": -1}}, "lr"),
     "lr-beyond-float": ({"optimizer": {"lr": 10**400}}, "lr"),
-    "beta1-above-1": ({"optimizer": {"beta1": 2.0}}, "beta1"),
+    # Adam's moment rates and guard are constants, not keys
+    "beta1-above-1": ({"optimizer": {"beta1": 2.0}}, "unknown config key: config.optimizer.beta1"),
     "damping-string": ({"optimizer": {"stage_damping": "abcd"}}, "stage_damping"),
     "damping-negative": ({"optimizer": {"stage_damping": [1.0, -0.3, 0.1]}}, "stage_damping"),
     "damping-four-factors": ({"optimizer": {"stage_damping": [1.0, 0.3, 0.1, 0.1]}},
@@ -172,7 +173,8 @@ BAD_CONFIGS = {
     "strategy-number": ({"strategy": 5}, "strategy"),
     "top-level-list": ([1, 2], "JSON object"),
     # the remaining fields and rules of the schema
-    "beta2-one": ({"optimizer": {"beta2": 1.0}}, "beta2"),
+    "beta2-one": ({"optimizer": {"beta2": 1.0}}, "unknown config key: config.optimizer.beta2"),
+    "adam-eps-removed": ({"optimizer": {"eps": 1e-8}}, "unknown config key: config.optimizer.eps"),
     "lr-scale-removed": ({"optimizer": {"lr_scale": 100.0}}, "unknown config key"),
     "lambda-negative": ({"loss": {"lambda": -0.5}}, "lambda"),
     "regularizer-removed": ({"loss": {"use_regularizer": True}},
@@ -202,13 +204,13 @@ class TestConfigContract:
         assert "Traceback" not in err
 
     def test_config_hash_pinned(self):
-        # reports are compared by this hash, so it must not move: the default
-        # config and the three benchmark configs
+        # reports are compared by this hash, so it moves only with the
+        # schema: the default config and the three benchmark configs
         pinned = {
-            "f1d4c141042369d1": {},
-            "217d247d20e0e539": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 10}},
-            "9c66d58646980d9d": {"similarity": {"kind": "MIND_SSC"}, "optimizer": {"steps": 10}},
-            "5d8310a7e9748103": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 6}},
+            "543022d0c463bd9f": {},
+            "62e54ae575a7615e": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 10}},
+            "c07356b85e6df714": {"similarity": {"kind": "MIND_SSC"}, "optimizer": {"steps": 10}},
+            "a386229fa6d9ff56": {"similarity": {"kind": "LNCC2"}, "optimizer": {"steps": 6}},
         }
         for digest, overrides in pinned.items():
             assert config_hash(RunConfig.from_dict(overrides).to_dict()) == digest
@@ -349,6 +351,12 @@ def _truncated_payload(tmp_path):
     return payload
 
 
+# modality tags a NIfTI descrip cannot hold: not ASCII, over 55 characters,
+# or holding a descrip separator
+NIFTI_UNFIT_TAGS = ["SYNTH-\u00e9", "SYNTH-" + "x" * 70, "SYNTH-a;b", "SYNTH-a=b"]
+NIFTI_UNFIT_IDS = ["non-ascii", "76-chars", "semicolon", "equals"]
+
+
 class TestFormatErrorsExit3:
     @pytest.mark.parametrize("make_argv", [
         _nan_voxel, _bad_landmarks("1,2,3\n1,abc,3\n"), _bad_landmarks(""),
@@ -364,6 +372,7 @@ class TestFormatErrorsExit3:
         _bad_vox_offset(-100.0), _bad_vox_offset(float("nan")),
         _bad_vox_offset(float("inf")), _bad_vox_offset(0.0),
         _bad_label(-1.0), _bad_label(1e30),
+        *(_bad_sidecar({"modality": tag}) for tag in NIFTI_UNFIT_TAGS),
     ], ids=["nan-voxel", "landmark-field", "landmarks-empty", "landmarks-blank",
             "header-geometry", "sidecar-not-json",
             "sidecar-no-dims", "sidecar-spacing-string", "sidecar-spacing-two",
@@ -371,7 +380,8 @@ class TestFormatErrorsExit3:
             "sidecar-origin-string", "sidecar-origin-nan", "sidecar-modality-number",
             "sidecar-modality-unknown", "nifti-modality-unknown",
             "sidecar-preprocessed-string", "vox-offset-negative", "vox-offset-nan",
-            "vox-offset-inf", "vox-offset-zero", "label-negative", "label-huge"])
+            "vox-offset-inf", "vox-offset-zero", "label-negative", "label-huge",
+            *(f"sidecar-modality-{name}" for name in NIFTI_UNFIT_IDS)])
     @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr too
     def test_exits_3(self, tmp_path, capsys, make_argv):
         argv = make_argv(tmp_path)
@@ -380,6 +390,7 @@ class TestFormatErrorsExit3:
         err = capsys.readouterr().err
         assert rc == 3, err
         assert err.startswith("I/O error:") and "Traceback" not in err
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("make_case", [
         _bad_label_header(lambda raw: raw[:-10]), _bad_label_header(lambda raw: raw[:100]),
@@ -531,6 +542,17 @@ class TestPreprocess:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.nii", "v.json", "v.raw"]
         assert main(["preprocess", "--input", str(out), "--output", str(tmp_path / "w")]) == 0
         assert f"wrote {tmp_path / 'w.raw'} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tag", NIFTI_UNFIT_TAGS, ids=NIFTI_UNFIT_IDS)
+    def test_modality_argument_nifti_cannot_hold_exits_2(self, tmp_path, capsys, tag):
+        src = tmp_path / "v.nii"
+        write_test_volume(src, seed=6, modality="CT", preprocessed=False)
+        rc = main(["preprocess", "--input", str(src), "--output", str(tmp_path / "x.nii"),
+                   "--modality", tag])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err and not (tmp_path / "x.nii").exists()
 
     def test_unknown_modality_argument_exits_2(self, tmp_path, capsys):
         src = tmp_path / "raw.nii"

@@ -15,10 +15,8 @@ from deformreg.synthetic import (
     make_phantom,
     render_pair,
 )
-from deformreg.tape import sample_trilinear_values
-from deformreg.tensor import Tensor3
+from deformreg.tape import resample_node_values, sample_trilinear_values
 from deformreg.transforms import DisplacementField, compose, percent_neg_jac, warp
-from deformreg.volume import Volume, resize_trilinear
 
 
 class TestMakePhantom:
@@ -194,7 +192,7 @@ def rendered_and_resized(phantom, remap_a, remap_b, deformation):
     src, dims = phantom.base_supersampled, phantom.base.dims
     full_a = remap_a.apply(src.values())
     full_b = remap_b.apply(warp(src, deformation).values())
-    return tuple(resize_trilinear(Volume(Tensor3(full)), dims).values()
+    return tuple(resample_node_values(full[..., None], dims)[..., 0]
                  for full in (full_a, full_b))
 
 
@@ -217,7 +215,7 @@ class TestRenderAtOutputNodes:
         ref_a, ref_b = rendered_and_resized(ph, *remaps, defo)
         assert a.values().tobytes() == ref_a.tobytes()
         assert b.values().tobytes() == ref_b.tobytes()
-        base = resize_trilinear(ph.base_supersampled, dims).values()
+        base = resample_node_values(ph.base_supersampled.grid.data, dims)[..., 0]
         assert ph.base.values().tobytes() == base.tobytes()
 
     def test_smooth_noise_equals_roll_formula(self):

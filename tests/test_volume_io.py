@@ -28,7 +28,6 @@ from deformreg.volume import (
     VolumeError,
     invert_ct,
     preprocess,
-    resize_trilinear,
 )
 
 
@@ -153,48 +152,17 @@ class TestInvertCT:
             invert_ct(v)
 
 
-class TestResize:
-    def test_same_dims_identity(self):
-        rng = np.random.default_rng(10)
-        v = make_volume(rng.uniform(0, 1, (6, 6, 6)), "CT", preprocessed=True)
-        out = resize_trilinear(v, (6, 6, 6))
-        assert np.max(np.abs(out.values() - v.values())) < 1e-6
-
-    def test_upsampled_ramp_stays_linear(self):
-        n = 8
-        x = np.linspace(0, 1, n)
-        ramp = np.broadcast_to(x[:, None, None], (n, n, n)).copy()
-        v = make_volume(ramp, "CT", preprocessed=True)
-        out = resize_trilinear(v, (2 * n - 1, n, n))
-        expect = np.linspace(0, 1, 2 * n - 1)
-        interior = out.values()[1:-1, 0, 0]
-        assert np.max(np.abs(interior - expect[1:-1])) < 1e-6
-
-    def test_constant_resize(self):
-        v = make_volume(np.full((4, 4, 4), 0.7), "CT", preprocessed=True)
-        out = resize_trilinear(v, (7, 7, 7))
-        assert np.allclose(out.values(), 0.7)
-        assert out.dims == (7, 7, 7)
-
-    def test_bounds_preserved(self):
-        rng = np.random.default_rng(11)
-        v = make_volume(rng.uniform(0.2, 0.8, (6, 5, 7)), "CT", preprocessed=True)
-        out = resize_trilinear(v, (9, 9, 9)).values()
-        assert out.min() >= v.values().min() - 1e-12
-        assert out.max() <= v.values().max() + 1e-12
-
-    def test_source_with_a_length_one_axis_rejected(self):
-        v = make_volume(np.full((5, 1, 4), 0.3), "CT", preprocessed=True)
-        with pytest.raises(VolumeError, match=r"source dims .*\(5, 1, 4\)"):
-            resize_trilinear(v, (2, 6, 3))
-
-    def test_spacing_rescaled_preserves_extent(self):
-        v = make_volume(np.zeros((5, 5, 5)) + 0.1, "CT", spacing=(2.0, 2.0, 2.0), preprocessed=True)
-        out = resize_trilinear(v, (9, 9, 9))
-        assert np.allclose(out.geometry.extent_mm(), v.geometry.extent_mm())
-
-
 class TestNifti:
+    def test_longest_modality_tag_round_trips(self, tmp_path):
+        tag = "SYNTH-" + "x" * 49
+        assert len(tag) == 55
+        v = Volume(Tensor3(np.full((4, 4, 4), 0.5)), modality=tag, preprocessed=True)
+        write_nifti(v, tmp_path / "v.nii")
+        back = read_nifti(tmp_path / "v.nii")
+        assert back.modality == tag and back.preprocessed
+        with pytest.raises(VolumeError, match="unknown modality"):
+            Volume(Tensor3(np.full((4, 4, 4), 0.5)), modality=tag + "x")
+
     def test_float32_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
         data = rng.uniform(0, 1, (7, 6, 5)).astype(np.float32).astype(np.float64)
