@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import Tensor3, check_number
-from .volume import LabelVolume, LandmarkSet, Volume, _check_spacing_origin, known_modality
+from .volume import LabelVolume, LandmarkSet, Volume, _check_spacing_origin, check_modality
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -132,8 +132,7 @@ def read_nifti(path, modality: str | None = None) -> Volume:
     fields = _descrip_fields(meta["descrip"])
     if modality is None:
         modality = fields.get("modality", "SYNTH-UNKNOWN")
-        if not known_modality(modality):
-            raise FormatError(f"{path}: unknown modality tag {modality!r} in descrip")
+        check_modality(modality, FormatError, f"{path}: descrip ")
     spacing = tuple(p if p > 0 else 1.0 for p in meta["pixdim"])
     return Volume(
         grid=Tensor3(grid),
@@ -233,8 +232,7 @@ def read_volume_raw(base, modality: str | None = None) -> Volume:
     _check_spacing_origin(spacing, origin, FormatError, f"{sidecar}: ")
     if modality is None:
         modality = meta.get("modality", "SYNTH-UNKNOWN")
-        if not isinstance(modality, str) or not known_modality(modality):
-            raise FormatError(f"{sidecar}: unknown modality tag {modality!r}")
+        check_modality(modality, FormatError, f"{sidecar}: ")
     preprocessed = meta.get("preprocessed", False)
     if not isinstance(preprocessed, bool):
         raise FormatError(f"{sidecar}: preprocessed must be true or false, got {preprocessed!r}")

@@ -6,11 +6,14 @@ local correlation sign, which is what makes contrast-inverted pairs
 registrable. The moving image's correlation map is one tape op
 (``"lncc_map"``) with a hand-written vjp that keeps three arrays beyond
 its operand. MIND-SSC compares 12-channel self-similarity descriptors
-instead of raw intensities; each descriptor is one tape op (``"mind_ssc"``)
-with a hand-written vjp, which takes its six shifts as windows of one
-edge-padded copy of the image. Both vjps share the box mean's transpose
-with ``Tape.box_filter``, and every term's mean of squares is one
-``Tape.sum_squares`` node.
+instead of raw intensities. A MIND_SSC term, mean((D(a) - D_fixed)^2), is
+one tape op (``"mind_ssc_loss"``) that keeps no descriptor: its vjp forms
+D(a) again. The descriptor op (``"mind_ssc"``) builds the fixed sides. Both
+share one forward and one backward, which take the six shifts as windows
+of one edge-padded copy of the image. The LNCC map and MIND-SSC share the
+box mean and its transpose with ``Tape.box_filter``, run in two buffers,
+and the LNCC, LNCC2 and MSE terms reduce with ``Tape.mean`` or
+``Tape.sum_squares``.
 
 Each term compares a moving image with a fixed one, and its gradient
 reaches the map only through the moving image. The fixed side is data:
@@ -99,9 +102,9 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
     av = a.value.data
     bv, ebv, vbv = (t.data for t in fixed)
     ea, counts = _box_mean(av, r)
-    cov = _box_mean(av * bv, r)[0]
+    cov = _box_mean(av * bv, r, overwrite=True)[0]
     cov -= ea * ebv
-    denom = _box_mean(av * av, r)[0]  # var_a + eps, then times var_b + eps
+    denom = _box_mean(av * av, r, overwrite=True)[0]  # var_a + eps, then times var_b + eps
     denom -= ea * ea
     denom += float(cfg.eps)
     denom *= vbv
@@ -120,10 +123,10 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
         g_ea = (2.0 * ea) * -g_var_a
         g_ea += -g_cov * ebv
         # the box means' transposes, in the order the sweep of the
-        # elementwise graph adds them
-        g_a = (2.0 * av) * _box_mean_t(g_var_a, counts, r)
-        g_a += _box_mean_t(g_cov, counts, r) * bv
-        g_a += _box_mean_t(g_ea, counts, r)
+        # elementwise graph adds them, each in its adjoint and one buffer
+        g_a = (2.0 * av) * _box_mean_t(g_var_a, counts, r, overwrite=True)
+        g_a += _box_mean_t(g_cov, counts, r, overwrite=True) * bv
+        g_a += _box_mean_t(g_ea, counts, r, overwrite=True)
         return (g_a,)
 
     return tape._append("lncc_map", (a,), cov / denom, vjp)
@@ -137,26 +140,20 @@ _PAIR_SIGNS = np.array([[(n == i) - (n == j) for i, j in SSC_PAIRS] for n in ran
                        dtype=np.float64)
 
 
-def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Node:
-    """12-channel self-similarity descriptor, recorded as one tape node.
-
-    For each of the 12 orthogonal neighbor pairs (i, j), the pair distance
-    is the patch-mean squared difference between the images shifted by the
-    two neighbor offsets (edge-clamped shifts, count-normalized patch
-    mean). Channels are exp(-SSD_k / V) with V the per-voxel mean of the
-    12 distances, floored at eps.
-
-    Each shift is a window of one copy of the image padded by its edge
-    values. The forward works on pair-major (12, nx, ny, nz, C) stacks and
-    runs the float ops of the elementwise graph (shift, sub, square, box
-    mean, 11 adds, scale by 1/12, floor, div, scale by -1, exp) in its
-    order, so its values equal that graph's bit for bit. The vjp keeps the
-    padded copy, the distances, V and the floor's pass mask, and forms the
-    output and each pair difference again with the forward's float ops; it
-    adds each shift's adjoint into its window of a padded zero array and
-    folds each padded face onto the face it copies.
+def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
+    """The work both MIND ops share, for the (*dims, C) image ``av``. The
+    forward keeps the edge-padded copy (each shift is a window of it), the
+    12 distances, V and the floor's pass mask, and runs the elementwise
+    graph's float ops in its order. It returns two closures:
+    ``descriptors(minus)``, D or D - ``minus`` (pair-major) formed pair by
+    pair, in the (*dims, 12 C) layout (a view for one channel), and
+    ``backward(adjoint)``, the image's adjoint given ``adjoint(k, d)``,
+    which multiplies d = D_k in place by its adjoint. ``backward`` forms D
+    and the pair differences again and runs once, as a sweep does: it drops
+    the distances so that the box mean's transposes, like the forward's
+    box mean, hold two 12-plane stacks at most.
     """
-    av, dims = a.value.data, a.value.dims
+    dims = av.shape[:3]
     need = 2 * (cfg.mind_patch_radius + 1) + 1
     if min(dims) < need:
         raise SimilarityError(
@@ -174,7 +171,7 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
     for k in range(12):
         pair_difference(k, sq[k])
     sq *= sq
-    ssd, counts = _box_mean(sq, r, first=1)
+    ssd, counts = _box_mean(sq, r, first=1, overwrite=True)
     del sq
     mean = ssd[0] + ssd[1]
     for k in range(2, 12):
@@ -182,18 +179,26 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
     mean *= 1.0 / 12.0
     v, passed = np.maximum(mean, cfg.eps), mean > cfg.eps
 
-    def descriptor():
-        y = ssd / v
-        y *= -1.0
-        return np.exp(y, out=y)
+    def descriptor(k, out):
+        np.divide(ssd[k], v, out=out)
+        out *= -1.0
+        return np.exp(out, out=out)
 
-    val = np.moveaxis(descriptor(), 0, 3).reshape(*dims, -1)
+    def descriptors(minus=None):
+        out = np.empty((12,) + shape)
+        for k in range(12):
+            descriptor(k, out[k])
+            if minus is not None:
+                out[k] -= minus[k]
+        return np.moveaxis(out, 0, 3).reshape(*dims, -1)
 
-    def vjp(g):
+    def backward(adjoint):
+        nonlocal ssd
         # twice the adjoint of each SSD_k (the 2 of d(diff^2)/d(diff) taken
         # early): through the numerator of exp(-SSD_k / V) ...
-        g_ssd = descriptor()
-        g_ssd *= np.moveaxis(g.reshape(*dims, 12, -1), 3, 0)
+        g_ssd = np.empty(ssd.shape)
+        for k in range(12):
+            adjoint(k, descriptor(k, g_ssd[k]))
         g_ssd *= -2.0 / v
         # ... plus the share through V = max(mean, eps), common to all 12,
         # summed plane by plane as np.sum(..., axis=0) sums
@@ -204,12 +209,17 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
         share *= passed
         share *= -1.0 / 12.0
         g_ssd += share
-        # the box mean's transpose, then the square's
-        g_diff = _box_mean_t(g_ssd, counts, r, first=1)
+        # the distances go, and the box mean's transpose runs in g_ssd and
+        # one more stack in their place; then the square's transpose
+        ssd = None
+        g_diff = _box_mean_t(g_ssd, counts, r, first=1, overwrite=True)
+        del g_ssd
         diff = np.empty(shape)
         for k in range(12):
             g_diff[k] *= pair_difference(k, diff)
         g_shifted = (_PAIR_SIGNS @ g_diff.reshape(12, -1)).reshape((6,) + shape)
+        # each shift's adjoint goes into its window of a padded zero array,
+        # and each padded face folds onto the face it copies
         g_padded = np.zeros(pad_shape)
         for g_shift, window in zip(g_shifted, _WINDOWS):
             g_padded[window] += g_shift
@@ -217,16 +227,70 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
             faces = np.moveaxis(g_padded, axis, 0)
             faces[1] += faces[0]
             faces[-2] += faces[-1]
-        return (g_padded[1:-1, 1:-1, 1:-1],)
+        return g_padded[1:-1, 1:-1, 1:-1]
 
-    return tape._append("mind_ssc", (a,), val, vjp)
+    return descriptors, backward
+
+
+def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Node:
+    """12-channel self-similarity descriptor, recorded as one tape node
+    (op ``"mind_ssc"``); it builds the fixed sides.
+
+    For each of the 12 orthogonal neighbor pairs (i, j), the pair distance
+    is the patch-mean squared difference between the images shifted by the
+    two neighbor offsets (edge-clamped shifts, count-normalized patch
+    mean). Channels are exp(-SSD_k / V) with V the per-voxel mean of the
+    12 distances, floored at eps. The values equal the elementwise graph's
+    bit for bit; the vjp keeps what ``_mind_ssc`` keeps.
+    """
+    descriptors, backward = _mind_ssc(a.value.data, cfg)
+    dims = a.value.dims
+
+    def vjp(g):
+        g_pairs = np.moveaxis(g.reshape(*dims, 12, -1), 3, 0)
+        return (backward(lambda k, d: np.multiply(d, g_pairs[k], out=d)),)
+
+    return tape._append("mind_ssc", (a,), descriptors(), vjp)
+
+
+def mind_ssc_loss_nodes(tape: Tape, a: Node, fixed_descriptor: Tensor3,
+                        cfg: SimilarityConfig) -> Node:
+    """The MIND_SSC term mean((D(a) - D_fixed)^2) as one tape node (op
+    ``"mind_ssc_loss"``) whose one parent is ``a``: the value and gradient
+    of ``sum_squares(D, mean=True, minus=fixed_descriptor)`` on the
+    descriptor node D, bit for bit (the sum runs in D's layout). It keeps
+    what the descriptor op keeps, and neither D nor its 12-channel adjoint:
+    the vjp forms D again and multiplies each pair by (D - D_fixed) * 2g / n
+    with the two nodes' float ops before the descriptor's backward.
+    """
+    shape = a.value.shape
+    expect = shape[:3] + (12 * shape[3],)
+    if fixed_descriptor.shape != expect:
+        raise SimilarityError(f"fixed descriptor shape {fixed_descriptor.shape} is not {expect}")
+    descriptors, backward = _mind_ssc(a.value.data, cfg)
+    fixed = np.moveaxis(fixed_descriptor.data.reshape(*shape[:3], 12, -1), 3, 0)
+    x = descriptors(minus=fixed)
+    n = x.size
+    val = Tensor3.scalar(float(np.sum(np.multiply(x, x, out=x))) / n)
+
+    def vjp(g):
+        scale, plane = 2.0 * g.reshape(()) / n, np.empty(shape)
+
+        def adjoint(k, d):
+            g_d = np.subtract(d, fixed[k], out=plane)
+            g_d *= scale
+            return np.multiply(d, g_d, out=d)
+
+        return (backward(adjoint),)
+
+    return tape._append("mind_ssc_loss", (a,), val, vjp)
 
 
 def _lncc_side(b: Tensor3, cfg: SimilarityConfig) -> tuple:
     """(b, E[b], var_b + eps): the fixed image's share of the LNCC map."""
     bv, r = b.data, cfg.window_radius
     eb = _box_mean(bv, r)[0]
-    var_b_eps = _box_mean(bv * bv, r)[0]
+    var_b_eps = _box_mean(bv * bv, r, overwrite=True)[0]
     var_b_eps -= eb * eb
     var_b_eps += float(cfg.eps)
     return b, Tensor3._wrap(eb), Tensor3._wrap(var_b_eps)
@@ -256,8 +320,7 @@ def loss_similarity_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConf
         return tape.add_const(tape.scale(tape.sum_squares(rho, mean=True), -1.0), 1.0)
     if cfg.kind == "MSE":
         return tape.sum_squares(a, mean=True, minus=fixed[0])
-    da = mind_ssc_descriptor_nodes(tape, a, cfg)  # MIND_SSC, the one kind left
-    return tape.sum_squares(da, mean=True, minus=fixed[1])
+    return mind_ssc_loss_nodes(tape, a, fixed[1], cfg)  # MIND_SSC, the one kind left
 
 
 # -- plain wrappers (fresh throwaway tape, value only) ---------------------------

@@ -8,10 +8,11 @@ trilinear sampling at x + u(x) for a displacement u, the sum of fields
 upsampled to the nodes of a finer grid, integer shifts and border crops.
 That is enough to express and differentiate every registration loss in
 this package with respect to displacement parameters. The LNCC map
-(``"lncc_map"``) and the MIND-SSC descriptor (``"mind_ssc"``) are ops of
-their own with hand-written vjps, recorded through ``_append`` by the
-similarity module, which builds each fixed side in plain numpy (the
-MSE and MIND-SSC terms subtract theirs inside ``sum_squares``). So
+(``"lncc_map"``), the MIND-SSC descriptor (``"mind_ssc"``) and the MIND_SSC
+term (``"mind_ssc_loss"``) are ops of their own with hand-written vjps,
+recorded through ``_append`` by the similarity module, which builds each
+fixed side in plain numpy (``sum_squares``' ``minus`` serves the MSE term,
+which subtracts its fixed image there). So
 ``sub``, ``mul``, ``div``, ``sqrt``, ``sum``, ``square``, ``box_filter``,
 ``avg_pool2``, ``crop_border``, ``shift``, ``exp``, ``clamp`` and
 ``concat_channels`` have no caller in the package; the tests build
@@ -69,17 +70,19 @@ class Node:
         return f"Node(id={self.id}, op={self.op!r}, shape={getattr(self.value, 'shape', None)})"
 
 
-def _box_sum_axis(arr: np.ndarray, axis: int, radius: int) -> np.ndarray:
+def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out=None) -> np.ndarray:
     """Sliding-window sum of radius r along one axis, truncated at edges:
     out[i] = sum of arr[j] over |j - i| <= r, 0 <= j < n.
 
-    A fresh array gets ``arr`` plus its shift by offset 1 on one side,
-    then the other 2r - 1 shifted slices added in place, offsets 1..r on
-    each side, each cut to the part that stays inside the axis (none is
-    left past offset n - 1). The stencil is symmetric, so the same sum is
-    its own transpose and serves ``box_filter``'s vjp too. Needs r >= 1.
+    ``out`` (fresh when None, never ``arr`` itself) gets ``arr`` plus its
+    shift by offset 1 on one side, then the other 2r - 1 shifted slices
+    added in place, offsets 1..r on each side, each cut to the part that
+    stays inside the axis (none is left past offset n - 1). The stencil
+    is symmetric, so the same sum is its own transpose and serves
+    ``box_filter``'s vjp too. Needs r >= 1.
     """
-    out = np.empty(arr.shape)
+    if out is None:
+        out = np.empty(arr.shape)
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     n = src.shape[0]
     dst[0] = src[0]
@@ -96,30 +99,37 @@ def _box_counts(n: int, radius: int) -> np.ndarray:
     return np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1.0
 
 
-def _box_mean(arr: np.ndarray, radius: int, first: int = 0):
+def _box_mean(arr: np.ndarray, radius: int, first: int = 0, overwrite: bool = False):
     """Count-normalized box mean of ``arr`` over its spatial axes ``first``
     to ``first + 2``, one axis after another, and the per-axis counts
-    (shaped to broadcast against ``arr``) that its transpose divides by."""
-    out, counts = arr, []
-    for axis in range(first, first + 3):
+    (shaped to broadcast against ``arr``) that its transpose divides by.
+    The axis sums go from ``arr`` to a fresh array, to a second one and
+    back; with ``overwrite`` the second is ``arr``, whose values are lost."""
+    out = np.empty(arr.shape)
+    middle = arr if overwrite else np.empty(arr.shape)
+    counts = []
+    for axis, src, dst in zip(range(first, first + 3), (arr, out, middle), (out, middle, out)):
         shape = [1] * arr.ndim
         shape[axis] = arr.shape[axis]
         counts.append(_box_counts(arr.shape[axis], radius).reshape(shape))
-        out = _box_sum_axis(out, axis, radius)
-        out /= counts[-1]
+        _box_sum_axis(src, axis, radius, out=dst)
+        dst /= counts[-1]
     return out, counts
 
 
-def _box_mean_t(g: np.ndarray, counts, radius: int, first: int = 0) -> np.ndarray:
+def _box_mean_t(g: np.ndarray, counts, radius: int, first: int = 0,
+                overwrite: bool = False) -> np.ndarray:
     """The transpose of ``_box_mean`` applied to ``g``, with the counts it
     returned: per axis, divide by the counts, then box-sum (the sum is
-    symmetric). ``g`` is left as it is."""
-    out = g / counts[0]
+    symmetric). The passes alternate between two buffers, one of them
+    ``g`` with ``overwrite`` (its values are lost; else it is left as is)."""
+    src = np.divide(g, counts[0], out=g if overwrite else None)
+    spare = np.empty(g.shape)
     for k, c in enumerate(counts):
         if k:
-            out /= c
-        out = _box_sum_axis(out, first + k, radius)
-    return out
+            src /= c
+        src, spare = _box_sum_axis(src, first + k, radius, out=spare), src
+    return src
 
 
 def _pool2_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:

@@ -39,9 +39,14 @@ class DegenerateInputError(VolumeError):
     """Input has no usable intensity scale (e.g. all-zero MR volume)."""
 
 
-def known_modality(tag: str) -> bool:
-    return (tag in CT_FAMILY or tag in MR_FAMILY
-            or (len(tag) <= MAX_MODALITY_LEN and _SYNTH_TAG.fullmatch(tag) is not None))
+def check_modality(tag, error: type[Exception] = VolumeError, prefix: str = "") -> None:
+    """Raise ``error``, its message led by ``prefix`` and stating the rule,
+    unless ``tag`` is a modality tag (see the module doc)."""
+    if not (tag in CT_FAMILY or tag in MR_FAMILY or (
+            isinstance(tag, str) and len(tag) <= MAX_MODALITY_LEN and _SYNTH_TAG.fullmatch(tag))):
+        raise error(f"{prefix}modality tag {tag!r} is neither a CT or MR family name nor SYNTH "
+                    f"followed by printable ASCII other than space, ';' and '=', "
+                    f"{MAX_MODALITY_LEN} characters in all at most")
 
 
 def _check_spacing_origin(spacing, origin, error: type[Exception] = VolumeError,
@@ -95,8 +100,7 @@ class Volume:
         if self.grid.channels != 1:
             raise VolumeError(f"volume grid must have 1 channel, got {self.grid.channels}")
         _check_spacing_origin(self.spacing, self.origin)
-        if not known_modality(self.modality):
-            raise VolumeError(f"unknown modality tag {self.modality!r}")
+        check_modality(self.modality)
 
     @property
     def dims(self) -> tuple[int, int, int]:

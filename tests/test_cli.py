@@ -612,6 +612,39 @@ class TestModalityOverride:
         assert err.startswith("config error:") and "'FOO'" in err
 
 
+class TestModalityRuleMessage:
+    """A tag refused for its form says what the rule is, wherever it is read."""
+
+    RULE = ("is neither a CT or MR family name nor SYNTH followed by printable ASCII "
+            "other than space, ';' and '=', 55 characters in all at most")
+    TAG = "SYNTH-" + "x" * 70
+
+    def test_modality_argument_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "v.nii"
+        write_test_volume(src, seed=6, modality="CT", preprocessed=False)
+        rc = main(["preprocess", "--input", str(src), "--output", str(tmp_path / "x.nii"),
+                   "--modality", self.TAG])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err == f"config error: modality tag {self.TAG!r} {self.RULE}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.nii"]
+
+    def test_raw_sidecar_exits_3(self, tmp_path, capsys):
+        argv = _bad_sidecar({"modality": self.TAG})(tmp_path)
+        rc = main(argv + ["--output", str(tmp_path / "x.nii")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err == f"I/O error: {tmp_path / 'v.json'}: modality tag {self.TAG!r} {self.RULE}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json", "v.raw"]
+
+    def test_nifti_descrip_exits_3(self, tmp_path, capsys):
+        argv = _unknown_descrip_modality(tmp_path)
+        rc = main(argv + ["--output", str(tmp_path / "x.nii")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err == f"I/O error: {tmp_path / 'v.nii'}: descrip modality tag 'FOO' {self.RULE}\n"
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         src = tmp_path / "v.nii"

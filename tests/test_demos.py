@@ -53,7 +53,7 @@ def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(tmp_path):
     script = ROOT / "tools" / "trace_digest.py"
     plain = re.findall(r": ([0-9a-f]{16})$", run_script(script, tmp_path), flags=re.M)
     out = run_script(script, tmp_path, argv=["--memory"])
-    runs = re.findall(r": ([0-9a-f]{16})  one-step peak (\d+\.\d\d) MB$", out, flags=re.M)
+    runs = re.findall(r": ([0-9a-f]{16})  two-step peak (\d+\.\d\d) MB$", out, flags=re.M)
     assert [digest for digest, _ in runs] == plain and len(plain) == 6, out
     assert all(float(peak) > 0 for _, peak in runs), out
 
@@ -75,8 +75,10 @@ def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
 def test_kernel_times_prints_each_kernel(tmp_path):
     out = run_script(ROOT / "tools" / "kernel_times.py", tmp_path,
                      argv=["--side", "8", "--repeats", "1"])
-    rows = re.findall(r"^(trilinear C=\d|upsample_sum) .* vjp +\d+\.\d\d", out, flags=re.M)
-    assert rows == ["trilinear C=1", "trilinear C=3", "trilinear C=4", "upsample_sum"], out
+    rows = re.findall(r"^(trilinear C=\d|upsample_sum|mind_ssc_loss|lncc_map) .* vjp +\d+\.\d\d",
+                      out, flags=re.M)
+    assert rows == ["trilinear C=1", "trilinear C=3", "trilinear C=4", "upsample_sum",
+                    "mind_ssc_loss", "lncc_map"], out
 
 
 def load_trace_digest():

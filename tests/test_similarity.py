@@ -18,6 +18,7 @@ from deformreg.similarity import (
     loss_similarity_nodes,
     mind_ssc_descriptor,
     mind_ssc_descriptor_nodes,
+    mind_ssc_loss_nodes,
 )
 from deformreg.tape import Tape, TapeError, grad_check
 from deformreg.tensor import Tensor3
@@ -269,6 +270,89 @@ class TestMindSscOneNode:
         assert d.needs_grad
         assert with_output <= 28 * 8 * np.prod(dims)
         assert retained <= 16 * 8 * np.prod(dims)
+
+
+def mind_term(build, vol, fixed_descriptor, cfg):
+    """(value, gradient in the image) of the MIND_SSC term of ``vol``
+    against ``fixed_descriptor``, with the term from ``build``."""
+    tape = Tape()
+    a = tape.input(Tensor3(vol), parameter=True)
+    loss = build(tape, a, fixed_descriptor, cfg)
+    return loss.value.item(), tape.backward(loss)[a.id]
+
+
+def two_node_term(tape, a, fixed_descriptor, cfg):
+    """The MIND_SSC term as the descriptor node and a mean of squares that
+    subtracts the fixed descriptor: what the one-node term replaces."""
+    return tape.sum_squares(mind_ssc_descriptor_nodes(tape, a, cfg), mean=True,
+                            minus=fixed_descriptor)
+
+
+class TestMindSscLoss:
+    """The one-node MIND_SSC term against the two nodes it replaces, on an
+    image where V is floored at some voxels and at non-cubic dims."""
+
+    @staticmethod
+    def case(radius):
+        cfg = SimilarityConfig(kind="MIND_SSC", mind_patch_radius=radius)
+        fixed = np.random.default_rng(50 + radius).uniform(0, 1, (7, 8, 9))
+        return floored_volume(20 + radius), mind_ssc_descriptor(Tensor3(fixed), cfg), cfg
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_value_and_gradient_bitwise(self, radius):
+        vol, fixed, cfg = self.case(radius)
+        loss, grad = mind_term(mind_ssc_loss_nodes, vol, fixed, cfg)
+        ref_loss, ref_grad = mind_term(two_node_term, vol, fixed, cfg)
+        assert loss > 0.0 and np.any(grad.data != 0.0)
+        assert loss == ref_loss
+        assert np.array_equal(grad.data, ref_grad.data)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_vjp_matches_finite_differences(self, radius):
+        vol, fixed, cfg = self.case(radius)
+
+        def f(x):
+            return mind_term(mind_ssc_loss_nodes, x.data, fixed, cfg)
+
+        assert grad_check(f, Tensor3(vol), h=1e-6, n_coords=128, seed=radius) < 1e-5
+
+    def test_records_one_node(self):
+        vol, fixed, cfg = self.case(1)
+        tape = Tape()
+        a = tape.input(Tensor3(vol))
+        loss = mind_ssc_loss_nodes(tape, a, fixed, cfg)
+        assert [node.op for node in tape.nodes] == ["input", "mind_ssc_loss"]
+        assert loss.parents == (a,) and loss.value.shape == (1, 1, 1, 1)
+
+    def test_fixed_descriptor_of_other_shape_rejected(self):
+        vol, fixed, cfg = self.case(1)
+        tape = Tape()
+        with pytest.raises(SimilarityError, match="fixed descriptor shape"):
+            mind_ssc_loss_nodes(tape, tape.input(Tensor3(vol)),
+                                Tensor3(fixed.data[..., :6]), cfg)
+
+    def test_node_retains_at_most_16_float64_per_voxel(self):
+        # the padded image, the 12 distances, V and the floor's mask, as the
+        # descriptor op keeps, and no output: the value is a scalar, so
+        # dropping it frees nothing. The images and the fixed descriptor are
+        # allocated before tracing starts, so they are not counted.
+        dims = (24, 24, 24)
+        rng = np.random.default_rng(4)
+        cfg = SimilarityConfig(kind="MIND_SSC")
+        fixed = mind_ssc_descriptor(Tensor3(rng.uniform(0, 1, dims)), cfg)
+        tape = Tape()
+        a = tape.input(Tensor3(rng.uniform(0, 1, dims)), parameter=True)
+        tracemalloc.start()
+        try:
+            loss = mind_ssc_loss_nodes(tape, a, fixed, cfg)
+            with_output = tracemalloc.get_traced_memory()[0]
+            loss.value = None
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loss.needs_grad
+        assert retained <= 16 * 8 * np.prod(dims)
+        assert with_output - retained <= 1024
 
 
 def lncc_map_composed_nodes(tape, a, fixed, cfg):

@@ -214,6 +214,20 @@ class TestBoxSum:
         assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(bx * y))
         assert np.array_equal(y, y_before)
 
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("shape, first", [((7, 8, 9), 0), ((12, 7, 8, 9, 1), 1)])
+    def test_overwrite_changes_only_the_buffer(self, shape, first, radius):
+        # the two-buffer form gives the same bits, and leaves its input
+        # as it is unless told to overwrite it
+        x = np.random.default_rng(radius + first).uniform(-1.0, 1.0, shape)
+        x_before = x.copy()
+        mean, counts = _box_mean(x, radius, first)
+        assert np.array_equal(x, x_before)
+        t = _box_mean_t(x, counts, radius, first)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(_box_mean(x.copy(), radius, first, overwrite=True)[0], mean)
+        assert np.array_equal(_box_mean_t(x.copy(), counts, radius, first, overwrite=True), t)
+
 
 class TestBackward:
     def test_sum_of_squares(self):

@@ -160,7 +160,7 @@ class TestNifti:
         write_nifti(v, tmp_path / "v.nii")
         back = read_nifti(tmp_path / "v.nii")
         assert back.modality == tag and back.preprocessed
-        with pytest.raises(VolumeError, match="unknown modality"):
+        with pytest.raises(VolumeError, match="modality tag 'SYNTH-x+' is neither"):
             Volume(Tensor3(np.full((4, 4, 4), 0.5)), modality=tag + "x")
 
     def test_float32_round_trip_bit_exact(self, tmp_path):

@@ -1,9 +1,12 @@
-"""Isolated timings of the two field kernels at one cube side.
+"""Isolated timings of the field kernels and two similarity ops at one cube side.
 
 Prints the min-of-N wall time of the trilinear plan's forward, its full
 vjp and its coordinate-only vjp for a 1-, 3- and 4-channel image sampled
-at every node of an n^3 grid, and of the pyramid's ``upsample_sum``
-forward and vjp (quarter, half and full grid of the same side).
+at every node of an n^3 grid, of the pyramid's ``upsample_sum`` forward
+and vjp (quarter, half and full grid of the same side), and of the
+forward and vjp of the two similarity ops built on box means: the
+MIND_SSC term (``mind_ssc_loss``) and the LNCC map (``lncc_map``), each of
+a random n^3 image against a fixed one.
 
 The CLI keeps freed memory in the heap (``cli._keep_heap_resident``), so
 that the arrays of one step do not page-fault in again in the next. This
@@ -19,16 +22,20 @@ import numpy as np
 
 from deformreg.cli import _keep_heap_resident
 from deformreg.pipeline import stage_grid_dims
+from deformreg.similarity import (SimilarityConfig, fixed_side, lncc_map_nodes,
+                                  mind_ssc_loss_nodes)
 from deformreg.tape import Tape, _TrilinearPlan
 from deformreg.tensor import Tensor3, displaced_axes
 
 
-def best_ms(fn, repeats: int) -> float:
-    """The smallest wall time of ``repeats`` calls of ``fn``, in ms."""
+def best_ms(fn, repeats: int, setup=None) -> float:
+    """The smallest wall time of ``repeats`` calls of ``fn``, in ms; with
+    ``setup``, of ``fn(setup())``, each with a fresh untimed ``setup()``."""
     times = []
     for _ in range(repeats):
+        args = () if setup is None else (setup(),)
         start = time.perf_counter()
-        fn()
+        fn(*args)
         times.append(time.perf_counter() - start)
     return 1e3 * min(times)
 
@@ -56,6 +63,26 @@ def upsample_times(n: int, repeats: int, rng) -> dict[str, float]:
     return {"forward": best_ms(forward, repeats), "vjp": best_ms(lambda: node._vjp(g), repeats)}
 
 
+def similarity_times(n: int, kind: str, repeats: int, rng) -> dict[str, float]:
+    """The forward of the MIND_SSC term op (``kind`` MIND_SSC) or of the
+    LNCC map (LNCC2), and the vjp of a fresh one per call (a tape runs each
+    vjp once)."""
+    image, fixed = (Tensor3(rng.uniform(0.0, 1.0, size=(n, n, n, 1))) for _ in range(2))
+    cfg = SimilarityConfig(kind=kind)
+    side = fixed_side(fixed, cfg)
+
+    def forward():
+        tape = Tape()
+        a = tape.input(image, parameter=True)
+        if kind == "MIND_SSC":
+            return mind_ssc_loss_nodes(tape, a, side[1], cfg)
+        return lncc_map_nodes(tape, a, side, cfg)
+
+    g = np.ones(forward().value.shape)
+    return {"forward": best_ms(forward, repeats),
+            "vjp": best_ms(lambda node: node._vjp(g), repeats, setup=forward)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", type=int, default=64, help="cube side n of the n^3 grid")
@@ -68,6 +95,8 @@ def main(argv=None):
     rows = [(f"trilinear C={c}", trilinear_times(args.side, c, args.repeats, rng))
             for c in (1, 3, 4)]
     rows.append(("upsample_sum", upsample_times(args.side, args.repeats, rng)))
+    rows += [(name, similarity_times(args.side, kind, args.repeats, rng))
+             for name, kind in (("mind_ssc_loss", "MIND_SSC"), ("lncc_map", "LNCC2"))]
     print(f"{args.side}^3, min of {args.repeats} (ms)")
     for name, times in rows:
         print(f"{name:15}" + "".join(f"  {key} {ms:8.2f}" for key, ms in times.items()))

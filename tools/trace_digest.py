@@ -14,9 +14,11 @@ the largest absolute deviation of each field, from the stored ones
 (after the change).
 
 ``--memory`` also prints, after each digest, the tracemalloc peak of a
-one-step registration of the same pair (the fixed sides, one step and
-the final forward; the pair is rendered before tracing starts). It runs
-apart from the digest's registration, so the digests do not change.
+two-step registration of the same pair (the fixed sides, two steps and
+the final forward; the pair is rendered before tracing starts). Adam's
+moments exist from the first update on, so the second step is the first
+steady-state one. It runs apart from the digest's registration, so the
+digests do not change.
 
 Run: PYTHONPATH=src python3 tools/trace_digest.py [--save FILE | --compare FILE] [--memory]
 """
@@ -61,10 +63,10 @@ def register(a, b, kind: str, steps: int):
 
 
 def step_peak_mb(a, b, kind: str) -> float:
-    """The tracemalloc peak of a one-step registration of ``a`` and ``b``."""
+    """The tracemalloc peak of a two-step registration of ``a`` and ``b``."""
     tracemalloc.start()
     try:
-        register(a, b, kind, 1)
+        register(a, b, kind, 2)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -112,7 +114,7 @@ def main(argv=None):
     group.add_argument("--compare", metavar="FILE",
                        help="print each trace's and field's largest deviation from a stored file")
     parser.add_argument("--memory", action="store_true",
-                        help="print each run's tracemalloc peak for one step after its digest")
+                        help="print each run's tracemalloc peak for two steps after its digest")
     args = parser.parse_args(argv)
     stored = np.load(args.compare) if args.compare else None
     if stored is not None:
@@ -137,7 +139,7 @@ def main(argv=None):
             worst = {key: max(worst[key], dev[key]) for key in worst}
             line += f"  deviation {describe(dev)}"
         if args.memory:
-            line += f"  one-step peak {step_peak_mb(a, b, kind):.2f} MB"
+            line += f"  two-step peak {step_peak_mb(a, b, kind):.2f} MB"
         print(line, flush=True)
     if stored is not None:
         print(f"largest deviation: {describe(worst)}")
