@@ -74,24 +74,57 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out=None) -> np.ndarr
     """Sliding-window sum of radius r along one axis, truncated at edges:
     out[i] = sum of arr[j] over |j - i| <= r, 0 <= j < n.
 
-    ``out`` (fresh when None, never ``arr`` itself) gets ``arr`` plus its
-    shift by offset 1 on one side, then the other 2r - 1 shifted slices
-    added in place, offsets 1..r on each side, each cut to the part that
-    stays inside the axis (none is left past offset n - 1). The stencil
-    is symmetric, so the same sum is its own transpose and serves
-    ``box_filter``'s vjp too. Needs r >= 1.
+    ``out`` (fresh when None, never ``arr`` itself) gets, at each i,
+    arr[i] + arr[i-1], then arr[i+1], arr[i-2], arr[i+2], ... added in
+    that order, each term that stays inside the axis. When ``arr`` and
+    ``out`` are both C-contiguous and 2r < n, each term is one pass over
+    the flat arrays, a shift by k * (the product of the dims after
+    ``axis``), so the last axis runs as one long contiguous pass too;
+    then the first r and the last r slabs along the axis, which took
+    neighbors across the axis ends, are summed again by shifted slices
+    (``_box_rows``), in the same order, so both forms give the same bits.
+    Otherwise (a non-contiguous ``out`` reshapes to a copy, not a view)
+    every slab is summed by shifted slices. The stencil is symmetric, so
+    the same sum is its own transpose and serves ``box_filter``'s vjp
+    too. Needs r >= 1.
     """
     if out is None:
         out = np.empty(arr.shape)
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     n = src.shape[0]
-    dst[0] = src[0]
-    np.add(src[1:], src[: n - 1], out=dst[1:])
-    dst[: n - 1] += src[1:]
-    for k in range(2, min(radius, n - 1) + 1):
-        dst[k:] += src[: n - k]
-        dst[: n - k] += src[k:]
+    if 2 * radius >= n or not (arr.flags.c_contiguous and out.flags.c_contiguous):
+        _box_rows(src, dst, radius, 0, n)
+        return out
+    flat, flat_out = arr.reshape(-1), out.reshape(-1)
+    step = arr.strides[axis] // arr.itemsize
+    lo, hi = radius * step, arr.size - radius * step
+    body = flat_out[lo:hi]
+    np.add(flat[lo:hi], flat[lo - step:hi - step], out=body)
+    body += flat[lo + step:hi + step]
+    for k in range(2, radius + 1):
+        body += flat[lo - k * step:hi - k * step]
+        body += flat[lo + k * step:hi + k * step]
+    _box_rows(src, dst, radius, 0, radius)
+    _box_rows(src, dst, radius, n - radius, n)
     return out
+
+
+def _box_rows(src: np.ndarray, dst: np.ndarray, radius: int, lo: int, hi: int):
+    """Rows lo..hi-1 (along axis 0) of ``_box_sum_axis`` from ``src`` into
+    ``dst``, by shifted slices: each row's terms in the order it gives (row
+    0 starts with arr[0] + arr[1], its first neighbor inside the axis)."""
+    n = src.shape[0]
+    start, stop = max(lo, 1), min(hi, n - 1)
+    if lo == 0 and n == 1:
+        dst[0] = src[0]
+    elif lo == 0:
+        np.add(src[0], src[1], out=dst[0])
+    np.add(src[start:hi], src[start - 1:hi - 1], out=dst[start:hi])
+    dst[start:stop] += src[start + 1:stop + 1]
+    for k in range(2, min(radius, n - 1) + 1):
+        start, stop = max(lo, k), min(hi, n - k)
+        dst[start:hi] += src[start - k:hi - k]
+        dst[lo:stop] += src[lo + k:stop + k]
 
 
 def _box_counts(n: int, radius: int) -> np.ndarray:

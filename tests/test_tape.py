@@ -174,6 +174,21 @@ def box_sum_oracle(arr, axis, radius):
     return np.moveaxis(out, 0, axis)
 
 
+def box_sum_slices(arr, axis, radius):
+    """The window sum by shifted slices along the moved axis: at each i,
+    arr[i] + arr[i-1], then arr[i+1], arr[i-2], arr[i+2], ... in place."""
+    src = np.moveaxis(arr, axis, 0)
+    out = np.empty(src.shape)
+    n = src.shape[0]
+    out[0] = src[0]
+    np.add(src[1:], src[: n - 1], out=out[1:])
+    out[: n - 1] += src[1:]
+    for k in range(2, min(radius, n - 1) + 1):
+        out[k:] += src[: n - k]
+        out[: n - k] += src[k:]
+    return np.moveaxis(out, 0, axis)
+
+
 class TestBoxSum:
     @pytest.mark.parametrize("radius", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
@@ -185,6 +200,28 @@ class TestBoxSum:
             arr = rng.uniform(-1.0, 1.0, shape)
             got = _box_sum_axis(arr, axis, radius)
             assert np.max(np.abs(got - box_sum_oracle(arr, axis, radius))) <= 1e-12
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 32])
+    @pytest.mark.parametrize("shape, axes", [((12, None, None, None), (1, 2, 3)),
+                                             ((None, None, None, 1), (0, 1, 2))])
+    def test_flat_passes_equal_the_slice_form(self, shape, axes, n, radius):
+        # bit for bit, into a fresh array or a given C-contiguous one, and
+        # from a non-contiguous input into a non-contiguous out (written
+        # through, not into a copy); the MIND stack and the LNCC volume
+        shape = tuple(n if d is None else d for d in shape)
+        rng = np.random.default_rng(100 * n + radius)
+        arr = rng.uniform(-1.0, 1.0, shape)
+        strided = rng.uniform(-1.0, 1.0, shape + (2,))[..., 1]
+        for axis in axes:
+            want = box_sum_slices(arr, axis, radius)
+            assert np.array_equal(_box_sum_axis(arr, axis, radius), want)
+            out = np.full(shape, np.nan)
+            assert _box_sum_axis(arr, axis, radius, out=out) is out
+            assert np.array_equal(out, want)
+            out = np.full(shape + (2,), np.nan)[..., 0]
+            assert _box_sum_axis(strided, axis, radius, out=out) is out
+            assert np.array_equal(out, box_sum_slices(strided, axis, radius))
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_box_filter_vjp_is_the_transpose(self, radius):
