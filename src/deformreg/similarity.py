@@ -11,9 +11,10 @@ one tape op (``"mind_ssc_loss"``) that keeps no descriptor: its vjp forms
 D(a) again. The descriptor op (``"mind_ssc"``) builds the fixed sides. Both
 share one forward and one backward, which take the six shifts as windows
 of one edge-padded copy of the image. The LNCC map and MIND-SSC share the
-box mean and its transpose with ``Tape.box_filter``, run in two buffers,
-and the LNCC, LNCC2 and MSE terms reduce with ``Tape.mean`` or
-``Tape.sum_squares``.
+box mean and its transpose with ``Tape.box_filter``, run in two buffers
+(flat passes and one scale by the cached reciprocal counts, see
+``tape._box_mean``), and the LNCC, LNCC2 and MSE terms reduce with
+``Tape.mean`` or ``Tape.sum_squares``.
 
 Each term compares a moving image with a fixed one, and its gradient
 reaches the map only through the moving image. The fixed side is data:
@@ -101,7 +102,7 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
     r = cfg.window_radius
     av = a.value.data
     bv, ebv, vbv = (t.data for t in fixed)
-    ea, counts = _box_mean(av, r)
+    ea, scale = _box_mean(av, r)
     cov = _box_mean(av * bv, r, overwrite=True)[0]
     cov -= ea * ebv
     denom = _box_mean(av * av, r, overwrite=True)[0]  # var_a + eps, then times var_b + eps
@@ -124,9 +125,9 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
         g_ea += -g_cov * ebv
         # the box means' transposes, in the order the sweep of the
         # elementwise graph adds them, each in its adjoint and one buffer
-        g_a = (2.0 * av) * _box_mean_t(g_var_a, counts, r, overwrite=True)
-        g_a += _box_mean_t(g_cov, counts, r, overwrite=True) * bv
-        g_a += _box_mean_t(g_ea, counts, r, overwrite=True)
+        g_a = (2.0 * av) * _box_mean_t(g_var_a, scale, r, overwrite=True)
+        g_a += _box_mean_t(g_cov, scale, r, overwrite=True) * bv
+        g_a += _box_mean_t(g_ea, scale, r, overwrite=True)
         return (g_a,)
 
     return tape._append("lncc_map", (a,), cov / denom, vjp)
@@ -171,7 +172,7 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
     for k in range(12):
         pair_difference(k, sq[k])
     sq *= sq
-    ssd, counts = _box_mean(sq, r, first=1, overwrite=True)
+    ssd, scale = _box_mean(sq, r, first=1, overwrite=True)
     del sq
     mean = ssd[0] + ssd[1]
     for k in range(2, 12):
@@ -212,7 +213,7 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
         # the distances go, and the box mean's transpose runs in g_ssd and
         # one more stack in their place; then the square's transpose
         ssd = None
-        g_diff = _box_mean_t(g_ssd, counts, r, first=1, overwrite=True)
+        g_diff = _box_mean_t(g_ssd, scale, r, first=1, overwrite=True)
         del g_ssd
         diff = np.empty(shape)
         for k in range(12):

@@ -18,6 +18,13 @@ which subtracts its fixed image there). So
 ``concat_channels`` have no caller in the package; the tests build
 reference graphs from them and the benchmark's tracer binds them by name.
 
+Every box mean (the LNCC map, MIND-SSC, their fixed sides and
+``box_filter``) runs one kernel: ``_box_sum_axis`` adds each shifted term
+of a window sum in one pass over the flat C-contiguous array and sums the
+end slabs again by slices, and ``_box_mean`` scales its three axis sums
+once by the cached reciprocal counts (``_box_scale``), which
+``_box_mean_t`` multiplies by before its sums.
+
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
 case and ``sample_trilinear_values`` the plan's plain one. Node values reach
@@ -132,36 +139,46 @@ def _box_counts(n: int, radius: int) -> np.ndarray:
     return np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1.0
 
 
+@functools.lru_cache(maxsize=4)
+def _box_scale(dims: tuple, radius: int, trailing: int) -> np.ndarray:
+    """The product of the per-axis reciprocal box counts on a ``dims`` grid
+    (1 / each window's voxel count), shaped ``dims`` plus ``trailing`` axes
+    of length 1. Cached and read-only, so a vjp that holds it keeps no
+    array of its own; a registration reads one or two of them a step."""
+    rx, ry, rz = (1.0 / _box_counts(n, radius) for n in dims)
+    scale = rx[:, None, None] * ry[None, :, None] * rz[None, None, :]
+    scale = scale.reshape(dims + (1,) * trailing)
+    scale.setflags(write=False)
+    return scale
+
+
 def _box_mean(arr: np.ndarray, radius: int, first: int = 0, overwrite: bool = False):
     """Count-normalized box mean of ``arr`` over its spatial axes ``first``
-    to ``first + 2``, one axis after another, and the per-axis counts
-    (shaped to broadcast against ``arr``) that its transpose divides by.
-    The axis sums go from ``arr`` to a fresh array, to a second one and
-    back; with ``overwrite`` the second is ``arr``, whose values are lost."""
+    to ``first + 2``, and the reciprocal counts (``_box_scale``, shaped to
+    broadcast against ``arr``) that it and its transpose multiply by. The
+    three axis sums go from ``arr`` to a fresh array, to a second one and
+    back, and one in-place multiply scales the result; with ``overwrite``
+    the second buffer is ``arr``, whose values are lost."""
     out = np.empty(arr.shape)
     middle = arr if overwrite else np.empty(arr.shape)
-    counts = []
     for axis, src, dst in zip(range(first, first + 3), (arr, out, middle), (out, middle, out)):
-        shape = [1] * arr.ndim
-        shape[axis] = arr.shape[axis]
-        counts.append(_box_counts(arr.shape[axis], radius).reshape(shape))
         _box_sum_axis(src, axis, radius, out=dst)
-        dst /= counts[-1]
-    return out, counts
+    scale = _box_scale(arr.shape[first:first + 3], radius, arr.ndim - first - 3)
+    out *= scale
+    return out, scale
 
 
-def _box_mean_t(g: np.ndarray, counts, radius: int, first: int = 0,
+def _box_mean_t(g: np.ndarray, scale, radius: int, first: int = 0,
                 overwrite: bool = False) -> np.ndarray:
-    """The transpose of ``_box_mean`` applied to ``g``, with the counts it
-    returned: per axis, divide by the counts, then box-sum (the sum is
-    symmetric). The passes alternate between two buffers, one of them
-    ``g`` with ``overwrite`` (its values are lost; else it is left as is)."""
-    src = np.divide(g, counts[0], out=g if overwrite else None)
+    """The transpose of ``_box_mean`` applied to ``g``, with the reciprocal
+    counts it returned: one multiply by them, then the three axis sums
+    (the sum is symmetric). The passes alternate between two buffers, one
+    of them ``g`` with ``overwrite`` (its values are lost; else it is left
+    as it is)."""
+    src = np.multiply(g, scale, out=g if overwrite else None)
     spare = np.empty(g.shape)
-    for k, c in enumerate(counts):
-        if k:
-            src /= c
-        src, spare = _box_sum_axis(src, first + k, radius, out=spare), src
+    for axis in range(first, first + 3):
+        src, spare = _box_sum_axis(src, axis, radius, out=spare), src
     return src
 
 
@@ -563,9 +580,9 @@ class Tape:
         are averaged over the voxels present (count-normalized, no padding)."""
         if radius < 1:
             raise TapeError(f"box_filter: radius must be >= 1, got {radius}")
-        val, counts = _box_mean(a.value.data, radius)
+        val, scale = _box_mean(a.value.data, radius)
         return self._append("box_filter", (a,), val,
-                            lambda g: (_box_mean_t(g, counts, radius),))
+                            lambda g: (_box_mean_t(g, scale, radius),))
 
     def spatial_gradient(self, a: Node) -> Node:
         """Per-channel gradient in normalized coordinates by central
