@@ -75,10 +75,10 @@ def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
 def test_kernel_times_prints_each_kernel(tmp_path):
     out = run_script(ROOT / "tools" / "kernel_times.py", tmp_path,
                      argv=["--side", "8", "--repeats", "1"])
-    rows = re.findall(r"^(trilinear C=\d|upsample_sum|mind_ssc_loss|lncc_map) .* vjp +\d+\.\d\d",
-                      out, flags=re.M)
+    rows = re.findall(r"^(trilinear C=\d|upsample_sum|mind_ssc_loss|lncc_map|box_mean \w+) "
+                      r".* vjp +\d+\.\d\d", out, flags=re.M)
     assert rows == ["trilinear C=1", "trilinear C=3", "trilinear C=4", "upsample_sum",
-                    "mind_ssc_loss", "lncc_map"], out
+                    "mind_ssc_loss", "lncc_map", "box_mean MIND", "box_mean LNCC"], out
 
 
 def load_trace_digest():

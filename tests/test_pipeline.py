@@ -477,7 +477,10 @@ class TestMindSscStepMemory:
     descriptor (37.9 fields at the sweep's entry, a 9.6-field rise and a
     47.5-field step peak when a term was a descriptor node, which kept its
     output, and a sum of squares; 53.1 and 66.0 when the descriptor also
-    kept the pair differences and the sum a 12-plane sub node)."""
+    kept the pair differences and the sum a 12-plane sub node). The step
+    peak is now reached in the second term's forward, not in the sweep:
+    that forward holds the first term's closure next to its own distances
+    and the box mean's second 12-plane buffer (34.4 fields, the sweep 32.1)."""
 
     def test_sweep_enters_with_at_most_31_fields(self, monkeypatch):
         ((entry, _, _),) = backward_memory(monkeypatch, steps=1, kind="MIND_SSC")
@@ -494,7 +497,8 @@ class TestMindSscStepMemory:
             f"backward rose {(peak - entry) / field_bytes:.2f} fields above its entry")
 
     def test_step_peaks_at_most_35_fields(self, monkeypatch):
-        # the fixed sides, the forward and the sweep of the one step
+        # the fixed sides, the forward and the sweep of the one step; the
+        # highest point is the second term's forward, not the sweep
         ((_, _, step_peak),) = backward_memory(monkeypatch, steps=1, kind="MIND_SSC")
         field_bytes = 24**3 * 3 * 8
         assert step_peak <= 35 * field_bytes, (
