@@ -45,6 +45,7 @@ reproduce it.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out=None) -> np.ndarr
         _box_rows(src, dst, radius, 0, n)
         return out
     flat, flat_out = arr.reshape(-1), out.reshape(-1)
-    step = arr.strides[axis] // arr.itemsize
+    step = math.prod(arr.shape[axis + 1:])
     lo, hi = radius * step, arr.size - radius * step
     body = flat_out[lo:hi]
     np.add(flat[lo:hi], flat[lo - step:hi - step], out=body)
