@@ -197,11 +197,12 @@ def read_raw(base) -> tuple[np.ndarray, dict]:
     channels = meta.get("channels", 1)
     for n in (nx, ny, nz, channels):
         check_number(FormatError, f"{sidecar}: dims and channels", n, integer=True, at_least=1)
-    payload = _raw_path(base)
-    flat = np.frombuffer(payload.read_bytes(), dtype="<f4")
-    if flat.size != nx * ny * nz * channels:
-        raise FormatError(f"{payload}: raw payload has {flat.size} values, "
-                          f"sidecar promises {nx * ny * nz * channels}")
+    payload, count = _raw_path(base), nx * ny * nz * channels
+    raw = payload.read_bytes()
+    if len(raw) != 4 * count:
+        raise FormatError(f"{payload}: raw payload has {len(raw)} bytes, sidecar "
+                          f"promises {count} float32 values ({4 * count} bytes)")
+    flat = np.frombuffer(raw, dtype="<f4")
     if not np.isfinite(flat).all():
         raise FormatError(f"{payload}: non-finite values")
     return np.ascontiguousarray(flat.reshape((nx, ny, nz, channels), order="F"), np.float64), meta

@@ -8,26 +8,24 @@ registrable. The moving image's correlation map is one tape op
 its operand. MIND-SSC compares 12-channel self-similarity descriptors
 instead of raw intensities. A MIND_SSC term, mean((D(a) - D_fixed)^2), is
 one tape op (``"mind_ssc_loss"``) that keeps no descriptor: its vjp forms
-D(a) again. The descriptor op (``"mind_ssc"``) builds the fixed sides. Both
-share one forward and one backward, which take the six shifts as windows
-of one edge-padded copy of the image. The LNCC map and MIND-SSC share the
-box mean and its transpose with ``Tape.box_filter``, run in two buffers
-(flat passes and one scale by the cached reciprocal counts, see
-``tape._box_mean``), and the LNCC, LNCC2 and MSE terms reduce with
-``Tape.mean`` or ``Tape.sum_squares``.
+D(a) again. It shares one forward and one backward with the descriptor op
+(``"mind_ssc"``, unused in the package like the ops ``tape`` lists), which
+take the six shifts as windows of one edge-padded copy of the image. Every
+box mean runs ``tape._box_mean``, which owns its normalization, and the
+LNCC, LNCC2 and MSE terms reduce with ``Tape.mean`` or ``Tape.sum_squares``.
 
 Each term compares a moving image with a fixed one, and its gradient
 reaches the map only through the moving image. The fixed side is data:
 the fixed image followed by everything the term computes from it alone,
-for LNCC and LNCC2 its box mean E[b] and its variance E[b^2] - E[b]^2
-plus epsilon, for MIND-SSC its descriptor, for MSE nothing more.
-``fixed_side`` builds it in plain numpy, records no tape, and returns
-read-only tensors that ``loss_similarity_nodes`` takes in place of the
-fixed image. A symmetric pair loss warps each side's image and compares
-it with the other side, and an optimizer whose images never change builds
-both sides once per pair. The builder runs the float ops a tape graph of
-the same formulas would, so the values are bit-identical to a term built
-in one piece.
+for LNCC and LNCC2 its moments E[b] and E[b^2] - E[b]^2 + epsilon
+(``_moments``, which the map runs on the moving image too), for MIND-SSC
+its descriptor, for MSE nothing more. ``fixed_side`` builds it in plain
+numpy, records no tape for any kind, and returns read-only tensors that
+``loss_similarity_nodes`` takes in place of the fixed image. A symmetric
+pair loss warps each side's image and compares it with the other side,
+and an optimizer whose images never change builds both sides once per
+pair. The builder runs the float ops a tape graph of the same formulas
+would, so the values are bit-identical to a term built in one piece.
 
 The single epsilon of the package (default 1e-5) sits inside each
 variance before the product under the square root, and floors the MIND
@@ -86,34 +84,40 @@ def _check_same_dims(a: Tensor3, b: Tensor3):
         raise SimilarityError(f"input dims differ: {a.dims} vs {b.dims}")
 
 
+def _moments(x: np.ndarray, cfg: SimilarityConfig) -> tuple:
+    """E[x] and var_x + eps = E[x^2] - E[x]^2 + eps over each window of
+    ``x``: both LNCC sides' share of the map, in the graph's float ops."""
+    r = cfg.window_radius
+    ex = _box_mean(x, r)
+    var_eps = _box_mean(x * x, r, overwrite=True)
+    var_eps -= ex * ex
+    var_eps += float(cfg.eps)
+    return ex, var_eps
+
+
 def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> Node:
     """Per-voxel windowed correlation rho = cov / sqrt((var_a+eps)(var_b+eps))
     of ``a`` with the fixed image whose LNCC fixed side is ``fixed``,
     recorded as one tape node whose one parent is ``a``.
 
-    The forward runs the float ops of the elementwise graph (box means of
-    a, a*b and a*a; cov = E[ab] - E[a]E[b]; var_a = E[a^2] - E[a]^2; eps;
-    the product with var_b + eps; sqrt; div) in its order, with the same
-    sqrt and div domain guards, so its values equal that graph's bit for
-    bit. The fixed side's arrays are closure constants; beyond ``a``, the
-    vjp keeps E[a], cov and the denominator.
+    The forward runs the float ops of the elementwise graph (``_moments``;
+    cov = E[ab] - E[a]E[b]; the product with var_b + eps; sqrt; div), so
+    its values equal that graph's bit for bit, with sqrt's domain guard
+    (a positive radicand leaves div nothing to reject). The fixed side's
+    arrays are closure constants; beyond ``a``, the vjp keeps E[a], cov and
+    the denominator.
     """
     _check_same_dims(a.value, fixed[0])
     r = cfg.window_radius
     av = a.value.data
     bv, ebv, vbv = (t.data for t in fixed)
-    ea, scale = _box_mean(av, r)
-    cov = _box_mean(av * bv, r, overwrite=True)[0]
+    ea, denom = _moments(av, cfg)  # var_a + eps, then times var_b + eps
+    cov = _box_mean(av * bv, r, overwrite=True)
     cov -= ea * ebv
-    denom = _box_mean(av * av, r, overwrite=True)[0]  # var_a + eps, then times var_b + eps
-    denom -= ea * ea
-    denom += float(cfg.eps)
     denom *= vbv
     if np.min(denom) <= 0.0:
         raise TapeError("sqrt: non-positive radicand (add an epsilon upstream)")
     np.sqrt(denom, out=denom)
-    if np.min(denom) <= 0.0:
-        raise TapeError("div: non-positive denominator (add an epsilon upstream)")
 
     def vjp(g):
         # through the division, then the square root, to var_a's adjoint
@@ -125,9 +129,9 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
         g_ea += -g_cov * ebv
         # the box means' transposes, in the order the sweep of the
         # elementwise graph adds them, each in its adjoint and one buffer
-        g_a = (2.0 * av) * _box_mean_t(g_var_a, scale, r, overwrite=True)
-        g_a += _box_mean_t(g_cov, scale, r, overwrite=True) * bv
-        g_a += _box_mean_t(g_ea, scale, r, overwrite=True)
+        g_a = (2.0 * av) * _box_mean_t(g_var_a, r, overwrite=True)
+        g_a += _box_mean_t(g_cov, r, overwrite=True) * bv
+        g_a += _box_mean_t(g_ea, r, overwrite=True)
         return (g_a,)
 
     return tape._append("lncc_map", (a,), cov / denom, vjp)
@@ -172,11 +176,9 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
     for k in range(12):
         pair_difference(k, sq[k])
     sq *= sq
-    ssd, scale = _box_mean(sq, r, first=1, overwrite=True)
+    ssd = _box_mean(sq, r, first=1, overwrite=True)
     del sq
-    mean = ssd[0] + ssd[1]
-    for k in range(2, 12):
-        mean += ssd[k]
+    mean = np.sum(ssd, axis=0)
     mean *= 1.0 / 12.0
     v, passed = np.maximum(mean, cfg.eps), mean > cfg.eps
 
@@ -213,7 +215,7 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
         # the distances go, and the box mean's transpose runs in g_ssd and
         # one more stack in their place; then the square's transpose
         ssd = None
-        g_diff = _box_mean_t(g_ssd, scale, r, first=1, overwrite=True)
+        g_diff = _box_mean_t(g_ssd, r, first=1, overwrite=True)
         del g_ssd
         diff = np.empty(shape)
         for k in range(12):
@@ -235,7 +237,7 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
 
 def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Node:
     """12-channel self-similarity descriptor, recorded as one tape node
-    (op ``"mind_ssc"``); it builds the fixed sides.
+    (op ``"mind_ssc"``); no caller in the package records it.
 
     For each of the 12 orthogonal neighbor pairs (i, j), the pair distance
     is the patch-mean squared difference between the images shifted by the
@@ -289,18 +291,13 @@ def mind_ssc_loss_nodes(tape: Tape, a: Node, fixed_descriptor: Tensor3,
 
 def _lncc_side(b: Tensor3, cfg: SimilarityConfig) -> tuple:
     """(b, E[b], var_b + eps): the fixed image's share of the LNCC map."""
-    bv, r = b.data, cfg.window_radius
-    eb = _box_mean(bv, r)[0]
-    var_b_eps = _box_mean(bv * bv, r, overwrite=True)[0]
-    var_b_eps -= eb * eb
-    var_b_eps += float(cfg.eps)
-    return b, Tensor3._wrap(eb), Tensor3._wrap(var_b_eps)
+    return (b, *(Tensor3._wrap(m) for m in _moments(b.data, cfg)))
 
 
 def fixed_side(image: Tensor3, cfg: SimilarityConfig) -> tuple:
     """The fixed side of a ``cfg.kind`` term whose fixed image is ``image``:
     ``image`` itself, then the read-only tensors ``loss_similarity_nodes``
-    reads of it (see the module doc). Records no tape."""
+    reads of it (see the module doc). Records no tape for any kind."""
     if cfg.kind in ("LNCC", "LNCC2"):
         return _lncc_side(image, cfg)
     if cfg.kind == "MSE":
@@ -348,5 +345,5 @@ def loss_similarity(a, b, cfg: SimilarityConfig = SimilarityConfig()) -> float:
 
 
 def mind_ssc_descriptor(a, cfg: SimilarityConfig = SimilarityConfig(kind="MIND_SSC")) -> Tensor3:
-    tape = Tape()
-    return mind_ssc_descriptor_nodes(tape, tape.input(_as_tensor(a)), cfg).value
+    """``mind_ssc_descriptor_nodes``' values by ``_mind_ssc``'s forward alone, with no tape."""
+    return Tensor3._wrap(_mind_ssc(_as_tensor(a).data, cfg)[0]())

@@ -21,9 +21,9 @@ reference graphs from them and the benchmark's tracer binds them by name.
 Every box mean (the LNCC map, MIND-SSC, their fixed sides and
 ``box_filter``) runs one kernel: ``_box_sum_axis`` adds each shifted term
 of a window sum in one pass over the flat C-contiguous array and sums the
-end slabs again by slices, and ``_box_mean`` scales its three axis sums
-once by the cached reciprocal counts (``_box_scale``), which
-``_box_mean_t`` multiplies by before its sums.
+end slabs again by slices. ``_box_mean`` and its transpose own their
+normalization: each scales once by the cached reciprocal counts
+(``_box_scale``), after or before its sums, so no caller holds a scale.
 
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
@@ -34,8 +34,8 @@ Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
 (..., 3) points pass ``np.moveaxis(points, -1, 0)``.
 
-Epsilon policy: raw ``div``/``sqrt`` (and the LNCC map, which keeps their
-guards and messages) reject non-positive operands. Losses that need
+Epsilon policy: raw ``div``/``sqrt`` (and the LNCC map, which keeps
+``sqrt``'s guard and message) reject non-positive operands. Losses that need
 stabilizing add an explicit epsilon inside the radicand or denominator
 before calling them (see the similarity module), so there is exactly one
 documented epsilon per formula and finite-difference oracles can
@@ -144,8 +144,8 @@ def _box_counts(n: int, radius: int) -> np.ndarray:
 def _box_scale(dims: tuple, radius: int, trailing: int) -> np.ndarray:
     """The product of the per-axis reciprocal box counts on a ``dims`` grid
     (1 / each window's voxel count), shaped ``dims`` plus ``trailing`` axes
-    of length 1. Cached and read-only, so a vjp that holds it keeps no
-    array of its own; a registration reads one or two of them a step."""
+    of length 1, cached and read-only. The box mean and its transpose fetch
+    it; a registration reads one or two of them a step."""
     rx, ry, rz = (1.0 / _box_counts(n, radius) for n in dims)
     scale = rx[:, None, None] * ry[None, :, None] * rz[None, None, :]
     scale = scale.reshape(dims + (1,) * trailing)
@@ -155,27 +155,25 @@ def _box_scale(dims: tuple, radius: int, trailing: int) -> np.ndarray:
 
 def _box_mean(arr: np.ndarray, radius: int, first: int = 0, overwrite: bool = False):
     """Count-normalized box mean of ``arr`` over its spatial axes ``first``
-    to ``first + 2``, and the reciprocal counts (``_box_scale``, shaped to
-    broadcast against ``arr``) that it and its transpose multiply by. The
-    three axis sums go from ``arr`` to a fresh array, to a second one and
-    back, and one in-place multiply scales the result; with ``overwrite``
-    the second buffer is ``arr``, whose values are lost."""
+    to ``first + 2``. The three axis sums go from ``arr`` to a fresh array,
+    to a second one and back, and one in-place multiply by the cached
+    reciprocal counts (``_box_scale``) scales the result; with
+    ``overwrite`` the second buffer is ``arr``, whose values are lost."""
     out = np.empty(arr.shape)
     middle = arr if overwrite else np.empty(arr.shape)
     for axis, src, dst in zip(range(first, first + 3), (arr, out, middle), (out, middle, out)):
         _box_sum_axis(src, axis, radius, out=dst)
-    scale = _box_scale(arr.shape[first:first + 3], radius, arr.ndim - first - 3)
-    out *= scale
-    return out, scale
+    out *= _box_scale(arr.shape[first:first + 3], radius, arr.ndim - first - 3)
+    return out
 
 
-def _box_mean_t(g: np.ndarray, scale, radius: int, first: int = 0,
+def _box_mean_t(g: np.ndarray, radius: int, first: int = 0,
                 overwrite: bool = False) -> np.ndarray:
-    """The transpose of ``_box_mean`` applied to ``g``, with the reciprocal
-    counts it returned: one multiply by them, then the three axis sums
-    (the sum is symmetric). The passes alternate between two buffers, one
-    of them ``g`` with ``overwrite`` (its values are lost; else it is left
-    as it is)."""
+    """The transpose of ``_box_mean`` applied to ``g``: one multiply by the
+    same reciprocal counts, then the three axis sums (the sum is symmetric).
+    The passes alternate between two buffers, one of them ``g`` with
+    ``overwrite`` (its values are lost; else it is left as it is)."""
+    scale = _box_scale(g.shape[first:first + 3], radius, g.ndim - first - 3)
     src = np.multiply(g, scale, out=g if overwrite else None)
     spare = np.empty(g.shape)
     for axis in range(first, first + 3):
@@ -581,9 +579,8 @@ class Tape:
         are averaged over the voxels present (count-normalized, no padding)."""
         if radius < 1:
             raise TapeError(f"box_filter: radius must be >= 1, got {radius}")
-        val, scale = _box_mean(a.value.data, radius)
-        return self._append("box_filter", (a,), val,
-                            lambda g: (_box_mean_t(g, scale, radius),))
+        return self._append("box_filter", (a,), _box_mean(a.value.data, radius),
+                            lambda g: (_box_mean_t(g, radius),))
 
     def spatial_gradient(self, a: Node) -> Node:
         """Per-channel gradient in normalized coordinates by central

@@ -415,6 +415,21 @@ class TestFormatErrorsExit3:
         assert rc == 3, err
         assert err.startswith(f"I/O error: {bad}: "), err
 
+    def test_raw_payload_of_no_whole_value_count_exits_3(self, tmp_path, capsys):
+        # 1,001 bytes are no whole number of float32 values: the reader
+        # checks the byte length before it decodes a value
+        write_test_volume(tmp_path / "v.nii", seed=6)
+        assert main(["preprocess", "--input", str(tmp_path / "v.nii"),
+                     "--output", str(tmp_path / "v.raw")]) == 0
+        payload = tmp_path / "v.raw"
+        payload.write_bytes(payload.read_bytes()[:1001])
+        capsys.readouterr()
+        rc = main(["preprocess", "--input", str(payload), "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith(f"I/O error: {payload}: ") and err.count("\n") == 1, err
+        assert not list(tmp_path.glob("out*"))
+
 
 class TestSynthRegisterEvaluate:
     def test_end_to_end_beats_identity(self, tmp_path):

@@ -91,10 +91,9 @@ def box_mean_times(shape: tuple, radius: int, first: int, repeats: int, rng) -> 
     """``_box_mean`` and ``_box_mean_t`` of a random ``shape`` array over
     axes ``first`` to ``first + 2``, each overwriting a fresh copy."""
     arr = rng.uniform(0.0, 1.0, size=shape)
-    scale = _box_mean(arr, radius, first)[1]
     return {"forward": best_ms(lambda x: _box_mean(x, radius, first, overwrite=True),
                                repeats, setup=arr.copy),
-            "vjp": best_ms(lambda g: _box_mean_t(g, scale, radius, first, overwrite=True),
+            "vjp": best_ms(lambda g: _box_mean_t(g, radius, first, overwrite=True),
                            repeats, setup=arr.copy)}
 
 
