@@ -4,9 +4,9 @@ Subcommands: register (per-pair optimization), synth (phantom pair with
 ground truth), evaluate (metrics report from a field plus truth),
 preprocess (intensity rules).
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-abort (a non-finite loss, a tripped domain guard in an op, or a register
-map folding more than FOLD_LIMIT_PCT percent of its voxels). Reports
-embed a hash of the fully-resolved configuration.
+abort (a non-finite loss, a tripped domain guard in an op, or either
+register map folding more than FOLD_LIMIT_PCT percent of its voxels).
+Reports embed a hash of the fully-resolved configuration.
 """
 
 from __future__ import annotations
@@ -124,11 +124,12 @@ def cmd_register(args) -> int:
     if out_dir.exists() and not out_dir.is_dir():  # fail before optimizing, not after
         raise NotADirectoryError(f"--out-dir is not a directory: {out_dir}")
     result = instance_optimize(source, target, config.loss, config.optimizer)
-    folding = percent_neg_jac(result.phi_ab)
-    if folding > FOLD_LIMIT_PCT:
-        print(f"numerical abort: %|J|<0 = {folding:.4g} is above the "
-              f"{FOLD_LIMIT_PCT:g} % limit; no field written", file=sys.stderr)
-        return EXIT_NUMERIC
+    folding = {name: percent_neg_jac(getattr(result, name)) for name in ("phi_ab", "phi_ba")}
+    for name, percent in folding.items():
+        if percent > FOLD_LIMIT_PCT:
+            print(f"numerical abort: %|J|<0 = {percent:.4g} of {name} is above the "
+                  f"{FOLD_LIMIT_PCT:g} % limit; no field written", file=sys.stderr)
+            return EXIT_NUMERIC
     out_dir.mkdir(parents=True, exist_ok=True)
     write_field_raw(result.phi_ab.u.data, out_dir / "phi_ab", {"direction": "ab"})
     write_field_raw(result.phi_ba.u.data, out_dir / "phi_ba", {"direction": "ba"})
@@ -141,7 +142,7 @@ def cmd_register(args) -> int:
         "initial_loss": result.loss_trace[0],
         "final_loss": result.loss_trace[-1],
         "steps": config.optimizer.steps,
-        "percent_neg_jacobian": folding,
+        "percent_neg_jacobian": folding["phi_ab"],
         "warning": result.warning,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True))

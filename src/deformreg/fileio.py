@@ -37,6 +37,9 @@ class UnsupportedError(ValueError):
 
 def _pack_header(dims, pixdim, datatype, bitpix, descrip: bytes, qoffset) -> bytes:
     """The header plus the zero bytes up to the data at VOX_OFFSET."""
+    if max(abs(x) for x in (*pixdim, *qoffset)) > float(np.finfo(np.float32).max):
+        raise UnsupportedError(f"a NIfTI header holds float32: spacing {tuple(pixdim)} "
+                               f"or origin {tuple(qoffset)} is beyond its range")
     hdr = bytearray(VOX_OFFSET)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     dim = [3, dims[0], dims[1], dims[2], 1, 1, 1, 1]

@@ -88,8 +88,8 @@ def _moments(x: np.ndarray, cfg: SimilarityConfig) -> tuple:
     """E[x] and var_x + eps = E[x^2] - E[x]^2 + eps over each window of
     ``x``: both LNCC sides' share of the map, in the graph's float ops."""
     r = cfg.window_radius
-    ex = _box_mean(x, r)
-    var_eps = _box_mean(x * x, r, overwrite=True)
+    ex = _box_mean(x.copy(), r)  # a box mean consumes its buffer; x is read-only
+    var_eps = _box_mean(x * x, r)
     var_eps -= ex * ex
     var_eps += float(cfg.eps)
     return ex, var_eps
@@ -112,7 +112,7 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
     av = a.value.data
     bv, ebv, vbv = (t.data for t in fixed)
     ea, denom = _moments(av, cfg)  # var_a + eps, then times var_b + eps
-    cov = _box_mean(av * bv, r, overwrite=True)
+    cov = _box_mean(av * bv, r)
     cov -= ea * ebv
     denom *= vbv
     if np.min(denom) <= 0.0:
@@ -127,11 +127,11 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
         g_var_a *= vbv
         g_ea = (2.0 * ea) * -g_var_a
         g_ea += -g_cov * ebv
-        # the box means' transposes, in the order the sweep of the
-        # elementwise graph adds them, each in its adjoint and one buffer
-        g_a = (2.0 * av) * _box_mean_t(g_var_a, r, overwrite=True)
-        g_a += _box_mean_t(g_cov, r, overwrite=True) * bv
-        g_a += _box_mean_t(g_ea, r, overwrite=True)
+        # the box means' transposes in the elementwise graph's sweep order;
+        # each consumes its adjoint, whose spatial axes precede the last
+        g_a = (2.0 * av) * _box_mean_t(g_var_a, r)
+        g_a += _box_mean_t(g_cov, r) * bv
+        g_a += _box_mean_t(g_ea, r)
         return (g_a,)
 
     return tape._append("lncc_map", (a,), cov / denom, vjp)
@@ -156,7 +156,8 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
     which multiplies d = D_k in place by its adjoint. ``backward`` forms D
     and the pair differences again and runs once, as a sweep does: it drops
     the distances so that the box mean's transposes, like the forward's
-    box mean, hold two 12-plane stacks at most.
+    box mean, hold two 12-plane stacks at most: each consumes the stack
+    it is given, (12, *dims, C) with the spatial axes before the last.
     """
     dims = av.shape[:3]
     need = 2 * (cfg.mind_patch_radius + 1) + 1
@@ -176,7 +177,7 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
     for k in range(12):
         pair_difference(k, sq[k])
     sq *= sq
-    ssd = _box_mean(sq, r, first=1, overwrite=True)
+    ssd = _box_mean(sq, r)
     del sq
     mean = np.sum(ssd, axis=0)
     mean *= 1.0 / 12.0
@@ -212,10 +213,10 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
         share *= passed
         share *= -1.0 / 12.0
         g_ssd += share
-        # the distances go, and the box mean's transpose runs in g_ssd and
-        # one more stack in their place; then the square's transpose
+        # the distances go; the box mean's transpose consumes g_ssd and
+        # returns one more stack in their place; then the square's transpose
         ssd = None
-        g_diff = _box_mean_t(g_ssd, r, first=1, overwrite=True)
+        g_diff = _box_mean_t(g_ssd, r)
         del g_ssd
         diff = np.empty(shape)
         for k in range(12):

@@ -24,6 +24,8 @@ of a window sum in one pass over the flat C-contiguous array and sums the
 end slabs again by slices. ``_box_mean`` and its transpose own their
 normalization: each scales once by the cached reciprocal counts
 (``_box_scale``), after or before its sums, so no caller holds a scale.
+One buffer rule holds for both: a box mean and its transpose consume the
+buffer they are given; the spatial axes are the three before the last.
 
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
@@ -78,26 +80,23 @@ class Node:
         return f"Node(id={self.id}, op={self.op!r}, shape={getattr(self.value, 'shape', None)})"
 
 
-def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out=None) -> np.ndarray:
+def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out: np.ndarray) -> np.ndarray:
     """Sliding-window sum of radius r along one axis, truncated at edges:
     out[i] = sum of arr[j] over |j - i| <= r, 0 <= j < n.
 
-    ``out`` (fresh when None, never ``arr`` itself) gets, at each i,
-    arr[i] + arr[i-1], then arr[i+1], arr[i-2], arr[i+2], ... added in
-    that order, each term that stays inside the axis. When ``arr`` and
-    ``out`` are both C-contiguous and 2r < n, each term is one pass over
-    the flat arrays, a shift by k * (the product of the dims after
-    ``axis``), so the last axis runs as one long contiguous pass too;
-    then the first r and the last r slabs along the axis, which took
-    neighbors across the axis ends, are summed again by shifted slices
-    (``_box_rows``), in the same order, so both forms give the same bits.
-    Otherwise (a non-contiguous ``out`` reshapes to a copy, not a view)
-    every slab is summed by shifted slices. The stencil is symmetric, so
-    the same sum is its own transpose and serves ``box_filter``'s vjp
-    too. Needs r >= 1.
+    ``out`` (never ``arr`` itself) gets, at each i, arr[i] + arr[i-1],
+    then arr[i+1], arr[i-2], arr[i+2], ... added in that order, each term
+    that stays inside the axis. When ``arr`` and ``out`` are both
+    C-contiguous and 2r < n, each term is one pass over the flat arrays, a
+    shift by k * (the product of the dims after ``axis``), so the last
+    axis runs as one long contiguous pass too; then the first r and the
+    last r slabs along the axis, which took neighbors across the axis
+    ends, are summed again by shifted slices (``_box_rows``), in the same
+    order, so both forms give the same bits. Otherwise (a non-contiguous
+    ``out`` reshapes to a copy, not a view) every slab is summed by shifted
+    slices. The stencil is symmetric, so the same sum is its own transpose
+    and serves ``box_filter``'s vjp too. Needs r >= 1.
     """
-    if out is None:
-        out = np.empty(arr.shape)
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     n = src.shape[0]
     if 2 * radius >= n or not (arr.flags.c_contiguous and out.flags.c_contiguous):
@@ -136,49 +135,48 @@ def _box_rows(src: np.ndarray, dst: np.ndarray, radius: int, lo: int, hi: int):
 
 
 def _box_counts(n: int, radius: int) -> np.ndarray:
-    i = np.arange(n)
-    return np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1.0
+    i, r = np.arange(n), min(radius, n)  # any wider window holds the whole axis too
+    return np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1.0
 
 
 @functools.lru_cache(maxsize=4)
-def _box_scale(dims: tuple, radius: int, trailing: int) -> np.ndarray:
+def _box_scale(dims: tuple, radius: int) -> np.ndarray:
     """The product of the per-axis reciprocal box counts on a ``dims`` grid
-    (1 / each window's voxel count), shaped ``dims`` plus ``trailing`` axes
-    of length 1, cached and read-only. The box mean and its transpose fetch
-    it; a registration reads one or two of them a step."""
+    (1 / each window's voxel count), shaped ``dims + (1,)`` to broadcast
+    over the channel axis, cached and read-only. The box mean and its
+    transpose fetch it; a registration reads one or two of them a step."""
     rx, ry, rz = (1.0 / _box_counts(n, radius) for n in dims)
     scale = rx[:, None, None] * ry[None, :, None] * rz[None, None, :]
-    scale = scale.reshape(dims + (1,) * trailing)
+    scale = scale.reshape(dims + (1,))
     scale.setflags(write=False)
     return scale
 
 
-def _box_mean(arr: np.ndarray, radius: int, first: int = 0, overwrite: bool = False):
-    """Count-normalized box mean of ``arr`` over its spatial axes ``first``
-    to ``first + 2``. The three axis sums go from ``arr`` to a fresh array,
-    to a second one and back, and one in-place multiply by the cached
-    reciprocal counts (``_box_scale``) scales the result; with
-    ``overwrite`` the second buffer is ``arr``, whose values are lost."""
-    out = np.empty(arr.shape)
-    middle = arr if overwrite else np.empty(arr.shape)
-    for axis, src, dst in zip(range(first, first + 3), (arr, out, middle), (out, middle, out)):
-        _box_sum_axis(src, axis, radius, out=dst)
-    out *= _box_scale(arr.shape[first:first + 3], radius, arr.ndim - first - 3)
+def _box_sums(arr: np.ndarray, radius: int) -> np.ndarray:
+    """The three axis sums of a box mean over the spatial axes of ``arr``
+    (the three before the last): from ``arr`` into a fresh array, back
+    into ``arr`` and into the fresh one again, which it returns."""
+    out, first = np.empty(arr.shape), arr.ndim - 4
+    _box_sum_axis(arr, first, radius, out)
+    _box_sum_axis(out, first + 1, radius, arr)
+    return _box_sum_axis(arr, first + 2, radius, out)
+
+
+def _box_mean(arr: np.ndarray, radius: int) -> np.ndarray:
+    """Count-normalized box mean of ``arr`` (..., nx, ny, nz, C): the axis
+    sums (``_box_sums``, which consume ``arr``), then one in-place multiply
+    by the cached reciprocal counts (``_box_scale``)."""
+    out = _box_sums(arr, radius)
+    out *= _box_scale(arr.shape[-4:-1], radius)
     return out
 
 
-def _box_mean_t(g: np.ndarray, radius: int, first: int = 0,
-                overwrite: bool = False) -> np.ndarray:
-    """The transpose of ``_box_mean`` applied to ``g``: one multiply by the
-    same reciprocal counts, then the three axis sums (the sum is symmetric).
-    The passes alternate between two buffers, one of them ``g`` with
-    ``overwrite`` (its values are lost; else it is left as it is)."""
-    scale = _box_scale(g.shape[first:first + 3], radius, g.ndim - first - 3)
-    src = np.multiply(g, scale, out=g if overwrite else None)
-    spare = np.empty(g.shape)
-    for axis in range(first, first + 3):
-        src, spare = _box_sum_axis(src, axis, radius, out=spare), src
-    return src
+def _box_mean_t(g: np.ndarray, radius: int) -> np.ndarray:
+    """The transpose of ``_box_mean`` applied to ``g``: one in-place
+    multiply by the same reciprocal counts, then the three axis sums (the
+    sum is symmetric). Consumes ``g``, like ``_box_mean`` its input."""
+    g *= _box_scale(g.shape[-4:-1], radius)
+    return _box_sums(g, radius)
 
 
 def _pool2_sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -579,8 +577,8 @@ class Tape:
         are averaged over the voxels present (count-normalized, no padding)."""
         if radius < 1:
             raise TapeError(f"box_filter: radius must be >= 1, got {radius}")
-        return self._append("box_filter", (a,), _box_mean(a.value.data, radius),
-                            lambda g: (_box_mean_t(g, radius),))
+        return self._append("box_filter", (a,), _box_mean(a.value.data.copy(), radius),
+                            lambda g: (_box_mean_t(g.copy(), radius),))
 
     def spatial_gradient(self, a: Node) -> Node:
         """Per-channel gradient in normalized coordinates by central

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and the end-to-end synth/register/evaluate path."""
 
 import ctypes
+import importlib.util
 import json
 import os
 import re
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 import deformreg
+from deformreg import cli
 from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
 from deformreg.fileio import read_nifti, write_field_raw, write_nifti, write_volume_raw
-from deformreg.pipeline import RunConfig
-from deformreg.tensor import Tensor3
+from deformreg.pipeline import RegistrationResult, RunConfig
+from deformreg.tensor import Tensor3, grid_coordinates
+from deformreg.transforms import DisplacementField
 from deformreg.volume import Volume
 
 
@@ -144,6 +147,24 @@ class TestDivergedRun:
         assert "optimization step" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_folded_phi_ba_exits_4(self, synth_pair, tmp_path, capsys, monkeypatch):
+        # phi_ab is the identity and phi_ba mirrors x (|J| = -1 at every voxel)
+        def optimize(source, target, loss, optimizer):
+            dims = source.grid.dims
+            mirror = grid_coordinates(dims).data * np.array([-2.0, 0.0, 0.0])
+            return RegistrationResult(DisplacementField.identity(dims),
+                                      DisplacementField(Tensor3(mirror)), [1.0, 0.5])
+
+        monkeypatch.setattr(cli, "instance_optimize", optimize)
+        out = tmp_path / "out"
+        rc = main(["register", "--source", str(synth_pair / "a.nii"),
+                   "--target", str(synth_pair / "b.nii"), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert err == (f"numerical abort: %|J|<0 = 100 of phi_ba is above the "
+                       f"{FOLD_LIMIT_PCT:g} % limit; no field written\n")
+        assert not out.exists()
+
     def test_default_config_exits_0(self, synth_pair, tmp_path):
         out = tmp_path / "out"
         rc = main(["register", "--source", str(synth_pair / "a.nii"),
@@ -152,6 +173,23 @@ class TestDivergedRun:
         report = json.loads((out / "report.json").read_text())
         assert report["percent_neg_jacobian"] <= FOLD_LIMIT_PCT
         assert (out / "phi_ab.raw").exists()
+
+
+def load_fuzz_cli():
+    spec = importlib.util.spec_from_file_location(
+        "fuzz_cli", Path(__file__).resolve().parents[1] / "tools" / "fuzz_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestContractFuzz:
+    """Seeded mutations of a 16^3 pair's files keep the exit-code contract."""
+
+    def test_seeded_cases_keep_the_contract(self, tmp_path):
+        # tools/fuzz_cli.py's generator: exit 0, 2, 3 or 4, nothing escapes
+        # main, a failure prints one stderr line and leaves no output
+        assert load_fuzz_cli().run(seed=0, cases=300, workdir=tmp_path) == []
 
 
 # (config file content, text the error must name)

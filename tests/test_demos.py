@@ -81,6 +81,16 @@ def test_kernel_times_prints_each_kernel(tmp_path):
                     "mind_ssc_loss", "lncc_map", "box_mean MIND", "box_mean LNCC"], out
 
 
+def test_fuzz_cli_prints_its_summary(tmp_path):
+    # its own temporary directory, which it removes; tmp stays empty
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = run_script(ROOT / "tools" / "fuzz_cli.py", tmp_path,
+                     argv=["--seed", "2", "--cases", "20"], TMPDIR=str(tmp))
+    assert out.splitlines() == ["fuzz_cli: seed 2, 20 cases, 0 contract violations"], out
+    assert not any(tmp.iterdir())
+
+
 def load_trace_digest():
     spec = importlib.util.spec_from_file_location("trace_digest", ROOT / "tools" / "trace_digest.py")
     module = importlib.util.module_from_spec(spec)

@@ -534,3 +534,26 @@ class TestDifferentiability:
 
         u0 = Tensor3(rng.uniform(-0.03, 0.03, size=(*dims, 3)))
         assert grad_check(f, u0, h=1e-6, seed=1) < 1e-3
+
+
+class TestReadOnlyAdjoint:
+    # an adjoint can be shared (``add`` hands one to both parents), and the
+    # box means consume their buffers: each vjp must copy or make its own
+    @pytest.mark.parametrize("op", ["box_filter", "lncc_map", "mind_ssc", "mind_ssc_loss"])
+    def test_vjp_leaves_its_adjoint_as_it_is(self, op):
+        rng = np.random.default_rng(13)
+        a, b = (rng_volume(rng, (7, 8, 9)) for _ in range(2))
+        cfg = SimilarityConfig(kind="MIND_SSC" if op.startswith("mind") else "LNCC2")
+        tape = Tape()
+        x = tape.input(a, parameter=True)
+        node = {"box_filter": lambda: tape.box_filter(x, 2),
+                "lncc_map": lambda: lncc_map_nodes(tape, x, fixed_side(b, cfg), cfg),
+                "mind_ssc": lambda: mind_ssc_descriptor_nodes(tape, x, cfg),
+                "mind_ssc_loss": lambda: mind_ssc_loss_nodes(
+                    tape, x, mind_ssc_descriptor(b, cfg), cfg)}[op]()
+        g = rng.normal(size=node.value.shape)
+        g.setflags(write=False)
+        g_before = g.copy()
+        (g_a,) = node._vjp(g)
+        assert g_a.shape == a.shape and np.all(np.isfinite(g_a))
+        assert np.array_equal(g, g_before)

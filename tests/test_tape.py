@@ -12,6 +12,7 @@ from deformreg.tape import (
     TapeError,
     _box_mean,
     _box_mean_t,
+    _box_scale,
     _box_sum_axis,
     _TrilinearPlan,
     grad_check,
@@ -198,7 +199,7 @@ class TestBoxSum:
             shape = [4, 3, 2, 2]
             shape[axis] = n
             arr = rng.uniform(-1.0, 1.0, shape)
-            got = _box_sum_axis(arr, axis, radius)
+            got = _box_sum_axis(arr, axis, radius, np.empty(shape))
             assert np.max(np.abs(got - box_sum_oracle(arr, axis, radius))) <= 1e-12
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -206,16 +207,15 @@ class TestBoxSum:
     @pytest.mark.parametrize("shape, axes", [((12, None, None, None), (1, 2, 3)),
                                              ((None, None, None, 1), (0, 1, 2))])
     def test_flat_passes_equal_the_slice_form(self, shape, axes, n, radius):
-        # bit for bit, into a fresh array or a given C-contiguous one, and
-        # from a non-contiguous input into a non-contiguous out (written
-        # through, not into a copy); the MIND stack and the LNCC volume
+        # bit for bit, into a C-contiguous out, and from a non-contiguous
+        # input into a non-contiguous out (written through, not into a
+        # copy); the MIND stack and the LNCC volume
         shape = tuple(n if d is None else d for d in shape)
         rng = np.random.default_rng(100 * n + radius)
         arr = rng.uniform(-1.0, 1.0, shape)
         strided = rng.uniform(-1.0, 1.0, shape + (2,))[..., 1]
         for axis in axes:
             want = box_sum_slices(arr, axis, radius)
-            assert np.array_equal(_box_sum_axis(arr, axis, radius), want)
             out = np.full(shape, np.nan)
             assert _box_sum_axis(arr, axis, radius, out=out) is out
             assert np.array_equal(out, want)
@@ -238,32 +238,47 @@ class TestBoxSum:
         assert abs(lhs - float(np.sum(x.data * vjp_y))) <= 1e-12
 
     @pytest.mark.parametrize("radius", [1, 2, 8])
-    @pytest.mark.parametrize("shape, first", [((7, 8, 9), 0), ((12, 7, 8, 9, 1), 1)])
-    def test_box_mean_t_is_the_adjoint_of_box_mean(self, shape, first, radius):
-        # <B x, y> == <x, B^T y> over the spatial axes first..first+2, also
-        # where the radius exceeds an axis (8 > 7); B^T leaves y as it is
-        rng = np.random.default_rng(radius + first)
+    @pytest.mark.parametrize("shape, lead", [((7, 8, 9, 1), 0), ((12, 7, 8, 9, 1), 1)])
+    def test_box_mean_t_is_the_adjoint_of_box_mean(self, shape, lead, radius):
+        # B averages over the three axes before the last, lead..lead+2, and
+        # <B x, y> == <x, B^T y>, also where the radius exceeds an axis (8 > 7)
+        rng = np.random.default_rng(radius + lead)
         x, y = rng.uniform(-1.0, 1.0, (2, *shape))
-        y_before = y.copy()
-        bx = _box_mean(x, radius, first)
+        bx = _box_mean(x.copy(), radius)
+        want = x
+        for axis in range(lead, lead + 3):
+            counts = box_sum_oracle(np.ones(shape), axis, radius)
+            want = box_sum_oracle(want, axis, radius) / counts
+        assert np.max(np.abs(bx - want)) <= 1e-12
         lhs = np.sum(bx * y)
-        rhs = np.sum(x * _box_mean_t(y, radius, first))
+        rhs = np.sum(x * _box_mean_t(y.copy(), radius))
         assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(bx * y))
-        assert np.array_equal(y, y_before)
 
     @pytest.mark.parametrize("radius", [1, 2])
-    @pytest.mark.parametrize("shape, first", [((7, 8, 9), 0), ((12, 7, 8, 9, 1), 1)])
-    def test_overwrite_changes_only_the_buffer(self, shape, first, radius):
-        # the two-buffer form gives the same bits, and leaves its input
-        # as it is unless told to overwrite it
-        x = np.random.default_rng(radius + first).uniform(-1.0, 1.0, shape)
-        x_before = x.copy()
-        mean = _box_mean(x, radius, first)
-        assert np.array_equal(x, x_before)
-        t = _box_mean_t(x, radius, first)
-        assert np.array_equal(x, x_before)
-        assert np.array_equal(_box_mean(x.copy(), radius, first, overwrite=True), mean)
-        assert np.array_equal(_box_mean_t(x.copy(), radius, first, overwrite=True), t)
+    @pytest.mark.parametrize("shape, lead", [((7, 8, 9, 1), 0), ((12, 7, 8, 9, 1), 1)])
+    def test_overwrite_changes_only_the_buffer(self, shape, lead, radius):
+        # both consume their input as the sums' second buffer and give the
+        # bits of the same sums and scale through fresh arrays, in a new one
+        x = np.random.default_rng(radius + lead).uniform(-1.0, 1.0, shape)
+        scale = _box_scale(shape[lead:lead + 3], radius)
+
+        def sums(arr):
+            for axis in range(lead, lead + 3):
+                arr = _box_sum_axis(arr, axis, radius, np.empty(shape))
+            return arr
+
+        for got, buffer, want in ((_box_mean, x.copy(), sums(x) * scale),
+                                  (_box_mean_t, x.copy(), sums(x * scale))):
+            out = got(buffer, radius)
+            assert np.array_equal(out, want)
+            assert not np.shares_memory(out, buffer)
+
+    def test_a_radius_past_int64_averages_whole_axes(self):
+        # a config may give any integer radius; a window wider than an axis
+        # holds the whole axis, so the counts stop growing there
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 6, 7, 1))
+        assert np.array_equal(_box_mean(x.copy(), 10**20), _box_mean(x.copy(), 7))
+        assert np.allclose(_box_mean(x.copy(), 2**63), np.mean(x), rtol=0, atol=1e-15)
 
 
 class TestBackward:

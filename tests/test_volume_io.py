@@ -234,6 +234,16 @@ class TestNifti:
         with pytest.raises(UnsupportedError, match="64"):
             read_nifti(p)
 
+    @pytest.mark.parametrize("spacing, origin", [((1.0, 1.0, 1e308), (0.0, 0.0, 0.0)),
+                                                 ((1.0, 1.0, 1.0), (0.0, -1e39, 0.0))])
+    def test_geometry_beyond_float32_is_unsupported(self, tmp_path, spacing, origin):
+        # the header's pixdim and qoffset are float32; nothing is written
+        v = Volume(grid=Tensor3(np.ones((4, 4, 4))), spacing=spacing, origin=origin,
+                   modality="CT")
+        with pytest.raises(UnsupportedError, match="float32"):
+            write_nifti(v, tmp_path / "v.nii")
+        assert not (tmp_path / "v.nii").exists()
+
     def test_non_finite_voxel_is_format_error(self, tmp_path):
         p = tmp_path / "nan.nii"
         write_nifti(make_volume(np.ones((4, 4, 4))), p)
