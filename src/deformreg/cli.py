@@ -3,9 +3,10 @@
 Subcommands: register (per-pair optimization), synth (phantom pair with
 ground truth), evaluate (metrics report from a field plus truth),
 preprocess (intensity rules).
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-abort (a non-finite loss, a tripped domain guard in an op, or either
-register map folding more than FOLD_LIMIT_PCT percent of its voxels).
+Exit codes: 0 success, 2 configuration error, 3 I/O error or out of
+memory, 4 numerical abort (a non-finite loss, a tripped domain guard in
+an op, or either register map folding more than FOLD_LIMIT_PCT percent
+of its voxels).
 Reports embed a hash of the fully-resolved configuration.
 """
 
@@ -178,15 +179,9 @@ def cmd_synth(args) -> int:
     write_landmarks_csv(truth.landmarks_a, out_dir / "landmarks_a.csv")
     write_landmarks_csv(truth.landmarks_b, out_dir / "landmarks_b.csv")
     write_field_raw(truth.field.u.data, out_dir / "truth_field", {"direction": "ab"})
-    meta = {
-        "seed": args.seed,
-        "dims": list(dims),
-        "structures": args.structures,
-        "remap_a": args.remap_a,
-        "remap_b": args.remap_b,
-        "amplitude_voxels": args.amplitude_voxels,
-        "bumps": args.bumps,
-    }
+    # every synth option but where it writes, dims as the grid's three
+    meta = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out_dir")}
+    meta["dims"] = list(dims)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
     print(f"synth: pair written to {out_dir}")
     return EXIT_OK
@@ -213,15 +208,8 @@ def cmd_evaluate(args) -> int:
             phi = DisplacementField.identity(geometry.dims)
         else:
             raise ConfigError("evaluate needs --field, --labels-a, or --reference")
-    invocation = {
-        "command": "evaluate",
-        "field": args.field,
-        "labels_a": args.labels_a,
-        "labels_b": args.labels_b,
-        "landmarks_a": args.landmarks_a,
-        "landmarks_b": args.landmarks_b,
-        "reference": args.reference,
-    }
+    # the command line but its output and label: the same inputs hash the same
+    invocation = {k: v for k, v in vars(args).items() if k not in ("func", "out", "pair_id")}
     report = evaluate_pair(
         phi,
         labels_a=labels_a,
@@ -313,6 +301,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (OSError, FormatError, UnsupportedError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # an allocation the machine cannot make
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,36 +35,41 @@ class UnsupportedError(ValueError):
     """Well-formed file using a feature outside the supported subset."""
 
 
+# NIfTI-1 header fields this package writes or reads: name -> (byte offset, struct format)
+HEADER_FIELDS = {"sizeof_hdr": (0, "<i"), "dim": (40, "<8h"), "datatype": (70, "<h"),
+                 "bitpix": (72, "<h"), "pixdim": (76, "<8f"), "vox_offset": (108, "<f"),
+                 "descrip": (148, "<80s"), "qoffset": (268, "<3f"), "magic": (344, "<4s")}
+
+
 def _pack_header(dims, pixdim, datatype, bitpix, descrip: bytes, qoffset) -> bytes:
     """The header plus the zero bytes up to the data at VOX_OFFSET."""
-    if max(abs(x) for x in (*pixdim, *qoffset)) > float(np.finfo(np.float32).max):
-        raise UnsupportedError(f"a NIfTI header holds float32: spacing {tuple(pixdim)} "
-                               f"or origin {tuple(qoffset)} is beyond its range")
+    with np.errstate(over="ignore"):
+        stored = np.array([*pixdim, *qoffset], np.float64).astype(np.float32).tolist()
+    _check_spacing_origin(stored[:3], stored[3:], UnsupportedError,
+                          f"a NIfTI header holds float32, so spacing {tuple(pixdim)} and "
+                          f"origin {tuple(qoffset)} do not fit: ")
+    values = {"sizeof_hdr": [HEADER_SIZE], "dim": [3, *dims, 1, 1, 1, 1], "datatype": [datatype],
+              "bitpix": [bitpix], "pixdim": [0.0, *stored[:3], 0.0, 0.0, 0.0, 0.0],
+              "vox_offset": [float(VOX_OFFSET)], "descrip": [descrip[:79]],
+              "qoffset": stored[3:], "magic": [MAGIC]}
     hdr = bytearray(VOX_OFFSET)
-    struct.pack_into("<i", hdr, 0, HEADER_SIZE)
-    dim = [3, dims[0], dims[1], dims[2], 1, 1, 1, 1]
-    struct.pack_into("<8h", hdr, 40, *dim)
-    struct.pack_into("<h", hdr, 70, datatype)
-    struct.pack_into("<h", hdr, 72, bitpix)
-    pd = [0.0, pixdim[0], pixdim[1], pixdim[2], 0.0, 0.0, 0.0, 0.0]
-    struct.pack_into("<8f", hdr, 76, *pd)
-    struct.pack_into("<f", hdr, 108, float(VOX_OFFSET))
-    struct.pack_into("<80s", hdr, 148, descrip[:79])
-    struct.pack_into("<3f", hdr, 268, *qoffset)
-    struct.pack_into("<4s", hdr, 344, MAGIC)
+    for name, (offset, fmt) in HEADER_FIELDS.items():
+        struct.pack_into(fmt, hdr, offset, *values[name])
     return bytes(hdr)
 
 
-def _parse_header(hdr: bytes, path):
+def _parse_header(hdr: bytes, path) -> dict:
+    """The HEADER_FIELDS of ``hdr``, a one-value field as its value and
+    descrip as text."""
     if len(hdr) < HEADER_SIZE:
         raise FormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
-    (sizeof_hdr,) = struct.unpack_from("<i", hdr, 0)
-    if sizeof_hdr != HEADER_SIZE:
-        raise FormatError(f"{path}: sizeof_hdr is {sizeof_hdr}, expected {HEADER_SIZE}")
-    magic = struct.unpack_from("<4s", hdr, 344)[0]
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    dim = struct.unpack_from("<8h", hdr, 40)
+    h = {name: struct.unpack_from(fmt, hdr, at) for name, (at, fmt) in HEADER_FIELDS.items()}
+    h = {name: v[0] if len(v) == 1 else v for name, v in h.items()}
+    if h["sizeof_hdr"] != HEADER_SIZE:
+        raise FormatError(f"{path}: sizeof_hdr is {h['sizeof_hdr']}, expected {HEADER_SIZE}")
+    if h["magic"] != MAGIC:
+        raise FormatError(f"{path}: bad magic {h['magic']!r}, expected {MAGIC!r}")
+    dim = h["dim"]
     if dim[0] < 3:
         raise FormatError(f"{path}: need >= 3 dims, header declares {dim[0]}")
     extra = 1
@@ -72,19 +77,8 @@ def _parse_header(hdr: bytes, path):
         extra *= max(d, 1)
     if extra != 1:
         raise UnsupportedError(f"{path}: only scalar 3D volumes are supported")
-    (datatype,) = struct.unpack_from("<h", hdr, 70)
-    pixdim = struct.unpack_from("<8f", hdr, 76)
-    (vox_offset,) = struct.unpack_from("<f", hdr, 108)
-    descrip = struct.unpack_from("<80s", hdr, 148)[0].split(b"\x00", 1)[0]
-    qoffset = struct.unpack_from("<3f", hdr, 268)
-    return {
-        "dims": (dim[1], dim[2], dim[3]),
-        "datatype": datatype,
-        "pixdim": (pixdim[1], pixdim[2], pixdim[3]),
-        "vox_offset": vox_offset,
-        "descrip": descrip.decode("ascii", errors="replace"),
-        "qoffset": qoffset,
-    }
+    h["descrip"] = h["descrip"].split(b"\x00", 1)[0].decode("ascii", errors="replace")
+    return h
 
 
 def _descrip_fields(descrip: str) -> dict:
@@ -109,9 +103,9 @@ def read_nifti(path, modality: str | None = None) -> Volume:
     ``modality`` replaces the file's tag, which is then not checked."""
     raw = Path(path).read_bytes()
     meta = _parse_header(raw, path)
-    nx, ny, nz = meta["dims"]
+    nx, ny, nz = meta["dim"][1:4]
     if min(nx, ny, nz) < 1:
-        raise FormatError(f"{path}: non-positive dims {meta['dims']}")
+        raise FormatError(f"{path}: non-positive dims {(nx, ny, nz)}")
     count = nx * ny * nz
     if meta["datatype"] == DT_FLOAT32:
         dtype = np.dtype("<f4")
@@ -129,14 +123,15 @@ def read_nifti(path, modality: str | None = None) -> Volume:
     flat = np.frombuffer(raw[start:end], dtype=dtype)
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: non-finite voxel values")
-    if not np.isfinite(meta["pixdim"] + meta["qoffset"]).all():
+    pixdim = meta["pixdim"][1:4]
+    if not np.isfinite(pixdim + meta["qoffset"]).all():
         raise FormatError(f"{path}: non-finite pixdim or qoffset in the header")
     grid = flat.reshape((nx, ny, nz), order="F").astype(np.float64)
     fields = _descrip_fields(meta["descrip"])
     if modality is None:
         modality = fields.get("modality", "SYNTH-UNKNOWN")
         check_modality(modality, FormatError, f"{path}: descrip ")
-    spacing = tuple(p if p > 0 else 1.0 for p in meta["pixdim"])
+    spacing = tuple(p if p > 0 else 1.0 for p in pixdim)
     return Volume(
         grid=Tensor3(grid),
         spacing=spacing,

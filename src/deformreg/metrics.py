@@ -12,7 +12,7 @@ against the source landmarks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,15 +88,9 @@ class MetricsReport:
             raise MetricsError(f"folding percent out of range: {self.percent_neg_jacobian}")
 
     def to_json(self) -> str:
-        payload = {
-            "pair_id": self.pair_id,
-            "config_hash": self.config_hash,
-            "mean_dice": self.mean_dice,
-            "per_label_dice": {str(k): v for k, v in self.per_label_dice.items()},
-            "mtre_mm": self.mtre_mm,
-            "percent_neg_jacobian": self.percent_neg_jacobian,
-        }
-        return json.dumps(payload, indent=1, sort_keys=True)
+        # string label ids sort as the JSON keys they become ("1", "10", "2")
+        labels = {str(k): v for k, v in self.per_label_dice.items()}
+        return json.dumps(asdict(self) | {"per_label_dice": labels}, indent=1, sort_keys=True)
 
 
 def evaluate_pair(

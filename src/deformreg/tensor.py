@@ -117,14 +117,13 @@ def displaced_axes(u: np.ndarray) -> list[np.ndarray]:
 
 
 def check_number(error: type[Exception], name: str, value, *, integer: bool = False,
-                 at_least=None, above=None, below=None) -> None:
+                 at_least=None, above=None) -> None:
     """Raise ``error`` unless ``value`` is a finite real (an integer when
-    ``integer``; never a bool) with at_least <= value, above < value, value < below."""
+    ``integer``; never a bool) with at_least <= value and above < value."""
     if (not isinstance(value, numbers.Integral if integer else numbers.Real)
             or isinstance(value, bool) or not abs(value) <= sys.float_info.max):
         raise error(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
     for bad, rule in ((at_least is not None and value < at_least, f">= {at_least}"),
-                      (above is not None and value <= above, f"> {above}"),
-                      (below is not None and value >= below, f"< {below}")):
+                      (above is not None and value <= above, f"> {above}")):
         if bad:
             raise error(f"{name} must be {rule}, got {value!r}")

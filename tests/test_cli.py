@@ -17,6 +17,7 @@ import deformreg
 from deformreg import cli
 from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
 from deformreg.fileio import read_nifti, write_field_raw, write_nifti, write_volume_raw
+from deformreg.metrics import evaluate_pair
 from deformreg.pipeline import RegistrationResult, RunConfig
 from deformreg.tensor import Tensor3, grid_coordinates
 from deformreg.transforms import DisplacementField
@@ -190,6 +191,46 @@ class TestContractFuzz:
         # tools/fuzz_cli.py's generator: exit 0, 2, 3 or 4, nothing escapes
         # main, a failure prints one stderr line and leaves no output
         assert load_fuzz_cli().run(seed=0, cases=300, workdir=tmp_path) == []
+
+    def test_header_fields_pinned(self):
+        # read from fileio.HEADER_FIELDS; the seeded cases move if these do
+        assert load_fuzz_cli().NIFTI_FIELDS == {
+            "sizeof_hdr": (0, "<i"), "datatype": (70, "<h"), "bitpix": (72, "<h"),
+            "vox_offset": (108, "<f"), "magic": (344, "<4s"), "descrip": (148, "<80s"),
+            "dim[0]": (40, "<h"), "dim[1]": (42, "<h"), "dim[2]": (44, "<h"),
+            "dim[3]": (46, "<h"), "dim[4]": (48, "<h"), "dim[5]": (50, "<h"),
+            "dim[6]": (52, "<h"), "dim[7]": (54, "<h"),
+            "pixdim[0]": (76, "<f"), "pixdim[1]": (80, "<f"), "pixdim[2]": (84, "<f"),
+            "pixdim[3]": (88, "<f"),
+            "qoffset[0]": (268, "<f"), "qoffset[1]": (272, "<f"), "qoffset[2]": (276, "<f")}
+
+
+class TestOutOfMemory:
+    """An allocation the machine cannot make is exit 3 with one stderr line."""
+
+    MESSAGE = "Unable to allocate 7.27 TiB for an array with shape (5000, 5000, 5000)"
+
+    def fail(self, *args, **kwargs):
+        raise MemoryError(self.MESSAGE)
+
+    def test_synth_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_phantom", self.fail)
+        out = tmp_path / "pair"
+        rc = main(["synth", "--out-dir", str(out), "--dims", "5000"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err == f"out of memory: {self.MESSAGE}\n"
+        assert not out.exists()
+
+    def test_register_exits_3(self, synth_pair, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "instance_optimize", self.fail)
+        out = tmp_path / "out"
+        rc = main(["register", "--source", str(synth_pair / "a.nii"),
+                   "--target", str(synth_pair / "b.nii"), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err == f"out of memory: {self.MESSAGE}\n"
+        assert not out.exists()
 
 
 # (config file content, text the error must name)
@@ -557,6 +598,33 @@ class TestSynthRegisterEvaluate:
         assert err.startswith("config error:") and "seed" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_synth_meta_lists_its_options(self, tmp_path):
+        out = tmp_path / "pair"
+        assert main(["synth", "--out-dir", str(out), "--dims", "16", "--seed", "5"]) == 0
+        meta = {"seed": 5, "dims": [16, 16, 16], "structures": 4, "remap_a": "identity",
+                "remap_b": "invert", "amplitude_voxels": 2.0, "bumps": 2}
+        assert (out / "meta.json").read_text() == json.dumps(meta, indent=1, sort_keys=True)
+
+    def test_evaluate_hashes_its_inputs(self, synth_pair, tmp_path, monkeypatch):
+        # every input but --out and --pair-id, the paths as given
+        hashes = []
+
+        def evaluate(*args, **kwargs):
+            hashes.append(kwargs["config_hash"])
+            return evaluate_pair(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_pair", evaluate)
+        field = str(synth_pair / "truth_field.raw")
+        labels_a, labels_b = str(synth_pair / "labels_a.nii"), str(synth_pair / "labels_b.nii")
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--field", field, "--labels-a", labels_a, "--labels-b", labels_b,
+                     "--pair-id", "p", "--out", str(out)]) == 0
+        invocation = {"command": "evaluate", "field": field, "labels_a": labels_a,
+                      "labels_b": labels_b, "landmarks_a": None, "landmarks_b": None,
+                      "reference": None}
+        assert hashes == [config_hash(invocation)]
+        assert json.loads(out.read_text())["config_hash"] == hashes[0]
 
     def test_evaluate_identity_on_identical_labels(self, tmp_path):
         out = tmp_path / "pair"

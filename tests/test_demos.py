@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,18 @@ def test_fuzz_cli_prints_its_summary(tmp_path):
                      argv=["--seed", "2", "--cases", "20"], TMPDIR=str(tmp))
     assert out.splitlines() == ["fuzz_cli: seed 2, 20 cases, 0 contract violations"], out
     assert not any(tmp.iterdir())
+
+
+def test_cli_digest_lists_each_output_the_same_twice(tmp_path):
+    # two runs into one directory: the same files, the same bits
+    script, d = ROOT / "tools" / "cli_digest.py", tmp_path / "d"
+    first = run_script(script, tmp_path, argv=[str(d)])
+    shutil.rmtree(d)
+    assert run_script(script, tmp_path, argv=[str(d)]) == first
+    listed = re.findall(r"^[0-9a-f]{64}  (\S+)$", first, flags=re.M)
+    assert len(listed) == len(first.splitlines()) == 21, first
+    assert {"pair/meta.json", "reg/report.json", "evaluate_field.json", "evaluate_identity.json",
+            "preprocessed.nii", "preprocessed.raw"} <= set(listed), first
 
 
 def load_trace_digest():

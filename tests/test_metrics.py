@@ -160,6 +160,16 @@ class TestEvaluatePair:
             "percent_neg_jacobian": 0.25,
         }
 
+    def test_report_text_pinned(self):
+        # label ids are written as strings and sort as strings: "1", "10", "2"
+        report = MetricsReport(per_label_dice={1: 88.5, 2: 91.25, 10: 70.0}, mean_dice=83.25,
+                               mtre_mm=1.75, percent_neg_jacobian=0.25, pair_id="pair-7",
+                               config_hash="abc123")
+        assert report.to_json() == (
+            '{\n "config_hash": "abc123",\n "mean_dice": 83.25,\n "mtre_mm": 1.75,\n'
+            ' "pair_id": "pair-7",\n "per_label_dice": {\n  "1": 88.5,\n  "10": 70.0,\n'
+            '  "2": 91.25\n },\n "percent_neg_jacobian": 0.25\n}')
+
     def test_invalid_ranges_rejected(self):
         with pytest.raises(MetricsError):
             MetricsReport(mean_dice=120.0)

@@ -235,14 +235,25 @@ class TestNifti:
             read_nifti(p)
 
     @pytest.mark.parametrize("spacing, origin", [((1.0, 1.0, 1e308), (0.0, 0.0, 0.0)),
-                                                 ((1.0, 1.0, 1.0), (0.0, -1e39, 0.0))])
+                                                 ((1.0, 1.0, 1.0), (0.0, -1e39, 0.0)),
+                                                 ((1e-300, 1.0, 1.0), (0.0, 0.0, 0.0))])
     def test_geometry_beyond_float32_is_unsupported(self, tmp_path, spacing, origin):
-        # the header's pixdim and qoffset are float32; nothing is written
+        # the header's pixdim and qoffset are float32, where these spacings and
+        # origins overflow or the spacing rounds to 0; nothing is written
         v = Volume(grid=Tensor3(np.ones((4, 4, 4))), spacing=spacing, origin=origin,
                    modality="CT")
         with pytest.raises(UnsupportedError, match="float32"):
             write_nifti(v, tmp_path / "v.nii")
         assert not (tmp_path / "v.nii").exists()
+
+    def test_origin_that_rounds_to_zero_in_float32_is_written(self, tmp_path):
+        # plain float32 rounding: any origin is valid, a spacing of 0 is not
+        v = Volume(grid=Tensor3(np.ones((4, 4, 4))), spacing=(1e-40, 1.0, 1.0),
+                   origin=(1e-50, 0.0, 0.0), modality="CT")
+        write_nifti(v, tmp_path / "v.nii")
+        back = read_nifti(tmp_path / "v.nii")
+        assert back.origin == (0.0, 0.0, 0.0)
+        assert back.spacing == (float(np.float32(1e-40)), 1.0, 1.0)
 
     def test_non_finite_voxel_is_format_error(self, tmp_path):
         p = tmp_path / "nan.nii"

@@ -40,6 +40,7 @@ import warnings
 from pathlib import Path
 
 from deformreg import cli
+from deformreg.fileio import HEADER_FIELDS, VOX_OFFSET
 from deformreg.pipeline import RunConfig
 
 EXIT_CODES = (0, 2, 3, 4)
@@ -52,12 +53,20 @@ STRINGS = ("", "CT", "MR-T1", "SYNTH-X", "SYNTH X", "SYNTH-" + "x" * 60, "modali
            "channel-major,x-fastest", "café", "\x00", "16")
 OTHERS = (None, True, False, [], {}, [16, 16], [16, 16, 16], [1.0, 0.3, 0.1],
           [16, 16, 16, 1], [1, "a", 0], {"a": 1})
-# (offset, struct format) of the header fields the reader parses
-NIFTI_FIELDS = {"sizeof_hdr": (0, "<i"), "datatype": (70, "<h"), "bitpix": (72, "<h"),
-                "vox_offset": (108, "<f"), "magic": (344, "<4s"), "descrip": (148, "<80s"),
-                **{f"dim[{k}]": (40 + 2 * k, "<h") for k in range(8)},
-                **{f"pixdim[{k}]": (76 + 4 * k, "<f") for k in range(4)},
-                **{f"qoffset[{k}]": (268 + 4 * k, "<f") for k in range(3)}}
+
+
+def elements(name: str, count: int) -> dict:
+    """The first ``count`` elements of the array field ``name`` of
+    ``fileio.HEADER_FIELDS`` as fields of their own: {"name[k]": (offset, format)}."""
+    offset, fmt = HEADER_FIELDS[name]
+    one = fmt[0] + fmt[-1]
+    return {f"{name}[{k}]": (offset + k * struct.calcsize(one), one) for k in range(count)}
+
+
+# (offset, struct format) of the header fields the reader parses, one per array element
+NIFTI_FIELDS = {**{name: HEADER_FIELDS[name] for name in
+                   ("sizeof_hdr", "datatype", "bitpix", "vox_offset", "magic", "descrip")},
+                **elements("dim", 8), **elements("pixdim", 4), **elements("qoffset", 3)}
 DESCRIPS = (b"", b"modality=CT", b"modality=", b"modality=\xff\xfe;preprocessed=1",
             b"modality=SYNTH-" + b"x" * 60, b"modality=MR;preprocessed=1", b"labels",
             b"modality=SYNTH X", b"modality=CT;modality=MR", b"preprocessed=2")
@@ -104,7 +113,7 @@ def mutate_nifti(data: bytes, rng: random.Random) -> tuple[bytes, list]:
     out, notes = bytearray(data), []
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.2:
-            bit = rng.randrange(352 * 8)
+            bit = rng.randrange(VOX_OFFSET * 8)
             out[bit // 8] ^= 1 << (bit % 8)
             notes.append(f"bit {bit} flipped")
             continue
