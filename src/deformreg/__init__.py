@@ -9,7 +9,7 @@ images) optimized per pair with Adam, and the matching evaluation metrics (Dice,
 fraction).
 """
 
-from .tensor import Tensor3, TensorError, displaced_axes, grid_coordinates, node_axes
+from .tensor import ConfigError, Tensor3, TensorError, displaced_axes, grid_coordinates, node_axes
 from .tape import (
     Node,
     Tape,
@@ -19,12 +19,10 @@ from .tape import (
     sample_trilinear_values,
 )
 from .volume import (
-    DegenerateInputError,
     Geometry,
     LabelVolume,
     LandmarkSet,
     Volume,
-    VolumeError,
     invert_ct,
     preprocess,
 )
@@ -44,7 +42,6 @@ from .fileio import (
 )
 from .transforms import (
     DisplacementField,
-    TransformError,
     approximate_inverse,
     compose,
     jacobian_det_map,
@@ -55,31 +52,27 @@ from .transforms import (
 )
 from .similarity import (
     SimilarityConfig,
-    SimilarityError,
     lncc_map,
     loss_similarity,
     mind_ssc_descriptor,
 )
 from .losses import (
     LossConfig,
-    LossError,
     gradient_inverse_consistency,
 )
 from .pipeline import (
     NumericalAbort,
     OptimizerConfig,
-    PipelineError,
     PyramidModel,
     RegistrationResult,
     build_model,
     instance_optimize,
     loss_breakdown,
 )
-from .metrics import MetricsError, MetricsReport, dice, evaluate_pair, mtre
+from .metrics import MetricsReport, dice, evaluate_pair, mtre
 from .synthetic import (
     ModalityRemap,
     Phantom,
-    SyntheticError,
     TruthBundle,
     deformation_amplitude_bound,
     make_deformation,

@@ -3,10 +3,10 @@
 Subcommands: register (per-pair optimization), synth (phantom pair with
 ground truth), evaluate (metrics report from a field plus truth),
 preprocess (intensity rules).
-Exit codes: 0 success, 2 configuration error, 3 I/O error or out of
-memory, 4 numerical abort (a non-finite loss, a tripped domain guard in
-an op, or either register map folding more than FOLD_LIMIT_PCT percent
-of its voxels).
+Exit codes: 0 success, 2 configuration error (ConfigError, TensorError),
+3 I/O error or out of memory, 4 numerical abort (a non-finite loss, a
+tripped domain guard in an op, or either register map folding more than
+FOLD_LIMIT_PCT percent of its voxels).
 Reports embed a hash of the fully-resolved configuration.
 """
 
@@ -34,22 +34,19 @@ from .fileio import (
     write_nifti_labels,
     write_volume_raw,
 )
-from .losses import LossError
-from .metrics import MetricsError, evaluate_pair
-from .pipeline import NumericalAbort, PipelineError, RunConfig, instance_optimize
-from .similarity import SimilarityError
+from .metrics import evaluate_pair
+from .pipeline import NumericalAbort, RunConfig, instance_optimize
 from .synthetic import (
     AmplitudeError,
     ModalityRemap,
     REMAP_KINDS,
-    SyntheticError,
     make_deformation,
     make_phantom,
     render_pair,
 )
-from .tensor import Tensor3, TensorError
-from .transforms import DisplacementField, TransformError, percent_neg_jac
-from .volume import Volume, VolumeError, preprocess
+from .tensor import ConfigError, Tensor3, TensorError
+from .transforms import DisplacementField, percent_neg_jac
+from .volume import Volume, preprocess
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,14 +57,6 @@ FOLD_LIMIT_PCT = 5.0
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-
-
-class ConfigError(ValueError):
-    pass
-
-
-CONFIG_ERRORS = (ConfigError, LossError, SimilarityError, PipelineError, TransformError,
-                 SyntheticError, VolumeError, MetricsError, TensorError)
 
 
 @functools.cache
@@ -305,7 +294,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an allocation the machine cannot make
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
-    except CONFIG_ERRORS as exc:
+    except (ConfigError, TensorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,6 +12,7 @@ anywhere; multi-channel data is stored channel-major, x-fastest.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -25,6 +26,8 @@ VOX_OFFSET = 352
 MAGIC = b"n+1\x00"
 DT_INT16 = 4
 DT_FLOAT32 = 16
+# a landmark field: an ASCII decimal or scientific numeral, spaces around it
+_NUMERAL = re.compile(r"[ \t]*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?[ \t]*")
 
 
 class FormatError(ValueError):
@@ -268,10 +271,8 @@ def read_landmarks_csv(path, frame: str = "") -> LandmarkSet:
         line = line.strip()
         if not line:
             continue
-        try:
-            row = [float(p) for p in line.split(",")]
-        except ValueError:  # a field that is not a number
-            row = []
+        fields = line.split(",")
+        row = [float(p) for p in fields] if all(map(_NUMERAL.fullmatch, fields)) else []
         if len(row) != 3 or not np.isfinite(row).all():
             raise FormatError(f"{path}:{line_no}: expected finite numbers 'x,y,z', got {line!r}")
         rows.append(row)

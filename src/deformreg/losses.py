@@ -18,12 +18,8 @@ import numpy as np
 
 from .similarity import SimilarityConfig, loss_similarity_nodes
 from .tape import Node, Tape
-from .tensor import check_number
+from .tensor import ConfigError, check_number
 from .transforms import DisplacementField, compose_nodes, warp_nodes
-
-
-class LossError(ValueError):
-    """Bad loss configuration or incompatible inputs."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,7 @@ class LossConfig:
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
 
     def __post_init__(self):
-        check_number(LossError, "lambda", self.lam, at_least=0)
+        check_number(ConfigError, "lambda", self.lam, at_least=0)
 
 
 def gradient_inverse_consistency_nodes(tape: Tape, u_ab: Node, u_ba: Node) -> Node:
@@ -45,7 +41,7 @@ def _consistency_of(tape: Tape, comp: Node) -> Node:
     """The penalty of the composed displacement ``comp`` on u_ba's grid."""
     dims = comp.value.dims
     if min(dims) < 3:
-        raise LossError(f"consistency penalty needs a grid >= 3^3, got {dims}")
+        raise ConfigError(f"consistency penalty needs a grid >= 3^3, got {dims}")
     # the gradient of the composition's displacement is exactly J - I of
     # the composed map, taken at the interior nodes only
     jac_minus_i = tape.spatial_gradient(comp)

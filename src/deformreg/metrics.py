@@ -16,19 +16,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .tensor import ConfigError
 from .transforms import DisplacementField, percent_neg_jac, warp_nearest
 from .volume import Geometry, LabelVolume, LandmarkSet
-
-
-class MetricsError(ValueError):
-    """Incompatible metric inputs."""
 
 
 def dice(warped_labels: LabelVolume, target_labels: LabelVolume):
     """Per-label and mean Dice in percent over labels present in either
     volume (background excluded)."""
     if warped_labels.dims != target_labels.dims:
-        raise MetricsError(
+        raise ConfigError(
             f"label dims differ: {warped_labels.dims} vs {target_labels.dims}"
         )
     a, b = warped_labels.labels, target_labels.labels
@@ -55,7 +52,7 @@ def mtre(
     with the source landmarks.
     """
     if len(landmarks_src) != len(landmarks_tgt):
-        raise MetricsError(
+        raise ConfigError(
             f"landmark counts differ: {len(landmarks_src)} vs {len(landmarks_tgt)}"
         )
     landmarks_src.assert_inside(geometry)
@@ -79,13 +76,13 @@ class MetricsReport:
 
     def __post_init__(self):
         if self.mean_dice is not None and not 0.0 <= self.mean_dice <= 100.0:
-            raise MetricsError(f"mean Dice out of range: {self.mean_dice}")
+            raise ConfigError(f"mean Dice out of range: {self.mean_dice}")
         if self.mtre_mm is not None and self.mtre_mm < 0:
-            raise MetricsError(f"negative mTRE: {self.mtre_mm}")
+            raise ConfigError(f"negative mTRE: {self.mtre_mm}")
         if self.percent_neg_jacobian is not None and not (
             0.0 <= self.percent_neg_jacobian <= 100.0
         ):
-            raise MetricsError(f"folding percent out of range: {self.percent_neg_jacobian}")
+            raise ConfigError(f"folding percent out of range: {self.percent_neg_jacobian}")
 
     def to_json(self) -> str:
         # string label ids sort as the JSON keys they become ("1", "10", "2")
@@ -111,7 +108,7 @@ def evaluate_pair(
     has_labels = labels_a is not None and labels_b is not None
     has_landmarks = landmarks_a is not None and landmarks_b is not None
     if not has_labels and not has_landmarks:
-        raise MetricsError("no truth supplied: need labels and/or landmarks")
+        raise ConfigError("no truth supplied: need labels and/or landmarks")
     per_label: dict = {}
     mean_dice = None
     mtre_mm = None
@@ -120,7 +117,7 @@ def evaluate_pair(
         per_label, mean_dice = dice(warped, labels_b)
     if has_landmarks:
         if geometry is None:
-            raise MetricsError("landmark evaluation needs the volume geometry")
+            raise ConfigError("landmark evaluation needs the volume geometry")
         mtre_mm = mtre(landmarks_a, landmarks_b, phi_ab, geometry)
     return MetricsReport(
         per_label_dice=per_label,

@@ -24,17 +24,13 @@ import numpy as np
 from .losses import LossConfig, randomized_loss_nodes
 from .similarity import SimilarityConfig, fixed_side
 from .tape import Node, Tape, TapeError
-from .tensor import Tensor3, TensorError, check_number
+from .tensor import ConfigError, Tensor3, TensorError, check_number
 from .transforms import DisplacementField
 from .volume import Volume
 
 STAGE_COUNT = 3
 DIRECTIONS = ("ab", "ba")
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and guard
-
-
-class PipelineError(ValueError):
-    """Model construction or optimization precondition failure."""
 
 
 class NumericalAbort(RuntimeError):
@@ -79,7 +75,7 @@ def build_model(base_dims) -> PyramidModel:
     """Zero-initialized model; evaluating it yields the identity map."""
     base_dims = tuple(int(n) for n in base_dims)
     if len(base_dims) != 3 or min(base_dims) < 8:
-        raise PipelineError(f"base dims must be >= 8 per axis to quarter, got {base_dims}")
+        raise ConfigError(f"base dims must be >= 8 per axis to quarter, got {base_dims}")
     model = PyramidModel(base_dims)
     for direction in DIRECTIONS:
         for stage, dims in enumerate(stage_grid_dims(base_dims)):
@@ -102,7 +98,7 @@ class BoundPyramid:
         ``upsample_sum`` node, which applies a fixed interpolation matrix
         per axis to each coarse grid."""
         if direction not in DIRECTIONS:
-            raise PipelineError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+            raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         q, h, s = (self.nodes[self.model.param_key(direction, i)] for i in range(STAGE_COUNT))
         return self.tape.upsample_sum(q, h, s)
 
@@ -122,23 +118,23 @@ class OptimizerConfig:
     stage_damping: tuple = (1.0, 0.3, 0.1)
 
     def __post_init__(self):
-        check_number(PipelineError, "steps", self.steps, integer=True, at_least=0)
-        check_number(PipelineError, "lr", self.lr, above=0)
+        check_number(ConfigError, "steps", self.steps, integer=True, at_least=0)
+        check_number(ConfigError, "lr", self.lr, above=0)
         damping = self.stage_damping
         if not isinstance(damping, (list, tuple)) or len(damping) != STAGE_COUNT:
-            raise PipelineError(f"stage_damping needs {STAGE_COUNT} factors, got {damping!r}")
+            raise ConfigError(f"stage_damping needs {STAGE_COUNT} factors, got {damping!r}")
         for factor in damping:
-            check_number(PipelineError, "stage_damping factor", factor, at_least=0)
+            check_number(ConfigError, "stage_damping factor", factor, at_least=0)
         object.__setattr__(self, "stage_damping", tuple(damping))
 
 
 def _overlay(defaults: dict, overrides, name: str) -> dict:
     """``defaults`` with each key the JSON object ``overrides`` names replaced."""
     if not isinstance(overrides, dict):
-        raise PipelineError(f"{name} must be a JSON object, got {type(overrides).__name__}")
+        raise ConfigError(f"{name} must be a JSON object, got {type(overrides).__name__}")
     for key, value in overrides.items():
         if key not in defaults:
-            raise PipelineError(f"unknown config key: {name}.{key}")
+            raise ConfigError(f"unknown config key: {name}.{key}")
         defaults[key] = (_overlay(defaults[key], value, f"{name}.{key}")
                          if isinstance(defaults[key], dict) else value)
     return defaults
@@ -213,11 +209,11 @@ def _check_pair(a: Volume, b: Volume, model: PyramidModel | None = None) -> None
     """Equal dims, both volumes preprocessed, and ``model`` (if any) built
     for those dims."""
     if a.dims != b.dims:
-        raise PipelineError(f"volume dims differ: {a.dims} vs {b.dims}")
+        raise ConfigError(f"volume dims differ: {a.dims} vs {b.dims}")
     if not (a.preprocessed and b.preprocessed):
-        raise PipelineError("pair losses expect preprocessed volumes")
+        raise ConfigError("pair losses expect preprocessed volumes")
     if model is not None and model.base_dims != a.dims:
-        raise PipelineError(f"model built for dims {model.base_dims}, volumes have dims {a.dims}")
+        raise ConfigError(f"model built for dims {model.base_dims}, volumes have dims {a.dims}")
 
 
 def loss_breakdown(a: Volume, b: Volume, model: PyramidModel, cfg: LossConfig) -> dict[str, float]:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tape import Node, Tape, TapeError, _box_mean, _box_mean_t
-from .tensor import Tensor3, check_number
+from .tensor import ConfigError, Tensor3, check_number
 from .volume import Volume
 
 SIMILARITY_KINDS = ("LNCC", "LNCC2", "MIND_SSC", "MSE")
@@ -60,10 +60,6 @@ SSC_PAIRS = tuple(
 assert len(SSC_PAIRS) == 12
 
 
-class SimilarityError(ValueError):
-    """Bad configuration or incompatible inputs."""
-
-
 @dataclass(frozen=True)
 class SimilarityConfig:
     kind: str = "LNCC2"
@@ -73,15 +69,15 @@ class SimilarityConfig:
 
     def __post_init__(self):
         if self.kind not in SIMILARITY_KINDS:
-            raise SimilarityError(f"unknown similarity kind {self.kind!r}")
+            raise ConfigError(f"unknown similarity kind {self.kind!r}")
         for name in ("window_radius", "mind_patch_radius"):
-            check_number(SimilarityError, name, getattr(self, name), integer=True, at_least=1)
-        check_number(SimilarityError, "eps", self.eps, above=0)
+            check_number(ConfigError, name, getattr(self, name), integer=True, at_least=1)
+        check_number(ConfigError, "eps", self.eps, above=0)
 
 
 def _check_same_dims(a: Tensor3, b: Tensor3):
     if a.dims != b.dims:
-        raise SimilarityError(f"input dims differ: {a.dims} vs {b.dims}")
+        raise ConfigError(f"input dims differ: {a.dims} vs {b.dims}")
 
 
 def _moments(x: np.ndarray, cfg: SimilarityConfig) -> tuple:
@@ -162,7 +158,7 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
     dims = av.shape[:3]
     need = 2 * (cfg.mind_patch_radius + 1) + 1
     if min(dims) < need:
-        raise SimilarityError(
+        raise ConfigError(
             f"volume dims {dims} too small for patch radius {cfg.mind_patch_radius}"
         )
     padded = np.pad(av, ((1, 1),) * 3 + ((0, 0),), mode="edge")
@@ -270,7 +266,7 @@ def mind_ssc_loss_nodes(tape: Tape, a: Node, fixed_descriptor: Tensor3,
     shape = a.value.shape
     expect = shape[:3] + (12 * shape[3],)
     if fixed_descriptor.shape != expect:
-        raise SimilarityError(f"fixed descriptor shape {fixed_descriptor.shape} is not {expect}")
+        raise ConfigError(f"fixed descriptor shape {fixed_descriptor.shape} is not {expect}")
     descriptors, backward = _mind_ssc(a.value.data, cfg)
     fixed = np.moveaxis(fixed_descriptor.data.reshape(*shape[:3], 12, -1), 3, 0)
     x = descriptors(minus=fixed)

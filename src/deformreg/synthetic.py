@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tape import sample_trilinear_values
-from .tensor import Tensor3, check_number, displaced_axes, node_axes
+from .tensor import ConfigError, Tensor3, check_number, displaced_axes, node_axes
 from .transforms import DisplacementField, inverse_displacement, resample_field_to, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
 
@@ -42,11 +42,7 @@ _RETRY_BUDGET = 200
 REMAP_KINDS = ("identity", "invert", "sigmoid")
 
 
-class SyntheticError(ValueError):
-    """Phantom construction failure (placement, amplitude bound)."""
-
-
-class AmplitudeError(SyntheticError):
+class AmplitudeError(ConfigError):
     """A deformation amplitude outside the fold-free ``bound`` (normalized)."""
 
     def __init__(self, message: str, bound: float):
@@ -83,7 +79,7 @@ class ModalityRemap:
 
     def __post_init__(self):
         if self.kind not in REMAP_KINDS:
-            raise SyntheticError(f"unknown remap kind {self.kind!r}; use one of {REMAP_KINDS}")
+            raise ConfigError(f"unknown remap kind {self.kind!r}; use one of {REMAP_KINDS}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         x = np.clip(values, 0.0, 1.0)
@@ -130,15 +126,15 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
     extrema per structure (inside the labeled region), so even a single
     structure carries four landmarks.
     """
-    check_number(SyntheticError, "seed", seed, integer=True, at_least=0)
+    check_number(ConfigError, "seed", seed, integer=True, at_least=0)
     dims = tuple(int(d) for d in dims)
     if min(dims) < 16:
-        raise SyntheticError(f"phantom dims must be >= 16 per axis, got {dims}")
+        raise ConfigError(f"phantom dims must be >= 16 per axis, got {dims}")
     if n_structures < 1:
-        raise SyntheticError("need at least one structure")
+        raise ConfigError("need at least one structure")
     means = np.linspace(0.40, 0.85, n_structures)
     if n_structures > 1 and means[1] - means[0] < 0.1:
-        raise SyntheticError(
+        raise ConfigError(
             f"{n_structures} structures cannot keep mean separation >= 0.1"
         )
     rng = np.random.default_rng(seed)
@@ -167,7 +163,7 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
                 placed = True
                 break
         if not placed:
-            raise SyntheticError(
+            raise ConfigError(
                 f"could not place structure {sid} without overlap "
                 f"within {_RETRY_BUDGET} retries"
             )
@@ -217,13 +213,13 @@ def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> Dis
     value, NaN included, is rejected with that bound. With no bumps there
     is no bound, but NaN and infinities are still rejected.
     """
-    check_number(SyntheticError, "seed", seed, integer=True, at_least=0)
+    check_number(ConfigError, "seed", seed, integer=True, at_least=0)
     dims = tuple(int(d) for d in dims)
     if n_bumps < 0:
-        raise SyntheticError("n_bumps must be >= 0")
+        raise ConfigError("n_bumps must be >= 0")
     rng = np.random.default_rng(seed)
     if n_bumps == 0 or amplitude == 0.0:
-        check_number(SyntheticError, "amplitude", amplitude)
+        check_number(ConfigError, "amplitude", amplitude)
         return DisplacementField.identity(dims)
     sigmas = rng.uniform(*_SIGMA_RANGE, size=n_bumps)
     bound = deformation_amplitude_bound(sigmas)

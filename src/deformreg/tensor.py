@@ -18,6 +18,10 @@ class TensorError(ValueError):
     """Invalid tensor construction or incompatible operand shapes."""
 
 
+class ConfigError(ValueError):
+    """An input or setting the caller got wrong."""
+
+
 class Tensor3:
     """Immutable dense scalar grid: spatial dims (nx, ny, nz) plus channels."""
 

@@ -13,16 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Tensor3, displaced_axes, node_axes
+from .tensor import ConfigError, Tensor3, displaced_axes, node_axes
 from .tape import Node, Tape, resample_node_values, sample_nearest_values, sample_trilinear_values
 from .volume import LabelVolume, Volume
 
 # fixed-point iterations of inverse_displacement
 INVERSE_ITERATIONS = 40
-
-
-class TransformError(ValueError):
-    """Invalid field construction or transform preconditions."""
 
 
 @dataclass(frozen=True)
@@ -33,7 +29,7 @@ class DisplacementField:
 
     def __post_init__(self):
         if self.u.channels != 3:
-            raise TransformError(f"displacement needs 3 channels, got {self.u.channels}")
+            raise ConfigError(f"displacement needs 3 channels, got {self.u.channels}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -106,7 +102,7 @@ def jacobian_det_map(phi: DisplacementField) -> Tensor3:
     boundary slices; the identity field gives det = 1 everywhere.
     """
     if min(phi.dims) < 3:
-        raise TransformError(f"jacobian needs >= 3 voxels per axis, got {phi.dims}")
+        raise ConfigError(f"jacobian needs >= 3 voxels per axis, got {phi.dims}")
     spacing = [1.0 / (n - 1) for n in phi.dims]
     # J[..., comp, axis] = d(u comp)/d(axis) + (comp == axis)
     J = np.stack(np.gradient(phi.u.data, *spacing, axis=(0, 1, 2)), axis=-1) + np.eye(3)

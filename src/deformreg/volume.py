@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Tensor3, check_number
+from .tensor import ConfigError, Tensor3, check_number
 
 CT_FAMILY = ("CT", "CBCT")
 MR_FAMILY = ("T1w", "T1ce", "T2w", "T2", "FLAIR", "DESS", "FA", "MD", "DIXON-F", "DIXON-W")
@@ -31,15 +31,7 @@ MAX_MODALITY_LEN = 79 - len("modality=;preprocessed=0")
 _SYNTH_TAG = re.compile(r"SYNTH[!-:<>-~]*")  # printable ASCII but space, ";" and "="
 
 
-class VolumeError(ValueError):
-    """Invalid volume metadata or operation preconditions."""
-
-
-class DegenerateInputError(VolumeError):
-    """Input has no usable intensity scale (e.g. all-zero MR volume)."""
-
-
-def check_modality(tag, error: type[Exception] = VolumeError, prefix: str = "") -> None:
+def check_modality(tag, error: type[Exception] = ConfigError, prefix: str = "") -> None:
     """Raise ``error``, its message led by ``prefix`` and stating the rule,
     unless ``tag`` is a modality tag (see the module doc)."""
     if not (tag in CT_FAMILY or tag in MR_FAMILY or (
@@ -49,7 +41,7 @@ def check_modality(tag, error: type[Exception] = VolumeError, prefix: str = "") 
                     f"{MAX_MODALITY_LEN} characters in all at most")
 
 
-def _check_spacing_origin(spacing, origin, error: type[Exception] = VolumeError,
+def _check_spacing_origin(spacing, origin, error: type[Exception] = ConfigError,
                           prefix: str = "") -> None:
     """Raise ``error``, its message led by ``prefix``, unless spacing and
     origin are three finite numbers each, the spacing strictly positive."""
@@ -98,7 +90,7 @@ class Volume:
 
     def __post_init__(self):
         if self.grid.channels != 1:
-            raise VolumeError(f"volume grid must have 1 channel, got {self.grid.channels}")
+            raise ConfigError(f"volume grid must have 1 channel, got {self.grid.channels}")
         _check_spacing_origin(self.spacing, self.origin)
         check_modality(self.modality)
 
@@ -125,11 +117,11 @@ class LabelVolume:
     def __post_init__(self):
         arr = np.asarray(self.labels)
         if arr.ndim != 3:
-            raise VolumeError(f"labels must be a 3D array, got shape {arr.shape}")
+            raise ConfigError(f"labels must be a 3D array, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
-            raise VolumeError(f"labels must be integers, got dtype {arr.dtype}")
+            raise ConfigError(f"labels must be integers, got dtype {arr.dtype}")
         if arr.min() < 0:
-            raise VolumeError("labels must be non-negative")
+            raise ConfigError("labels must be non-negative")
         _check_spacing_origin(self.spacing, self.origin)
         object.__setattr__(self, "labels", arr)
 
@@ -155,7 +147,7 @@ class LandmarkSet:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[1] != 3:
-            raise VolumeError(f"landmarks must be (k, 3), got shape {pts.shape}")
+            raise ConfigError(f"landmarks must be (k, 3), got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -163,7 +155,7 @@ class LandmarkSet:
 
     def assert_inside(self, geometry: Geometry):
         if not geometry.contains_mm(self.points):
-            raise VolumeError(f"landmarks of frame {self.frame!r} leave the volume extent")
+            raise ConfigError(f"landmarks of frame {self.frame!r} leave the volume extent")
 
 
 def preprocess(v: Volume) -> Volume:
@@ -181,7 +173,7 @@ def preprocess(v: Volume) -> Volume:
     else:
         p = float(np.percentile(vals, MR_PERCENTILE))
         if p <= 0.0:
-            raise DegenerateInputError(
+            raise ConfigError(
                 f"99th-percentile intensity is {p}; cannot normalize modality {v.modality}"
             )
         out = np.clip(vals, 0.0, p) / p
@@ -191,7 +183,7 @@ def preprocess(v: Volume) -> Volume:
 def invert_ct(v: Volume) -> Volume:
     """Intensity inversion 1 - v for normalized CT-family volumes."""
     if v.modality not in CT_FAMILY:
-        raise VolumeError(f"intensity inversion applies to CT-family only, got {v.modality}")
+        raise ConfigError(f"intensity inversion applies to CT-family only, got {v.modality}")
     if not v.preprocessed:
-        raise VolumeError("invert_ct expects a preprocessed (range [0,1]) volume")
+        raise ConfigError("invert_ct expects a preprocessed (range [0,1]) volume")
     return replace(v, grid=Tensor3(1.0 - v.values()))

@@ -1,9 +1,11 @@
 """CLI subcommands, exit codes, and the end-to-end synth/register/evaluate path."""
 
 import ctypes
+import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import struct
 import subprocess
@@ -231,6 +233,54 @@ class TestOutOfMemory:
         assert rc == 3, err
         assert err == f"out of memory: {self.MESSAGE}\n"
         assert not out.exists()
+
+
+# every exception class the package defines, with the exit code main gives
+# it and the prefix of its one stderr line; TapeError reaches main only
+# wrapped in NumericalAbort (see TestRegister.test_tripped_domain_guard_exits_4)
+EXIT_OF_ERROR = {
+    "ConfigError": (2, "config error"),
+    "AmplitudeError": (2, "config error"),
+    "TensorError": (2, "config error"),
+    "FormatError": (3, "I/O error"),
+    "UnsupportedError": (3, "I/O error"),
+    "NumericalAbort": (4, "numerical abort"),
+    "TapeError": None,
+}
+
+
+def package_errors() -> dict[str, type]:
+    """Each exception class defined in a deformreg module, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(deformreg.__path__):
+        module = importlib.import_module(f"deformreg.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[obj.__name__] = obj
+    return found
+
+
+class TestExitCodeOfEachError:
+    def test_table_lists_every_error_class(self):
+        assert set(package_errors()) == set(EXIT_OF_ERROR)
+
+    @pytest.mark.parametrize("name", sorted(k for k, v in EXIT_OF_ERROR.items() if v))
+    def test_main_maps_the_class(self, name, tmp_path, capsys, monkeypatch):
+        error = package_errors()[name]
+        args = {"AmplitudeError": ("bad amplitude", 0.1), "NumericalAbort": (3, "bad step")}
+
+        def fail(_):
+            raise error(*args.get(name, ("bad input",)))
+
+        monkeypatch.setattr(cli, "cmd_preprocess", fail)
+        rc = main(["preprocess", "--input", str(tmp_path / "in.nii"),
+                   "--output", str(tmp_path / "out.nii")])
+        err = capsys.readouterr().err
+        code, prefix = EXIT_OF_ERROR[name]
+        assert rc == code, err
+        assert err.startswith(prefix + ": ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
 
 
 # (config file content, text the error must name)

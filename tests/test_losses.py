@@ -9,15 +9,14 @@ import pytest
 from deformreg import losses
 from deformreg.losses import (
     LossConfig,
-    LossError,
     gradient_inverse_consistency,
     gradient_inverse_consistency_nodes,
 )
 from deformreg.similarity import loss_similarity
 from deformreg.tape import Tape, grad_check
-from deformreg.tensor import Tensor3
+from deformreg.tensor import ConfigError, Tensor3
 from deformreg.transforms import DisplacementField, compose_nodes
-from deformreg.pipeline import PipelineError, build_model, loss_breakdown, stage_grid_dims
+from deformreg.pipeline import build_model, loss_breakdown, stage_grid_dims
 from deformreg.volume import Volume
 
 
@@ -89,7 +88,7 @@ class TestInverseConsistency:
 
     def test_small_grid_rejected(self):
         small = DisplacementField.identity((2, 6, 6))
-        with pytest.raises(LossError):
+        with pytest.raises(ConfigError, match=r"consistency penalty needs a grid >= 3\^3"):
             gradient_inverse_consistency(small, small)
 
     def test_gradient_against_finite_differences(self):
@@ -188,5 +187,5 @@ class TestTotalLoss:
     def test_dim_mismatch(self):
         a, _ = rng_pair(16, (8, 8, 8))
         c, _ = rng_pair(17, (9, 8, 8))
-        with pytest.raises(PipelineError):
+        with pytest.raises(ConfigError, match="volume dims differ"):
             loss_breakdown(a, c, build_model((8, 8, 8)), LossConfig())

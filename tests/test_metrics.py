@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from deformreg.metrics import (
-    MetricsError,
     MetricsReport,
     dice,
     evaluate_pair,
     mtre,
 )
-from deformreg.tensor import Tensor3
+from deformreg.tensor import ConfigError, Tensor3
 from deformreg.transforms import DisplacementField
 from deformreg.volume import Geometry, LabelVolume, LandmarkSet
 
@@ -60,7 +59,7 @@ class TestDice:
         assert per_label == {1: 0.0, 2: 0.0}
 
     def test_dim_mismatch(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ConfigError, match="label dims differ"):
             dice(cube_labels((6, 6, 6), {}), cube_labels((7, 6, 6), {}))
 
 
@@ -93,7 +92,7 @@ class TestMtre:
 
     def test_count_mismatch(self):
         geo = self.geometry()
-        with pytest.raises(MetricsError):
+        with pytest.raises(ConfigError, match="landmark counts differ"):
             mtre(LandmarkSet(np.zeros((2, 3)) + 1), LandmarkSet(np.zeros((3, 3)) + 1),
                  DisplacementField.identity((16, 16, 16)), geo)
 
@@ -142,7 +141,7 @@ class TestEvaluatePair:
         assert report.percent_neg_jacobian == percent_neg_jac(phi)
 
     def test_no_truth_rejected(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ConfigError, match="no truth supplied"):
             evaluate_pair(DisplacementField.identity((8, 8, 8)))
 
     def test_report_round_trip(self):
@@ -171,7 +170,7 @@ class TestEvaluatePair:
             '  "2": 91.25\n },\n "percent_neg_jacobian": 0.25\n}')
 
     def test_invalid_ranges_rejected(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ConfigError, match="mean Dice out of range"):
             MetricsReport(mean_dice=120.0)
-        with pytest.raises(MetricsError):
+        with pytest.raises(ConfigError, match="negative mTRE"):
             MetricsReport(mtre_mm=-1.0)

@@ -20,7 +20,6 @@ from deformreg.pipeline import (
     BoundPyramid,
     NumericalAbort,
     OptimizerConfig,
-    PipelineError,
     RunConfig,
     build_model,
     instance_optimize,
@@ -34,7 +33,7 @@ from deformreg.similarity import (
     loss_similarity,
 )
 from deformreg.tape import Tape, _node_interpolation, _per_axis, grad_check
-from deformreg.tensor import Tensor3, grid_coordinates
+from deformreg.tensor import ConfigError, Tensor3, grid_coordinates
 from deformreg.transforms import (
     DisplacementField,
     compose_nodes,
@@ -276,7 +275,7 @@ class TestBuildModel:
         assert stage_grid_dims((21, 21, 21)) == ((6,) * 3, (11,) * 3, (21,) * 3)
 
     def test_too_small_rejected(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(ConfigError, match=r"base dims must be >= 8 per axis"):
             build_model((6, 32, 32))
 
     def test_fresh_model_is_identity(self):
@@ -289,12 +288,12 @@ class TestBuildModel:
         a = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
         b = make_volume(rng.uniform(0.1, 0.9, (16, 16, 16)))
         model = build_model((20, 20, 20))
-        with pytest.raises(PipelineError, match=r"\(20, 20, 20\).*\(16, 16, 16\)"):
+        with pytest.raises(ConfigError, match=r"\(20, 20, 20\).*\(16, 16, 16\)"):
             loss_breakdown(a, b, model, LossConfig())
 
     def test_unknown_direction(self):
         bound = BoundPyramid(Tape(), build_model((16, 16, 16)))
-        with pytest.raises(PipelineError):
+        with pytest.raises(ConfigError, match="direction must be one of"):
             bound.evaluate("xy")
 
 
@@ -374,13 +373,13 @@ class TestInstanceOptimize:
         rng = np.random.default_rng(7)
         a = make_volume(rng.uniform(0, 1, (16, 16, 16)))
         b = make_volume(rng.uniform(0, 1, (18, 16, 16)))
-        with pytest.raises(PipelineError):
+        with pytest.raises(ConfigError, match="volume dims differ"):
             instance_optimize(a, b)
 
     def test_unpreprocessed_rejected(self):
         rng = np.random.default_rng(8)
         raw = Volume(Tensor3(rng.uniform(0, 500, (16, 16, 16))), modality="CT")
-        with pytest.raises(PipelineError):
+        with pytest.raises(ConfigError, match="pair losses expect preprocessed volumes"):
             instance_optimize(raw, raw)
 
     def test_numerical_abort_carries_step(self):

@@ -10,7 +10,6 @@ from deformreg.similarity import (
     SIMILARITY_KINDS,
     SSC_PAIRS,
     SimilarityConfig,
-    SimilarityError,
     fixed_side,
     lncc_map,
     lncc_map_nodes,
@@ -21,7 +20,7 @@ from deformreg.similarity import (
     mind_ssc_loss_nodes,
 )
 from deformreg.tape import Tape, TapeError, grad_check
-from deformreg.tensor import Tensor3
+from deformreg.tensor import ConfigError, Tensor3
 from deformreg.transforms import warp_nodes
 
 
@@ -124,7 +123,7 @@ class TestLnccMap:
         assert np.max(np.abs(got - expect)) <= 1e-10
 
     def test_dim_mismatch(self):
-        with pytest.raises(SimilarityError):
+        with pytest.raises(ConfigError, match="input dims differ"):
             lncc_map(Tensor3.zeros((4, 4, 4)), Tensor3.zeros((5, 4, 4)))
 
 
@@ -191,7 +190,7 @@ class TestMindSsc:
         assert np.max(np.abs(got - expect)) <= 1e-10
 
     def test_too_small_volume_rejected(self):
-        with pytest.raises(SimilarityError):
+        with pytest.raises(ConfigError, match="too small for patch radius"):
             mind_ssc_descriptor(Tensor3.zeros((3, 3, 3)))
 
 
@@ -327,7 +326,7 @@ class TestMindSscLoss:
     def test_fixed_descriptor_of_other_shape_rejected(self):
         vol, fixed, cfg = self.case(1)
         tape = Tape()
-        with pytest.raises(SimilarityError, match="fixed descriptor shape"):
+        with pytest.raises(ConfigError, match="fixed descriptor shape"):
             mind_ssc_loss_nodes(tape, tape.input(Tensor3(vol)),
                                 Tensor3(fixed.data[..., :6]), cfg)
 

@@ -8,7 +8,6 @@ import pytest
 from deformreg.metrics import mtre
 from deformreg.synthetic import (
     ModalityRemap,
-    SyntheticError,
     _smooth_noise,
     deformation_amplitude_bound,
     make_deformation,
@@ -16,6 +15,7 @@ from deformreg.synthetic import (
     render_pair,
 )
 from deformreg.tape import resample_node_values, sample_trilinear_values
+from deformreg.tensor import ConfigError
 from deformreg.transforms import DisplacementField, compose, percent_neg_jac, warp
 
 
@@ -52,18 +52,18 @@ class TestMakePhantom:
         assert (hit > 0).all()
 
     def test_too_many_structures_rejected(self):
-        with pytest.raises(SyntheticError):
+        with pytest.raises(ConfigError, match="cannot keep mean separation"):
             make_phantom(seed=5, dims=(16, 16, 16), n_structures=10)
 
     def test_dims_too_small(self):
-        with pytest.raises(SyntheticError):
+        with pytest.raises(ConfigError, match="phantom dims must be >= 16 per axis"):
             make_phantom(seed=6, dims=(8, 8, 8))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_non_negative_integer(self, seed):
-        with pytest.raises(SyntheticError, match="seed"):
+        with pytest.raises(ConfigError, match="seed"):
             make_phantom(seed=seed, dims=(16, 16, 16))
-        with pytest.raises(SyntheticError, match="seed"):
+        with pytest.raises(ConfigError, match="seed"):
             make_deformation(seed=seed, dims=(16, 16, 16), amplitude=0.05)
 
 
@@ -78,16 +78,16 @@ class TestMakeDeformation:
             assert percent_neg_jac(phi) == 0.0
 
     def test_amplitude_bound_rejection_names_bound(self):
-        with pytest.raises(SyntheticError, match="bound"):
+        with pytest.raises(ConfigError, match="bound"):
             make_deformation(seed=8, dims=(16, 16, 16), amplitude=1.0, n_bumps=2)
 
     @pytest.mark.parametrize("amplitude",
                              [-1.0, -100.0, float("nan"), float("inf"), -float("inf")])
     def test_negative_beyond_bound_and_nan_rejected(self, amplitude):
-        with pytest.raises(SyntheticError, match="bound"):
+        with pytest.raises(ConfigError, match="bound"):
             make_deformation(seed=8, dims=(16, 16, 16), amplitude=amplitude, n_bumps=2)
         if not np.isfinite(amplitude):  # rejected also where no bump sets a bound
-            with pytest.raises(SyntheticError, match="amplitude must be a finite number"):
+            with pytest.raises(ConfigError, match="amplitude must be a finite number"):
                 make_deformation(seed=8, dims=(16, 16, 16), amplitude=amplitude, n_bumps=0)
 
     def test_negative_amplitude_within_bound_flips_field(self):
@@ -130,7 +130,7 @@ class TestRemaps:
 
     def test_unknown_kind(self):
         for kind in ("nope", "gamma", "piecewise"):
-            with pytest.raises(SyntheticError, match="unknown remap kind"):
+            with pytest.raises(ConfigError, match="unknown remap kind"):
                 ModalityRemap(kind)
 
 

@@ -10,10 +10,9 @@ from deformreg.tape import (
     sample_nearest_values,
     sample_trilinear_values,
 )
-from deformreg.tensor import Tensor3, grid_coordinates
+from deformreg.tensor import ConfigError, Tensor3, grid_coordinates
 from deformreg.transforms import (
     DisplacementField,
-    TransformError,
     approximate_inverse,
     compose,
     inverse_displacement,
@@ -224,7 +223,7 @@ class TestJacobian:
         assert percent_neg_jac(phi) == percent_neg_jac(shifted)
 
     def test_small_grid_rejected(self):
-        with pytest.raises(TransformError):
+        with pytest.raises(ConfigError, match="jacobian needs >= 3 voxels per axis"):
             jacobian_det_map(DisplacementField.identity((2, 5, 5)))
 
 

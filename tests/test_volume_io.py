@@ -19,13 +19,11 @@ from deformreg.fileio import (
     write_field_raw,
     write_volume_raw,
 )
-from deformreg.tensor import Tensor3
+from deformreg.tensor import ConfigError, Tensor3
 from deformreg.volume import (
-    DegenerateInputError,
     LabelVolume,
     LandmarkSet,
     Volume,
-    VolumeError,
     invert_ct,
     preprocess,
 )
@@ -61,12 +59,12 @@ class TestSpacingAndOrigin:
 
     @pytest.mark.parametrize("kwargs, name", BAD)
     def test_volume_rejects(self, kwargs, name):
-        with pytest.raises(VolumeError, match=name):
+        with pytest.raises(ConfigError, match=name):
             Volume(Tensor3(np.zeros((4, 4, 4))), **kwargs)
 
     @pytest.mark.parametrize("kwargs, name", BAD)
     def test_label_volume_rejects(self, kwargs, name):
-        with pytest.raises(VolumeError, match=name):
+        with pytest.raises(ConfigError, match=name):
             LabelVolume(np.zeros((4, 4, 4), dtype=np.int64), **kwargs)
 
     def test_integers_and_negative_origin_accepted(self):
@@ -110,7 +108,7 @@ class TestPreprocess:
         assert np.max(np.abs(out - expect)) == 0.0
 
     def test_mr_degenerate_zero_volume(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ConfigError, match="99th-percentile intensity is 0.0; cannot"):
             preprocess(make_volume(np.zeros((4, 4, 4)), "FLAIR"))
 
     def test_idempotent(self):
@@ -148,7 +146,7 @@ class TestInvertCT:
 
     def test_rejects_mr(self):
         v = make_volume(np.full((4, 4, 4), 0.5), "T1w", preprocessed=True)
-        with pytest.raises(VolumeError):
+        with pytest.raises(ConfigError, match="intensity inversion applies to CT-family only"):
             invert_ct(v)
 
 
@@ -160,7 +158,7 @@ class TestNifti:
         write_nifti(v, tmp_path / "v.nii")
         back = read_nifti(tmp_path / "v.nii")
         assert back.modality == tag and back.preprocessed
-        with pytest.raises(VolumeError, match="modality tag 'SYNTH-x+' is neither"):
+        with pytest.raises(ConfigError, match="modality tag 'SYNTH-x+' is neither"):
             Volume(Tensor3(np.full((4, 4, 4), 0.5)), modality=tag + "x")
 
     def test_float32_round_trip_bit_exact(self, tmp_path):
@@ -364,12 +362,25 @@ class TestRawAndCsv:
         with pytest.raises(FormatError, match="f.json"):
             read_field_raw(tmp_path / "f")
 
-    @pytest.mark.parametrize("bad_line", ["1,abc,3", "1,nan,3", "1,2", "1,2,3,4"])
+    # the last three are numerals to float() (digit separators, full-width
+    # and Arabic-Indic digits) but not ASCII decimal ones
+    @pytest.mark.parametrize("bad_line", ["1,abc,3", "1,nan,3", "1,2", "1,2,3,4",
+                                          "1_0,2,3", "\uff11,2,3", "\u0661,2,3"])
     def test_bad_landmark_line_names_line_number(self, tmp_path, bad_line):
         p = tmp_path / "lm.csv"
         p.write_text(f"1,2,3\n\n{bad_line}\n")
         with pytest.raises(FormatError, match=r"lm\.csv:3: .*" + bad_line):
             read_landmarks_csv(p)
+
+    def test_written_landmarks_read_back(self, tmp_path):
+        # every magnitude the "%.10g" writer spells, in both notations
+        rng = np.random.default_rng(11)
+        pts = rng.standard_normal((400, 3)) * 10.0 ** rng.integers(-300, 300, (400, 3))
+        pts[:4] = [[0.0, -0.0, 1.0], [-7.0, 123456.0, 1e-5], [5e-324, 1.5e300, -2.5],
+                   [1234567890123.0, 0.1, -1e10]]
+        write_landmarks_csv(LandmarkSet(pts), tmp_path / "lm.csv")
+        back = read_landmarks_csv(tmp_path / "lm.csv").points
+        assert np.array_equal(back, [[float(f"{x:.10g}") for x in row] for row in pts])
 
     @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
     def test_landmarks_without_points_is_format_error(self, tmp_path, text):
@@ -383,5 +394,5 @@ class TestRawAndCsv:
         ok = LandmarkSet(np.array([[1.0, 2.0, 3.0]]))
         ok.assert_inside(v.geometry)
         bad = LandmarkSet(np.array([[10.0, 0.0, 0.0]]))
-        with pytest.raises(VolumeError):
+        with pytest.raises(ConfigError, match="leave the volume extent"):
             bad.assert_inside(v.geometry)
