@@ -57,26 +57,49 @@ FOLD_LIMIT_PCT = 5.0
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+# OpenBLAS's runtime thread-count setter under the names its builds export
+_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
 
 
 @functools.cache
 def _keep_heap_resident() -> None:
-    """Keep the memory freed in this process in its heap.
+    """Keep the memory freed in this process in its heap, and its second
+    core for the trilinear plan's worker half.
 
     By default glibc gives each large allocation a mapping of its own,
     unmaps it when freed and trims the heap once a few MiB at its top are
     free, so every optimization step faults its arrays in again. After
     this call, allocations up to 32 MiB come from the heap, which is
-    trimmed only past 512 MiB free. ``main`` calls it; library calls leave
-    the allocator alone. Does nothing where glibc cannot be loaded.
+    trimmed only past 512 MiB free, and every thread allocates from that
+    one heap (one arena). OpenBLAS, where numpy's has a runtime setter,
+    runs on one thread: otherwise the thread it starts for a product stays
+    spinning on a core after it. ``main`` calls it; library calls leave the
+    allocator and BLAS alone. Each part does nothing where its library
+    cannot be loaded.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+        mallopt(_M_ARENA_MAX, 1)
+    try:
+        from numpy.linalg import _umath_linalg
+
+        # dlsym on an extension module also searches the libraries it links
+        blas = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
         return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+    for name in _OPENBLAS_SETTERS:
+        setter = getattr(blas, name, None)
+        if setter is not None:
+            setter(1)
+            return
 
 
 def _load_config(path: str | None) -> RunConfig:

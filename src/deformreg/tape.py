@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -207,6 +208,38 @@ def _planes(arr: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(arr[..., c]).ravel() for c in range(arr.shape[-1])]
 
 
+# a plan with at least this many points runs its corner blend and its
+# coordinate projection in two halves, one on a worker thread; below it a
+# thread costs more than it saves (synth's 16-point landmark plans)
+_SPLIT_POINTS = 1 << 16
+
+
+def _in_halves(part, n: int) -> None:
+    """Run ``part(s)`` over slices ``s`` that cover range(n): in one pass
+    below ``_SPLIT_POINTS`` points, else the upper half on a worker thread
+    while the caller runs the lower. Both halves end before this returns;
+    an exception of the worker's is raised here."""
+    if n < _SPLIT_POINTS:
+        part(slice(0, n))
+        return
+    mid, errors = n // 2, []
+
+    def upper():
+        try:
+            part(slice(mid, n))
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+            errors.append(exc)
+
+    worker = threading.Thread(target=upper)
+    worker.start()
+    try:
+        part(slice(0, mid))
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
 class _TrilinearPlan:
     """Edge-clamped trilinear sample of each of ``imgs`` (nx, ny, nz, C_k),
     all on one grid, at the normalized per-axis ``coords`` (three arrays
@@ -233,6 +266,14 @@ class _TrilinearPlan:
     channel plane that starts at the corner's offset, so no corner builds
     an index array of its own. Weights and the images' channel planes are
     rebuilt where a pass needs them instead of being held until the vjp.
+
+    The corner blend and the coordinate projection are point-wise, so on
+    ``_SPLIT_POINTS`` points or more each runs as two halves of the flat
+    point range (``_in_halves``), the upper on a worker thread: each half
+    writes only its own slice of a preallocated result, so every value is
+    bitwise that of one pass. The image adjoint's ``bincount`` scatter
+    sums over points, so it stays whole, on the caller, before the
+    projection starts (beside it, both would hold their temporaries).
     """
 
     __slots__ = ("imgs", "base", "strides", "fracs", "inside", "out")
@@ -272,18 +313,27 @@ class _TrilinearPlan:
             self.out.append(np.stack(sums[: im.shape[3]], axis=-1).reshape(*shape, im.shape[3]))
             del sums[: im.shape[3]]
 
+    def _weights(self, s: slice):
+        """The per-axis weights ``(1 - f, f)`` of the points ``s``."""
+        return [(1.0 - f[s], f[s]) for f in self.fracs]
+
     def _blend(self, planes):
         """Per channel plane, the weighted sum of its values at the 8 corners."""
-        w, out = [(1.0 - f, f) for f in self.fracs], [None] * len(planes)
-        for (_, _, bz), off, w01 in self._corners(w):
-            weight = w01 * w[2][bz]
-            for c, plane in enumerate(planes):
-                term = plane[off:].take(self.base)
-                term *= weight
-                if out[c] is None:
-                    out[c] = term
-                else:
-                    out[c] += term
+        out = [np.empty(self.base.size) for _ in planes]
+
+        def part(s):
+            base, w = self.base[s], self._weights(s)
+            for k, ((_, _, bz), off, w01) in enumerate(self._corners(w)):
+                weight = w01 * w[2][bz]
+                for plane, acc in zip(planes, out):
+                    term = plane[off:].take(base)
+                    if k:
+                        term *= weight
+                        acc[s] += term
+                    else:
+                        np.multiply(term, weight, out=acc[s])
+
+        _in_halves(part, self.base.size)
         return out
 
     def _corners(self, w):
@@ -300,60 +350,86 @@ class _TrilinearPlan:
         """The images' adjoints, then the coordinates', for the output
         adjoints ``g`` (one (..., C_k) array per image, None for an image
         whose output got no adjoint), None where not wanted (``want_image``
-        has one flag per image), in one walk over the corners.
+        has one flag per image).
 
         The image half scatters ``w * g`` per channel with ``bincount``
         into the slice of the flat adjoint that starts at the corner's
-        offset. The coordinate half projects the corner onto the adjoints
-        of every image at once, ``p_k = sum_c v_kc g_c`` over all their
-        channels, and adds ``p_k`` times the other two axes' weights into
-        each axis's adjoint, with the sign of the corner's bit on that
-        axis; it then masks where the clamp saturates and scales by the
-        coordinate-to-index factor. Each result is a view of a
-        component-major array."""
+        offset. The coordinate half (``_project``) then projects the
+        corners onto the adjoints of every image at once. Each result is a
+        view of a component-major array."""
         points = next(g_k.shape[:-1] for g_k in g if g_k is not None)
-        w = [(1.0 - f, f) for f in self.fracs]
         size = self.imgs[0].size // self.imgs[0].shape[3]
         g_planes = [None if g_k is None else _planes(g_k) for g_k in g]
         g_images = [np.zeros((len(g_c), size)) if want and g_c is not None else None
                     for want, g_c in zip(want_image, g_planes)]
         scatter = [pair for acc, g_c in zip(g_images, g_planes) if acc is not None
                    for pair in zip(acc, g_c)]
-        project = [pair for im, g_c in zip(self.imgs, g_planes) if want_coords and g_c is not None
-                   for pair in zip(_planes(im), g_c)]
-        g_coords = np.zeros((3, self.base.size)) if want_coords else None
-        for corner, off, w01 in self._corners(w):
-            if scatter:
-                weight = w01 * w[2][corner[2]]
+        if scatter:
+            w = self._weights(slice(None))
+            for (_, _, bz), off, w01 in self._corners(w):
+                weight = w01 * w[2][bz]
                 for acc, g_c in scatter:
                     acc[off:] += np.bincount(self.base, weights=weight * g_c,
                                              minlength=size - off)
                 del weight
-            if not project:
-                continue
-            terms = (plane[off:].take(self.base) * g_c for plane, g_c in project)
-            proj = next(terms)
-            for term in terms:
-                proj += term
-            for axis in range(3):
-                if axis == 2:
-                    term = w01 * proj
-                else:
-                    wa, wb = (w[other][corner[other]] for other in range(3) if other != axis)
-                    term = wa * wb
-                    term *= proj
-                if corner[axis]:
-                    g_coords[axis] += term
-                else:
-                    g_coords[axis] -= term
-            del proj, term
+            del w
+        g_coords = None
         if want_coords:
-            for axis in range(3):
-                g_coords[axis] *= self.inside[axis]
-                g_coords[axis] *= self.imgs[0].shape[axis] - 1
+            project = [pair for im, g_c in zip(self.imgs, g_planes) if g_c is not None
+                       for pair in zip(_planes(im), g_c)]
+            g_coords = np.zeros((3, self.base.size))
+            _in_halves(functools.partial(self._project, project, g_coords), self.base.size)
             g_coords = g_coords.T.reshape(*points, 3)
         return (*(None if acc is None else acc.T.reshape(im.shape)
                   for acc, im in zip(g_images, self.imgs)), g_coords)
+
+    def _project(self, project, g_coords, s: slice):
+        """Add the coordinates' adjoint at the points ``s`` into
+        ``g_coords[:, s]``, for the (channel plane, adjoint plane) pairs
+        ``project`` of every image.
+
+        A corner's projection is ``p = sum_c v_c g_c`` over all those
+        channels. Corners (bx, by, 0) and (bx, by, 1) go as a pair: their
+        difference ``p1 - p0``, times ``w0[bx] * w1[by]``, is the z
+        adjoint's term, and their z-lerp ``p0 + f2 (p1 - p0)``, times
+        ``w1[by]`` or ``w0[bx]``, the x or y adjoint's, with the sign of
+        the pair's bit on that axis. Each axis is then masked where the
+        clamp saturates and scaled by the coordinate-to-index factor."""
+        base, f2 = self.base[s], self.fracs[2][s]
+        w0, w1 = ((1.0 - f[s], f[s]) for f in self.fracs[:2])
+        acc = [g_coords[axis, s] for axis in range(3)]
+        sx, sy, sz = self.strides
+        tmp = np.empty(base.size)
+        for bx, by in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            low, diff = (self._projection(project, base, s, bx * sx + by * sy + bz * sz)
+                         for bz in (0, 1))
+            diff -= low
+            np.multiply(diff, f2, out=tmp)
+            low += tmp
+            for axis, (weight, bit) in enumerate(((w1[by], bx), (w0[bx], by))):
+                np.multiply(low, weight, out=tmp)
+                (np.add if bit else np.subtract)(acc[axis], tmp, out=acc[axis])
+            diff *= w0[bx]
+            diff *= w1[by]
+            acc[2] += diff
+            del low, diff
+        for axis in range(3):
+            acc[axis] *= self.inside[axis][s]
+            acc[axis] *= self.imgs[0].shape[axis] - 1
+
+    @staticmethod
+    def _projection(project, base, s, off):
+        """``sum_c v_c g_c`` at the corner ``off`` past ``base``, for the
+        points ``s``."""
+        proj = None
+        for plane, g_c in project:
+            term = plane[off:].take(base)
+            term *= g_c[s]
+            if proj is None:
+                proj = term
+            else:
+                proj += term
+        return proj
 
 
 def sample_trilinear_values(img: np.ndarray, coords) -> np.ndarray:

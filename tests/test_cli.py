@@ -10,13 +10,14 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import deformreg
-from deformreg import cli
+from deformreg import cli, tape
 from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
 from deformreg.fileio import read_nifti, write_field_raw, write_nifti, write_volume_raw
 from deformreg.metrics import evaluate_pair
@@ -226,6 +227,25 @@ class TestOutOfMemory:
 
     def test_register_exits_3(self, synth_pair, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "instance_optimize", self.fail)
+        out = tmp_path / "out"
+        rc = main(["register", "--source", str(synth_pair / "a.nii"),
+                   "--target", str(synth_pair / "b.nii"), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err == f"out of memory: {self.MESSAGE}\n"
+        assert not out.exists()
+
+    def test_trilinear_worker_half_exits_3(self, synth_pair, tmp_path, capsys, monkeypatch):
+        # every plan splits, and the worker's half of a projection fails
+        project = tape._TrilinearPlan._project
+
+        def fail_in_worker(plan, *args):
+            if threading.current_thread() is not threading.main_thread():
+                self.fail()
+            return project(plan, *args)
+
+        monkeypatch.setattr(tape, "_SPLIT_POINTS", 1)
+        monkeypatch.setattr(tape._TrilinearPlan, "_project", fail_in_worker)
         out = tmp_path / "out"
         rc = main(["register", "--source", str(synth_pair / "a.nii"),
                    "--target", str(synth_pair / "b.nii"), "--out-dir", str(out)])
@@ -866,3 +886,65 @@ def test_heap_helper_keeps_freed_arrays_resident():
     proc = subprocess.run([sys.executable, "-c", _FAULT_ROUNDS], capture_output=True,
                           text=True, env=env, check=True)
     assert int(proc.stdout) < 2000, proc.stdout
+
+
+def subprocess_env(**overrides) -> dict:
+    """This process's environment with the deformreg under test first on
+    PYTHONPATH and each of ``overrides`` set, or unset where None."""
+    env = dict(os.environ)
+    src_dir = str(Path(deformreg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def test_register_fields_do_not_depend_on_blas_threads(tmp_path):
+    # a 41^3 pair, so that the trilinear plans run in two halves; the CLI
+    # caps OpenBLAS at one thread, whatever the environment asks for
+    for name, seed in (("a", 11), ("b", 12)):
+        write_test_volume(tmp_path / f"{name}.nii", seed=seed, n=41)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimizer": {"steps": 2}}))
+    fields = []
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"out-{threads}"
+        subprocess.run([sys.executable, "-m", "deformreg.cli", "register",
+                        "--source", str(tmp_path / "a.nii"), "--target", str(tmp_path / "b.nii"),
+                        "--config", str(cfg), "--out-dir", str(out)],
+                       capture_output=True, text=True, timeout=300, check=True,
+                       env=subprocess_env(OPENBLAS_NUM_THREADS=threads))
+        fields.append([(out / f"{name}.raw").read_bytes() for name in ("phi_ab", "phi_ba")])
+    assert len(fields[0][0]) == 41**3 * 3 * 4
+    assert fields[0] == fields[1] == fields[2]
+
+
+# OpenBLAS's thread count after the CLI's process set-up, or "absent"
+# where the library exports none of the getters that go with the setters
+_BLAS_THREADS = """
+import ctypes
+from deformreg import cli
+try:
+    from numpy.linalg import _umath_linalg
+    blas = ctypes.CDLL(_umath_linalg.__file__)
+except (ImportError, OSError):
+    blas = None
+getters = [getattr(blas, name.replace("_set_", "_get_"), None) for name in cli._OPENBLAS_SETTERS]
+getter = next((getter for getter in getters if getter is not None), None)
+if getter is None:
+    print("absent")
+else:
+    cli._keep_heap_resident()
+    print(getter())
+"""
+
+
+def test_heap_helper_runs_blas_on_one_thread():
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], capture_output=True,
+                          text=True, check=True, env=subprocess_env(OPENBLAS_NUM_THREADS="2"))
+    if proc.stdout.strip() == "absent":
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count getter")
+    assert proc.stdout.strip() == "1"

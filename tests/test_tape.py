@@ -1,11 +1,13 @@
 """Tape forward/backward unit tests and finite-difference gradient checks."""
 
 import gc
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from deformreg import tape as tape_module
 from deformreg.tape import (
     _CORNERS,
     Tape,
@@ -781,6 +783,99 @@ class TestSharedSample:
         tape = Tape()
         with pytest.raises(TapeError, match="at least one image"):
             tape.trilinear_samples((), tape.input(self.inputs()[2]))
+
+
+class TestTrilinearSplit:
+    """A plan of ``_SPLIT_POINTS`` points or more runs its corner blend and
+    its coordinate projection as two halves of the point range, the upper
+    on a worker thread. The cases sample a 9 x 8 x 7 image at 41^3 points,
+    some of them outside the domain."""
+
+    SIDE = 41
+
+    @classmethod
+    def case(cls, channels, seed=0):
+        rng = np.random.default_rng(61 + 10 * seed + channels)
+        img = rng.uniform(-1.0, 1.0, size=(9, 8, 7, channels))
+        pts = rng.uniform(-0.1, 1.1, size=(3, cls.SIDE, cls.SIDE, cls.SIDE))
+        return img, pts, rng.normal(size=(cls.SIDE,) * 3 + (channels,))
+
+    @staticmethod
+    def run(img, pts, g):
+        """The sample, then the image's and the points' adjoints."""
+        plan = _TrilinearPlan((img,), pts)
+        return (plan.out[0], *plan.vjp((g,), (True,), True))
+
+    @pytest.mark.parametrize("channels", [1, 3, 4])
+    def test_halves_match_one_pass_bitwise(self, channels, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        assert self.SIDE**3 >= tape_module._SPLIT_POINTS
+        split = self.run(*self.case(channels))
+        assert len(started) == 2  # the blend's worker and the projection's
+        monkeypatch.setattr(tape_module, "_SPLIT_POINTS", self.SIDE**3 + 1)
+        one_pass = self.run(*self.case(channels))
+        assert len(started) == 2
+        for got, want in zip(split, one_pass):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 3, 4])
+    def test_halves_match_oracle(self, channels):
+        # the adjoint is zero but at 400 points in both halves, so the
+        # oracle's image adjoint is over those points alone
+        img, pts, g = self.case(channels)
+        n = self.SIDE**3
+        picked = np.random.default_rng(channels).choice(n, 400, replace=False)
+        assert picked.min() < n // 2 <= picked.max()
+        flat_pts, flat_g = pts.reshape(3, -1).T[picked], g.reshape(-1, channels)[picked]
+        g_sparse = np.zeros((n, channels))
+        g_sparse[picked] = flat_g
+        values, g_img, g_pts = trilinear_oracle(img, flat_pts, flat_g)
+        out, got_img, got_pts = self.run(img, pts, g_sparse.reshape(g.shape))
+        assert np.allclose(out.reshape(-1, channels)[picked], values, rtol=0, atol=1e-12)
+        assert np.allclose(got_img, g_img, rtol=0, atol=1e-12)
+        got_pts = got_pts.reshape(-1, 3)
+        assert np.allclose(got_pts[picked], g_pts, rtol=0, atol=1e-12)
+        assert np.count_nonzero(got_pts.any(axis=1)) <= len(picked)
+
+    def test_two_split_plans_on_two_threads(self):
+        # distinct tapes are safe on distinct threads, so two plans that
+        # each start a worker must not disturb each other
+        cases = [self.case(3, seed) for seed in (1, 2)]
+        alone = [self.run(*case) for case in cases]
+        together, barrier = [None, None], threading.Barrier(2)
+
+        def work(k):
+            barrier.wait()
+            together[k] = self.run(*cases[k])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for got, want in zip(together, alone):
+            assert got is not None
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_worker_error_is_raised_in_the_caller(self):
+        ran, n = [], tape_module._SPLIT_POINTS
+
+        def part(s):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker half")
+            ran.append(s)
+
+        with pytest.raises(MemoryError, match="worker half"):
+            tape_module._in_halves(part, n)
+        assert ran == [slice(0, n // 2)]
 
 
 # (coarse dims, coarse dims, fine dims): the pyramid's odd halvings, and a

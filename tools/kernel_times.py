@@ -2,7 +2,9 @@
 
 Prints the min-of-N wall time of the trilinear plan's forward, its full
 vjp and its coordinate-only vjp for a 1-, 3- and 4-channel image sampled
-at every node of an n^3 grid, of the pyramid's ``upsample_sum`` forward
+at every node of an n^3 grid; of the loss's shared plan (a 3-channel field
+and a 1-channel image sampled at the same points) and its vjp for the
+field's and the points' adjoints, as the loss asks for them; of the pyramid's ``upsample_sum`` forward
 and vjp (quarter, half and full grid of the same side), and of the
 forward and vjp of the two similarity ops built on box means: the
 MIND_SSC term (``mind_ssc_loss``) and the LNCC map (``lncc_map``), each of
@@ -13,9 +15,12 @@ radius 1 and on a 1-channel LNCC volume at window radius 2. A box mean
 and its transpose consume the buffer they are given (the spatial axes
 are the three before the last), so each call gets a fresh untimed copy.
 
-The CLI keeps freed memory in the heap (``cli._keep_heap_resident``), so
-that the arrays of one step do not page-fault in again in the next. This
-tool does the same: without it, 64^3 timings read about 1.6x high.
+The tool takes the CLI's process set-up (``cli._keep_heap_resident``):
+freed memory stays in the heap, so that the arrays of one step do not
+page-fault in again in the next (without it, 64^3 timings read about 1.6x
+high), and OpenBLAS runs on one thread, so that the second core is free
+for the worker half of a plan of 2^16 points or more (``tape._in_halves``;
+a 32^3 grid has 32,768 points, so its plans run in one pass).
 
 Run: PYTHONPATH=src python3 tools/kernel_times.py [--side 64] [--repeats 5]
 """
@@ -53,6 +58,18 @@ def trilinear_times(n: int, channels: int, repeats: int, rng) -> dict[str, float
     return {"forward": best_ms(lambda: _TrilinearPlan((img,), coords), repeats),
             "vjp": best_ms(lambda: plan.vjp((g,), (True,), True), repeats),
             "coordinate vjp": best_ms(lambda: plan.vjp((g,), (False,), True), repeats)}
+
+
+def shared_plan_times(n: int, repeats: int, rng) -> dict[str, float]:
+    """The loss's shared plan: u_ab (3 channels) and B (1 channel) sampled
+    at the same points, and its vjp for u_ab's and the points' adjoints."""
+    field = rng.uniform(-0.05, 0.05, size=(n, n, n, 3))
+    img = rng.uniform(0.0, 1.0, size=(n, n, n, 1))
+    coords = displaced_axes(rng.uniform(-0.05, 0.05, size=(n, n, n, 3)))
+    g = (rng.normal(size=(n, n, n, 3)), rng.normal(size=(n, n, n, 1)))
+    plan = _TrilinearPlan((field, img), coords)
+    return {"forward": best_ms(lambda: _TrilinearPlan((field, img), coords), repeats),
+            "vjp": best_ms(lambda: plan.vjp(g, (True, False), True), repeats)}
 
 
 def upsample_times(n: int, repeats: int, rng) -> dict[str, float]:
@@ -107,6 +124,7 @@ def main(argv=None):
     rng = np.random.default_rng(0)
     rows = [(f"trilinear C={c}", trilinear_times(args.side, c, args.repeats, rng))
             for c in (1, 3, 4)]
+    rows.append(("shared 3+1", shared_plan_times(args.side, args.repeats, rng)))
     rows.append(("upsample_sum", upsample_times(args.side, args.repeats, rng)))
     rows += [(name, similarity_times(args.side, kind, args.repeats, rng))
              for name, kind in (("mind_ssc_loss", "MIND_SSC"), ("lncc_map", "LNCC2"))]
