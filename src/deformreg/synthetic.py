@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import sample_trilinear_values
+from .tape import _box_sum_axis, sample_trilinear_values
 from .tensor import ConfigError, Tensor3, check_number, displaced_axes, node_axes
 from .transforms import DisplacementField, inverse_displacement, resample_field_to, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
@@ -98,14 +98,15 @@ def _smooth_noise(rng, dims, passes=4):
     out = np.empty_like(a)
     for _ in range(passes):
         for axis in range(3):
-            # (roll(a, 1) + a + roll(a, -1)) / 3 along axis, in that order
+            # (roll(a, 1) + a + roll(a, -1)) / 3 along axis: the window sum, whose
+            # rows 0 and n-1 then take their far neighbor across the periodic end
+            _box_sum_axis(a, axis, 1, out)
             src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-            dst[1:] = src[:-1]
-            dst[0] = src[-1]
-            dst += src
-            dst[:-1] += src[1:]
+            np.add(src[-1], src[0], out=dst[0])
+            dst[0] += src[1 % len(src)]
+            np.add(src[-2 % len(src)], src[-1], out=dst[-1])
             dst[-1] += src[0]
-            dst /= 3.0
+            out /= 3.0
             a, out = out, a
     a -= a.min()
     peak = a.max()
@@ -144,11 +145,11 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
     # smoothing passes scale with the supersample factor squared to keep
     # the physical feature size of the noise fixed
     ss2 = _SUPERSAMPLE * _SUPERSAMPLE
-    background = 0.14 + 0.10 * _smooth_noise(rng, hi_dims, passes=4 * ss2)
-    fine = _smooth_noise(rng, hi_dims, passes=ss2)
-    texture = 0.20 * (fine - fine.mean())
+    values_hi = 0.14 + 0.10 * _smooth_noise(rng, hi_dims, passes=4 * ss2)
+    texture = _smooth_noise(rng, hi_dims, passes=ss2)
+    texture -= texture.mean()
+    texture *= 0.20
 
-    values_hi = background.copy()
     labels_lo = np.zeros(dims, dtype=np.int64)
     landmark_rows = []
 
@@ -169,17 +170,16 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
             )
         r2_hi = _ellipsoid_r2(axes_hi, center, semi)
         # gentle interior falloff keeps local windows non-degenerate
-        values_hi = np.where(
-            r2_hi <= 1.0, means[sid - 1] + 0.04 * (1.0 - r2_hi), values_hi
-        )
+        np.copyto(values_hi, means[sid - 1] + 0.04 * (1.0 - r2_hi), where=r2_hi <= 1.0)
         labels_lo[r2_lo <= 1.0] = sid
         landmark_rows.append(center)
         landmark_rows.append(center + np.array([0.8 * semi[0], 0.0, 0.0]))
         landmark_rows.append(center - np.array([0.0, 0.8 * semi[1], 0.0]))
         landmark_rows.append(center + np.array([0.0, 0.0, 0.8 * semi[2]]))
 
+    values_hi += texture
     base_hi = Volume(
-        grid=Tensor3(np.clip(values_hi + texture, 0.0, 1.0)),
+        grid=Tensor3(np.clip(values_hi, 0.0, 1.0, out=values_hi)),
         modality="SYNTH-BASE",
         preprocessed=True,
     )
@@ -234,7 +234,7 @@ def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> Dis
         center = rng.uniform(0.3, 0.7, size=3)
         direction = rng.normal(size=3)
         direction *= amplitude / np.linalg.norm(direction)
-        r2 = sum((x - c) ** 2 for x, c in zip(node_axes(dims), center))
+        r2 = _ellipsoid_r2(node_axes(dims), center, (1, 1, 1))
         envelope = np.exp(-r2 / (2.0 * sigmas[b] ** 2))
         u += envelope[..., None] * direction
     return DisplacementField(Tensor3(u))

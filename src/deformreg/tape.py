@@ -21,11 +21,14 @@ reference graphs from them and the benchmark's tracer binds them by name.
 Every box mean (the LNCC map, MIND-SSC, their fixed sides and
 ``box_filter``) runs one kernel: ``_box_sum_axis`` adds each shifted term
 of a window sum in one pass over the flat C-contiguous array and sums the
-end slabs again by slices. ``_box_mean`` and its transpose own their
-normalization: each scales once by the cached reciprocal counts
-(``_box_scale``), after or before its sums, so no caller holds a scale.
-One buffer rule holds for both: a box mean and its transpose consume the
-buffer they are given; the spatial axes are the three before the last.
+end slabs again by slices. The phantom's noise smoothing
+(``synthetic._smooth_noise``) runs it too, at radius 1, and redoes the
+two end rows with periodic neighbors. ``_box_mean`` and its transpose
+own their normalization: each scales once by the cached reciprocal
+counts (``_box_scale``), after or before its sums, so no caller holds a
+scale. One buffer rule holds for both: a box mean and its transpose
+consume the buffer they are given; the spatial axes are the three
+before the last.
 
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image

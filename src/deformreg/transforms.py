@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import ConfigError, Tensor3, displaced_axes, node_axes
+from .tensor import ConfigError, Tensor3, displaced_axes, grid_coordinates
 from .tape import Node, Tape, resample_node_values, sample_nearest_values, sample_trilinear_values
 from .volume import LabelVolume, Volume
 
@@ -123,11 +123,7 @@ def percent_neg_jac(phi: DisplacementField) -> float:
 def inverse_displacement(phi: DisplacementField, points: np.ndarray) -> np.ndarray:
     """Fixed-point inverse at normalized points of shape (..., 3):
     v <- -u(p + v), so that phi(p + v) = p once it has converged."""
-    return _fixed_point_inverse(phi, np.moveaxis(points, -1, 0))
-
-
-def _fixed_point_inverse(phi: DisplacementField, axes) -> np.ndarray:
-    """``inverse_displacement`` at points given per axis, as samplers take them."""
+    axes = np.moveaxis(points, -1, 0)
     v = np.zeros(3)  # v = 0 at every point; the first pass gives it the point shape
     for _ in range(INVERSE_ITERATIONS):
         v = -sample_trilinear_values(phi.u.data, [p + v[..., a] for a, p in enumerate(axes)])
@@ -136,4 +132,4 @@ def _fixed_point_inverse(phi: DisplacementField, axes) -> np.ndarray:
 
 def approximate_inverse(phi: DisplacementField) -> DisplacementField:
     """Fixed-point inverse on phi's grid: ``inverse_displacement`` at every node."""
-    return DisplacementField(Tensor3(_fixed_point_inverse(phi, node_axes(phi.dims))))
+    return DisplacementField(Tensor3(inverse_displacement(phi, grid_coordinates(phi.dims).data)))

@@ -80,6 +80,8 @@ def test_kernel_times_prints_each_kernel(tmp_path):
                       r".* vjp +\d+\.\d\d", out, flags=re.M)
     assert rows == ["trilinear C=1", "trilinear C=3", "trilinear C=4", "upsample_sum",
                     "mind_ssc_loss", "lncc_map", "box_mean MIND", "box_mean LNCC"], out
+    # the phantom is not differentiated: its noise row has a forward only
+    assert re.findall(r"^phantom noise +forward +\d+\.\d\d$", out, flags=re.M), out
 
 
 def test_fuzz_cli_prints_its_summary(tmp_path):
@@ -89,6 +91,19 @@ def test_fuzz_cli_prints_its_summary(tmp_path):
     out = run_script(ROOT / "tools" / "fuzz_cli.py", tmp_path,
                      argv=["--seed", "2", "--cases", "20"], TMPDIR=str(tmp))
     assert out.splitlines() == ["fuzz_cli: seed 2, 20 cases, 0 contract violations"], out
+    assert not any(tmp.iterdir())
+
+
+def test_peak_rss_prints_each_fresh_run(tmp_path):
+    # its own temporary directory, which it removes; tmp stays empty
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = run_script(ROOT / "tools" / "peak_rss.py", tmp_path, argv=["--dims", "16"],
+                     TMPDIR=str(tmp))
+    runs = re.findall(r"^(synth|register LNCC2|register MIND_SSC) +peak +(\d+\.\d) MB"
+                      r"  wall +\d+\.\d\d s$", out, flags=re.M)
+    assert [name for name, _ in runs] == ["synth", "register LNCC2", "register MIND_SSC"], out
+    assert all(float(peak) > 0 for _, peak in runs), out
     assert not any(tmp.iterdir())
 
 

@@ -66,6 +66,19 @@ class TestMakePhantom:
         with pytest.raises(ConfigError, match="seed"):
             make_deformation(seed=seed, dims=(16, 16, 16), amplitude=0.05)
 
+    def test_phantom_memory_at_32(self):
+        # composing the phantom in place: at most 6 supersampled 63^3 grids
+        # at once (keeping the background and a grid per structure peaked
+        # at 14.1 MiB, about 7.4 grids)
+        grid = 63**3 * 8
+        tracemalloc.start()
+        try:
+            make_phantom(seed=7, dims=(32, 32, 32), n_structures=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * grid, f"{peak / 2**20:.1f} MiB, {peak / grid:.2f} grids"
+
 
 class TestMakeDeformation:
     def test_zero_amplitude_is_identity(self):
@@ -219,7 +232,11 @@ class TestRenderAtOutputNodes:
         assert ph.base.values().tobytes() == base.tobytes()
 
     def test_smooth_noise_equals_roll_formula(self):
-        for dims, passes in (((1, 2, 5), 3), ((7, 6, 9), 4), ((31, 4, 3), 1)):
+        # axes of length 1 and 2 take their far neighbors modulo n;
+        # (63, 63, 63) is a 32^3 phantom's background, (31, 33, 35) a
+        # (16, 17, 18) phantom's texture
+        for dims, passes in (((1, 2, 5), 3), ((7, 6, 9), 4), ((31, 4, 3), 1),
+                             ((63, 63, 63), 16), ((31, 33, 35), 4)):
             got = _smooth_noise(np.random.default_rng(23), dims, passes)
             a = np.random.default_rng(23).uniform(0.0, 1.0, size=dims)
             for _ in range(passes):

@@ -1,4 +1,4 @@
-"""Isolated timings of the field kernels and two similarity ops at one cube side.
+"""Isolated timings of field, similarity and phantom-noise kernels at one cube side.
 
 Prints the min-of-N wall time of the trilinear plan's forward, its full
 vjp and its coordinate-only vjp for a 1-, 3- and 4-channel image sampled
@@ -14,6 +14,10 @@ mean those ops share (``tape._box_mean``, forward) and its transpose
 radius 1 and on a 1-channel LNCC volume at window radius 2. A box mean
 and its transpose consume the buffer they are given (the spatial axes
 are the three before the last), so each call gets a fresh untimed copy.
+The ``phantom noise`` row times the forward of ``synthetic._smooth_noise``
+(no vjp: the phantom is not differentiated), the background's 16 passes
+on the (2n - 1)^3 grid a side-n phantom is rendered on; each axis pass is
+the box mean's window sum (``tape._box_sum_axis``) at radius 1.
 
 The tool takes the CLI's process set-up (``cli._keep_heap_resident``):
 freed memory stays in the heap, so that the arrays of one step do not
@@ -34,6 +38,7 @@ from deformreg.cli import _keep_heap_resident
 from deformreg.pipeline import stage_grid_dims
 from deformreg.similarity import (SimilarityConfig, fixed_side, lncc_map_nodes,
                                   mind_ssc_loss_nodes)
+from deformreg.synthetic import _SUPERSAMPLE, _smooth_noise
 from deformreg.tape import Tape, _box_mean, _box_mean_t, _TrilinearPlan
 from deformreg.tensor import Tensor3, displaced_axes
 
@@ -113,6 +118,15 @@ def box_mean_times(shape: tuple, radius: int, repeats: int, rng) -> dict[str, fl
             "vjp": best_ms(lambda g: _box_mean_t(g, radius), repeats, setup=arr.copy)}
 
 
+def phantom_noise_times(n: int, repeats: int) -> dict[str, float]:
+    """``_smooth_noise`` with the background's passes on a side-n
+    phantom's supersampled grid, its uniform draw included."""
+    dims = ((n - 1) * _SUPERSAMPLE + 1,) * 3
+    passes = 4 * _SUPERSAMPLE**2
+    return {"forward": best_ms(lambda: _smooth_noise(np.random.default_rng(0), dims, passes),
+                               repeats)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", type=int, default=64, help="cube side n of the n^3 grid")
@@ -130,7 +144,8 @@ def main(argv=None):
              for name, kind in (("mind_ssc_loss", "MIND_SSC"), ("lncc_map", "LNCC2"))]
     n = args.side
     rows += [("box_mean MIND", box_mean_times((12, n, n, n, 1), 1, args.repeats, rng)),
-             ("box_mean LNCC", box_mean_times((n, n, n, 1), 2, args.repeats, rng))]
+             ("box_mean LNCC", box_mean_times((n, n, n, 1), 2, args.repeats, rng)),
+             ("phantom noise", phantom_noise_times(n, args.repeats))]
     print(f"{args.side}^3, min of {args.repeats} (ms)")
     for name, times in rows:
         print(f"{name:15}" + "".join(f"  {key} {ms:8.2f}" for key, ms in times.items()))
