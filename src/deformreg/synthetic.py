@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import _box_sum_axis, sample_trilinear_values
+from .tape import _box_sum_axis, _divide_in_halves, sample_trilinear_values
 from .tensor import ConfigError, Tensor3, check_number, displaced_axes, node_axes
 from .transforms import DisplacementField, inverse_displacement, resample_field_to, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
@@ -106,7 +106,7 @@ def _smooth_noise(rng, dims, passes=4):
             dst[0] += src[1 % len(src)]
             np.add(src[-2 % len(src)], src[-1], out=dst[-1])
             dst[-1] += src[0]
-            out /= 3.0
+            _divide_in_halves(out, 3.0)
             a, out = out, a
     a -= a.min()
     peak = a.max()
@@ -118,6 +118,19 @@ def _smooth_noise(rng, dims, passes=4):
 def _ellipsoid_r2(axes, center, semi) -> np.ndarray:
     """Squared normalized radius on the grid spanned by ``node_axes``."""
     return sum(((ax - c) / s) ** 2 for ax, c, s in zip(axes, center, semi))
+
+
+def _ellipsoid_box(axes, center, semi) -> tuple:
+    """The bounding box of the ellipsoid's nodes on the grid spanned by
+    ``node_axes``: per axis, the slice from the first to the last node
+    whose own term of ``_ellipsoid_r2`` is at most 1. r2 sums those
+    non-negative terms, and a rounded sum is never below a term, so no node
+    outside the box has r2 <= 1; inside it r2 takes the same float ops."""
+    box = []
+    for ax, c, s in zip(axes, center, semi):
+        near = np.flatnonzero(((ax.ravel() - c) / s) ** 2 <= 1.0)
+        box.append(slice(near[0], near[-1] + 1) if near.size else slice(0, 0))
+    return tuple(box)
 
 
 def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
@@ -168,9 +181,12 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
                 f"could not place structure {sid} without overlap "
                 f"within {_RETRY_BUDGET} retries"
             )
-        r2_hi = _ellipsoid_r2(axes_hi, center, semi)
+        # r2, its falloff and the mask over the structure's box only
+        box = _ellipsoid_box(axes_hi, center, semi)
+        box_axes = [ax[(slice(None),) * a + (box[a],)] for a, ax in enumerate(axes_hi)]
+        r2_hi = _ellipsoid_r2(box_axes, center, semi)
         # gentle interior falloff keeps local windows non-degenerate
-        np.copyto(values_hi, means[sid - 1] + 0.04 * (1.0 - r2_hi), where=r2_hi <= 1.0)
+        np.copyto(values_hi[box], means[sid - 1] + 0.04 * (1.0 - r2_hi), where=r2_hi <= 1.0)
         labels_lo[r2_lo <= 1.0] = sid
         landmark_rows.append(center)
         landmark_rows.append(center + np.array([0.8 * semi[0], 0.0, 0.0]))

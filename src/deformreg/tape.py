@@ -23,12 +23,18 @@ Every box mean (the LNCC map, MIND-SSC, their fixed sides and
 of a window sum in one pass over the flat C-contiguous array and sums the
 end slabs again by slices. The phantom's noise smoothing
 (``synthetic._smooth_noise``) runs it too, at radius 1, and redoes the
-two end rows with periodic neighbors. ``_box_mean`` and its transpose
-own their normalization: each scales once by the cached reciprocal
-counts (``_box_scale``), after or before its sums, so no caller holds a
-scale. One buffer rule holds for both: a box mean and its transpose
-consume the buffer they are given; the spatial axes are the three
-before the last.
+two end rows with periodic neighbors. A flat pass of 2^20 values or more
+(``_BOX_SPLIT_POINTS``; a 64^3 phantom's 127^3 grid, a 64^3 MIND-SSC
+stack) runs in two halves on two threads (``_in_halves``), bitwise as one
+pass. The cutoff is 16 times the trilinear plan's, a conservative choice
+that keeps every box mean of a 32^3 registration in one pass: at the
+plan's 2^16 the 32^3 MIND-SSC stack's box means split, and a 32^3
+MIND-SSC step ran slower on 2 cores (README). ``_box_mean`` and
+its transpose own their normalization: each scales once by the cached
+reciprocal counts (``_box_scale``), after or before its sums, so no
+caller holds a scale. One buffer rule holds for both: a box mean and its
+transpose consume the buffer they are given; the spatial axes are the
+three before the last.
 
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
@@ -96,10 +102,14 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out: np.ndarray) -> n
     axis runs as one long contiguous pass too; then the first r and the
     last r slabs along the axis, which took neighbors across the axis
     ends, are summed again by shifted slices (``_box_rows``), in the same
-    order, so both forms give the same bits. Otherwise (a non-contiguous
-    ``out`` reshapes to a copy, not a view) every slab is summed by shifted
-    slices. The stencil is symmetric, so the same sum is its own transpose
-    and serves ``box_filter``'s vjp too. Needs r >= 1.
+    order, so both forms give the same bits. A flat body of
+    ``_BOX_SPLIT_POINTS`` = 2^20 values or more is added as two halves of
+    its range (``_in_halves``), the upper on a worker thread; each output
+    keeps its order of adds, so the bits are those of one pass. Why the
+    cutoff is not the plan's 2^16 is in the module docstring. Otherwise
+    (a non-contiguous ``out`` reshapes to a copy, not a view) every slab
+    is summed by shifted slices. The stencil is symmetric, so the same sum
+    is its own transpose and serves ``box_filter``'s vjp too. Needs r >= 1.
     """
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     n = src.shape[0]
@@ -108,13 +118,18 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out: np.ndarray) -> n
         return out
     flat, flat_out = arr.reshape(-1), out.reshape(-1)
     step = math.prod(arr.shape[axis + 1:])
-    lo, hi = radius * step, arr.size - radius * step
-    body = flat_out[lo:hi]
-    np.add(flat[lo:hi], flat[lo - step:hi - step], out=body)
-    body += flat[lo + step:hi + step]
-    for k in range(2, radius + 1):
-        body += flat[lo - k * step:hi - k * step]
-        body += flat[lo + k * step:hi + k * step]
+    lo = radius * step
+
+    def part(s):
+        i, j = lo + s.start, lo + s.stop
+        body = flat_out[i:j]
+        np.add(flat[i:j], flat[i - step:j - step], out=body)
+        body += flat[i + step:j + step]
+        for k in range(2, radius + 1):
+            body += flat[i - k * step:j - k * step]
+            body += flat[i + k * step:j + k * step]
+
+    _in_halves(part, arr.size - 2 * lo, _BOX_SPLIT_POINTS)
     _box_rows(src, dst, radius, 0, radius)
     _box_rows(src, dst, radius, n - radius, n)
     return out
@@ -215,14 +230,18 @@ def _planes(arr: np.ndarray) -> list[np.ndarray]:
 # coordinate projection in two halves, one on a worker thread; below it a
 # thread costs more than it saves (synth's 16-point landmark plans)
 _SPLIT_POINTS = 1 << 16
+# the same for a window sum's flat body and the phantom's divide (see
+# ``_box_sum_axis``)
+_BOX_SPLIT_POINTS = 1 << 20
 
 
-def _in_halves(part, n: int) -> None:
+def _in_halves(part, n: int, cutoff: int) -> None:
     """Run ``part(s)`` over slices ``s`` that cover range(n): in one pass
-    below ``_SPLIT_POINTS`` points, else the upper half on a worker thread
-    while the caller runs the lower. Both halves end before this returns;
-    an exception of the worker's is raised here."""
-    if n < _SPLIT_POINTS:
+    below ``cutoff`` points, else the upper half on a worker thread while
+    the caller runs the lower. Both halves end before this returns; an
+    exception of the worker's is raised here. Callers pass the module's
+    cutoff at call time, so that a test can lower it."""
+    if n < cutoff:
         part(slice(0, n))
         return
     mid, errors = n // 2, []
@@ -241,6 +260,14 @@ def _in_halves(part, n: int) -> None:
         worker.join()
     if errors:
         raise errors[0]
+
+
+def _divide_in_halves(arr: np.ndarray, divisor: float) -> None:
+    """``arr /= divisor`` in place on a C-contiguous ``arr``, in halves at
+    the window sum's cutoff, as the phantom's noise divides each pass."""
+    flat = arr.reshape(-1)
+    _in_halves(lambda s: np.divide(flat[s], divisor, out=flat[s]), flat.size,
+               _BOX_SPLIT_POINTS)
 
 
 class _TrilinearPlan:
@@ -336,7 +363,7 @@ class _TrilinearPlan:
                     else:
                         np.multiply(term, weight, out=acc[s])
 
-        _in_halves(part, self.base.size)
+        _in_halves(part, self.base.size, _SPLIT_POINTS)
         return out
 
     def _corners(self, w):
@@ -381,7 +408,8 @@ class _TrilinearPlan:
             project = [pair for im, g_c in zip(self.imgs, g_planes) if g_c is not None
                        for pair in zip(_planes(im), g_c)]
             g_coords = np.zeros((3, self.base.size))
-            _in_halves(functools.partial(self._project, project, g_coords), self.base.size)
+            _in_halves(functools.partial(self._project, project, g_coords), self.base.size,
+                       _SPLIT_POINTS)
             g_coords = g_coords.T.reshape(*points, 3)
         return (*(None if acc is None else acc.T.reshape(im.shape)
                   for acc, im in zip(g_images, self.imgs)), g_coords)

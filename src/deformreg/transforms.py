@@ -122,11 +122,15 @@ def percent_neg_jac(phi: DisplacementField) -> float:
 
 def inverse_displacement(phi: DisplacementField, points: np.ndarray) -> np.ndarray:
     """Fixed-point inverse at normalized points of shape (..., 3):
-    v <- -u(p + v), so that phi(p + v) = p once it has converged."""
+    v <- -u(p + v), so that phi(p + v) = p once it has converged.
+
+    u is made channel-planar once (a (..., 3) view of a component-major
+    copy), so each pass's plan reads its channels without copying them."""
     axes = np.moveaxis(points, -1, 0)
+    u = np.moveaxis(np.ascontiguousarray(np.moveaxis(phi.u.data, -1, 0)), 0, -1)
     v = np.zeros(3)  # v = 0 at every point; the first pass gives it the point shape
     for _ in range(INVERSE_ITERATIONS):
-        v = -sample_trilinear_values(phi.u.data, [p + v[..., a] for a, p in enumerate(axes)])
+        v = -sample_trilinear_values(u, [p + v[..., a] for a, p in enumerate(axes)])
     return v
 
 

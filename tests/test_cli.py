@@ -254,6 +254,25 @@ class TestOutOfMemory:
         assert err == f"out of memory: {self.MESSAGE}\n"
         assert not out.exists()
 
+    def test_window_sum_worker_half_exits_3(self, tmp_path, capsys, monkeypatch):
+        # every window sum of the phantom's noise splits, and the worker's
+        # half of one fails
+        add = np.add
+
+        def fail_in_worker(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                self.fail()
+            return add(*args, **kwargs)
+
+        monkeypatch.setattr(tape, "_BOX_SPLIT_POINTS", 1)
+        monkeypatch.setattr(np, "add", fail_in_worker)
+        out = tmp_path / "pair"
+        rc = main(["synth", "--out-dir", str(out), "--dims", "16"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err == f"out of memory: {self.MESSAGE}\n"
+        assert not out.exists()
+
 
 # every exception class the package defines, with the exit code main gives
 # it and the prefix of its one stderr line; TapeError reaches main only

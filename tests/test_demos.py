@@ -73,15 +73,29 @@ def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
     assert lines[6:] == [f"largest deviation: {zero}"], out
 
 
-def test_kernel_times_prints_each_kernel(tmp_path):
+def kernel_rows(tmp_path, side):
+    """The names of kernel_times' rows with a vjp, then of those without."""
     out = run_script(ROOT / "tools" / "kernel_times.py", tmp_path,
-                     argv=["--side", "8", "--repeats", "1"])
-    rows = re.findall(r"^(trilinear C=\d|upsample_sum|mind_ssc_loss|lncc_map|box_mean \w+) "
-                      r".* vjp +\d+\.\d\d", out, flags=re.M)
+                     argv=["--side", str(side), "--repeats", "1"])
+    with_vjp = re.findall(r"^(trilinear C=\d|upsample_sum|mind_ssc_loss|lncc_map|box_mean \w+) "
+                          r".* vjp +\d+\.\d\d", out, flags=re.M)
+    forward = re.findall(r"^(phantom noise|make_phantom) +forward +\d+\.\d\d$", out, flags=re.M)
+    return with_vjp, forward, out
+
+
+def test_kernel_times_prints_each_kernel(tmp_path):
+    rows, forward, out = kernel_rows(tmp_path, 8)
     assert rows == ["trilinear C=1", "trilinear C=3", "trilinear C=4", "upsample_sum",
                     "mind_ssc_loss", "lncc_map", "box_mean MIND", "box_mean LNCC"], out
-    # the phantom is not differentiated: its noise row has a forward only
-    assert re.findall(r"^phantom noise +forward +\d+\.\d\d$", out, flags=re.M), out
+    # the phantom is not differentiated: its noise row has a forward only,
+    # and the whole phantom's row starts at its smallest side, 16
+    assert forward == ["phantom noise"], out
+
+
+def test_kernel_times_prints_the_phantom_from_side_16(tmp_path):
+    rows, forward, out = kernel_rows(tmp_path, 16)
+    assert len(rows) == 8, out
+    assert forward == ["phantom noise", "make_phantom"], out
 
 
 def test_fuzz_cli_prints_its_summary(tmp_path):

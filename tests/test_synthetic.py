@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from deformreg import synthetic, tape
 from deformreg.metrics import mtre
 from deformreg.synthetic import (
     ModalityRemap,
@@ -67,9 +68,10 @@ class TestMakePhantom:
             make_deformation(seed=seed, dims=(16, 16, 16), amplitude=0.05)
 
     def test_phantom_memory_at_32(self):
-        # composing the phantom in place: at most 6 supersampled 63^3 grids
-        # at once (keeping the background and a grid per structure peaked
-        # at 14.1 MiB, about 7.4 grids)
+        # composing the phantom in place, each structure over its bounding
+        # box: at most 4 supersampled 63^3 grids at once (keeping the
+        # background and a grid per structure peaked at about 7.4 grids,
+        # each structure over the whole grid at about 5.3)
         grid = 63**3 * 8
         tracemalloc.start()
         try:
@@ -77,7 +79,23 @@ class TestMakePhantom:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * grid, f"{peak / 2**20:.1f} MiB, {peak / grid:.2f} grids"
+        assert peak < 4 * grid, f"{peak / 2**20:.1f} MiB, {peak / grid:.2f} grids"
+
+    @pytest.mark.parametrize("dims", [(17, 20, 23), (25, 19, 22), (24, 24, 24)])
+    @pytest.mark.parametrize("n_structures", [1, 4])
+    def test_bounding_boxes_match_the_full_grid_bitwise(self, dims, n_structures, monkeypatch):
+        # the reference forms each structure over the whole supersampled
+        # grid: a box of every node
+        seeds = (0, 3, 8)
+        boxed = [make_phantom(seed, dims, n_structures) for seed in seeds]
+        monkeypatch.setattr(synthetic, "_ellipsoid_box", lambda *args: (slice(None),) * 3)
+        for seed, got in zip(seeds, boxed):
+            want = make_phantom(seed, dims, n_structures)
+            for a, b in ((got.base_supersampled.values(), want.base_supersampled.values()),
+                         (got.base.values(), want.base.values()),
+                         (got.labels.labels, want.labels.labels),
+                         (got.landmarks.points, want.landmarks.points)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestMakeDeformation:
@@ -246,6 +264,11 @@ class TestRenderAtOutputNodes:
             if a.max() > 0:
                 a /= a.max()
             assert got.tobytes() == a.tobytes()
+
+    def test_smooth_noise_in_halves_equals_roll_formula(self, monkeypatch):
+        # the same cases with every window sum and every divide split
+        monkeypatch.setattr(tape, "_BOX_SPLIT_POINTS", 1)
+        self.test_smooth_noise_equals_roll_formula()
 
     def test_render_memory_at_32(self):
         # rendering all 63^3 supersampled nodes peaked at 42.7 MiB

@@ -874,8 +874,63 @@ class TestTrilinearSplit:
             ran.append(s)
 
         with pytest.raises(MemoryError, match="worker half"):
-            tape_module._in_halves(part, n)
+            tape_module._in_halves(part, n, n)
         assert ran == [slice(0, n // 2)]
+
+
+class TestBoxSumSplit:
+    """A window sum whose flat body holds ``_BOX_SPLIT_POINTS`` values or
+    more adds it as two halves of the body, the upper on a worker thread.
+    The cases lower the cutoff so that small odd grids split too."""
+
+    @staticmethod
+    def started(monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return started
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("shape, axes", [((9, 8, 11, 1), (0, 1, 2)),
+                                             ((12, 7, 9, 10, 1), (1, 2, 3))],
+                             ids=["odd", "stack"])
+    def test_halves_match_one_pass_bitwise(self, shape, axes, radius, monkeypatch):
+        started = self.started(monkeypatch)
+        arr = np.random.default_rng(7 * radius + len(shape)).uniform(-1.0, 1.0, shape)
+        for axis in axes:
+            monkeypatch.setattr(tape_module, "_BOX_SPLIT_POINTS", 1)
+            split = _box_sum_axis(arr, axis, radius, np.full(shape, np.nan))
+            monkeypatch.setattr(tape_module, "_BOX_SPLIT_POINTS", arr.size + 1)
+            one_pass = _box_sum_axis(arr, axis, radius, np.full(shape, np.nan))
+            assert split.tobytes() == one_pass.tobytes()
+            assert np.array_equal(one_pass, box_sum_slices(arr, axis, radius))
+        assert len(started) == len(axes)  # one worker a split pass, none unsplit
+
+    def test_every_box_mean_at_32_runs_in_one_pass(self, monkeypatch):
+        # MIND-SSC's 12-plane stack is the largest box mean of a 32^3 run
+        started = self.started(monkeypatch)
+        _box_mean(np.ones((12, 32, 32, 32, 1)), 1)
+        assert started == []
+        assert 12 * 32**3 < tape_module._BOX_SPLIT_POINTS
+
+    def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
+        add, shape = np.add, (9, 8, 11, 1)
+
+        def fail_in_worker(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker half")
+            return add(*args, **kwargs)
+
+        monkeypatch.setattr(tape_module, "_BOX_SPLIT_POINTS", 1)
+        monkeypatch.setattr(np, "add", fail_in_worker)
+        arr = np.random.default_rng(5).uniform(-1.0, 1.0, shape)
+        with pytest.raises(MemoryError, match="worker half"):
+            _box_sum_axis(arr, 0, 2, np.empty(shape))
 
 
 # (coarse dims, coarse dims, fine dims): the pyramid's odd halvings, and a

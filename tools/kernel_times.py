@@ -1,4 +1,4 @@
-"""Isolated timings of field, similarity and phantom-noise kernels at one cube side.
+"""Isolated timings of field, similarity and phantom kernels at one cube side.
 
 Prints the min-of-N wall time of the trilinear plan's forward, its full
 vjp and its coordinate-only vjp for a 1-, 3- and 4-channel image sampled
@@ -17,14 +17,20 @@ are the three before the last), so each call gets a fresh untimed copy.
 The ``phantom noise`` row times the forward of ``synthetic._smooth_noise``
 (no vjp: the phantom is not differentiated), the background's 16 passes
 on the (2n - 1)^3 grid a side-n phantom is rendered on; each axis pass is
-the box mean's window sum (``tape._box_sum_axis``) at radius 1.
+the box mean's window sum (``tape._box_sum_axis``) at radius 1. The
+``make_phantom`` row times the whole phantom of side n (seed 7, 4
+structures, as ``synth`` makes it), forward only: both noise volumes and
+the structures over their bounding boxes. It is printed for sides of 16
+or more, the smallest phantom.
 
 The tool takes the CLI's process set-up (``cli._keep_heap_resident``):
 freed memory stays in the heap, so that the arrays of one step do not
 page-fault in again in the next (without it, 64^3 timings read about 1.6x
 high), and OpenBLAS runs on one thread, so that the second core is free
-for the worker half of a plan of 2^16 points or more (``tape._in_halves``;
-a 32^3 grid has 32,768 points, so its plans run in one pass).
+for the worker half of a plan of 2^16 points or more and of a window sum
+of 2^20 values or more (``tape._in_halves``; a 32^3 grid has 32,768
+points, so its plans run in one pass, and a 32^3 phantom's 63^3 grid has
+250,047 values, so its noise runs in one pass too).
 
 Run: PYTHONPATH=src python3 tools/kernel_times.py [--side 64] [--repeats 5]
 """
@@ -38,7 +44,7 @@ from deformreg.cli import _keep_heap_resident
 from deformreg.pipeline import stage_grid_dims
 from deformreg.similarity import (SimilarityConfig, fixed_side, lncc_map_nodes,
                                   mind_ssc_loss_nodes)
-from deformreg.synthetic import _SUPERSAMPLE, _smooth_noise
+from deformreg.synthetic import _SUPERSAMPLE, _smooth_noise, make_phantom
 from deformreg.tape import Tape, _box_mean, _box_mean_t, _TrilinearPlan
 from deformreg.tensor import Tensor3, displaced_axes
 
@@ -127,6 +133,11 @@ def phantom_noise_times(n: int, repeats: int) -> dict[str, float]:
                                repeats)}
 
 
+def phantom_times(n: int, repeats: int) -> dict[str, float]:
+    """``make_phantom`` of side n with ``synth``'s seed and structures."""
+    return {"forward": best_ms(lambda: make_phantom(7, (n, n, n), 4), repeats)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", type=int, default=64, help="cube side n of the n^3 grid")
@@ -146,6 +157,8 @@ def main(argv=None):
     rows += [("box_mean MIND", box_mean_times((12, n, n, n, 1), 1, args.repeats, rng)),
              ("box_mean LNCC", box_mean_times((n, n, n, 1), 2, args.repeats, rng)),
              ("phantom noise", phantom_noise_times(n, args.repeats))]
+    if n >= 16:
+        rows.append(("make_phantom", phantom_times(n, args.repeats)))
     print(f"{args.side}^3, min of {args.repeats} (ms)")
     for name, times in rows:
         print(f"{name:15}" + "".join(f"  {key} {ms:8.2f}" for key, ms in times.items()))
