@@ -17,13 +17,14 @@ is the identity map.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .losses import LossConfig, randomized_loss_nodes
 from .similarity import SimilarityConfig, fixed_side
-from .tape import Node, Tape, TapeError
+from .tape import Node, Tape, TapeError, _grid_points, _in_halves
 from .tensor import ConfigError, Tensor3, TensorError, check_number
 from .transforms import DisplacementField
 from .volume import Volume
@@ -174,7 +175,10 @@ class RegistrationResult:
 class Adam:
     """Standard bias-corrected Adam over a name->array parameter dict,
     with a step size per key. A step whose moments or update leave the
-    finite range raises FloatingPointError naming the key."""
+    finite range raises FloatingPointError naming the key. The moments
+    are C-contiguous, whatever the gradient's layout, and each key is
+    updated over its flat values (``_update``), in halves on a grid of
+    ``tape._SPLIT_POINTS`` points or more, bitwise as one pass."""
 
     def __init__(self, step_sizes: dict):
         self.step_sizes = step_sizes
@@ -184,25 +188,44 @@ class Adam:
 
     def step(self, params: dict[str, Tensor3], grads: dict[str, np.ndarray]) -> dict[str, Tensor3]:
         self.t += 1
+        c1, c2 = 1 - BETA1**self.t, 1 - BETA2**self.t
         out = {}
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for key, value in params.items():
-                    g = grads[key]
+                    g = np.ascontiguousarray(grads[key])
                     if key not in self.m:
-                        self.m[key], self.v[key] = np.zeros_like(g), np.zeros_like(g)
-                    m, v = self.m[key], self.v[key]
-                    m *= BETA1
-                    m += (1 - BETA1) * g
-                    v *= BETA2
-                    v += (1 - BETA2) * g * g
-                    step = m / (1 - BETA1**self.t)
-                    step *= self.step_sizes[key]
-                    step /= np.sqrt(v / (1 - BETA2**self.t)) + ADAM_EPS
-                    out[key] = Tensor3._wrap(np.subtract(value.data, step, out=step))
+                        self.m[key], self.v[key] = np.zeros(g.shape), np.zeros(g.shape)
+                    new = np.empty(g.shape)
+                    flat = [a.reshape(-1) for a in (g, self.m[key], self.v[key], value.data, new)]
+                    _in_halves(functools.partial(self._update, flat, self.step_sizes[key],
+                                                 c1, c2), g.size, _grid_points(g))
+                    out[key] = Tensor3._wrap(new)
         except (FloatingPointError, TensorError) as exc:
             raise FloatingPointError(f"Adam update of {key}: {exc}") from None
         return out
+
+    @staticmethod
+    def _update(flat, lr: float, c1: float, c2: float, s: slice) -> None:
+        """``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` in
+        place and ``x - (m / c1) lr / (sqrt(v / c2) + eps)`` into the
+        result, at the flat values ``s`` of ``flat`` (g, m, v, x, result),
+        with one temporary."""
+        g, m, v, x, new = (a[s] for a in flat)
+        tmp = np.multiply(g, 1 - BETA1)
+        m *= BETA1
+        m += tmp
+        np.multiply(g, 1 - BETA2, out=tmp)
+        tmp *= g
+        v *= BETA2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        np.divide(m, c1, out=new)
+        new *= lr
+        new /= tmp
+        np.subtract(x, new, out=new)
 
 
 def _check_pair(a: Volume, b: Volume, model: PyramidModel | None = None) -> None:

@@ -94,7 +94,8 @@ class ModalityRemap:
 
 
 def _smooth_noise(rng, dims, passes=4):
-    a = rng.uniform(0.0, 1.0, size=dims)
+    # one channel after the spatial axes, as the window sum counts its grid
+    a = rng.uniform(0.0, 1.0, size=dims)[..., None]
     out = np.empty_like(a)
     for _ in range(passes):
         for axis in range(3):
@@ -112,7 +113,7 @@ def _smooth_noise(rng, dims, passes=4):
     peak = a.max()
     if peak > 0:
         a /= peak
-    return a
+    return a[..., 0]
 
 
 def _ellipsoid_r2(axes, center, semi) -> np.ndarray:

@@ -23,18 +23,23 @@ Every box mean (the LNCC map, MIND-SSC, their fixed sides and
 of a window sum in one pass over the flat C-contiguous array and sums the
 end slabs again by slices. The phantom's noise smoothing
 (``synthetic._smooth_noise``) runs it too, at radius 1, and redoes the
-two end rows with periodic neighbors. A flat pass of 2^20 values or more
-(``_BOX_SPLIT_POINTS``; a 64^3 phantom's 127^3 grid, a 64^3 MIND-SSC
-stack) runs in two halves on two threads (``_in_halves``), bitwise as one
-pass. The cutoff is 16 times the trilinear plan's, a conservative choice
-that keeps every box mean of a 32^3 registration in one pass: at the
-plan's 2^16 the 32^3 MIND-SSC stack's box means split, and a 32^3
-MIND-SSC step ran slower on 2 cores (README). ``_box_mean`` and
-its transpose own their normalization: each scales once by the cached
-reciprocal counts (``_box_scale``), after or before its sums, so no
-caller holds a scale. One buffer rule holds for both: a box mean and its
-transpose consume the buffer they are given; the spatial axes are the
-three before the last.
+two end rows with periodic neighbors. ``_box_mean`` and its transpose own
+their normalization: each scales once by the cached reciprocal counts
+(``_box_scale``), after or before its sums, so no caller holds a scale.
+One buffer rule holds for both: a box mean and its transpose consume the
+buffer they are given; the spatial axes are the three before the last.
+
+One split rule runs the point-wise passes on both cores: a pass over a
+grid of ``_SPLIT_POINTS`` = 2^16 points or more runs in two halves, the
+upper on a worker thread (``_in_halves``), and each half writes only its
+own slice of the result, in the order of operations of one pass, so the
+bits are those of one pass. The passes are a window sum's flat body and
+the phantom's divide (counting the spatial axes, not the planes of a
+stack or the channels), a trilinear plan's set-up, corner blend and
+coordinate projection (counting its points), and the pipeline's Adam
+update of a parameter grid. So every 64^3 grid and a 32^3 phantom's 63^3
+grid split, and no 32^3 grid does: a 32^3 registration step, its 12-plane
+MIND-SSC stack included, starts no thread (README has the measurements).
 
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
@@ -102,14 +107,14 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out: np.ndarray) -> n
     axis runs as one long contiguous pass too; then the first r and the
     last r slabs along the axis, which took neighbors across the axis
     ends, are summed again by shifted slices (``_box_rows``), in the same
-    order, so both forms give the same bits. A flat body of
-    ``_BOX_SPLIT_POINTS`` = 2^20 values or more is added as two halves of
-    its range (``_in_halves``), the upper on a worker thread; each output
-    keeps its order of adds, so the bits are those of one pass. Why the
-    cutoff is not the plan's 2^16 is in the module docstring. Otherwise
-    (a non-contiguous ``out`` reshapes to a copy, not a view) every slab
-    is summed by shifted slices. The stencil is symmetric, so the same sum
-    is its own transpose and serves ``box_filter``'s vjp too. Needs r >= 1.
+    order, so both forms give the same bits. Otherwise (a non-contiguous
+    ``out`` reshapes to a copy, not a view) every slab is summed by
+    shifted slices. On a grid of ``_SPLIT_POINTS`` points or more (the
+    spatial axes, however many planes) the flat body is added as two
+    halves of its range (``_in_halves``), the upper on a worker thread;
+    each output keeps its order of adds, so the bits are those of one
+    pass. The stencil is symmetric, so the same sum is its own transpose
+    and serves ``box_filter``'s vjp too. Needs r >= 1.
     """
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     n = src.shape[0]
@@ -129,7 +134,7 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out: np.ndarray) -> n
             body += flat[i - k * step:j - k * step]
             body += flat[i + k * step:j + k * step]
 
-    _in_halves(part, arr.size - 2 * lo, _BOX_SPLIT_POINTS)
+    _in_halves(part, arr.size - 2 * lo, _grid_points(arr))
     _box_rows(src, dst, radius, 0, radius)
     _box_rows(src, dst, radius, n - radius, n)
     return out
@@ -226,29 +231,36 @@ def _planes(arr: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(arr[..., c]).ravel() for c in range(arr.shape[-1])]
 
 
-# a plan with at least this many points runs its corner blend and its
-# coordinate projection in two halves, one on a worker thread; below it a
-# thread costs more than it saves (synth's 16-point landmark plans)
+# a point-wise pass over a grid of at least this many points runs in two
+# halves, one on a worker thread (``_in_halves``): every 64^3 grid and a
+# 32^3 phantom's 63^3 grid, but no 32^3 grid (32,768 points), whatever
+# its channels or planes; below it a thread costs more than it saves
 _SPLIT_POINTS = 1 << 16
-# the same for a window sum's flat body and the phantom's divide (see
-# ``_box_sum_axis``)
-_BOX_SPLIT_POINTS = 1 << 20
 
 
-def _in_halves(part, n: int, cutoff: int) -> None:
+def _grid_points(arr: np.ndarray) -> int:
+    """The grid points of ``arr``: the product of its spatial axes, the
+    three before the last."""
+    return math.prod(arr.shape[-4:-1])
+
+
+def _in_halves(part, n: int, points: int) -> None:
     """Run ``part(s)`` over slices ``s`` that cover range(n): in one pass
-    below ``cutoff`` points, else the upper half on a worker thread while
-    the caller runs the lower. Both halves end before this returns; an
-    exception of the worker's is raised here. Callers pass the module's
-    cutoff at call time, so that a test can lower it."""
-    if n < cutoff:
+    for a grid of fewer than ``_SPLIT_POINTS`` ``points``, else the upper
+    half on a worker thread while the caller runs the lower. The worker
+    runs under the caller's numpy error state (``np.errstate`` is per
+    thread), so a half warns, raises or keeps quiet as one pass would.
+    Both halves end before this returns; an exception of the worker's is
+    raised here. The cutoff is read at call time, so a test can lower it."""
+    if points < _SPLIT_POINTS:
         part(slice(0, n))
         return
-    mid, errors = n // 2, []
+    mid, errors, err = n // 2, [], np.geterr()
 
     def upper():
         try:
-            part(slice(mid, n))
+            with np.errstate(**err):
+                part(slice(mid, n))
         except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
             errors.append(exc)
 
@@ -263,11 +275,59 @@ def _in_halves(part, n: int, cutoff: int) -> None:
 
 
 def _divide_in_halves(arr: np.ndarray, divisor: float) -> None:
-    """``arr /= divisor`` in place on a C-contiguous ``arr``, in halves at
-    the window sum's cutoff, as the phantom's noise divides each pass."""
+    """``arr /= divisor`` in place on a C-contiguous ``arr``, in halves on
+    a grid of ``_SPLIT_POINTS`` points or more, as the phantom's noise
+    divides each pass."""
     flat = arr.reshape(-1)
     _in_halves(lambda s: np.divide(flat[s], divisor, out=flat[s]), flat.size,
-               _BOX_SPLIT_POINTS)
+               _grid_points(arr))
+
+
+def _locate_points(dims, coords):
+    """A ``_TrilinearPlan``'s per-axis set-up on a ``dims`` grid at the
+    per-axis ``coords``: the point shape, then the flat index ``base`` of
+    each point's low corner, the flat strides, the fractions and the
+    inside masks (see the plan). Each point's clip, mask, snap, index and
+    fraction read its own coordinates alone, so on ``_SPLIT_POINTS``
+    points or more each half of the flat point range writes its slice of
+    the preallocated results on its own thread (``_in_halves``), bitwise
+    as one pass."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    flat = [np.broadcast_to(c, shape).ravel() for c in coords]
+    size = flat[0].size
+    axis_strides = (dims[1] * dims[2], dims[2], 1)
+    base = np.empty(size, dtype=np.int64)
+    fracs = [np.empty(size) for _ in range(3)]
+    inside = [np.empty(size, dtype=bool) for _ in range(3)]
+
+    def part(s):
+        for axis, (c, n, stride) in enumerate(zip(flat, dims, axis_strides)):
+            c_raw, p = c[s], fracs[axis][s]
+            np.clip(c_raw, 0.0, 1.0, out=p)
+            # False where the clamp moved the coordinate, and at NaN
+            np.equal(p, c_raw, out=inside[axis][s])
+            p *= n - 1
+            # snap to the node when within 1e-9 index units so sampling at
+            # voxel centers reproduces stored values exactly
+            node = np.round(p)
+            gap = np.subtract(p, node)
+            np.abs(gap, out=gap)
+            np.copyto(p, node, where=gap < 1e-9)
+            del node, gap
+            # the first axis's index is cast straight into base
+            i0 = np.empty(p.size, dtype=np.int64) if axis else base[s]
+            np.copyto(i0, p, casting="unsafe")
+            np.minimum(i0, max(n - 2, 0), out=i0)
+            p -= i0
+            if stride != 1:
+                i0 *= stride
+            if axis:
+                base[s] += i0
+            del i0
+
+    _in_halves(part, size, size)
+    strides = [stride if n > 1 else 0 for n, stride in zip(dims, axis_strides)]
+    return shape, base, strides, fracs, inside
 
 
 class _TrilinearPlan:
@@ -297,47 +357,22 @@ class _TrilinearPlan:
     an index array of its own. Weights and the images' channel planes are
     rebuilt where a pass needs them instead of being held until the vjp.
 
-    The corner blend and the coordinate projection are point-wise, so on
-    ``_SPLIT_POINTS`` points or more each runs as two halves of the flat
-    point range (``_in_halves``), the upper on a worker thread: each half
-    writes only its own slice of a preallocated result, so every value is
-    bitwise that of one pass. The image adjoint's ``bincount`` scatter
-    sums over points, so it stays whole, on the caller, before the
-    projection starts (beside it, both would hold their temporaries).
+    The set-up (``_locate_points``), the corner blend and the coordinate
+    projection are point-wise, so on ``_SPLIT_POINTS`` points or more each
+    runs as two halves of the flat point range (``_in_halves``), the upper
+    on a worker thread: each half writes only its own slice of a
+    preallocated result, so every value is bitwise that of one pass. The
+    image adjoint's ``bincount`` scatter sums over points, so it stays
+    whole, on the caller, before the projection starts (beside it, both
+    would hold their temporaries).
     """
 
     __slots__ = ("imgs", "base", "strides", "fracs", "inside", "out")
 
     def __init__(self, imgs, coords):
         self.imgs = list(imgs)
-        nx, ny, nz = self.imgs[0].shape[:3]
-        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        self.base, self.strides, self.fracs, self.inside = None, [], [], []
-        for c, n, stride in zip(coords, (nx, ny, nz), (ny * nz, nz, 1)):
-            c_raw = np.broadcast_to(c, shape).ravel()
-            p = np.clip(c_raw, 0.0, 1.0)
-            # False where the clamp moved the coordinate, and at NaN
-            self.inside.append(p == c_raw)
-            p *= n - 1
-            # snap to the node when within 1e-9 index units so sampling at
-            # voxel centers reproduces stored values exactly
-            node = np.round(p)
-            gap = np.subtract(p, node)
-            np.abs(gap, out=gap)
-            np.copyto(p, node, where=gap < 1e-9)
-            del node, gap
-            i0 = p.astype(np.int64)
-            np.minimum(i0, max(n - 2, 0), out=i0)
-            p -= i0
-            self.fracs.append(p)
-            self.strides.append(stride if n > 1 else 0)
-            if stride != 1:
-                i0 *= stride
-            if self.base is None:
-                self.base = i0
-            else:
-                self.base += i0
-            del i0
+        shape, self.base, self.strides, self.fracs, self.inside = _locate_points(
+            self.imgs[0].shape[:3], coords)
         sums, self.out = self._blend([plane for im in self.imgs for plane in _planes(im)]), []
         for im in self.imgs:
             self.out.append(np.stack(sums[: im.shape[3]], axis=-1).reshape(*shape, im.shape[3]))
@@ -363,7 +398,7 @@ class _TrilinearPlan:
                     else:
                         np.multiply(term, weight, out=acc[s])
 
-        _in_halves(part, self.base.size, _SPLIT_POINTS)
+        _in_halves(part, self.base.size, self.base.size)
         return out
 
     def _corners(self, w):
@@ -409,7 +444,7 @@ class _TrilinearPlan:
                        for pair in zip(_planes(im), g_c)]
             g_coords = np.zeros((3, self.base.size))
             _in_halves(functools.partial(self._project, project, g_coords), self.base.size,
-                       _SPLIT_POINTS)
+                       self.base.size)
             g_coords = g_coords.T.reshape(*points, 3)
         return (*(None if acc is None else acc.T.reshape(im.shape)
                   for acc, im in zip(g_images, self.imgs)), g_coords)

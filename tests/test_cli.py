@@ -264,7 +264,7 @@ class TestOutOfMemory:
                 self.fail()
             return add(*args, **kwargs)
 
-        monkeypatch.setattr(tape, "_BOX_SPLIT_POINTS", 1)
+        monkeypatch.setattr(tape, "_SPLIT_POINTS", 1)
         monkeypatch.setattr(np, "add", fail_in_worker)
         out = tmp_path / "pair"
         rc = main(["synth", "--out-dir", str(out), "--dims", "16"])

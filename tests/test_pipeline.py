@@ -13,6 +13,7 @@ import pytest
 
 import deformreg
 from deformreg import pipeline
+from deformreg import tape as tape_module
 from deformreg.losses import LossConfig, randomized_loss_nodes
 from deformreg.pipeline import (
     DIRECTIONS,
@@ -408,6 +409,50 @@ class TestInstanceOptimize:
         assert err.value.step == step
         assert str(err.value).startswith(f"Adam update of ab0: {reason}")
 
+
+
+class TestAdam:
+    """``Adam.step`` against the closed form, on gradients laid out as the
+    coarse grids' adjoints are (``np.moveaxis`` views, not C-contiguous),
+    in one pass and with every key split in halves."""
+
+    LR = {"a": 0.3, "b": 2e-3}
+
+    @staticmethod
+    def gradients(rng):
+        return {"a": np.moveaxis(rng.normal(size=(3, 5, 4, 6)), 0, -1),
+                "b": np.moveaxis(rng.normal(size=(2, 6, 3, 3)), 0, 1)}
+
+    @pytest.mark.parametrize("cutoff", [1, 5 * 4 * 6 + 1], ids=["split", "one_pass"])
+    def test_three_steps_equal_the_closed_form_bitwise(self, cutoff, monkeypatch):
+        monkeypatch.setattr(tape_module, "_SPLIT_POINTS", cutoff)
+        rng = np.random.default_rng(14)
+        params = {"a": Tensor3(rng.normal(size=(5, 4, 6, 3))),
+                  "b": Tensor3(rng.normal(size=(6, 2, 3, 3)))}
+        want = {key: (value.data, 0.0, 0.0) for key, value in params.items()}
+        adam = pipeline.Adam(self.LR)
+        for t in (1, 2, 3):
+            grads = self.gradients(rng)
+            assert not any(g.flags.c_contiguous for g in grads.values())
+            params = adam.step(params, grads)
+            for key, g in grads.items():
+                x, m, v = want[key]
+                m = m * pipeline.BETA1 + g * (1 - pipeline.BETA1)
+                v = v * pipeline.BETA2 + g * (1 - pipeline.BETA2) * g
+                x = x - m / (1 - pipeline.BETA1**t) * self.LR[key] / (
+                    np.sqrt(v / (1 - pipeline.BETA2**t)) + pipeline.ADAM_EPS)
+                want[key] = (x, m, v)
+                assert params[key].data.tobytes() == np.ascontiguousarray(x).tobytes()
+
+    def test_overflow_in_the_upper_half_names_the_key(self, monkeypatch):
+        monkeypatch.setattr(tape_module, "_SPLIT_POINTS", 1)
+        params = {key: Tensor3.zeros((4, 4, 4), channels=3) for key in ("ab0", "ab1")}
+        grads = {key: np.ones((4, 4, 4, 3)) for key in params}
+        grads["ab1"][-1, -1, -1, -1] = 1e200  # v squares it past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="^Adam update of ab1: overflow"):
+                pipeline.Adam({"ab0": 1e-3, "ab1": 1e-3}).step(params, grads)
 
 
 def backward_memory(monkeypatch, steps, n=24, kind="LNCC2"):

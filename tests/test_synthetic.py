@@ -267,7 +267,7 @@ class TestRenderAtOutputNodes:
 
     def test_smooth_noise_in_halves_equals_roll_formula(self, monkeypatch):
         # the same cases with every window sum and every divide split
-        monkeypatch.setattr(tape, "_BOX_SPLIT_POINTS", 1)
+        monkeypatch.setattr(tape, "_SPLIT_POINTS", 1)
         self.test_smooth_noise_equals_roll_formula()
 
     def test_render_memory_at_32(self):

@@ -3,11 +3,16 @@
 import gc
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from deformreg import tape as tape_module
+from deformreg.losses import LossConfig
+from deformreg.pipeline import Adam, OptimizerConfig, instance_optimize
+from deformreg.similarity import SimilarityConfig
+from deformreg.synthetic import _smooth_noise
 from deformreg.tape import (
     _CORNERS,
     Tape,
@@ -16,11 +21,13 @@ from deformreg.tape import (
     _box_mean_t,
     _box_scale,
     _box_sum_axis,
+    _locate_points,
     _TrilinearPlan,
     grad_check,
     sample_trilinear_values,
 )
 from deformreg.tensor import Tensor3, TensorError, displaced_axes, grid_coordinates, node_axes
+from deformreg.volume import Volume
 
 from tests_helpers_interp import lerp3
 
@@ -786,10 +793,10 @@ class TestSharedSample:
 
 
 class TestTrilinearSplit:
-    """A plan of ``_SPLIT_POINTS`` points or more runs its corner blend and
-    its coordinate projection as two halves of the point range, the upper
-    on a worker thread. The cases sample a 9 x 8 x 7 image at 41^3 points,
-    some of them outside the domain."""
+    """A plan of ``_SPLIT_POINTS`` points or more runs its set-up, its
+    corner blend and its coordinate projection as two halves of the point
+    range, the upper on a worker thread. The cases sample a 9 x 8 x 7
+    image at 41^3 points, some of them outside the domain."""
 
     SIDE = 41
 
@@ -808,20 +815,13 @@ class TestTrilinearSplit:
 
     @pytest.mark.parametrize("channels", [1, 3, 4])
     def test_halves_match_one_pass_bitwise(self, channels, monkeypatch):
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self.name)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Counted)
+        started = started_threads(monkeypatch)
         assert self.SIDE**3 >= tape_module._SPLIT_POINTS
         split = self.run(*self.case(channels))
-        assert len(started) == 2  # the blend's worker and the projection's
+        assert len(started) == 3  # the set-up's worker, the blend's and the projection's
         monkeypatch.setattr(tape_module, "_SPLIT_POINTS", self.SIDE**3 + 1)
         one_pass = self.run(*self.case(channels))
-        assert len(started) == 2
+        assert len(started) == 3
         for got, want in zip(split, one_pass):
             assert got.tobytes() == want.tobytes()
 
@@ -878,45 +878,58 @@ class TestTrilinearSplit:
         assert ran == [slice(0, n // 2)]
 
 
+def started_threads(monkeypatch) -> list:
+    """The names of the threads started from here on, in order."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
 class TestBoxSumSplit:
-    """A window sum whose flat body holds ``_BOX_SPLIT_POINTS`` values or
-    more adds it as two halves of the body, the upper on a worker thread.
-    The cases lower the cutoff so that small odd grids split too."""
-
-    @staticmethod
-    def started(monkeypatch):
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self.name)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Counted)
-        return started
+    """A window sum over a grid of ``_SPLIT_POINTS`` points or more adds
+    its flat body as two halves, the upper on a worker thread. The cases
+    lower the cutoff so that small odd grids split too."""
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
     @pytest.mark.parametrize("shape, axes", [((9, 8, 11, 1), (0, 1, 2)),
                                              ((12, 7, 9, 10, 1), (1, 2, 3))],
                              ids=["odd", "stack"])
     def test_halves_match_one_pass_bitwise(self, shape, axes, radius, monkeypatch):
-        started = self.started(monkeypatch)
+        started = started_threads(monkeypatch)
         arr = np.random.default_rng(7 * radius + len(shape)).uniform(-1.0, 1.0, shape)
         for axis in axes:
-            monkeypatch.setattr(tape_module, "_BOX_SPLIT_POINTS", 1)
+            monkeypatch.setattr(tape_module, "_SPLIT_POINTS", 1)
             split = _box_sum_axis(arr, axis, radius, np.full(shape, np.nan))
-            monkeypatch.setattr(tape_module, "_BOX_SPLIT_POINTS", arr.size + 1)
+            monkeypatch.setattr(tape_module, "_SPLIT_POINTS", arr.size + 1)
             one_pass = _box_sum_axis(arr, axis, radius, np.full(shape, np.nan))
             assert split.tobytes() == one_pass.tobytes()
             assert np.array_equal(one_pass, box_sum_slices(arr, axis, radius))
         assert len(started) == len(axes)  # one worker a split pass, none unsplit
 
     def test_every_box_mean_at_32_runs_in_one_pass(self, monkeypatch):
-        # MIND-SSC's 12-plane stack is the largest box mean of a 32^3 run
-        started = self.started(monkeypatch)
+        # MIND-SSC's 12-plane stack is the largest box mean of a 32^3 run:
+        # 393,216 values, but 32,768 grid points
+        started = started_threads(monkeypatch)
         _box_mean(np.ones((12, 32, 32, 32, 1)), 1)
         assert started == []
-        assert 12 * 32**3 < tape_module._BOX_SPLIT_POINTS
+        assert 32**3 < tape_module._SPLIT_POINTS <= 12 * 32**3
+
+    def test_stack_splits_by_its_grid_not_its_values(self, monkeypatch):
+        # a 12-plane stack of 7 x 9 x 10 grids: 7,560 values, 630 points
+        started = started_threads(monkeypatch)
+        arr = np.ones((12, 7, 9, 10, 1))
+        monkeypatch.setattr(tape_module, "_SPLIT_POINTS", 631)
+        _box_sum_axis(arr, 1, 1, np.empty(arr.shape))
+        assert started == []
+        monkeypatch.setattr(tape_module, "_SPLIT_POINTS", 630)
+        _box_sum_axis(arr, 1, 1, np.empty(arr.shape))
+        assert len(started) == 1
 
     def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
         add, shape = np.add, (9, 8, 11, 1)
@@ -926,11 +939,79 @@ class TestBoxSumSplit:
                 raise MemoryError("worker half")
             return add(*args, **kwargs)
 
-        monkeypatch.setattr(tape_module, "_BOX_SPLIT_POINTS", 1)
+        monkeypatch.setattr(tape_module, "_SPLIT_POINTS", 1)
         monkeypatch.setattr(np, "add", fail_in_worker)
         arr = np.random.default_rng(5).uniform(-1.0, 1.0, shape)
         with pytest.raises(MemoryError, match="worker half"):
             _box_sum_axis(arr, 0, 2, np.empty(shape))
+
+    @staticmethod
+    def inf_in_upper_half():
+        """An (8, 8, 8, 1) array whose window sum along x at radius 1 adds
+        inf to -inf in rows 4 and 5 only: the upper half of its flat body
+        (rows 1-6), and no end slab."""
+        arr = np.zeros((8, 8, 8, 1))
+        arr[4], arr[5] = -np.inf, np.inf
+        return arr
+
+    @pytest.mark.parametrize("cutoff", [1, 8**3 + 1], ids=["split", "one_pass"])
+    def test_worker_half_raises_under_the_callers_errstate(self, cutoff, monkeypatch):
+        monkeypatch.setattr(tape_module, "_SPLIT_POINTS", cutoff)
+        arr = self.inf_in_upper_half()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid"):
+            _box_sum_axis(arr, 0, 1, np.empty(arr.shape))
+
+    @pytest.mark.parametrize("cutoff", [1, 8**3 + 1], ids=["split", "one_pass"])
+    def test_worker_half_is_silent_under_the_callers_errstate(self, cutoff, monkeypatch):
+        monkeypatch.setattr(tape_module, "_SPLIT_POINTS", cutoff)
+        arr = self.inf_in_upper_half()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a worker's warning would raise there
+            with np.errstate(invalid="ignore"):
+                out = _box_sum_axis(arr, 0, 1, np.empty(arr.shape))
+        assert np.isnan(out[4:6]).all() and not np.isnan(out[:4]).any()
+
+
+class TestSplitRule:
+    """Which passes split at the real cutoff: every pass over a 64^3 grid
+    (or a 32^3 phantom's 63^3 grid) starts a worker, and no pass of a
+    32^3 registration step does."""
+
+    def test_lncc_box_mean_at_64_starts_one_worker_an_axis(self, monkeypatch):
+        started = started_threads(monkeypatch)
+        _box_mean(np.ones((64, 64, 64, 1)), 2)
+        assert len(started) == 3
+
+    def test_phantom_noise_at_32_splits_each_sum_and_divide(self, monkeypatch):
+        # a 32^3 phantom is rendered on a 63^3 grid
+        started = started_threads(monkeypatch)
+        _smooth_noise(np.random.default_rng(0), (63, 63, 63), passes=1)
+        assert len(started) == 6  # three window sums, three divides
+
+    def test_plan_set_up_at_64_starts_one_worker(self, monkeypatch):
+        started = started_threads(monkeypatch)
+        _locate_points((64, 64, 64), node_axes((64, 64, 64)))
+        assert len(started) == 1
+
+    def test_adam_splits_the_full_grid_key_at_64(self, monkeypatch):
+        # the full grid of a 64^3 model; its half grid is 32^3
+        started = started_threads(monkeypatch)
+        adam = Adam({"full": 1e-3, "half": 1e-3})
+        params = {key: Tensor3.zeros((n, n, n), channels=3)
+                  for key, n in (("full", 64), ("half", 32))}
+        adam.step(params, {key: np.ones(value.shape) for key, value in params.items()})
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("kind", ["LNCC2", "MIND_SSC"])
+    def test_a_step_at_32_starts_no_thread(self, kind, monkeypatch):
+        # MIND_SSC's 12-plane stack (393,216 values) is on 32^3 points too
+        rng = np.random.default_rng(4)
+        a, b = (Volume(Tensor3(rng.uniform(0.1, 0.9, (32, 32, 32))), modality="SYNTH-BASE",
+                       preprocessed=True) for _ in range(2))
+        started = started_threads(monkeypatch)
+        instance_optimize(a, b, LossConfig(similarity=SimilarityConfig(kind=kind)),
+                          OptimizerConfig(steps=1))
+        assert started == []
 
 
 # (coarse dims, coarse dims, fine dims): the pyramid's odd halvings, and a

@@ -1,11 +1,17 @@
-"""Isolated timings of field, similarity and phantom kernels at one cube side.
+"""Isolated timings of field, similarity, Adam and phantom kernels at one cube side.
 
 Prints the min-of-N wall time of the trilinear plan's forward, its full
 vjp and its coordinate-only vjp for a 1-, 3- and 4-channel image sampled
-at every node of an n^3 grid; of the loss's shared plan (a 3-channel field
-and a 1-channel image sampled at the same points) and its vjp for the
-field's and the points' adjoints, as the loss asks for them; of the pyramid's ``upsample_sum`` forward
-and vjp (quarter, half and full grid of the same side), and of the
+at every node of an n^3 grid; of the plan's per-axis set-up alone
+(``plan set-up``, ``tape._locate_points``: clip, inside mask, snap,
+corner index and fraction at each of those points; the forward rows
+include it); of the loss's shared plan (a 3-channel field and a 1-channel
+image sampled at the same points) and its vjp for the field's and the
+points' adjoints, as the loss asks for them; of the pyramid's
+``upsample_sum`` forward and vjp (quarter, half and full grid of the same
+side); of one ``adam`` step of a side-n model's six keys (both
+directions' three grids, the gradients laid out as ``upsample_sum``'s vjp
+leaves them, after a first, untimed step that makes the moments); and of the
 forward and vjp of the two similarity ops built on box means: the
 MIND_SSC term (``mind_ssc_loss``) and the LNCC map (``lncc_map``), each of
 a random n^3 image against a fixed one. The ``box_mean`` rows time the box
@@ -27,10 +33,12 @@ The tool takes the CLI's process set-up (``cli._keep_heap_resident``):
 freed memory stays in the heap, so that the arrays of one step do not
 page-fault in again in the next (without it, 64^3 timings read about 1.6x
 high), and OpenBLAS runs on one thread, so that the second core is free
-for the worker half of a plan of 2^16 points or more and of a window sum
-of 2^20 values or more (``tape._in_halves``; a 32^3 grid has 32,768
-points, so its plans run in one pass, and a 32^3 phantom's 63^3 grid has
-250,047 values, so its noise runs in one pass too).
+for the worker half of every point-wise pass over a grid of 2^16 points
+or more (``tape._in_halves``): a plan's set-up, blend and projection, a
+window sum, the phantom's divide and an Adam key. A 32^3 grid has 32,768
+points, so at side 32 only the phantom's passes split (its 63^3 grid has
+250,047 points); at side 64 every such pass splits but Adam's updates of
+the quarter and half grids.
 
 Run: PYTHONPATH=src python3 tools/kernel_times.py [--side 64] [--repeats 5]
 """
@@ -41,11 +49,11 @@ import time
 import numpy as np
 
 from deformreg.cli import _keep_heap_resident
-from deformreg.pipeline import stage_grid_dims
+from deformreg.pipeline import DIRECTIONS, STAGE_COUNT, Adam, build_model, stage_grid_dims
 from deformreg.similarity import (SimilarityConfig, fixed_side, lncc_map_nodes,
                                   mind_ssc_loss_nodes)
 from deformreg.synthetic import _SUPERSAMPLE, _smooth_noise, make_phantom
-from deformreg.tape import Tape, _box_mean, _box_mean_t, _TrilinearPlan
+from deformreg.tape import Tape, _box_mean, _box_mean_t, _locate_points, _TrilinearPlan
 from deformreg.tensor import Tensor3, displaced_axes
 
 
@@ -71,6 +79,12 @@ def trilinear_times(n: int, channels: int, repeats: int, rng) -> dict[str, float
             "coordinate vjp": best_ms(lambda: plan.vjp((g,), (False,), True), repeats)}
 
 
+def set_up_times(n: int, repeats: int, rng) -> dict[str, float]:
+    """The plan's per-axis set-up at every node of an n^3 grid, displaced."""
+    coords = displaced_axes(rng.uniform(-0.05, 0.05, size=(n, n, n, 3)))
+    return {"forward": best_ms(lambda: _locate_points((n, n, n), coords), repeats)}
+
+
 def shared_plan_times(n: int, repeats: int, rng) -> dict[str, float]:
     """The loss's shared plan: u_ab (3 channels) and B (1 channel) sampled
     at the same points, and its vjp for u_ab's and the points' adjoints."""
@@ -94,6 +108,21 @@ def upsample_times(n: int, repeats: int, rng) -> dict[str, float]:
 
     node = forward()
     return {"forward": best_ms(forward, repeats), "vjp": best_ms(lambda: node._vjp(g), repeats)}
+
+
+def adam_times(n: int, repeats: int, rng) -> dict[str, float]:
+    """One Adam step of a side-n model, each direction's gradients the
+    adjoints ``upsample_sum``'s vjp hands its three grids."""
+    model = build_model((n, n, n))
+    tape = Tape()
+    node = tape.upsample_sum(*(tape.input(model.params[model.param_key("ab", stage)])
+                               for stage in range(STAGE_COUNT)))
+    adjoints = node._vjp(rng.normal(size=node.value.shape))
+    grads = {model.param_key(direction, stage): adjoints[stage]
+             for direction in DIRECTIONS for stage in range(STAGE_COUNT)}
+    adam = Adam({key: 1e-3 for key in model.params})
+    adam.step(model.params, grads)
+    return {"forward": best_ms(lambda: adam.step(model.params, grads), repeats)}
 
 
 def similarity_times(n: int, kind: str, repeats: int, rng) -> dict[str, float]:
@@ -149,8 +178,10 @@ def main(argv=None):
     rng = np.random.default_rng(0)
     rows = [(f"trilinear C={c}", trilinear_times(args.side, c, args.repeats, rng))
             for c in (1, 3, 4)]
+    rows.append(("plan set-up", set_up_times(args.side, args.repeats, rng)))
     rows.append(("shared 3+1", shared_plan_times(args.side, args.repeats, rng)))
     rows.append(("upsample_sum", upsample_times(args.side, args.repeats, rng)))
+    rows.append(("adam", adam_times(args.side, args.repeats, rng)))
     rows += [(name, similarity_times(args.side, kind, args.repeats, rng))
              for name, kind in (("mind_ssc_loss", "MIND_SSC"), ("lncc_map", "LNCC2"))]
     n = args.side
