@@ -24,7 +24,7 @@ import numpy as np
 
 from .losses import LossConfig, randomized_loss_nodes
 from .similarity import SimilarityConfig, fixed_side
-from .tape import Node, Tape, TapeError, _grid_points, _in_halves
+from .tape import Node, Tape, TapeError, _flat_in_halves
 from .tensor import ConfigError, Tensor3, TensorError, check_number
 from .transforms import DisplacementField
 from .volume import Volume
@@ -176,9 +176,8 @@ class Adam:
     """Standard bias-corrected Adam over a name->array parameter dict,
     with a step size per key. A step whose moments or update leave the
     finite range raises FloatingPointError naming the key. The moments
-    are C-contiguous, whatever the gradient's layout, and each key is
-    updated over its flat values (``_update``), in halves on a grid of
-    ``tape._SPLIT_POINTS`` points or more, bitwise as one pass."""
+    are C-contiguous, whatever the gradient's layout, so each key's
+    update (``_update``) runs over flat slices (``tape._flat_in_halves``)."""
 
     def __init__(self, step_sizes: dict):
         self.step_sizes = step_sizes
@@ -197,21 +196,18 @@ class Adam:
                     if key not in self.m:
                         self.m[key], self.v[key] = np.zeros(g.shape), np.zeros(g.shape)
                     new = np.empty(g.shape)
-                    flat = [a.reshape(-1) for a in (g, self.m[key], self.v[key], value.data, new)]
-                    _in_halves(functools.partial(self._update, flat, self.step_sizes[key],
-                                                 c1, c2), g.size, _grid_points(g))
+                    _flat_in_halves(functools.partial(self._update, self.step_sizes[key], c1, c2),
+                                    g, self.m[key], self.v[key], value.data, new)
                     out[key] = Tensor3._wrap(new)
         except (FloatingPointError, TensorError) as exc:
             raise FloatingPointError(f"Adam update of {key}: {exc}") from None
         return out
 
     @staticmethod
-    def _update(flat, lr: float, c1: float, c2: float, s: slice) -> None:
+    def _update(lr: float, c1: float, c2: float, g, m, v, x, new) -> None:
         """``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` in
-        place and ``x - (m / c1) lr / (sqrt(v / c2) + eps)`` into the
-        result, at the flat values ``s`` of ``flat`` (g, m, v, x, result),
+        place and ``x - (m / c1) lr / (sqrt(v / c2) + eps)`` into ``new``,
         with one temporary."""
-        g, m, v, x, new = (a[s] for a in flat)
         tmp = np.multiply(g, 1 - BETA1)
         m *= BETA1
         m += tmp

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import _box_sum_axis, _divide_in_halves, sample_trilinear_values
+from .tape import _box_sum_axis, _flat_in_halves, sample_trilinear_values
 from .tensor import ConfigError, Tensor3, check_number, displaced_axes, node_axes
 from .transforms import DisplacementField, inverse_displacement, resample_field_to, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
@@ -107,7 +107,7 @@ def _smooth_noise(rng, dims, passes=4):
             dst[0] += src[1 % len(src)]
             np.add(src[-2 % len(src)], src[-1], out=dst[-1])
             dst[-1] += src[0]
-            _divide_in_halves(out, 3.0)
+            _flat_in_halves(lambda x: np.divide(x, 3.0, out=x), out)
             a, out = out, a
     a -= a.min()
     peak = a.max()
@@ -145,8 +145,7 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
     dims = tuple(int(d) for d in dims)
     if min(dims) < 16:
         raise ConfigError(f"phantom dims must be >= 16 per axis, got {dims}")
-    if n_structures < 1:
-        raise ConfigError("need at least one structure")
+    check_number(ConfigError, "n_structures", n_structures, integer=True, at_least=1)
     means = np.linspace(0.40, 0.85, n_structures)
     if n_structures > 1 and means[1] - means[0] < 0.1:
         raise ConfigError(
@@ -232,8 +231,7 @@ def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> Dis
     """
     check_number(ConfigError, "seed", seed, integer=True, at_least=0)
     dims = tuple(int(d) for d in dims)
-    if n_bumps < 0:
-        raise ConfigError("n_bumps must be >= 0")
+    check_number(ConfigError, "n_bumps", n_bumps, integer=True, at_least=0)
     rng = np.random.default_rng(seed)
     if n_bumps == 0 or amplitude == 0.0:
         check_number(ConfigError, "amplitude", amplitude)

@@ -33,13 +33,14 @@ One split rule runs the point-wise passes on both cores: a pass over a
 grid of ``_SPLIT_POINTS`` = 2^16 points or more runs in two halves, the
 upper on a worker thread (``_in_halves``), and each half writes only its
 own slice of the result, in the order of operations of one pass, so the
-bits are those of one pass. The passes are a window sum's flat body and
-the phantom's divide (counting the spatial axes, not the planes of a
-stack or the channels), a trilinear plan's set-up, corner blend and
-coordinate projection (counting its points), and the pipeline's Adam
-update of a parameter grid. So every 64^3 grid and a 32^3 phantom's 63^3
-grid split, and no 32^3 grid does: a 32^3 registration step, its 12-plane
-MIND-SSC stack included, starts no thread (README has the measurements).
+bits are those of one pass. The passes are a window sum's flat body, the
+flat passes of ``_flat_in_halves`` (the phantom noise's divide and the
+pipeline's Adam update), all counting the spatial axes, not the planes
+of a stack or the channels, and a trilinear plan's forward and its
+coordinate projection, counting the plan's points. So every 64^3 grid
+and a 32^3 phantom's 63^3 grid split, and no 32^3 grid does: a 32^3
+registration step, its 12-plane MIND-SSC stack included, starts no
+thread (README has the measurements).
 
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
@@ -66,7 +67,7 @@ import threading
 
 import numpy as np
 
-from .tensor import Tensor3, displaced_axes, node_axes
+from .tensor import ConfigError, Tensor3, displaced_axes, node_axes
 
 
 class TapeError(ValueError):
@@ -109,12 +110,10 @@ def _box_sum_axis(arr: np.ndarray, axis: int, radius: int, out: np.ndarray) -> n
     ends, are summed again by shifted slices (``_box_rows``), in the same
     order, so both forms give the same bits. Otherwise (a non-contiguous
     ``out`` reshapes to a copy, not a view) every slab is summed by
-    shifted slices. On a grid of ``_SPLIT_POINTS`` points or more (the
-    spatial axes, however many planes) the flat body is added as two
-    halves of its range (``_in_halves``), the upper on a worker thread;
-    each output keeps its order of adds, so the bits are those of one
-    pass. The stencil is symmetric, so the same sum is its own transpose
-    and serves ``box_filter``'s vjp too. Needs r >= 1.
+    shifted slices. The flat body splits by the one rule (``_in_halves``);
+    each output keeps its order of adds. The stencil is symmetric, so the
+    same sum is its own transpose and serves ``box_filter``'s vjp too.
+    Needs r >= 1.
     """
     src, dst = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     n = src.shape[0]
@@ -231,10 +230,8 @@ def _planes(arr: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(arr[..., c]).ravel() for c in range(arr.shape[-1])]
 
 
-# a point-wise pass over a grid of at least this many points runs in two
-# halves, one on a worker thread (``_in_halves``): every 64^3 grid and a
-# 32^3 phantom's 63^3 grid, but no 32^3 grid (32,768 points), whatever
-# its channels or planes; below it a thread costs more than it saves
+# the split rule's cutoff in grid points (see the module docstring);
+# below it a thread costs more than it saves
 _SPLIT_POINTS = 1 << 16
 
 
@@ -274,60 +271,12 @@ def _in_halves(part, n: int, points: int) -> None:
         raise errors[0]
 
 
-def _divide_in_halves(arr: np.ndarray, divisor: float) -> None:
-    """``arr /= divisor`` in place on a C-contiguous ``arr``, in halves on
-    a grid of ``_SPLIT_POINTS`` points or more, as the phantom's noise
-    divides each pass."""
-    flat = arr.reshape(-1)
-    _in_halves(lambda s: np.divide(flat[s], divisor, out=flat[s]), flat.size,
-               _grid_points(arr))
-
-
-def _locate_points(dims, coords):
-    """A ``_TrilinearPlan``'s per-axis set-up on a ``dims`` grid at the
-    per-axis ``coords``: the point shape, then the flat index ``base`` of
-    each point's low corner, the flat strides, the fractions and the
-    inside masks (see the plan). Each point's clip, mask, snap, index and
-    fraction read its own coordinates alone, so on ``_SPLIT_POINTS``
-    points or more each half of the flat point range writes its slice of
-    the preallocated results on its own thread (``_in_halves``), bitwise
-    as one pass."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-    flat = [np.broadcast_to(c, shape).ravel() for c in coords]
-    size = flat[0].size
-    axis_strides = (dims[1] * dims[2], dims[2], 1)
-    base = np.empty(size, dtype=np.int64)
-    fracs = [np.empty(size) for _ in range(3)]
-    inside = [np.empty(size, dtype=bool) for _ in range(3)]
-
-    def part(s):
-        for axis, (c, n, stride) in enumerate(zip(flat, dims, axis_strides)):
-            c_raw, p = c[s], fracs[axis][s]
-            np.clip(c_raw, 0.0, 1.0, out=p)
-            # False where the clamp moved the coordinate, and at NaN
-            np.equal(p, c_raw, out=inside[axis][s])
-            p *= n - 1
-            # snap to the node when within 1e-9 index units so sampling at
-            # voxel centers reproduces stored values exactly
-            node = np.round(p)
-            gap = np.subtract(p, node)
-            np.abs(gap, out=gap)
-            np.copyto(p, node, where=gap < 1e-9)
-            del node, gap
-            # the first axis's index is cast straight into base
-            i0 = np.empty(p.size, dtype=np.int64) if axis else base[s]
-            np.copyto(i0, p, casting="unsafe")
-            np.minimum(i0, max(n - 2, 0), out=i0)
-            p -= i0
-            if stride != 1:
-                i0 *= stride
-            if axis:
-                base[s] += i0
-            del i0
-
-    _in_halves(part, size, size)
-    strides = [stride if n > 1 else 0 for n, stride in zip(dims, axis_strides)]
-    return shape, base, strides, fracs, inside
+def _flat_in_halves(fn, *arrays) -> None:
+    """``fn`` on matching slices of the flat views of ``arrays`` (same
+    shape, C-contiguous), split by their grid (``_grid_points``) as
+    ``_in_halves`` splits: the phantom noise's divide and Adam's update."""
+    flat = [a.reshape(-1) for a in arrays]
+    _in_halves(lambda s: fn(*[a[s] for a in flat]), flat[0].size, _grid_points(arrays[0]))
 
 
 class _TrilinearPlan:
@@ -357,11 +306,10 @@ class _TrilinearPlan:
     an index array of its own. Weights and the images' channel planes are
     rebuilt where a pass needs them instead of being held until the vjp.
 
-    The set-up (``_locate_points``), the corner blend and the coordinate
-    projection are point-wise, so on ``_SPLIT_POINTS`` points or more each
-    runs as two halves of the flat point range (``_in_halves``), the upper
-    on a worker thread: each half writes only its own slice of a
-    preallocated result, so every value is bitwise that of one pass. The
+    The forward locates each point (clip, inside mask, snap, low corner's
+    index, fraction) and blends its corners from its own coordinates
+    alone, so it splits by the one rule (``_in_halves``) as one pass over
+    each half of the flat points; so does the coordinate projection. The
     image adjoint's ``bincount`` scatter sums over points, so it stays
     whole, on the caller, before the projection starts (beside it, both
     would hold their temporaries).
@@ -371,35 +319,64 @@ class _TrilinearPlan:
 
     def __init__(self, imgs, coords):
         self.imgs = list(imgs)
-        shape, self.base, self.strides, self.fracs, self.inside = _locate_points(
-            self.imgs[0].shape[:3], coords)
-        sums, self.out = self._blend([plane for im in self.imgs for plane in _planes(im)]), []
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+        coords = [np.broadcast_to(c, shape).ravel() for c in coords]
+        size, (nx, ny, nz) = coords[0].size, self.imgs[0].shape[:3]
+        self.strides = [stride if n > 1 else 0 for n, stride in ((nx, ny * nz), (ny, nz), (nz, 1))]
+        self.base = np.empty(size, dtype=np.int64)
+        self.fracs = [np.empty(size) for _ in range(3)]
+        self.inside = [np.empty(size, dtype=bool) for _ in range(3)]
+        planes = [plane for im in self.imgs for plane in _planes(im)]
+        sums = [np.empty(size) for _ in planes]
+        _in_halves(functools.partial(self._forward, coords, planes, sums), size, size)
+        del planes  # before the outputs are stacked
+        self.out = []
         for im in self.imgs:
             self.out.append(np.stack(sums[: im.shape[3]], axis=-1).reshape(*shape, im.shape[3]))
             del sums[: im.shape[3]]
 
+    def _forward(self, coords, planes, sums, s: slice) -> None:
+        """Locate the points ``s`` into ``base``, ``fracs`` and ``inside``,
+        then write each channel plane's weighted sum of its values at their
+        8 corners into ``sums``."""
+        base = self.base[s]
+        for axis, (c, n, stride) in enumerate(zip(coords, self.imgs[0].shape, self.strides)):
+            c_raw, p = c[s], self.fracs[axis][s]
+            np.clip(c_raw, 0.0, 1.0, out=p)
+            # False where the clamp moved the coordinate
+            np.equal(p, c_raw, out=self.inside[axis][s])
+            p *= n - 1
+            # snap to the node when within 1e-9 index units so sampling at
+            # voxel centers reproduces stored values exactly
+            node = np.round(p)
+            gap = np.subtract(p, node)
+            np.abs(gap, out=gap)
+            np.copyto(p, node, where=gap < 1e-9)
+            del node, gap
+            # the first axis's index is cast straight into base
+            i0 = np.empty(p.size, dtype=np.int64) if axis else base
+            np.copyto(i0, p, casting="unsafe")
+            np.minimum(i0, max(n - 2, 0), out=i0)
+            p -= i0
+            if stride != 1:
+                i0 *= stride
+            if axis:
+                base += i0
+            del c_raw, p, i0
+        w = self._weights(s)
+        for k, ((_, _, bz), off, w01) in enumerate(self._corners(w)):
+            weight = w01 * w[2][bz]
+            for plane, acc in zip(planes, sums):
+                term = plane[off:].take(base)
+                if k:
+                    term *= weight
+                    acc[s] += term
+                else:
+                    np.multiply(term, weight, out=acc[s])
+
     def _weights(self, s: slice):
         """The per-axis weights ``(1 - f, f)`` of the points ``s``."""
         return [(1.0 - f[s], f[s]) for f in self.fracs]
-
-    def _blend(self, planes):
-        """Per channel plane, the weighted sum of its values at the 8 corners."""
-        out = [np.empty(self.base.size) for _ in planes]
-
-        def part(s):
-            base, w = self.base[s], self._weights(s)
-            for k, ((_, _, bz), off, w01) in enumerate(self._corners(w)):
-                weight = w01 * w[2][bz]
-                for plane, acc in zip(planes, out):
-                    term = plane[off:].take(base)
-                    if k:
-                        term *= weight
-                        acc[s] += term
-                    else:
-                        np.multiply(term, weight, out=acc[s])
-
-        _in_halves(part, self.base.size, self.base.size)
-        return out
 
     def _corners(self, w):
         """Yield each corner's bits, its flat offset from ``base`` and
@@ -503,9 +480,18 @@ def sample_trilinear_values(img: np.ndarray, coords) -> np.ndarray:
 
     ``img`` is (nx, ny, nz, C); ``coords`` is three arrays of normalized
     x, y and z coordinates that broadcast to the point shape, edge-clamped
-    to the unit cube. The result is (*point shape, C).
+    to the unit cube (an infinite one too; a NaN raises ConfigError). The
+    result is (*point shape, C).
     """
-    return _TrilinearPlan((img,), coords).out[0]
+    return _TrilinearPlan((img,), _not_nan(coords)).out[0]
+
+
+def _not_nan(coords):
+    """``coords``, which a public sampler takes from its caller, unless
+    one is NaN: the index cast has no value for it, so ConfigError."""
+    if any(np.isnan(c).any() for c in coords):
+        raise ConfigError("sample coordinates must not be NaN")
+    return coords
 
 
 @functools.cache
@@ -536,7 +522,7 @@ def sample_nearest_values(img: np.ndarray, coords) -> np.ndarray:
     """Nearest-node sampling with edge clamp, for label volumes; ``coords``
     as for ``sample_trilinear_values``."""
     return img[tuple(np.round(np.clip(c, 0.0, 1.0) * (n - 1)).astype(np.int64)
-                     for c, n in zip(coords, img.shape[:3]))]
+                     for c, n in zip(_not_nan(coords), img.shape[:3]))]
 
 
 class Tape:

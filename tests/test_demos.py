@@ -79,7 +79,7 @@ def kernel_rows(tmp_path, side):
                      argv=["--side", str(side), "--repeats", "1"])
     with_vjp = re.findall(r"^(trilinear C=\d|upsample_sum|mind_ssc_loss|lncc_map|box_mean \w+) "
                           r".* vjp +\d+\.\d\d", out, flags=re.M)
-    forward = re.findall(r"^(plan set-up|adam|phantom noise|make_phantom) +forward +\d+\.\d\d$",
+    forward = re.findall(r"^(adam|phantom noise|make_phantom) +forward +\d+\.\d\d$",
                          out, flags=re.M)
     return with_vjp, forward, out
 
@@ -88,16 +88,16 @@ def test_kernel_times_prints_each_kernel(tmp_path):
     rows, forward, out = kernel_rows(tmp_path, 8)
     assert rows == ["trilinear C=1", "trilinear C=3", "trilinear C=4", "upsample_sum",
                     "mind_ssc_loss", "lncc_map", "box_mean MIND", "box_mean LNCC"], out
-    # the plan's set-up and Adam's step are timed alone, the phantom is
-    # not differentiated: their rows have a forward only, and the whole
-    # phantom's row starts at its smallest side, 16
-    assert forward == ["plan set-up", "adam", "phantom noise"], out
+    # Adam's step is timed alone, the phantom is not differentiated: their
+    # rows have a forward only, and the whole phantom's row starts at its
+    # smallest side, 16
+    assert forward == ["adam", "phantom noise"], out
 
 
 def test_kernel_times_prints_the_phantom_from_side_16(tmp_path):
     rows, forward, out = kernel_rows(tmp_path, 16)
     assert len(rows) == 8, out
-    assert forward == ["plan set-up", "adam", "phantom noise", "make_phantom"], out
+    assert forward == ["adam", "phantom noise", "make_phantom"], out
 
 
 def test_fuzz_cli_prints_its_summary(tmp_path):

@@ -60,6 +60,11 @@ class TestMakePhantom:
         with pytest.raises(ConfigError, match="phantom dims must be >= 16 per axis"):
             make_phantom(seed=6, dims=(8, 8, 8))
 
+    @pytest.mark.parametrize("n_structures", [0, 2.5, True, "3"])
+    def test_structure_count_must_be_a_positive_integer(self, n_structures):
+        with pytest.raises(ConfigError, match="n_structures must be"):
+            make_phantom(7, (32, 32, 32), n_structures)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ConfigError, match="seed"):
@@ -102,6 +107,11 @@ class TestMakeDeformation:
     def test_zero_amplitude_is_identity(self):
         phi = make_deformation(seed=7, dims=(16, 16, 16), amplitude=0.0)
         assert np.max(np.abs(phi.u.data)) == 0.0
+
+    @pytest.mark.parametrize("n_bumps", [-1, 1.5, True, "2"])
+    def test_bump_count_must_be_a_non_negative_integer(self, n_bumps):
+        with pytest.raises(ConfigError, match="n_bumps must be"):
+            make_deformation(8, (32, 32, 32), 0.01, n_bumps=n_bumps)
 
     def test_generated_fields_fold_free(self):
         for seed in range(5):

@@ -21,7 +21,6 @@ from deformreg.tape import (
     _box_mean_t,
     _box_scale,
     _box_sum_axis,
-    _locate_points,
     _TrilinearPlan,
     grad_check,
     sample_trilinear_values,
@@ -793,10 +792,11 @@ class TestSharedSample:
 
 
 class TestTrilinearSplit:
-    """A plan of ``_SPLIT_POINTS`` points or more runs its set-up, its
-    corner blend and its coordinate projection as two halves of the point
-    range, the upper on a worker thread. The cases sample a 9 x 8 x 7
-    image at 41^3 points, some of them outside the domain."""
+    """A plan of ``_SPLIT_POINTS`` points or more runs its forward (the
+    set-up and the corner blend) and its coordinate projection as two
+    halves of the point range, the upper on a worker thread. The cases
+    sample a 9 x 8 x 7 image at 41^3 points, some of them outside the
+    domain."""
 
     SIDE = 41
 
@@ -818,10 +818,10 @@ class TestTrilinearSplit:
         started = started_threads(monkeypatch)
         assert self.SIDE**3 >= tape_module._SPLIT_POINTS
         split = self.run(*self.case(channels))
-        assert len(started) == 3  # the set-up's worker, the blend's and the projection's
+        assert len(started) == 2  # the forward's worker and the projection's
         monkeypatch.setattr(tape_module, "_SPLIT_POINTS", self.SIDE**3 + 1)
         one_pass = self.run(*self.case(channels))
-        assert len(started) == 3
+        assert len(started) == 2
         for got, want in zip(split, one_pass):
             assert got.tobytes() == want.tobytes()
 
@@ -988,9 +988,10 @@ class TestSplitRule:
         _smooth_noise(np.random.default_rng(0), (63, 63, 63), passes=1)
         assert len(started) == 6  # three window sums, three divides
 
-    def test_plan_set_up_at_64_starts_one_worker(self, monkeypatch):
+    def test_plan_forward_at_64_starts_one_worker(self, monkeypatch):
+        # the set-up and the corner blend of each half run on one thread
         started = started_threads(monkeypatch)
-        _locate_points((64, 64, 64), node_axes((64, 64, 64)))
+        _TrilinearPlan((np.ones((64, 64, 64, 3)),), node_axes((64, 64, 64)))
         assert len(started) == 1
 
     def test_adam_splits_the_full_grid_key_at_64(self, monkeypatch):

@@ -346,3 +346,29 @@ class TestSamplingAtDisplacedNodes:
         points = grid_coordinates(psi.dims).data + psi.u.data
         want = points + at_displaced_grid(phi.u.data, psi.u.data)
         assert phi.map_points(points).tobytes() == want.tobytes()
+
+
+class TestNanCoordinates:
+    """A public sampler rejects a NaN coordinate with ConfigError (its
+    index cast has no value for NaN), and still clamps an infinite one."""
+
+    IMG = np.arange(27.0).reshape(3, 3, 3, 1)
+
+    @pytest.mark.parametrize("sampler", [sample_trilinear_values, sample_nearest_values])
+    def test_sampler_rejects_nan(self, sampler):
+        with pytest.raises(ConfigError, match="must not be NaN"):
+            sampler(self.IMG, [np.array([np.nan]), np.array([0.5]), np.array([0.5])])
+
+    @pytest.mark.parametrize("sampler", [sample_trilinear_values, sample_nearest_values])
+    def test_sampler_clamps_infinity(self, sampler):
+        got = sampler(self.IMG, [np.array([np.inf, -np.inf]), np.array([0.5]), np.array([0.5])])
+        assert got.ravel().tolist() == [22.0, 4.0]
+
+    def test_inverse_displacement_rejects_nan(self):
+        with pytest.raises(ConfigError, match="must not be NaN"):
+            inverse_displacement(DisplacementField.identity((5, 5, 5)),
+                                 np.array([[0.5, np.nan, 0.5]]))
+
+    def test_map_points_rejects_nan(self):
+        with pytest.raises(ConfigError, match="must not be NaN"):
+            DisplacementField.identity((4, 4, 4)).map_points([[np.nan, 0.5, 0.5]])

@@ -1,11 +1,9 @@
 """Isolated timings of field, similarity, Adam and phantom kernels at one cube side.
 
-Prints the min-of-N wall time of the trilinear plan's forward, its full
-vjp and its coordinate-only vjp for a 1-, 3- and 4-channel image sampled
-at every node of an n^3 grid; of the plan's per-axis set-up alone
-(``plan set-up``, ``tape._locate_points``: clip, inside mask, snap,
-corner index and fraction at each of those points; the forward rows
-include it); of the loss's shared plan (a 3-channel field and a 1-channel
+Prints the min-of-N wall time of the trilinear plan's forward (its
+set-up and corner blend), its full vjp and its coordinate-only vjp for a
+1-, 3- and 4-channel image sampled at every node of an n^3 grid; of the
+loss's shared plan (a 3-channel field and a 1-channel
 image sampled at the same points) and its vjp for the field's and the
 points' adjoints, as the loss asks for them; of the pyramid's
 ``upsample_sum`` forward and vjp (quarter, half and full grid of the same
@@ -34,8 +32,8 @@ freed memory stays in the heap, so that the arrays of one step do not
 page-fault in again in the next (without it, 64^3 timings read about 1.6x
 high), and OpenBLAS runs on one thread, so that the second core is free
 for the worker half of every point-wise pass over a grid of 2^16 points
-or more (``tape._in_halves``): a plan's set-up, blend and projection, a
-window sum, the phantom's divide and an Adam key. A 32^3 grid has 32,768
+or more (``tape._in_halves``): a plan's forward and projection, a window
+sum, the phantom's divide and an Adam key. A 32^3 grid has 32,768
 points, so at side 32 only the phantom's passes split (its 63^3 grid has
 250,047 points); at side 64 every such pass splits but Adam's updates of
 the quarter and half grids.
@@ -53,7 +51,7 @@ from deformreg.pipeline import DIRECTIONS, STAGE_COUNT, Adam, build_model, stage
 from deformreg.similarity import (SimilarityConfig, fixed_side, lncc_map_nodes,
                                   mind_ssc_loss_nodes)
 from deformreg.synthetic import _SUPERSAMPLE, _smooth_noise, make_phantom
-from deformreg.tape import Tape, _box_mean, _box_mean_t, _locate_points, _TrilinearPlan
+from deformreg.tape import Tape, _box_mean, _box_mean_t, _TrilinearPlan
 from deformreg.tensor import Tensor3, displaced_axes
 
 
@@ -77,12 +75,6 @@ def trilinear_times(n: int, channels: int, repeats: int, rng) -> dict[str, float
     return {"forward": best_ms(lambda: _TrilinearPlan((img,), coords), repeats),
             "vjp": best_ms(lambda: plan.vjp((g,), (True,), True), repeats),
             "coordinate vjp": best_ms(lambda: plan.vjp((g,), (False,), True), repeats)}
-
-
-def set_up_times(n: int, repeats: int, rng) -> dict[str, float]:
-    """The plan's per-axis set-up at every node of an n^3 grid, displaced."""
-    coords = displaced_axes(rng.uniform(-0.05, 0.05, size=(n, n, n, 3)))
-    return {"forward": best_ms(lambda: _locate_points((n, n, n), coords), repeats)}
 
 
 def shared_plan_times(n: int, repeats: int, rng) -> dict[str, float]:
@@ -178,7 +170,6 @@ def main(argv=None):
     rng = np.random.default_rng(0)
     rows = [(f"trilinear C={c}", trilinear_times(args.side, c, args.repeats, rng))
             for c in (1, 3, 4)]
-    rows.append(("plan set-up", set_up_times(args.side, args.repeats, rng)))
     rows.append(("shared 3+1", shared_plan_times(args.side, args.repeats, rng)))
     rows.append(("upsample_sum", upsample_times(args.side, args.repeats, rng)))
     rows.append(("adam", adam_times(args.side, args.repeats, rng)))
