@@ -95,9 +95,10 @@ class BoundPyramid:
                       for key, value in model.params.items()}
 
     def evaluate(self, direction: str) -> Node:
-        """Full-resolution map u = up(q) + up(h) + s of one direction: one
-        ``upsample_sum`` node, which applies a fixed interpolation matrix
-        per axis to each coarse grid."""
+        """Full-resolution map u = s + (up(q) + up(h)) of one direction:
+        one ``upsample_sum`` node, which applies a fixed interpolation
+        matrix per axis to each coarse grid, axis 0 of both grids in one
+        stacked matrix product."""
         if direction not in DIRECTIONS:
             raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         q, h, s = (self.nodes[self.model.param_key(direction, i)] for i in range(STAGE_COUNT))
@@ -175,9 +176,11 @@ class RegistrationResult:
 class Adam:
     """Standard bias-corrected Adam over a name->array parameter dict,
     with a step size per key. A step whose moments or update leave the
-    finite range raises FloatingPointError naming the key. The moments
-    are C-contiguous, whatever the gradient's layout, so each key's
-    update (``_update``) runs over flat slices (``tape._flat_in_halves``)."""
+    finite range raises FloatingPointError naming the key; a gradient
+    whose shape is not its parameter's raises ConfigError before the
+    step changes anything. The moments are C-contiguous, whatever the
+    gradient's layout, so each key's update (``_update``) runs over flat
+    slices (``tape._flat_in_halves``)."""
 
     def __init__(self, step_sizes: dict):
         self.step_sizes = step_sizes
@@ -186,6 +189,10 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict[str, Tensor3], grads: dict[str, np.ndarray]) -> dict[str, Tensor3]:
+        for key, value in params.items():
+            if np.shape(grads[key]) != value.shape:
+                raise ConfigError(f"Adam update of {key}: gradient shape {np.shape(grads[key])} "
+                                  f"differs from the parameter's {value.shape}")
         self.t += 1
         c1, c2 = 1 - BETA1**self.t, 1 - BETA2**self.t
         out = {}

@@ -45,7 +45,10 @@ thread (README has the measurements).
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
 case and ``sample_trilinear_values`` the plan's plain one. Node values reach
-another grid's nodes through ``upsample_sum``'s matrices, with no gather.
+another grid's nodes through one interpolation matrix per axis, with no
+gather: ``upsample_sum`` applies them to all its coarse grids with one
+stacked matrix product over the fine grid per direction (forward and vjp),
+``resample_node_values`` to one array an axis at a time (``_per_axis``).
 
 Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
@@ -62,6 +65,7 @@ reproduce it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 
@@ -783,9 +787,14 @@ class Tape:
         """The sum of ``fields`` on the grid of the last one: each other
         field is first interpolated to that grid's nodes, one (m, n)
         matrix per axis (``trilinear_sample``'s values at those nodes, up
-        to rounding, with no gather). Linear, so the vjp keeps only the
-        matrices: each coarse field's adjoint is the transposes applied to
-        ``g``, the last field's is ``g``."""
+        to rounding, with no gather). Each coarse grid's axes 2 and 1 go
+        to the fine nodes by contiguous matmuls, into that grid's rows of
+        one stacked (sum of n0, N1, N2 C) buffer; one product with the
+        grids' axis-0 matrices side by side sums them, and the last field
+        is added in place: s + (up(q) + up(h)). Linear, so the vjp keeps
+        only the matrices and dims: one product of the side-by-side
+        matrix's transpose with ``g``, then each grid's two inner
+        transposes; the last field's adjoint is ``g``."""
         if not fields:
             raise TapeError("upsample_sum: need at least one field")
         *coarse, fine = fields
@@ -793,14 +802,27 @@ class Tape:
             if f.value.channels != fine.value.channels:
                 raise TapeError(f"upsample_sum: channels differ: {f.value.channels} "
                                 f"vs {fine.value.channels}")
-        mats = [[_node_interpolation(n, m) for n, m in zip(f.value.dims, fine.value.dims)]
-                for f in coarse]
-        out = fine.value.data.copy()
-        for f, per_axis in zip(coarse, mats):
-            out += _per_axis(f.value.data, per_axis)
+        (nx, ny, nz), c = fine.value.dims, fine.value.channels
+        dims = [f.value.dims for f in coarse]
+        mats = [[_node_interpolation(n, m) for n, m in zip(d, fine.value.dims)] for d in dims]
+        rows = list(itertools.accumulate((d[0] for d in dims), initial=0))
+        side_by_side = np.empty((nx, rows[-1]))
+        stacked = np.empty((rows[-1], ny, nz * c))
+        for f, (n0, n1, n2), (m0, m1, m2), r0, r1 in zip(coarse, dims, mats, rows, rows[1:]):
+            side_by_side[:, r0:r1] = m0
+            inner = np.matmul(m2, f.value.data.reshape(n0 * n1, n2, c))
+            np.matmul(m1, inner.reshape(n0, n1, nz * c), out=stacked[r0:r1])
+        out = np.matmul(side_by_side, stacked.reshape(rows[-1], -1)).reshape(fine.value.shape)
+        out += fine.value.data
 
         def vjp(g):
-            return (*(_per_axis(g, [m.T for m in per_axis]) for per_axis in mats), g)
+            up = np.matmul(side_by_side.T, g.reshape(nx, -1))
+            adjoints = []
+            for (n0, n1, n2), (_, m1, m2), r0, r1 in zip(dims, mats, rows, rows[1:]):
+                inner = np.matmul(m1.T, up[r0:r1].reshape(n0, ny, nz * c))
+                adjoints.append(np.matmul(m2.T, inner.reshape(n0 * n1, nz, c))
+                                .reshape(n0, n1, n2, c))
+            return (*adjoints, g)
 
         return self._append("upsample_sum", fields, out, vjp)
 

@@ -33,7 +33,7 @@ from deformreg.similarity import (
     fixed_side,
     loss_similarity,
 )
-from deformreg.tape import Tape, _node_interpolation, _per_axis, grad_check
+from deformreg.tape import Tape, _node_interpolation, grad_check
 from deformreg.tensor import ConfigError, Tensor3, grid_coordinates
 from deformreg.transforms import (
     DisplacementField,
@@ -59,14 +59,23 @@ def random_model(dims, seed, scale=0.02):
 
 
 def plain_pyramid(model, direction):
-    """The pyramid written in plain numpy: each coarse stage interpolated
-    to the full grid with the op's per-axis matrices, then added to s."""
+    """The pyramid written in plain numpy, in the op's association
+    s + (up(q) + up(h)): each coarse stage's axes 2 and then 1
+    interpolated to the full grid with the op's per-axis matrices, both
+    stages stacked along axis 0, and one product with their axis-0
+    matrices side by side."""
     q, h, s = (model.params[model.param_key(direction, i)].data for i in range(STAGE_COUNT))
 
-    def up(t):
-        return _per_axis(t, [_node_interpolation(n, m) for n, m in zip(t.shape, s.shape)])
+    def mats(t):
+        return [_node_interpolation(n, m) for n, m in zip(t.shape[:3], s.shape[:3])]
 
-    return s + up(q) + up(h)
+    def inner(t):
+        for axis in (2, 1):
+            t = np.moveaxis(np.tensordot(mats(t)[axis], t, axes=(1, axis)), 0, axis)
+        return t
+
+    side_by_side = np.hstack([mats(q)[0], mats(h)[0]])
+    return s + np.tensordot(side_by_side, np.concatenate([inner(q), inner(h)]), axes=(1, 0))
 
 
 def first_step_tape(monkeypatch, kind, n):
@@ -412,9 +421,9 @@ class TestInstanceOptimize:
 
 
 class TestAdam:
-    """``Adam.step`` against the closed form, on gradients laid out as the
-    coarse grids' adjoints are (``np.moveaxis`` views, not C-contiguous),
-    in one pass and with every key split in halves."""
+    """``Adam.step`` against the closed form, on gradients that are not
+    C-contiguous (``np.moveaxis`` views), in one pass and with every key
+    split in halves."""
 
     LR = {"a": 0.3, "b": 2e-3}
 
@@ -453,6 +462,17 @@ class TestAdam:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="^Adam update of ab1: overflow"):
                 pipeline.Adam({"ab0": 1e-3, "ab1": 1e-3}).step(params, grads)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4, 1), (4, 4, 5, 3), (192,)],
+                             ids=["channels", "dims", "flat"])
+    def test_gradient_of_another_shape_names_the_key(self, shape):
+        # the same number of values (flat) is not enough either, and the
+        # rejected step leaves the first key's moments and the count alone
+        params = {key: Tensor3.zeros((4, 4, 4), channels=3) for key in ("a", "b")}
+        adam = pipeline.Adam({"a": 1e-3, "b": 1e-3})
+        with pytest.raises(ConfigError, match=r"^Adam update of b: gradient shape "):
+            adam.step(params, {"a": np.ones((4, 4, 4, 3)), "b": np.ones(shape)})
+        assert adam.t == 0 and adam.m == {} and adam.v == {}
 
 
 def backward_memory(monkeypatch, steps, n=24, kind="LNCC2"):
@@ -558,19 +578,20 @@ class TestRunConfig:
         assert RunConfig.from_dict({}) == RunConfig()
 
 
-# a 3-step registration of a random 20^3 pair with the similarity named by
-# the first argument; prints the sha256 of its loss trace and both maps
+# a registration of a random pair with the similarity, cube side and step
+# count given as arguments; prints the sha256 of its loss trace and both maps
 _DIGEST = """
 import sys
 import hashlib
 import numpy as np
 from deformreg import (LossConfig, OptimizerConfig, SimilarityConfig, Tensor3, Volume,
                        instance_optimize)
+kind, n, steps = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(3)
-a, b = (Volume(Tensor3(rng.uniform(0.1, 0.9, (20, 20, 20))), modality="SYNTH-BASE",
+a, b = (Volume(Tensor3(rng.uniform(0.1, 0.9, (n, n, n))), modality="SYNTH-BASE",
                preprocessed=True) for _ in range(2))
-res = instance_optimize(a, b, LossConfig(similarity=SimilarityConfig(kind=sys.argv[1])),
-                        OptimizerConfig(steps=3))
+res = instance_optimize(a, b, LossConfig(similarity=SimilarityConfig(kind=kind)),
+                        OptimizerConfig(steps=steps))
 h = hashlib.sha256(np.asarray(res.loss_trace).tobytes())
 h.update(res.phi_ab.u.data.tobytes())
 h.update(res.phi_ba.u.data.tobytes())
@@ -578,17 +599,21 @@ print(h.hexdigest())
 """
 
 
-@pytest.mark.parametrize("kind", ["LNCC2", "MIND_SSC"])
-def test_registration_does_not_depend_on_blas_threads(kind):
+@pytest.mark.parametrize("kind, n, steps", [("LNCC2", 20, 3), ("MIND_SSC", 20, 3),
+                                            ("LNCC2", 64, 2)],
+                         ids=["LNCC2", "MIND_SSC", "LNCC2-64"])
+def test_registration_does_not_depend_on_blas_threads(kind, n, steps):
     # the pyramid's upsampling (and the MIND vjp) multiply by matrices
     # through BLAS; the result must be the same however many threads BLAS
-    # splits the products over
+    # splits the products over, which at 64^3 it can for the stacked
+    # axis-0 product of each direction
     src_dir = str(Path(deformreg.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _DIGEST, kind], capture_output=True,
-                              text=True, env=env, timeout=300, check=True)
+        proc = subprocess.run([sys.executable, "-c", _DIGEST, kind, str(n), str(steps)],
+                              capture_output=True, text=True, env=env, timeout=300,
+                              check=True)
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]

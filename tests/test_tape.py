@@ -26,6 +26,7 @@ from deformreg.tape import (
     sample_trilinear_values,
 )
 from deformreg.tensor import Tensor3, TensorError, displaced_axes, grid_coordinates, node_axes
+from deformreg.transforms import resample_field_nodes
 from deformreg.volume import Volume
 
 from tests_helpers_interp import lerp3
@@ -1056,6 +1057,39 @@ class TestUpsampleSum:
         # rounding, which a wide step keeps small
         err = grad_check(f, fields[parent], h=1e-3)
         assert err < 1e-5, f"grad error {err}"
+
+    @staticmethod
+    def dot(a, b):
+        return np.ravel(a) @ np.ravel(b)
+
+    @pytest.mark.parametrize("coarse", [[(6, 5, 4)], [(6, 5, 4), (11, 10, 9)]],
+                             ids=["one", "two"])
+    def test_vjp_is_the_adjoint(self, coarse):
+        # <up(x_k), g> = <x_k, vjp_k(g)> for each coarse field x_k, up(x_k)
+        # the op's output with every other field zero
+        fields = self.fields([*coarse, (21, 19, 17)], seed=2)
+        g = np.random.default_rng(4).normal(size=fields[-1].shape)
+        tape = Tape()
+        adjoints = tape.upsample_sum(*(tape.input(t) for t in fields))._vjp(g)
+        for k, x in enumerate(fields[:-1]):
+            alone = [t if i == k else Tensor3.zeros(t.dims, 3) for i, t in enumerate(fields)]
+            want = self.dot(tape.upsample_sum(*map(tape.input, alone)).value.data, g)
+            assert abs(self.dot(x.data, adjoints[k]) - want) <= 1e-12 * abs(want)
+
+    def test_vjp_through_resample_field_nodes_reads_no_node_value(self):
+        # the resampled field is an intermediate node, so the sweep drops
+        # its value (and the op's) before the op's vjp runs
+        (x,) = self.fields([(6, 5, 4)], seed=3)
+        g = np.random.default_rng(5).normal(size=(21, 19, 17, 3))
+        tape = Tape()
+        param = tape.input(x, parameter=True)
+        u = tape.scale(param, 1.0)
+        out = resample_field_nodes(tape, u, g.shape[:3])
+        loss = tape.sum(tape.mul(out, tape.input(Tensor3(g))))
+        want = self.dot(out.value.data, g)
+        grad = tape.backward(loss)[param.id]
+        assert u.value is None and out.value is None
+        assert abs(self.dot(x.data, grad.data) - want) <= 1e-12 * abs(want)
 
     def test_one_node_whose_vjp_hands_the_fine_field_g(self):
         q, s = self.fields([(4, 4, 4), (7, 7, 7)])
