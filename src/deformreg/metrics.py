@@ -103,8 +103,13 @@ def evaluate_pair(
     """Assemble a report from whichever truth is available.
 
     Dice compares A's labels warped by the A->B map against B's labels;
-    mTRE maps B-frame landmarks through the same map onto A's.
+    mTRE maps B-frame landmarks through the same map onto A's. Labels and
+    landmarks each come as a pair: one of a pair alone is a ConfigError.
     """
+    for name, a, b in (("labels", labels_a, labels_b), ("landmarks", landmarks_a, landmarks_b)):
+        if (a is None) != (b is None):
+            raise ConfigError(f"{name}_{'b' if b is None else 'a'} missing: "
+                              f"{name} are scored in pairs of frames a and b")
     has_labels = labels_a is not None and labels_b is not None
     has_landmarks = landmarks_a is not None and landmarks_b is not None
     if not has_labels and not has_landmarks:

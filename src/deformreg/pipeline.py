@@ -176,11 +176,11 @@ class RegistrationResult:
 class Adam:
     """Standard bias-corrected Adam over a name->array parameter dict,
     with a step size per key. A step whose moments or update leave the
-    finite range raises FloatingPointError naming the key; a gradient
-    whose shape is not its parameter's raises ConfigError before the
-    step changes anything. The moments are C-contiguous, whatever the
-    gradient's layout, so each key's update (``_update``) runs over flat
-    slices (``tape._flat_in_halves``)."""
+    finite range raises FloatingPointError naming the key; a missing
+    gradient or one whose shape is not its parameter's raises ConfigError
+    before the step changes anything. The moments are C-contiguous,
+    whatever the gradient's layout, so each key's update (``_update``)
+    runs over flat slices (``tape._flat_in_halves``)."""
 
     def __init__(self, step_sizes: dict):
         self.step_sizes = step_sizes
@@ -190,6 +190,8 @@ class Adam:
 
     def step(self, params: dict[str, Tensor3], grads: dict[str, np.ndarray]) -> dict[str, Tensor3]:
         for key, value in params.items():
+            if key not in grads:
+                raise ConfigError(f"Adam update of {key}: no gradient")
             if np.shape(grads[key]) != value.shape:
                 raise ConfigError(f"Adam update of {key}: gradient shape {np.shape(grads[key])} "
                                   f"differs from the parameter's {value.shape}")

@@ -46,9 +46,10 @@ One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
 case and ``sample_trilinear_values`` the plan's plain one. Node values reach
 another grid's nodes through one interpolation matrix per axis, with no
-gather: ``upsample_sum`` applies them to all its coarse grids with one
-stacked matrix product over the fine grid per direction (forward and vjp),
-``resample_node_values`` to one array an axis at a time (``_per_axis``).
+gather, and only in ``upsample_sum``: one stacked matrix product over the
+fine grid per direction (forward and vjp) serves all its coarse grids, and
+one field resampled up or down (``transforms.resample_field_to``) is its
+one-grid case onto a zero field, on a throwaway tape.
 
 Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
@@ -509,19 +510,6 @@ def _node_interpolation(n: int, m: int) -> np.ndarray:
     return mat
 
 
-def _per_axis(arr: np.ndarray, mats) -> np.ndarray:
-    """``arr`` (nx, ny, nz, C) with ``mats[a]`` applied along spatial axis a."""
-    for axis, mat in enumerate(mats):
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
-    return arr
-
-
-def resample_node_values(arr: np.ndarray, dims) -> np.ndarray:
-    """Node values ``arr`` (nx, ny, nz, C) interpolated to the nodes of a
-    ``dims`` grid on the same unit cube, by ``upsample_sum``'s matrices."""
-    return _per_axis(arr, [_node_interpolation(n, m) for n, m in zip(arr.shape[:3], dims)])
-
-
 def sample_nearest_values(img: np.ndarray, coords) -> np.ndarray:
     """Nearest-node sampling with edge clamp, for label volumes; ``coords``
     as for ``sample_trilinear_values``."""
@@ -794,7 +782,8 @@ class Tape:
         is added in place: s + (up(q) + up(h)). Linear, so the vjp keeps
         only the matrices and dims: one product of the side-by-side
         matrix's transpose with ``g``, then each grid's two inner
-        transposes; the last field's adjoint is ``g``."""
+        transposes; the last field's adjoint is ``g``. A "coarse" grid
+        may be finer than the last: it is resampled down."""
         if not fields:
             raise TapeError("upsample_sum: need at least one field")
         *coarse, fine = fields

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor import ConfigError, Tensor3, displaced_axes, grid_coordinates
-from .tape import Node, Tape, resample_node_values, sample_nearest_values, sample_trilinear_values
+from .tape import Node, Tape, sample_nearest_values, sample_trilinear_values
 from .volume import LabelVolume, Volume
 
 # fixed-point iterations of inverse_displacement
@@ -62,15 +62,16 @@ def compose_nodes(tape: Tape, u1: Node, u2: Node) -> Node:
 
 
 def resample_field_to(phi: DisplacementField, dims) -> DisplacementField:
-    """Trilinear resample of u onto new grid dims (values are grid-free)."""
-    dims = tuple(int(d) for d in dims)
-    if phi.dims == dims:
-        return phi
-    return DisplacementField(Tensor3(resample_node_values(phi.u.data, dims)))
+    """u at the nodes of a ``dims`` grid (values are grid-free; phi
+    itself on its own grid): ``resample_field_nodes`` on a throwaway tape."""
+    tape = Tape()
+    u = resample_field_nodes(tape, tape.input(phi.u), dims).value
+    return phi if u is phi.u else DisplacementField(u)
 
 
 def resample_field_nodes(tape: Tape, u: Node, dims) -> Node:
-    """Tape version of resample_field_to, through the pyramid's upsampling op."""
+    """u at the nodes of a ``dims`` grid (u itself on its own grid): the
+    pyramid's ``upsample_sum`` onto a zero field, up or down."""
     if u.value.dims == tuple(dims):
         return u
     return tape.upsample_sum(u, tape.input(Tensor3.zeros(dims, channels=3)))

@@ -148,6 +148,8 @@ class LandmarkSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ConfigError(f"landmarks must be (k, 3), got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ConfigError(f"landmarks of frame {self.frame!r} must be finite")
         object.__setattr__(self, "points", pts)
 
     def __len__(self):

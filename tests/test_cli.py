@@ -715,6 +715,25 @@ class TestSynthRegisterEvaluate:
         assert hashes == [config_hash(invocation)]
         assert json.loads(out.read_text())["config_hash"] == hashes[0]
 
+    @pytest.mark.parametrize("given, missing", [
+        (("labels_a", "labels_b", "landmarks_a"), "landmarks_b"),
+        (("labels_a", "landmarks_a", "landmarks_b"), "labels_b"),
+    ])
+    def test_evaluate_half_a_truth_pair_exits_2(self, synth_pair, tmp_path, capsys, given,
+                                                 missing):
+        # one file of a pair is not dropped: nothing is written
+        files = {"labels_a": "labels_a.nii", "labels_b": "labels_b.nii",
+                 "landmarks_a": "landmarks_a.csv", "landmarks_b": "landmarks_b.csv"}
+        argv = ["evaluate", "--reference", str(synth_pair / "a.nii"),
+                "--out", str(tmp_path / "r.json")]
+        for name in given:
+            argv += ["--" + name.replace("_", "-"), str(synth_pair / files[name])]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"config error: {missing} missing") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_evaluate_identity_on_identical_labels(self, tmp_path):
         out = tmp_path / "pair"
         main(["synth", "--out-dir", str(out), "--seed", "5", "--dims", "16",

@@ -12,7 +12,7 @@ from deformreg.metrics import (
     mtre,
 )
 from deformreg.tensor import ConfigError, Tensor3
-from deformreg.transforms import DisplacementField
+from deformreg.transforms import DisplacementField, percent_neg_jac, warp_nearest
 from deformreg.volume import Geometry, LabelVolume, LandmarkSet
 
 
@@ -96,6 +96,12 @@ class TestMtre:
             mtre(LandmarkSet(np.zeros((2, 3)) + 1), LandmarkSet(np.zeros((3, 3)) + 1),
                  DisplacementField.identity((16, 16, 16)), geo)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_landmark_rejected(self, bad):
+        # rejected where it is made, not blamed on the volume extent by mtre
+        with pytest.raises(ConfigError, match="landmarks of frame 'b' must be finite"):
+            LandmarkSet(np.array([[3.0, 3.0, 3.0], [bad, 1.0, 1.0]]), frame="b")
+
     def test_landmark_outside_domain(self):
         geo = self.geometry()
         inside = LandmarkSet(np.array([[3.0, 3.0, 3.0]]))
@@ -139,6 +145,34 @@ class TestEvaluatePair:
         assert report.mean_dice == expect_dice
         assert report.mtre_mm == mtre_fn(lm_a, lm_b, phi, geo)
         assert report.percent_neg_jacobian == percent_neg_jac(phi)
+
+    def test_field_on_a_coarser_grid_than_the_truth(self):
+        # a 9^3 field scored on 17^3 labels: every metric as computed directly
+        rng = np.random.default_rng(3)
+        geo = Geometry((17, 17, 17), (1.0, 1.5, 2.0), (-4.0, 0.0, 3.0))
+        lv_a = cube_labels((17, 17, 17), {1: np.s_[3:9], 2: np.s_[10:15, 2:12]})
+        lv_b = cube_labels((17, 17, 17), {1: np.s_[4:10], 2: np.s_[9:14, 3:13]})
+        lm_a = LandmarkSet(geo.normalized_to_mm(rng.uniform(0.2, 0.8, (5, 3))))
+        lm_b = LandmarkSet(geo.normalized_to_mm(rng.uniform(0.2, 0.8, (5, 3))))
+        phi = DisplacementField(Tensor3(rng.uniform(-0.05, 0.05, (9, 9, 9, 3))))
+        report = evaluate_pair(phi, labels_a=lv_a, labels_b=lv_b,
+                               landmarks_a=lm_a, landmarks_b=lm_b, geometry=geo)
+        per_label, mean = dice(warp_nearest(lv_a, phi), lv_b)
+        assert report.per_label_dice == per_label and report.mean_dice == mean
+        assert 0.0 < mean < 100.0
+        assert report.mtre_mm == mtre(lm_a, lm_b, phi, geo)
+        assert report.percent_neg_jacobian == percent_neg_jac(phi)
+
+    @pytest.mark.parametrize("missing", ["labels_a", "labels_b", "landmarks_a", "landmarks_b"])
+    def test_half_a_truth_pair_rejected(self, missing):
+        # one of a pair alone is an error, also when the other truth is whole
+        geo = Geometry((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        lv = cube_labels((8, 8, 8), {1: np.s_[2:5]})
+        lm = LandmarkSet(np.array([[3.0, 3.0, 3.0]]))
+        truth = {"labels_a": lv, "labels_b": lv, "landmarks_a": lm, "landmarks_b": lm}
+        truth.pop(missing)
+        with pytest.raises(ConfigError, match=f"^{missing} missing"):
+            evaluate_pair(DisplacementField.identity((8, 8, 8)), geometry=geo, **truth)
 
     def test_no_truth_rejected(self):
         with pytest.raises(ConfigError, match="no truth supplied"):

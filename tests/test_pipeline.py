@@ -474,6 +474,13 @@ class TestAdam:
             adam.step(params, {"a": np.ones((4, 4, 4, 3)), "b": np.ones(shape)})
         assert adam.t == 0 and adam.m == {} and adam.v == {}
 
+    def test_missing_gradient_names_the_key(self):
+        params = {key: Tensor3.zeros((4, 4, 4), channels=3) for key in ("a", "b")}
+        adam = pipeline.Adam({"a": 1e-3, "b": 1e-3})
+        with pytest.raises(ConfigError, match=r"^Adam update of b: no gradient$"):
+            adam.step(params, {"a": np.ones((4, 4, 4, 3))})
+        assert adam.t == 0 and adam.m == {} and adam.v == {}
+
 
 def backward_memory(monkeypatch, steps, n=24, kind="LNCC2"):
     """(entry, peak, step peak) traced bytes of each ``Tape.backward`` call

@@ -6,7 +6,6 @@ import pytest
 from deformreg.tape import (
     Tape,
     _node_interpolation,
-    resample_node_values,
     sample_nearest_values,
     sample_trilinear_values,
 )
@@ -308,9 +307,11 @@ class TestSamplingAtDisplacedNodes:
         assert compose(phi, psi).u.data.tobytes() == want.tobytes()
 
     def test_resample_and_resize_sample_at_the_nodes(self):
-        """Field and volume resampling both apply the pyramid's per-axis
-        matrices, bit for bit, and read what a gather at the target nodes
-        reads, up to rounding."""
+        """Field resampling, up or down, is the pyramid's op onto a zero
+        field, and the op does the same on one channel: both equal the
+        op's association 0 + up(u) bit for bit (axes 2 and then 1, then
+        axis 0, each by its per-axis matrix) and read what a gather at
+        the target nodes reads, up to rounding."""
         img, phi, _ = self.fields(22)
         fine = np.random.default_rng(22).uniform(-1.0, 1.0, size=(9, 8, 7, 3))
         for arr, dims in [(phi.u.data, (2, 6, 3)), (fine, (5, 4, 4)),
@@ -318,11 +319,14 @@ class TestSamplingAtDisplacedNodes:
             if arr.shape[3] == 3:
                 got = resample_field_to(DisplacementField(Tensor3(arr)), dims).u.data
             else:
-                got = resample_node_values(arr, dims)
+                tape = Tape()
+                zero = tape.input(Tensor3.zeros(dims, channels=arr.shape[3]))
+                got = tape.upsample_sum(tape.input(Tensor3(arr)), zero).value.data
+            mats = [_node_interpolation(n, m) for n, m in zip(arr.shape[:3], dims)]
             want = arr
-            for axis, (n, m) in enumerate(zip(arr.shape[:3], dims)):
-                want = np.moveaxis(np.tensordot(_node_interpolation(n, m), want,
-                                                axes=(1, axis)), 0, axis)
+            for axis in (2, 1):
+                want = np.moveaxis(np.tensordot(mats[axis], want, axes=(1, axis)), 0, axis)
+            want = np.zeros((*dims, arr.shape[3])) + np.tensordot(mats[0], want, axes=(1, 0))
             assert got.tobytes() == want.tobytes()
             gathered = at_displaced_grid(arr, np.zeros((*dims, 3)))
             assert np.max(np.abs(got - gathered)) <= 1e-13

@@ -4,7 +4,9 @@ Writes a 16^3 ``synth`` pair once, then runs ``cli.main`` in-process on
 mutated copies of its files. Each case keeps its command line fixed and
 mutates file contents only:
 - NIfTI header fields (interesting values, bit flips, truncation);
-- raw volume and field sidecars (values, keys, non-objects) and payloads;
+- raw volume and field sidecars (values, keys, non-objects) and payloads,
+  the field drawn on the pair's 16^3 grid or, well-formed, on a 9^3 grid
+  that ``evaluate`` resamples onto the labels' grid;
 - landmark CSV lines;
 - config values and structure;
 - the encodings and byte-order marks of the CSV and JSON files.
@@ -40,8 +42,10 @@ import warnings
 from pathlib import Path
 
 from deformreg import cli
-from deformreg.fileio import HEADER_FIELDS, VOX_OFFSET
+from deformreg.fileio import HEADER_FIELDS, VOX_OFFSET, read_field_raw, write_field_raw
 from deformreg.pipeline import RunConfig
+from deformreg.tensor import Tensor3
+from deformreg.transforms import DisplacementField, resample_field_to
 
 EXIT_CODES = (0, 2, 3, 4)
 STEPS_CAP = 2
@@ -260,8 +264,9 @@ def make_case(seed_files: dict[str, bytes], seed: int, index: int):
         files, notes = mutate_sidecar(seed_files, "volume", rng)
         return route, files, notes
     if route == "evaluate-field":
-        files, notes = mutate_sidecar(seed_files, "field", rng)
-        return route, files, notes
+        stem = rng.choice(("field", "field9"))
+        files, notes = mutate_sidecar(seed_files, stem, rng)
+        return route, files, [f"{stem} seed"] + notes
     if route == "evaluate-landmarks":
         data, notes = mutate_landmarks(seed_files["landmarks_a.csv"].decode(), rng)
         return route, {"l.csv": data}, notes
@@ -325,7 +330,12 @@ def prepare(workdir: Path) -> dict[str, bytes]:
         if rc != 0:
             raise RuntimeError(f"seed pair: {' '.join(argv)} failed: {escaped or lines}")
     (pair / "one_step.json").write_text(json.dumps({"optimizer": {"steps": 1}}))
-    names = ("a.nii", "labels_a.nii", "landmarks_a.csv", "volume.json", "volume.raw")
+    # a well-formed field on a 9^3 grid, which evaluate resamples onto the labels'
+    truth = DisplacementField(Tensor3(read_field_raw(pair / "truth_field")))
+    write_field_raw(resample_field_to(truth, (9, 9, 9)).u.data, pair / "field9",
+                    {"direction": "ab"})
+    names = ("a.nii", "labels_a.nii", "landmarks_a.csv", "volume.json", "volume.raw",
+             "field9.json", "field9.raw")
     files = {name: (pair / name).read_bytes() for name in names}
     files.update({f"field{ext}": (pair / f"truth_field{ext}").read_bytes()
                   for ext in (".json", ".raw")})
