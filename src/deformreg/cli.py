@@ -1,8 +1,8 @@
 """Command-line entry point for reproducible registration runs.
 
 Subcommands: register (per-pair optimization), synth (phantom pair with
-ground truth), evaluate (metrics report from a field plus truth),
-preprocess (intensity rules).
+ground truth), evaluate (metrics report from a field, or the identity,
+plus truth), preprocess (intensity rules).
 Exit codes: 0 success, 2 configuration error (ConfigError, TensorError),
 3 I/O error or out of memory, 4 numerical abort (a non-finite loss, a
 tripped domain guard in an op, or either register map folding more than
@@ -124,9 +124,7 @@ def _read_volume(path: str, modality: str | None = None) -> Volume:
     p = Path(path)
     if p.suffix == ".nii":
         return read_nifti(p, modality)
-    if p.exists() or Path(str(p) + ".json").exists():
-        return read_volume_raw(str(p).removesuffix(".raw"), modality)
-    raise FileNotFoundError(f"volume not found: {path}")
+    return read_volume_raw(p, modality)
 
 
 def cmd_register(args) -> int:
@@ -200,26 +198,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    phi = None
-    if args.field:
-        u = read_field_raw(str(args.field).removesuffix(".raw"))
-        phi = DisplacementField(Tensor3(u))
+    phi = DisplacementField(Tensor3(read_field_raw(args.field))) if args.field else None
     labels_a = read_nifti_labels(args.labels_a) if args.labels_a else None
     labels_b = read_nifti_labels(args.labels_b) if args.labels_b else None
     landmarks_a = read_landmarks_csv(args.landmarks_a, "a") if args.landmarks_a else None
     landmarks_b = read_landmarks_csv(args.landmarks_b, "b") if args.landmarks_b else None
-    geometry = None
-    if args.reference:
-        geometry = _read_volume(args.reference).geometry
-    elif labels_a is not None:
-        geometry = labels_a.geometry
-    if phi is None:
-        if labels_a is not None:
-            phi = DisplacementField.identity(labels_a.dims)
-        elif geometry is not None:
-            phi = DisplacementField.identity(geometry.dims)
-        else:
-            raise ConfigError("evaluate needs --field, --labels-a, or --reference")
+    geometry = _read_volume(args.reference).geometry if args.reference else None
     # the command line but its output and label: the same inputs hash the same
     invocation = {k: v for k, v in vars(args).items() if k not in ("func", "out", "pair_id")}
     report = evaluate_pair(
@@ -248,10 +232,8 @@ def cmd_preprocess(args) -> int:
     out_path = Path(args.output)
     if out_path.suffix == ".nii":
         write_nifti(out, out_path)
-    else:  # like the readers: X.raw and X both mean the files X.raw and X.json
-        base = str(out_path).removesuffix(".raw")
-        write_volume_raw(out, base)
-        out_path = Path(base + ".raw")
+    else:  # X and X.raw both write X.raw + X.json; the line names the payload
+        out_path = write_volume_raw(out, out_path)
     vals = out.values()
     print(f"preprocess: wrote {out_path} (range [{vals.min():.4g}, {vals.max():.4g}])")
     return EXIT_OK

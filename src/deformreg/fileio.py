@@ -6,7 +6,8 @@ magic "n+1"), little-endian, datatypes float32 (16) and int16 (4).
 Orientation matrices are ignored; the grid is treated as axis-aligned.
 The native raw format is a little-endian float32 payload plus a JSON
 sidecar carrying dims/spacing/origin/modality, trivially parseable
-anywhere; multi-channel data is stored channel-major, x-fastest.
+anywhere; multi-channel data is stored channel-major, x-fastest. Raw
+readers and writers take ``X`` or ``X.raw`` for the files X.raw and X.json.
 """
 
 from __future__ import annotations
@@ -165,15 +166,15 @@ def read_nifti_labels(path) -> LabelVolume:
 
 
 def _sidecar_path(base) -> Path:
-    return Path(str(base) + ".json")
+    return Path(str(base).removesuffix(".raw") + ".json")
 
 
 def _raw_path(base) -> Path:
-    return Path(str(base) + ".raw")
+    return Path(str(base).removesuffix(".raw") + ".raw")
 
 
-def write_raw(data: np.ndarray, base, meta: dict):
-    """Write (nx,ny,nz,C) float data channel-major x-fastest with a JSON sidecar."""
+def write_raw(data: np.ndarray, base, meta: dict) -> Path:
+    """Write (nx,ny,nz,C) float data channel-major x-fastest with a JSON sidecar; return X.raw."""
     payload = np.asarray(data, dtype="<f4").tobytes(order="F")
     sidecar = {
         "dims": list(data.shape[:3]),
@@ -182,8 +183,10 @@ def write_raw(data: np.ndarray, base, meta: dict):
         "layout": "channel-major,x-fastest",
     }
     sidecar.update(meta)
-    _raw_path(base).write_bytes(payload)
+    path = _raw_path(base)
+    path.write_bytes(payload)
     _sidecar_path(base).write_text(json.dumps(sidecar, indent=1, sort_keys=True))
+    return path
 
 
 def read_raw(base) -> tuple[np.ndarray, dict]:
@@ -209,8 +212,8 @@ def read_raw(base) -> tuple[np.ndarray, dict]:
     return np.ascontiguousarray(flat.reshape((nx, ny, nz, channels), order="F"), np.float64), meta
 
 
-def write_volume_raw(v: Volume, base):
-    write_raw(
+def write_volume_raw(v: Volume, base) -> Path:
+    return write_raw(
         v.grid.data,
         base,
         {

@@ -6,7 +6,8 @@ sampling. The label grids set the evaluation resolution (fields resample
 onto them), so original-resolution evaluation means passing
 original-resolution labels. mTRE maps the target-frame landmarks through
 the A->B map into the source frame and measures mean distance in mm
-against the source landmarks.
+against the source landmarks. Without a map, ``evaluate_pair`` scores
+the identity: the pair's misalignment before registration.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class MetricsReport:
 
 
 def evaluate_pair(
-    phi_ab: DisplacementField,
+    phi_ab: DisplacementField | None = None,
     labels_a: LabelVolume | None = None,
     labels_b: LabelVolume | None = None,
     landmarks_a: LandmarkSet | None = None,
@@ -105,24 +106,26 @@ def evaluate_pair(
     Dice compares A's labels warped by the A->B map against B's labels;
     mTRE maps B-frame landmarks through the same map onto A's. Labels and
     landmarks each come as a pair: one of a pair alone is a ConfigError.
+    ``geometry`` defaults to A's labels' and is needed for landmarks;
+    ``phi_ab`` None is the identity map on A's labels' grid, or else on
+    the geometry's.
     """
     for name, a, b in (("labels", labels_a, labels_b), ("landmarks", landmarks_a, landmarks_b)):
         if (a is None) != (b is None):
             raise ConfigError(f"{name}_{'b' if b is None else 'a'} missing: "
                               f"{name} are scored in pairs of frames a and b")
-    has_labels = labels_a is not None and labels_b is not None
-    has_landmarks = landmarks_a is not None and landmarks_b is not None
-    if not has_labels and not has_landmarks:
+    if labels_a is None and landmarks_a is None:
         raise ConfigError("no truth supplied: need labels and/or landmarks")
-    per_label: dict = {}
-    mean_dice = None
-    mtre_mm = None
-    if has_labels:
-        warped = warp_nearest(labels_a, phi_ab)
-        per_label, mean_dice = dice(warped, labels_b)
-    if has_landmarks:
-        if geometry is None:
-            raise ConfigError("landmark evaluation needs the volume geometry")
+    if geometry is None and labels_a is not None:
+        geometry = labels_a.geometry
+    if geometry is None:  # landmarks alone
+        raise ConfigError("landmark evaluation needs the volume geometry")
+    if phi_ab is None:
+        phi_ab = DisplacementField.identity((labels_a or geometry).dims)
+    per_label, mean_dice, mtre_mm = {}, None, None
+    if labels_a is not None:
+        per_label, mean_dice = dice(warp_nearest(labels_a, phi_ab), labels_b)
+    if landmarks_a is not None:
         mtre_mm = mtre(landmarks_a, landmarks_b, phi_ab, geometry)
     return MetricsReport(
         per_label_dice=per_label,

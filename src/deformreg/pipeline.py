@@ -25,7 +25,7 @@ import numpy as np
 from .losses import LossConfig, randomized_loss_nodes
 from .similarity import SimilarityConfig, fixed_side
 from .tape import Node, Tape, TapeError, _flat_in_halves
-from .tensor import ConfigError, Tensor3, TensorError, check_number
+from .tensor import ConfigError, Tensor3, TensorError, check_dims, check_number
 from .transforms import DisplacementField
 from .volume import Volume
 
@@ -74,8 +74,8 @@ class PyramidModel:
 
 def build_model(base_dims) -> PyramidModel:
     """Zero-initialized model; evaluating it yields the identity map."""
-    base_dims = tuple(int(n) for n in base_dims)
-    if len(base_dims) != 3 or min(base_dims) < 8:
+    base_dims = check_dims(base_dims, "base dims")
+    if min(base_dims) < 8:
         raise ConfigError(f"base dims must be >= 8 per axis to quarter, got {base_dims}")
     model = PyramidModel(base_dims)
     for direction in DIRECTIONS:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tape import _box_sum_axis, _flat_in_halves, sample_trilinear_values
-from .tensor import ConfigError, Tensor3, check_number, displaced_axes, node_axes
+from .tensor import ConfigError, Tensor3, check_dims, check_number, displaced_axes, node_axes
 from .transforms import DisplacementField, inverse_displacement, resample_field_to, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
 
@@ -142,7 +142,7 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
     structure carries four landmarks.
     """
     check_number(ConfigError, "seed", seed, integer=True, at_least=0)
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     if min(dims) < 16:
         raise ConfigError(f"phantom dims must be >= 16 per axis, got {dims}")
     check_number(ConfigError, "n_structures", n_structures, integer=True, at_least=1)
@@ -230,7 +230,7 @@ def make_deformation(seed: int, dims, amplitude: float, n_bumps: int = 2) -> Dis
     is no bound, but NaN and infinities are still rejected.
     """
     check_number(ConfigError, "seed", seed, integer=True, at_least=0)
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)
     check_number(ConfigError, "n_bumps", n_bumps, integer=True, at_least=0)
     rng = np.random.default_rng(seed)
     if n_bumps == 0 or amplitude == 0.0:

@@ -85,7 +85,7 @@ class Tensor3:
 
     @staticmethod
     def full(dims, value: float, channels: int = 1) -> "Tensor3":
-        nx, ny, nz = dims
+        nx, ny, nz = check_dims(dims)
         return Tensor3(np.full((nx, ny, nz, channels), value, dtype=np.float64))
 
     @staticmethod
@@ -131,3 +131,12 @@ def check_number(error: type[Exception], name: str, value, *, integer: bool = Fa
                       (above is not None and value <= above, f"> {above}")):
         if bad:
             raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def check_dims(dims, name: str = "dims") -> tuple[int, int, int]:
+    """``dims`` as a tuple of ints; ConfigError unless it holds three integers >= 1, no bool."""
+    if not isinstance(dims, (tuple, list, np.ndarray)) or len(dims) != 3:
+        raise ConfigError(f"{name} must be three integers >= 1, got {dims!r}")
+    for n in dims:
+        check_number(ConfigError, name, n, integer=True, at_least=1)
+    return tuple(int(n) for n in dims)

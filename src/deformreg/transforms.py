@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import ConfigError, Tensor3, displaced_axes, grid_coordinates
+from .tensor import ConfigError, Tensor3, check_dims, displaced_axes, grid_coordinates
 from .tape import Node, Tape, sample_nearest_values, sample_trilinear_values
 from .volume import LabelVolume, Volume
 
@@ -41,7 +41,7 @@ class DisplacementField:
 
     @staticmethod
     def translation(dims, t) -> "DisplacementField":
-        u = np.broadcast_to(np.asarray(t, dtype=np.float64), (*dims, 3))
+        u = np.broadcast_to(np.asarray(t, dtype=np.float64), (*check_dims(dims), 3))
         return DisplacementField(Tensor3(np.array(u)))
 
     def map_points(self, points: np.ndarray) -> np.ndarray:
@@ -64,6 +64,7 @@ def compose_nodes(tape: Tape, u1: Node, u2: Node) -> Node:
 def resample_field_to(phi: DisplacementField, dims) -> DisplacementField:
     """u at the nodes of a ``dims`` grid (values are grid-free; phi
     itself on its own grid): ``resample_field_nodes`` on a throwaway tape."""
+    dims = check_dims(dims)
     tape = Tape()
     u = resample_field_nodes(tape, tape.input(phi.u), dims).value
     return phi if u is phi.u else DisplacementField(u)

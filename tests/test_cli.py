@@ -17,13 +17,14 @@ import numpy as np
 import pytest
 
 import deformreg
-from deformreg import cli, tape
+from deformreg import cli, tape, transforms
 from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
-from deformreg.fileio import read_nifti, write_field_raw, write_nifti, write_volume_raw
+from deformreg.fileio import (read_field_raw, read_landmarks_csv, read_nifti, read_nifti_labels,
+                              write_field_raw, write_nifti, write_volume_raw)
 from deformreg.metrics import evaluate_pair
 from deformreg.pipeline import RegistrationResult, RunConfig
 from deformreg.tensor import Tensor3, grid_coordinates
-from deformreg.transforms import DisplacementField
+from deformreg.transforms import DisplacementField, resample_field_to
 from deformreg.volume import Volume
 
 
@@ -66,6 +67,23 @@ class TestRegister:
                    "--target", str(tmp_path / "nope.nii"),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 3
+
+    @pytest.mark.parametrize("source, sidecar, missing", [
+        ("missing", False, "missing.json"), ("missing.raw", False, "missing.json"),
+        ("missing.raw", True, "missing.raw")], ids=["base", "payload", "payload-only"])
+    def test_missing_raw_source_exits_3(self, tmp_path, capsys, source, sidecar, missing):
+        # X and X.raw both mean X.raw + X.json; the line names the first missing file
+        volume = write_test_volume(tmp_path / "v.nii", seed=2)
+        if sidecar:
+            write_volume_raw(volume, tmp_path / "missing")
+            (tmp_path / "missing.raw").unlink()
+        rc = main(["register", "--source", str(tmp_path / source),
+                   "--target", str(tmp_path / "v.nii"), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("I/O error: ") and err.count("\n") == 1, err
+        assert f"'{tmp_path / missing}'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_out_dir_is_a_file_exits_3(self, tmp_path, capsys):
         src = tmp_path / "v.nii"
@@ -187,13 +205,34 @@ def load_fuzz_cli():
     return module
 
 
+@pytest.fixture(scope="class")
+def fuzz_seed_0(tmp_path_factory):
+    """tools/fuzz_cli.py's 300 cases at seed 0: the contract violations,
+    and the (field dims, target dims) of each ``resample_field_to`` call."""
+    fuzz, calls = load_fuzz_cli(), []
+    resample = transforms.resample_field_to
+
+    def spy(phi, dims):
+        calls.append((phi.dims, tuple(dims)))
+        return resample(phi, dims)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transforms, "resample_field_to", spy)
+        found = fuzz.run(seed=0, cases=300, workdir=tmp_path_factory.mktemp("fuzz"))
+    return found, calls
+
+
 class TestContractFuzz:
     """Seeded mutations of a 16^3 pair's files keep the exit-code contract."""
 
-    def test_seeded_cases_keep_the_contract(self, tmp_path):
+    def test_seeded_cases_keep_the_contract(self, fuzz_seed_0):
         # tools/fuzz_cli.py's generator: exit 0, 2, 3 or 4, nothing escapes
         # main, a failure prints one stderr line and leaves no output
-        assert load_fuzz_cli().run(seed=0, cases=300, workdir=tmp_path) == []
+        assert fuzz_seed_0[0] == []
+
+    def test_seeded_cases_reach_cross_grid_evaluation(self, fuzz_seed_0):
+        # evaluate resamples the well-formed 9^3 field onto the 16^3 labels
+        assert sum(field != target for field, target in fuzz_seed_0[1]) >= 10
 
     def test_header_fields_pinned(self):
         # read from fileio.HEADER_FIELDS; the seeded cases move if these do
@@ -733,6 +772,29 @@ class TestSynthRegisterEvaluate:
         assert rc == 2, err
         assert err.startswith(f"config error: {missing} missing") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+
+    def test_evaluate_a_field_on_another_grid(self, synth_pair, tmp_path):
+        # a 9^3 field scored on the 16^3 truth: the CLI's report is the library's
+        truth = DisplacementField(Tensor3(read_field_raw(synth_pair / "truth_field")))
+        write_field_raw(resample_field_to(truth, (9, 9, 9)).u.data, tmp_path / "field9")
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--field", str(tmp_path / "field9.raw"),
+                     "--labels-a", str(synth_pair / "labels_a.nii"),
+                     "--labels-b", str(synth_pair / "labels_b.nii"),
+                     "--landmarks-a", str(synth_pair / "landmarks_a.csv"),
+                     "--landmarks-b", str(synth_pair / "landmarks_b.csv"),
+                     "--reference", str(synth_pair / "a.nii"), "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        expected = evaluate_pair(
+            DisplacementField(Tensor3(read_field_raw(tmp_path / "field9"))),
+            labels_a=read_nifti_labels(synth_pair / "labels_a.nii"),
+            labels_b=read_nifti_labels(synth_pair / "labels_b.nii"),
+            landmarks_a=read_landmarks_csv(synth_pair / "landmarks_a.csv", "a"),
+            landmarks_b=read_landmarks_csv(synth_pair / "landmarks_b.csv", "b"),
+            geometry=read_nifti(synth_pair / "a.nii").geometry,
+            config_hash=written["config_hash"])
+        assert out.read_text() == expected.to_json()
+        assert written["mean_dice"] > 50.0 and written["mtre_mm"] > 0.0
 
     def test_evaluate_identity_on_identical_labels(self, tmp_path):
         out = tmp_path / "pair"

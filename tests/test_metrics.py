@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from deformreg import metrics
 from deformreg.metrics import (
     MetricsReport,
     dice,
@@ -173,6 +174,57 @@ class TestEvaluatePair:
         truth.pop(missing)
         with pytest.raises(ConfigError, match=f"^{missing} missing"):
             evaluate_pair(DisplacementField.identity((8, 8, 8)), geometry=geo, **truth)
+
+    @staticmethod
+    def scored_grids(monkeypatch):
+        """The grid of each map ``evaluate_pair`` scores, in call order."""
+        grids = []
+
+        def folding(phi):
+            grids.append(phi.dims)
+            return percent_neg_jac(phi)
+
+        monkeypatch.setattr(metrics, "percent_neg_jac", folding)
+        return grids
+
+    def test_no_map_is_the_identity_on_the_labels_grid(self, monkeypatch):
+        # a geometry on another grid does not move the identity off the labels'
+        lv_a = cube_labels((8, 9, 10), {1: np.s_[2:5]})
+        lv_b = cube_labels((8, 9, 10), {1: np.s_[3:6]})
+        geo = Geometry((12, 12, 12), (2.0, 2.0, 2.0), (0.0, 0.0, 0.0))
+        grids = self.scored_grids(monkeypatch)
+        report = evaluate_pair(None, labels_a=lv_a, labels_b=lv_b, geometry=geo)
+        assert grids == [(8, 9, 10)]
+        expected = evaluate_pair(DisplacementField.identity((8, 9, 10)),
+                                 labels_a=lv_a, labels_b=lv_b, geometry=geo)
+        assert report == expected and report.mean_dice == dice(lv_a, lv_b)[1]
+
+    def test_no_map_is_the_identity_on_the_geometry_grid(self, monkeypatch):
+        geo = Geometry((7, 8, 9), (1.0, 1.5, 2.0), (-3.0, 0.0, 1.0))
+        lm_a = LandmarkSet(geo.normalized_to_mm([[0.2, 0.3, 0.4], [0.6, 0.5, 0.7]]))
+        lm_b = LandmarkSet(geo.normalized_to_mm([[0.3, 0.3, 0.4], [0.5, 0.6, 0.7]]))
+        grids = self.scored_grids(monkeypatch)
+        report = evaluate_pair(None, landmarks_a=lm_a, landmarks_b=lm_b, geometry=geo)
+        assert grids == [(7, 8, 9)]
+        assert report.mtre_mm == mtre(lm_a, lm_b, DisplacementField.identity((7, 8, 9)), geo)
+        assert report.mtre_mm == float(np.linalg.norm(lm_a.points - lm_b.points, axis=1).mean())
+
+    def test_geometry_defaults_to_the_labels(self):
+        lv = LabelVolume(cube_labels((9, 9, 9), {1: np.s_[2:5]}).labels,
+                         spacing=(1.0, 1.5, 2.0), origin=(-4.0, 0.0, 3.0))
+        lm_a = LandmarkSet(lv.geometry.normalized_to_mm([[0.2, 0.3, 0.4]]))
+        lm_b = LandmarkSet(lv.geometry.normalized_to_mm([[0.4, 0.3, 0.4]]))
+        phi = DisplacementField.translation((9, 9, 9), (0.1, 0.0, 0.0))
+        report = evaluate_pair(phi, labels_a=lv, labels_b=lv, landmarks_a=lm_a,
+                               landmarks_b=lm_b)
+        assert report.mtre_mm == mtre(lm_a, lm_b, phi, lv.geometry)
+
+    @pytest.mark.parametrize("phi", [None, DisplacementField.identity((8, 8, 8))],
+                             ids=["no-map", "map"])
+    def test_landmarks_without_labels_or_geometry_rejected(self, phi):
+        lm = LandmarkSet(np.array([[3.0, 3.0, 3.0]]))
+        with pytest.raises(ConfigError, match="needs the volume geometry"):
+            evaluate_pair(phi, landmarks_a=lm, landmarks_b=lm)
 
     def test_no_truth_rejected(self):
         with pytest.raises(ConfigError, match="no truth supplied"):

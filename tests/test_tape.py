@@ -10,9 +10,9 @@ import pytest
 
 from deformreg import tape as tape_module
 from deformreg.losses import LossConfig
-from deformreg.pipeline import Adam, OptimizerConfig, instance_optimize
+from deformreg.pipeline import Adam, OptimizerConfig, build_model, instance_optimize
 from deformreg.similarity import SimilarityConfig
-from deformreg.synthetic import _smooth_noise
+from deformreg.synthetic import _smooth_noise, make_deformation, make_phantom
 from deformreg.tape import (
     _CORNERS,
     Tape,
@@ -25,8 +25,9 @@ from deformreg.tape import (
     grad_check,
     sample_trilinear_values,
 )
-from deformreg.tensor import Tensor3, TensorError, displaced_axes, grid_coordinates, node_axes
-from deformreg.transforms import resample_field_nodes
+from deformreg.tensor import (ConfigError, Tensor3, TensorError, displaced_axes,
+                              grid_coordinates, node_axes)
+from deformreg.transforms import DisplacementField, resample_field_nodes, resample_field_to
 from deformreg.volume import Volume
 
 from tests_helpers_interp import lerp3
@@ -62,6 +63,38 @@ class TestTensor3:
         assert t.data[0, 0, 0, 0] == 1.0
         with pytest.raises((ValueError, AttributeError)):
             t.data[0, 0, 0, 0] = 2.0
+
+    # each entry point that takes dims: (call, the smallest side it accepts)
+    DIMS_ENTRY_POINTS = {
+        "build_model": (build_model, 8),
+        "make_phantom": (lambda dims: make_phantom(1, dims), 16),
+        "make_deformation": (lambda dims: make_deformation(1, dims, 0.01), 16),
+        "DisplacementField.identity": (DisplacementField.identity, 1),
+        "DisplacementField.translation": (
+            lambda dims: DisplacementField.translation(dims, (0.1, 0.0, 0.0)), 1),
+        "Tensor3.zeros": (Tensor3.zeros, 1),
+        "resample_field_to": (lambda dims: resample_field_to(
+            DisplacementField.identity((4, 4, 4)), dims), 1),
+    }
+    BAD_DIMS = {
+        "fraction": lambda n: (n + 0.7, n, n),
+        "integral-float": lambda n: (n, float(n), n),
+        "string": lambda n: (n, n, str(n)),
+        "bool": lambda n: (True, n, n),
+        "two": lambda n: (n, n),
+        "zero": lambda n: (n, 0, n),
+        "scalar": lambda n: n,
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_DIMS))
+    @pytest.mark.parametrize("entry", sorted(DIMS_ENTRY_POINTS))
+    def test_one_dims_rule(self, entry, bad):
+        # three integers >= 1, no bool or str: nothing truncated, cast or
+        # left to fail later with another error
+        call, side = self.DIMS_ENTRY_POINTS[entry]
+        dims = self.BAD_DIMS[bad](max(side, 2))
+        with pytest.raises(ConfigError, match="dims must be"):
+            call(dims)
 
     def test_channel_handling(self):
         t = Tensor3(np.zeros((2, 3, 4, 5)))

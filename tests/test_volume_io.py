@@ -335,6 +335,23 @@ class TestRawAndCsv:
         assert np.array_equal(back, u)
         assert back.dtype == np.float64 and back.flags.c_contiguous
 
+    @pytest.mark.parametrize("given_to", ["writer", "reader"])
+    @pytest.mark.parametrize("kind", ["volume", "field"])
+    def test_payload_path_names_the_pair(self, tmp_path, kind, given_to):
+        # X.raw and X both mean the files X.raw and X.json, never X.raw.raw
+        volume = Volume(Tensor3(np.full((3, 4, 5), 0.5)), modality="SYNTH-BASE")
+        field = np.full((3, 4, 5, 3), 0.25)
+        write, read, data = {"volume": (write_volume_raw, read_volume_raw, volume),
+                             "field": (write_field_raw, read_field_raw, field)}[kind]
+        base, payload = tmp_path / "x", tmp_path / "x.raw"
+        write(data, payload if given_to == "writer" else base)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.raw"]
+        back = read(payload if given_to == "reader" else base)
+        if kind == "volume":
+            assert np.array_equal(back.values(), volume.values())
+        else:
+            assert np.array_equal(back, field)
+
     def test_landmark_round_trip(self, tmp_path):
         pts = np.array([[1.25, -3.5, 100.125], [0.0, 0.0, 0.0], [12.3456789, 7.1, -2.2]])
         lm = LandmarkSet(pts, frame="a")

@@ -8,6 +8,8 @@ mutates file contents only:
   the field drawn on the pair's 16^3 grid or, well-formed, on a 9^3 grid
   that ``evaluate`` resamples onto the labels' grid;
 - landmark CSV lines;
+- the labels or the landmarks of an ``evaluate`` whose field is the
+  well-formed 9^3 one, unmutated, so that whole cases reach the resampler;
 - config values and structure;
 - the encodings and byte-order marks of the CSV and JSON files.
 
@@ -270,6 +272,13 @@ def make_case(seed_files: dict[str, bytes], seed: int, index: int):
     if route == "evaluate-landmarks":
         data, notes = mutate_landmarks(seed_files["landmarks_a.csv"].decode(), rng)
         return route, {"l.csv": data}, notes
+    if route == "evaluate-cross-grid":
+        files = {"l.nii": seed_files["labels_a.nii"], "l.csv": seed_files["landmarks_a.csv"]}
+        if rng.random() < 0.5:
+            files["l.nii"], notes = mutate_nifti(files["l.nii"], rng)
+        else:
+            files["l.csv"], notes = mutate_landmarks(files["l.csv"].decode(), rng)
+        return route, files, notes
     data, notes = mutate_config(rng)
     return route, {"c.json": data}, notes
 
@@ -287,6 +296,10 @@ ROUTES = {
     "evaluate-landmarks": ("evaluate --field {pair}/truth_field.raw --landmarks-a {case}/l.csv "
                            "--landmarks-b {pair}/landmarks_b.csv --reference {pair}/a.nii "
                            "--out {out}/r.json", "r.json"),
+    "evaluate-cross-grid": ("evaluate --field {pair}/field9.raw --labels-a {case}/l.nii "
+                            "--labels-b {pair}/labels_b.nii --landmarks-a {case}/l.csv "
+                            "--landmarks-b {pair}/landmarks_b.csv --reference {pair}/a.nii "
+                            "--out {out}/r.json", "r.json"),
     "register-config": ("register --source {pair}/a.nii --target {pair}/b.nii "
                         "--config {case}/c.json --out-dir {out}/reg", "reg"),
 }
