@@ -7,18 +7,21 @@ The pair loss takes the maps of both directions and assembles
 
 with the gradient taken by deterministic central differences and the
 Frobenius term averaged over interior voxels (so lam is grid-size
-independent).
+independent). The penalty is one tape op (``"consistency"``) that keeps
+the composed displacement alone, not its 9-channel gradient: its vjp forms
+the central differences again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .similarity import SimilarityConfig, loss_similarity_nodes
-from .tape import Node, Tape
-from .tensor import ConfigError, check_number
+from .tape import Node, Tape, _central_stencils
+from .tensor import ConfigError, Tensor3, check_number
 from .transforms import DisplacementField, compose_nodes, warp_nodes
 
 
@@ -38,15 +41,40 @@ def gradient_inverse_consistency_nodes(tape: Tape, u_ab: Node, u_ba: Node) -> No
 
 
 def _consistency_of(tape: Tape, comp: Node) -> Node:
-    """The penalty of the composed displacement ``comp`` on u_ba's grid."""
-    dims = comp.value.dims
+    """The penalty of the composed displacement ``comp`` on u_ba's grid, as
+    one tape node (op ``"consistency"``) whose one parent is ``comp``.
+
+    The gradient of the composition's displacement is exactly J - I of the
+    composed map, taken at the interior nodes only. The forward runs the
+    float ops of ``spatial_gradient``, ``sum_squares`` and ``scale`` by one
+    over the interior count, squaring the 9-channel gradient in place, so
+    the value and gradient equal those three nodes' bit for bit. It keeps
+    only ``comp``'s value: the vjp forms each axis's differences again, one
+    temporary at a time, and adds them in ``spatial_gradient``'s vjp order.
+    """
+    cv, dims = comp.value.data, comp.value.dims
     if min(dims) < 3:
         raise ConfigError(f"consistency penalty needs a grid >= 3^3, got {dims}")
-    # the gradient of the composition's displacement is exactly J - I of
-    # the composed map, taken at the interior nodes only
-    jac_minus_i = tape.spatial_gradient(comp)
-    n_interior = int(np.prod(jac_minus_i.value.dims))
-    return tape.scale(tape.sum_squares(jac_minus_i), 1.0 / n_interior)
+    stencils = _central_stencils(cv.shape)
+    jac_minus_i = np.empty(tuple(n - 2 for n in dims) + (3 * cv.shape[3],))
+    for axis, (up, down, step) in enumerate(stencils):
+        jac_minus_i[..., axis::3] = (cv[up] - cv[down]) / step
+    k = 1.0 / math.prod(jac_minus_i.shape[:3])
+    value = float(np.sum(np.multiply(jac_minus_i, jac_minus_i, out=jac_minus_i))) * k
+    del jac_minus_i
+
+    def vjp(g):
+        back, twice_g = np.zeros(cv.shape), 2.0 * (g.reshape(()) * k)
+        for up, down, step in stencils:
+            g_axis = np.subtract(cv[up], cv[down])
+            g_axis /= step
+            g_axis *= twice_g
+            g_axis /= step
+            back[up] += g_axis
+            back[down] -= g_axis
+        return (back,)
+
+    return tape._append("consistency", (comp,), Tensor3.scalar(value), vjp)
 
 
 def gradient_inverse_consistency(phi_ab: DisplacementField, phi_ba: DisplacementField) -> float:

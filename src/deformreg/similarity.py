@@ -150,10 +150,11 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
     pair, in the (*dims, 12 C) layout (a view for one channel), and
     ``backward(adjoint)``, the image's adjoint given ``adjoint(k, d)``,
     which multiplies d = D_k in place by its adjoint. ``backward`` forms D
-    and the pair differences again and runs once, as a sweep does: it drops
-    the distances so that the box mean's transposes, like the forward's
-    box mean, hold two 12-plane stacks at most: each consumes the stack
-    it is given, (12, *dims, C) with the spatial axes before the last.
+    and the pair differences again and runs once, as a sweep does: it
+    writes each distance's adjoint over that distance, takes the box mean's
+    transpose half a stack (6 planes) at a time and drops the stack once
+    the shifts' adjoints are formed, so it holds one 12-plane stack and
+    half of another at most (the forward's box mean holds two).
     """
     dims = av.shape[:3]
     need = 2 * (cfg.mind_patch_radius + 1) + 1
@@ -196,28 +197,34 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
         nonlocal ssd
         # twice the adjoint of each SSD_k (the 2 of d(diff^2)/d(diff) taken
         # early): through the numerator of exp(-SSD_k / V) ...
-        g_ssd = np.empty(ssd.shape)
+        m, plane = -2.0 / v, np.empty(shape)
         for k in range(12):
-            adjoint(k, descriptor(k, g_ssd[k]))
-        g_ssd *= -2.0 / v
-        # ... plus the share through V = max(mean, eps), common to all 12,
-        # summed plane by plane as np.sum(..., axis=0) sums
-        share, product = g_ssd[0] * ssd[0], np.empty(shape)
-        for k in range(1, 12):
-            share += np.multiply(g_ssd[k], ssd[k], out=product)
+            adjoint(k, descriptor(k, plane))
+            plane *= m
+            # ... plus the share through V = max(mean, eps), common to all
+            # 12, summed plane by plane as np.sum(..., axis=0) sums; once the
+            # share has read a distance, its adjoint is written over it
+            if k:
+                ssd[k] *= plane
+                share += ssd[k]
+            else:
+                share = ssd[0] * plane
+            ssd[k] = plane
         share /= v
         share *= passed
         share *= -1.0 / 12.0
-        g_ssd += share
-        # the distances go; the box mean's transpose consumes g_ssd and
-        # returns one more stack in their place; then the square's transpose
-        ssd = None
-        g_diff = _box_mean_t(g_ssd, r)
-        del g_ssd
+        g, ssd = ssd, None
+        g += share
+        del share, plane
+        # the box mean's transpose, half a stack at a time (it consumes the
+        # half it is given and returns a half-size stack), then the square's
+        for half in (slice(0, 6), slice(6, 12)):
+            g[half] = _box_mean_t(g[half], r)
         diff = np.empty(shape)
         for k in range(12):
-            g_diff[k] *= pair_difference(k, diff)
-        g_shifted = (_PAIR_SIGNS @ g_diff.reshape(12, -1)).reshape((6,) + shape)
+            g[k] *= pair_difference(k, diff)
+        g_shifted = (_PAIR_SIGNS @ g.reshape(12, -1)).reshape((6,) + shape)
+        del g, diff
         # each shift's adjoint goes into its window of a padded zero array,
         # and each padded face folds onto the face it copies
         g_padded = np.zeros(pad_shape)

@@ -14,9 +14,13 @@ recorded through ``_append`` by the similarity module, which builds each
 fixed side in plain numpy (``sum_squares``' ``minus`` serves the MSE term,
 which subtracts its fixed image there). So
 ``sub``, ``mul``, ``div``, ``sqrt``, ``sum``, ``square``, ``box_filter``,
-``avg_pool2``, ``crop_border``, ``shift``, ``exp``, ``clamp`` and
-``concat_channels`` have no caller in the package; the tests build
-reference graphs from them and the benchmark's tracer binds them by name.
+``avg_pool2``, ``crop_border``, ``shift``, ``exp``, ``clamp``,
+``concat_channels`` and ``spatial_gradient`` have no caller in the
+package; the tests build reference graphs from them and the benchmark's
+tracer binds them by name. The inverse-consistency penalty is one op
+(``"consistency"``) recorded by the loss module: the float ops of
+``spatial_gradient``, ``sum_squares`` and ``scale`` with a vjp that
+keeps only its operand (``_central_stencils`` serves both).
 
 Every box mean (the LNCC map, MIND-SSC, their fixed sides and
 ``box_filter``) runs one kernel: ``_box_sum_axis`` adds each shifted term
@@ -53,7 +57,10 @@ one-grid case onto a zero field, on a throwaway tape.
 
 Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
-(..., 3) points pass ``np.moveaxis(points, -1, 0)``.
+(..., 3) points pass ``np.moveaxis(points, -1, 0)``. A plan writes each
+axis's fractions over the coordinates it is given: ``trilinear_samples``
+hands it ``displaced_axes``' fresh arrays, ``sample_trilinear_values``
+copies of its caller's.
 
 Epsilon policy: raw ``div``/``sqrt`` (and the LNCC map, which keeps
 ``sqrt``'s guard and message) reject non-positive operands. Losses that need
@@ -225,6 +232,19 @@ def _pool2_counts(n: int) -> np.ndarray:
     return c
 
 
+def _central_stencils(shape) -> list[tuple]:
+    """Per spatial axis of an array of ``shape``, its central differences
+    at the interior nodes as (up, down, 2h): the interior slices shifted one
+    node up and one down along the axis, and 2h for the node spacing
+    h = 1 / (n - 1), formed as np.gradient forms it."""
+    stencils = []
+    for axis in range(3):
+        up, down = [slice(1, -1)] * 3, [slice(1, -1)] * 3
+        up[axis], down[axis] = slice(2, None), slice(None, -2)
+        stencils.append((tuple(up), tuple(down), 2.0 * (1.0 / (shape[axis] - 1))))
+    return stencils
+
+
 # the 8 interpolation corners as (bx, by, bz) offset bits; corner k has
 # bits k = bx << 2 | by << 1 | bz
 _CORNERS = tuple((bx, by, bz) for bx in (0, 1) for by in (0, 1) for bz in (0, 1))
@@ -286,8 +306,10 @@ def _flat_in_halves(fn, *arrays) -> None:
 
 class _TrilinearPlan:
     """Edge-clamped trilinear sample of each of ``imgs`` (nx, ny, nz, C_k),
-    all on one grid, at the normalized per-axis ``coords`` (three arrays
-    that broadcast to the point shape), kept for the vjp.
+    all on one grid, at the normalized per-axis ``coords`` (three float64
+    arrays that broadcast to the point shape), kept for the vjp. The plan
+    owns ``coords``: it writes each axis's fractions over a point-shaped
+    C-contiguous one, so a caller that keeps its coordinates hands copies.
 
     Coordinates are clamped to [0,1] and mapped onto node index space
     (node i at i/(n-1)). The plan keeps only what the 8 corners derive
@@ -311,7 +333,7 @@ class _TrilinearPlan:
     an index array of its own. Weights and the images' channel planes are
     rebuilt where a pass needs them instead of being held until the vjp.
 
-    The forward locates each point (clip, inside mask, snap, low corner's
+    The forward locates each point (inside mask, clip, snap, low corner's
     index, fraction) and blends its corners from its own coordinates
     alone, so it splits by the one rule (``_in_halves``) as one pass over
     each half of the flat points; so does the coordinate projection. The
@@ -325,31 +347,36 @@ class _TrilinearPlan:
     def __init__(self, imgs, coords):
         self.imgs = list(imgs)
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        coords = [np.broadcast_to(c, shape).ravel() for c in coords]
-        size, (nx, ny, nz) = coords[0].size, self.imgs[0].shape[:3]
+        # the fractions are written over a point-shaped C-contiguous array
+        # itself (its flat view) and over a C-ordered copy of any other
+        self.fracs = [(c if np.shape(c) == shape and c.flags.c_contiguous
+                       else np.array(np.broadcast_to(c, shape), order="C")).reshape(-1)
+                      for c in coords]
+        size, (nx, ny, nz) = self.fracs[0].size, self.imgs[0].shape[:3]
         self.strides = [stride if n > 1 else 0 for n, stride in ((nx, ny * nz), (ny, nz), (nz, 1))]
         self.base = np.empty(size, dtype=np.int64)
-        self.fracs = [np.empty(size) for _ in range(3)]
         self.inside = [np.empty(size, dtype=bool) for _ in range(3)]
         planes = [plane for im in self.imgs for plane in _planes(im)]
         sums = [np.empty(size) for _ in planes]
-        _in_halves(functools.partial(self._forward, coords, planes, sums), size, size)
+        _in_halves(functools.partial(self._forward, planes, sums), size, size)
         del planes  # before the outputs are stacked
         self.out = []
         for im in self.imgs:
             self.out.append(np.stack(sums[: im.shape[3]], axis=-1).reshape(*shape, im.shape[3]))
             del sums[: im.shape[3]]
 
-    def _forward(self, coords, planes, sums, s: slice) -> None:
-        """Locate the points ``s`` into ``base``, ``fracs`` and ``inside``,
-        then write each channel plane's weighted sum of its values at their
-        8 corners into ``sums``."""
+    def _forward(self, planes, sums, s: slice) -> None:
+        """Locate the points ``s`` into ``base``, ``inside`` and ``fracs``,
+        each axis's fractions written over its coordinates, then write each
+        channel plane's weighted sum of its values at their 8 corners into
+        ``sums``."""
         base = self.base[s]
-        for axis, (c, n, stride) in enumerate(zip(coords, self.imgs[0].shape, self.strides)):
-            c_raw, p = c[s], self.fracs[axis][s]
-            np.clip(c_raw, 0.0, 1.0, out=p)
-            # False where the clamp moved the coordinate
-            np.equal(p, c_raw, out=self.inside[axis][s])
+        for axis, (p, n, stride) in enumerate(zip(self.fracs, self.imgs[0].shape, self.strides)):
+            p, inside = p[s], self.inside[axis][s]
+            # False where the clamp moves the coordinate
+            np.greater_equal(p, 0.0, out=inside)
+            inside &= p <= 1.0
+            np.clip(p, 0.0, 1.0, out=p)
             p *= n - 1
             # snap to the node when within 1e-9 index units so sampling at
             # voxel centers reproduces stored values exactly
@@ -367,7 +394,7 @@ class _TrilinearPlan:
                 i0 *= stride
             if axis:
                 base += i0
-            del c_raw, p, i0
+            del p, inside, i0
         w = self._weights(s)
         for k, ((_, _, bz), off, w01) in enumerate(self._corners(w)):
             weight = w01 * w[2][bz]
@@ -419,7 +446,7 @@ class _TrilinearPlan:
                     acc[off:] += np.bincount(self.base, weights=weight * g_c,
                                              minlength=size - off)
                 del weight
-            del w
+            del w, w01  # the loop leaves its last w01 bound through the projection
         g_coords = None
         if want_coords:
             project = [pair for im, g_c in zip(self.imgs, g_planes) if g_c is not None
@@ -486,9 +513,11 @@ def sample_trilinear_values(img: np.ndarray, coords) -> np.ndarray:
     ``img`` is (nx, ny, nz, C); ``coords`` is three arrays of normalized
     x, y and z coordinates that broadcast to the point shape, edge-clamped
     to the unit cube (an infinite one too; a NaN raises ConfigError). The
-    result is (*point shape, C).
+    result is (*point shape, C). The plan gets copies of ``coords``, so
+    the caller's arrays are not written.
     """
-    return _TrilinearPlan((img,), _not_nan(coords)).out[0]
+    copies = [np.array(c, dtype=np.float64, order="C") for c in _not_nan(coords)]
+    return _TrilinearPlan((img,), copies).out[0]
 
 
 def _not_nan(coords):
@@ -707,12 +736,7 @@ class Tape:
         av = a.value.data
         if min(av.shape[:3]) < 3:
             raise TapeError(f"spatial_gradient: dims {av.shape[:3]} need >= 3 per axis")
-        stencils = []
-        for axis in range(3):
-            up, down = [slice(1, -1)] * 3, [slice(1, -1)] * 3
-            up[axis], down[axis] = slice(2, None), slice(None, -2)
-            # 2h for the node spacing h = 1 / (n - 1), formed as np.gradient forms it
-            stencils.append((tuple(up), tuple(down), 2.0 * (1.0 / (av.shape[axis] - 1))))
+        stencils = _central_stencils(av.shape)
         out = np.empty(tuple(n - 2 for n in av.shape[:3]) + (3 * av.shape[3],))
         for axis, (up, down, step) in enumerate(stencils):
             out[..., axis::3] = (av[up] - av[down]) / step

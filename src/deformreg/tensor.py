@@ -103,10 +103,11 @@ def node_axes(dims) -> list[np.ndarray]:
     Node i along an axis of length n sits at i/(n-1); a length-1 axis sits
     at 0. This node-centered convention is shared by interpolation, spatial
     gradients and displacement-field composition, so maps expressed on the
-    unit cube stay consistent across grid resolutions.
+    unit cube stay consistent across grid resolutions. ``dims`` obeys
+    ``check_dims``.
     """
     return [np.linspace(0.0, 1.0, n).reshape([n if a == axis else 1 for a in range(3)])
-            for axis, n in enumerate(dims)]
+            for axis, n in enumerate(check_dims(dims))]
 
 
 def grid_coordinates(dims) -> Tensor3:

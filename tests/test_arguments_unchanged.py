@@ -18,6 +18,7 @@ from deformreg import (
     OptimizerConfig,
     Tensor3,
     build_model,
+    compose,
     dice,
     evaluate_pair,
     instance_optimize,
@@ -26,6 +27,8 @@ from deformreg import (
     make_phantom,
     mtre,
     render_pair,
+    sample_trilinear_values,
+    warp,
     warp_nearest,
 )
 from deformreg.transforms import inverse_displacement
@@ -50,12 +53,16 @@ def held_arrays(obj) -> list[np.ndarray]:
 def task():
     phantom = make_phantom(3, (16, 16, 16), n_structures=2)
     field = make_deformation(4, (16, 16, 16), 0.03)
+    other_field = make_deformation(6, (12, 12, 12), 0.02)
     a, b, truth = render_pair(phantom, ModalityRemap("identity"), ModalityRemap("invert"), field)
     model = build_model((16, 16, 16))
     model.params["ab2"] = Tensor3(np.full((16, 16, 16, 3), 0.01))
-    points = np.random.default_rng(5).uniform(0.2, 0.8, (6, 3))
-    return SimpleNamespace(phantom=phantom, field=field, a=a, b=b, truth=truth, model=model,
-                           points=points)
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0.2, 0.8, (6, 3))
+    # full-shape, C-contiguous coordinate arrays: the kind a plan writes over
+    coords = [np.ascontiguousarray(c) for c in rng.uniform(-0.1, 1.1, (3, 5, 4, 3))]
+    return SimpleNamespace(phantom=phantom, field=field, other_field=other_field, a=a, b=b,
+                           truth=truth, model=model, points=points, coords=coords)
 
 
 # name -> (function, positional arguments) built from the task
@@ -70,6 +77,9 @@ CALLS = {
     "warp_nearest": lambda t: (warp_nearest, (t.truth.labels_a, t.field)),
     "inverse_displacement": lambda t: (inverse_displacement, (t.field, t.points)),
     "map_points": lambda t: (DisplacementField.map_points, (t.field, t.points)),
+    "sample_trilinear_values": lambda t: (sample_trilinear_values, (t.a.grid.data, t.coords)),
+    "compose": lambda t: (compose, (t.field, t.other_field)),
+    "warp": lambda t: (warp, (t.a, t.field)),
     "instance_optimize": lambda t: (
         instance_optimize, (t.a, t.b, LossConfig(), OptimizerConfig(steps=2))),
     "loss_breakdown": lambda t: (loss_breakdown, (t.a, t.b, t.model, LossConfig())),

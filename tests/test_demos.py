@@ -59,6 +59,23 @@ def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(tmp_path):
     assert all(float(peak) > 0 for _, peak in runs), out
 
 
+def test_trace_digest_memory_saves_and_compares_the_peaks(tmp_path):
+    script = ROOT / "tools" / "trace_digest.py"
+    saved = run_script(script, tmp_path, argv=["--save", "outputs.npz", "--memory"])
+    peaks = re.findall(r"two-step peak (\d+\.\d\d) MB$", saved, flags=re.M)
+    with np.load(tmp_path / "outputs.npz") as stored:
+        assert len(stored.files) == 24 and len(peaks) == 6
+        kept = {key: stored[key] for key in stored.files if key != "21^3 MSE 6 steps peak"}
+        assert [f"{float(kept[key]):.2f}" for key in kept if key.endswith(" peak")] == peaks[:5]
+    # a file that stores no peak for a run (as one saved without --memory)
+    np.savez(tmp_path / "partial.npz", **kept)
+    out = run_script(script, tmp_path, argv=["--compare", "partial.npz", "--memory"])
+    lines = out.splitlines()
+    for line, peak in zip(lines[:5], peaks):
+        assert line.endswith(f"two-step peak {peak} MB (stored {peak} MB)"), out
+    assert lines[5].endswith(f"two-step peak {peaks[5]} MB (none stored)"), out
+
+
 def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
     script = ROOT / "tools" / "trace_digest.py"
     run_script(script, tmp_path, argv=["--save", "outputs.npz"])

@@ -107,12 +107,122 @@ class TestInverseConsistency:
         assert grad_check(f, u0, h=1e-6, seed=3) < 1e-3
 
 
+def chain_penalty(tape, comp):
+    """The penalty as the three nodes the ``consistency`` op replaces."""
+    n_interior = int(np.prod([n - 2 for n in comp.value.dims]))
+    return tape.scale(tape.sum_squares(tape.spatial_gradient(comp)), 1.0 / n_interior)
+
+
+def penalty_and_gradient(record, comp0: Tensor3):
+    """The penalty ``record(tape, comp)`` of ``comp0`` and its gradient."""
+    tape = Tape()
+    comp = tape.input(comp0, parameter=True)
+    node = record(tape, comp)
+    return node.value.item(), tape.backward(node)[comp.id].data
+
+
+def penalty_brute_force(comp):
+    """Per interior voxel, each channel's squared central difference along
+    each axis, summed with plain loops and divided by the interior count."""
+    dims = comp.shape[:3]
+    total, count = 0.0, 0
+    for idx in np.ndindex(*dims):
+        if any(i == 0 or i == n - 1 for i, n in zip(idx, dims)):
+            continue
+        count += 1
+        for c in range(comp.shape[3]):
+            for axis in range(3):
+                hi, lo = list(idx), list(idx)
+                hi[axis] += 1
+                lo[axis] -= 1
+                d = (comp[tuple(hi)][c] - comp[tuple(lo)][c]) * (dims[axis] - 1) / 2.0
+                total += d * d
+    return total / count
+
+
+class TestConsistencyOp:
+    """The penalty is one op (``consistency``) with the value and gradient
+    of ``spatial_gradient`` -> ``sum_squares`` -> ``scale``."""
+
+    CASES = [((3, 4, 5), 1), ((3, 4, 5), 3), ((9, 7, 6), 1), ((9, 7, 6), 3)]
+    IDS = ["3x4x5-C1", "3x4x5-C3", "9x7x6-C1", "9x7x6-C3"]
+
+    @staticmethod
+    def operand(dims, channels, seed=0):
+        rng = np.random.default_rng(seed + 10 * channels + sum(dims))
+        return Tensor3(rng.uniform(-0.05, 0.05, size=(*dims, channels)))
+
+    @pytest.mark.parametrize("dims, channels", CASES, ids=IDS)
+    def test_value_and_gradient_equal_the_three_nodes_bitwise(self, dims, channels):
+        comp = self.operand(dims, channels)
+        value, grad = penalty_and_gradient(losses._consistency_of, comp)
+        want_value, want_grad = penalty_and_gradient(chain_penalty, comp)
+        assert value == want_value and value > 0.0
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_one_node_that_keeps_its_operand_only(self):
+        tape = Tape()
+        comp = tape.input(self.operand((5, 5, 5), 3), parameter=True)
+        before = len(tape.nodes)
+        node = losses._consistency_of(tape, comp)
+        assert len(tape.nodes) == before + 1
+        assert node.op == "consistency" and node.parents == (comp,)
+
+    @pytest.mark.parametrize("dims, channels", CASES, ids=IDS)
+    def test_matches_brute_force(self, dims, channels):
+        comp = self.operand(dims, channels, seed=1)
+        value, _ = penalty_and_gradient(losses._consistency_of, comp)
+        assert value == pytest.approx(penalty_brute_force(comp.data), rel=1e-12, abs=0)
+
+    def test_gradient_against_finite_differences(self):
+        def f(comp):
+            value, grad = penalty_and_gradient(losses._consistency_of, comp)
+            return value, Tensor3(grad)
+
+        comp = self.operand((6, 5, 7), 3, seed=2)
+        assert grad_check(f, comp, h=1e-6, seed=4) < 1e-6
+
+    @pytest.mark.parametrize("dims", [(2, 5, 5), (5, 2, 5), (5, 5, 2)])
+    def test_below_3_cubed_rejected(self, dims):
+        tape = Tape()
+        comp = tape.input(Tensor3.zeros(dims, channels=3))
+        with pytest.raises(ConfigError, match=r"^consistency penalty needs a grid >= 3\^3, got "):
+            losses._consistency_of(tape, comp)
+
+    @pytest.mark.parametrize("record, bound", [(losses._consistency_of, 0.05),
+                                               (chain_penalty, None)],
+                             ids=["op", "three-nodes"])
+    def test_keeps_no_gradient_until_backward(self, record, bound):
+        """Recorded on a 24^3 3-channel operand, the op keeps less than 5 %
+        of its operand's bytes beyond the operand; the three nodes keep the
+        9-channel gradient, about 2.3 operands."""
+        rng = np.random.default_rng(36)
+        tape = Tape()
+        comp = tape.input(Tensor3(rng.uniform(-0.02, 0.02, (24, 24, 24, 3))), parameter=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            node = record(tape, comp)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert node.value.item() > 0.0
+        share = kept / comp.value.data.nbytes
+        if bound is None:
+            assert 2.2 <= share <= 2.4, f"the three nodes keep {share:.2f} operands"
+        else:
+            assert share < bound, f"the penalty op keeps {share:.3f} operands"
+
+
 class TestInverseConsistencyMemory:
     def test_penalty_keeps_at_most_160_bytes_per_interior_point(self, monkeypatch):
         """What the penalty keeps alive until backward beyond its compose:
-        the 9-channel gradient at the interior nodes and its square, 72 B
-        a point each. Taking the gradient over the whole grid and cropping
-        it would keep about 180 B per interior point at 16^3."""
+        its one op keeps the compose's value and no gradient, about 0 B per
+        interior point (72 B when it kept the 9-channel gradient, about
+        180 B when that gradient was taken over the whole grid and
+        cropped); ``TestConsistencyOp`` bounds it tightly."""
         rng = np.random.default_rng(34)
         dims = (16, 16, 16)
         tape = Tape()

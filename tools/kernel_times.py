@@ -1,7 +1,8 @@
 """Isolated timings of field, similarity, Adam and phantom kernels at one cube side.
 
 Prints the min-of-N wall time of the trilinear plan's forward (its
-set-up and corner blend), its full vjp and its coordinate-only vjp for a
+set-up and corner blend, each call given a fresh untimed copy of the
+coordinates, which it writes its fractions over), its full vjp and its coordinate-only vjp for a
 1-, 3- and 4-channel image sampled at every node of an n^3 grid; of the
 loss's shared plan (a 3-channel field and a 1-channel
 image sampled at the same points) and its vjp for the field's and the
@@ -67,12 +68,19 @@ def best_ms(fn, repeats: int, setup=None) -> float:
     return 1e3 * min(times)
 
 
+def fresh(coords) -> list[np.ndarray]:
+    """Copies of ``coords``: a plan writes its fractions over the
+    coordinates it is given."""
+    return [c.copy() for c in coords]
+
+
 def trilinear_times(n: int, channels: int, repeats: int, rng) -> dict[str, float]:
     img = rng.uniform(-1.0, 1.0, size=(n, n, n, channels))
     coords = displaced_axes(rng.uniform(-0.05, 0.05, size=(n, n, n, 3)))
     g = rng.normal(size=(n, n, n, channels))
-    plan = _TrilinearPlan((img,), coords)
-    return {"forward": best_ms(lambda: _TrilinearPlan((img,), coords), repeats),
+    plan = _TrilinearPlan((img,), fresh(coords))
+    return {"forward": best_ms(lambda c: _TrilinearPlan((img,), c), repeats,
+                               setup=lambda: fresh(coords)),
             "vjp": best_ms(lambda: plan.vjp((g,), (True,), True), repeats),
             "coordinate vjp": best_ms(lambda: plan.vjp((g,), (False,), True), repeats)}
 
@@ -84,8 +92,9 @@ def shared_plan_times(n: int, repeats: int, rng) -> dict[str, float]:
     img = rng.uniform(0.0, 1.0, size=(n, n, n, 1))
     coords = displaced_axes(rng.uniform(-0.05, 0.05, size=(n, n, n, 3)))
     g = (rng.normal(size=(n, n, n, 3)), rng.normal(size=(n, n, n, 1)))
-    plan = _TrilinearPlan((field, img), coords)
-    return {"forward": best_ms(lambda: _TrilinearPlan((field, img), coords), repeats),
+    plan = _TrilinearPlan((field, img), fresh(coords))
+    return {"forward": best_ms(lambda c: _TrilinearPlan((field, img), c), repeats,
+                               setup=lambda: fresh(coords)),
             "vjp": best_ms(lambda: plan.vjp(g, (True, False), True), repeats)}
 
 

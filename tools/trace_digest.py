@@ -18,7 +18,9 @@ two-step registration of the same pair (the fixed sides, two steps and
 the final forward; the pair is rendered before tracing starts). Adam's
 moments exist from the first update on, so the second step is the first
 steady-state one. It runs apart from the digest's registration, so the
-digests do not change.
+digests do not change. With ``--save`` it also stores each peak; with
+``--compare`` it prints each peak beside the stored one (or says that
+the file stores none).
 
 Run: PYTHONPATH=src python3 tools/trace_digest.py [--save FILE | --compare FILE] [--memory]
 """
@@ -110,9 +112,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--save", metavar="FILE",
-                       help="store the six loss traces and fields as a .npz archive")
+                       help="store the six loss traces and fields (and, with --memory, "
+                            "the two-step peaks) as a .npz archive")
     group.add_argument("--compare", metavar="FILE",
-                       help="print each trace's and field's largest deviation from a stored file")
+                       help="print each trace's and field's largest deviation from a stored "
+                            "file (and, with --memory, each stored peak)")
     parser.add_argument("--memory", action="store_true",
                         help="print each run's tracemalloc peak for two steps after its digest")
     args = parser.parse_args(argv)
@@ -139,7 +143,12 @@ def main(argv=None):
             worst = {key: max(worst[key], dev[key]) for key in worst}
             line += f"  deviation {describe(dev)}"
         if args.memory:
-            line += f"  two-step peak {step_peak_mb(a, b, kind):.2f} MB"
+            peak = step_peak_mb(a, b, kind)
+            saved[f"{name} peak"] = np.float64(peak)
+            line += f"  two-step peak {peak:.2f} MB"
+            if stored is not None:
+                line += (f" (stored {float(stored[f'{name} peak']):.2f} MB)"
+                         if f"{name} peak" in stored.files else " (none stored)")
         print(line, flush=True)
     if stored is not None:
         print(f"largest deviation: {describe(worst)}")
