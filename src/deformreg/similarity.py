@@ -8,11 +8,17 @@ registrable. The moving image's correlation map is one tape op
 its operand. MIND-SSC compares 12-channel self-similarity descriptors
 instead of raw intensities. A MIND_SSC term, mean((D(a) - D_fixed)^2), is
 one tape op (``"mind_ssc_loss"``) that keeps no descriptor: its vjp forms
-D(a) again. It shares one forward and one backward with the descriptor op
-(``"mind_ssc"``, unused in the package like the ops ``tape`` lists), which
-take the six shifts as windows of one edge-padded copy of the image. Every
-box mean runs ``tape._box_mean``, which owns its normalization, and the
-LNCC, LNCC2 and MSE terms reduce with ``Tape.mean`` or ``Tape.sum_squares``.
+D(a) again. Its forward holds the 12 distances it keeps and about two
+planes beside them, never a second 12-plane stack: each distance is
+formed in its own plane of the kept stack, and the value is summed one
+pair's plane at a time. So the value differs from a sum over the whole
+descriptor by float order only; the gradient is bit for bit that of the
+descriptor node and a sum of squares. It shares one forward and one
+backward with the descriptor op (``"mind_ssc"``, unused in the package
+like the ops ``tape`` lists), which take the six shifts as windows of one
+edge-padded copy of the image. Every box mean runs ``tape._box_mean``,
+which owns its normalization, and the LNCC, LNCC2 and MSE terms reduce
+with ``Tape.mean`` or ``Tape.sum_squares``.
 
 Each term compares a moving image with a fixed one, and its gradient
 reaches the map only through the moving image. The fixed side is data:
@@ -145,16 +151,19 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
     """The work both MIND ops share, for the (*dims, C) image ``av``. The
     forward keeps the edge-padded copy (each shift is a window of it), the
     12 distances, V and the floor's pass mask, and runs the elementwise
-    graph's float ops in its order. It returns two closures:
-    ``descriptors(minus)``, D or D - ``minus`` (pair-major) formed pair by
-    pair, in the (*dims, 12 C) layout (a view for one channel), and
-    ``backward(adjoint)``, the image's adjoint given ``adjoint(k, d)``,
-    which multiplies d = D_k in place by its adjoint. ``backward`` forms D
-    and the pair differences again and runs once, as a sweep does: it
-    writes each distance's adjoint over that distance, takes the box mean's
-    transpose half a stack (6 planes) at a time and drops the stack once
-    the shifts' adjoints are formed, so it holds one 12-plane stack and
-    half of another at most (the forward's box mean holds two).
+    graph's float ops in its order. It forms each distance one plane at a
+    time (pair difference, square, one-plane box mean) in its plane of the
+    kept stack, so beside that stack it holds the box mean's fresh plane
+    and no second stack. It returns three closures: ``descriptor(k, out)``,
+    pair k's descriptor plane D_k written into ``out``; ``descriptors()``,
+    D formed pair by pair in the (*dims, 12 C) layout (a view for one
+    channel); and ``backward(adjoint)``, the image's adjoint given
+    ``adjoint(k, d)``, which multiplies d = D_k in place by its adjoint.
+    ``backward`` forms D and the pair differences again and runs once, as
+    a sweep does: it writes each distance's adjoint over that distance,
+    takes the box mean's transpose half a stack (6 planes) at a time and
+    drops the stack once the shifts' adjoints are formed, so it holds one
+    12-plane stack and half of another at most.
     """
     dims = av.shape[:3]
     need = 2 * (cfg.mind_patch_radius + 1) + 1
@@ -170,12 +179,12 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
         i, j = SSC_PAIRS[k]
         return np.subtract(padded[_WINDOWS[i]], padded[_WINDOWS[j]], out=out)
 
-    sq = np.empty((12,) + shape)
+    # a box mean of one plane gives the bits of that plane's 12-plane one
+    ssd = np.empty((12,) + shape)
     for k in range(12):
-        pair_difference(k, sq[k])
-    sq *= sq
-    ssd = _box_mean(sq, r)
-    del sq
+        d = pair_difference(k, ssd[k])
+        d *= d
+        ssd[k] = _box_mean(d, r)
     mean = np.sum(ssd, axis=0)
     mean *= 1.0 / 12.0
     v, passed = np.maximum(mean, cfg.eps), mean > cfg.eps
@@ -185,12 +194,10 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
         out *= -1.0
         return np.exp(out, out=out)
 
-    def descriptors(minus=None):
+    def descriptors():
         out = np.empty((12,) + shape)
         for k in range(12):
             descriptor(k, out[k])
-            if minus is not None:
-                out[k] -= minus[k]
         return np.moveaxis(out, 0, 3).reshape(*dims, -1)
 
     def backward(adjoint):
@@ -236,7 +243,7 @@ def _mind_ssc(av: np.ndarray, cfg: SimilarityConfig):
             faces[-2] += faces[-1]
         return g_padded[1:-1, 1:-1, 1:-1]
 
-    return descriptors, backward
+    return descriptor, descriptors, backward
 
 
 def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Node:
@@ -250,7 +257,7 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
     12 distances, floored at eps. The values equal the elementwise graph's
     bit for bit; the vjp keeps what ``_mind_ssc`` keeps.
     """
-    descriptors, backward = _mind_ssc(a.value.data, cfg)
+    _, descriptors, backward = _mind_ssc(a.value.data, cfg)
     dims = a.value.dims
 
     def vjp(g):
@@ -263,22 +270,29 @@ def mind_ssc_descriptor_nodes(tape: Tape, a: Node, cfg: SimilarityConfig) -> Nod
 def mind_ssc_loss_nodes(tape: Tape, a: Node, fixed_descriptor: Tensor3,
                         cfg: SimilarityConfig) -> Node:
     """The MIND_SSC term mean((D(a) - D_fixed)^2) as one tape node (op
-    ``"mind_ssc_loss"``) whose one parent is ``a``: the value and gradient
-    of ``sum_squares(D, mean=True, minus=fixed_descriptor)`` on the
-    descriptor node D, bit for bit (the sum runs in D's layout). It keeps
-    what the descriptor op keeps, and neither D nor its 12-channel adjoint:
-    the vjp forms D again and multiplies each pair by (D - D_fixed) * 2g / n
-    with the two nodes' float ops before the descriptor's backward.
+    ``"mind_ssc_loss"``) whose one parent is ``a``. Its gradient is that of
+    ``sum_squares(D, mean=True, minus=fixed_descriptor)`` on the descriptor
+    node D, bit for bit; its value is too up to float order, since it sums
+    pair by pair: each pair's D_k - D_fixed,k is formed in one plane
+    buffer and that plane's ``np.sum`` of squares added. So the forward
+    holds the distances it keeps and about two planes. It keeps what the
+    descriptor op keeps, and neither D nor its 12-channel adjoint: the vjp
+    forms D again and multiplies each pair by (D - D_fixed) * 2g / n with
+    the two nodes' float ops before the descriptor's backward.
     """
     shape = a.value.shape
     expect = shape[:3] + (12 * shape[3],)
     if fixed_descriptor.shape != expect:
         raise ConfigError(f"fixed descriptor shape {fixed_descriptor.shape} is not {expect}")
-    descriptors, backward = _mind_ssc(a.value.data, cfg)
+    descriptor, _, backward = _mind_ssc(a.value.data, cfg)
     fixed = np.moveaxis(fixed_descriptor.data.reshape(*shape[:3], 12, -1), 3, 0)
-    x = descriptors(minus=fixed)
-    n = x.size
-    val = Tensor3.scalar(float(np.sum(np.multiply(x, x, out=x))) / n)
+    plane, total = np.empty(shape), 0.0
+    for k in range(12):
+        d = descriptor(k, plane)
+        d -= fixed[k]
+        total += float(np.sum(np.multiply(d, d, out=d)))
+    n = fixed_descriptor.size
+    val = Tensor3.scalar(total / n)
 
     def vjp(g):
         scale, plane = 2.0 * g.reshape(()) / n, np.empty(shape)
@@ -350,4 +364,4 @@ def loss_similarity(a, b, cfg: SimilarityConfig = SimilarityConfig()) -> float:
 
 def mind_ssc_descriptor(a, cfg: SimilarityConfig = SimilarityConfig(kind="MIND_SSC")) -> Tensor3:
     """``mind_ssc_descriptor_nodes``' values by ``_mind_ssc``'s forward alone, with no tape."""
-    return Tensor3._wrap(_mind_ssc(_as_tensor(a).data, cfg)[0]())
+    return Tensor3._wrap(_mind_ssc(_as_tensor(a).data, cfg)[1]())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import _box_sum_axis, _flat_in_halves, sample_trilinear_values
+from .tape import _box_sum_axis, _flat_in_halves, _TrilinearPlan
 from .tensor import ConfigError, Tensor3, check_dims, check_number, displaced_axes, node_axes
 from .transforms import DisplacementField, inverse_displacement, resample_field_to, warp_nearest
 from .volume import LabelVolume, LandmarkSet, Volume
@@ -274,7 +274,7 @@ def render_pair(
     hi = phantom.base_supersampled.grid.data
     coords = displaced_axes(resample_field_to(deformation, base.dims).u.data)
     values_a = remap_a.apply(base.grid.data)
-    values_b = remap_b.apply(sample_trilinear_values(hi, coords))
+    values_b = remap_b.apply(_TrilinearPlan((hi,), coords).out[0])
     vol_a = Volume(Tensor3(values_a), spacing=base.spacing, origin=base.origin,
                    modality="SYNTH-A", preprocessed=True)
     vol_b = Volume(Tensor3(values_b), spacing=base.spacing, origin=base.origin,

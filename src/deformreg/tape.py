@@ -59,8 +59,10 @@ Samplers take coordinates per axis: three normalized arrays that broadcast
 to the point shape, e.g. ``tensor.node_axes`` or ``tensor.displaced_axes``;
 (..., 3) points pass ``np.moveaxis(points, -1, 0)``. A plan writes each
 axis's fractions over the coordinates it is given: ``trilinear_samples``
-hands it ``displaced_axes``' fresh arrays, ``sample_trilinear_values``
-copies of its caller's.
+and the package's own plain samplers (``transforms.warp``, ``compose``
+and ``inverse_displacement``, ``synthetic.render_pair``) hand it the
+fresh arrays they built, ``sample_trilinear_values`` copies of its
+caller's.
 
 Epsilon policy: raw ``div``/``sqrt`` (and the LNCC map, which keeps
 ``sqrt``'s guard and message) reject non-positive operands. Losses that need

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor import ConfigError, Tensor3, check_dims, displaced_axes, grid_coordinates
-from .tape import Node, Tape, sample_nearest_values, sample_trilinear_values
+from .tape import (Node, Tape, _not_nan, _TrilinearPlan, sample_nearest_values,
+                   sample_trilinear_values)
 from .volume import LabelVolume, Volume
 
 # fixed-point iterations of inverse_displacement
@@ -52,7 +53,7 @@ class DisplacementField:
 
 def compose(phi1: DisplacementField, phi2: DisplacementField) -> DisplacementField:
     """(phi1 o phi2)(x) = phi2(x) + u1(phi2(x)), output on phi2's grid."""
-    u1_at = sample_trilinear_values(phi1.u.data, displaced_axes(phi2.u.data))
+    u1_at = _TrilinearPlan((phi1.u.data,), displaced_axes(phi2.u.data)).out[0]
     return DisplacementField(Tensor3(phi2.u.data + u1_at))
 
 
@@ -81,7 +82,7 @@ def resample_field_nodes(tape: Tape, u: Node, dims) -> Node:
 def warp(v: Volume, phi: DisplacementField) -> Volume:
     """Resample v at phi(x): out(x) = v(x + u(x)), edge-clamped."""
     phi_v = resample_field_to(phi, v.dims)
-    out = sample_trilinear_values(v.grid.data, displaced_axes(phi_v.u.data))
+    out = _TrilinearPlan((v.grid.data,), displaced_axes(phi_v.u.data)).out[0]
     return replace(v, grid=Tensor3(out))
 
 
@@ -127,12 +128,14 @@ def inverse_displacement(phi: DisplacementField, points: np.ndarray) -> np.ndarr
     v <- -u(p + v), so that phi(p + v) = p once it has converged.
 
     u is made channel-planar once (a (..., 3) view of a component-major
-    copy), so each pass's plan reads its channels without copying them."""
-    axes = np.moveaxis(points, -1, 0)
+    copy), so each pass's plan reads its channels without copying them.
+    ``points`` is checked for NaN once; each pass's plan writes over the
+    coordinates that pass builds."""
+    axes = _not_nan(np.moveaxis(np.asarray(points, dtype=np.float64), -1, 0))
     u = np.moveaxis(np.ascontiguousarray(np.moveaxis(phi.u.data, -1, 0)), 0, -1)
     v = np.zeros(3)  # v = 0 at every point; the first pass gives it the point shape
     for _ in range(INVERSE_ITERATIONS):
-        v = -sample_trilinear_values(u, [p + v[..., a] for a, p in enumerate(axes)])
+        v = -_TrilinearPlan((u,), [p + v[..., a] for a, p in enumerate(axes)]).out[0]
     return v
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import deformreg
+from deformreg.tape import Tape
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -54,7 +55,8 @@ def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(tmp_path):
     script = ROOT / "tools" / "trace_digest.py"
     plain = re.findall(r": ([0-9a-f]{16})$", run_script(script, tmp_path), flags=re.M)
     out = run_script(script, tmp_path, argv=["--memory"])
-    runs = re.findall(r": ([0-9a-f]{16})  two-step peak (\d+\.\d\d) MB$", out, flags=re.M)
+    runs = re.findall(r": ([0-9a-f]{16})  two-step peak (\d+\.\d\d) MB in \w+ (?:forward|vjp)$",
+                      out, flags=re.M)
     assert [digest for digest, _ in runs] == plain and len(plain) == 6, out
     assert all(float(peak) > 0 for _, peak in runs), out
 
@@ -62,7 +64,7 @@ def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(tmp_path):
 def test_trace_digest_memory_saves_and_compares_the_peaks(tmp_path):
     script = ROOT / "tools" / "trace_digest.py"
     saved = run_script(script, tmp_path, argv=["--save", "outputs.npz", "--memory"])
-    peaks = re.findall(r"two-step peak (\d+\.\d\d) MB$", saved, flags=re.M)
+    peaks = re.findall(r"two-step peak (\d+\.\d\d) MB in \w+ (?:forward|vjp)$", saved, flags=re.M)
     with np.load(tmp_path / "outputs.npz") as stored:
         assert len(stored.files) == 24 and len(peaks) == 6
         kept = {key: stored[key] for key in stored.files if key != "21^3 MSE 6 steps peak"}
@@ -71,9 +73,10 @@ def test_trace_digest_memory_saves_and_compares_the_peaks(tmp_path):
     np.savez(tmp_path / "partial.npz", **kept)
     out = run_script(script, tmp_path, argv=["--compare", "partial.npz", "--memory"])
     lines = out.splitlines()
+    site = r" MB in \w+ (?:forward|vjp) "
     for line, peak in zip(lines[:5], peaks):
-        assert line.endswith(f"two-step peak {peak} MB (stored {peak} MB)"), out
-    assert lines[5].endswith(f"two-step peak {peaks[5]} MB (none stored)"), out
+        assert re.search(f"two-step peak {peak}{site}\\(stored {peak} MB\\)$", line), out
+    assert re.search(f"two-step peak {peaks[5]}{site}\\(none stored\\)$", lines[5]), out
 
 
 def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
@@ -168,6 +171,26 @@ def test_trace_digest_compare_checks_the_archive_before_registering(tmp_path, mo
     with pytest.raises(SystemExit, match=r"one\.npz: no '32\^3 LNCC2 6 steps phi_ab' array"):
         module.main(["--compare", str(archive)])
     assert registered == []
+
+
+@pytest.mark.parametrize("kind", ["LNCC2", "MIND_SSC"])
+def test_trace_digest_peak_site_is_an_op_the_tape_records(kind, monkeypatch):
+    # the site's op is one that the same two-step registration records, and
+    # the site's run puts the package's Tape._append back
+    module = load_trace_digest()
+    append = vars(Tape)["_append"]
+    a, b = module.pair(19)
+    op, phase = module.peak_site(a, b, kind).rsplit(" ", 1)
+    assert vars(Tape)["_append"] is append
+    recorded = set()
+
+    def collect(tape, name, *rest):
+        recorded.add(name)
+        return append(tape, name, *rest)
+
+    monkeypatch.setattr(Tape, "_append", collect)
+    module.register(a, b, kind, 2)
+    assert phase in ("forward", "vjp") and op in recorded, (op, phase, recorded)
 
 
 def test_trace_digest_deviation():

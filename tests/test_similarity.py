@@ -353,6 +353,28 @@ class TestMindSscLoss:
         assert retained <= 16 * 8 * np.prod(dims)
         assert with_output - retained <= 1024
 
+    @pytest.mark.parametrize("dims", [(24, 24, 24), (21, 19, 17)])
+    def test_forward_peaks_at_most_18_float64_per_voxel(self, dims):
+        # the forward holds what the op keeps (15 float64 a voxel) and a
+        # plane or two beside it: each distance is formed in its plane of
+        # the kept stack and each pair's D_k - D_fixed,k in one plane
+        # buffer (26.8 and 27.3 when the box mean wrote a second 12-plane
+        # stack and the value a third)
+        rng = np.random.default_rng(4)
+        cfg = SimilarityConfig(kind="MIND_SSC")
+        fixed = mind_ssc_descriptor(Tensor3(rng.uniform(0, 1, dims)), cfg)
+        tape = Tape()
+        a = tape.input(Tensor3(rng.uniform(0, 1, dims)), parameter=True)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            mind_ssc_loss_nodes(tape, a, fixed, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_voxel = (peak - entry) / (8 * np.prod(dims))
+        assert per_voxel <= 18, f"the forward peaked at {per_voxel:.2f} float64 per voxel"
+
 
 def lncc_map_composed_nodes(tape, a, fixed, cfg):
     """The LNCC map as a graph of elementwise tape ops (3 box filters, 3

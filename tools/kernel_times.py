@@ -15,8 +15,12 @@ forward and vjp of the two similarity ops built on box means: the
 MIND_SSC term (``mind_ssc_loss``) and the LNCC map (``lncc_map``), each of
 a random n^3 image against a fixed one. The ``box_mean`` rows time the box
 mean those ops share (``tape._box_mean``, forward) and its transpose
-(``tape._box_mean_t``, vjp) alone: on MIND's 12-plane stack at patch
-radius 1 and on a 1-channel LNCC volume at window radius 2. A box mean
+(``tape._box_mean_t``, vjp) alone: on a 12-plane stack at MIND's patch
+radius 1 and on a 1-channel LNCC volume at window radius 2. The MIND
+term's vjp takes the transpose half such a stack at a time, and its
+forward takes 12 one-plane box means, not one of the stack, so the
+``box_mean MIND`` row times the stack's kernel, not the term's calls
+of it. A box mean
 and its transpose consume the buffer they are given (the spatial axes
 are the three before the last), so each call gets a fresh untimed copy.
 The ``phantom noise`` row times the forward of ``synthetic._smooth_noise``

@@ -17,10 +17,11 @@ the largest absolute deviation of each field, from the stored ones
 two-step registration of the same pair (the fixed sides, two steps and
 the final forward; the pair is rendered before tracing starts). Adam's
 moments exist from the first update on, so the second step is the first
-steady-state one. It runs apart from the digest's registration, so the
-digests do not change. With ``--save`` it also stores each peak; with
-``--compare`` it prints each peak beside the stored one (or says that
-the file stores none).
+steady-state one. Beside the peak it names the tape op in whose forward
+or vjp the peak was reached (``peak_site``, a second two-step run). Both
+run apart from the digest's registration, so the digests do not change.
+With ``--save`` it also stores each peak; with ``--compare`` it prints
+each peak beside the stored one (or says that the file stores none).
 
 Run: PYTHONPATH=src python3 tools/trace_digest.py [--save FILE | --compare FILE] [--memory]
 """
@@ -41,6 +42,7 @@ from deformreg import (
     make_phantom,
     render_pair,
 )
+from deformreg.tape import Tape
 
 # (cube side, similarity, optimization steps)
 RUNS = ((32, "LNCC2", 6), (32, "MIND_SSC", 4), (21, "LNCC2", 6), (19, "MIND_SSC", 4),
@@ -72,6 +74,57 @@ def step_peak_mb(a, b, kind: str) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def peak_site(a, b, kind: str) -> str:
+    """Where ``step_peak_mb``'s peak is reached: ``"<op> forward"`` or
+    ``"<op> vjp"``, found in a run of its own.
+
+    For that run only, ``Tape._append`` and each vjp it records are
+    wrapped (from outside the package, as ``perfbench/tracing.py`` does).
+    At each tape event (an op recorded, a vjp's start or end) the peak of
+    the stretch that ends there is read and reset, and the run's highest
+    stretch names the site. A stretch that ends where an op is recorded is
+    that op's forward, code outside any op included; the one inside a vjp
+    is that vjp, and so is the sweep's sum of its contributions after it.
+    The wrappers' own few kilobytes can move this run's peak, so the
+    printed peak comes from ``step_peak_mb``'s unwrapped run.
+    """
+    best = [0, "no op"]
+    after = [None]  # the open stretch's name once a vjp has returned
+
+    def mark(site):
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > best[0]:
+            best[:] = peak, site
+        tracemalloc.reset_peak()
+
+    def traced_vjp(op, vjp):
+        def run(g):
+            mark(after[0] or f"{op} vjp")
+            try:
+                return vjp(g)
+            finally:
+                mark(f"{op} vjp")
+                after[0] = f"{op} vjp"
+        return run
+
+    append = vars(Tape)["_append"]
+
+    def traced_append(tape, op, parents, value, vjp):
+        mark(f"{op} forward")
+        after[0] = None
+        return append(tape, op, parents, value, vjp and traced_vjp(op, vjp))
+
+    Tape._append = traced_append
+    tracemalloc.start()
+    try:
+        register(a, b, kind, 2)
+        mark(after[0] or "no op")
+        return best[1]
+    finally:
+        tracemalloc.stop()
+        Tape._append = append
 
 
 def outputs(result) -> dict[str, np.ndarray]:
@@ -145,7 +198,7 @@ def main(argv=None):
         if args.memory:
             peak = step_peak_mb(a, b, kind)
             saved[f"{name} peak"] = np.float64(peak)
-            line += f"  two-step peak {peak:.2f} MB"
+            line += f"  two-step peak {peak:.2f} MB in {peak_site(a, b, kind)}"
             if stored is not None:
                 line += (f" (stored {float(stored[f'{name} peak']):.2f} MB)"
                          if f"{name} peak" in stored.files else " (none stored)")
