@@ -8,8 +8,8 @@ The pair loss takes the maps of both directions and assembles
 with the gradient taken by deterministic central differences and the
 Frobenius term averaged over interior voxels (so lam is grid-size
 independent). The penalty is one tape op (``"consistency"``) that keeps
-the composed displacement alone, not its 9-channel gradient: its vjp forms
-the central differences again.
+the composed displacement alone; its gradient is bitwise that of
+``spatial_gradient`` -> ``sum_squares`` -> ``scale``, its value summed by axis.
 """
 
 from __future__ import annotations
@@ -44,34 +44,36 @@ def _consistency_of(tape: Tape, comp: Node) -> Node:
     """The penalty of the composed displacement ``comp`` on u_ba's grid, as
     one tape node (op ``"consistency"``) whose one parent is ``comp``.
 
-    The gradient of the composition's displacement is exactly J - I of the
-    composed map, taken at the interior nodes only. The forward runs the
-    float ops of ``spatial_gradient``, ``sum_squares`` and ``scale`` by one
-    over the interior count, squaring the 9-channel gradient in place, so
-    the value and gradient equal those three nodes' bit for bit. It keeps
-    only ``comp``'s value: the vjp forms each axis's differences again, one
-    temporary at a time, and adds them in ``spatial_gradient``'s vjp order.
+    The spatial gradient of ``comp`` is J - I of the composed map at its
+    interior nodes. Forward and vjp form one axis's differences at a time
+    (``difference``) and keep only ``comp``'s value. The value adds each
+    axis's ``np.sum`` of squares and scales once by one over the interior
+    count. The gradient is bitwise that of the module's three-node chain.
     """
     cv, dims = comp.value.data, comp.value.dims
     if min(dims) < 3:
         raise ConfigError(f"consistency penalty needs a grid >= 3^3, got {dims}")
-    stencils = _central_stencils(cv.shape)
-    jac_minus_i = np.empty(tuple(n - 2 for n in dims) + (3 * cv.shape[3],))
-    for axis, (up, down, step) in enumerate(stencils):
-        jac_minus_i[..., axis::3] = (cv[up] - cv[down]) / step
-    k = 1.0 / math.prod(jac_minus_i.shape[:3])
-    value = float(np.sum(np.multiply(jac_minus_i, jac_minus_i, out=jac_minus_i))) * k
-    del jac_minus_i
+
+    def difference(up, down, step):  # a fresh (cv[up] - cv[down]) / step
+        d = np.subtract(cv[up], cv[down])
+        d /= step
+        return d
+
+    value, k = 0.0, 1.0 / math.prod(n - 2 for n in dims)
+    for stencil in _central_stencils(cv.shape):
+        d = difference(*stencil)
+        value += float(np.sum(np.multiply(d, d, out=d)))
+        del d  # before the next axis's differences
+    value *= k
 
     def vjp(g):
         back, twice_g = np.zeros(cv.shape), 2.0 * (g.reshape(()) * k)
-        for up, down, step in stencils:
-            g_axis = np.subtract(cv[up], cv[down])
-            g_axis /= step
-            g_axis *= twice_g
-            g_axis /= step
-            back[up] += g_axis
-            back[down] -= g_axis
+        for up, down, step in _central_stencils(cv.shape):
+            d = difference(up, down, step)
+            d *= twice_g
+            d /= step
+            back[up] += d
+            back[down] -= d
         return (back,)
 
     return tape._append("consistency", (comp,), Tensor3.scalar(value), vjp)
@@ -79,9 +81,7 @@ def _consistency_of(tape: Tape, comp: Node) -> Node:
 
 def gradient_inverse_consistency(phi_ab: DisplacementField, phi_ba: DisplacementField) -> float:
     tape = Tape()
-    node = gradient_inverse_consistency_nodes(
-        tape, tape.input(phi_ab.u), tape.input(phi_ba.u)
-    )
+    node = gradient_inverse_consistency_nodes(tape, tape.input(phi_ab.u), tape.input(phi_ba.u))
     return node.value.item()
 
 

@@ -18,9 +18,9 @@ which subtracts its fixed image there). So
 ``concat_channels`` and ``spatial_gradient`` have no caller in the
 package; the tests build reference graphs from them and the benchmark's
 tracer binds them by name. The inverse-consistency penalty is one op
-(``"consistency"``) recorded by the loss module: the float ops of
-``spatial_gradient``, ``sum_squares`` and ``scale`` with a vjp that
-keeps only its operand (``_central_stencils`` serves both).
+(``"consistency"``) of the loss module that keeps only its operand: its
+gradient is bitwise that of ``spatial_gradient`` -> ``sum_squares`` ->
+``scale``, and its value is summed axis by axis.
 
 Every box mean (the LNCC map, MIND-SSC, their fixed sides and
 ``box_filter``) runs one kernel: ``_box_sum_axis`` adds each shifted term

@@ -4,14 +4,18 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 The registration experiments (A3, A4, A7) share one 32-cube phantom with
 a fold-free ground-truth deformation of about 2.4 voxels amplitude and
 run 200 optimization steps each; they are the slow part of the suite.
+Their fixtures take the CLI's process set-up and run two registrations
+at a time, on two threads.
 The MIND-SSC registration check runs 50 steps on the A3 pair.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from deformreg.cli import _keep_heap_resident
 from deformreg.fileio import (
     read_field_raw,
     read_landmarks_csv,
@@ -67,6 +71,9 @@ STEPS = 200
 
 @pytest.fixture(scope="module")
 def experiment():
+    # OpenBLAS on one thread, as in the CLI: otherwise its spinning thread
+    # holds the second core that the registrations' pool runs on
+    _keep_heap_resident()
     phantom = make_phantom(PHANTOM_SEED, DIMS, n_structures=4)
     defo = make_deformation(DEFO_SEED, DIMS, amplitude=AMPLITUDE_VOXELS / 31.0, n_bumps=2)
     assert percent_neg_jac(defo) == 0.0
@@ -92,24 +99,23 @@ def run_io(pair, kind, lam=1.5, steps=STEPS):
     return instance_optimize(a, b, cfg, OptimizerConfig(steps=steps))
 
 
-@pytest.fixture(scope="module")
-def io_lncc2_invert(experiment):
-    return run_io(experiment["inv_pair"], "LNCC2")
+def run_two(*runs):
+    """``run_io(*args)`` for each args of ``runs``, on a 2-worker pool; a
+    worker's exception is raised here."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return [future.result() for future in [pool.submit(run_io, *args) for args in runs]]
 
 
 @pytest.fixture(scope="module")
-def io_lncc_invert(experiment):
-    return run_io(experiment["inv_pair"], "LNCC")
+def io_invert(experiment):
+    """A3's LNCC2 and LNCC registrations of the inverted pair."""
+    return run_two((experiment["inv_pair"], "LNCC2"), (experiment["inv_pair"], "LNCC"))
 
 
 @pytest.fixture(scope="module")
-def io_lncc2_mono(experiment):
-    return run_io(experiment["mono_pair"], "LNCC2")
-
-
-@pytest.fixture(scope="module")
-def io_lncc2_mono_lam0(experiment):
-    return run_io(experiment["mono_pair"], "LNCC2", lam=0.0)
+def io_mono(experiment):
+    """LNCC2 registrations of the mono pair at weights 1.5 (A4, A7) and 0 (A7)."""
+    return run_two((experiment["mono_pair"], "LNCC2"), (experiment["mono_pair"], "LNCC2", 0.0))
 
 
 # -- A1: gradient correctness ---------------------------------------------------
@@ -262,8 +268,9 @@ class TestA2OracleEquivalence:
 
 
 class TestA3MultimodalClaim:
-    def test_a3(self, experiment, io_lncc2_invert, io_lncc_invert):
+    def test_a3(self, experiment, io_invert):
         t0 = time.time()
+        io_lncc2_invert, io_lncc_invert = io_invert
         geo = experiment["geo"]
         truth = experiment["truth"]
         base = experiment["mtre_identity"]
@@ -280,7 +287,8 @@ class TestA3MultimodalClaim:
 
 
 class TestA4MonomodalSanity:
-    def test_a4(self, experiment, io_lncc2_mono):
+    def test_a4(self, experiment, io_mono):
+        io_lncc2_mono = io_mono[0]
         geo = experiment["geo"]
         truth_m = experiment["mono_pair"][2]
         base = experiment["mtre_identity"]
@@ -317,7 +325,8 @@ class TestMindSscRegistration:
 
 
 class TestA7ConsistencyResponse:
-    def test_a7(self, io_lncc2_mono, io_lncc2_mono_lam0):
+    def test_a7(self, io_mono):
+        io_lncc2_mono, io_lncc2_mono_lam0 = io_mono
         with_reg = gradient_inverse_consistency(io_lncc2_mono.phi_ab, io_lncc2_mono.phi_ba)
         without = gradient_inverse_consistency(io_lncc2_mono_lam0.phi_ab,
                                                io_lncc2_mono_lam0.phi_ba)

@@ -97,8 +97,8 @@ def kernel_rows(tmp_path, side):
     """The names of kernel_times' rows with a vjp, then of those without."""
     out = run_script(ROOT / "tools" / "kernel_times.py", tmp_path,
                      argv=["--side", str(side), "--repeats", "1"])
-    with_vjp = re.findall(r"^(trilinear C=\d|upsample_sum|mind_ssc_loss|lncc_map|box_mean \w+) "
-                          r".* vjp +\d+\.\d\d", out, flags=re.M)
+    with_vjp = re.findall(r"^(trilinear C=\d|upsample_sum|mind_ssc_loss|lncc_map|consistency|"
+                          r"box_mean \w+) .* vjp +\d+\.\d\d", out, flags=re.M)
     forward = re.findall(r"^(adam|phantom noise|make_phantom) +forward +\d+\.\d\d$",
                          out, flags=re.M)
     return with_vjp, forward, out
@@ -107,7 +107,7 @@ def kernel_rows(tmp_path, side):
 def test_kernel_times_prints_each_kernel(tmp_path):
     rows, forward, out = kernel_rows(tmp_path, 8)
     assert rows == ["trilinear C=1", "trilinear C=3", "trilinear C=4", "upsample_sum",
-                    "mind_ssc_loss", "lncc_map", "box_mean MIND", "box_mean LNCC"], out
+                    "mind_ssc_loss", "lncc_map", "consistency", "box_mean LNCC"], out
     # Adam's step is timed alone, the phantom is not differentiated: their
     # rows have a forward only, and the whole phantom's row starts at its
     # smallest side, 16

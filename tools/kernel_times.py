@@ -10,19 +10,17 @@ points' adjoints, as the loss asks for them; of the pyramid's
 ``upsample_sum`` forward and vjp (quarter, half and full grid of the same
 side); of one ``adam`` step of a side-n model's six keys (both
 directions' three grids, the gradients laid out as ``upsample_sum``'s vjp
-leaves them, after a first, untimed step that makes the moments); and of the
+leaves them, after a first, untimed step that makes the moments); of the
 forward and vjp of the two similarity ops built on box means: the
 MIND_SSC term (``mind_ssc_loss``) and the LNCC map (``lncc_map``), each of
-a random n^3 image against a fixed one. The ``box_mean`` rows time the box
-mean those ops share (``tape._box_mean``, forward) and its transpose
-(``tape._box_mean_t``, vjp) alone: on a 12-plane stack at MIND's patch
-radius 1 and on a 1-channel LNCC volume at window radius 2. The MIND
-term's vjp takes the transpose half such a stack at a time, and its
-forward takes 12 one-plane box means, not one of the stack, so the
-``box_mean MIND`` row times the stack's kernel, not the term's calls
-of it. A box mean
-and its transpose consume the buffer they are given (the spatial axes
-are the three before the last), so each call gets a fresh untimed copy.
+a random n^3 image against a fixed one; and of the inverse-consistency
+penalty op (``consistency``, ``losses._consistency_of``) of a random
+3-channel n^3 composed displacement. The ``box_mean LNCC`` row times the
+box mean (``tape._box_mean``, forward) and its transpose
+(``tape._box_mean_t``, vjp) alone, on a 1-channel LNCC volume at window
+radius 2. A box mean and its transpose consume the buffer they are given
+(the spatial axes are the three before the last), so each call gets a
+fresh untimed copy.
 The ``phantom noise`` row times the forward of ``synthetic._smooth_noise``
 (no vjp: the phantom is not differentiated), the background's 16 passes
 on the (2n - 1)^3 grid a side-n phantom is rendered on; each axis pass is
@@ -52,6 +50,7 @@ import time
 import numpy as np
 
 from deformreg.cli import _keep_heap_resident
+from deformreg.losses import _consistency_of
 from deformreg.pipeline import DIRECTIONS, STAGE_COUNT, Adam, build_model, stage_grid_dims
 from deformreg.similarity import (SimilarityConfig, fixed_side, lncc_map_nodes,
                                   mind_ssc_loss_nodes)
@@ -130,10 +129,16 @@ def adam_times(n: int, repeats: int, rng) -> dict[str, float]:
     return {"forward": best_ms(lambda: adam.step(model.params, grads), repeats)}
 
 
+def op_times(forward, repeats: int) -> dict[str, float]:
+    """The forward of the op ``forward()`` records, and the vjp of a fresh
+    one per call (a tape runs each vjp once)."""
+    g = np.ones(forward().value.shape)
+    return {"forward": best_ms(forward, repeats),
+            "vjp": best_ms(lambda node: node._vjp(g), repeats, setup=forward)}
+
+
 def similarity_times(n: int, kind: str, repeats: int, rng) -> dict[str, float]:
-    """The forward of the MIND_SSC term op (``kind`` MIND_SSC) or of the
-    LNCC map (LNCC2), and the vjp of a fresh one per call (a tape runs each
-    vjp once)."""
+    """The MIND_SSC term op (``kind`` MIND_SSC) or the LNCC map (LNCC2)."""
     image, fixed = (Tensor3(rng.uniform(0.0, 1.0, size=(n, n, n, 1))) for _ in range(2))
     cfg = SimilarityConfig(kind=kind)
     side = fixed_side(fixed, cfg)
@@ -145,9 +150,18 @@ def similarity_times(n: int, kind: str, repeats: int, rng) -> dict[str, float]:
             return mind_ssc_loss_nodes(tape, a, side[1], cfg)
         return lncc_map_nodes(tape, a, side, cfg)
 
-    g = np.ones(forward().value.shape)
-    return {"forward": best_ms(forward, repeats),
-            "vjp": best_ms(lambda node: node._vjp(g), repeats, setup=forward)}
+    return op_times(forward, repeats)
+
+
+def consistency_times(n: int, repeats: int, rng) -> dict[str, float]:
+    """The penalty op of a 3-channel n^3 composed displacement."""
+    comp = Tensor3(rng.uniform(-0.05, 0.05, size=(n, n, n, 3)))
+
+    def forward():
+        tape = Tape()
+        return _consistency_of(tape, tape.input(comp, parameter=True))
+
+    return op_times(forward, repeats)
 
 
 def box_mean_times(shape: tuple, radius: int, repeats: int, rng) -> dict[str, float]:
@@ -188,9 +202,9 @@ def main(argv=None):
     rows.append(("adam", adam_times(args.side, args.repeats, rng)))
     rows += [(name, similarity_times(args.side, kind, args.repeats, rng))
              for name, kind in (("mind_ssc_loss", "MIND_SSC"), ("lncc_map", "LNCC2"))]
+    rows.append(("consistency", consistency_times(args.side, args.repeats, rng)))
     n = args.side
-    rows += [("box_mean MIND", box_mean_times((12, n, n, n, 1), 1, args.repeats, rng)),
-             ("box_mean LNCC", box_mean_times((n, n, n, 1), 2, args.repeats, rng)),
+    rows += [("box_mean LNCC", box_mean_times((n, n, n, 1), 2, args.repeats, rng)),
              ("phantom noise", phantom_noise_times(n, args.repeats))]
     if n >= 16:
         rows.append(("make_phantom", phantom_times(n, args.repeats)))
