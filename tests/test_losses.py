@@ -154,13 +154,24 @@ class TestConsistencyOp:
         return Tensor3(rng.uniform(-0.05, 0.05, size=(*dims, channels)))
 
     @pytest.mark.parametrize("dims, channels", CASES, ids=IDS)
-    def test_gradient_bitwise_and_value_within_1e_15_of_the_three_nodes(self, dims, channels):
-        """The op sums its value axis by axis, the chain over the
-        interleaved 9-channel gradient: only the summation order differs."""
+    def test_value_and_gradient_equal_the_three_nodes_bitwise(self, dims, channels):
+        """The gradient is the chain's byte for byte. The value is the
+        chain's ``spatial_gradient`` output summed axis by axis, bit for
+        bit: it differs from the chain's ``sum_squares`` over the
+        interleaved 9 channels only in summation order, within 1e-15."""
         comp = self.operand(dims, channels)
         value, grad = penalty_and_gradient(losses._consistency_of, comp)
         want_value, want_grad = penalty_and_gradient(chain_penalty, comp)
-        assert value > 0.0 and value == pytest.approx(want_value, rel=1e-15, abs=0)
+        tape = Tape()
+        jac = chain_penalty(tape, tape.input(comp)).parents[0].parents[0]
+        assert jac.op == "spatial_gradient"
+        by_axis = 0.0
+        for axis in range(3):
+            d = np.ascontiguousarray(jac.value.data[..., axis::3])
+            by_axis += float(np.sum(d * d))
+        by_axis *= 1.0 / int(np.prod([n - 2 for n in dims]))
+        assert value > 0.0 and value == by_axis
+        assert value == pytest.approx(want_value, rel=1e-15, abs=0)
         assert grad.tobytes() == want_grad.tobytes()
 
     def test_one_node_that_keeps_its_operand_only(self):
