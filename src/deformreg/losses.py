@@ -10,6 +10,12 @@ Frobenius term averaged over interior voxels (so lam is grid-size
 independent). The penalty is one tape op (``"consistency"``) that keeps
 the composed displacement alone; its gradient is bitwise that of
 ``spatial_gradient`` -> ``sum_squares`` -> ``scale``, its value summed by axis.
+
+The loss is two branches that meet only in the total and in u_ab's
+adjoint: (a) A warped by u_ab and sim_ab (``sim_ab_nodes``), and (b) one
+plan sampling u_ab and B at x + u_ba, the penalty and sim_ba
+(``sim_ba_and_penalty_nodes``). ``randomized_loss_nodes`` records both
+on one tape; a registration step records each on a tape of its own.
 """
 
 from __future__ import annotations
@@ -85,24 +91,38 @@ def gradient_inverse_consistency(phi_ab: DisplacementField, phi_ba: Displacement
     return node.value.item()
 
 
+def sim_ab_nodes(tape: Tape, u_ab: Node, side_a: tuple, side_b: tuple, cfg: LossConfig) -> Node:
+    """Branch (a) of the loss: A, which enters the tape as the source of
+    its warp, warped by ``u_ab`` and compared with ``side_b``."""
+    return loss_similarity_nodes(tape, warp_nodes(tape, tape.input(side_a[0]), u_ab),
+                                 side_b, cfg.similarity)
+
+
+def sim_ba_and_penalty_nodes(tape: Tape, u_ab: Node, u_ba: Node, side_a: tuple, side_b: tuple,
+                             cfg: LossConfig) -> tuple[Node, Node]:
+    """Branch (b) of the loss: (sim_ba, the unweighted penalty). B warped
+    by ``u_ba`` is compared with ``side_a``, and B's warp and the penalty's
+    compose u_ab o (x + u_ba) read at the same points, so one plan samples
+    both. It is recorded first, so that the sweep reaches its vjp (both
+    halves) after both terms have handed it their adjoints and released
+    what they kept."""
+    u_ab_at, b_warped = tape.trilinear_samples((u_ab, tape.input(side_b[0])), u_ba)
+    reg = _consistency_of(tape, tape.add(u_ba, u_ab_at))
+    return loss_similarity_nodes(tape, b_warped, side_a, cfg.similarity), reg
+
+
 def randomized_loss_nodes(tape: Tape, u_ab: Node, u_ba: Node, side_a: tuple, side_b: tuple,
                           cfg: LossConfig):
     """Assemble the loss on an existing tape; returns (total, terms dict).
 
     ``side_a`` and ``side_b`` are the images' fixed sides (``fixed_side``),
-    each led by its image, which enters the tape once, as the source of its
-    own warp. A warped by ``u_ab`` is compared with ``side_b``, B warped by
-    ``u_ba`` with ``side_a``. The maps are on the images' grid.
+    each led by its image. Both branches go on the one tape, (a) and then
+    (b), and the total is (sim_ab + sim_ba) + lam * reg. The maps are on
+    the images' grid. A registration step records the branches on tapes
+    of their own (``pipeline.instance_optimize``), with the same values
+    and gradients bit for bit.
     """
-    sim = cfg.similarity
-    # B's warp and the penalty's compose u_ab o (x + u_ba) read at the same
-    # points, so one plan samples both. It is recorded first, so that the
-    # sweep reaches its vjp (both halves) after every term has handed it
-    # its adjoint and released what it kept
-    u_ab_at, b_warped = tape.trilinear_samples((u_ab, tape.input(side_b[0])), u_ba)
-    reg = _consistency_of(tape, tape.add(u_ba, u_ab_at))
-    sim_ab = loss_similarity_nodes(tape, warp_nodes(tape, tape.input(side_a[0]), u_ab),
-                                   side_b, sim)
-    sim_ba = loss_similarity_nodes(tape, b_warped, side_a, sim)
+    sim_ab = sim_ab_nodes(tape, u_ab, side_a, side_b, cfg)
+    sim_ba, reg = sim_ba_and_penalty_nodes(tape, u_ab, u_ba, side_a, side_b, cfg)
     total = tape.add(tape.add(sim_ab, sim_ba), tape.scale(reg, cfg.lam))
     return total, {"sim_ab": sim_ab, "sim_ba": sim_ba, "reg": reg}

@@ -13,6 +13,16 @@ depends on the parameters alone, and summing them needs no sample at
 warped points. Each direction (A->B, B->A) keeps its own set of grids,
 tied only through the inverse-consistency penalty. A fresh (zero) model
 is the identity map.
+
+A step records three tapes. The pyramid's holds the ``ab`` grids and
+u_ab. Branch (b)'s holds u_ab's value as a parameter leaf, the ``ba``
+grids and u_ba, the plan that samples u_ab and B at x + u_ba, the
+penalty and sim_ba; it is swept, which leaves the ``ba`` gradients and
+the leaf's, before branch (a)'s is recorded: another u_ab leaf, A's
+warp and sim_ab. That sweep leaves the leaf's gradient, and u_ab's tape
+is swept last from the sum of the two leaves' gradients. So a step
+never holds both similarity terms, and each value and gradient is bit
+for bit that of one tape holding the whole loss.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .losses import LossConfig, randomized_loss_nodes
+from .losses import LossConfig, randomized_loss_nodes, sim_ab_nodes, sim_ba_and_penalty_nodes
 from .similarity import SimilarityConfig, fixed_side
 from .tape import Node, Tape, TapeError, _flat_in_halves
 from .tensor import ConfigError, Tensor3, TensorError, check_dims, check_number
@@ -85,14 +95,14 @@ def build_model(base_dims) -> PyramidModel:
 
 
 class BoundPyramid:
-    """Model parameters registered on one tape as parameters, ready for
-    evaluation."""
+    """Model parameters evaluated on one tape: a direction's grids enter
+    it as parameters (``nodes``, by key) when it first evaluates that
+    direction."""
 
     def __init__(self, tape: Tape, model: PyramidModel):
         self.tape = tape
         self.model = model
-        self.nodes = {key: tape.input(value, parameter=True)
-                      for key, value in model.params.items()}
+        self.nodes: dict[str, Node] = {}
 
     def evaluate(self, direction: str) -> Node:
         """Full-resolution map u = s + (up(q) + up(h)) of one direction:
@@ -101,8 +111,11 @@ class BoundPyramid:
         stacked matrix product."""
         if direction not in DIRECTIONS:
             raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-        q, h, s = (self.nodes[self.model.param_key(direction, i)] for i in range(STAGE_COUNT))
-        return self.tape.upsample_sum(q, h, s)
+        keys = [self.model.param_key(direction, i) for i in range(STAGE_COUNT)]
+        for key in keys:
+            if key not in self.nodes:
+                self.nodes[key] = self.tape.input(self.model.params[key], parameter=True)
+        return self.tape.upsample_sum(*(self.nodes[key] for key in keys))
 
 
 @dataclass(frozen=True)
@@ -266,9 +279,9 @@ def instance_optimize(
 
     The images never move, so each image's fixed side (the image, then
     what its similarity term computes from it alone; see ``fixed_side``)
-    is built once, in plain numpy, before the first step. Each step's
-    tape enters each image once, as the source of its warp, and so records
-    only the work that depends on the parameters.
+    is built once, in plain numpy, before the first step. Each image
+    enters its branch's tape once, as the source of its warp, so a step's
+    tapes record only the work that depends on the parameters.
 
     The trace holds the loss before each update plus the final value
     (length steps + 1); the maps are those the final forward evaluated.
@@ -285,21 +298,50 @@ def instance_optimize(
     trace: list[float] = []
     side_a, side_b = (fixed_side(v.grid, loss_cfg.similarity) for v in (ia, ib))
 
+    def branch_ba(u_ab: Node, sweep: bool):
+        """Branch (b)'s tape: (sim_ba, lam * reg, u_ba unless swept, as
+        keeping it would hold a field through the sweep) and, when
+        ``sweep``, the gradients of the ``ba`` grids and the leaf's (key
+        ``"u_ab"``)."""
+        bound = BoundPyramid(Tape(), model)
+        leaf = bound.tape.input(u_ab.value, parameter=True)
+        u_ba = bound.evaluate("ba")
+        sim_ba, reg = sim_ba_and_penalty_nodes(bound.tape, leaf, u_ba, side_a, side_b, loss_cfg)
+        weighted = bound.tape.scale(reg, loss_cfg.lam)
+        values = sim_ba.value.item(), weighted.value.item(), None if sweep else u_ba.value
+        if not sweep:
+            return values, None
+        grads = bound.tape.backward(bound.tape.add(sim_ba, weighted))
+        return values, {"u_ab": grads[leaf.id].data,
+                        **{key: grads[node.id].data for key, node in bound.nodes.items()}}
+
+    def branch_ab(u_ab: Node, sweep: bool):
+        """Branch (a)'s tape: sim_ab and, when ``sweep``, the leaf's gradient."""
+        tape = Tape()
+        leaf = tape.input(u_ab.value, parameter=True)
+        sim_ab = sim_ab_nodes(tape, leaf, side_a, side_b, loss_cfg)
+        return sim_ab.value.item(), tape.backward(sim_ab)[leaf.id].data if sweep else None
+
     def forward(final: bool):
-        """(loss, the gradient per key), or (loss, both maps) when ``final``."""
+        """(loss, the gradient per key), or (loss, both maps) when ``final``;
+        the three tapes are those of the module docstring."""
         # overflow here is not a crash: it surfaces as a TensorError or a
-        # non-finite loss and becomes a NumericalAbort below. The tape is
-        # local, so it is freed before the next step builds its own.
+        # non-finite loss and becomes a NumericalAbort below. The tapes are
+        # local, so they are freed before the next step builds its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            tape = Tape()
-            bound = BoundPyramid(tape, model)
-            u_ab, u_ba = bound.evaluate("ab"), bound.evaluate("ba")
-            total, _ = randomized_loss_nodes(tape, u_ab, u_ba, side_a, side_b, loss_cfg)
-            value = total.value.item()
+            pyramid = BoundPyramid(Tape(), model)
+            u_ab = pyramid.evaluate("ab")
+            # (b) first: its shared plan's vjp is the step's highest point,
+            # which (a)'s share of u_ab's adjoint would otherwise sit beside
+            (sim_ba, weighted, u_ba), grads = branch_ba(u_ab, not final)
+            sim_ab, adjoint = branch_ab(u_ab, not final)
+            value = (sim_ab + sim_ba) + weighted
             if final:
-                return value, (DisplacementField(u_ab.value), DisplacementField(u_ba.value))
-            grads = tape.backward(total)
-            return value, {key: grads[node.id].data for key, node in bound.nodes.items()}
+                return value, (DisplacementField(u_ab.value), DisplacementField(u_ba))
+            adjoint = adjoint + grads.pop("u_ab")
+            swept = pyramid.tape.sweep(u_ab, adjoint)
+            return value, {**grads, **{key: swept[node.id].data
+                                       for key, node in pyramid.nodes.items()}}
 
     for step in range(opt_cfg.steps + 1):
         final = step == opt_cfg.steps  # the last forward only records the loss and the maps

@@ -553,8 +553,11 @@ class Tape:
 
     Backward consumes the tape (no checkpointing): each vjp closure holds
     its own operands, so the sweep drops every value but the parameters'
-    and the loss's up front, then each vjp (a trilinear plan with it) and
-    intermediate adjoint as it passes. Distinct tapes are safe on distinct threads.
+    and its seed node's (the loss's) up front, then each vjp (a trilinear
+    plan with it) and intermediate adjoint as it passes. One graph may
+    span tapes: a node's value enters another tape as a parameter leaf,
+    and the leaf's gradient from that tape's sweep seeds ``sweep`` at the
+    node on its own. Distinct tapes are safe on distinct threads.
     """
 
     def __init__(self):
@@ -876,21 +879,29 @@ class Tape:
     # -- backward ------------------------------------------------------------
 
     def backward(self, loss: Node) -> dict[int, Tensor3]:
-        """Reverse sweep from a scalar loss; returns one gradient per
-        flagged parameter (zero tensors for parameters the loss never saw).
-        A tape is swept once: a second call raises TapeError."""
+        """Reverse sweep from a scalar loss: ``sweep`` seeded with 1."""
+        if not self._swept and loss.value.shape != (1, 1, 1, 1):
+            raise TapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+        return self.sweep(loss, np.ones((1, 1, 1, 1)))
+
+    def sweep(self, top: Node, adjoint: np.ndarray) -> dict[int, Tensor3]:
+        """Reverse sweep seeded with ``adjoint`` (``top``'s shape) at
+        ``top``; returns one gradient per flagged parameter (zero tensors
+        for parameters ``top`` never saw). A tape is swept once: a second
+        call raises TapeError."""
         if self._swept:
             raise TapeError("backward: the tape was already swept; record a new one")
-        if loss.value.shape != (1, 1, 1, 1):
-            raise TapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-        if loss.id >= len(self.nodes) or self.nodes[loss.id] is not loss:
-            raise TapeError("backward: loss node does not belong to this tape")
+        if top.id >= len(self.nodes) or self.nodes[top.id] is not top:
+            raise TapeError("backward: the node does not belong to this tape")
+        if np.shape(adjoint) != top.value.shape:
+            raise TapeError(f"backward: adjoint shape {np.shape(adjoint)} differs from "
+                            f"the node's {top.value.shape}")
         self._swept = True
         for node in self.nodes:
-            if node is not loss and node.id not in self.parameter_ids:
+            if node is not top and node.id not in self.parameter_ids:
                 node.value = None
-        loss.adjoint = np.ones((1, 1, 1, 1))
-        for node in reversed(self.nodes[: loss.id + 1]):
+        top.adjoint = adjoint
+        for node in reversed(self.nodes[: top.id + 1]):
             vjp, node._vjp = node._vjp, None
             if node.adjoint is None or vjp is None or not node.needs_grad:
                 continue

@@ -78,21 +78,24 @@ def plain_pyramid(model, direction):
     return s + np.tensordot(side_by_side, np.concatenate([inner(q), inner(h)]), axes=(1, 0))
 
 
-def first_step_tape(monkeypatch, kind, n):
-    """The tape of the first (gradient-taking) loss forward of a one-step
-    instance_optimize run on a random pair of side n."""
+def first_step_tapes(monkeypatch, kind, n):
+    """The three tapes of the first (gradient-taking) loss forward of a
+    one-step instance_optimize run on a random pair of side n, in the
+    order recorded: the pyramid's (u_ab), branch (b)'s and branch (a)'s."""
     tapes = []
 
-    def spy(tape, *args):
-        tapes.append(tape)
-        return randomized_loss_nodes(tape, *args)
+    class Recorded(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
 
-    monkeypatch.setattr(pipeline, "randomized_loss_nodes", spy)
+    monkeypatch.setattr(pipeline, "Tape", Recorded)
     rng = np.random.default_rng(5)
     a, b = (make_volume(rng.uniform(0.1, 0.9, (n, n, n))) for _ in range(2))
     instance_optimize(a, b, LossConfig(similarity=SimilarityConfig(kind=kind)),
                       OptimizerConfig(steps=1))
-    return tapes[0]
+    assert len(tapes) == 6  # the step's forward, then the final one
+    return tapes[:3]
 
 
 def constant_field_node(tape, dims, t):
@@ -165,14 +168,19 @@ class TestExplicitComposition:
             assert np.max(np.abs(phi.u.data - sampled)) <= 1e-13
 
     def test_node_counts_per_direction(self):
+        # a direction's grids enter the tape when it is first evaluated,
+        # and the other direction's never do
         model = build_model((16, 16, 16))
         for direction in DIRECTIONS:
             tape = Tape()
             bound = BoundPyramid(tape, model)
             u = bound.evaluate(direction)
-            assert [node.op for node in tape.nodes] == ["param"] * 6 + ["upsample_sum"]
-            assert u.parents == tuple(bound.nodes[model.param_key(direction, i)]
-                                      for i in range(STAGE_COUNT))
+            keys = [model.param_key(direction, i) for i in range(STAGE_COUNT)]
+            assert [node.op for node in tape.nodes] == ["param"] * 3 + ["upsample_sum"]
+            assert list(bound.nodes) == keys
+            assert u.parents == tuple(bound.nodes[key] for key in keys)
+            bound.evaluate(direction)
+            assert [node.op for node in tape.nodes] == ["param"] * 3 + ["upsample_sum"] * 2
 
     def test_constant_translations_sum(self):
         model = build_model((16, 16, 16))
@@ -185,40 +193,44 @@ class TestExplicitComposition:
 
 
 class TestLossNodeInventory:
-    """One step's loss forward. Each direction's map is one
-    ``upsample_sum`` node, and a trilinear sample adds the identity grid
-    itself, so the only inputs are the two images, each the source of its
-    warp; the MSE term subtracts the fixed image inside its sum of
-    squares, and each MIND_SSC term is one ``mind_ssc_loss`` node. Every
-    sample is a
-    plan node (op ``trilinear_sample``) with one ``trilinear_output`` node
-    per image it reads. Two plans remain: A's warp, with one output, and
-    one plan that samples both u_ab (the penalty's compose) and B (its
-    warp) at x + u_ba, with two. The penalty is one ``consistency`` node
-    (30 and 24 nodes a forward when it was a spatial gradient, a sum of
-    squares and a scale)."""
+    """One step's loss forward, on three tapes. The pyramid's tape holds
+    the ``ab`` grids and u_ab, one ``upsample_sum`` node. Branch (b)'s
+    holds u_ab as a parameter leaf, the ``ba`` grids and u_ba, B (the
+    source of its warp), one plan (op ``trilinear_sample``) that samples
+    both u_ab (the penalty's compose) and B at x + u_ba, with one
+    ``trilinear_output`` node per image, the penalty (one ``consistency``
+    node), sim_ba and its weighted sum. Branch (a)'s holds its own u_ab
+    leaf, A, A's warp (a plan with one output) and sim_ab. A trilinear
+    sample adds the identity grid itself, the MSE term subtracts the fixed
+    image inside its sum of squares, and each MIND_SSC term is one
+    ``mind_ssc_loss`` node (28, 22 and 22 nodes on one tape, before the
+    branches had tapes of their own; 30 and 24 when the penalty was a
+    spatial gradient, a sum of squares and a scale)."""
 
-    @pytest.mark.parametrize("kind, n, nodes, inputs", [
-        ("LNCC2", 16, 28, 2), ("MIND_SSC", 16, 22, 2), ("MSE", 16, 22, 2),
-        ("LNCC2", 32, 28, 2)], ids=["LNCC2-16", "MIND_SSC-16", "MSE-16", "LNCC2-32"])
-    def test_one_forward(self, monkeypatch, kind, n, nodes, inputs):
-        tape = first_step_tape(monkeypatch, kind, n)
-        ops = Counter(node.op for node in tape.nodes)
-        assert len(tape.nodes) == nodes
-        assert (ops["input"], ops["param"], ops["upsample_sum"], ops["trilinear_sample"],
-                ops["trilinear_output"], ops["consistency"]) == (inputs, 6, 2, 2, 3, 1)
+    @pytest.mark.parametrize("kind, n, nodes", [
+        ("LNCC2", 16, (4, 17, 8)), ("MIND_SSC", 16, (4, 14, 5)), ("MSE", 16, (4, 14, 5)),
+        ("LNCC2", 32, (4, 17, 8))], ids=["LNCC2-16", "MIND_SSC-16", "MSE-16", "LNCC2-32"])
+    def test_one_forward(self, monkeypatch, kind, n, nodes):
+        tapes = first_step_tapes(monkeypatch, kind, n)
+        assert tuple(len(tape.nodes) for tape in tapes) == nodes
+        counts = []
+        for tape in tapes:
+            ops = Counter(node.op for node in tape.nodes)
+            counts.append((ops["input"], ops["param"], ops["upsample_sum"],
+                           ops["trilinear_sample"], ops["trilinear_output"], ops["consistency"]))
+        assert counts == [(0, 3, 1, 0, 0, 0), (1, 4, 1, 1, 2, 1), (1, 1, 0, 1, 1, 0)]
 
 
 class TestFixedSideHoisting:
     """Each similarity term's fixed side is built once per pair, so a
-    step's tape records only work that depends on the parameters."""
+    step's tapes record only work that depends on the parameters."""
 
     @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
     def test_step_tape_holds_no_constant_work(self, monkeypatch, kind):
-        tape = first_step_tape(monkeypatch, kind, 16)
-        constant = [node.op for node in tape.nodes
-                    if node.op not in ("input", "param") and not node.needs_grad]
-        assert constant == []
+        for tape in first_step_tapes(monkeypatch, kind, 16):
+            constant = [node.op for node in tape.nodes
+                        if node.op not in ("input", "param") and not node.needs_grad]
+            assert constant == []
 
     @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
     def test_identity_loss_pairs_each_image_with_the_other_fixed_side(self, kind):
@@ -307,6 +319,45 @@ class TestBuildModel:
         bound = BoundPyramid(Tape(), build_model((16, 16, 16)))
         with pytest.raises(ConfigError, match="direction must be one of"):
             bound.evaluate("xy")
+
+
+class TestBranchTapes:
+    """A step records u_ab on the pyramid's tape and each loss branch on a
+    tape of its own, and sweeps u_ab's tape from the sum of the branches'
+    shares of its adjoint. Its loss value and every gradient are those of
+    one tape holding ``randomized_loss_nodes`` and its ``backward``, byte
+    for byte."""
+
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (21, 19, 17)], ids=["16", "21x19x17"])
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_step_equals_one_tape_bitwise(self, monkeypatch, kind, dims):
+        model = random_model(dims, seed=21)
+        rng = np.random.default_rng(22)
+        a, b = (make_volume(rng.uniform(0.1, 0.9, dims)) for _ in range(2))
+        cfg = LossConfig(similarity=SimilarityConfig(kind=kind))
+        tape = Tape()
+        bound = BoundPyramid(tape, model)
+        side_a, side_b = (fixed_side(v.grid, cfg.similarity) for v in (a, b))
+        total, _ = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
+                                         side_a, side_b, cfg)
+        value = total.value.item()
+        grads = tape.backward(total)
+        expected = {key: grads[node.id].data for key, node in bound.nodes.items()}
+
+        seen, step = [], pipeline.Adam.step
+
+        def spy(adam, params, grads):
+            seen.append(grads)
+            return step(adam, params, grads)
+
+        monkeypatch.setattr(pipeline, "build_model", lambda dims: model.copy())
+        monkeypatch.setattr(pipeline.Adam, "step", spy)
+        trace = instance_optimize(a, b, cfg, OptimizerConfig(steps=1)).loss_trace
+        assert np.float64(trace[0]).tobytes() == np.float64(value).tobytes()
+        (got,) = seen
+        assert sorted(got) == sorted(expected)
+        for key, grad in expected.items():
+            assert got[key].shape == grad.shape and got[key].tobytes() == grad.tobytes(), key
 
 
 class TestInstanceOptimize:
@@ -484,24 +535,26 @@ class TestAdam:
         assert adam.t == 0 and adam.m == {} and adam.v == {}
 
 
-def backward_memory(monkeypatch, steps, n=24, kind="LNCC2"):
-    """(entry, peak, step peak) traced bytes of each ``Tape.backward`` call
-    in a ``kind`` ``instance_optimize`` run of ``steps`` steps on a random
-    pair of side n. The peak is the highest point the sweep reaches; the
-    step peak is the highest point since the previous sweep ended (since
-    the run began, fixed sides included, for the first), or the sweep's."""
-    sweep, calls = Tape.backward, []
+def sweep_memory(monkeypatch, steps, n=24, kind="LNCC2"):
+    """Per step of a ``kind`` ``instance_optimize`` run of ``steps`` steps
+    on a random pair of side n: the (entry, peak) traced bytes of each of
+    its three ``Tape.sweep`` calls (branch (b)'s, branch (a)'s, then
+    u_ab's), and the step peak. A sweep's peak is the highest point it
+    reaches; the step peak is the highest point from the end of the
+    previous step's last sweep (from the run's start, fixed sides
+    included, for the first) to the end of the step's last sweep."""
+    sweep, calls = Tape.sweep, []
 
-    def traced(tape, loss):
+    def traced(tape, top, adjoint):
         entry, before = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        grads = sweep(tape, loss)
+        grads = sweep(tape, top, adjoint)
         peak = tracemalloc.get_traced_memory()[1]
         calls.append((entry, peak, max(before, peak)))
         tracemalloc.reset_peak()
         return grads
 
-    monkeypatch.setattr(Tape, "backward", traced)
+    monkeypatch.setattr(Tape, "sweep", traced)
     rng = np.random.default_rng(12)
     a, b = (make_volume(rng.uniform(0.1, 0.9, (n, n, n))) for _ in range(2))
     tracemalloc.start()
@@ -510,82 +563,95 @@ def backward_memory(monkeypatch, steps, n=24, kind="LNCC2"):
                           OptimizerConfig(steps=steps))
     finally:
         tracemalloc.stop()
-    return calls
+    assert len(calls) == 3 * steps
+    return [([(entry, peak) for entry, peak, _ in calls[k:k + 3]],
+             max(step_peak for *_, step_peak in calls[k:k + 3]))
+            for k in range(0, len(calls), 3)]
+
+
+FIELD_BYTES = 24**3 * 3 * 8
+
+
+def in_fields(readings) -> str:
+    return ", ".join(f"{reading / FIELD_BYTES:.2f}" for reading in readings)
 
 
 class TestStepMemory:
-    """Backward consumes its tape, and a step's gradients are gone before
-    the next step records its own."""
+    """Each sweep consumes its tape, the two branches' tapes are never
+    held at once, and a step's gradients are gone before the next step
+    records its own. At 24^3, one step's three sweeps (branch (b)'s,
+    branch (a)'s, u_ab's) enter with 11.20, 10.33 and 7.19 fields and
+    peak at 14.21, 12.33 and 8.95 (one tape with one sweep entered with
+    14.4 and peaked 0.87 fields above that, in the shared plan's vjp, when
+    it also held u_ab's adjoint from A's warp)."""
 
-    def test_sweep_rises_at_most_one_field_above_its_entry(self, monkeypatch):
-        # values no vjp reads go before the sweep, and each vjp's closure
+    def test_each_sweep_peaks_at_most_14_5_fields(self, monkeypatch):
+        # values no vjp reads go before each sweep, and each vjp's closure
         # (a trilinear plan among them) once the sweep has passed it; the
-        # peak (0.87 fields) is in the shared plan's vjp, 6.35 fields above
-        # that vjp's start
-        ((entry, peak, _),) = backward_memory(monkeypatch, steps=1)
-        field_bytes = 24**3 * 3 * 8
-        assert peak - entry <= field_bytes, (
-            f"backward rose {(peak - entry) / field_bytes:.2f} fields above its entry")
+        # highest point is the shared plan's vjp in branch (b)'s sweep
+        ((sweeps, _),) = sweep_memory(monkeypatch, steps=1)
+        peaks = [peak for _, peak in sweeps]
+        assert max(peaks) <= 14.5 * FIELD_BYTES, f"the sweeps peaked at {in_fields(peaks)} fields"
 
     def test_sweep_enters_with_at_most_15_fields(self, monkeypatch):
-        # what a step keeps for its sweep: the LNCC maps keep E[a], cov and
-        # the denominator, the squared reductions no square, the trilinear
-        # plans no output and the penalty its operand, not its 9-channel
-        # gradient (32.6 fields when none of them did, 16.7 when the
-        # penalty kept its gradient; 14.4 now)
-        ((entry, _, _),) = backward_memory(monkeypatch, steps=1)
-        field_bytes = 24**3 * 3 * 8
-        assert entry <= 15 * field_bytes, (
-            f"backward entered with {entry / field_bytes:.2f} fields")
+        # what a step keeps for each sweep: the LNCC maps keep E[a], cov
+        # and the denominator, the squared reductions no square, the
+        # trilinear plans no output and the penalty its operand, not its
+        # 9-channel gradient (32.6 fields when none of them did, 16.7 when
+        # the penalty kept its gradient, 14.4 on one tape with one sweep)
+        ((sweeps, _),) = sweep_memory(monkeypatch, steps=1)
+        entries = [entry for entry, _ in sweeps]
+        assert max(entries) <= 15 * FIELD_BYTES, (
+            f"the sweeps entered with {in_fields(entries)} fields")
 
     def test_second_step_holds_only_adams_moments_more(self, monkeypatch):
         # Adam's m and v appear with the first update; the first step's
         # gradients (one more parameter set) must not outlive it
-        (first, _, _), (second, _, _) = backward_memory(monkeypatch, steps=2)
+        (first, _), (second, _) = sweep_memory(monkeypatch, steps=2)
         param_bytes = sum(value.data.nbytes for value in build_model((24,) * 3).params.values())
-        grown = second - first
-        assert grown <= 2.5 * param_bytes, (
-            f"backward entry grew {grown / param_bytes:.2f} parameter sets from step 1 to 2")
+        for (before, _), (after, _) in zip(first, second):
+            grown = after - before
+            assert grown <= 2.5 * param_bytes, (
+                f"a sweep's entry grew {grown / param_bytes:.2f} parameter sets from step 1 to 2")
 
 
 class TestMindSscStepMemory:
     """What a MIND_SSC step keeps: each term is one op that keeps the
     padded image, the 12 distances, V and the floor's mask, and no
     descriptor, and the penalty keeps its operand, not its 9-channel
-    gradient (37.9 fields at the sweep's entry, a 9.6-field rise and a
-    47.5-field step peak when a term was a descriptor node, which kept its
-    output, and a sum of squares; 53.1 and 66.0 when the descriptor also
-    kept the pair differences and the sum a 12-plane sub node; 30.2, 1.8
-    and 34.3 when the penalty kept its gradient and a term's vjp held two
-    12-plane stacks; 27.9, 0.3 and 32.0 when a term's forward also held
-    two; 28.0, 0.3 and 28.4 now). The step peak is reached in the second
-    term's forward, not in the sweep: that forward holds the first term's
-    closure next to its own distances and a plane or two, as each distance
-    is formed in its plane of the kept stack and the value is summed plane
-    by plane."""
+    gradient. Each branch is recorded and swept before the next, so the
+    step never holds both terms' distances: the three sweeps enter with
+    21.35, 20.50 and 13.90 fields and peak at 22.03, 23.18 and 15.65, the
+    step's peak, which branch (a)'s MIND_SSC vjp reaches. With both
+    terms on one tape the sweep entered with 28.0 fields and rose 0.3
+    above that, and the step peaked at 28.4 fields in the second term's
+    forward, which held the first term's closure (37.9, 9.6 and 47.5 when
+    a term was a descriptor node, which kept its output, and a sum of
+    squares; 53.1 and 66.0 when the descriptor also kept the pair
+    differences and the sum a 12-plane sub node; 30.2, 1.8 and 34.3 when
+    the penalty kept its gradient and a term's vjp held two 12-plane
+    stacks; 27.9, 0.3 and 32.0 when a term's forward also held two)."""
 
     def test_sweep_enters_with_at_most_29_fields(self, monkeypatch):
-        ((entry, _, _),) = backward_memory(monkeypatch, steps=1, kind="MIND_SSC")
-        field_bytes = 24**3 * 3 * 8
-        assert entry <= 29 * field_bytes, (
-            f"backward entered with {entry / field_bytes:.2f} fields")
+        ((sweeps, _),) = sweep_memory(monkeypatch, steps=1, kind="MIND_SSC")
+        entries = [entry for entry, _ in sweeps]
+        assert max(entries) <= 29 * FIELD_BYTES, (
+            f"the sweeps entered with {in_fields(entries)} fields")
 
-    def test_sweep_rises_at_most_2_5_fields_above_its_entry(self, monkeypatch):
+    def test_each_sweep_peaks_at_most_24_fields(self, monkeypatch):
         # a term's vjp holds one 12-plane stack and half of another at
         # most: it writes each distance's adjoint over that distance and
         # takes the box transpose half a stack at a time
-        ((entry, peak, _),) = backward_memory(monkeypatch, steps=1, kind="MIND_SSC")
-        field_bytes = 24**3 * 3 * 8
-        assert peak - entry <= 2.5 * field_bytes, (
-            f"backward rose {(peak - entry) / field_bytes:.2f} fields above its entry")
+        ((sweeps, _),) = sweep_memory(monkeypatch, steps=1, kind="MIND_SSC")
+        peaks = [peak for _, peak in sweeps]
+        assert max(peaks) <= 24 * FIELD_BYTES, f"the sweeps peaked at {in_fields(peaks)} fields"
 
-    def test_step_peaks_at_most_29_fields(self, monkeypatch):
-        # the fixed sides, the forward and the sweep of the one step; the
-        # highest point is the second term's forward, not the sweep
-        ((_, _, step_peak),) = backward_memory(monkeypatch, steps=1, kind="MIND_SSC")
-        field_bytes = 24**3 * 3 * 8
-        assert step_peak <= 29 * field_bytes, (
-            f"the step peaked at {step_peak / field_bytes:.2f} fields")
+    def test_step_peaks_at_most_24_fields(self, monkeypatch):
+        # the fixed sides, the three forwards and the three sweeps of the
+        # one step; the highest point is branch (a)'s sweep
+        ((_, step_peak),) = sweep_memory(monkeypatch, steps=1, kind="MIND_SSC")
+        assert step_peak <= 24 * FIELD_BYTES, (
+            f"the step peaked at {step_peak / FIELD_BYTES:.2f} fields")
 
 
 class TestRunConfig:
