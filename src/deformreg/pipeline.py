@@ -14,15 +14,16 @@ warped points. Each direction (A->B, B->A) keeps its own set of grids,
 tied only through the inverse-consistency penalty. A fresh (zero) model
 is the identity map.
 
-A step records three tapes. The pyramid's holds the ``ab`` grids and
-u_ab. Branch (b)'s holds u_ab's value as a parameter leaf, the ``ba``
-grids and u_ba, the plan that samples u_ab and B at x + u_ba, the
-penalty and sim_ba; it is swept, which leaves the ``ba`` gradients and
-the leaf's, before branch (a)'s is recorded: another u_ab leaf, A's
-warp and sim_ab. That sweep leaves the leaf's gradient, and u_ab's tape
-is swept last from the sum of the two leaves' gradients. So a step
-never holds both similarity terms, and each value and gradient is bit
-for bit that of one tape holding the whole loss.
+Every evaluation of the loss (each forward and ``loss_breakdown``)
+records three tapes in ``_pair_loss``. The pyramid's holds the ``ab``
+grids and u_ab. Branch (b)'s holds u_ab's value as a parameter leaf, the
+``ba`` grids and u_ba, the plan that samples u_ab and B at x + u_ba, the
+penalty and sim_ba; it is swept (leaving the ``ba`` gradients and the
+leaf's) or keeps u_ba, and is freed before branch (a)'s is recorded:
+another u_ab leaf, A's warp and sim_ab. That sweep leaves the leaf's
+gradient, and u_ab's tape is swept last from the sum of the two. So no
+evaluation holds both similarity terms, and each value and gradient is
+bit for bit that of ``losses.randomized_loss_nodes``'s one tape.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .losses import LossConfig, randomized_loss_nodes, sim_ab_nodes, sim_ba_and_penalty_nodes
+from .losses import LossConfig, sim_ab_nodes, sim_ba_and_penalty_nodes
 from .similarity import SimilarityConfig, fixed_side
 from .tape import Node, Tape, TapeError, _flat_in_halves
 from .tensor import ConfigError, Tensor3, TensorError, check_dims, check_number
@@ -257,15 +258,55 @@ def _check_pair(a: Volume, b: Volume, model: PyramidModel | None = None) -> None
         raise ConfigError(f"model built for dims {model.base_dims}, volumes have dims {a.dims}")
 
 
-def loss_breakdown(a: Volume, b: Volume, model: PyramidModel, cfg: LossConfig) -> dict[str, float]:
-    """Term-wise evaluation on a throwaway tape (no gradients)."""
-    _check_pair(a, b, model)
+def _branch_ba(model: PyramidModel, u_ab: Node, sides: tuple, cfg: LossConfig, sweep: bool):
+    """Branch (b)'s tape: its terms, then u_ba's value or, when ``sweep``
+    (keeping u_ba would hold a field through it), the gradients of the
+    ``ba`` grids and the leaf's (key ``"u_ab"``)."""
+    bound = BoundPyramid(Tape(), model)
+    leaf = bound.tape.input(u_ab.value, parameter=True)
+    u_ba = bound.evaluate("ba")
+    sim_ba, reg = sim_ba_and_penalty_nodes(bound.tape, leaf, u_ba, *sides, cfg)
+    terms = {"sim_ba": sim_ba.value.item(), "reg": reg.value.item()}
+    if not sweep:
+        return terms, u_ba.value
+    grads = bound.tape.backward(bound.tape.add(sim_ba, bound.tape.scale(reg, cfg.lam)))
+    return terms, {"u_ab": grads[leaf.id].data,
+                   **{key: grads[node.id].data for key, node in bound.nodes.items()}}
+
+
+def _branch_ab(u_ab: Node, sides: tuple, cfg: LossConfig, sweep: bool):
+    """Branch (a)'s tape: sim_ab and, when ``sweep``, the leaf's gradient."""
     tape = Tape()
-    bound = BoundPyramid(tape, model)
-    side_a, side_b = (fixed_side(v.grid, cfg.similarity) for v in (a, b))
-    total, terms = randomized_loss_nodes(tape, bound.evaluate("ab"), bound.evaluate("ba"),
-                                         side_a, side_b, cfg)
-    return {"total": total.value.item(), **{k: n.value.item() for k, n in terms.items()}}
+    leaf = tape.input(u_ab.value, parameter=True)
+    sim_ab = sim_ab_nodes(tape, leaf, *sides, cfg)
+    return sim_ab.value.item(), tape.backward(sim_ab)[leaf.id].data if sweep else None
+
+
+def _pair_loss(model: PyramidModel, sides: tuple, cfg: LossConfig, sweep: bool):
+    """The loss of ``model`` on the fixed ``sides`` (A's, B's) on the three
+    tapes above: the terms ``total``, ``sim_ab``, ``sim_ba`` and ``reg``
+    (unweighted), then the gradient per key when ``sweep``, else both maps."""
+    pyramid = BoundPyramid(Tape(), model)
+    u_ab = pyramid.evaluate("ab")
+    # (b) first: its shared plan's vjp is the step's highest point,
+    # which (a)'s share of u_ab's adjoint would otherwise sit beside
+    terms, out = _branch_ba(model, u_ab, sides, cfg, sweep)
+    sim_ab, adjoint = _branch_ab(u_ab, sides, cfg, sweep)
+    terms = {"total": (sim_ab + terms["sim_ba"]) + terms["reg"] * cfg.lam,
+             "sim_ab": sim_ab, **terms}
+    if not sweep:
+        return terms, (DisplacementField(u_ab.value), DisplacementField(out))
+    adjoint = adjoint + out.pop("u_ab")
+    swept = pyramid.tape.sweep(u_ab, adjoint)
+    return terms, {**out, **{key: swept[node.id].data for key, node in pyramid.nodes.items()}}
+
+
+def loss_breakdown(a: Volume, b: Volume, model: PyramidModel, cfg: LossConfig) -> dict[str, float]:
+    """The terms of the pair loss (``total``, ``sim_ab``, ``sim_ba`` and the
+    unweighted ``reg``), recorded as a step records them but never swept."""
+    _check_pair(a, b, model)
+    sides = tuple(fixed_side(v.grid, cfg.similarity) for v in (a, b))
+    return _pair_loss(model, sides, cfg, sweep=False)[0]
 
 
 def instance_optimize(
@@ -296,71 +337,27 @@ def instance_optimize(
     adam = Adam({model.param_key(direction, stage): opt_cfg.lr * opt_cfg.stage_damping[stage]
                  for direction in DIRECTIONS for stage in range(STAGE_COUNT)})
     trace: list[float] = []
-    side_a, side_b = (fixed_side(v.grid, loss_cfg.similarity) for v in (ia, ib))
-
-    def branch_ba(u_ab: Node, sweep: bool):
-        """Branch (b)'s tape: (sim_ba, lam * reg, u_ba unless swept, as
-        keeping it would hold a field through the sweep) and, when
-        ``sweep``, the gradients of the ``ba`` grids and the leaf's (key
-        ``"u_ab"``)."""
-        bound = BoundPyramid(Tape(), model)
-        leaf = bound.tape.input(u_ab.value, parameter=True)
-        u_ba = bound.evaluate("ba")
-        sim_ba, reg = sim_ba_and_penalty_nodes(bound.tape, leaf, u_ba, side_a, side_b, loss_cfg)
-        weighted = bound.tape.scale(reg, loss_cfg.lam)
-        values = sim_ba.value.item(), weighted.value.item(), None if sweep else u_ba.value
-        if not sweep:
-            return values, None
-        grads = bound.tape.backward(bound.tape.add(sim_ba, weighted))
-        return values, {"u_ab": grads[leaf.id].data,
-                        **{key: grads[node.id].data for key, node in bound.nodes.items()}}
-
-    def branch_ab(u_ab: Node, sweep: bool):
-        """Branch (a)'s tape: sim_ab and, when ``sweep``, the leaf's gradient."""
-        tape = Tape()
-        leaf = tape.input(u_ab.value, parameter=True)
-        sim_ab = sim_ab_nodes(tape, leaf, side_a, side_b, loss_cfg)
-        return sim_ab.value.item(), tape.backward(sim_ab)[leaf.id].data if sweep else None
-
-    def forward(final: bool):
-        """(loss, the gradient per key), or (loss, both maps) when ``final``;
-        the three tapes are those of the module docstring."""
-        # overflow here is not a crash: it surfaces as a TensorError or a
-        # non-finite loss and becomes a NumericalAbort below. The tapes are
-        # local, so they are freed before the next step builds its own.
-        with np.errstate(over="ignore", invalid="ignore"):
-            pyramid = BoundPyramid(Tape(), model)
-            u_ab = pyramid.evaluate("ab")
-            # (b) first: its shared plan's vjp is the step's highest point,
-            # which (a)'s share of u_ab's adjoint would otherwise sit beside
-            (sim_ba, weighted, u_ba), grads = branch_ba(u_ab, not final)
-            sim_ab, adjoint = branch_ab(u_ab, not final)
-            value = (sim_ab + sim_ba) + weighted
-            if final:
-                return value, (DisplacementField(u_ab.value), DisplacementField(u_ba))
-            adjoint = adjoint + grads.pop("u_ab")
-            swept = pyramid.tape.sweep(u_ab, adjoint)
-            return value, {**grads, **{key: swept[node.id].data
-                                       for key, node in pyramid.nodes.items()}}
-
+    sides = tuple(fixed_side(v.grid, loss_cfg.similarity) for v in (ia, ib))
     for step in range(opt_cfg.steps + 1):
-        final = step == opt_cfg.steps  # the last forward only records the loss and the maps
+        sweep = step < opt_cfg.steps  # the last forward only records the loss and the maps
         try:
-            value, out = forward(final)
-            if not np.isfinite(value):
+            # overflow here is not a crash: it surfaces as a TensorError or
+            # a non-finite loss and becomes a NumericalAbort below
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms, out = _pair_loss(model, sides, loss_cfg, sweep)
+            if not np.isfinite(terms["total"]):
                 raise NumericalAbort(step)
-            trace.append(value)
-            if not final:
+            trace.append(terms["total"])
+            if sweep:
                 model.params = adam.step(model.params, out)
                 del out  # the gradients are not kept alive while the next forward records its tape
         except (TensorError, TapeError, FloatingPointError) as exc:  # overflow or a domain guard
             raise NumericalAbort(step, str(exc)) from exc
 
-    phi_ab, phi_ba = out
     warning = None
     if trace[-1] > trace[0]:
         warning = (
             f"final loss {trace[-1]:.6g} exceeds initial {trace[0]:.6g}; "
             "Adam is not monotone"
         )
-    return RegistrationResult(phi_ab, phi_ba, trace, warning)
+    return RegistrationResult(*out, trace, warning)
