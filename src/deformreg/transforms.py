@@ -87,8 +87,8 @@ def warp(v: Volume, phi: DisplacementField) -> Volume:
 
 
 def warp_nodes(tape: Tape, image: Node, u: Node) -> Node:
-    """Tape version of warp; resamples u onto the image grid if needed."""
-    return tape.trilinear_sample(image, resample_field_nodes(tape, u, image.value.dims))
+    """Tape version of warp: image sampled at x + u(x), on u's grid."""
+    return tape.trilinear_sample(image, u)
 
 
 def warp_nearest(lv: LabelVolume, phi: DisplacementField) -> LabelVolume:

@@ -46,32 +46,51 @@ def test_demo_runs(demo, tmp_path):
     assert not any(tmp.iterdir())
 
 
-def test_trace_digest_prints_six_digests(tmp_path):
-    out = run_script(ROOT / "tools" / "trace_digest.py", tmp_path)
+@pytest.fixture(scope="module")
+def trace_digest(tmp_path_factory):
+    """The directory of trace_digest's four runs and the output of each:
+    ``--save plain.npz`` (which prints what a run without it prints),
+    ``--save memory.npz --memory``, ``--compare plain.npz``, and
+    ``--compare partial.npz --memory``, where partial.npz is memory.npz
+    without the last run's peak (as a file saved without --memory)."""
+    d = tmp_path_factory.mktemp("trace_digest")
+    script = ROOT / "tools" / "trace_digest.py"
+    out = {"plain": run_script(script, d, argv=["--save", "plain.npz"]),
+           "memory": run_script(script, d, argv=["--save", "memory.npz", "--memory"])}
+    with np.load(d / "memory.npz") as stored:
+        np.savez(d / "partial.npz",
+                 **{key: stored[key] for key in stored.files if key != "21^3 MSE 6 steps peak"})
+    out["compare"] = run_script(script, d, argv=["--compare", "plain.npz"])
+    out["compare memory"] = run_script(script, d, argv=["--compare", "partial.npz", "--memory"])
+    return d, out
+
+
+def test_trace_digest_prints_six_digests(trace_digest):
+    _, outs = trace_digest
+    out = outs["plain"]
     assert len(re.findall(r": [0-9a-f]{16}$", out, flags=re.M)) == 6, out
 
 
-def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(tmp_path):
-    script = ROOT / "tools" / "trace_digest.py"
-    plain = re.findall(r": ([0-9a-f]{16})$", run_script(script, tmp_path), flags=re.M)
-    out = run_script(script, tmp_path, argv=["--memory"])
+def test_trace_digest_memory_adds_a_peak_and_leaves_the_digests(trace_digest):
+    _, outs = trace_digest
+    plain = re.findall(r": ([0-9a-f]{16})$", outs["plain"], flags=re.M)
+    out = outs["memory"]
     runs = re.findall(r": ([0-9a-f]{16})  two-step peak (\d+\.\d\d) MB in \w+ (?:forward|vjp)$",
                       out, flags=re.M)
     assert [digest for digest, _ in runs] == plain and len(plain) == 6, out
     assert all(float(peak) > 0 for _, peak in runs), out
 
 
-def test_trace_digest_memory_saves_and_compares_the_peaks(tmp_path):
-    script = ROOT / "tools" / "trace_digest.py"
-    saved = run_script(script, tmp_path, argv=["--save", "outputs.npz", "--memory"])
+def test_trace_digest_memory_saves_and_compares_the_peaks(trace_digest):
+    d, outs = trace_digest
+    saved = outs["memory"]
     peaks = re.findall(r"two-step peak (\d+\.\d\d) MB in \w+ (?:forward|vjp)$", saved, flags=re.M)
-    with np.load(tmp_path / "outputs.npz") as stored:
+    with np.load(d / "memory.npz") as stored:
         assert len(stored.files) == 24 and len(peaks) == 6
         kept = {key: stored[key] for key in stored.files if key != "21^3 MSE 6 steps peak"}
         assert [f"{float(kept[key]):.2f}" for key in kept if key.endswith(" peak")] == peaks[:5]
-    # a file that stores no peak for a run (as one saved without --memory)
-    np.savez(tmp_path / "partial.npz", **kept)
-    out = run_script(script, tmp_path, argv=["--compare", "partial.npz", "--memory"])
+    # compared with partial.npz, which stores no peak for the last run
+    out = outs["compare memory"]
     lines = out.splitlines()
     site = r" MB in \w+ (?:forward|vjp) "
     for line, peak in zip(lines[:5], peaks):
@@ -79,14 +98,13 @@ def test_trace_digest_memory_saves_and_compares_the_peaks(tmp_path):
     assert re.search(f"two-step peak {peaks[5]}{site}\\(none stored\\)$", lines[5]), out
 
 
-def test_trace_digest_compare_to_own_save_reads_zero(tmp_path):
-    script = ROOT / "tools" / "trace_digest.py"
-    run_script(script, tmp_path, argv=["--save", "outputs.npz"])
-    with np.load(tmp_path / "outputs.npz") as stored:
+def test_trace_digest_compare_to_own_save_reads_zero(trace_digest):
+    d, outs = trace_digest
+    with np.load(d / "plain.npz") as stored:
         assert len(stored.files) == 18
         assert all(stored[key].size for key in stored.files)
         assert stored["32^3 LNCC2 6 steps phi_ab"].shape == (32, 32, 32, 3)
-    out = run_script(script, tmp_path, argv=["--compare", "outputs.npz"])
+    out = outs["compare"]
     zero = "trace abs 0 rel 0, phi_ab abs 0, phi_ba abs 0"
     lines = out.splitlines()
     assert all(line.endswith(f"  deviation {zero}") for line in lines[:6]), out
@@ -170,6 +188,15 @@ def test_trace_digest_compare_checks_the_archive_before_registering(tmp_path, mo
     np.savez(archive, **{"32^3 LNCC2 6 steps trace": np.zeros(7)})
     with pytest.raises(SystemExit, match=r"one\.npz: no '32\^3 LNCC2 6 steps phi_ab' array"):
         module.main(["--compare", str(archive)])
+    assert registered == []
+
+
+def test_trace_digest_save_checks_the_path_before_registering(tmp_path, monkeypatch):
+    module = load_trace_digest()
+    registered = []
+    monkeypatch.setattr(module, "register", lambda *run: registered.append(run))
+    with pytest.raises(SystemExit, match=r"x\.npz: no such directory to save the archive in"):
+        module.main(["--save", str(tmp_path / "no_such_dir" / "x.npz")])
     assert registered == []
 
 

@@ -132,7 +132,8 @@ class TestTwoStep:
 
 
 class TestDownSample:
-    """warp_nodes' resample: a field on a coarser grid than the image it warps."""
+    """resample_field_nodes, which resample_field_to runs: a field on a
+    coarser grid than the one it is moved to."""
 
     def test_identity_passthrough(self):
         tape = Tape()
@@ -418,6 +419,21 @@ class TestInstanceOptimize:
             if name.split(".")[0] == "deformreg" and hasattr(module, "grid_coordinates"):
                 monkeypatch.setattr(module, "grid_coordinates", counted)
         rng = np.random.default_rng(13)
+        a, b = (make_volume(rng.uniform(0.1, 0.9, (16, 16, 16))) for _ in range(2))
+        instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=1))
+        assert calls == []
+
+    def test_a_step_resamples_no_field(self, monkeypatch):
+        # the pyramid evaluates u_ab and u_ba on the images' grid, so no
+        # warp or composition of a step moves a field to another grid
+        calls = []
+
+        def counted(tape, u, dims):
+            calls.append(dims)
+            return resample_field_nodes(tape, u, dims)
+
+        monkeypatch.setattr(deformreg.transforms, "resample_field_nodes", counted)
+        rng = np.random.default_rng(14)
         a, b = (make_volume(rng.uniform(0.1, 0.9, (16, 16, 16))) for _ in range(2))
         instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=1))
         assert calls == []

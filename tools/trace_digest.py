@@ -29,6 +29,7 @@ Run: PYTHONPATH=src python3 tools/trace_digest.py [--save FILE | --compare FILE]
 import argparse
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -173,6 +174,9 @@ def main(argv=None):
     parser.add_argument("--memory", action="store_true",
                         help="print each run's tracemalloc peak for two steps after its digest")
     args = parser.parse_args(argv)
+    # a --save path in no directory fails here, not after the six registrations
+    if args.save and not Path(args.save).parent.is_dir():
+        raise SystemExit(f"{args.save}: no such directory to save the archive in")
     stored = np.load(args.compare) if args.compare else None
     if stored is not None:
         for name in (run_name(*run) for run in RUNS):
