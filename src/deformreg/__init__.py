@@ -13,7 +13,6 @@ from .tensor import ConfigError, Tensor3, TensorError, displaced_axes, grid_coor
 from .tape import (
     Node,
     Tape,
-    TapeError,
     grad_check,
     sample_nearest_values,
     sample_trilinear_values,
@@ -28,7 +27,6 @@ from .volume import (
 )
 from .fileio import (
     FormatError,
-    UnsupportedError,
     read_field_raw,
     read_landmarks_csv,
     read_nifti,

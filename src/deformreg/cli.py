@@ -3,10 +3,11 @@
 Subcommands: register (per-pair optimization), synth (phantom pair with
 ground truth), evaluate (metrics report from a field, or the identity,
 plus truth), preprocess (intensity rules).
-Exit codes: 0 success, 2 configuration error (ConfigError, TensorError),
-3 I/O error or out of memory, 4 numerical abort (a non-finite loss, a
-tripped domain guard in an op, or either register map folding more than
-FOLD_LIMIT_PCT percent of its voxels).
+Exit codes: 0 success, 2 configuration error (ConfigError, or a
+TensorError raised outside the optimization loop), 3 I/O error (OSError,
+FormatError) or out of memory (MemoryError), 4 numerical abort
+(NumericalAbort: a non-finite loss, a tripped domain guard in an op, or
+either register map folding more than FOLD_LIMIT_PCT percent of its voxels).
 Reports embed a hash of the fully-resolved configuration.
 """
 
@@ -22,7 +23,6 @@ from pathlib import Path
 
 from .fileio import (
     FormatError,
-    UnsupportedError,
     read_field_raw,
     read_landmarks_csv,
     read_nifti,
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, FormatError, UnsupportedError) as exc:
+    except (OSError, FormatError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:  # an allocation the machine cannot make

@@ -32,11 +32,9 @@ _NUMERAL = re.compile(r"[ \t]*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?[
 
 
 class FormatError(ValueError):
-    """Malformed file for the declared format."""
-
-
-class UnsupportedError(ValueError):
-    """Well-formed file using a feature outside the supported subset."""
+    """A file malformed for its format, or one that uses a feature outside
+    the supported subset, such as dims or a geometry that a NIfTI header
+    being written cannot hold."""
 
 
 # NIfTI-1 header fields this package writes or reads: name -> (byte offset, struct format)
@@ -49,9 +47,11 @@ def _pack_header(dims, pixdim, datatype, bitpix, descrip: bytes, qoffset) -> byt
     """The header plus the zero bytes up to the data at VOX_OFFSET."""
     with np.errstate(over="ignore"):
         stored = np.array([*pixdim, *qoffset], np.float64).astype(np.float32).tolist()
-    _check_spacing_origin(stored[:3], stored[3:], UnsupportedError,
+    _check_spacing_origin(stored[:3], stored[3:], FormatError,
                           f"a NIfTI header holds float32, so spacing {tuple(pixdim)} and "
                           f"origin {tuple(qoffset)} do not fit: ")
+    if max(dims) > np.iinfo(np.int16).max:
+        raise FormatError(f"a NIfTI header holds int16 dims, so dims {tuple(dims)} do not fit")
     values = {"sizeof_hdr": [HEADER_SIZE], "dim": [3, *dims, 1, 1, 1, 1], "datatype": [datatype],
               "bitpix": [bitpix], "pixdim": [0.0, *stored[:3], 0.0, 0.0, 0.0, 0.0],
               "vox_offset": [float(VOX_OFFSET)], "descrip": [descrip[:79]],
@@ -80,7 +80,7 @@ def _parse_header(hdr: bytes, path) -> dict:
     for d in dim[4 : 1 + dim[0]]:
         extra *= max(d, 1)
     if extra != 1:
-        raise UnsupportedError(f"{path}: only scalar 3D volumes are supported")
+        raise FormatError(f"{path}: only scalar 3D volumes are supported")
     h["descrip"] = h["descrip"].split(b"\x00", 1)[0].decode("ascii", errors="replace")
     return h
 
@@ -116,7 +116,7 @@ def read_nifti(path, modality: str | None = None) -> Volume:
     elif meta["datatype"] == DT_INT16:
         dtype = np.dtype("<i2")
     else:
-        raise UnsupportedError(f"{path}: unsupported NIfTI datatype code {meta['datatype']}")
+        raise FormatError(f"{path}: unsupported NIfTI datatype code {meta['datatype']}")
     offset = meta["vox_offset"]
     if not (np.isfinite(offset) and offset >= VOX_OFFSET):
         raise FormatError(f"{path}: vox_offset {offset} must be finite and >= {VOX_OFFSET}")
@@ -147,7 +147,7 @@ def read_nifti(path, modality: str | None = None) -> Volume:
 
 def write_nifti_labels(lv: LabelVolume, path):
     if lv.labels.max(initial=0) > np.iinfo(np.int16).max:
-        raise UnsupportedError("label ids exceed int16 range")
+        raise FormatError("label ids exceed int16 range")
     hdr = _pack_header(lv.dims, lv.spacing, DT_INT16, 16, b"labels", lv.origin)
     Path(path).write_bytes(hdr + lv.labels.astype("<i2").tobytes(order="F"))
 
@@ -197,7 +197,7 @@ def read_raw(base) -> tuple[np.ndarray, dict]:
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or no three dims
         raise FormatError(f"{sidecar}: not a JSON object with three 'dims': {exc!r}") from exc
     if meta.get("dtype") != "float32":
-        raise UnsupportedError(f"{sidecar}: unsupported raw dtype {meta.get('dtype')!r}")
+        raise FormatError(f"{sidecar}: unsupported raw dtype {meta.get('dtype')!r}")
     channels = meta.get("channels", 1)
     for n in (nx, ny, nz, channels):
         check_number(FormatError, f"{sidecar}: dims and channels", n, integer=True, at_least=1)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .losses import LossConfig, sim_ab_nodes, sim_ba_and_penalty_nodes
 from .similarity import SimilarityConfig, fixed_side
-from .tape import Node, Tape, TapeError, _flat_in_halves
+from .tape import Node, Tape, _flat_in_halves
 from .tensor import ConfigError, Tensor3, TensorError, check_dims, check_number
 from .transforms import DisplacementField
 from .volume import Volume
@@ -351,7 +351,7 @@ def instance_optimize(
             if sweep:
                 model.params = adam.step(model.params, out)
                 del out  # the gradients are not kept alive while the next forward records its tape
-        except (TensorError, TapeError, FloatingPointError) as exc:  # overflow or a domain guard
+        except (TensorError, FloatingPointError) as exc:  # overflow or a domain guard
             raise NumericalAbort(step, str(exc)) from exc
 
     warning = None

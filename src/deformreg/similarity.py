@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import Node, Tape, TapeError, _box_mean, _box_mean_t
-from .tensor import ConfigError, Tensor3, check_number
+from .tape import Node, Tape, _box_mean, _box_mean_t
+from .tensor import ConfigError, Tensor3, TensorError, check_number
 from .volume import Volume
 
 SIMILARITY_KINDS = ("LNCC", "LNCC2", "MIND_SSC", "MSE")
@@ -118,7 +118,7 @@ def lncc_map_nodes(tape: Tape, a: Node, fixed: tuple, cfg: SimilarityConfig) -> 
     cov -= ea * ebv
     denom *= vbv
     if np.min(denom) <= 0.0:
-        raise TapeError("sqrt: non-positive radicand (add an epsilon upstream)")
+        raise TensorError("sqrt: non-positive radicand (add an epsilon upstream)")
     np.sqrt(denom, out=denom)
 
     def vjp(g):

@@ -20,6 +20,7 @@ squared variant does not; and sigmoid, a monotone contrast stretch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,8 @@ def make_phantom(seed: int, dims, n_structures: int = 3) -> Phantom:
         )
     rng = np.random.default_rng(seed)
     hi_dims = tuple((n - 1) * _SUPERSAMPLE + 1 for n in dims)
+    if 8 * math.prod(hi_dims) > np.iinfo(np.intp).max:  # before numpy's "array is too big"
+        raise MemoryError(f"the phantom's float64 grid {hi_dims} exceeds numpy's largest array")
     axes_hi, axes_lo = node_axes(hi_dims), node_axes(dims)
 
     # smoothing passes scale with the supersample factor squared to keep

@@ -44,7 +44,7 @@ of a stack or the channels, and a trilinear plan's forward and its
 coordinate projection, counting the plan's points. So every 64^3 grid
 and a 32^3 phantom's 63^3 grid split, and no 32^3 grid does: a 32^3
 registration step, its 12-plane MIND-SSC stack included, starts no
-thread (README has the measurements).
+thread (README gives the reasons).
 
 One recorder, ``trilinear_samples``, samples images on one grid at displaced
 points through one ``_TrilinearPlan``; ``trilinear_sample`` is its one-image
@@ -81,11 +81,7 @@ import threading
 
 import numpy as np
 
-from .tensor import ConfigError, Tensor3, displaced_axes, node_axes
-
-
-class TapeError(ValueError):
-    """Operation rejected: bad dims, bad domain, or tape misuse."""
+from .tensor import ConfigError, Tensor3, TensorError, displaced_axes, node_axes
 
 
 class Node:
@@ -587,7 +583,7 @@ class Tape:
 
     def _check_elementwise(self, op, a: Node, b: Node):
         if a.value.shape != b.value.shape:
-            raise TapeError(
+            raise ConfigError(
                 f"{op}: operand shapes differ: {a.value.shape} vs {b.value.shape}"
             )
 
@@ -612,7 +608,7 @@ class Tape:
         self._check_elementwise("div", a, b)
         av, bv = a.value.data, b.value.data
         if np.min(bv) <= 0.0:
-            raise TapeError("div: non-positive denominator (add an epsilon upstream)")
+            raise TensorError("div: non-positive denominator (add an epsilon upstream)")
         return self._append(
             "div", (a, b), av / bv,
             lambda g: (g / bv, -g * av / (bv * bv)),
@@ -633,7 +629,7 @@ class Tape:
     def sqrt(self, a: Node) -> Node:
         av = a.value.data
         if np.min(av) <= 0.0:
-            raise TapeError("sqrt: non-positive radicand (add an epsilon upstream)")
+            raise TensorError("sqrt: non-positive radicand (add an epsilon upstream)")
         rt = np.sqrt(av)
         return self._append("sqrt", (a,), rt, lambda g: (g / (2.0 * rt),))
 
@@ -648,11 +644,11 @@ class Tape:
 
     def concat_channels(self, nodes: list[Node]) -> Node:
         if not nodes:
-            raise TapeError("concat_channels: need at least one node")
+            raise ConfigError("concat_channels: need at least one node")
         dims = nodes[0].value.dims
         for n in nodes:
             if n.value.dims != dims:
-                raise TapeError(
+                raise ConfigError(
                     f"concat_channels: spatial dims differ: {n.value.dims} vs {dims}"
                 )
         val = np.concatenate([n.value.data for n in nodes], axis=3)
@@ -685,7 +681,7 @@ class Tape:
         square or d until backward (its vjp forms d again)."""
         av = a.value.data
         if minus is not None and minus.shape != av.shape:
-            raise TapeError(f"sum_squares: minus shape {minus.shape} is not {av.shape}")
+            raise ConfigError(f"sum_squares: minus shape {minus.shape} is not {av.shape}")
         n = av.size if mean else 1
 
         def d():
@@ -730,7 +726,7 @@ class Tape:
         """Separable box mean of the given radius per axis; boundary windows
         are averaged over the voxels present (count-normalized, no padding)."""
         if radius < 1:
-            raise TapeError(f"box_filter: radius must be >= 1, got {radius}")
+            raise ConfigError(f"box_filter: radius must be >= 1, got {radius}")
         return self._append("box_filter", (a,), _box_mean(a.value.data.copy(), radius),
                             lambda g: (_box_mean_t(g.copy(), radius),))
 
@@ -740,7 +736,7 @@ class Tape:
         boundary slices. Output channel 3*c+axis holds d(channel c)/d(axis)."""
         av = a.value.data
         if min(av.shape[:3]) < 3:
-            raise TapeError(f"spatial_gradient: dims {av.shape[:3]} need >= 3 per axis")
+            raise ConfigError(f"spatial_gradient: dims {av.shape[:3]} need >= 3 per axis")
         stencils = _central_stencils(av.shape)
         out = np.empty(tuple(n - 2 for n in av.shape[:3]) + (3 * av.shape[3],))
         for axis, (up, down, step) in enumerate(stencils):
@@ -776,15 +772,15 @@ class Tape:
         adjoint; the sweep reaches the plan node after every output and
         runs the plan's vjp once."""
         if not images:
-            raise TapeError("trilinear_samples: need at least one image")
+            raise ConfigError("trilinear_samples: need at least one image")
         if u.value.channels != 3:
-            raise TapeError(f"trilinear_samples: displacement needs 3 channels, "
-                            f"got {u.value.channels}")
+            raise ConfigError(f"trilinear_samples: displacement needs 3 channels, "
+                              f"got {u.value.channels}")
         dims = images[0].value.dims
         for image in images:
             if image.value.dims != dims:
-                raise TapeError(f"trilinear_samples: image dims differ: "
-                                f"{image.value.dims} vs {dims}")
+                raise ConfigError(f"trilinear_samples: image dims differ: "
+                                  f"{image.value.dims} vs {dims}")
         plan = _TrilinearPlan([image.value.data for image in images], displaced_axes(u.value.data))
         outs, plan.out = plan.out, None
         handed, wants = [None] * len(images), [image.needs_grad for image in images]
@@ -814,12 +810,12 @@ class Tape:
         transposes; the last field's adjoint is ``g``. A "coarse" grid
         may be finer than the last: it is resampled down."""
         if not fields:
-            raise TapeError("upsample_sum: need at least one field")
+            raise ConfigError("upsample_sum: need at least one field")
         *coarse, fine = fields
         for f in coarse:
             if f.value.channels != fine.value.channels:
-                raise TapeError(f"upsample_sum: channels differ: {f.value.channels} "
-                                f"vs {fine.value.channels}")
+                raise ConfigError(f"upsample_sum: channels differ: {f.value.channels} "
+                                  f"vs {fine.value.channels}")
         (nx, ny, nz), c = fine.value.dims, fine.value.channels
         dims = [f.value.dims for f in coarse]
         mats = [[_node_interpolation(n, m) for n, m in zip(d, fine.value.dims)] for d in dims]
@@ -865,7 +861,7 @@ class Tape:
         """Drop ``width`` voxels from every spatial face."""
         av = a.value.data
         if min(av.shape[:3]) <= 2 * width:
-            raise TapeError(f"crop_border: dims {av.shape[:3]} too small for width {width}")
+            raise ConfigError(f"crop_border: dims {av.shape[:3]} too small for width {width}")
         sl = slice(width, -width)
         val = av[sl, sl, sl, :]
 
@@ -881,21 +877,21 @@ class Tape:
     def backward(self, loss: Node) -> dict[int, Tensor3]:
         """Reverse sweep from a scalar loss: ``sweep`` seeded with 1."""
         if not self._swept and loss.value.shape != (1, 1, 1, 1):
-            raise TapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+            raise ConfigError(f"backward: loss must be scalar, got shape {loss.value.shape}")
         return self.sweep(loss, np.ones((1, 1, 1, 1)))
 
     def sweep(self, top: Node, adjoint: np.ndarray) -> dict[int, Tensor3]:
         """Reverse sweep seeded with ``adjoint`` (``top``'s shape) at
         ``top``; returns one gradient per flagged parameter (zero tensors
         for parameters ``top`` never saw). A tape is swept once: a second
-        call raises TapeError."""
+        call raises ConfigError."""
         if self._swept:
-            raise TapeError("backward: the tape was already swept; record a new one")
+            raise ConfigError("backward: the tape was already swept; record a new one")
         if top.id >= len(self.nodes) or self.nodes[top.id] is not top:
-            raise TapeError("backward: the node does not belong to this tape")
+            raise ConfigError("backward: the node does not belong to this tape")
         if np.shape(adjoint) != top.value.shape:
-            raise TapeError(f"backward: adjoint shape {np.shape(adjoint)} differs from "
-                            f"the node's {top.value.shape}")
+            raise ConfigError(f"backward: adjoint shape {np.shape(adjoint)} differs from "
+                              f"the node's {top.value.shape}")
         self._swept = True
         for node in self.nodes:
             if node is not top and node.id not in self.parameter_ids:
@@ -935,7 +931,7 @@ def grad_check(f, x0: Tensor3, h: float = 1e-4, n_coords: int = 64, seed: int = 
     """
     value, grad = f(x0)
     if not np.isfinite(value):
-        raise TapeError("grad_check: non-finite function value at x0")
+        raise TensorError("grad_check: non-finite function value at x0")
     flat_grad = grad.data.ravel()
     size = x0.size
     rng = np.random.default_rng(seed)
@@ -952,7 +948,7 @@ def grad_check(f, x0: Tensor3, h: float = 1e-4, n_coords: int = 64, seed: int = 
         bumped[i] = base[i] - h
         f_lo, _ = f(Tensor3(bumped.reshape(x0.shape)))
         if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise TapeError(f"grad_check: non-finite function value near coordinate {i}")
+            raise TensorError(f"grad_check: non-finite function value near coordinate {i}")
         numeric = (f_hi - f_lo) / (2.0 * h)
         analytic = flat_grad[i]
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)

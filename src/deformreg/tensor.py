@@ -15,7 +15,7 @@ import numpy as np
 
 
 class TensorError(ValueError):
-    """Invalid tensor construction or incompatible operand shapes."""
+    """A value outside the finite range or outside an op's domain."""
 
 
 class ConfigError(ValueError):
@@ -32,9 +32,9 @@ class Tensor3:
         if arr.ndim == 3:
             arr = arr[..., np.newaxis]
         if arr.ndim != 4:
-            raise TensorError(f"expected 3 or 4 array dims, got shape {arr.shape}")
+            raise ConfigError(f"expected 3 or 4 array dims, got shape {arr.shape}")
         if min(arr.shape) < 1:
-            raise TensorError(f"all dims must be positive, got shape {arr.shape}")
+            raise ConfigError(f"all dims must be positive, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise TensorError("non-finite values rejected at tensor construction")
         arr.setflags(write=False)
@@ -51,7 +51,7 @@ class Tensor3:
         invariant is still enforced.
         """
         if arr.ndim != 4:
-            raise TensorError(f"expected 4 array dims, got shape {arr.shape}")
+            raise ConfigError(f"expected 4 array dims, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise TensorError("non-finite values rejected at tensor construction")
         arr.setflags(write=False)
@@ -77,7 +77,7 @@ class Tensor3:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise TensorError(f"item() needs a scalar tensor, got shape {self.shape}")
+            raise ConfigError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
     def __repr__(self):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import deformreg
-from deformreg import cli, tape, transforms
+from deformreg import cli, synthetic, tape, transforms
 from deformreg.cli import FOLD_LIMIT_PCT, config_hash, main
 from deformreg.fileio import (read_field_raw, read_landmarks_csv, read_nifti, read_nifti_labels,
                               write_field_raw, write_nifti, write_volume_raw)
@@ -264,6 +264,18 @@ class TestOutOfMemory:
         assert err == f"out of memory: {self.MESSAGE}\n"
         assert not out.exists()
 
+    def test_synth_beyond_numpy_exits_3_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # the 5999999^3 float64 phantom grid is beyond numpy's largest array:
+        # the same line as a failed allocation, and no node axis is formed
+        monkeypatch.setattr(synthetic, "node_axes", self.fail)
+        out = tmp_path / "pair"
+        rc = main(["synth", "--out-dir", str(out), "--dims", "3000000"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert self.MESSAGE not in err and "(5999999, 5999999, 5999999)" in err
+        assert not out.exists()
+
     def test_register_exits_3(self, synth_pair, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "instance_optimize", self.fail)
         out = tmp_path / "out"
@@ -314,16 +326,15 @@ class TestOutOfMemory:
 
 
 # every exception class the package defines, with the exit code main gives
-# it and the prefix of its one stderr line; TapeError reaches main only
-# wrapped in NumericalAbort (see TestRegister.test_tripped_domain_guard_exits_4)
+# it and the prefix of its one stderr line; an op's domain guard raises
+# TensorError, which reaches main from a registration step only wrapped in
+# NumericalAbort (see TestRegister.test_tripped_domain_guard_exits_4)
 EXIT_OF_ERROR = {
     "ConfigError": (2, "config error"),
     "AmplitudeError": (2, "config error"),
     "TensorError": (2, "config error"),
     "FormatError": (3, "I/O error"),
-    "UnsupportedError": (3, "I/O error"),
     "NumericalAbort": (4, "numerical abort"),
-    "TapeError": None,
 }
 
 
@@ -343,7 +354,7 @@ class TestExitCodeOfEachError:
     def test_table_lists_every_error_class(self):
         assert set(package_errors()) == set(EXIT_OF_ERROR)
 
-    @pytest.mark.parametrize("name", sorted(k for k, v in EXIT_OF_ERROR.items() if v))
+    @pytest.mark.parametrize("name", sorted(EXIT_OF_ERROR))
     def test_main_maps_the_class(self, name, tmp_path, capsys, monkeypatch):
         error = package_errors()[name]
         args = {"AmplitudeError": ("bad amplitude", 0.1), "NumericalAbort": (3, "bad step")}
@@ -833,6 +844,18 @@ class TestPreprocess:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.nii", "v.json", "v.raw"]
         assert main(["preprocess", "--input", str(out), "--output", str(tmp_path / "w")]) == 0
         assert f"wrote {tmp_path / 'w.raw'} " in capsys.readouterr().out
+
+    def test_axis_nifti_cannot_hold_exits_3(self, tmp_path, capsys):
+        # a well-formed raw volume whose 40000-voxel axis overflows the
+        # header's int16 dim field
+        values = np.random.default_rng(6).uniform(0.1, 0.9, (40000, 1, 1))
+        write_volume_raw(Volume(Tensor3(values), modality="SYNTH-A"), tmp_path / "long")
+        rc = main(["preprocess", "--input", str(tmp_path / "long.raw"),
+                   "--output", str(tmp_path / "o.nii")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("I/O error: ") and "int16 dims" in err and err.count("\n") == 1
+        assert not (tmp_path / "o.nii").exists()
 
     @pytest.mark.parametrize("tag", NIFTI_UNFIT_TAGS, ids=NIFTI_UNFIT_IDS)
     def test_modality_argument_nifti_cannot_hold_exits_2(self, tmp_path, capsys, tag):

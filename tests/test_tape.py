@@ -16,7 +16,6 @@ from deformreg.synthetic import _smooth_noise, make_deformation, make_phantom
 from deformreg.tape import (
     _CORNERS,
     Tape,
-    TapeError,
     _box_mean,
     _box_mean_t,
     _box_scale,
@@ -55,6 +54,24 @@ class TestTensor3:
         a[1, 1, 1] = np.inf
         with pytest.raises(TensorError):
             Tensor3(a)
+
+    # a shape the caller got wrong is a ConfigError; TensorError is left
+    # for values outside the finite range or an op's domain
+    def test_two_array_dims_are_config_error(self):
+        with pytest.raises(ConfigError, match="expected 3 or 4 array dims"):
+            Tensor3(np.zeros((2, 2)))
+
+    def test_zero_length_axis_is_config_error(self):
+        with pytest.raises(ConfigError, match="all dims must be positive"):
+            Tensor3(np.zeros((2, 0, 2)))
+
+    def test_item_of_non_scalar_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"item\(\) needs a scalar"):
+            Tensor3(np.zeros((2, 1, 1))).item()
+
+    def test_wrap_of_three_array_dims_is_config_error(self):
+        with pytest.raises(ConfigError, match="expected 4 array dims"):
+            Tensor3._wrap(np.zeros((2, 2, 2)))
 
     def test_immutable_does_not_freeze_source(self):
         src = np.ones((2, 2, 2))
@@ -156,7 +173,7 @@ class TestForwardValues:
     @pytest.mark.parametrize("dims", [(2, 5, 5), (5, 5, 1)])
     def test_spatial_gradient_rejects_thin_grid(self, dims):
         tape = Tape()
-        with pytest.raises(TapeError, match="spatial_gradient"):
+        with pytest.raises(ConfigError, match="spatial_gradient"):
             tape.spatial_gradient(tape.input(Tensor3(np.zeros((*dims, 1)))))
 
     def test_trilinear_sample_at_nodes_is_exact(self):
@@ -191,20 +208,20 @@ class TestForwardValues:
         tape = Tape()
         a = tape.input(Tensor3.zeros((2, 2, 2)))
         b = tape.input(Tensor3.zeros((3, 2, 2)))
-        with pytest.raises(TapeError, match="add"):
+        with pytest.raises(ConfigError, match="add"):
             tape.add(a, b)
 
     def test_sqrt_guard(self):
         tape = Tape()
         x = tape.input(Tensor3.zeros((2, 2, 2)))
-        with pytest.raises(TapeError, match="sqrt"):
+        with pytest.raises(TensorError, match="sqrt"):
             tape.sqrt(x)
 
     def test_div_guard(self):
         tape = Tape()
         a = tape.input(Tensor3.full((2, 2, 2), 1.0))
         b = tape.input(Tensor3.zeros((2, 2, 2)))
-        with pytest.raises(TapeError, match="div"):
+        with pytest.raises(TensorError, match="div"):
             tape.div(a, b)
 
 
@@ -342,7 +359,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
         x = tape.input(Tensor3.zeros((2, 2, 2)), parameter=True)
-        with pytest.raises(TapeError, match="scalar"):
+        with pytest.raises(ConfigError, match="scalar"):
             tape.backward(tape.square(x))
 
     def test_unused_parameter_gets_zero_gradient(self):
@@ -442,7 +459,7 @@ class TestSumSquares:
     def test_minus_of_another_shape_rejected(self):
         tape = Tape()
         x = tape.input(Tensor3(np.ones((3, 3, 3))), parameter=True)
-        with pytest.raises(TapeError, match="minus shape"):
+        with pytest.raises(ConfigError, match="minus shape"):
             tape.sum_squares(x, minus=Tensor3(np.ones((3, 3, 2))))
 
 
@@ -459,7 +476,7 @@ class TestConsumedTape:
 
     def test_second_backward_raises(self):
         tape, _, _, loss, _ = self.swept()
-        with pytest.raises(TapeError, match="already swept"):
+        with pytest.raises(ConfigError, match="already swept"):
             tape.backward(loss)
 
     def test_intermediate_values_go_and_parameters_stay(self):
@@ -839,13 +856,13 @@ class TestSharedSample:
     def test_image_dims_must_match(self):
         field0, _, u0, _ = self.inputs()
         tape = Tape()
-        with pytest.raises(TapeError, match="image dims differ"):
+        with pytest.raises(ConfigError, match="image dims differ"):
             tape.trilinear_samples((tape.input(field0), tape.input(Tensor3.zeros((6, 5, 6)))),
                                    tape.input(u0))
 
     def test_no_image_rejected(self):
         tape = Tape()
-        with pytest.raises(TapeError, match="at least one image"):
+        with pytest.raises(ConfigError, match="at least one image"):
             tape.trilinear_samples((), tape.input(self.inputs()[2]))
 
 
@@ -1163,11 +1180,11 @@ class TestUpsampleSum:
     def test_channel_mismatch_rejected(self):
         q, s = self.fields([(4, 4, 4), (7, 7, 7)])
         tape = Tape()
-        with pytest.raises(TapeError, match="channels differ"):
+        with pytest.raises(ConfigError, match="channels differ"):
             tape.upsample_sum(tape.input(q), tape.input(Tensor3(s.data[..., :1])))
 
     def test_no_field_rejected(self):
-        with pytest.raises(TapeError, match="at least one field"):
+        with pytest.raises(ConfigError, match="at least one field"):
             Tape().upsample_sum()
 
 

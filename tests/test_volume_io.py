@@ -7,7 +7,6 @@ import pytest
 
 from deformreg.fileio import (
     FormatError,
-    UnsupportedError,
     read_field_raw,
     read_landmarks_csv,
     read_nifti,
@@ -229,7 +228,7 @@ class TestNifti:
         struct.pack_into("<f", hdr, 108, 352.0)
         struct.pack_into("<4s", hdr, 344, b"n+1\x00")
         p.write_bytes(bytes(hdr) + b"\x00" * 68)
-        with pytest.raises(UnsupportedError, match="64"):
+        with pytest.raises(FormatError, match="64"):
             read_nifti(p)
 
     @pytest.mark.parametrize("spacing, origin", [((1.0, 1.0, 1e308), (0.0, 0.0, 0.0)),
@@ -240,9 +239,22 @@ class TestNifti:
         # origins overflow or the spacing rounds to 0; nothing is written
         v = Volume(grid=Tensor3(np.ones((4, 4, 4))), spacing=spacing, origin=origin,
                    modality="CT")
-        with pytest.raises(UnsupportedError, match="float32"):
+        with pytest.raises(FormatError, match="float32"):
             write_nifti(v, tmp_path / "v.nii")
         assert not (tmp_path / "v.nii").exists()
+
+    def test_axis_beyond_int16_is_format_error(self, tmp_path):
+        # the header's dim field is int16; nothing is written for either writer
+        grid = np.zeros((1, 32768, 1))
+        with pytest.raises(FormatError, match="int16 dims"):
+            write_nifti(make_volume(grid), tmp_path / "v.nii")
+        with pytest.raises(FormatError, match="int16 dims"):
+            write_nifti_labels(LabelVolume(grid.astype(np.int64)), tmp_path / "l.nii")
+        assert not list(tmp_path.iterdir())
+
+    def test_axis_of_int16_max_is_written(self, tmp_path):
+        write_nifti(make_volume(np.zeros((32767, 1, 1))), tmp_path / "v.nii")
+        assert read_nifti(tmp_path / "v.nii").dims == (32767, 1, 1)
 
     def test_origin_that_rounds_to_zero_in_float32_is_written(self, tmp_path):
         # plain float32 rounding: any origin is valid, a spacing of 0 is not

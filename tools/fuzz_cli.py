@@ -7,6 +7,8 @@ mutates file contents only:
 - raw volume and field sidecars (values, keys, non-objects) and payloads,
   the field drawn on the pair's 16^3 grid or, well-formed, on a 9^3 grid
   that ``evaluate`` resamples onto the labels' grid;
+- a well-formed raw volume with one axis of 32768-40000 voxels, more than
+  the int16 dim field of the NIfTI header ``preprocess`` writes can hold;
 - landmark CSV lines;
 - the labels or the landmarks of an ``evaluate`` whose field is the
   well-formed 9^3 one, unmutated, so that whole cases reach the resampler;
@@ -203,6 +205,16 @@ def mutate_sidecar(seed: dict[str, bytes], stem: str, rng: random.Random) -> tup
     return {"v.json": json_text(sidecar, rng, notes), "v.raw": payload}, notes
 
 
+def long_axis_volume(seed: dict[str, bytes], rng: random.Random) -> tuple[dict, list]:
+    """The seed raw volume's sidecar with dims of one axis of 32768-40000
+    voxels and ones, and a fresh payload of that many values in [0, 1)."""
+    sidecar = json.loads(seed["volume.json"])
+    n, axis = rng.randint(32768, 40000), rng.randrange(3)
+    sidecar["dims"] = [n if a == axis else 1 for a in range(3)]
+    payload = struct.pack(f"<{n}f", *(rng.random() for _ in range(n)))
+    return {"v.json": json.dumps(sidecar).encode(), "v.raw": payload}, [f"dims {sidecar['dims']}"]
+
+
 def mutate_landmarks(text: str, rng: random.Random) -> tuple[bytes, list]:
     lines, notes = text.splitlines(), []
     for _ in range(rng.randint(1, 3)):
@@ -263,7 +275,10 @@ def make_case(seed_files: dict[str, bytes], seed: int, index: int):
         data, notes = mutate_nifti(seed_files["labels_a.nii"], rng)
         return route, {"l.nii": data}, notes
     if route == "preprocess-raw":
-        files, notes = mutate_sidecar(seed_files, "volume", rng)
+        if rng.random() < 0.1:
+            files, notes = long_axis_volume(seed_files, rng)
+        else:
+            files, notes = mutate_sidecar(seed_files, "volume", rng)
         return route, files, notes
     if route == "evaluate-field":
         stem = rng.choice(("field", "field9"))
