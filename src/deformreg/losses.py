@@ -15,8 +15,9 @@ The loss is two branches that meet only in the total and in u_ab's
 adjoint: (a) A warped by u_ab and sim_ab (``sim_ab_nodes``), and (b) one
 plan sampling u_ab and B at x + u_ba, the penalty and sim_ba
 (``sim_ba_and_penalty_nodes``). Every evaluation, ``loss_breakdown``
-included, records each on a tape of its own (``pipeline._pair_loss``);
-``randomized_loss_nodes`` records both on one, the tests' reference.
+included, records (b) on a tape of its own and then (a) on u_ab's
+(``pipeline._pair_loss``); ``randomized_loss_nodes`` records both on
+one, the tests' reference.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def randomized_loss_nodes(tape: Tape, u_ab: Node, u_ba: Node, side_a: tuple, sid
     each led by its image. Both branches go on the one tape, (a) and then
     (b), and the total is (sim_ab + sim_ba) + lam * reg. The maps are on
     the images' grid. The package never calls it: ``pipeline._pair_loss``
-    records each branch on a tape of its own, and the tests hold that to
-    this tape's values and gradients bit for bit.
+    records (b) on a tape of its own and (a) on u_ab's, and the tests
+    hold that to this tape's values and gradients bit for bit.
     """
     sim_ab = sim_ab_nodes(tape, u_ab, side_a, side_b, cfg)
     sim_ba, reg = sim_ba_and_penalty_nodes(tape, u_ab, u_ba, side_a, side_b, cfg)

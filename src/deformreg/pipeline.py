@@ -15,15 +15,16 @@ tied only through the inverse-consistency penalty. A fresh (zero) model
 is the identity map.
 
 Every evaluation of the loss (each forward and ``loss_breakdown``)
-records three tapes in ``_pair_loss``. The pyramid's holds the ``ab``
+records two tapes in ``_pair_loss``. The pyramid's holds the ``ab``
 grids and u_ab. Branch (b)'s holds u_ab's value as a parameter leaf, the
 ``ba`` grids and u_ba, the plan that samples u_ab and B at x + u_ba, the
 penalty and sim_ba; it is swept (leaving the ``ba`` gradients and the
-leaf's) or keeps u_ba, and is freed before branch (a)'s is recorded:
-another u_ab leaf, A's warp and sim_ab. That sweep leaves the leaf's
-gradient, and u_ab's tape is swept last from the sum of the two. So no
-evaluation holds both similarity terms, and each value and gradient is
-bit for bit that of ``losses.randomized_loss_nodes``'s one tape.
+leaf's) or keeps u_ba, and is freed before branch (a), A's warp of u_ab
+and sim_ab, extends the pyramid's tape. The leaf's gradient becomes
+u_ab's adjoint, and that tape's one sweep from sim_ab adds (a)'s share
+to it. So no evaluation holds both similarity terms, and each value and
+gradient is bit for bit that of ``losses.randomized_loss_nodes``'s one
+tape.
 """
 
 from __future__ import annotations
@@ -274,16 +275,8 @@ def _branch_ba(model: PyramidModel, u_ab: Node, sides: tuple, cfg: LossConfig, s
                    **{key: grads[node.id].data for key, node in bound.nodes.items()}}
 
 
-def _branch_ab(u_ab: Node, sides: tuple, cfg: LossConfig, sweep: bool):
-    """Branch (a)'s tape: sim_ab and, when ``sweep``, the leaf's gradient."""
-    tape = Tape()
-    leaf = tape.input(u_ab.value, parameter=True)
-    sim_ab = sim_ab_nodes(tape, leaf, *sides, cfg)
-    return sim_ab.value.item(), tape.backward(sim_ab)[leaf.id].data if sweep else None
-
-
 def _pair_loss(model: PyramidModel, sides: tuple, cfg: LossConfig, sweep: bool):
-    """The loss of ``model`` on the fixed ``sides`` (A's, B's) on the three
+    """The loss of ``model`` on the fixed ``sides`` (A's, B's) on the two
     tapes above: the terms ``total``, ``sim_ab``, ``sim_ba`` and ``reg``
     (unweighted), then the gradient per key when ``sweep``, else both maps."""
     pyramid = BoundPyramid(Tape(), model)
@@ -291,13 +284,13 @@ def _pair_loss(model: PyramidModel, sides: tuple, cfg: LossConfig, sweep: bool):
     # (b) first: its shared plan's vjp is the step's highest point,
     # which (a)'s share of u_ab's adjoint would otherwise sit beside
     terms, out = _branch_ba(model, u_ab, sides, cfg, sweep)
-    sim_ab, adjoint = _branch_ab(u_ab, sides, cfg, sweep)
-    terms = {"total": (sim_ab + terms["sim_ba"]) + terms["reg"] * cfg.lam,
-             "sim_ab": sim_ab, **terms}
+    sim_ab = sim_ab_nodes(pyramid.tape, u_ab, *sides, cfg)
+    terms = {"total": (sim_ab.value.item() + terms["sim_ba"]) + terms["reg"] * cfg.lam,
+             "sim_ab": sim_ab.value.item(), **terms}
     if not sweep:
         return terms, (DisplacementField(u_ab.value), DisplacementField(out))
-    adjoint = adjoint + out.pop("u_ab")
-    swept = pyramid.tape.sweep(u_ab, adjoint)
+    u_ab.adjoint = out.pop("u_ab")  # (b)'s share, which the sweep adds (a)'s to
+    swept = pyramid.tape.backward(sim_ab)
     return terms, {**out, **{key: swept[node.id].data for key, node in pyramid.nodes.items()}}
 
 

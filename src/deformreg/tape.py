@@ -549,11 +549,12 @@ class Tape:
 
     Backward consumes the tape (no checkpointing): each vjp closure holds
     its own operands, so the sweep drops every value but the parameters'
-    and its seed node's (the loss's) up front, then each vjp (a trilinear
-    plan with it) and intermediate adjoint as it passes. One graph may
-    span tapes: a node's value enters another tape as a parameter leaf,
-    and the leaf's gradient from that tape's sweep seeds ``sweep`` at the
-    node on its own. Distinct tapes are safe on distinct threads.
+    and the loss's up front, then each vjp (a trilinear plan with it)
+    and intermediate adjoint as it passes. One graph may span tapes: a
+    node's value enters another tape as a parameter leaf, and the leaf's
+    gradient from that tape's sweep, set as the node's adjoint, is added
+    to by its own tape's sweep. Distinct tapes are safe on distinct
+    threads.
     """
 
     def __init__(self):
@@ -875,33 +876,29 @@ class Tape:
     # -- backward ------------------------------------------------------------
 
     def backward(self, loss: Node) -> dict[int, Tensor3]:
-        """Reverse sweep from a scalar loss: ``sweep`` seeded with 1."""
-        if not self._swept and loss.value.shape != (1, 1, 1, 1):
-            raise ConfigError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-        return self.sweep(loss, np.ones((1, 1, 1, 1)))
-
-    def sweep(self, top: Node, adjoint: np.ndarray) -> dict[int, Tensor3]:
-        """Reverse sweep seeded with ``adjoint`` (``top``'s shape) at
-        ``top``; returns one gradient per flagged parameter (zero tensors
-        for parameters ``top`` never saw). A tape is swept once: a second
-        call raises ConfigError."""
+        """Reverse sweep from the scalar ``loss``; returns one gradient per
+        flagged parameter (zero tensors for parameters ``loss`` never saw).
+        An adjoint another node already holds when the sweep starts (a
+        share of its gradient that another tape's sweep found) is added
+        to. A tape is swept once: a second call raises ConfigError."""
         if self._swept:
             raise ConfigError("backward: the tape was already swept; record a new one")
-        if top.id >= len(self.nodes) or self.nodes[top.id] is not top:
+        if loss.id >= len(self.nodes) or self.nodes[loss.id] is not loss:
             raise ConfigError("backward: the node does not belong to this tape")
-        if np.shape(adjoint) != top.value.shape:
-            raise ConfigError(f"backward: adjoint shape {np.shape(adjoint)} differs from "
-                              f"the node's {top.value.shape}")
+        if loss.value.shape != (1, 1, 1, 1):
+            raise ConfigError(f"backward: loss must be scalar, got shape {loss.value.shape}")
         self._swept = True
         for node in self.nodes:
-            if node is not top and node.id not in self.parameter_ids:
+            if node is not loss and node.id not in self.parameter_ids:
                 node.value = None
-        top.adjoint = adjoint
-        for node in reversed(self.nodes[: top.id + 1]):
+        loss.adjoint = np.ones((1, 1, 1, 1))
+        for node in reversed(self.nodes[: loss.id + 1]):
             vjp, node._vjp = node._vjp, None
             if node.adjoint is None or vjp is None or not node.needs_grad:
                 continue
-            for parent, contrib in zip(node.parents, vjp(node.adjoint)):
+            # the closure goes before the adds, so none of them sits beside it
+            contribs, vjp = vjp(node.adjoint), None
+            for parent, contrib in zip(node.parents, contribs):
                 if contrib is None or not parent.needs_grad:
                     continue
                 # a contribution may be shared (add hands g to both parents)

@@ -62,6 +62,16 @@ class TestRegister:
         assert rc == 2
         assert "optimzer" in capsys.readouterr().err
 
+    def test_missing_config_exits_3(self, tmp_path, capsys):
+        src = tmp_path / "v.nii"
+        write_test_volume(src, seed=2)
+        rc = main(["register", "--source", str(src), "--target", str(src),
+                   "--config", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert f"config file not found: {tmp_path / 'missing.json'}" in err
+        assert "Traceback" not in err
+
     def test_missing_input_exits_3(self, tmp_path):
         rc = main(["register", "--source", str(tmp_path / "nope.nii"),
                    "--target", str(tmp_path / "nope.nii"),

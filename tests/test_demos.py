@@ -18,13 +18,17 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run_script(script, cwd, argv=(), **env_extra):
+def run_process(script, cwd, argv=(), **env_extra):
     # the subprocess imports the same deformreg as this test, installed or not
     env = dict(os.environ, **env_extra)
     src_dir = str(Path(deformreg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script), *argv], capture_output=True,
+    return subprocess.run([sys.executable, str(script), *argv], capture_output=True,
                           text=True, env=env, cwd=cwd, timeout=600)
+
+
+def run_script(script, cwd, argv=(), **env_extra):
+    proc = run_process(script, cwd, argv, **env_extra)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     return proc.stdout
@@ -136,6 +140,14 @@ def test_kernel_times_prints_the_phantom_from_side_16(tmp_path):
     rows, forward, out = kernel_rows(tmp_path, 16)
     assert len(rows) == 8, out
     assert forward == ["adam", "phantom noise", "make_phantom"], out
+
+
+def test_kernel_times_rejects_a_side_below_the_smallest_model(tmp_path):
+    # the adam row's build_model needs 8 nodes per axis
+    proc = run_process(ROOT / "tools" / "kernel_times.py", tmp_path, argv=["--side", "7"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage: kernel_times.py"), proc.stderr
+    assert "--side must be >= 8" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_fuzz_cli_prints_its_summary(tmp_path):

@@ -260,3 +260,5 @@ class TestEvaluatePair:
             MetricsReport(mean_dice=120.0)
         with pytest.raises(ConfigError, match="negative mTRE"):
             MetricsReport(mtre_mm=-1.0)
+        with pytest.raises(ConfigError, match="folding percent out of range: 101"):
+            MetricsReport(percent_neg_jacobian=101)

@@ -79,9 +79,10 @@ def plain_pyramid(model, direction):
 
 
 def first_step_tapes(monkeypatch, kind, n):
-    """The three tapes of the first (gradient-taking) loss forward of a
+    """The two tapes of the first (gradient-taking) loss forward of a
     one-step instance_optimize run on a random pair of side n, in the
-    order recorded: the pyramid's (u_ab), branch (b)'s and branch (a)'s."""
+    order recorded: the pyramid's (u_ab, then branch (a)) and branch
+    (b)'s."""
     tapes = []
 
     class Recorded(Tape):
@@ -94,8 +95,8 @@ def first_step_tapes(monkeypatch, kind, n):
     a, b = (make_volume(rng.uniform(0.1, 0.9, (n, n, n))) for _ in range(2))
     instance_optimize(a, b, LossConfig(similarity=SimilarityConfig(kind=kind)),
                       OptimizerConfig(steps=1))
-    assert len(tapes) == 6  # the step's forward, then the final one
-    return tapes[:3]
+    assert len(tapes) == 4  # the step's forward, then the final one
+    return tapes[:2]
 
 
 def constant_field_node(tape, dims, t):
@@ -194,23 +195,25 @@ class TestExplicitComposition:
 
 
 class TestLossNodeInventory:
-    """One step's loss forward, on three tapes. The pyramid's tape holds
-    the ``ab`` grids and u_ab, one ``upsample_sum`` node. Branch (b)'s
+    """One step's loss forward, on two tapes. The pyramid's tape holds
+    the ``ab`` grids and u_ab, one ``upsample_sum`` node, then branch (a):
+    A, A's warp of u_ab (a plan with one output) and sim_ab. Branch (b)'s
     holds u_ab as a parameter leaf, the ``ba`` grids and u_ba, B (the
     source of its warp), one plan (op ``trilinear_sample``) that samples
     both u_ab (the penalty's compose) and B at x + u_ba, with one
     ``trilinear_output`` node per image, the penalty (one ``consistency``
-    node), sim_ba and its weighted sum. Branch (a)'s holds its own u_ab
-    leaf, A, A's warp (a plan with one output) and sim_ab. A trilinear
-    sample adds the identity grid itself, the MSE term subtracts the fixed
-    image inside its sum of squares, and each MIND_SSC term is one
-    ``mind_ssc_loss`` node (28, 22 and 22 nodes on one tape, before the
-    branches had tapes of their own; 30 and 24 when the penalty was a
-    spatial gradient, a sum of squares and a scale)."""
+    node), sim_ba and its weighted sum. A trilinear sample adds the
+    identity grid itself, the MSE term subtracts the fixed image inside
+    its sum of squares, and each MIND_SSC term is one ``mind_ssc_loss``
+    node (28, 22 and 22 nodes on one tape, before the branches had tapes
+    of their own; 30 and 24 when the penalty was a spatial gradient, a
+    sum of squares and a scale; (4, 17, 8), (4, 14, 5) and (4, 14, 5)
+    on three tapes, when branch (a) had a tape and a u_ab leaf of its
+    own)."""
 
     @pytest.mark.parametrize("kind, n, nodes", [
-        ("LNCC2", 16, (4, 17, 8)), ("MIND_SSC", 16, (4, 14, 5)), ("MSE", 16, (4, 14, 5)),
-        ("LNCC2", 32, (4, 17, 8))], ids=["LNCC2-16", "MIND_SSC-16", "MSE-16", "LNCC2-32"])
+        ("LNCC2", 16, (11, 17)), ("MIND_SSC", 16, (8, 14)), ("MSE", 16, (8, 14)),
+        ("LNCC2", 32, (11, 17))], ids=["LNCC2-16", "MIND_SSC-16", "MSE-16", "LNCC2-32"])
     def test_one_forward(self, monkeypatch, kind, n, nodes):
         tapes = first_step_tapes(monkeypatch, kind, n)
         assert tuple(len(tape.nodes) for tape in tapes) == nodes
@@ -219,7 +222,7 @@ class TestLossNodeInventory:
             ops = Counter(node.op for node in tape.nodes)
             counts.append((ops["input"], ops["param"], ops["upsample_sum"],
                            ops["trilinear_sample"], ops["trilinear_output"], ops["consistency"]))
-        assert counts == [(0, 3, 1, 0, 0, 0), (1, 4, 1, 1, 2, 1), (1, 1, 0, 1, 1, 0)]
+        assert counts == [(1, 3, 1, 1, 1, 0), (1, 4, 1, 1, 2, 1)]
 
 
 class TestFixedSideHoisting:
@@ -323,11 +326,12 @@ class TestBuildModel:
 
 
 class TestBranchTapes:
-    """A step records u_ab on the pyramid's tape and each loss branch on a
-    tape of its own, and sweeps u_ab's tape from the sum of the branches'
-    shares of its adjoint. Its loss value and every gradient, and each
-    term ``loss_breakdown`` returns, are those of one tape holding
-    ``randomized_loss_nodes`` and its ``backward``, byte for byte."""
+    """A step records branch (b) on a tape of its own and branch (a) on
+    the pyramid's, after u_ab, and sweeps that tape from sim_ab with
+    (b)'s share of u_ab's adjoint set on u_ab. Its loss value and every
+    gradient, and each term ``loss_breakdown`` returns, are those of one
+    tape holding ``randomized_loss_nodes`` and its ``backward``, byte for
+    byte."""
 
     @pytest.mark.parametrize("dims", [(16, 16, 16), (21, 19, 17)], ids=["16", "21x19x17"])
     @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
@@ -475,6 +479,21 @@ class TestInstanceOptimize:
             instance_optimize(a, b, LossConfig(), absurd)
         assert err.value.step >= 1
 
+    def test_non_finite_final_loss_aborts_at_the_last_step(self, monkeypatch):
+        # the final forward, which no sweep follows, returns a NaN total
+        pair_loss = pipeline._pair_loss
+
+        def final_nan(model, sides, cfg, sweep):
+            terms, out = pair_loss(model, sides, cfg, sweep)
+            return ({**terms, "total": np.nan} if not sweep else terms), out
+
+        monkeypatch.setattr(pipeline, "_pair_loss", final_nan)
+        rng = np.random.default_rng(9)
+        a, b = (make_volume(rng.uniform(0.1, 0.9, (16, 16, 16))) for _ in range(2))
+        with pytest.raises(NumericalAbort, match="non-finite loss at optimization step 2") as err:
+            instance_optimize(a, b, LossConfig(), OptimizerConfig(steps=2))
+        assert err.value.step == 2
+
     @pytest.mark.parametrize("loss_cfg, opt_cfg, step, reason", [
         # lr * damping overflows to inf, so the first update is not finite
         (LossConfig(), OptimizerConfig(steps=2, lr=1e308, stage_damping=(2, 0.3, 0.1)), 0,
@@ -559,23 +578,23 @@ class TestAdam:
 def sweep_memory(monkeypatch, steps, n=24, kind="LNCC2"):
     """Per step of a ``kind`` ``instance_optimize`` run of ``steps`` steps
     on a random pair of side n: the (entry, peak) traced bytes of each of
-    its three ``Tape.sweep`` calls (branch (b)'s, branch (a)'s, then
-    u_ab's), and the step peak. A sweep's peak is the highest point it
+    its two ``Tape.backward`` calls (branch (b)'s, then the pyramid's,
+    which holds branch (a)), and the step peak. A sweep's peak is the highest point it
     reaches; the step peak is the highest point from the end of the
     previous step's last sweep (from the run's start, fixed sides
     included, for the first) to the end of the step's last sweep."""
-    sweep, calls = Tape.sweep, []
+    backward, calls = Tape.backward, []
 
-    def traced(tape, top, adjoint):
+    def traced(tape, loss):
         entry, before = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        grads = sweep(tape, top, adjoint)
+        grads = backward(tape, loss)
         peak = tracemalloc.get_traced_memory()[1]
         calls.append((entry, peak, max(before, peak)))
         tracemalloc.reset_peak()
         return grads
 
-    monkeypatch.setattr(Tape, "sweep", traced)
+    monkeypatch.setattr(Tape, "backward", traced)
     rng = np.random.default_rng(12)
     a, b = (make_volume(rng.uniform(0.1, 0.9, (n, n, n))) for _ in range(2))
     tracemalloc.start()
@@ -584,10 +603,10 @@ def sweep_memory(monkeypatch, steps, n=24, kind="LNCC2"):
                           OptimizerConfig(steps=steps))
     finally:
         tracemalloc.stop()
-    assert len(calls) == 3 * steps
-    return [([(entry, peak) for entry, peak, _ in calls[k:k + 3]],
-             max(step_peak for *_, step_peak in calls[k:k + 3]))
-            for k in range(0, len(calls), 3)]
+    assert len(calls) == 2 * steps
+    return [([(entry, peak) for entry, peak, _ in calls[k:k + 2]],
+             max(step_peak for *_, step_peak in calls[k:k + 2]))
+            for k in range(0, len(calls), 2)]
 
 
 FIELD_BYTES = 24**3 * 3 * 8
@@ -598,13 +617,14 @@ def in_fields(readings) -> str:
 
 
 class TestStepMemory:
-    """Each sweep consumes its tape, the two branches' tapes are never
-    held at once, and a step's gradients are gone before the next step
-    records its own. At 24^3, one step's three sweeps (branch (b)'s,
-    branch (a)'s, u_ab's) enter with 11.20, 10.33 and 7.19 fields and
-    peak at 14.21, 12.33 and 8.95 (one tape with one sweep entered with
-    14.4 and peaked 0.87 fields above that, in the shared plan's vjp, when
-    it also held u_ab's adjoint from A's warp)."""
+    """Each sweep consumes its tape, the two branches are never held at
+    once, and a step's gradients are gone before the next step records
+    its own. At 24^3, one step's two sweeps (branch (b)'s, then the
+    pyramid's, which holds branch (a)) enter with 11.20 and 10.33 fields
+    and peak at 14.21 and 11.33 (12.33 and 8.95 when branch (a) and u_ab
+    were swept on tapes of their own; one tape with one sweep entered
+    with 14.4 and peaked 0.87 fields above that, in the shared plan's
+    vjp, when it also held u_ab's adjoint from A's warp)."""
 
     def test_each_sweep_peaks_at_most_14_5_fields(self, monkeypatch):
         # values no vjp reads go before each sweep, and each vjp's closure
@@ -641,9 +661,10 @@ class TestMindSscStepMemory:
     padded image, the 12 distances, V and the floor's mask, and no
     descriptor, and the penalty keeps its operand, not its 9-channel
     gradient. Each branch is recorded and swept before the next, so the
-    step never holds both terms' distances: the three sweeps enter with
-    21.35, 20.50 and 13.90 fields and peak at 22.03, 23.18 and 15.65, the
-    step's peak, which branch (a)'s MIND_SSC vjp reaches. With both
+    step never holds both terms' distances: the two sweeps enter with
+    21.35 and 20.50 fields and peak at 22.02 and 22.17, the step's peak,
+    which branch (a)'s MIND_SSC vjp reaches (23.18 when branch (a) had a
+    tape of its own and its sweep held u_ab's value). With both
     terms on one tape the sweep entered with 28.0 fields and rose 0.3
     above that, and the step peaked at 28.4 fields in the second term's
     forward, which held the first term's closure (37.9, 9.6 and 47.5 when
@@ -659,25 +680,25 @@ class TestMindSscStepMemory:
         assert max(entries) <= 29 * FIELD_BYTES, (
             f"the sweeps entered with {in_fields(entries)} fields")
 
-    def test_each_sweep_peaks_at_most_24_fields(self, monkeypatch):
+    def test_each_sweep_peaks_at_most_22_75_fields(self, monkeypatch):
         # a term's vjp holds one 12-plane stack and half of another at
         # most: it writes each distance's adjoint over that distance and
         # takes the box transpose half a stack at a time
         ((sweeps, _),) = sweep_memory(monkeypatch, steps=1, kind="MIND_SSC")
         peaks = [peak for _, peak in sweeps]
-        assert max(peaks) <= 24 * FIELD_BYTES, f"the sweeps peaked at {in_fields(peaks)} fields"
+        assert max(peaks) <= 22.75 * FIELD_BYTES, f"the sweeps peaked at {in_fields(peaks)} fields"
 
-    def test_step_peaks_at_most_24_fields(self, monkeypatch):
-        # the fixed sides, the three forwards and the three sweeps of the
-        # one step; the highest point is branch (a)'s sweep
+    def test_step_peaks_at_most_22_75_fields(self, monkeypatch):
+        # the fixed sides, the two forwards and the two sweeps of the one
+        # step; the highest point is the pyramid's sweep, in branch (a)
         ((_, step_peak),) = sweep_memory(monkeypatch, steps=1, kind="MIND_SSC")
-        assert step_peak <= 24 * FIELD_BYTES, (
+        assert step_peak <= 22.75 * FIELD_BYTES, (
             f"the step peaked at {step_peak / FIELD_BYTES:.2f} fields")
 
 
 class TestLossBreakdownMemory:
-    """``loss_breakdown`` records the step's three tapes unswept, freeing
-    branch (b)'s before branch (a)'s is recorded, so it never holds both
+    """``loss_breakdown`` records the step's two tapes unswept, freeing
+    branch (b)'s before branch (a) is recorded, so it never holds both
     similarity terms. On a random 24^3 pair it peaks at 19.05 fields with
     MIND_SSC and 9.52 with LNCC2 (25.68 and 12.67 when it recorded both
     branches on one tape)."""

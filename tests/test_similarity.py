@@ -140,6 +140,15 @@ class TestLossSimilarity:
         assert loss_similarity(a, b, SimilarityConfig(kind="LNCC2")) < 2e-3
         assert loss_similarity(a, b, SimilarityConfig(kind="LNCC")) > 1.9
 
+    def test_plain_wrappers_take_raw_arrays(self):
+        rng = np.random.default_rng(10)
+        a, b = rng_volume(rng, (8, 8, 8)), rng_volume(rng, (8, 8, 8))
+        raw_a, raw_b = a.data[..., 0], b.data[..., 0]
+        assert np.array_equal(lncc_map(raw_a, raw_b).data, lncc_map(a, b).data)
+        for kind in SIMILARITY_KINDS:
+            cfg = SimilarityConfig(kind=kind)
+            assert loss_similarity(raw_a, raw_b, cfg) == loss_similarity(a, b, cfg), kind
+
     def test_mse_exact_zero(self):
         rng = np.random.default_rng(7)
         a = rng_volume(rng, (6, 6, 6))

@@ -362,6 +362,24 @@ class TestBackward:
         with pytest.raises(ConfigError, match="scalar"):
             tape.backward(tape.square(x))
 
+    def test_node_of_another_tape_rejected(self):
+        other = Tape()
+        loss = other.sum(other.input(Tensor3.zeros((2, 1, 1)), parameter=True))
+        tape = Tape()
+        tape.input(Tensor3.zeros((2, 1, 1)), parameter=True)
+        with pytest.raises(ConfigError, match="backward: the node does not belong to this tape"):
+            tape.backward(loss)
+
+    def test_adjoint_a_node_holds_is_added_to(self):
+        # how a share of a node's gradient found on another tape enters its own
+        tape = Tape()
+        x = tape.input(Tensor3(np.array([3.0, -2.0]).reshape(2, 1, 1, 1)), parameter=True)
+        squares = tape.square(x)
+        loss = tape.sum(squares)
+        squares.adjoint = np.full((2, 1, 1, 1), 0.5)
+        grads = tape.backward(loss)
+        assert np.array_equal(grads[x.id].data.ravel(), [9.0, -6.0])
+
     def test_unused_parameter_gets_zero_gradient(self):
         tape = Tape()
         x = tape.input(Tensor3.full((2, 1, 1), 1.0), parameter=True)
@@ -864,6 +882,13 @@ class TestSharedSample:
         tape = Tape()
         with pytest.raises(ConfigError, match="at least one image"):
             tape.trilinear_samples((), tape.input(self.inputs()[2]))
+
+    def test_displacement_needs_3_channels(self):
+        field0, image, _, _ = self.inputs()
+        tape = Tape()
+        with pytest.raises(ConfigError,
+                           match="trilinear_samples: displacement needs 3 channels, got 1"):
+            tape.trilinear_samples((tape.input(field0),), tape.input(image))
 
 
 class TestTrilinearSplit:

@@ -121,6 +121,10 @@ class TestComposeWarpLaw:
 
 
 class TestWarp:
+    def test_displacement_needs_3_channels(self):
+        with pytest.raises(ConfigError, match="displacement needs 3 channels, got 1"):
+            DisplacementField(Tensor3.zeros((4, 4, 4)))
+
     def test_identity_warp(self):
         rng = np.random.default_rng(4)
         v = make_volume(rng.uniform(0, 1, (6, 6, 6)))

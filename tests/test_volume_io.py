@@ -72,6 +72,25 @@ class TestSpacingAndOrigin:
         LabelVolume(np.zeros((4, 4, 4), dtype=np.int64), spacing=(0.5, 1, 2), origin=(-4, 0, 0))
 
 
+class TestConstructorChecks:
+    def test_volume_needs_1_channel(self):
+        with pytest.raises(ConfigError, match="volume grid must have 1 channel, got 3"):
+            Volume(Tensor3.zeros((4, 4, 4), channels=3))
+
+    @pytest.mark.parametrize("labels, message", [
+        (np.zeros((4, 4), dtype=np.int64), r"labels must be a 3D array, got shape \(4, 4\)"),
+        (np.zeros((4, 4, 4)), "labels must be integers, got dtype float64"),
+        (np.full((4, 4, 4), -1, dtype=np.int64), "labels must be non-negative")],
+        ids=["2d", "float", "negative"])
+    def test_label_volume_rejects_labels(self, labels, message):
+        with pytest.raises(ConfigError, match=message):
+            LabelVolume(labels)
+
+    def test_landmarks_need_3_coordinates(self):
+        with pytest.raises(ConfigError, match=r"landmarks must be \(k, 3\), got shape \(2, 2\)"):
+            LandmarkSet(np.zeros((2, 2)))
+
+
 class TestPreprocess:
     def test_ct_clip_and_map(self):
         arr = np.zeros((10, 10, 10))
@@ -146,6 +165,11 @@ class TestInvertCT:
     def test_rejects_mr(self):
         v = make_volume(np.full((4, 4, 4), 0.5), "T1w", preprocessed=True)
         with pytest.raises(ConfigError, match="intensity inversion applies to CT-family only"):
+            invert_ct(v)
+
+    def test_rejects_unpreprocessed(self):
+        v = make_volume(np.full((4, 4, 4), 0.5), "CT")
+        with pytest.raises(ConfigError, match=r"invert_ct expects a preprocessed \(range \[0,1\]\)"):
             invert_ct(v)
 
 
@@ -324,6 +348,19 @@ class TestNifti:
 
 
 class TestRawAndCsv:
+    def test_label_ids_above_int16_rejected(self, tmp_path):
+        labels = np.zeros((4, 4, 4), dtype=np.int64)
+        labels[0, 0, 0] = 32768
+        with pytest.raises(FormatError, match="label ids exceed int16 range"):
+            write_nifti_labels(LabelVolume(labels), tmp_path / "labels.nii")
+        assert not (tmp_path / "labels.nii").exists()
+
+    def test_field_payload_needs_3_channels(self, tmp_path):
+        with pytest.raises(FormatError, match=r"displacement payload must be \(nx,ny,nz,3\), "
+                                              r"got \(4, 4, 4, 2\)"):
+            write_field_raw(np.zeros((4, 4, 4, 2)), tmp_path / "field")
+        assert not any(tmp_path.iterdir())
+
     def test_volume_raw_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         data = rng.uniform(0, 1, (5, 4, 3)).astype(np.float32).astype(np.float64)

@@ -191,8 +191,8 @@ def main(argv=None):
     parser.add_argument("--side", type=int, default=64, help="cube side n of the n^3 grid")
     parser.add_argument("--repeats", type=int, default=5, help="calls per timing; the min is shown")
     args = parser.parse_args(argv)
-    if args.side < 2 or args.repeats < 1:
-        parser.error("--side must be >= 2 and --repeats >= 1")
+    if args.side < 8 or args.repeats < 1:  # the adam row's model quarters each axis
+        parser.error("--side must be >= 8 and --repeats >= 1")
     _keep_heap_resident()
     rng = np.random.default_rng(0)
     rows = [(f"trilinear C={c}", trilinear_times(args.side, c, args.repeats, rng))
